@@ -12,7 +12,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,16 @@ def _load_rig_arg(spec: str) -> StereoRig:
     path = Path(spec)
     if not path.exists():
         raise CommandError(f"rig file not found: {path}")
-    return load_rig(path)
+    return _read_rig(path)
+
+
+def _read_rig(path: Path) -> StereoRig:
+    try:
+        return load_rig(path)
+    except KeyError as exc:
+        raise CommandError(f"rig file {path} is missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CommandError(f"bad rig file {path}: {exc}") from None
 
 
 def _load_scene_arg(spec: str) -> synth.Scene:
@@ -56,42 +65,36 @@ def _out_dir(spec: str) -> Path:
     return path
 
 
+_PARAM_FIELDS = {f.name: f for f in dataclass_fields(solver.SolverParams)}
+
+
 def _resolve_params(args) -> solver.SolverParams:
-    params = solver.SolverParams()
+    """Defaults < `--config` file < flags; bad keys or values are a CommandError."""
+    values = solver.SolverParams().to_dict()
     if getattr(args, "config", None):
         cfg_path = Path(args.config)
         if not cfg_path.exists():
             raise CommandError(f"config file not found: {cfg_path}")
-        params = solver.SolverParams.from_dict(
-            {**params.to_dict(), **json.loads(cfg_path.read_text())})
-    overrides = {}
-    for name in ("lam", "alpha0", "alpha1", "beta", "eta", "warp_iters",
-                 "pd_iters", "du_max", "pyramid_levels", "pyramid_scale",
-                 "min_width", "epsilon_scale"):
+        try:
+            values.update(json.loads(cfg_path.read_text()))
+        except (TypeError, ValueError) as exc:
+            raise CommandError(f"bad config file {cfg_path}: {exc}") from None
+    for name in _PARAM_FIELDS:
         value = getattr(args, name, None)
         if value is not None:
-            overrides[name] = value
-    return replace(params, **overrides) if overrides else params
+            values[name] = value
+    try:
+        return solver.SolverParams.from_dict(values)
+    except (TypeError, ValueError) as exc:
+        raise CommandError(f"invalid solver parameters: {exc}") from None
 
 
-def _add_param_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file of solver parameters")
-    p.add_argument("--lam", type=float, help="data term weight")
-    p.add_argument("--alpha0", type=float, help="second-order TGV weight")
-    p.add_argument("--alpha1", type=float, help="first-order TGV weight")
-    p.add_argument("--beta", type=float, help="edge tensor magnitude")
-    p.add_argument("--eta", type=float, help="edge tensor sharpness")
-    p.add_argument("--warp-iters", dest="warp_iters", type=int,
-                   help="warping iterations per pyramid level")
-    p.add_argument("--pd-iters", dest="pd_iters", type=int,
-                   help="primal-dual cycles per warp iteration")
-    p.add_argument("--du-max", dest="du_max", type=float,
-                   help="clip for each disparity increment, px")
-    p.add_argument("--pyramid-levels", dest="pyramid_levels", type=int)
-    p.add_argument("--pyramid-scale", dest="pyramid_scale", type=float)
-    p.add_argument("--min-width", dest="min_width", type=int)
-    p.add_argument("--epsilon-scale", dest="epsilon_scale", type=float,
-                   help="target peak flow when generating trajectory fields, px")
+def _add_param_flags(p: argparse.ArgumentParser, names=tuple(_PARAM_FIELDS)) -> None:
+    """One flag per named `SolverParams` field, e.g. --warp-iters for warp_iters."""
+    for name in names:
+        f = _PARAM_FIELDS[name]
+        p.add_argument("--" + name.replace("_", "-"), dest=name, type=type(f.default),
+                       help=f"{f.metadata['help']} (default {f.default})")
 
 
 def cmd_render(args) -> int:
@@ -133,7 +136,7 @@ def cmd_render(args) -> int:
 def cmd_fields(args) -> int:
     rig = _load_rig_arg(args.rig)
     out = _out_dir(args.out)
-    epsilon = args.epsilon_scale if args.epsilon_scale is not None else 0.1
+    epsilon = _resolve_params(args).epsilon_scale
 
     cal, cal_ok = fields.generate_calibration_field(rig)
     formats.write_vector_pfm(out / "calibration.pfm", cal, third=cal_ok)
@@ -187,7 +190,7 @@ def _load_gt_dir(path: Path):
             raise CommandError(f"ground truth file not found: {path / name}")
     corr, covis = formats.read_vector_pfm(path / "correspondence.pfm")
     depth = formats.read_pfm(path / "depth0.pfm").astype(np.float64)
-    rig = load_rig(path / "rig.json")
+    rig = _read_rig(path / "rig.json")
     return corr, covis > 0.5, depth, rig
 
 
@@ -282,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fields", help="write calibration and trajectory fields")
     p.add_argument("--rig", default="default")
     p.add_argument("--out", required=True)
-    p.add_argument("--epsilon-scale", dest="epsilon_scale", type=float, default=None)
+    _add_param_flags(p, ["epsilon_scale"])
     p.set_defaults(func=cmd_fields)
 
     p = sub.add_parser("stereo", help="solve a stereo pair for disparity and depth")
@@ -290,6 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--right", required=True, help="second image (PGM/PNG)")
     p.add_argument("--rig", default="default")
     p.add_argument("--out", required=True)
+    p.add_argument("--config", help="JSON file of solver parameters")
     _add_param_flags(p)
     p.set_defaults(func=cmd_stereo)
 
@@ -306,7 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--warp-iters-grid", dest="warp_iters_grid", default="2,5,10,50")
     p.add_argument("--du-max-grid", dest="du_max_grid", default="0.2")
-    _add_param_flags(p)
+    p.add_argument("--config", help="JSON file of solver parameters; the grid "
+                   "sets warp_iters and du_max")
+    _add_param_flags(p, [n for n in _PARAM_FIELDS if n not in ("warp_iters", "du_max")])
     p.set_defaults(func=cmd_sweep)
     return parser
 

