@@ -153,7 +153,14 @@ def _solve_pair(args, rig: StereoRig, params: solver.SolverParams):
             raise CommandError(f"{name} not found: {path}")
     i0 = formats.load_image(args.left)
     i1 = formats.load_image(args.right)
-    return solver.solve_pyramid(i0, i1, rig, params)
+    return _solve(i0, i1, rig, params)
+
+
+def _solve(i0, i1, rig: StereoRig, params: solver.SolverParams) -> solver.StereoResult:
+    try:
+        return solver.solve_pyramid(i0, i1, rig, params)
+    except ValueError as exc:
+        raise CommandError(f"cannot solve: {exc}") from None
 
 
 def cmd_stereo(args) -> int:
@@ -162,8 +169,7 @@ def cmd_stereo(args) -> int:
     out = _out_dir(args.out)
     result = _solve_pair(args, rig, params)
 
-    cal, cal_ok = fields.generate_calibration_field(rig)
-    corr, corr_ok = fields.compose_with_calibration(result.w, cal, cal_ok)
+    corr, corr_ok = fields.compose_with_calibration(result.w, result.cal, result.cal_ok)
     corr_ok = corr_ok & result.mask
     depth, depth_ok = evaluate.depth_from_correspondence(rig, corr, corr_ok)
 
@@ -233,16 +239,16 @@ def cmd_sweep(args) -> int:
 
     warp_grid = [int(v) for v in args.warp_iters_grid.split(",")]
     du_grid = [float(v) for v in args.du_max_grid.split(",")]
-    cal, cal_ok = fields.generate_calibration_field(rig)
 
     rows = []
     for n in warp_grid:
         for du in du_grid:
             params = replace(base, warp_iters=n, du_max=du)
             t0 = time.perf_counter()
-            result = solver.solve_pyramid(i0, i1, rig, params)
+            result = _solve(i0, i1, rig, params)
             elapsed = time.perf_counter() - t0
-            corr, corr_ok = fields.compose_with_calibration(result.w, cal, cal_ok)
+            corr, corr_ok = fields.compose_with_calibration(result.w, result.cal,
+                                                            result.cal_ok)
             valid = covis & corr_ok & result.mask
             report = evaluate.make_report(corr, corr_gt, valid)
             rows.append({

@@ -54,14 +54,35 @@ def _cubic_weights(f: np.ndarray) -> list[np.ndarray]:
     ]
 
 
+def _stencil_tap_counts(mask: np.ndarray) -> np.ndarray:
+    """In-image, in-mask taps of the 4x4 stencil at every floor (ix, iy).
+
+    Entry [iy + 2, ix + 2] counts the taps of the stencil whose floor is
+    (ix, iy), for ix in [-2, W] and iy in [-2, H]; every other floor has no
+    tap in the image.
+    """
+    h, w = mask.shape
+    csum = np.zeros((h + 7, w + 7), dtype=np.int32)
+    csum[4:-3, 4:-3] = mask
+    csum = csum.cumsum(axis=0).cumsum(axis=1)
+    return csum[4:, 4:] - csum[:-4, 4:] - csum[4:, :-4] + csum[:-4, :-4]
+
+
 def sample_bicubic(field: np.ndarray, pos: np.ndarray,
                    mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sample `field` at continuous positions using only in-mask taps.
 
     Fallback chain per position: full 16-tap bicubic when every tap is valid,
     else bilinear renormalized over the valid inner 2x2 taps, else the nearest
-    valid tap of the stencil. Positions whose whole stencil is invalid return
-    NaN with a False validity flag.
+    valid tap of the stencil. Positions whose whole stencil is invalid (or
+    that are not finite) return NaN with a False validity flag.
+
+    Each position is classified first, by a lookup at (floor x, floor y) in a
+    per-mask map of valid taps per stencil: full stencils take the 16-tap
+    Catmull-Rom sum, gathered by flat index; empty ones are NaN at once; only
+    the rim positions left over run the bilinear/nearest chain. Every class
+    accumulates its taps in the order of the chain, so the results are those
+    of evaluating the whole chain at every position.
 
     Parameters
     ----------
@@ -84,39 +105,70 @@ def sample_bicubic(field: np.ndarray, pos: np.ndarray,
     x = pos[..., 0].ravel()
     y = pos[..., 1].ravel()
     n = x.size
+    mask = np.asarray(mask, dtype=bool)
 
-    finite = np.isfinite(x) & np.isfinite(y)
-    x = np.where(finite, x, 0.0)
-    y = np.where(finite, y, 0.0)
-    ix = np.floor(x).astype(np.int64)
-    iy = np.floor(y).astype(np.int64)
+    with np.errstate(invalid="ignore"):
+        fx0 = np.floor(x)
+        fy0 = np.floor(y)
+        near = np.flatnonzero((fx0 >= -2) & (fx0 <= w) & (fy0 >= -2) & (fy0 <= h))
+    ix = fx0[near].astype(np.int64)
+    iy = fy0[near].astype(np.int64)
+    count = _stencil_tap_counts(mask)[iy + 2, ix + 2]
+    full = count == 16
+    rim = (count > 0) & ~full
+
+    values = np.full((n, nc), np.nan)
+    valid = np.zeros(n, dtype=bool)
+    valid[near[count > 0]] = True
+    sel = near[full]
+    values[sel] = _cubic_full(data, x[sel], y[sel], ix[full], iy[full])
+    sel = near[rim]
+    values[sel] = _rim_chain(data, mask, x[sel], y[sel], ix[rim], iy[rim])
+
+    values = values.reshape(out_shape + (nc,))
+    if squeeze:
+        values = values[..., 0]
+    return values, valid.reshape(out_shape)
+
+
+def _cubic_full(data, x, y, ix, iy):
+    """16-tap Catmull-Rom sum at positions whose taps are all valid."""
+    h, w, nc = data.shape
+    wx = _cubic_weights(x - ix)
+    wy = _cubic_weights(y - iy)
+    corner = (iy - 1) * w + (ix - 1)
+    channels = [np.ascontiguousarray(data[:, :, k]).ravel() for k in range(nc)]
+    accs = [np.zeros(x.size) for _ in range(nc)]
+    for a in range(4):
+        row = corner + a * w
+        for b in range(4):
+            weight = wy[a] * wx[b]
+            idx = row + b
+            for channel, acc in zip(channels, accs):
+                acc += weight * channel.take(idx)
+    return np.stack(accs, axis=-1)
+
+
+def _rim_chain(data, mask, x, y, ix, iy):
+    """Bilinear over the valid inner 2x2 taps, else the nearest valid tap."""
+    h, w, nc = data.shape
+    n = x.size
     fx = x - ix
     fy = y - iy
-    wx = _cubic_weights(fx)
-    wy = _cubic_weights(fy)
-
-    cubic_acc = np.zeros((n, nc))
     bilin_acc = np.zeros((n, nc))
     bilin_wsum = np.zeros(n)
     near_val = np.zeros((n, nc))
     near_d2 = np.full(n, np.inf)
-    all_valid = np.ones(n, dtype=bool)
-    any_valid = np.zeros(n, dtype=bool)
-
-    for a, dy in enumerate(_TAP_OFFSETS):
+    for dy in _TAP_OFFSETS:
         r = iy + dy
         rk = np.clip(r, 0, h - 1)
         r_in = (r >= 0) & (r < h)
-        for b, dx in enumerate(_TAP_OFFSETS):
+        for dx in _TAP_OFFSETS:
             c = ix + dx
             ck = np.clip(c, 0, w - 1)
             ok = r_in & (c >= 0) & (c < w)
             ok &= mask[rk, ck]
-            v = data[rk, ck]
-            v = np.where(ok[:, None], v, 0.0)
-            all_valid &= ok
-            any_valid |= ok
-            cubic_acc += (wy[a] * wx[b])[:, None] * v
+            v = np.where(ok[:, None], data[rk, ck], 0.0)
             if dy in (0, 1) and dx in (0, 1):
                 bw = (fy if dy == 1 else 1.0 - fy) * (fx if dx == 1 else 1.0 - fx)
                 bw = np.where(ok, bw, 0.0)
@@ -126,19 +178,45 @@ def sample_bicubic(field: np.ndarray, pos: np.ndarray,
             closer = ok & (d2 < near_d2)
             near_d2 = np.where(closer, d2, near_d2)
             near_val = np.where(closer[:, None], v, near_val)
+    return np.where((bilin_wsum > 1e-12)[:, None],
+                    bilin_acc / np.maximum(bilin_wsum, 1e-300)[:, None], near_val)
 
-    bilin_ok = bilin_wsum > 1e-12
-    values = np.where(bilin_ok[:, None],
-                      bilin_acc / np.maximum(bilin_wsum, 1e-300)[:, None],
-                      near_val)
-    values = np.where(all_valid[:, None], cubic_acc, values)
-    valid = any_valid & finite
-    values = np.where(valid[:, None], values, np.nan)
 
-    values = values.reshape(out_shape + (nc,))
-    if squeeze:
-        values = values[..., 0]
-    return values, valid.reshape(out_shape)
+def edge_indicators(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float 0/1 maps of the x/y forward edges with both ends inside the mask."""
+    m = np.asarray(mask, dtype=bool)
+    ex = np.zeros(m.shape)
+    ey = np.zeros(m.shape)
+    ex[:, :-1] = m[:, :-1] & m[:, 1:]
+    ey[:-1, :] = m[:-1, :] & m[1:, :]
+    return ex, ey
+
+
+def forward_difference(f: np.ndarray, ex: np.ndarray,
+                       ey: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward differences (d/dx, d/dy) of a float field, zeroed on the edges
+    that `edge_indicators` marks as leaving the mask."""
+    gx = np.zeros(f.shape)
+    gy = np.zeros(f.shape)
+    np.subtract(f[:, 1:], f[:, :-1], out=gx[:, :-1])
+    gx[:, :-1] *= ex[:, :-1]
+    np.subtract(f[1:, :], f[:-1, :], out=gy[:-1, :])
+    gy[:-1, :] *= ey[:-1, :]
+    return gx, gy
+
+
+def backward_divergence(px: np.ndarray, py: np.ndarray, ex: np.ndarray,
+                        ey: np.ndarray) -> np.ndarray:
+    """Backward-difference divergence of (px, py), the negative adjoint of
+    `forward_difference`: components on edges leaving the mask count as zero."""
+    mx = px * ex
+    my = py * ey
+    div = np.empty(mx.shape)
+    div[:, 0] = mx[:, 0]
+    np.subtract(mx[:, 1:], mx[:, :-1], out=div[:, 1:])
+    div += my
+    div[1:, :] -= my[:-1, :]
+    return div
 
 
 def gradient(field: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -147,12 +225,9 @@ def gradient(field: np.ndarray, mask: np.ndarray) -> np.ndarray:
     Returns (H, W, 2) with channels (d/dx, d/dy); components vanish wherever
     the forward neighbor leaves the mask.
     """
-    f = np.asarray(field, dtype=np.float64)
-    g = np.zeros(f.shape + (2,))
-    ex, ey = _edge_indicators(mask)
-    g[:, :-1, 0] = (f[:, 1:] - f[:, :-1]) * ex[:, :-1]
-    g[:-1, :, 1] = (f[1:, :] - f[:-1, :]) * ey[:-1, :]
-    return g
+    ex, ey = edge_indicators(mask)
+    return np.stack(forward_difference(np.asarray(field, dtype=np.float64), ex, ey),
+                    axis=-1)
 
 
 def divergence(field: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -162,24 +237,8 @@ def divergence(field: np.ndarray, mask: np.ndarray) -> np.ndarray:
     so <grad u, p> + <u, div p> = 0 holds exactly for any u, p.
     """
     p = np.asarray(field, dtype=np.float64)
-    ex, ey = _edge_indicators(mask)
-    px = p[:, :, 0] * ex
-    py = p[:, :, 1] * ey
-    div = px.copy()
-    div[:, 1:] -= px[:, :-1]
-    div += py
-    div[1:, :] -= py[:-1, :]
-    return div
-
-
-def _edge_indicators(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean maps of x/y forward edges fully inside the mask."""
-    m = np.asarray(mask, dtype=bool)
-    ex = np.zeros_like(m)
-    ey = np.zeros_like(m)
-    ex[:, :-1] = m[:, :-1] & m[:, 1:]
-    ey[:-1, :] = m[:-1, :] & m[1:, :]
-    return ex, ey
+    ex, ey = edge_indicators(mask)
+    return backward_divergence(p[:, :, 0], p[:, :, 1], ex, ey)
 
 
 def smooth_masked(field: np.ndarray, mask: np.ndarray, sigma: float) -> np.ndarray:

@@ -22,6 +22,8 @@ needed; the dual variables stay inside their unit balls by construction.
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
@@ -29,9 +31,9 @@ import numpy as np
 
 from . import fields as fieldsmod
 from .camera import StereoRig
-from .rasters import (build_pyramid, divergence, gradient, pixel_grid,
-                      sample_bicubic, smooth_masked, upsample_state,
-                      _edge_indicators)
+from .rasters import (backward_divergence, build_pyramid, edge_indicators,
+                      forward_difference, gradient, pixel_grid, sample_bicubic,
+                      smooth_masked, upsample_state)
 
 
 def _param(default, help_text: str):
@@ -66,6 +68,17 @@ class SolverParams:
     theta: float = _param(1.0, "primal over-relaxation factor")
 
     def __post_init__(self):
+        for name, f in self.__dataclass_fields__.items():
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+            if isinstance(f.default, int):
+                if not isinstance(value, numbers.Integral):
+                    raise TypeError(f"{name} must be an integer, got {value!r}")
+            elif not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+            elif not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if min(self.lam, self.alpha0, self.alpha1, self.beta, self.eta) <= 0:
             raise ValueError("all weights must be positive")
         if self.du_max <= 0:
@@ -101,7 +114,12 @@ class WarpState:
 
 @dataclass
 class SolverState:
-    """Primal/dual variables of one level's inner iteration."""
+    """Primal/dual variables of one level's inner iteration.
+
+    Vector variables are stored channel-first, so each channel is one
+    contiguous (H, W) array: v, v_bar and p are (2, H, W), q is (4, H, W) with
+    channels (dv0/dx, dv0/dy, dv1/dx, dv1/dy).
+    """
 
     u: np.ndarray
     v: np.ndarray
@@ -154,21 +172,16 @@ def compute_tensor(i0: np.ndarray, beta: float, eta: float,
 
 def _central_gradient(f: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Central differences averaged over in-mask forward edges (one-sided at borders)."""
-    ex, ey = _edge_indicators(mask)
-    dx = np.zeros_like(f, dtype=np.float64)
-    dy = np.zeros_like(f, dtype=np.float64)
-    dx[:, :-1] = (f[:, 1:] - f[:, :-1]) * ex[:, :-1]
-    dy[:-1, :] = (f[1:, :] - f[:-1, :]) * ey[:-1, :]
-    cx = ex.astype(np.float64)
-    cy = ey.astype(np.float64)
+    ex, ey = edge_indicators(mask)
+    dx, dy = forward_difference(np.asarray(f, dtype=np.float64), ex, ey)
     gx = dx.copy()
     gx[:, 1:] += dx[:, :-1]
-    nx = cx.copy()
-    nx[:, 1:] += cx[:, :-1]
+    nx = ex.copy()
+    nx[:, 1:] += ex[:, :-1]
     gy = dy.copy()
     gy[1:, :] += dy[:-1, :]
-    ny = cy.copy()
-    ny[1:, :] += cy[:-1, :]
+    ny = ey.copy()
+    ny[1:, :] += ey[:-1, :]
     return gx / np.maximum(nx, 1.0), gy / np.maximum(ny, 1.0)
 
 
@@ -185,25 +198,29 @@ def edge_tensor(i0: np.ndarray, mask: np.ndarray, params: SolverParams) -> np.nd
                           params.beta, params.eta, mask)
 
 
-def warp_image(image: np.ndarray, w: np.ndarray,
-               mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def warp_image(image: np.ndarray, w: np.ndarray, mask: np.ndarray,
+               grid: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Resample `image` (scalar or vector field) at x + w(x) with masked bicubic taps.
 
-    Returns (warped, valid); invalid samples are zeroed, not NaN.
+    Returns (warped, valid); invalid samples are zeroed, not NaN. `grid` is
+    the image's `pixel_grid`, built here when not given.
     """
-    grid = pixel_grid(image.shape[0], image.shape[1])
+    if grid is None:
+        grid = pixel_grid(image.shape[0], image.shape[1])
     vals, ok = sample_bicubic(image, grid + w, mask)
     return np.where(ok if vals.ndim == 2 else ok[..., None], vals, 0.0), ok
 
 
 def image_derivative_along(dirs: np.ndarray, i1w: np.ndarray, i1w_valid: np.ndarray,
-                           mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                           mask: np.ndarray, grid: np.ndarray | None = None,
+                           ) -> tuple[np.ndarray, np.ndarray]:
     """Discrete derivative of the warped image along unit directions.
 
     I_u(x) = I1w(x + dir(x)) - I1w(x), sampled with masked bicubic taps;
-    invalid wherever either sample is.
+    invalid wherever either sample is. `grid` is as in `warp_image`.
     """
-    grid = pixel_grid(i1w.shape[0], i1w.shape[1])
+    if grid is None:
+        grid = pixel_grid(i1w.shape[0], i1w.shape[1])
     ahead, ok = sample_bicubic(i1w, grid + dirs, mask & i1w_valid)
     iu = np.where(ok & i1w_valid, ahead - i1w, 0.0)
     return iu, ok & i1w_valid
@@ -216,59 +233,73 @@ def thresholding_step(u_hat: np.ndarray, rho_hat: np.ndarray, iu: np.ndarray,
     Minimizes lam*|rho_hat + (u - u_hat)*iu| + (u - u_hat)^2 / (2*tau_u).
     Pixels with iu == 0 carry no data information and pass through unchanged.
     """
-    th = tau_u * lam * iu * iu
-    shrink = np.zeros_like(u_hat)
+    clamp = tau_u * lam * iu
+    th = clamp * iu
     nz = iu != 0
-    np.divide(rho_hat, np.where(nz, iu, 1.0), out=shrink, where=nz)
-    step = np.where(rho_hat < -th, tau_u * lam * iu,
-                    np.where(rho_hat > th, -tau_u * lam * iu, -shrink))
-    return u_hat + np.where(nz, step, 0.0)
+    shrink = np.zeros_like(u_hat)
+    np.divide(rho_hat, iu, out=shrink, where=nz)
+    step = np.where(rho_hat < -th, clamp, np.where(rho_hat > th, -clamp, -shrink))
+    np.copyto(step, 0.0, where=~nz)
+    return u_hat + step
 
 
-def _project_unit(x: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(x, axis=-1, keepdims=True)
-    return x / np.maximum(1.0, norm)
+def _norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the channels of a channel-first array."""
+    s = x[0] * x[0]
+    for c in x[1:]:
+        s += c * c
+    return np.sqrt(s)
 
 
 def _max_norm(x: np.ndarray) -> float:
-    return float(np.max(np.linalg.norm(x, axis=-1), initial=0.0))
+    return float(np.max(_norm(x), initial=0.0))
 
 
 def _jacobian(v: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """(H, W, 4) forward-difference Jacobian of an (H, W, 2) field."""
     g0 = gradient(v[:, :, 0], mask)
     g1 = gradient(v[:, :, 1], mask)
     return np.concatenate([g0, g1], axis=-1)
 
 
-def _jacobian_adjoint_div(q: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    d0 = divergence(q[:, :, 0:2], mask)
-    d1 = divergence(q[:, :, 2:4], mask)
-    return np.stack([d0, d1], axis=-1)
-
-
 @dataclass
-class _StepSizes:
-    sigma_p: np.ndarray
-    sigma_q: float
+class LevelOperator:
+    """One pyramid level's linear operator and preconditioned step sizes.
+
+    The operator takes (u, v) to (alpha1*(T grad u - v), alpha0*grad v),
+    with the masked forward differences of `rasters.forward_difference`.
+    `ex`/`ey` are its float edge indicators, `a`/`b`/`c` the channels of the
+    packed tensor T and `grid` the level's pixel centers. Steps that always
+    meet a weight carry it: `p_step` is alpha1*sigma_p, `q_step`
+    alpha0*sigma_q and `u_step` alpha1*tau_u; `tau_u` (for the data term's
+    proximal step) and `tau_v` are plain.
+    """
+
+    ex: np.ndarray
+    ey: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    grid: np.ndarray
+    p_step: np.ndarray
+    q_step: float
+    u_step: np.ndarray
     tau_u: np.ndarray
     tau_v: np.ndarray
 
 
 def precondition_steps(t: np.ndarray, mask: np.ndarray,
-                       params: SolverParams) -> _StepSizes:
-    """Diagonal step sizes from absolute row/column sums of the operator.
+                       params: SolverParams) -> LevelOperator:
+    """Build a level's operator with diagonal step sizes from absolute row/column sums.
 
-    The operator takes (u, v) to (alpha1*(T grad u - v), alpha0*grad v) with
-    the masked forward-difference gradient; dual steps use row sums, primal
-    steps column sums. Components coupled by one projection share the
-    conservative (smaller) step.
+    Dual steps use the operator's row sums, primal steps its column sums;
+    components coupled by one projection share the conservative (smaller)
+    step.
     """
     a = np.abs(t[..., 0])
     b = np.abs(t[..., 1])
     c = np.abs(t[..., 2])
-    ex, ey = _edge_indicators(mask)
-    exf = ex.astype(np.float64)
-    eyf = ey.astype(np.float64)
+    exf, eyf = edge_indicators(mask)
 
     row_px = 2.0 * a * exf + 2.0 * b * eyf + 1.0
     row_py = 2.0 * b * exf + 2.0 * c * eyf + 1.0
@@ -284,29 +315,43 @@ def precondition_steps(t: np.ndarray, mask: np.ndarray,
     edge_count[:, 1:] += exf[:, :-1]
     edge_count[1:, :] += eyf[:-1, :]
     tau_v = 1.0 / (params.alpha1 + params.alpha0 * edge_count)
-    return _StepSizes(sigma_p=sigma_p, sigma_q=sigma_q, tau_u=tau_u, tau_v=tau_v)
+    return LevelOperator(
+        ex=exf, ey=eyf, a=t[..., 0].copy(), b=t[..., 1].copy(), c=t[..., 2].copy(),
+        grid=pixel_grid(*mask.shape), p_step=sigma_p * params.alpha1,
+        q_step=sigma_q * params.alpha0, u_step=tau_u * params.alpha1,
+        tau_u=tau_u, tau_v=tau_v)
 
 
-def primal_dual_iterate(state: SolverState, t: np.ndarray, iu: np.ndarray,
+def primal_dual_iterate(state: SolverState, op: LevelOperator, iu: np.ndarray,
                         rho0: np.ndarray, u_omega: np.ndarray,
-                        params: SolverParams, mask: np.ndarray,
-                        steps: _StepSizes) -> SolverState:
+                        params: SolverParams) -> SolverState:
     """One full primal-dual cycle (dual ascent, primal descent, relaxation).
 
     rho0 is the residual at the current warp (u = u_omega); the linearized
     residual handed to the shrinkage step is rho0 + (u - u_omega) * iu.
-    `steps` comes from `precondition_steps(t, mask, params)`.
+    `op` comes from `precondition_steps(t, mask, params)`.
     """
-    p = _project_unit(state.p + steps.sigma_p[..., None] * params.alpha1
-                      * (apply_tensor(t, gradient(state.u_bar, mask)) - state.v_bar))
-    q = _project_unit(state.q + steps.sigma_q * params.alpha0
-                      * _jacobian(state.v_bar, mask))
+    ex, ey, a, b, c = op.ex, op.ey, op.a, op.b, op.c
+    gx, gy = forward_difference(state.u_bar, ex, ey)
+    p = np.empty_like(state.p)
+    np.add(state.p[0], op.p_step * (a * gx + b * gy - state.v_bar[0]), out=p[0])
+    np.add(state.p[1], op.p_step * (b * gx + c * gy - state.v_bar[1]), out=p[1])
+    p /= np.maximum(1.0, _norm(p))
+    q = np.empty_like(state.q)
+    jac = forward_difference(state.v_bar[0], ex, ey) + forward_difference(state.v_bar[1], ex, ey)
+    for k, g in enumerate(jac):
+        np.add(state.q[k], op.q_step * g, out=q[k])
+    q /= np.maximum(1.0, _norm(q))
 
-    u_hat = state.u + steps.tau_u * params.alpha1 * divergence(apply_tensor(t, p), mask)
+    u_hat = state.u + op.u_step * backward_divergence(a * p[0] + b * p[1],
+                                                      b * p[0] + c * p[1], ex, ey)
     rho_hat = rho0 + (u_hat - u_omega) * iu
-    u_new = thresholding_step(u_hat, rho_hat, iu, steps.tau_u, params.lam)
-    v_new = state.v + steps.tau_v[..., None] * (
-        params.alpha0 * _jacobian_adjoint_div(q, mask) + params.alpha1 * p)
+    u_new = thresholding_step(u_hat, rho_hat, iu, op.tau_u, params.lam)
+    v_new = np.empty_like(state.v)
+    for k in range(2):
+        div_q = backward_divergence(q[2 * k], q[2 * k + 1], ex, ey)
+        np.add(state.v[k], op.tau_v * (params.alpha0 * div_q + params.alpha1 * p[k]),
+               out=v_new[k])
 
     u_bar = u_new + params.theta * (u_new - state.u)
     v_bar = v_new + params.theta * (v_new - state.v)
@@ -327,23 +372,22 @@ def solve_level(i0: np.ndarray, i1: np.ndarray, traj_dirs: np.ndarray,
     the dual norms are only computed for it.
     """
     h, w_ = mask.shape
-    t = edge_tensor(i0, mask, params)
-    steps = precondition_steps(t, mask, params)
+    op = precondition_steps(edge_tensor(i0, mask, params), mask, params)
 
     u = init.u.copy()
     w = init.w.copy()
-    zeros2 = np.zeros((h, w_, 2))
+    zeros2 = np.zeros((2, h, w_))
     state = SolverState(u=u, v=zeros2.copy(), p=zeros2.copy(),
-                        q=np.zeros((h, w_, 4)), u_bar=u.copy(), v_bar=zeros2.copy())
+                        q=np.zeros((4, h, w_)), u_bar=u.copy(), v_bar=zeros2.copy())
 
     for _ in range(params.warp_iters):
-        i1w, warp_ok = warp_image(i1, w, mask)
-        dirs_raw, dir_ok = warp_image(traj_dirs, w, traj_valid)
+        i1w, warp_ok = warp_image(i1, w, mask, op.grid)
+        dirs_raw, dir_ok = warp_image(traj_dirs, w, traj_valid, op.grid)
         norm = np.linalg.norm(dirs_raw, axis=-1)
         dir_ok = dir_ok & (norm > 0.5) & mask
         dirs = np.where(dir_ok[..., None], dirs_raw / np.maximum(norm, 1e-300)[..., None], 0.0)
 
-        iu, iu_ok = image_derivative_along(dirs, i1w, warp_ok & mask, mask)
+        iu, iu_ok = image_derivative_along(dirs, i1w, warp_ok & mask, mask, op.grid)
         data_ok = iu_ok & dir_ok
         iu = np.where(data_ok, iu, 0.0)
         rho0 = np.where(data_ok, i1w - i0, 0.0)
@@ -353,8 +397,7 @@ def solve_level(i0: np.ndarray, i1: np.ndarray, traj_dirs: np.ndarray,
         state.v_bar = state.v.copy()
         max_p = max_q = 0.0
         for _k in range(params.pd_iters):
-            state = primal_dual_iterate(state, t, iu, rho0, u_omega,
-                                        params, mask, steps)
+            state = primal_dual_iterate(state, op, iu, rho0, u_omega, params)
             if observe is not None:
                 max_p = max(max_p, _max_norm(state.p))
                 max_q = max(max_q, _max_norm(state.q))
@@ -378,6 +421,8 @@ class StereoResult:
     w: np.ndarray          # warp into the calibration-warped image 1, px
     v: np.ndarray          # auxiliary TGV vector field at the finest level
     mask: np.ndarray       # pixels that were solved
+    cal: np.ndarray        # calibration field applied to image 1, px
+    cal_ok: np.ndarray     # where the calibration field is defined
 
 
 def calibrate_second_image(i1: np.ndarray, rig: StereoRig,
@@ -405,14 +450,22 @@ def solve_pyramid(i0: np.ndarray, i1: np.ndarray, rig: StereoRig,
     generation when given (used to cross-check degeneration to rectified
     stereo against hard-coded directions). `observe` is handed to every
     level's `solve_level`, coarsest level first.
+
+    Raises ValueError when an image does not match its camera or holds a
+    non-finite pixel, and when no pixel of camera 0 sees image 1 through the
+    calibration warp (an empty solve mask).
     """
-    if i0.shape != (rig.cam0.height, rig.cam0.width):
-        raise ValueError("image 0 does not match camera 0 dimensions")
-    if i1.shape != (rig.cam1.height, rig.cam1.width):
-        raise ValueError("image 1 does not match camera 1 dimensions")
+    for k, (img, cam) in enumerate(((i0, rig.cam0), (i1, rig.cam1))):
+        if img.shape != (cam.height, cam.width):
+            raise ValueError(f"image {k} does not match camera {k} dimensions")
+        if not np.isfinite(img).all():
+            raise ValueError(f"image {k} has non-finite pixels")
     mask0 = rig.cam0.fov_mask()
-    i1c, i1c_ok, _, _ = calibrate_second_image(i1, rig)
+    i1c, i1c_ok, cal, cal_ok = calibrate_second_image(i1, rig)
     solve_mask = mask0 & i1c_ok
+    if not solve_mask.any():
+        raise ValueError("empty solve mask: no pixel of camera 0 sees image 1 "
+                         "through the calibration warp")
 
     rig_t = fieldsmod.translation_only_rig(rig)
     pyr0 = build_pyramid(i0, solve_mask, params.pyramid_levels,
@@ -442,7 +495,8 @@ def solve_pyramid(i0: np.ndarray, i1: np.ndarray, rig: StereoRig,
                                   traj_ok, params, level_mask, init, observe)
         prev_mask = level_mask
 
-    return StereoResult(u=warp.u, w=warp.w, v=state.v, mask=prev_mask)
+    return StereoResult(u=warp.u, w=warp.w, v=np.stack(state.v, axis=-1), mask=prev_mask,
+                        cal=cal, cal_ok=cal_ok)
 
 
 def energy(i0: np.ndarray, i1c: np.ndarray, mask: np.ndarray, u: np.ndarray,

@@ -77,7 +77,7 @@ def generate_walkthrough(out_dir) -> Path:
     ]
 
     # 2. calibration field: remove rotation + intrinsic differences
-    cal, cal_ok = fields.generate_calibration_field(rig)
+    i1c, i1c_ok, cal, cal_ok = solver.calibrate_second_image(i1, rig)
     _save(out, "calibration_field", cal, cal_ok)
     cal_mag = np.linalg.norm(cal, axis=-1)
     lines += [
@@ -86,7 +86,6 @@ def generate_walkthrough(out_dir) -> Path:
         f"magnitude range [{cal_mag[cal_ok].min():.3f}, {cal_mag[cal_ok].max():.3f}] px.",
         "File: `calibration_field.pfm`.", "",
     ]
-    i1c, i1c_ok, _, _ = solver.calibrate_second_image(i1, rig)
     _save(out, "image1_calibrated", i1c, i1c_ok)
 
     # 3. trajectory field and a traced epipolar curve

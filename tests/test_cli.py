@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -172,6 +173,10 @@ def test_stereo_config_file_merge(tmp_path, dataset, tiny_rig_path):
 @pytest.mark.parametrize("config, flags, message", [
     ({"lambda_weight": 1}, [], "lambda_weight"),
     ({}, ["--lam", "-1"], "positive"),
+    ({"warp_iters": 2.5}, [], "warp_iters must be an integer"),
+    ({"pd_iters": True}, [], "pd_iters"),
+    ({"du_max": "0.2"}, [], "du_max must be a number"),
+    ({}, ["--lam", "nan"], "lam must be finite"),
 ])
 def test_stereo_bad_params_fail_with_message(tmp_path, dataset, tiny_rig_path, capsys,
                                              config, flags, message):
@@ -183,6 +188,38 @@ def test_stereo_bad_params_fail_with_message(tmp_path, dataset, tiny_rig_path, c
                  "--config", str(cfg)] + flags)
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def turned_rig_path(tmp_path_factory):
+    """Camera 1 turned by pi about y: no calibration field, an empty solve mask."""
+    cam = UnifiedCamera(width=100, height=100, fx=50.0, fy=50.0, cx=49.5,
+                        cy=49.5, fov=np.deg2rad(90.0), xi=0.9)
+    rig = StereoRig(cam, cam, RelativePose.from_displacement((0.1, 0.0, 0.0),
+                                                             rotvec=(0.0, np.pi, 0.0)))
+    path = tmp_path_factory.mktemp("rig") / "turned_rig.json"
+    save_rig(path, rig)
+    return path
+
+
+def test_stereo_empty_solve_mask_fails_with_message(tmp_path, dataset, turned_rig_path,
+                                                    capsys):
+    code = main(["stereo", "--left", str(dataset / "image0.pgm"),
+                 "--right", str(dataset / "image1.pgm"),
+                 "--rig", str(turned_rig_path), "--out", str(tmp_path / "s")])
+    assert code == 2
+    assert "empty solve mask" in capsys.readouterr().err
+
+
+def test_sweep_empty_solve_mask_fails_with_message(tmp_path, dataset, turned_rig_path,
+                                                   capsys):
+    data = tmp_path / "turned"
+    shutil.copytree(dataset, data)
+    shutil.copy(turned_rig_path, data / "rig.json")
+    code = main(["sweep", "--dataset", str(data), "--out", str(tmp_path / "o"),
+                 "--warp-iters-grid", "2", "--pyramid-levels", "2", "--min-width", "40"])
+    assert code == 2
+    assert "empty solve mask" in capsys.readouterr().err
 
 
 def test_stereo_missing_image_fails(tmp_path, tiny_rig_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -80,6 +82,107 @@ def test_sample_vector_field():
     assert np.allclose(vals, [5.5, 3.25], atol=1e-9)
 
 
+def _catmull_rom(f):
+    f2 = f * f
+    f3 = f2 * f
+    return (-0.5 * f + f2 - 0.5 * f3, 1.0 - 2.5 * f2 + 1.5 * f3,
+            0.5 * f + 2.0 * f2 - 1.5 * f3, -0.5 * f2 + 0.5 * f3)
+
+
+def _reference_sample(data, mask, x, y):
+    """The documented fallback chain at one position, one tap at a time.
+
+    `data` is (H, W, C). Returns (list of C values, valid). Taps are visited
+    row by row (dy, then dx, each over -1..2), the order of the sampler's
+    sums, so results must match it exactly.
+    """
+    h, w, nc = data.shape
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return [math.nan] * nc, False
+    ix, iy = math.floor(x), math.floor(y)
+    fx, fy = x - ix, y - iy
+    taps = [(dy, dx) for dy in (-1, 0, 1, 2) for dx in (-1, 0, 1, 2)]
+    ok = {(dy, dx): 0 <= iy + dy < h and 0 <= ix + dx < w and bool(mask[iy + dy, ix + dx])
+          for dy, dx in taps}
+    if not any(ok.values()):
+        return [math.nan] * nc, False
+    out = []
+    for k in range(nc):
+        def v(dy, dx):
+            return float(data[iy + dy, ix + dx, k])
+        if all(ok.values()):
+            wx, wy = _catmull_rom(fx), _catmull_rom(fy)
+            acc = 0.0
+            for dy, dx in taps:
+                acc += (wy[dy + 1] * wx[dx + 1]) * v(dy, dx)
+            out.append(acc)
+            continue
+        acc = wsum = 0.0
+        for dy, dx in taps:
+            if dy in (0, 1) and dx in (0, 1) and ok[dy, dx]:
+                bw = (fy if dy == 1 else 1.0 - fy) * (fx if dx == 1 else 1.0 - fx)
+                acc += bw * v(dy, dx)
+                wsum += bw
+        if wsum > 1e-12:
+            out.append(acc / wsum)
+            continue
+        best, best_d2 = None, math.inf
+        for dy, dx in taps:
+            d2 = (dx - fx) * (dx - fx) + (dy - fy) * (dy - fy)
+            if ok[dy, dx] and d2 < best_d2:
+                best, best_d2 = v(dy, dx), d2
+        out.append(best)
+    return out, True
+
+
+@st.composite
+def _sampling_cases(draw):
+    h = draw(st.integers(1, 9))
+    w = draw(st.integers(1, 9))
+    nc = draw(st.sampled_from([1, 2]))
+    # Distinct values everywhere, so that reading a wrong tap shows.
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(h, w, nc))
+    # Mostly-valid masks, so that full 16-tap stencils occur as well as rims.
+    mask = np.ones(h * w, dtype=bool)
+    holes = draw(st.sampled_from([0, 2, h * w // 2]))
+    mask[draw(st.lists(st.integers(0, h * w - 1), max_size=holes))] = False
+    # Floors -2 and W (or H) still reach one image row or column; -3 and
+    # W + 1 reach none. Fractions 0 and near 1 probe the floor itself.
+    frac = st.sampled_from([0.0, 0.25, 0.5, 0.999999]) | st.floats(0, 1, exclude_max=True)
+
+    def coord(n):
+        edge = st.sampled_from([-3, -2, -1, 0, n - 1, n, n + 1])
+        floor = edge | st.integers(-3, n + 1)
+        return (st.builds(lambda f, d: f + d, floor, frac)
+                | st.sampled_from([math.nan, math.inf, -math.inf, 1e300]))
+
+    inside = st.tuples(st.floats(0.0, w), st.floats(0.0, h))
+    pos = draw(st.lists(st.tuples(coord(w), coord(h)) | inside, min_size=1, max_size=16))
+    return data, mask.reshape(h, w), np.array(pos)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_sampling_cases())
+def test_sample_matches_reference_chain(case):
+    data, mask, pos = case
+    field = data[:, :, 0] if data.shape[2] == 1 else data
+    vals, ok = sample_bicubic(field, pos, mask)
+    ref = [_reference_sample(data, mask, x, y) for x, y in pos]
+    ref_vals = np.array([r[0] for r in ref]).reshape(vals.shape)
+    assert np.array_equal(ok, [r[1] for r in ref])
+    assert np.array_equal(vals, ref_vals, equal_nan=True)
+
+
+def test_sample_floor_minus_two_reaches_column_zero():
+    # The stencil of floor -2 spans columns -3..0: column 0 is a valid tap.
+    field = np.arange(12.0).reshape(3, 4)
+    mask = np.zeros((3, 4), dtype=bool)
+    mask[1, 0] = True
+    vals, ok = sample_bicubic(field, np.array([[-1.5, 1.0], [-2.5, 1.0]]), mask)
+    assert ok.tolist() == [True, False]
+    assert vals[0] == field[1, 0] and np.isnan(vals[1])
+
+
 def test_gradient_constant_is_zero():
     assert np.all(gradient(np.full((12, 12), 3.3), np.ones((12, 12), bool)) == 0.0)
 
@@ -118,12 +221,12 @@ def test_divergence_constant_field_borders():
 
 
 @settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 10_000))
-def test_gradient_divergence_adjoint(seed):
+@given(seed=st.integers(0, 10_000), h=st.integers(1, 13), w=st.integers(1, 13))
+def test_gradient_divergence_adjoint(seed, h, w):
     rng = np.random.default_rng(seed)
-    u = rng.normal(size=(8, 8))
-    p = rng.normal(size=(8, 8, 2))
-    mask = rng.random((8, 8)) > 0.3
+    u = rng.normal(size=(h, w))
+    p = rng.normal(size=(h, w, 2))
+    mask = rng.random((h, w)) > 0.3
     lhs = float(np.sum(gradient(u, mask) * p))
     rhs = -float(np.sum(u * divergence(p, mask)))
     scale = max(1.0, abs(lhs))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fisheyestereo.camera import RelativePose, StereoRig
-from fisheyestereo.fields import translation_only_rig
+from fisheyestereo.camera import RelativePose, StereoRig, UnifiedCamera
+from fisheyestereo.fields import generate_calibration_field, translation_only_rig
 from fisheyestereo.rasters import gradient, pixel_grid, sample_bicubic
 from fisheyestereo.solver import (SolverParams, SolverState,
                                   WarpState, calibrate_second_image,
@@ -26,6 +26,28 @@ def test_params_validate():
         SolverParams(warp_iters=0)
     with pytest.raises(ValueError):
         SolverParams.from_dict({"lambda_weight": 1.0})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("warp_iters", 2.5), ("warp_iters", True), ("warp_iters", "5"), ("pd_iters", 10.0),
+    ("min_width", None), ("lam", "5"), ("lam", False), ("du_max", [0.2]),
+])
+def test_params_reject_wrong_types(name, value):
+    with pytest.raises(TypeError, match=name):
+        SolverParams.from_dict({name: value})
+
+
+@pytest.mark.parametrize("name", ["lam", "alpha0", "du_max", "pyramid_scale", "theta",
+                                  "tensor_sigma"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_params_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match=name):
+        SolverParams(**{name: value})
+
+
+def test_params_accept_numpy_and_integer_values():
+    params = SolverParams(warp_iters=np.int64(3), lam=4, du_max=np.float64(0.1))
+    assert params.warp_iters == 3 and params.lam == 4 and params.du_max == 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +212,12 @@ def test_pd_stationary_at_zero_data_and_constant_u():
     mask, t, iu, rho0 = _idle_inputs()
     params = SolverParams()
     u0 = np.full((20, 20), 1.7)
-    state = SolverState(u=u0.copy(), v=np.zeros((20, 20, 2)),
-                        p=np.zeros((20, 20, 2)), q=np.zeros((20, 20, 4)),
-                        u_bar=u0.copy(), v_bar=np.zeros((20, 20, 2)))
-    steps = precondition_steps(t, mask, params)
+    state = SolverState(u=u0.copy(), v=np.zeros((2, 20, 20)),
+                        p=np.zeros((2, 20, 20)), q=np.zeros((4, 20, 20)),
+                        u_bar=u0.copy(), v_bar=np.zeros((2, 20, 20)))
+    op = precondition_steps(t, mask, params)
     for _ in range(5):
-        state = primal_dual_iterate(state, t, iu, rho0, u0, params, mask, steps)
+        state = primal_dual_iterate(state, op, iu, rho0, u0, params)
     assert np.array_equal(state.u, u0)
     assert np.all(state.p == 0.0) and np.all(state.q == 0.0)
     assert np.all(state.v == 0.0)
@@ -206,27 +228,27 @@ def test_pd_projection_keeps_duals_feasible():
     mask, t, _, _ = _idle_inputs()
     params = SolverParams()
     state = SolverState(u=rng.normal(size=(20, 20)) * 5,
-                        v=rng.normal(size=(20, 20, 2)) * 10,
-                        p=rng.normal(size=(20, 20, 2)) * 10,
-                        q=rng.normal(size=(20, 20, 4)) * 10,
+                        v=rng.normal(size=(2, 20, 20)) * 10,
+                        p=rng.normal(size=(2, 20, 20)) * 10,
+                        q=rng.normal(size=(4, 20, 20)) * 10,
                         u_bar=rng.normal(size=(20, 20)) * 5,
-                        v_bar=rng.normal(size=(20, 20, 2)) * 10)
+                        v_bar=rng.normal(size=(2, 20, 20)) * 10)
     iu = rng.normal(size=(20, 20))
     rho0 = rng.normal(size=(20, 20))
-    out = primal_dual_iterate(state, t, iu, rho0, state.u.copy(), params, mask,
-                              precondition_steps(t, mask, params))
-    assert np.max(np.linalg.norm(out.p, axis=-1)) <= 1.0 + 1e-12
-    assert np.max(np.linalg.norm(out.q, axis=-1)) <= 1.0 + 1e-12
+    out = primal_dual_iterate(state, precondition_steps(t, mask, params), iu, rho0,
+                              state.u.copy(), params)
+    assert np.max(np.linalg.norm(out.p, axis=0)) <= 1.0 + 1e-12
+    assert np.max(np.linalg.norm(out.q, axis=0)) <= 1.0 + 1e-12
 
 
 def test_preconditioned_steps_positive_and_finite():
     rng = np.random.default_rng(4)
     mask = rng.random((30, 30)) > 0.2
     t = compute_tensor(rng.random((30, 30)), 9.0, 0.85, mask)
-    steps = precondition_steps(t, mask, SolverParams())
-    assert np.all(np.isfinite(steps.sigma_p)) and np.all(steps.sigma_p > 0)
-    assert np.all(np.isfinite(steps.tau_u)) and np.all(steps.tau_u > 0)
-    assert np.all(np.isfinite(steps.tau_v)) and np.all(steps.tau_v > 0)
+    op = precondition_steps(t, mask, SolverParams())
+    for step in (op.p_step, op.u_step, op.tau_u, op.tau_v):
+        assert np.all(np.isfinite(step)) and np.all(step > 0)
+    assert np.isfinite(op.q_step) and op.q_step > 0
 
 
 # ---------------------------------------------------------------------------
@@ -433,3 +455,56 @@ def test_solve_pyramid_dual_feasibility_diagnostics(small_fisheye_rig, small_pai
     assert max_p <= 1.0 + 1e-12
     assert max_q <= 1.0 + 1e-12
     assert max_du <= params.du_max + 1e-15
+
+
+def _small_unified_rig(width, height, rotvec=(0.0, 0.02, 0.005)):
+    cam = UnifiedCamera(width=width, height=height, fx=0.5 * width, fy=0.5 * width,
+                        cx=(width - 1) / 2.0, cy=(height - 1) / 2.0, fov=np.pi, xi=0.9)
+    return StereoRig(cam, cam, RelativePose.from_displacement((0.1, 0.0, 0.0), rotvec))
+
+
+@pytest.mark.parametrize("which", [0, 1])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solve_pyramid_rejects_non_finite_pixels(which, bad):
+    rig = _small_unified_rig(24, 20)
+    images = [np.full((20, 24), 0.5), np.full((20, 24), 0.5)]
+    images[which][7, 11] = bad
+    with pytest.raises(ValueError, match=f"image {which} has non-finite pixels"):
+        solve_pyramid(*images, rig, SolverParams(warp_iters=1, pyramid_levels=1))
+
+
+def test_solve_pyramid_rejects_empty_solve_mask():
+    # Camera 1 turned by pi about y looks away from everything camera 0
+    # sees, so the calibration field is nowhere defined.
+    rig = pinhole_rig(width=40, height=30)
+    turned = StereoRig(rig.cam0, rig.cam1,
+                       RelativePose.from_displacement((0.1, 0.0, 0.0), (0.0, np.pi, 0.0)))
+    img = np.full((30, 40), 0.5)
+    with pytest.raises(ValueError, match="empty solve mask"):
+        solve_pyramid(img, img, turned, SolverParams(warp_iters=1, pyramid_levels=1))
+
+
+def test_solve_pyramid_non_square_scenario(small_scene):
+    # Odd, non-square and taller than wide: the sampler's flat-index gather
+    # (row stride W) would read past the image with a stride of H.
+    rig = _small_unified_rig(47, 61)
+    i0, _, _ = render(small_scene, rig.cam0, supersample=2)
+    i1, _, _ = render(small_scene, rig.cam1, pose=rig.pose, supersample=2)
+    params = SolverParams(warp_iters=3, pyramid_levels=2, min_width=20)
+    records = []
+    res = solve_pyramid(i0, i1, rig, params, observe=records.append)
+    assert res.u.shape == (61, 47) and res.w.shape == (61, 47, 2)
+    assert res.mask.any()
+    assert np.all(np.isfinite(res.u[res.mask])) and np.all(np.isfinite(res.w[res.mask]))
+    assert len(records) == params.warp_iters * 2
+    assert all(r.max_p_norm <= 1.0 + 1e-12 and r.max_q_norm <= 1.0 + 1e-12
+               for r in records)
+    assert [r.du.shape for r in records[::3]] == [(31, 24), (61, 47)]
+
+
+def test_solve_pyramid_returns_calibration_field(small_fisheye_rig, small_pair):
+    i0, i1, _ = small_pair
+    res = solve_pyramid(i0, i1, small_fisheye_rig,
+                        SolverParams(warp_iters=1, pyramid_levels=1))
+    cal, cal_ok = generate_calibration_field(small_fisheye_rig)
+    assert np.array_equal(res.cal, cal) and np.array_equal(res.cal_ok, cal_ok)
