@@ -53,7 +53,12 @@ def _load_scene_arg(spec: str) -> synth.Scene:
     path = Path(spec)
     if not path.exists():
         raise CommandError(f"scene file not found: {path}")
-    return synth.scene_from_dict(json.loads(path.read_text()))
+    try:
+        return synth.scene_from_dict(json.loads(path.read_text()))
+    except KeyError as exc:
+        raise CommandError(f"scene file {path} is missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CommandError(f"bad scene file {path}: {exc}") from None
 
 
 def _out_dir(spec: str) -> Path:
@@ -100,15 +105,17 @@ def _add_param_flags(p: argparse.ArgumentParser, names=tuple(_PARAM_FIELDS)) -> 
 def cmd_render(args) -> int:
     rig = _load_rig_arg(args.rig)
     scene = synth.reseed_scene(_load_scene_arg(args.scene), args.seed)
-    out = _out_dir(args.out)
-
-    img0, _, _ = synth.render(scene, rig.cam0, noise_sigma=args.noise,
-                              noise_seed=args.seed, supersample=args.supersample)
-    img1, _, _ = synth.render(scene, rig.cam1, pose=rig.pose,
-                              noise_sigma=args.noise, noise_seed=args.seed + 1,
-                              supersample=args.supersample)
+    try:
+        img0, _, _ = synth.render(scene, rig.cam0, noise_sigma=args.noise,
+                                  noise_seed=args.seed, supersample=args.supersample)
+        img1, _, _ = synth.render(scene, rig.cam1, pose=rig.pose,
+                                  noise_sigma=args.noise, noise_seed=args.seed + 1,
+                                  supersample=args.supersample)
+    except ValueError as exc:
+        raise CommandError(f"cannot render: {exc}") from None
     gt = synth.make_ground_truth(scene, rig)
 
+    out = _out_dir(args.out)
     formats.write_pgm(out / "image0.pgm", img0)
     formats.write_pgm(out / "image1.pgm", img1)
     formats.write_pfm(out / "depth0.pfm", gt.depth0)

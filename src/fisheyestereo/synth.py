@@ -110,7 +110,11 @@ class SineGrating:
     def shade(self, points: np.ndarray) -> np.ndarray:
         d = np.asarray(self.direction, dtype=np.float64)
         d = d / np.linalg.norm(d)
-        phase = 2.0 * np.pi * (points @ d) / self.wavelength
+        # Elementwise, not `points @ d`: BLAS rounds a matmul differently
+        # with the number of rows, and a point's shade must not depend on
+        # how many points share the call.
+        along = points[..., 0] * d[0] + points[..., 1] * d[1] + points[..., 2] * d[2]
+        phase = 2.0 * np.pi * along / self.wavelength
         t = 0.5 + 0.5 * np.sin(phase)
         return self.lo + (self.hi - self.lo) * t
 
@@ -190,18 +194,38 @@ Primitive = Union[Plane, Sphere, Box]
 class Scene:
     primitives: tuple[Primitive, ...]
 
-    def cast(self, origin: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest hit distance and shaded albedo for unit rays from `origin`."""
+    def nearest(self, origin: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest hit distance and the index of the primitive hit, per ray.
+
+        A primitive replaces the current hit only if strictly closer, so the
+        earliest primitive wins a tie and a NaN distance never wins. Rays that
+        hit nothing get distance inf and index -1.
+        """
         best_t = np.full(dirs.shape[:-1], np.inf)
-        shade = np.zeros(dirs.shape[:-1])
-        for prim in self.primitives:
+        winner = np.full(dirs.shape[:-1], -1,
+                         dtype=np.min_scalar_type(-1 - len(self.primitives)))
+        for i, prim in enumerate(self.primitives):
             t = prim.intersect(origin, dirs)
             closer = t < best_t
-            if np.any(closer):
-                tc = np.where(closer, t, 1.0)  # keep inf out of the shading pass
-                pts = origin + dirs * tc[..., None]
-                shade = np.where(closer, prim.texture.shade(pts), shade)
-                best_t = np.where(closer, t, best_t)
+            np.copyto(best_t, t, where=closer)
+            winner[closer] = i
+        return best_t, winner
+
+    def cast(self, origin: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest hit distance and shaded albedo for unit rays from `origin`.
+
+        The hit is the one `nearest` finds: the earliest primitive wins a tie.
+        Each primitive's texture is shaded once, only on the rays it wins, at
+        `origin + dirs * t`. Rays that hit nothing get distance inf and
+        albedo 0.
+        """
+        best_t, winner = self.nearest(origin, dirs)
+        shade = np.zeros(dirs.shape[:-1])
+        for i, prim in enumerate(self.primitives):
+            sel = winner == i
+            if np.any(sel):
+                pts = origin + dirs[sel] * best_t[sel][:, None]
+                shade[sel] = prim.texture.shade(pts)
         return best_t, shade
 
 
@@ -227,17 +251,22 @@ def render(scene: Scene, cam: CameraBase, pose: RelativePose | None = None,
     scene. Depth stays point-sampled at pixel centers (exact geometry).
     """
     if supersample < 1:
-        raise ValueError("supersample must be >= 1")
+        raise ValueError(f"supersample must be >= 1, got {supersample}")
+    if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     grid = pixel_grid(cam.height, cam.width)
-    t, shade, valid = _cast_through(scene, cam, pose, grid)
-    hit = np.isfinite(t) & valid
-    depth = np.where(hit, t, 0.0)
     if supersample == 1:
+        t, shade, valid = _cast_through(scene, cam, pose, grid)
+        hit = np.isfinite(t) & valid
         image = np.where(hit, shade, 0.0)
     else:
+        # Depth at the pixel centers; only the sub-pixel casts are shaded.
+        origin, dirs, valid = _pixel_rays(cam, pose, grid)
+        t, _ = scene.nearest(origin, dirs)
+        hit = np.isfinite(t) & valid
         s = supersample
-        acc = np.zeros_like(shade)
-        cnt = np.zeros_like(shade)
+        acc = np.zeros_like(t)
+        cnt = np.zeros_like(t)
         offsets = (np.arange(s) + 0.5) / s - 0.5
         for dy in offsets:
             for dx in offsets:
@@ -247,6 +276,7 @@ def render(scene: Scene, cam: CameraBase, pose: RelativePose | None = None,
                 acc += np.where(ok, sh, 0.0)
                 cnt += ok
         image = np.where(hit & (cnt > 0), acc / np.maximum(cnt, 1.0), 0.0)
+    depth = np.where(hit, t, 0.0)
     if noise_sigma > 0:
         rng = np.random.default_rng(noise_seed)
         image = image + rng.normal(0.0, noise_sigma, size=image.shape)
@@ -254,16 +284,19 @@ def render(scene: Scene, cam: CameraBase, pose: RelativePose | None = None,
     return image, depth, hit
 
 
-def _cast_through(scene: Scene, cam: CameraBase, pose: RelativePose | None,
-                  positions: np.ndarray):
+def _pixel_rays(cam: CameraBase, pose: RelativePose | None, positions: np.ndarray):
+    """World-frame origin, unit ray per pixel position, and the FOV mask.
+    Positions outside the FOV get a zero direction, which hits nothing."""
     rays_cam, valid = cam.unproject(positions)
     rays_cam = np.where(valid[..., None], rays_cam, 0.0)
     if pose is None:
-        origin = np.zeros(3)
-        dirs = rays_cam
-    else:
-        origin = pose.camera1_center
-        dirs = rays_cam @ pose.rotation  # R^T applied row-wise
+        return np.zeros(3), rays_cam, valid
+    return pose.camera1_center, rays_cam @ pose.rotation, valid  # R^T applied row-wise
+
+
+def _cast_through(scene: Scene, cam: CameraBase, pose: RelativePose | None,
+                  positions: np.ndarray):
+    origin, dirs, valid = _pixel_rays(cam, pose, positions)
     t, shade = scene.cast(origin, dirs)
     return t, shade, valid
 
@@ -278,8 +311,10 @@ def make_ground_truth(scene: Scene, rig: StereoRig,
     camera 1's FOV or image bounds.
     """
     grid = pixel_grid(rig.cam0.height, rig.cam0.width)
-    _, depth0, valid0 = render(scene, rig.cam0)
-    rays, _ = rig.cam0.unproject(grid)
+    origin, rays, fov0 = _pixel_rays(rig.cam0, None, grid)
+    t0, _ = scene.nearest(origin, rays)
+    valid0 = np.isfinite(t0) & fov0
+    depth0 = np.where(valid0, t0, 0.0)
     rays = np.where(valid0[..., None], rays, 0.0)
     pts = rays * depth0[..., None]
 
@@ -290,7 +325,7 @@ def make_ground_truth(scene: Scene, rig: StereoRig,
     seg = pts - c1
     dist1 = np.linalg.norm(seg, axis=-1)
     dirs1 = seg / np.maximum(dist1, 1e-300)[..., None]
-    t_hit, _ = scene.cast(c1, dirs1)
+    t_hit, _ = scene.nearest(c1, dirs1)
     unoccluded = np.abs(t_hit - dist1) <= occlusion_tol * np.maximum(dist1, 1.0)
 
     in_bounds = ((x1[..., 0] >= 0) & (x1[..., 0] <= rig.cam1.width - 1)

@@ -78,6 +78,45 @@ def test_render_missing_rig_fails_with_message(tmp_path, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
+def _scene_with(sphere_edit=None, texture_edit=None):
+    scene = json.loads(json.dumps(TINY_SCENE))
+    scene["primitives"][1].update(sphere_edit or {})
+    scene["primitives"][1]["texture"].update(texture_edit or {})
+    return json.dumps(scene)
+
+
+@pytest.mark.parametrize("text, message", [
+    (_scene_with().replace('"radius": 0.2, ', ""), "missing key 'radius'"),
+    (_scene_with(sphere_edit={"kind": "cone"}), "unknown primitive kind 'cone'"),
+    ("{not json", "bad scene file"),
+    (_scene_with(texture_edit={"bogus": 1}), "bogus"),
+], ids=["no-radius", "cone", "not-json", "bogus-texture-field"])
+def test_render_malformed_scene_fails_with_message(tmp_path, tiny_rig_path, capsys,
+                                                   text, message):
+    path = tmp_path / "bad_scene.json"
+    path.write_text(text)
+    code = main(["render", "--rig", str(tiny_rig_path), "--scene", str(path),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bad_scene.json" in err and message in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--supersample", "0"], "supersample must be >= 1"),
+    (["--noise", "-1"], "noise_sigma must be finite and >= 0"),
+    (["--noise", "nan"], "noise_sigma must be finite and >= 0"),
+    (["--noise", "inf"], "noise_sigma must be finite and >= 0"),
+], ids=["supersample-0", "noise-negative", "noise-nan", "noise-inf"])
+def test_render_bad_numbers_fail_with_message(tmp_path, tiny_rig_path, tiny_scene_path,
+                                              capsys, flags, message):
+    code = main(["render", "--rig", str(tiny_rig_path), "--scene", str(tiny_scene_path),
+                 "--out", str(tmp_path / "o")] + flags)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_fields_outputs_load_back_losslessly(tmp_path, tiny_rig_path):
     out = tmp_path / "fields"
     assert main(["fields", "--rig", str(tiny_rig_path), "--out", str(out)]) == 0

@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fisheyestereo.camera import RelativePose, StereoRig, UnifiedCamera
 from fisheyestereo.rasters import pixel_grid
-from fisheyestereo.synth import (Box, Checkerboard, Plane, Scene, SineGrating,
-                                 Sphere, ValueNoise, default_rig, default_scene,
-                                 make_ground_truth, pinhole_rig, plane_scene,
-                                 render, reseed_scene, scene_from_dict,
-                                 scene_to_dict)
+from fisheyestereo.synth import (Box, Checkerboard, GroundTruth, Plane, Scene,
+                                 SineGrating, Sphere, ValueNoise, default_rig,
+                                 default_scene, make_ground_truth, pinhole_rig,
+                                 plane_scene, render, reseed_scene,
+                                 scene_from_dict, scene_to_dict)
 
 
 def test_render_is_deterministic(small_fisheye_rig, small_scene):
@@ -153,3 +156,145 @@ def test_texture_shading_ranges():
         vals = tex.shade(pts)
         assert vals.min() >= 0.1 - 1e-9
         assert vals.max() <= 0.9 + 1e-9
+
+
+# --------------------------------------------------------------------------
+# the caster against the sequential reference
+
+def _reference_cast(scene, origin, dirs):
+    """Sequential caster: whenever a primitive comes closer on any ray, shade
+    its texture over every ray and keep that shading where it is closer."""
+    best_t = np.full(dirs.shape[:-1], np.inf)
+    shade = np.zeros(dirs.shape[:-1])
+    winner = np.full(dirs.shape[:-1], -1)
+    for i, prim in enumerate(scene.primitives):
+        t = prim.intersect(origin, dirs)
+        closer = t < best_t
+        if np.any(closer):
+            tc = np.where(closer, t, 1.0)  # keep inf out of the shading pass
+            pts = origin + dirs * tc[..., None]
+            shade = np.where(closer, prim.texture.shade(pts), shade)
+            best_t = np.where(closer, t, best_t)
+            winner = np.where(closer, i, winner)
+    return best_t, shade, winner
+
+
+_coord = st.floats(-1.5, 1.5)
+_vec3 = st.tuples(_coord, _coord, _coord)
+_nonzero3 = _vec3.filter(lambda v: np.linalg.norm(v) > 0.1)
+_length = st.floats(0.05, 1.0)
+_textures = st.one_of(
+    st.builds(ValueNoise, scale=_length, octaves=st.integers(1, 3),
+              seed=st.integers(0, 1000), persistence=st.floats(0.3, 0.8)),
+    st.builds(Checkerboard, period=_length),
+    st.builds(SineGrating, wavelength=_length, direction=_nonzero3),
+)
+_primitives = st.one_of(
+    st.builds(Plane, point=_vec3, normal=_nonzero3, texture=_textures),
+    st.builds(Sphere, center=_vec3, radius=_length, texture=_textures),
+    st.builds(lambda lo, size, tex: Box(lo=lo, hi=tuple(np.add(lo, size)), texture=tex),
+              _vec3, st.tuples(_length, _length, _length), _textures),
+)
+
+
+@st.composite
+def _cast_cases(draw):
+    prims = draw(st.lists(_primitives, max_size=5))
+    if prims and draw(st.booleans()):
+        # The same geometry again, later and with another texture: the
+        # earlier copy must win every tie.
+        src = draw(st.integers(0, len(prims) - 1))
+        at = draw(st.integers(src + 1, len(prims)))
+        prims.insert(at, replace(prims[src], texture=draw(_textures)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    dirs = rng.normal(size=shape + (3,))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    # Zero directions, as pixels outside the FOV get.
+    dirs[rng.random(shape) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    origin = np.asarray(draw(st.tuples(*[st.floats(-0.5, 0.5)] * 3)))
+    return Scene(primitives=tuple(prims)), origin, dirs
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_cast_cases())
+def test_cast_matches_sequential_reference(case):
+    scene, origin, dirs = case
+    ref_t, ref_shade, ref_winner = _reference_cast(scene, origin, dirs)
+    t, winner = scene.nearest(origin, dirs)
+    assert np.array_equal(t, ref_t)
+    assert np.array_equal(winner, ref_winner)
+    t, shade = scene.cast(origin, dirs)
+    assert np.array_equal(t, ref_t)
+    assert np.array_equal(shade, ref_shade)
+
+
+def test_cast_tie_and_miss_values():
+    sphere = Sphere(center=(0.0, 0.0, 2.0), radius=0.5, texture=Checkerboard(lo=0.2, hi=0.2))
+    twin = replace(sphere, texture=Checkerboard(lo=0.7, hi=0.7))
+    scene = Scene(primitives=(sphere, twin))
+    dirs = np.array([[0.0, 0.0, 1.0],    # hits both copies at t = 1.5
+                     [0.0, 0.0, -1.0],   # points away: hits nothing
+                     [0.0, 0.0, 0.0]])   # zero direction: hits nothing
+    t, winner = scene.nearest(np.zeros(3), dirs)
+    assert t.tolist() == [1.5, np.inf, np.inf]
+    assert winner.tolist() == [0, -1, -1]
+    t, shade = scene.cast(np.zeros(3), dirs)
+    assert t.tolist() == [1.5, np.inf, np.inf]
+    assert shade.tolist() == [0.2, 0.0, 0.0]
+
+
+class _CountingTexture:
+    """Constant albedo that records how many points each shade call gets."""
+
+    def __init__(self):
+        self.calls = []
+
+    def shade(self, points):
+        self.calls.append(len(points))
+        return np.full(points.shape[:-1], 0.5)
+
+
+def test_cast_shades_each_primitive_once_on_the_rays_it_wins():
+    near = Plane(point=(0.0, 0.0, 1.0), normal=(0.0, 0.0, -1.0), texture=_CountingTexture())
+    far = Plane(point=(0.0, 0.0, 3.0), normal=(0.0, 0.0, -1.0), texture=_CountingTexture())
+    unseen = Sphere(center=(0.0, 0.0, 5.0), radius=0.1, texture=_CountingTexture())
+    dirs = np.zeros((4, 5, 3))
+    dirs[..., 2] = 1.0
+    scene = Scene(primitives=(far, near, unseen))
+    scene.cast(np.zeros(3), dirs)
+    assert far.texture.calls == []
+    assert near.texture.calls == [20]
+    assert unseen.texture.calls == []
+
+
+def _reference_ground_truth(scene, rig, occlusion_tol=1e-6):
+    """Ground truth from full shaded casts: the camera-0 depth through
+    `render`, the occlusion test through `Scene.cast`."""
+    grid = pixel_grid(rig.cam0.height, rig.cam0.width)
+    _, depth0, valid0 = render(scene, rig.cam0)
+    rays, _ = rig.cam0.unproject(grid)
+    rays = np.where(valid0[..., None], rays, 0.0)
+    pts = rays * depth0[..., None]
+    x1, v1 = rig.cam1.project(rig.pose.transform(pts))
+    corr = np.where((valid0 & v1)[..., None], x1 - grid, 0.0)
+    c1 = rig.pose.camera1_center
+    seg = pts - c1
+    dist1 = np.linalg.norm(seg, axis=-1)
+    dirs1 = seg / np.maximum(dist1, 1e-300)[..., None]
+    t_hit, _ = scene.cast(c1, dirs1)
+    unoccluded = np.abs(t_hit - dist1) <= occlusion_tol * np.maximum(dist1, 1.0)
+    in_bounds = ((x1[..., 0] >= 0) & (x1[..., 0] <= rig.cam1.width - 1)
+                 & (x1[..., 1] >= 0) & (x1[..., 1] <= rig.cam1.height - 1))
+    in_bounds &= np.isfinite(x1).all(axis=-1)
+    covis = valid0 & v1 & unoccluded & in_bounds
+    return GroundTruth(depth0=depth0, correspondence=corr, covisibility=covis)
+
+
+def test_ground_truth_matches_full_cast_reference(small_fisheye_rig, small_scene):
+    gt = make_ground_truth(small_scene, small_fisheye_rig)
+    ref = _reference_ground_truth(small_scene, small_fisheye_rig)
+    assert np.array_equal(gt.depth0, ref.depth0)
+    assert np.array_equal(gt.correspondence, ref.correspondence)
+    assert np.array_equal(gt.covisibility, ref.covisibility)
+
