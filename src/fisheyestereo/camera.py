@@ -27,6 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .rasters import pixel_grid
+
 _POLY_TOL = 1e-10
 _POLY_MAX_ITER = 50
 
@@ -78,10 +80,7 @@ class CameraBase:
 
     def fov_mask(self) -> np.ndarray:
         """Circular boolean mask of pixels whose rays lie inside the FOV."""
-        xs, ys = np.meshgrid(np.arange(self.width, dtype=np.float64),
-                             np.arange(self.height, dtype=np.float64))
-        _, valid = self.unproject(np.stack([xs, ys], axis=-1))
-        return valid
+        return self.unproject(pixel_grid(self.height, self.width))[1]
 
 
 @dataclass(frozen=True)

@@ -105,8 +105,7 @@ def depth_from_correspondence(rig: StereoRig, corr: np.ndarray, valid: np.ndarra
     Near-parallel rays (vanishing disparity) triangulate to the cap value and
     are flagged invalid.
     """
-    h, w = valid.shape
-    grid = pixel_grid(h, w)
+    grid = pixel_grid(*valid.shape)
     x1 = grid + corr
     depth, ok = triangulate_midpoint(rig, grid, x1)
     ok = ok & valid

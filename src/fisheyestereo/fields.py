@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .camera import CameraBase, RelativePose, StereoRig
-from .rasters import pixel_grid, sample_bicubic
+from .rasters import pixel_grid, sample_bicubic, warp_image
 
 # Flow magnitudes below this are indistinguishable from the epipole.
 _DEGENERATE_FLOW = 1e-12
@@ -108,6 +108,17 @@ def generate_trajectory_field(rig: StereoRig, epsilon_scale: float = 0.1,
     return dirs, good
 
 
+def sample_directions(dirs: np.ndarray, valid: np.ndarray,
+                      pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample a unit direction field at `pos` and renormalize: (unit, ok), ok
+    where the sample's norm exceeds 0.5, unit zero elsewhere."""
+    d, ok = sample_bicubic(dirs, pos, valid)
+    d = np.where(ok[..., None], d, 0.0)
+    norm = np.linalg.norm(d, axis=-1)
+    ok &= norm > 0.5
+    return np.where(ok[..., None], d / np.maximum(norm, 1e-300)[..., None], 0.0), ok
+
+
 def trace_epipolar_curves(dirs: np.ndarray, valid: np.ndarray, starts: np.ndarray,
                           length: float, step: float) -> tuple[np.ndarray, np.ndarray]:
     """Euler-integrate the direction field from several start pixels at once.
@@ -128,12 +139,9 @@ def trace_epipolar_curves(dirs: np.ndarray, valid: np.ndarray, starts: np.ndarra
     live = np.ones(starts.shape[0], dtype=bool)
     for i in range(n_steps):
         seg = min(step, length - i * step)
-        d, ok = sample_bicubic(dirs, pos, valid)
-        norm = np.linalg.norm(np.where(ok[:, None], d, 0.0), axis=-1)
-        ok = ok & (norm > 0.5)
+        unit, ok = sample_directions(dirs, valid, pos)
         live = live & ok
-        unit = np.where(live[:, None], d / np.maximum(norm, 1e-300)[:, None], 0.0)
-        pos = pos + seg * unit
+        pos = pos + seg * np.where(live[:, None], unit, 0.0)
         verts[live, i + 1] = pos[live]
         alive[:, i + 1] = live
     return verts, alive
@@ -174,9 +182,5 @@ def compose_with_calibration(w: np.ndarray, cal_field: np.ndarray,
     The solver matches against the calibration-warped image, so the true
     camera-1 pixel of x is (x + w) + calibration(x + w).
     """
-    h, w_ = cal_valid.shape
-    grid = pixel_grid(h, w_)
-    probe = grid + w
-    cal_at, ok = sample_bicubic(cal_field, probe, cal_valid)
-    full = np.where(ok[..., None], w + cal_at, 0.0)
-    return full, ok
+    cal_at, ok = warp_image(cal_field, w, cal_valid)
+    return np.where(ok[..., None], w + cal_at, 0.0), ok

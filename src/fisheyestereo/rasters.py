@@ -19,6 +19,7 @@ summation-by-parts identity exact and testable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -28,11 +29,14 @@ from scipy.ndimage import gaussian_filter
 _TAP_OFFSETS = (-1, 0, 1, 2)
 
 
+@lru_cache(maxsize=16)
 def pixel_grid(height: int, width: int) -> np.ndarray:
-    """(H, W, 2) array of pixel-center positions (x, y)."""
+    """(H, W, 2) array of pixel-center positions (x, y), shared per shape, read-only."""
     xs, ys = np.meshgrid(np.arange(width, dtype=np.float64),
                          np.arange(height, dtype=np.float64))
-    return np.stack([xs, ys], axis=-1)
+    grid = np.stack([xs, ys], axis=-1)
+    grid.flags.writeable = False
+    return grid
 
 
 def circular_mask(height: int, width: int, center: tuple[float, float],
@@ -129,6 +133,14 @@ def sample_bicubic(field: np.ndarray, pos: np.ndarray,
     if squeeze:
         values = values[..., 0]
     return values, valid.reshape(out_shape)
+
+
+def warp_image(image: np.ndarray, w: np.ndarray,
+               mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample `image` (scalar or vector field) at x + w(x) with masked bicubic taps,
+    x on the pixel grid of `w`; returns (warped, valid), zero where invalid."""
+    vals, ok = sample_bicubic(image, pixel_grid(*w.shape[:2]) + w, mask)
+    return np.where(ok if vals.ndim == 2 else ok[..., None], vals, 0.0), ok
 
 
 def _cubic_full(data, x, y, ix, iy):
@@ -337,19 +349,21 @@ def upsample_state(u: np.ndarray, w: np.ndarray, mask: np.ndarray,
     """Carry disparity and warp vectors to the next finer pyramid level.
 
     Values are sampled bicubically from in-mask source pixels only and scaled
-    by the per-axis resolution ratio (disparity and warps are in pixel units).
+    to pixel units of the finer level: w by S = diag(sx, sy), and u (its arc
+    length) by |S w| / |w|, or by the mean ratio where w = 0 or sx == sy.
     """
     sh, sw = mask.shape
     dh, dw = dst_shape
     sx = dw / sw
     sy = dh / sh
-    g = pixel_grid(dh, dw)
-    src_pos = np.stack([(g[:, :, 0] + 0.5) / sx - 0.5,
-                        (g[:, :, 1] + 0.5) / sy - 0.5], axis=-1)
+    src_pos = (pixel_grid(dh, dw) + 0.5) / (sx, sy) - 0.5
     u_f, u_ok = sample_bicubic(u, src_pos, mask)
     w_f, w_ok = sample_bicubic(w, src_pos, mask)
-    u_f = np.where(u_ok & dst_mask, u_f, 0.0) * (0.5 * (sx + sy))
     w_f = np.where((w_ok & dst_mask)[:, :, None], w_f, 0.0)
-    w_f[:, :, 0] *= sx
-    w_f[:, :, 1] *= sy
-    return u_f, w_f
+    w_s = w_f * (sx, sy)
+    scale = 0.5 * (sx + sy)
+    if sx != sy:
+        before = np.linalg.norm(w_f, axis=-1)
+        scale = np.divide(np.linalg.norm(w_s, axis=-1), before,
+                          out=np.full(before.shape, scale), where=before > 0)
+    return np.where(u_ok & dst_mask, u_f, 0.0) * scale, w_s

@@ -8,7 +8,9 @@ field) and auxiliary vector field v, the saddle-point form of
 
 where rho is the brightness residual linearized along the local trajectory
 direction and T is an edge-weighted diffusion tensor built from the reference
-image. The inner loop is a preconditioned primal-dual iteration: projected
+image. `LevelOperator.apply` is the operator K(u, v) = (T grad u - v, grad v)
+and `LevelOperator.adjoint` its adjoint; the inner loop and `energy()` both
+use them. The inner loop is a preconditioned primal-dual iteration: projected
 ascent on duals p (2-channel) and q (4-channel), a closed-form shrinkage step
 on u against the linearized residual, a descent step on v, then
 over-relaxation. The outer loop re-warps the second image, re-linearizes the
@@ -16,8 +18,8 @@ residual, clips each disparity increment to du_max, and accumulates the warp
 vector as the direction-weighted sum of increments.
 
 Per-pixel step sizes come from diagonal preconditioning (absolute row/column
-sums of the linear operator, exponent one), so no global step tuning is
-needed; the dual variables stay inside their unit balls by construction.
+sums of K, exponent one), so no global step tuning is needed; the dual
+variables stay inside their unit balls by construction.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ import numpy as np
 from . import fields as fieldsmod
 from .camera import StereoRig
 from .rasters import (backward_divergence, build_pyramid, edge_indicators,
-                      forward_difference, gradient, pixel_grid, sample_bicubic,
-                      smooth_masked, upsample_state)
+                      forward_difference, pixel_grid, smooth_masked,
+                      upsample_state, warp_image)
 
 
 def _param(default, help_text: str):
@@ -185,45 +187,22 @@ def _central_gradient(f: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.n
     return gx / np.maximum(nx, 1.0), gy / np.maximum(ny, 1.0)
 
 
-def apply_tensor(t: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Multiply packed symmetric tensors (a, b, c) with 2-vectors."""
-    a, b, c = t[..., 0], t[..., 1], t[..., 2]
-    return np.stack([a * vec[..., 0] + b * vec[..., 1],
-                     b * vec[..., 0] + c * vec[..., 1]], axis=-1)
-
-
 def edge_tensor(i0: np.ndarray, mask: np.ndarray, params: SolverParams) -> np.ndarray:
     """The tensor T of the functional: `compute_tensor` of the smoothed image."""
     return compute_tensor(smooth_masked(i0, mask, params.tensor_sigma),
                           params.beta, params.eta, mask)
 
 
-def warp_image(image: np.ndarray, w: np.ndarray, mask: np.ndarray,
-               grid: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Resample `image` (scalar or vector field) at x + w(x) with masked bicubic taps.
-
-    Returns (warped, valid); invalid samples are zeroed, not NaN. `grid` is
-    the image's `pixel_grid`, built here when not given.
-    """
-    if grid is None:
-        grid = pixel_grid(image.shape[0], image.shape[1])
-    vals, ok = sample_bicubic(image, grid + w, mask)
-    return np.where(ok if vals.ndim == 2 else ok[..., None], vals, 0.0), ok
-
-
 def image_derivative_along(dirs: np.ndarray, i1w: np.ndarray, i1w_valid: np.ndarray,
-                           mask: np.ndarray, grid: np.ndarray | None = None,
-                           ) -> tuple[np.ndarray, np.ndarray]:
+                           mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Discrete derivative of the warped image along unit directions.
 
     I_u(x) = I1w(x + dir(x)) - I1w(x), sampled with masked bicubic taps;
-    invalid wherever either sample is. `grid` is as in `warp_image`.
+    invalid wherever either sample is.
     """
-    if grid is None:
-        grid = pixel_grid(i1w.shape[0], i1w.shape[1])
-    ahead, ok = sample_bicubic(i1w, grid + dirs, mask & i1w_valid)
-    iu = np.where(ok & i1w_valid, ahead - i1w, 0.0)
-    return iu, ok & i1w_valid
+    ahead, ok = warp_image(i1w, dirs, mask & i1w_valid)
+    ok &= i1w_valid
+    return np.where(ok, ahead - i1w, 0.0), ok
 
 
 def thresholding_step(u_hat: np.ndarray, rho_hat: np.ndarray, iu: np.ndarray,
@@ -255,21 +234,12 @@ def _max_norm(x: np.ndarray) -> float:
     return float(np.max(_norm(x), initial=0.0))
 
 
-def _jacobian(v: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """(H, W, 4) forward-difference Jacobian of an (H, W, 2) field."""
-    g0 = gradient(v[:, :, 0], mask)
-    g1 = gradient(v[:, :, 1], mask)
-    return np.concatenate([g0, g1], axis=-1)
-
-
 @dataclass
 class LevelOperator:
     """One pyramid level's linear operator and preconditioned step sizes.
 
-    The operator takes (u, v) to (alpha1*(T grad u - v), alpha0*grad v),
-    with the masked forward differences of `rasters.forward_difference`.
-    `ex`/`ey` are its float edge indicators, `a`/`b`/`c` the channels of the
-    packed tensor T and `grid` the level's pixel centers. Steps that always
+    `ex`/`ey` are the float edge indicators of K's masked forward differences
+    and `a`/`b`/`c` the channels of the packed tensor T. Steps that always
     meet a weight carry it: `p_step` is alpha1*sigma_p, `q_step`
     alpha0*sigma_q and `u_step` alpha1*tau_u; `tau_u` (for the data term's
     proximal step) and `tau_v` are plain.
@@ -280,12 +250,27 @@ class LevelOperator:
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    grid: np.ndarray
     p_step: np.ndarray
     q_step: float
     u_step: np.ndarray
     tau_u: np.ndarray
     tau_v: np.ndarray
+
+    def apply(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """K(u, v) = (T grad u - v, grad v): (H, W) u and (2, H, W) v give
+        (2, H, W) and (4, H, W), channels (dv0/dx, dv0/dy, dv1/dx, dv1/dy)."""
+        ex, ey, a, b, c = self.ex, self.ey, self.a, self.b, self.c
+        gx, gy = forward_difference(u, ex, ey)
+        return (np.stack([a * gx + b * gy, b * gx + c * gy]) - v,
+                np.stack(forward_difference(v[0], ex, ey) + forward_difference(v[1], ex, ey)))
+
+    def adjoint(self, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(div(T p), div q) per component, so <K(u, v), (p, q)> =
+        -<u, div(T p)> - <v, div q + p>; shapes mirror `apply`."""
+        ex, ey, a, b, c = self.ex, self.ey, self.a, self.b, self.c
+        return (backward_divergence(a * p[0] + b * p[1], b * p[0] + c * p[1], ex, ey),
+                np.stack([backward_divergence(q[0], q[1], ex, ey),
+                          backward_divergence(q[2], q[3], ex, ey)]))
 
 
 def precondition_steps(t: np.ndarray, mask: np.ndarray,
@@ -317,9 +302,8 @@ def precondition_steps(t: np.ndarray, mask: np.ndarray,
     tau_v = 1.0 / (params.alpha1 + params.alpha0 * edge_count)
     return LevelOperator(
         ex=exf, ey=eyf, a=t[..., 0].copy(), b=t[..., 1].copy(), c=t[..., 2].copy(),
-        grid=pixel_grid(*mask.shape), p_step=sigma_p * params.alpha1,
-        q_step=sigma_q * params.alpha0, u_step=tau_u * params.alpha1,
-        tau_u=tau_u, tau_v=tau_v)
+        p_step=sigma_p * params.alpha1, q_step=sigma_q * params.alpha0,
+        u_step=tau_u * params.alpha1, tau_u=tau_u, tau_v=tau_v)
 
 
 def primal_dual_iterate(state: SolverState, op: LevelOperator, iu: np.ndarray,
@@ -331,27 +315,17 @@ def primal_dual_iterate(state: SolverState, op: LevelOperator, iu: np.ndarray,
     residual handed to the shrinkage step is rho0 + (u - u_omega) * iu.
     `op` comes from `precondition_steps(t, mask, params)`.
     """
-    ex, ey, a, b, c = op.ex, op.ey, op.a, op.b, op.c
-    gx, gy = forward_difference(state.u_bar, ex, ey)
-    p = np.empty_like(state.p)
-    np.add(state.p[0], op.p_step * (a * gx + b * gy - state.v_bar[0]), out=p[0])
-    np.add(state.p[1], op.p_step * (b * gx + c * gy - state.v_bar[1]), out=p[1])
+    kp, kq = op.apply(state.u_bar, state.v_bar)
+    p = state.p + op.p_step * kp
     p /= np.maximum(1.0, _norm(p))
-    q = np.empty_like(state.q)
-    jac = forward_difference(state.v_bar[0], ex, ey) + forward_difference(state.v_bar[1], ex, ey)
-    for k, g in enumerate(jac):
-        np.add(state.q[k], op.q_step * g, out=q[k])
+    q = state.q + op.q_step * kq
     q /= np.maximum(1.0, _norm(q))
 
-    u_hat = state.u + op.u_step * backward_divergence(a * p[0] + b * p[1],
-                                                      b * p[0] + c * p[1], ex, ey)
+    div_tp, div_q = op.adjoint(p, q)
+    u_hat = state.u + op.u_step * div_tp
     rho_hat = rho0 + (u_hat - u_omega) * iu
     u_new = thresholding_step(u_hat, rho_hat, iu, op.tau_u, params.lam)
-    v_new = np.empty_like(state.v)
-    for k in range(2):
-        div_q = backward_divergence(q[2 * k], q[2 * k + 1], ex, ey)
-        np.add(state.v[k], op.tau_v * (params.alpha0 * div_q + params.alpha1 * p[k]),
-               out=v_new[k])
+    v_new = state.v + op.tau_v * (params.alpha0 * div_q + params.alpha1 * p)
 
     u_bar = u_new + params.theta * (u_new - state.u)
     v_bar = v_new + params.theta * (v_new - state.v)
@@ -381,13 +355,13 @@ def solve_level(i0: np.ndarray, i1: np.ndarray, traj_dirs: np.ndarray,
                         q=np.zeros((4, h, w_)), u_bar=u.copy(), v_bar=zeros2.copy())
 
     for _ in range(params.warp_iters):
-        i1w, warp_ok = warp_image(i1, w, mask, op.grid)
-        dirs_raw, dir_ok = warp_image(traj_dirs, w, traj_valid, op.grid)
-        norm = np.linalg.norm(dirs_raw, axis=-1)
-        dir_ok = dir_ok & (norm > 0.5) & mask
-        dirs = np.where(dir_ok[..., None], dirs_raw / np.maximum(norm, 1e-300)[..., None], 0.0)
+        i1w, warp_ok = warp_image(i1, w, mask)
+        dirs, dir_ok = fieldsmod.sample_directions(traj_dirs, traj_valid,
+                                                   pixel_grid(h, w_) + w)
+        dir_ok &= mask
+        dirs = np.where(dir_ok[..., None], dirs, 0.0)
 
-        iu, iu_ok = image_derivative_along(dirs, i1w, warp_ok & mask, mask, op.grid)
+        iu, iu_ok = image_derivative_along(dirs, i1w, warp_ok & mask, mask)
         data_ok = iu_ok & dir_ok
         iu = np.where(data_ok, iu, 0.0)
         rho0 = np.where(data_ok, i1w - i0, 0.0)
@@ -425,16 +399,13 @@ class StereoResult:
     cal_ok: np.ndarray     # where the calibration field is defined
 
 
-def calibrate_second_image(i1: np.ndarray, rig: StereoRig,
-                           mask1: np.ndarray | None = None):
-    """Warp image 1 by the calibration field once (rotation + intrinsics)."""
+def calibrate_second_image(i1: np.ndarray, rig: StereoRig):
+    """Warp image 1 by the calibration field once (rotation + intrinsics),
+    onto the camera-0 grid. Returns (i1c, valid, cal, cal_ok)."""
     cal, cal_ok = fieldsmod.generate_calibration_field(rig)
-    if mask1 is None:
-        mask1 = rig.cam1.fov_mask()
-    grid = pixel_grid(rig.cam0.height, rig.cam0.width)
-    vals, ok = sample_bicubic(i1, grid + cal, mask1)
-    ok = ok & cal_ok
-    return np.where(ok, vals, 0.0), ok, cal, cal_ok
+    i1c, ok = warp_image(i1, cal, rig.cam1.fov_mask())
+    ok &= cal_ok
+    return np.where(ok, i1c, 0.0), ok, cal, cal_ok
 
 
 def solve_pyramid(i0: np.ndarray, i1: np.ndarray, rig: StereoRig,
@@ -460,9 +431,8 @@ def solve_pyramid(i0: np.ndarray, i1: np.ndarray, rig: StereoRig,
             raise ValueError(f"image {k} does not match camera {k} dimensions")
         if not np.isfinite(img).all():
             raise ValueError(f"image {k} has non-finite pixels")
-    mask0 = rig.cam0.fov_mask()
-    i1c, i1c_ok, cal, cal_ok = calibrate_second_image(i1, rig)
-    solve_mask = mask0 & i1c_ok
+    # i1c is valid only where the calibration field is, inside camera 0's FOV.
+    i1c, solve_mask, cal, cal_ok = calibrate_second_image(i1, rig)
     if not solve_mask.any():
         raise ValueError("empty solve mask: no pixel of camera 0 sees image 1 "
                          "through the calibration warp")
@@ -474,7 +444,6 @@ def solve_pyramid(i0: np.ndarray, i1: np.ndarray, rig: StereoRig,
                          params.pyramid_scale, params.min_width)
 
     warp = None
-    state = None
     prev_mask = None
     for lvl in range(pyr0.num_levels):
         level_mask = pyr0.masks[lvl]
@@ -489,8 +458,7 @@ def solve_pyramid(i0: np.ndarray, i1: np.ndarray, rig: StereoRig,
         if warp is None:
             init = WarpState(u=np.zeros((h, w_)), w=np.zeros((h, w_, 2)))
         else:
-            u_up, w_up = upsample_state(warp.u, warp.w, prev_mask, (h, w_), level_mask)
-            init = WarpState(u=u_up, w=w_up)
+            init = WarpState(*upsample_state(warp.u, warp.w, prev_mask, (h, w_), level_mask))
         warp, state = solve_level(pyr0.fields[lvl], pyr1.fields[lvl], dirs,
                                   traj_ok, params, level_mask, init, observe)
         prev_mask = level_mask
@@ -503,16 +471,14 @@ def energy(i0: np.ndarray, i1c: np.ndarray, mask: np.ndarray, u: np.ndarray,
            v: np.ndarray, w: np.ndarray, params: SolverParams) -> float:
     """Variational energy of a candidate (u, v, w) on the calibrated pair.
 
-    Evaluates the functional of the module docstring with the solver's edge
-    tensor and the true (non-linearized) residual via warping; comparisons
-    between candidates are made over the pixels where both warps resolve.
+    Evaluates the functional of the module docstring with the solver's
+    operator K and the true (non-linearized) residual via warping, over the
+    pixels of `mask` where the warp resolves. `v` and `w` are (H, W, 2).
     """
     i1w, ok = warp_image(i1c, w, mask)
     sel = mask & ok
-    rho = np.where(sel, i1w - i0, 0.0)
-    gu = apply_tensor(edge_tensor(i0, mask, params), gradient(u, mask)) - v
-    gv = _jacobian(v, mask)
-    e_data = params.lam * float(np.sum(np.abs(rho[sel])))
-    e_g1 = params.alpha1 * float(np.sum(np.linalg.norm(gu, axis=-1)[sel]))
-    e_g0 = params.alpha0 * float(np.sum(np.linalg.norm(gv, axis=-1)[sel]))
-    return e_data + e_g1 + e_g0
+    op = precondition_steps(edge_tensor(i0, mask, params), mask, params)
+    gu, gv = op.apply(u, np.moveaxis(v, -1, 0))
+    return (params.lam * float(np.sum(np.abs((i1w - i0)[sel])))
+            + params.alpha1 * float(np.sum(_norm(gu)[sel]))
+            + params.alpha0 * float(np.sum(_norm(gv)[sel])))

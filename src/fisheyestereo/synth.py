@@ -12,6 +12,8 @@ Everything is seeded and pure: identical inputs render bit-identical images.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Union
 
@@ -428,11 +430,26 @@ _TEXTURES = {"noise": ValueNoise, "checker": Checkerboard, "sine": SineGrating}
 _PRIMITIVES = {"plane": Plane, "sphere": Sphere, "box": Box}
 
 
-def _texture_from_dict(d: dict) -> Texture:
+def _finite(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _vec3(spec: dict, key: str, index: int) -> tuple:
+    value = spec[key]
+    if not (isinstance(value, (list, tuple)) and len(value) == 3 and all(map(_finite, value))):
+        raise ValueError(f"primitive {index}: {key} must be 3 finite numbers, got {value!r}")
+    return tuple(value)
+
+
+def _texture_from_dict(d: dict, index: int) -> Texture:
     kind = d.pop("kind")
     if kind not in _TEXTURES:
         raise ValueError(f"unknown texture kind {kind!r}")
     if kind == "noise":
+        octaves = d.get("octaves", ValueNoise.octaves)
+        if isinstance(octaves, bool) or not isinstance(octaves, numbers.Integral) or octaves < 1:
+            raise ValueError(f"primitive {index}: texture octaves must be an integer >= 1, "
+                             f"got {octaves!r}")
         return ValueNoise(**d)
     if kind == "sine":
         d["direction"] = tuple(d.get("direction", (1.0, 0.0, 0.0)))
@@ -441,21 +458,25 @@ def _texture_from_dict(d: dict) -> Texture:
 
 
 def scene_from_dict(d: dict) -> Scene:
+    """Scene from its JSON form. A missing key raises KeyError; a bad kind or
+    value raises ValueError naming the primitive's index and the key."""
     prims = []
-    for spec in d["primitives"]:
+    for i, spec in enumerate(d["primitives"]):
         spec = dict(spec)
         kind = spec.pop("kind")
         if kind not in _PRIMITIVES:
             raise ValueError(f"unknown primitive kind {kind!r}")
-        tex = _texture_from_dict(dict(spec.pop("texture")))
+        tex = _texture_from_dict(dict(spec.pop("texture")), i)
         if kind == "plane":
-            prims.append(Plane(point=tuple(spec["point"]),
-                               normal=tuple(spec["normal"]), texture=tex))
+            prims.append(Plane(point=_vec3(spec, "point", i), normal=_vec3(spec, "normal", i),
+                               texture=tex))
         elif kind == "sphere":
-            prims.append(Sphere(center=tuple(spec["center"]),
-                                radius=float(spec["radius"]), texture=tex))
+            center, radius = _vec3(spec, "center", i), spec["radius"]
+            if not (_finite(radius) and radius > 0):
+                raise ValueError(f"primitive {i}: radius must be finite and > 0, got {radius!r}")
+            prims.append(Sphere(center=center, radius=float(radius), texture=tex))
         else:
-            prims.append(Box(lo=tuple(spec["lo"]), hi=tuple(spec["hi"]), texture=tex))
+            prims.append(Box(lo=_vec3(spec, "lo", i), hi=_vec3(spec, "hi", i), texture=tex))
     return Scene(primitives=tuple(prims))
 
 

@@ -140,9 +140,11 @@ def generate_walkthrough(out_dir) -> Path:
     e1 = solver.energy(i0, i1c, mask, result.u, result.v, result.w, params)
     _save(out, "disparity", result.u, result.mask)
     _save(out, "warp", result.w, result.mask)
-    err = evaluate.correspondence_error(result.w, gt.correspondence,
-                                        gt.covisibility & result.mask)
-    _save(out, "correspondence_error", err, gt.covisibility & result.mask)
+    # result.w points into the calibrated image 1; ground truth is in camera 1.
+    corr, corr_ok = fields.compose_with_calibration(result.w, result.cal, result.cal_ok)
+    scored = gt.covisibility & result.mask & corr_ok
+    err = evaluate.correspondence_error(corr, gt.correspondence, scored)
+    _save(out, "correspondence_error", err, scored)
     lines += [
         "## 5. Optimization",
         f"{params.warp_iters} warp iterations x {params.pd_iters} primal-dual "
@@ -151,7 +153,7 @@ def generate_walkthrough(out_dir) -> Path:
         f"largest increment {max_du:.3f} px against the "
         f"{params.du_max:.2f} px clip.",
         f"Mean correspondence error vs ground truth: "
-        f"{err[gt.covisibility & result.mask].mean():.4f} px.",
+        f"{err[scored].mean():.4f} px.",
         "Files: `disparity.pfm`, `warp.pfm`, `correspondence_error.pfm`.", "",
     ]
 
@@ -161,6 +163,6 @@ def generate_walkthrough(out_dir) -> Path:
         "energy_zero_init": e0,
         "energy_final": e1,
         "trace_max_dist_px": max(dists),
-        "mean_error_px": float(err[gt.covisibility & result.mask].mean()),
+        "mean_error_px": float(err[scored].mean()),
     }, indent=2) + "\n")
     return doc

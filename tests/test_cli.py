@@ -90,7 +90,13 @@ def _scene_with(sphere_edit=None, texture_edit=None):
     (_scene_with(sphere_edit={"kind": "cone"}), "unknown primitive kind 'cone'"),
     ("{not json", "bad scene file"),
     (_scene_with(texture_edit={"bogus": 1}), "bogus"),
-], ids=["no-radius", "cone", "not-json", "bogus-texture-field"])
+    (_scene_with(sphere_edit={"radius": -1}), "primitive 1: radius must be finite and > 0"),
+    (_scene_with(sphere_edit={"center": [0.2, -0.1]}),
+     "primitive 1: center must be 3 finite numbers"),
+    (_scene_with(texture_edit={"octaves": 2.5}),
+     "primitive 1: texture octaves must be an integer >= 1"),
+], ids=["no-radius", "cone", "not-json", "bogus-texture-field", "negative-radius",
+        "2d-center", "fractional-octaves"])
 def test_render_malformed_scene_fails_with_message(tmp_path, tiny_rig_path, capsys,
                                                    text, message):
     path = tmp_path / "bad_scene.json"

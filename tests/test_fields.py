@@ -5,7 +5,7 @@ from fisheyestereo.camera import (PinholeCamera, RelativePose, StereoRig,
                                   UnifiedCamera)
 from fisheyestereo.fields import (compose_with_calibration, depth_swept_curve,
                                   generate_calibration_field,
-                                  generate_trajectory_field,
+                                  generate_trajectory_field, sample_directions,
                                   trace_epipolar_curve, trace_epipolar_curves,
                                   translation_only_rig)
 from fisheyestereo.rasters import pixel_grid, sample_bicubic
@@ -176,6 +176,17 @@ def test_trace_follows_depth_swept_curve():
     sweep, sok = depth_swept_curve(rig, start, np.geomspace(5e3, 0.02, 3000))
     dist = _point_to_polyline(verts[0][alive[0]], sweep[sok])
     assert np.max(dist) < 0.1
+
+
+def test_sample_directions_renormalizes_and_zeroes_invalid():
+    # Left half: vectors of length 2 along (0.6, 0.8); right half: zero.
+    dirs = np.zeros((8, 8, 2))
+    dirs[:, :4] = (1.2, 1.6)
+    pos = np.array([[1.3, 3.5], [6.5, 3.5], [40.0, 3.0]])
+    unit, ok = sample_directions(dirs, np.ones((8, 8), bool), pos)
+    assert ok.tolist() == [True, False, False]
+    assert np.allclose(unit[0], (0.6, 0.8), atol=1e-12)
+    assert np.all(unit[1:] == 0.0)
 
 
 def test_compose_with_calibration_zero_field():

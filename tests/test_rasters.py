@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fisheyestereo.rasters import (build_pyramid, circular_mask, divergence,
                                    downsample_area, gradient, pixel_grid,
                                    pyramid_shapes, sample_bicubic,
-                                   smooth_masked, upsample_state)
+                                   smooth_masked, upsample_state, warp_image)
 
 FULL = np.ones((16, 16), dtype=bool)
 
@@ -302,6 +302,34 @@ def test_upsample_state_rescales_units():
     assert np.allclose(u2[interior], 6.0, atol=1e-9)
     assert np.allclose(w2[interior][..., 0], 1.0, atol=1e-9)
     assert np.allclose(w2[interior][..., 1], 0.0, atol=1e-12)
+
+
+def test_upsample_state_non_square_keeps_arc_length():
+    # Along a straight trajectory |w| equals u. The axes scale differently
+    # (59x81 -> 117x161), and u must follow the length of the scaled w.
+    rng = np.random.default_rng(11)
+    mask = np.ones((59, 81), dtype=bool)
+    u = 3.0 + smooth_masked(rng.random((59, 81)), mask, 3.0)
+    w = u[..., None] * np.array([0.6, 0.8])
+    u_f, w_f = upsample_state(u, w, mask, (117, 161), np.ones((117, 161), dtype=bool))
+    full = (slice(4, -4), slice(4, -4))  # pixels whose whole stencil is in the image
+    assert np.max(np.abs(np.linalg.norm(w_f, axis=-1) - u_f)[full]) <= 1e-12
+
+
+def test_pixel_grid_is_shared_and_read_only():
+    g = pixel_grid(5, 7)
+    assert g is pixel_grid(5, 7) and g.shape == (5, 7, 2)
+    with pytest.raises(ValueError):
+        g[0, 0, 0] = 1.0
+
+
+def test_warp_image_grid_follows_offset_field():
+    # An image sampled on the grid of an offset field of another shape, as a
+    # camera-1 image is sampled on the camera-0 grid.
+    img = 2.0 * pixel_grid(20, 30)[:, :, 0]
+    out, ok = warp_image(img, np.ones((10, 12, 2)), np.ones((20, 30), dtype=bool))
+    assert out.shape == ok.shape == (10, 12) and ok.all()
+    assert np.allclose(out, 2.0 * (pixel_grid(10, 12)[:, :, 0] + 1.0), atol=1e-9)
 
 
 def test_operations_are_pure():

@@ -1,15 +1,19 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fisheyestereo.camera import RelativePose, StereoRig, UnifiedCamera
 from fisheyestereo.fields import generate_calibration_field, translation_only_rig
-from fisheyestereo.rasters import gradient, pixel_grid, sample_bicubic
+from fisheyestereo.rasters import (gradient, pixel_grid, sample_bicubic, smooth_masked,
+                                   warp_image)
 from fisheyestereo.solver import (SolverParams, SolverState,
                                   WarpState, calibrate_second_image,
-                                  compute_tensor, energy,
+                                  compute_tensor, edge_tensor, energy,
                                   image_derivative_along, precondition_steps,
                                   primal_dual_iterate, solve_level,
-                                  solve_pyramid, thresholding_step, warp_image)
+                                  solve_pyramid, thresholding_step)
 from fisheyestereo.synth import (Plane, Scene, Sphere, ValueNoise,
                                  make_ground_truth, pinhole_rig, plane_scene,
                                  render)
@@ -116,7 +120,6 @@ def test_image_derivative_matches_curve_profile():
     # Oracle: central finite difference of the image resampled along the
     # traced curve.
     rng = np.random.default_rng(1)
-    from fisheyestereo.rasters import smooth_masked
     mask = np.ones((64, 64), dtype=bool)
     img = smooth_masked(rng.random((64, 64)), mask, 2.5)
     dirs = np.zeros((64, 64, 2))
@@ -241,6 +244,22 @@ def test_pd_projection_keeps_duals_feasible():
     assert np.max(np.linalg.norm(out.q, axis=0)) <= 1.0 + 1e-12
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000), h=st.integers(1, 13), w=st.integers(1, 13))
+def test_level_operator_summation_by_parts(seed, h, w):
+    # <K(u, v), (p, q)> = -<u, div(T p)> - <v, div q + p> for any mask and tensor.
+    rng = np.random.default_rng(seed)
+    mask = rng.random((h, w)) > 0.3
+    op = precondition_steps(rng.normal(size=(h, w, 3)), mask, SolverParams())
+    u, v = rng.normal(size=(h, w)), rng.normal(size=(2, h, w))
+    p, q = rng.normal(size=(2, h, w)), rng.normal(size=(4, h, w))
+    tgu, jac = op.apply(u, v)
+    div_tp, div_q = op.adjoint(p, q)
+    lhs = float(np.sum(tgu * p)) + float(np.sum(jac * q))
+    rhs = -float(np.sum(u * div_tp)) - float(np.sum(v * (div_q + p)))
+    assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
 def test_preconditioned_steps_positive_and_finite():
     rng = np.random.default_rng(4)
     mask = rng.random((30, 30)) > 0.2
@@ -317,7 +336,6 @@ def _rectified_setup(h, w, disparity_fn, seed=6, scale=11.0):
 
 def test_solve_level_zero_motion():
     rng = np.random.default_rng(7)
-    from fisheyestereo.rasters import smooth_masked
     mask = np.ones((60, 60), dtype=bool)
     img = smooth_masked(rng.random((60, 60)), mask, 1.0)
     dirs = np.zeros((60, 60, 2))
@@ -442,6 +460,49 @@ def test_energy_decreases_from_zero_init(small_fisheye_rig, small_pair):
     e0 = energy(i0, i1c, mask, np.zeros_like(i0), zeros2, zeros2, params)
     e1 = energy(i0, i1c, mask, res.u, res.v, res.w, params)
     assert e1 < e0
+
+
+def _energy_reference(i0, i1c, mask, u, v, w, params):
+    """The functional of the solver's docstring, one pixel at a time."""
+    h, wd = mask.shape
+    t = edge_tensor(i0, mask, params)
+
+    def diff(f, i, j, di, dj):  # masked forward difference
+        if i + di < h and j + dj < wd and mask[i, j] and mask[i + di, j + dj]:
+            return f[i + di, j + dj] - f[i, j]
+        return 0.0
+
+    total = 0.0
+    for i in range(h):
+        for j in range(wd):
+            if not mask[i, j]:
+                continue
+            warped, ok = sample_bicubic(i1c, np.array([j + w[i, j, 0], i + w[i, j, 1]]), mask)
+            if not ok:
+                continue
+            gx, gy = diff(u, i, j, 0, 1), diff(u, i, j, 1, 0)
+            a, b, c = t[i, j]
+            first = math.hypot(a * gx + b * gy - v[i, j, 0], b * gx + c * gy - v[i, j, 1])
+            jac = [diff(v[:, :, k], i, j, di, dj) for k in range(2)
+                   for di, dj in ((0, 1), (1, 0))]
+            total += (params.lam * abs(float(warped) - i0[i, j]) + params.alpha1 * first
+                      + params.alpha0 * math.sqrt(sum(x * x for x in jac)))
+    return total
+
+
+def test_energy_matches_per_pixel_reference():
+    rng = np.random.default_rng(12)
+    h, w = 9, 13
+    mask = rng.random((h, w)) > 0.2
+    i0 = smooth_masked(rng.random((h, w)), mask, 1.0)
+    i1c = rng.random((h, w))
+    u = rng.normal(size=(h, w))
+    v = rng.normal(size=(h, w, 2))
+    warp = rng.uniform(-1.5, 1.5, size=(h, w, 2))
+    params = SolverParams()
+    e = energy(i0, i1c, mask, u, v, warp, params)
+    assert e == pytest.approx(_energy_reference(i0, i1c, mask, u, v, warp, params),
+                              rel=1e-12)
 
 
 def test_solve_pyramid_dual_feasibility_diagnostics(small_fisheye_rig, small_pair):

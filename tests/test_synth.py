@@ -130,17 +130,39 @@ def test_reseed_scene_changes_noise_textures(small_scene):
     assert other.primitives[0].texture.seed != small_scene.primitives[0].texture.seed
 
 
+_SCENE_SPEC = Scene(primitives=(
+    Plane(point=(0.0, 0.0, 2.0), normal=(0.0, 0.0, -1.0),
+          texture=Checkerboard(period=0.3, lo=0.2, hi=0.8)),
+    Sphere(center=(0.1, 0.2, 1.0), radius=0.25,
+           texture=ValueNoise(scale=0.2, octaves=2, seed=7)),
+    Box(lo=(-1.0, -1.0, -1.0), hi=(1.0, 1.0, 3.0),
+        texture=SineGrating(wavelength=0.2, direction=(1.0, 1.0, 0.0))),
+))
+
+
 def test_scene_json_roundtrip():
-    scene = Scene(primitives=(
-        Plane(point=(0.0, 0.0, 2.0), normal=(0.0, 0.0, -1.0),
-              texture=Checkerboard(period=0.3, lo=0.2, hi=0.8)),
-        Sphere(center=(0.1, 0.2, 1.0), radius=0.25,
-               texture=ValueNoise(scale=0.2, octaves=2, seed=7)),
-        Box(lo=(-1.0, -1.0, -1.0), hi=(1.0, 1.0, 3.0),
-            texture=SineGrating(wavelength=0.2, direction=(1.0, 1.0, 0.0))),
-    ))
-    back = scene_from_dict(scene_to_dict(scene))
-    assert scene_to_dict(back) == scene_to_dict(scene)
+    back = scene_from_dict(scene_to_dict(_SCENE_SPEC))
+    assert scene_to_dict(back) == scene_to_dict(_SCENE_SPEC)
+
+
+@pytest.mark.parametrize("index, key, value, message", [
+    (0, "point", [0.0, 2.0], "point must be 3 finite numbers"),
+    (0, "normal", [0.0, 0.0, "-1"], "normal must be 3 finite numbers"),
+    (1, "center", [0.1, float("nan"), 1.0], "center must be 3 finite numbers"),
+    (1, "radius", 0.0, "radius must be finite and > 0"),
+    (1, "radius", float("inf"), "radius must be finite and > 0"),
+    (1, "radius", True, "radius must be finite and > 0"),
+    (2, "lo", [-1.0, -1.0, -1.0, 0.0], "lo must be 3 finite numbers"),
+    (2, "hi", 3.0, "hi must be 3 finite numbers"),
+    (1, "octaves", 0, "texture octaves must be an integer >= 1"),
+    (1, "octaves", 2.0, "texture octaves must be an integer >= 1"),
+])
+def test_scene_from_dict_rejects_bad_values(index, key, value, message):
+    d = scene_to_dict(_SCENE_SPEC)
+    spec = d["primitives"][index]
+    (spec["texture"] if key == "octaves" else spec)[key] = value
+    with pytest.raises(ValueError, match=f"primitive {index}: {message}"):
+        scene_from_dict(d)
 
 
 def test_scene_from_dict_rejects_unknown_primitive():
