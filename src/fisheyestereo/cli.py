@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import fields as dataclass_fields, replace
@@ -94,6 +95,23 @@ def _resolve_params(args) -> solver.SolverParams:
         raise CommandError(f"invalid solver parameters: {exc}") from None
 
 
+def _number_list(flag: str, text: str, kind, check) -> list:
+    """Parse `flag`'s comma-separated numbers; an entry that `kind` cannot read
+    or that `check` rejects (by TypeError/ValueError) is a CommandError."""
+    try:
+        values = [kind(v) for v in text.split(",")]
+        for value in values:
+            check(value)
+    except (TypeError, ValueError) as exc:
+        raise CommandError(f"bad {flag} {text!r}: {exc}") from None
+    return values
+
+
+def _positive_tau(tau: float) -> None:
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and > 0, got {tau!r}")
+
+
 def _add_param_flags(p: argparse.ArgumentParser, names=tuple(_PARAM_FIELDS)) -> None:
     """One flag per named `SolverParams` field, e.g. --warp-iters for warp_iters."""
     for name in names:
@@ -176,8 +194,7 @@ def cmd_stereo(args) -> int:
     out = _out_dir(args.out)
     result = _solve_pair(args, rig, params)
 
-    corr, corr_ok = fields.compose_with_calibration(result.w, result.cal, result.cal_ok)
-    corr_ok = corr_ok & result.mask
+    corr, corr_ok = result.correspondence()
     depth, depth_ok = evaluate.depth_from_correspondence(rig, corr, corr_ok)
 
     formats.write_pfm(out / "disparity.pfm", result.u)
@@ -211,10 +228,10 @@ def cmd_eval(args) -> int:
     est_path = Path(args.estimate)
     if not est_path.exists():
         raise CommandError(f"estimate file not found: {est_path}")
+    taus = _number_list("--taus", args.taus, float, _positive_tau)
     w_est, est_ok = formats.read_vector_pfm(est_path)
     corr_gt, covis, depth_gt, rig = _load_gt_dir(Path(args.gt))
     out = _out_dir(args.out)
-    taus = [float(t) for t in args.taus.split(",")]
 
     valid = covis & (est_ok > 0.5)
     depth_est, _ = evaluate.depth_from_correspondence(rig, w_est, valid)
@@ -232,20 +249,34 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _load_dataset_images(data_dir: Path) -> list[np.ndarray]:
+    """The image pair a `render` manifest names; a bad manifest is a CommandError."""
+    path = data_dir / "manifest.json"
+    if not path.exists():
+        raise CommandError(f"dataset manifest not found: {path}")
+    try:
+        manifest = json.loads(path.read_text())
+        images = [data_dir / manifest[key] for key in ("image0", "image1")]
+    except KeyError as exc:
+        raise CommandError(f"dataset manifest {path} is missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CommandError(f"bad dataset manifest {path}: {exc}") from None
+    for image in images:
+        if not image.exists():
+            raise CommandError(f"image named by {path} not found: {image}")
+    return [formats.load_image(image) for image in images]
+
+
 def cmd_sweep(args) -> int:
     data_dir = Path(args.dataset)
-    manifest_path = data_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise CommandError(f"dataset manifest not found: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
-    i0 = formats.load_image(data_dir / manifest["image0"])
-    i1 = formats.load_image(data_dir / manifest["image1"])
+    i0, i1 = _load_dataset_images(data_dir)
     corr_gt, covis, _, rig = _load_gt_dir(data_dir)
     base = _resolve_params(args)
+    warp_grid = _number_list("--warp-iters-grid", args.warp_iters_grid, int,
+                             lambda n: replace(base, warp_iters=n))
+    du_grid = _number_list("--du-max-grid", args.du_max_grid, float,
+                           lambda du: replace(base, du_max=du))
     out = _out_dir(args.out)
-
-    warp_grid = [int(v) for v in args.warp_iters_grid.split(",")]
-    du_grid = [float(v) for v in args.du_max_grid.split(",")]
 
     rows = []
     for n in warp_grid:
@@ -254,9 +285,8 @@ def cmd_sweep(args) -> int:
             t0 = time.perf_counter()
             result = _solve(i0, i1, rig, params)
             elapsed = time.perf_counter() - t0
-            corr, corr_ok = fields.compose_with_calibration(result.w, result.cal,
-                                                            result.cal_ok)
-            valid = covis & corr_ok & result.mask
+            corr, corr_ok = result.correspondence()
+            valid = covis & corr_ok
             report = evaluate.make_report(corr, corr_gt, valid)
             rows.append({
                 "warp_iters": n,

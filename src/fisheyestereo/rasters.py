@@ -204,30 +204,29 @@ def edge_indicators(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ex, ey
 
 
-def forward_difference(f: np.ndarray, ex: np.ndarray,
-                       ey: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forward differences (d/dx, d/dy) of a float field, zeroed on the edges
-    that `edge_indicators` marks as leaving the mask."""
-    gx = np.zeros(f.shape)
-    gy = np.zeros(f.shape)
-    np.subtract(f[:, 1:], f[:, :-1], out=gx[:, :-1])
-    gx[:, :-1] *= ex[:, :-1]
-    np.subtract(f[1:, :], f[:-1, :], out=gy[:-1, :])
-    gy[:-1, :] *= ey[:-1, :]
-    return gx, gy
+def forward_difference(f: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
+    """Forward differences of float fields (..., H, W) as (..., 2, H, W), channels
+    (d/dx, d/dy), zeroed on the edges that `edge_indicators` marks as leaving the mask."""
+    g = np.zeros(f.shape[:-2] + (2,) + f.shape[-2:])
+    gx, gy = g[..., 0, :, :], g[..., 1, :, :]
+    np.subtract(f[..., :, 1:], f[..., :, :-1], out=gx[..., :, :-1])
+    gx[..., :, :-1] *= ex[:, :-1]
+    np.subtract(f[..., 1:, :], f[..., :-1, :], out=gy[..., :-1, :])
+    gy[..., :-1, :] *= ey[:-1, :]
+    return g
 
 
-def backward_divergence(px: np.ndarray, py: np.ndarray, ex: np.ndarray,
-                        ey: np.ndarray) -> np.ndarray:
-    """Backward-difference divergence of (px, py), the negative adjoint of
-    `forward_difference`: components on edges leaving the mask count as zero."""
-    mx = px * ex
-    my = py * ey
+def backward_divergence(p: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
+    """Backward-difference divergence of (..., 2, H, W) fields as (..., H, W), the
+    negative adjoint of `forward_difference`: components on edges leaving the
+    mask count as zero."""
+    mx = p[..., 0, :, :] * ex
+    my = p[..., 1, :, :] * ey
     div = np.empty(mx.shape)
-    div[:, 0] = mx[:, 0]
-    np.subtract(mx[:, 1:], mx[:, :-1], out=div[:, 1:])
+    div[..., :, 0] = mx[..., :, 0]
+    np.subtract(mx[..., :, 1:], mx[..., :, :-1], out=div[..., :, 1:])
     div += my
-    div[1:, :] -= my[:-1, :]
+    div[..., 1:, :] -= my[..., :-1, :]
     return div
 
 
@@ -238,8 +237,7 @@ def gradient(field: np.ndarray, mask: np.ndarray) -> np.ndarray:
     the forward neighbor leaves the mask.
     """
     ex, ey = edge_indicators(mask)
-    return np.stack(forward_difference(np.asarray(field, dtype=np.float64), ex, ey),
-                    axis=-1)
+    return np.moveaxis(forward_difference(np.asarray(field, dtype=np.float64), ex, ey), 0, -1)
 
 
 def divergence(field: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -248,9 +246,8 @@ def divergence(field: np.ndarray, mask: np.ndarray) -> np.ndarray:
     Vector entries on edges leaving the mask are treated as zero (Dirichlet),
     so <grad u, p> + <u, div p> = 0 holds exactly for any u, p.
     """
-    p = np.asarray(field, dtype=np.float64)
     ex, ey = edge_indicators(mask)
-    return backward_divergence(p[:, :, 0], p[:, :, 1], ex, ey)
+    return backward_divergence(np.moveaxis(np.asarray(field, dtype=np.float64), -1, 0), ex, ey)
 
 
 def smooth_masked(field: np.ndarray, mask: np.ndarray, sigma: float) -> np.ndarray:
@@ -350,7 +347,7 @@ def upsample_state(u: np.ndarray, w: np.ndarray, mask: np.ndarray,
 
     Values are sampled bicubically from in-mask source pixels only and scaled
     to pixel units of the finer level: w by S = diag(sx, sy), and u (its arc
-    length) by |S w| / |w|, or by the mean ratio where w = 0 or sx == sy.
+    length) by |S w| / |w|, or by the mean ratio (sx + sy) / 2 where w = 0.
     """
     sh, sw = mask.shape
     dh, dw = dst_shape
@@ -361,9 +358,7 @@ def upsample_state(u: np.ndarray, w: np.ndarray, mask: np.ndarray,
     w_f, w_ok = sample_bicubic(w, src_pos, mask)
     w_f = np.where((w_ok & dst_mask)[:, :, None], w_f, 0.0)
     w_s = w_f * (sx, sy)
-    scale = 0.5 * (sx + sy)
-    if sx != sy:
-        before = np.linalg.norm(w_f, axis=-1)
-        scale = np.divide(np.linalg.norm(w_s, axis=-1), before,
-                          out=np.full(before.shape, scale), where=before > 0)
+    before = np.linalg.norm(w_f, axis=-1)
+    scale = np.divide(np.linalg.norm(w_s, axis=-1), before,
+                      out=np.full(before.shape, 0.5 * (sx + sy)), where=before > 0)
     return np.where(u_ok & dst_mask, u_f, 0.0) * scale, w_s

@@ -10,12 +10,17 @@ where rho is the brightness residual linearized along the local trajectory
 direction and T is an edge-weighted diffusion tensor built from the reference
 image. `LevelOperator.apply` is the operator K(u, v) = (T grad u - v, grad v)
 and `LevelOperator.adjoint` its adjoint; the inner loop and `energy()` both
-use them. The inner loop is a preconditioned primal-dual iteration: projected
-ascent on duals p (2-channel) and q (4-channel), a closed-form shrinkage step
-on u against the linearized residual, a descent step on v, then
-over-relaxation. The outer loop re-warps the second image, re-linearizes the
-residual, clips each disparity increment to du_max, and accumulates the warp
-vector as the direction-weighted sum of increments.
+use them. K acts on channel-first stacks, so one difference kernel call
+serves u, one serves both channels of v, and likewise for the adjoint.
+
+The inner loop is a preconditioned primal-dual iteration: projected ascent
+on duals p (2-channel) and q (4-channel), a closed-form shrinkage step on u
+against the linearized residual, a descent step on v, then over-relaxation.
+The outer loop re-warps the second image, re-linearizes the residual, clips
+each disparity increment to du_max, and accumulates the warp vector as the
+direction-weighted sum of increments. `solve_level` takes the level's (u, w)
+as plain arrays and returns (u, w, v); `solve_pyramid` carries u and w from
+level to level.
 
 Per-pixel step sizes come from diagonal preconditioning (absolute row/column
 sums of K, exponent one), so no global step tuning is needed; the dual
@@ -107,20 +112,16 @@ class SolverParams:
 
 
 @dataclass
-class WarpState:
-    """Accumulated disparity u and warp vector w = sum(du_k * dir_k)."""
-
-    u: np.ndarray
-    w: np.ndarray
-
-
-@dataclass
 class SolverState:
     """Primal/dual variables of one level's inner iteration.
 
     Vector variables are stored channel-first, so each channel is one
     contiguous (H, W) array: v, v_bar and p are (2, H, W), q is (4, H, W) with
     channels (dv0/dx, dv0/dy, dv1/dx, dv1/dy).
+
+    No solver function writes into an array it was given; each step returns
+    fresh arrays. So a state may share its arrays with another state, with
+    the caller's inputs, or among its own fields, without copies.
     """
 
     u: np.ndarray
@@ -256,21 +257,22 @@ class LevelOperator:
     tau_u: np.ndarray
     tau_v: np.ndarray
 
+    def _tensor(self, x: np.ndarray) -> np.ndarray:
+        """T x for a (2, H, W) field (T is symmetric, so also T^T x)."""
+        a, b, c = self.a, self.b, self.c
+        return np.stack([a * x[0] + b * x[1], b * x[0] + c * x[1]])
+
     def apply(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """K(u, v) = (T grad u - v, grad v): (H, W) u and (2, H, W) v give
         (2, H, W) and (4, H, W), channels (dv0/dx, dv0/dy, dv1/dx, dv1/dy)."""
-        ex, ey, a, b, c = self.ex, self.ey, self.a, self.b, self.c
-        gx, gy = forward_difference(u, ex, ey)
-        return (np.stack([a * gx + b * gy, b * gx + c * gy]) - v,
-                np.stack(forward_difference(v[0], ex, ey) + forward_difference(v[1], ex, ey)))
+        return (self._tensor(forward_difference(u, self.ex, self.ey)) - v,
+                forward_difference(v, self.ex, self.ey).reshape((4,) + u.shape))
 
     def adjoint(self, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(div(T p), div q) per component, so <K(u, v), (p, q)> =
         -<u, div(T p)> - <v, div q + p>; shapes mirror `apply`."""
-        ex, ey, a, b, c = self.ex, self.ey, self.a, self.b, self.c
-        return (backward_divergence(a * p[0] + b * p[1], b * p[0] + c * p[1], ex, ey),
-                np.stack([backward_divergence(q[0], q[1], ex, ey),
-                          backward_divergence(q[2], q[3], ex, ey)]))
+        return (backward_divergence(self._tensor(p), self.ex, self.ey),
+                backward_divergence(q.reshape((2, 2) + q.shape[1:]), self.ex, self.ey))
 
 
 def precondition_steps(t: np.ndarray, mask: np.ndarray,
@@ -334,30 +336,27 @@ def primal_dual_iterate(state: SolverState, op: LevelOperator, iu: np.ndarray,
 
 def solve_level(i0: np.ndarray, i1: np.ndarray, traj_dirs: np.ndarray,
                 traj_valid: np.ndarray, params: SolverParams, mask: np.ndarray,
-                init: WarpState, observe: Observer | None = None,
-                ) -> tuple[WarpState, SolverState]:
-    """Run the warping loop on one pyramid level.
+                u: np.ndarray, w: np.ndarray, observe: Observer | None = None,
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run the warping loop on one pyramid level from disparity u (H, W) and
+    warp vector w (H, W, 2); returns the level's (u, w, v), v as (H, W, 2).
 
     `i1` must already be calibration-warped. Each of the N warp iterations
     warps i1 by the current warp vector, linearizes the residual along
     trajectory directions sampled at the warped positions, runs the inner
-    primal-dual cycles, clips the increment to du_max, and accumulates.
-    `observe`, when given, receives a `WarpRecord` after each accumulation;
-    the dual norms are only computed for it.
+    primal-dual cycles from the relaxed primal (u, v), clips the increment to
+    du_max, and accumulates w += du * dirs. The duals and v carry over from
+    one warp to the next. `observe`, when given, receives a `WarpRecord`
+    after each accumulation; the dual norms are only computed for it.
     """
-    h, w_ = mask.shape
     op = precondition_steps(edge_tensor(i0, mask, params), mask, params)
-
-    u = init.u.copy()
-    w = init.w.copy()
-    zeros2 = np.zeros((2, h, w_))
-    state = SolverState(u=u, v=zeros2.copy(), p=zeros2.copy(),
-                        q=np.zeros((4, h, w_)), u_bar=u.copy(), v_bar=zeros2.copy())
+    v = p = np.zeros((2,) + mask.shape)
+    q = np.zeros((4,) + mask.shape)
+    grid = pixel_grid(*mask.shape)
 
     for _ in range(params.warp_iters):
         i1w, warp_ok = warp_image(i1, w, mask)
-        dirs, dir_ok = fieldsmod.sample_directions(traj_dirs, traj_valid,
-                                                   pixel_grid(h, w_) + w)
+        dirs, dir_ok = fieldsmod.sample_directions(traj_dirs, traj_valid, grid + w)
         dir_ok &= mask
         dirs = np.where(dir_ok[..., None], dirs, 0.0)
 
@@ -366,25 +365,22 @@ def solve_level(i0: np.ndarray, i1: np.ndarray, traj_dirs: np.ndarray,
         iu = np.where(data_ok, iu, 0.0)
         rho0 = np.where(data_ok, i1w - i0, 0.0)
 
-        u_omega = state.u.copy()
-        state.u_bar = state.u.copy()
-        state.v_bar = state.v.copy()
+        state = SolverState(u=u, v=v, p=p, q=q, u_bar=u, v_bar=v)
         max_p = max_q = 0.0
         for _k in range(params.pd_iters):
-            state = primal_dual_iterate(state, op, iu, rho0, u_omega, params)
+            state = primal_dual_iterate(state, op, iu, rho0, u, params)
             if observe is not None:
                 max_p = max(max_p, _max_norm(state.p))
                 max_q = max(max_q, _max_norm(state.q))
+        v, p, q = state.v, state.p, state.q
 
-        du = np.clip(state.u - u_omega, -params.du_max, params.du_max)
-        du = np.where(mask, du, 0.0)
-        state.u = u_omega + du
-        state.u_bar = state.u.copy()
+        du = np.where(mask, np.clip(state.u - u, -params.du_max, params.du_max), 0.0)
+        u = u + du
         w = w + du[..., None] * dirs
         if observe is not None:
             observe(WarpRecord(du=du, dirs=dirs, max_p_norm=max_p, max_q_norm=max_q))
 
-    return WarpState(u=state.u, w=w), state
+    return u, w, np.stack(v, axis=-1)
 
 
 @dataclass
@@ -398,6 +394,12 @@ class StereoResult:
     cal: np.ndarray        # calibration field applied to image 1, px
     cal_ok: np.ndarray     # where the calibration field is defined
 
+    def correspondence(self) -> tuple[np.ndarray, np.ndarray]:
+        """(corr, ok): the camera-1 offset of each pixel, w composed with the
+        calibration field, valid where that resolves and inside `mask`."""
+        corr, ok = fieldsmod.compose_with_calibration(self.w, self.cal, self.cal_ok)
+        return corr, ok & self.mask
+
 
 def calibrate_second_image(i1: np.ndarray, rig: StereoRig):
     """Warp image 1 by the calibration field once (rotation + intrinsics),
@@ -409,18 +411,13 @@ def calibrate_second_image(i1: np.ndarray, rig: StereoRig):
 
 
 def solve_pyramid(i0: np.ndarray, i1: np.ndarray, rig: StereoRig,
-                  params: SolverParams, observe: Observer | None = None,
-                  traj_override=None) -> StereoResult:
+                  params: SolverParams, observe: Observer | None = None) -> StereoResult:
     """Full coarse-to-fine solve of a calibrated stereo pair.
 
     Applies the calibration field once, then per pyramid level regenerates
     the trajectory field from the rescaled translation-only rig and runs the
     warping loop, carrying disparity and warp up through `upsample_state`.
-
-    `traj_override(rig_level) -> (dirs, valid)` replaces trajectory-field
-    generation when given (used to cross-check degeneration to rectified
-    stereo against hard-coded directions). `observe` is handed to every
-    level's `solve_level`, coarsest level first.
+    `observe` is handed to every level's `solve_level`, coarsest level first.
 
     Raises ValueError when an image does not match its camera or holds a
     non-finite pixel, and when no pixel of camera 0 sees image 1 through the
@@ -443,28 +440,22 @@ def solve_pyramid(i0: np.ndarray, i1: np.ndarray, rig: StereoRig,
     pyr1 = build_pyramid(i1c, solve_mask, params.pyramid_levels,
                          params.pyramid_scale, params.min_width)
 
-    warp = None
-    prev_mask = None
+    u = w = prev_mask = None
     for lvl in range(pyr0.num_levels):
         level_mask = pyr0.masks[lvl]
         h, w_ = level_mask.shape
         cam_lvl = rig.cam0.scaled_to((h, w_))
-        rig_lvl = StereoRig(cam_lvl, cam_lvl, rig_t.pose)
-        if traj_override is not None:
-            dirs, traj_ok = traj_override(rig_lvl)
+        dirs, traj_ok = fieldsmod.generate_trajectory_field(
+            StereoRig(cam_lvl, cam_lvl, rig_t.pose), params.epsilon_scale)
+        if prev_mask is None:
+            u, w = np.zeros((h, w_)), np.zeros((h, w_, 2))
         else:
-            dirs, traj_ok = fieldsmod.generate_trajectory_field(
-                rig_lvl, params.epsilon_scale)
-        if warp is None:
-            init = WarpState(u=np.zeros((h, w_)), w=np.zeros((h, w_, 2)))
-        else:
-            init = WarpState(*upsample_state(warp.u, warp.w, prev_mask, (h, w_), level_mask))
-        warp, state = solve_level(pyr0.fields[lvl], pyr1.fields[lvl], dirs,
-                                  traj_ok, params, level_mask, init, observe)
+            u, w = upsample_state(u, w, prev_mask, (h, w_), level_mask)
+        u, w, v = solve_level(pyr0.fields[lvl], pyr1.fields[lvl], dirs, traj_ok,
+                              params, level_mask, u, w, observe)
         prev_mask = level_mask
 
-    return StereoResult(u=warp.u, w=warp.w, v=np.stack(state.v, axis=-1), mask=prev_mask,
-                        cal=cal, cal_ok=cal_ok)
+    return StereoResult(u=u, w=w, v=v, mask=prev_mask, cal=cal, cal_ok=cal_ok)
 
 
 def energy(i0: np.ndarray, i1c: np.ndarray, mask: np.ndarray, u: np.ndarray,

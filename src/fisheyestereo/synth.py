@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Union
 
 import numpy as np
@@ -434,27 +434,38 @@ def _finite(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
-def _vec3(spec: dict, key: str, index: int) -> tuple:
-    value = spec[key]
-    if not (isinstance(value, (list, tuple)) and len(value) == 3 and all(map(_finite, value))):
-        raise ValueError(f"primitive {index}: {key} must be 3 finite numbers, got {value!r}")
+def _vec3(value, where: str, nonzero: bool = False) -> tuple:
+    if not (isinstance(value, (list, tuple)) and len(value) == 3 and all(map(_finite, value))
+            and (any(value) or not nonzero)):
+        rule = "3 finite numbers, not all zero" if nonzero else "3 finite numbers"
+        raise ValueError(f"{where} must be {rule}, got {value!r}")
     return tuple(value)
+
+
+# Texture numbers that must be > 0; the others need only be finite.
+_POSITIVE = {"scale", "period", "wavelength", "persistence"}
 
 
 def _texture_from_dict(d: dict, index: int) -> Texture:
     kind = d.pop("kind")
     if kind not in _TEXTURES:
         raise ValueError(f"unknown texture kind {kind!r}")
-    if kind == "noise":
-        octaves = d.get("octaves", ValueNoise.octaves)
-        if isinstance(octaves, bool) or not isinstance(octaves, numbers.Integral) or octaves < 1:
-            raise ValueError(f"primitive {index}: texture octaves must be an integer >= 1, "
-                             f"got {octaves!r}")
-        return ValueNoise(**d)
-    if kind == "sine":
-        d["direction"] = tuple(d.get("direction", (1.0, 0.0, 0.0)))
-        return SineGrating(**d)
-    return Checkerboard(**d)
+    cls = _TEXTURES[kind]
+    for f in fields(cls):
+        if f.name not in d:
+            continue
+        value, where = d[f.name], f"primitive {index}: texture {f.name}"
+        if f.name == "direction":
+            d[f.name] = _vec3(value, where, nonzero=True)
+        elif isinstance(f.default, int):
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or (f.name == "octaves" and value < 1)):
+                rule = "an integer >= 1" if f.name == "octaves" else "an integer"
+                raise ValueError(f"{where} must be {rule}, got {value!r}")
+        elif not (_finite(value) and (value > 0 or f.name not in _POSITIVE)):
+            rule = "finite and > 0" if f.name in _POSITIVE else "finite"
+            raise ValueError(f"{where} must be {rule}, got {value!r}")
+    return cls(**d)
 
 
 def scene_from_dict(d: dict) -> Scene:
@@ -468,15 +479,18 @@ def scene_from_dict(d: dict) -> Scene:
             raise ValueError(f"unknown primitive kind {kind!r}")
         tex = _texture_from_dict(dict(spec.pop("texture")), i)
         if kind == "plane":
-            prims.append(Plane(point=_vec3(spec, "point", i), normal=_vec3(spec, "normal", i),
+            prims.append(Plane(point=_vec3(spec["point"], f"primitive {i}: point"),
+                               normal=_vec3(spec["normal"], f"primitive {i}: normal",
+                                            nonzero=True),
                                texture=tex))
         elif kind == "sphere":
-            center, radius = _vec3(spec, "center", i), spec["radius"]
+            center, radius = _vec3(spec["center"], f"primitive {i}: center"), spec["radius"]
             if not (_finite(radius) and radius > 0):
                 raise ValueError(f"primitive {i}: radius must be finite and > 0, got {radius!r}")
             prims.append(Sphere(center=center, radius=float(radius), texture=tex))
         else:
-            prims.append(Box(lo=_vec3(spec, "lo", i), hi=_vec3(spec, "hi", i), texture=tex))
+            prims.append(Box(lo=_vec3(spec["lo"], f"primitive {i}: lo"),
+                             hi=_vec3(spec["hi"], f"primitive {i}: hi"), texture=tex))
     return Scene(primitives=tuple(prims))
 
 

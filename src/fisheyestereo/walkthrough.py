@@ -141,8 +141,8 @@ def generate_walkthrough(out_dir) -> Path:
     _save(out, "disparity", result.u, result.mask)
     _save(out, "warp", result.w, result.mask)
     # result.w points into the calibrated image 1; ground truth is in camera 1.
-    corr, corr_ok = fields.compose_with_calibration(result.w, result.cal, result.cal_ok)
-    scored = gt.covisibility & result.mask & corr_ok
+    corr, corr_ok = result.correspondence()
+    scored = gt.covisibility & corr_ok
     err = evaluate.correspondence_error(corr, gt.correspondence, scored)
     _save(out, "correspondence_error", err, scored)
     lines += [

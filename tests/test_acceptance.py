@@ -172,7 +172,7 @@ def test_criterion_04_curve_tracing_fidelity():
                           f"50 px, 100 pixels: worst deviation {worst:.3f} px (<=0.1)")
 
 
-def test_criterion_05_degenerates_to_rectified():
+def test_criterion_05_degenerates_to_rectified(monkeypatch):
     rig = pinhole_rig(width=240, height=240, f=200.0, baseline=0.1)
     scene = Scene(primitives=(
         Plane(point=(0.0, 0.0, 2.2), normal=(0.0, 0.0, -1.0),
@@ -185,15 +185,20 @@ def test_criterion_05_degenerates_to_rectified():
     i0, _, _ = render(scene, rig.cam0, supersample=2)
     i1, _, _ = render(scene, rig.cam1, pose=rig.pose, supersample=2)
 
-    def horizontal(rig_lvl):
+    widths = []
+
+    def horizontal(rig_lvl, epsilon_scale):
         h, w = rig_lvl.cam0.height, rig_lvl.cam0.width
+        widths.append(w)
         dirs = np.zeros((h, w, 2))
         dirs[:, :, 0] = -1.0
         return dirs, rig_lvl.cam0.fov_mask()
 
     params = SolverParams(warp_iters=10, pyramid_levels=4, min_width=30)
     res_a = solve_pyramid(i0, i1, rig, params)
-    res_b = solve_pyramid(i0, i1, rig, params, traj_override=horizontal)
+    monkeypatch.setattr(fields, "generate_trajectory_field", horizontal)
+    res_b = solve_pyramid(i0, i1, rig, params)
+    assert widths == [30, 60, 120, 240]  # the substitute served every level
     du = float(np.max(np.abs(res_a.u - res_b.u)))
     dw = float(np.max(np.linalg.norm(res_a.w - res_b.w, axis=-1)))
     ok = du <= 1e-6 and dw <= 1e-6

@@ -95,8 +95,22 @@ def _scene_with(sphere_edit=None, texture_edit=None):
      "primitive 1: center must be 3 finite numbers"),
     (_scene_with(texture_edit={"octaves": 2.5}),
      "primitive 1: texture octaves must be an integer >= 1"),
+    (_scene_with(texture_edit={"scale": 0}), "primitive 1: texture scale must be finite and > 0"),
+    (_scene_with(texture_edit={"scale": "big"}),
+     "primitive 1: texture scale must be finite and > 0"),
+    (_scene_with(texture_edit={"seed": 1.5}), "primitive 1: texture seed must be an integer"),
+    (_scene_with(texture_edit={"lo": "dark"}), "primitive 1: texture lo must be finite"),
+    (_scene_with(sphere_edit={"texture": {"kind": "checker", "period": 0}}),
+     "primitive 1: texture period must be finite and > 0"),
+    (_scene_with(sphere_edit={"texture": {"kind": "sine", "wavelength": 0}}),
+     "primitive 1: texture wavelength must be finite and > 0"),
+    (_scene_with(sphere_edit={"texture": {"kind": "sine", "direction": [0, 0, 0]}}),
+     "primitive 1: texture direction must be 3 finite numbers, not all zero"),
+    (_scene_with(sphere_edit={"kind": "plane", "point": [0, 0, 1], "normal": [0, 0, 0]}),
+     "primitive 1: normal must be 3 finite numbers, not all zero"),
 ], ids=["no-radius", "cone", "not-json", "bogus-texture-field", "negative-radius",
-        "2d-center", "fractional-octaves"])
+        "2d-center", "fractional-octaves", "zero-scale", "text-scale", "fractional-seed",
+        "text-lo", "zero-period", "zero-wavelength", "zero-direction", "zero-normal"])
 def test_render_malformed_scene_fails_with_message(tmp_path, tiny_rig_path, capsys,
                                                    text, message):
     path = tmp_path / "bad_scene.json"
@@ -267,6 +281,30 @@ def test_sweep_empty_solve_mask_fails_with_message(tmp_path, dataset, turned_rig
     assert "empty solve mask" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("manifest, flags, message", [
+    ("{not json", [], "bad dataset manifest"),
+    ('{"image1": "image1.pgm"}', [], "is missing key 'image0'"),
+    ('{"image0": "gone.pgm", "image1": "image1.pgm"}', [], "gone.pgm"),
+    (None, ["--warp-iters-grid", "a"], "bad --warp-iters-grid 'a'"),
+    (None, ["--warp-iters-grid", ""], "bad --warp-iters-grid ''"),
+    (None, ["--warp-iters-grid", "2,,3"], "bad --warp-iters-grid '2,,3'"),
+    (None, ["--warp-iters-grid", "0"], "bad --warp-iters-grid '0'"),
+    (None, ["--du-max-grid", "nan"], "bad --du-max-grid 'nan': du_max must be finite"),
+], ids=["manifest-not-json", "manifest-no-image0", "manifest-missing-image",
+        "grid-text", "grid-empty", "grid-empty-entry", "grid-zero", "du-max-nan"])
+def test_sweep_bad_inputs_fail_with_message(tmp_path, dataset, capsys, manifest, flags,
+                                            message):
+    data = tmp_path / "ds"
+    shutil.copytree(dataset, data)
+    if manifest is not None:
+        (data / "manifest.json").write_text(manifest)
+    code = main(["sweep", "--dataset", str(data), "--out", str(tmp_path / "o"),
+                 "--warp-iters-grid", "2"] + flags)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_stereo_missing_image_fails(tmp_path, tiny_rig_path, capsys):
     code = main(["stereo", "--left", str(tmp_path / "gone.pgm"),
                  "--right", str(tmp_path / "gone.pgm"),
@@ -306,6 +344,15 @@ def test_eval_missing_gt_fails(tmp_path, dataset, capsys):
                  "--out", str(tmp_path / "o")])
     assert code != 0
     assert "no_gt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("taus", ["1,x", "0", "nan"])
+def test_eval_bad_taus_fail_with_message(tmp_path, dataset, capsys, taus):
+    code = main(["eval", "--estimate", str(dataset / "correspondence.pfm"),
+                 "--gt", str(dataset), "--out", str(tmp_path / "o"), "--taus", taus])
+    assert code == 2
+    assert f"bad --taus {taus!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_stereo_output_feeds_eval(tmp_path, stereo_run, dataset):

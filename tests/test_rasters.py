@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fisheyestereo.rasters import (build_pyramid, circular_mask, divergence,
-                                   downsample_area, gradient, pixel_grid,
+from fisheyestereo.rasters import (backward_divergence, build_pyramid, circular_mask,
+                                   divergence, downsample_area, edge_indicators,
+                                   forward_difference, gradient, pixel_grid,
                                    pyramid_shapes, sample_bicubic,
                                    smooth_masked, upsample_state, warp_image)
 
@@ -231,6 +232,27 @@ def test_gradient_divergence_adjoint(seed, h, w):
     rhs = -float(np.sum(u * divergence(p, mask)))
     scale = max(1.0, abs(lhs))
     assert abs(lhs - rhs) <= 1e-10 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000), lead=st.lists(st.integers(1, 3), max_size=2),
+       h=st.integers(1, 13), w=st.integers(1, 13))
+def test_kernels_on_stacks_match_per_channel_calls(seed, lead, h, w):
+    # Leading axes are independent channels: a stacked call equals the
+    # per-channel calls bit for bit, and stays the negative adjoint.
+    rng = np.random.default_rng(seed)
+    ex, ey = edge_indicators(rng.random((h, w)) > 0.3)
+    f = rng.normal(size=tuple(lead) + (h, w))
+    p = rng.normal(size=tuple(lead) + (2, h, w))
+    g = forward_difference(f, ex, ey)
+    d = backward_divergence(p, ex, ey)
+    assert g.shape == p.shape and d.shape == f.shape
+    for idx in np.ndindex(*lead):
+        assert np.array_equal(g[idx], forward_difference(f[idx], ex, ey))
+        assert np.array_equal(d[idx], backward_divergence(p[idx], ex, ey))
+    lhs = float(np.sum(g * p))
+    rhs = -float(np.sum(f * d))
+    assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
 def test_pyramid_shapes_reference_chain():

@@ -8,8 +8,7 @@ from fisheyestereo.camera import RelativePose, StereoRig, UnifiedCamera
 from fisheyestereo.fields import generate_calibration_field, translation_only_rig
 from fisheyestereo.rasters import (gradient, pixel_grid, sample_bicubic, smooth_masked,
                                    warp_image)
-from fisheyestereo.solver import (SolverParams, SolverState,
-                                  WarpState, calibrate_second_image,
+from fisheyestereo.solver import (SolverParams, SolverState, calibrate_second_image,
                                   compute_tensor, edge_tensor, energy,
                                   image_derivative_along, precondition_steps,
                                   primal_dual_iterate, solve_level,
@@ -341,9 +340,9 @@ def test_solve_level_zero_motion():
     dirs = np.zeros((60, 60, 2))
     dirs[:, :, 0] = 1.0
     params = SolverParams(warp_iters=10, du_max=0.2, pyramid_levels=1)
-    ws, _ = solve_level(img, img, dirs, mask, params, mask,
-                        WarpState(u=np.zeros((60, 60)), w=np.zeros((60, 60, 2))))
-    assert np.mean(np.abs(ws.u[mask]) < params.du_max) >= 0.99
+    u, _, _ = solve_level(img, img, dirs, mask, params, mask,
+                          np.zeros((60, 60)), np.zeros((60, 60, 2)))
+    assert np.mean(np.abs(u[mask]) < params.du_max) >= 0.99
 
 
 def test_solve_level_accumulation_identity():
@@ -351,18 +350,37 @@ def test_solve_level_accumulation_identity():
     i0, i1, _, mask, dirs = _rectified_setup(40, 48, lambda g: np.full(g.shape[:2], 1.5))
     params = SolverParams(warp_iters=12, du_max=0.2, pyramid_levels=1)
     increments = []
-    ws, _ = solve_level(i0, i1, dirs, mask, params, mask,
-                        WarpState(u=np.zeros((40, 48)), w=np.zeros((40, 48, 2))),
-                        lambda rec: increments.append((rec.du.copy(), rec.dirs.copy())))
+    u, w, _ = solve_level(i0, i1, dirs, mask, params, mask,
+                          np.zeros((40, 48)), np.zeros((40, 48, 2)),
+                          lambda rec: increments.append((rec.du.copy(), rec.dirs.copy())))
     assert len(increments) == params.warp_iters
     u_sum = np.zeros((40, 48))
     w_sum = np.zeros((40, 48, 2))
     for du, used_dirs in increments:
         u_sum += du
         w_sum += du[..., None] * used_dirs
-    assert np.max(np.abs(ws.u - u_sum)) < 1e-9
-    assert np.max(np.abs(ws.w - w_sum)) < 1e-9
+    assert np.max(np.abs(u - u_sum)) < 1e-9
+    assert np.max(np.abs(w - w_sum)) < 1e-9
     assert all(np.max(np.abs(du)) <= params.du_max + 1e-15 for du, _ in increments)
+
+
+def test_solve_level_never_writes_its_inputs():
+    # Read-only inputs make any in-place write raise; the observer's arrays
+    # must stay as they were handed over.
+    i0, i1, _, mask, dirs = _rectified_setup(24, 32, lambda g: np.full(g.shape[:2], 1.0))
+    u0 = np.full((24, 32), 0.3)
+    w0 = np.zeros((24, 32, 2))
+    w0[:, :, 0] = 0.3
+    inputs = (i0, i1, dirs, mask, u0, w0)
+    before = [a.copy() for a in inputs]
+    for a in inputs:
+        a.flags.writeable = False
+    records = []
+    u, w, v = solve_level(i0, i1, dirs, mask, SolverParams(warp_iters=3, pyramid_levels=1),
+                          mask, u0, w0, lambda rec: records.append((rec, rec.du.copy())))
+    assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
+    assert all(np.array_equal(rec.du, du) for rec, du in records)
+    assert u.shape == (24, 32) and w.shape == v.shape == (24, 32, 2)
 
 
 def test_solve_level_step_edge_vs_exhaustive_search():
@@ -372,8 +390,8 @@ def test_solve_level_step_edge_vs_exhaustive_search():
         return np.where(g[:, :, 0] < 60, 2.0, 4.0)
     i0, i1, disp, mask, dirs = _rectified_setup(h, w, step_profile, seed=8, scale=9.0)
     params = SolverParams(warp_iters=50, pd_iters=10, du_max=0.2, pyramid_levels=1)
-    ws, _ = solve_level(i0, i1, dirs, mask, params, mask,
-                        WarpState(u=np.zeros((h, w)), w=np.zeros((h, w, 2))))
+    u_est, _, _ = solve_level(i0, i1, dirs, mask, params, mask,
+                              np.zeros((h, w)), np.zeros((h, w, 2)))
 
     candidates = np.arange(0.0, 6.0, 0.01)
     grid = pixel_grid(h, w)
@@ -390,7 +408,7 @@ def test_solve_level_step_edge_vs_exhaustive_search():
 
     interior = np.zeros((h, w), dtype=bool)
     interior[4:-4, 8:-8] = True
-    agree = np.abs(ws.u - best) <= 0.25
+    agree = np.abs(u_est - best) <= 0.25
     assert np.mean(agree[interior]) >= 0.95
 
 
@@ -399,13 +417,13 @@ def test_solve_level_error_decreases_over_warps():
     i0, i1, disp, mask, dirs = _rectified_setup(h, w, lambda g: np.full(g.shape[:2], 3.0),
                                                 seed=9, scale=13.0)
     params_step = SolverParams(warp_iters=4, du_max=0.2, pyramid_levels=1)
-    state = WarpState(u=np.zeros((h, w)), w=np.zeros((h, w, 2)))
+    u, warp = np.zeros((h, w)), np.zeros((h, w, 2))
     errors = []
     interior = np.zeros((h, w), dtype=bool)
     interior[4:-4, 8:-8] = True
     for _ in range(8):
-        state, _ = solve_level(i0, i1, dirs, mask, params_step, mask, state)
-        errors.append(float(np.mean(np.abs(state.u - disp)[interior])))
+        u, warp, _ = solve_level(i0, i1, dirs, mask, params_step, mask, u, warp)
+        errors.append(float(np.mean(np.abs(u - disp)[interior])))
     # Monotone decrease until the convergence plateau.
     drops = [errors[i + 1] <= errors[i] + 1e-6 for i in range(len(errors) - 1)]
     assert all(drops)

@@ -156,11 +156,23 @@ def test_scene_json_roundtrip():
     (2, "hi", 3.0, "hi must be 3 finite numbers"),
     (1, "octaves", 0, "texture octaves must be an integer >= 1"),
     (1, "octaves", 2.0, "texture octaves must be an integer >= 1"),
+    (0, "normal", [0.0, 0.0, 0.0], "normal must be 3 finite numbers, not all zero"),
+    (0, "period", 0, "texture period must be finite and > 0"),
+    (1, "scale", 0, "texture scale must be finite and > 0"),
+    (1, "scale", "big", "texture scale must be finite and > 0"),
+    (1, "persistence", -0.5, "texture persistence must be finite and > 0"),
+    (1, "seed", 1.5, "texture seed must be an integer"),
+    (1, "lo", "dark", "texture lo must be finite"),
+    (1, "hi", float("nan"), "texture hi must be finite"),
+    (2, "wavelength", 0.0, "texture wavelength must be finite and > 0"),
+    (2, "direction", [0, 0, 0], "texture direction must be 3 finite numbers, not all zero"),
+    (2, "direction", [1.0, 0.0], "texture direction must be 3 finite numbers"),
 ])
 def test_scene_from_dict_rejects_bad_values(index, key, value, message):
+    # A key the primitive lacks is set on its texture.
     d = scene_to_dict(_SCENE_SPEC)
     spec = d["primitives"][index]
-    (spec["texture"] if key == "octaves" else spec)[key] = value
+    (spec if key in spec else spec["texture"])[key] = value
     with pytest.raises(ValueError, match=f"primitive {index}: {message}"):
         scene_from_dict(d)
 
