@@ -22,6 +22,8 @@ return a boolean validity array alongside the values; invalid entries are NaN.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -196,10 +198,43 @@ _MODEL_CLASSES = {
 }
 
 
-def camera_from_dict(d: dict) -> CameraBase:
+def is_finite_number(x) -> bool:
+    """True for a finite real number that is not a bool (a JSON number)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _finite_numbers(value, n: int, where: str) -> list[float]:
+    if not (isinstance(value, (list, tuple)) and len(value) == n
+            and all(map(is_finite_number, value))):
+        raise ValueError(f"{where} must be {n} finite numbers, got {value!r}")
+    return [float(v) for v in value]
+
+
+# What docs/rig_schema.json allows for each camera number beyond being finite.
+_CAMERA_RULES = {
+    "width": (lambda v: isinstance(v, numbers.Integral) and v >= 1, "an integer >= 1"),
+    "height": (lambda v: isinstance(v, numbers.Integral) and v >= 1, "an integer >= 1"),
+    "fx": (lambda v: v > 0, "finite and > 0"),
+    "fy": (lambda v: v > 0, "finite and > 0"),
+    "cx": (lambda v: True, "finite"),
+    "cy": (lambda v: True, "finite"),
+    "fov_deg": (lambda v: v > 0, "finite and > 0"),
+    "xi": (lambda v: v >= 0, "finite and >= 0"),
+}
+
+
+def camera_from_dict(d: dict, name: str = "camera") -> CameraBase:
+    """Camera from its JSON form. A missing key raises KeyError; a bad type or
+    value raises ValueError naming the camera (`name`) and the key."""
     kind = d["type"]
     if kind not in _MODEL_CLASSES:
-        raise ValueError(f"unknown camera type {kind!r}")
+        raise ValueError(f"{name}: unknown camera type {kind!r}")
+    keys = ["width", "height", "fx", "fy", "cx", "cy", "fov_deg"]
+    keys += ["xi"] if kind == "unified" else []
+    for key in keys:
+        ok, rule = _CAMERA_RULES[key]
+        if not (is_finite_number(d[key]) and ok(d[key])):
+            raise ValueError(f"{name}: {key} must be {rule}, got {d[key]!r}")
     kwargs = dict(
         width=int(d["width"]), height=int(d["height"]),
         fx=float(d["fx"]), fy=float(d["fy"]),
@@ -209,10 +244,7 @@ def camera_from_dict(d: dict) -> CameraBase:
     if kind == "unified":
         kwargs["xi"] = float(d["xi"])
     elif kind == "polynomial":
-        k = [float(v) for v in d["k"]]
-        if len(k) != 4:
-            raise ValueError("polynomial camera needs 4 coefficients")
-        kwargs["k"] = tuple(k)
+        kwargs["k"] = tuple(_finite_numbers(d["k"], 4, f"{name}: k"))
     return _MODEL_CLASSES[kind](**kwargs)
 
 
@@ -251,6 +283,8 @@ class RelativePose:
     def __post_init__(self):
         R = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
+        if not (np.isfinite(R).all() and np.isfinite(t).all()):
+            raise ValueError("rotation and translation must be finite")
         if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-12 or np.linalg.det(R) < 0:
             raise ValueError("rotation must be orthonormal with det +1")
         object.__setattr__(self, "rotation", R)
@@ -287,11 +321,14 @@ class StereoRig:
 
 
 def rig_from_dict(d: dict) -> StereoRig:
+    """Rig from its JSON form (docs/rig_schema.json). A missing key raises
+    KeyError; a bad type or value raises ValueError naming the part and key."""
     pose = RelativePose(
-        np.asarray(d["pose"]["rotation"], dtype=np.float64).reshape(3, 3),
-        np.asarray(d["pose"]["translation"], dtype=np.float64),
+        np.reshape(_finite_numbers(d["pose"]["rotation"], 9, "pose: rotation"), (3, 3)),
+        np.array(_finite_numbers(d["pose"]["translation"], 3, "pose: translation")),
     )
-    return StereoRig(camera_from_dict(d["cam0"]), camera_from_dict(d["cam1"]), pose)
+    return StereoRig(camera_from_dict(d["cam0"], "cam0"),
+                     camera_from_dict(d["cam1"], "cam1"), pose)
 
 
 def rig_to_dict(rig: StereoRig) -> dict:

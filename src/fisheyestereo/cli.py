@@ -26,24 +26,26 @@ class CommandError(Exception):
     """User-facing failure: message is printed and the exit code is nonzero."""
 
 
+def _read(what: str, path, reader):
+    """`reader(Path(path))`, with a missing path or a file that `reader` cannot
+    read (KeyError, OSError, TypeError, ValueError) as a CommandError naming it."""
+    path = Path(path)
+    try:
+        if not path.exists():
+            raise CommandError(f"{what} not found: {path}")
+        return reader(path)
+    except KeyError as exc:
+        raise CommandError(f"{what} {path} is missing key {exc}") from None
+    except (OSError, TypeError, ValueError) as exc:
+        raise CommandError(f"bad {what} {path}: {exc}") from None
+
+
 def _load_rig_arg(spec: str) -> StereoRig:
     if spec == "default":
         return synth.default_rig()
     if spec == "pinhole":
         return synth.pinhole_rig()
-    path = Path(spec)
-    if not path.exists():
-        raise CommandError(f"rig file not found: {path}")
-    return _read_rig(path)
-
-
-def _read_rig(path: Path) -> StereoRig:
-    try:
-        return load_rig(path)
-    except KeyError as exc:
-        raise CommandError(f"rig file {path} is missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise CommandError(f"bad rig file {path}: {exc}") from None
+    return _read("rig file", spec, load_rig)
 
 
 def _load_scene_arg(spec: str) -> synth.Scene:
@@ -51,15 +53,8 @@ def _load_scene_arg(spec: str) -> synth.Scene:
         return synth.default_scene()
     if spec == "plane":
         return synth.plane_scene()
-    path = Path(spec)
-    if not path.exists():
-        raise CommandError(f"scene file not found: {path}")
-    try:
-        return synth.scene_from_dict(json.loads(path.read_text()))
-    except KeyError as exc:
-        raise CommandError(f"scene file {path} is missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise CommandError(f"bad scene file {path}: {exc}") from None
+    return _read("scene file", spec,
+                 lambda p: synth.scene_from_dict(json.loads(p.read_text())))
 
 
 def _out_dir(spec: str) -> Path:
@@ -78,13 +73,8 @@ def _resolve_params(args) -> solver.SolverParams:
     """Defaults < `--config` file < flags; bad keys or values are a CommandError."""
     values = solver.SolverParams().to_dict()
     if getattr(args, "config", None):
-        cfg_path = Path(args.config)
-        if not cfg_path.exists():
-            raise CommandError(f"config file not found: {cfg_path}")
-        try:
-            values.update(json.loads(cfg_path.read_text()))
-        except (TypeError, ValueError) as exc:
-            raise CommandError(f"bad config file {cfg_path}: {exc}") from None
+        values = _read("config file", args.config,
+                       lambda p: {**values, **json.loads(p.read_text())})
     for name in _PARAM_FIELDS:
         value = getattr(args, name, None)
         if value is not None:
@@ -160,25 +150,19 @@ def cmd_render(args) -> int:
 
 def cmd_fields(args) -> int:
     rig = _load_rig_arg(args.rig)
-    out = _out_dir(args.out)
     epsilon = _resolve_params(args).epsilon_scale
-
     cal, cal_ok = fields.generate_calibration_field(rig)
+    try:
+        traj, traj_ok = fields.generate_trajectory_field(
+            fields.translation_only_rig(rig), epsilon_scale=epsilon)
+    except ValueError as exc:
+        raise CommandError(f"cannot generate fields: {exc}") from None
+
+    out = _out_dir(args.out)
     formats.write_vector_pfm(out / "calibration.pfm", cal, third=cal_ok)
-    traj, traj_ok = fields.generate_trajectory_field(
-        fields.translation_only_rig(rig), epsilon_scale=epsilon)
     formats.write_vector_pfm(out / "trajectory.pfm", traj, third=traj_ok)
     print(f"wrote calibration + trajectory fields to {out}")
     return 0
-
-
-def _solve_pair(args, rig: StereoRig, params: solver.SolverParams):
-    for name, path in (("left image", args.left), ("right image", args.right)):
-        if not Path(path).exists():
-            raise CommandError(f"{name} not found: {path}")
-    i0 = formats.load_image(args.left)
-    i1 = formats.load_image(args.right)
-    return _solve(i0, i1, rig, params)
 
 
 def _solve(i0, i1, rig: StereoRig, params: solver.SolverParams) -> solver.StereoResult:
@@ -191,12 +175,13 @@ def _solve(i0, i1, rig: StereoRig, params: solver.SolverParams) -> solver.Stereo
 def cmd_stereo(args) -> int:
     rig = _load_rig_arg(args.rig)
     params = _resolve_params(args)
-    out = _out_dir(args.out)
-    result = _solve_pair(args, rig, params)
-
+    i0 = _read("left image", args.left, formats.load_image)
+    i1 = _read("right image", args.right, formats.load_image)
+    result = _solve(i0, i1, rig, params)
     corr, corr_ok = result.correspondence()
     depth, depth_ok = evaluate.depth_from_correspondence(rig, corr, corr_ok)
 
+    out = _out_dir(args.out)
     formats.write_pfm(out / "disparity.pfm", result.u)
     formats.write_vector_pfm(out / "warp.pfm", corr, third=corr_ok)
     formats.write_pfm(out / "depth.pfm", depth)
@@ -215,22 +200,27 @@ def cmd_stereo(args) -> int:
 
 
 def _load_gt_dir(path: Path):
-    for name in ("correspondence.pfm", "covisibility.pfm", "depth0.pfm", "rig.json"):
-        if not (path / name).exists():
-            raise CommandError(f"ground truth file not found: {path / name}")
-    corr, covis = formats.read_vector_pfm(path / "correspondence.pfm")
-    depth = formats.read_pfm(path / "depth0.pfm").astype(np.float64)
-    rig = _read_rig(path / "rig.json")
+    """Ground truth of a `render` dataset; covisibility is the third channel
+    of correspondence.pfm."""
+    corr, covis = _read("ground truth file", path / "correspondence.pfm",
+                        formats.read_vector_pfm)
+    depth = _read("ground truth file", path / "depth0.pfm",
+                  lambda p: formats.read_pfm(p, channels=1).astype(np.float64))
+    rig = _read("rig file", path / "rig.json", load_rig)
+    shape = (rig.cam0.height, rig.cam0.width)
+    if corr.shape[:2] != shape or depth.shape != shape:
+        raise CommandError(f"ground truth in {path} does not match the "
+                           f"{shape[1]}x{shape[0]} camera 0 of its rig.json")
     return corr, covis > 0.5, depth, rig
 
 
 def cmd_eval(args) -> int:
-    est_path = Path(args.estimate)
-    if not est_path.exists():
-        raise CommandError(f"estimate file not found: {est_path}")
     taus = _number_list("--taus", args.taus, float, _positive_tau)
-    w_est, est_ok = formats.read_vector_pfm(est_path)
+    w_est, est_ok = _read("estimate file", args.estimate, formats.read_vector_pfm)
     corr_gt, covis, depth_gt, rig = _load_gt_dir(Path(args.gt))
+    if w_est.shape != corr_gt.shape:
+        raise CommandError(f"estimate {args.estimate} is {w_est.shape[1]}x{w_est.shape[0]}, "
+                           f"ground truth is {corr_gt.shape[1]}x{corr_gt.shape[0]}")
     out = _out_dir(args.out)
 
     valid = covis & (est_ok > 0.5)
@@ -250,21 +240,15 @@ def cmd_eval(args) -> int:
 
 
 def _load_dataset_images(data_dir: Path) -> list[np.ndarray]:
-    """The image pair a `render` manifest names; a bad manifest is a CommandError."""
+    """The image pair a `render` manifest names."""
     path = data_dir / "manifest.json"
-    if not path.exists():
-        raise CommandError(f"dataset manifest not found: {path}")
-    try:
-        manifest = json.loads(path.read_text())
-        images = [data_dir / manifest[key] for key in ("image0", "image1")]
-    except KeyError as exc:
-        raise CommandError(f"dataset manifest {path} is missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise CommandError(f"bad dataset manifest {path}: {exc}") from None
-    for image in images:
-        if not image.exists():
-            raise CommandError(f"image named by {path} not found: {image}")
-    return [formats.load_image(image) for image in images]
+
+    def image_paths(p: Path) -> list[Path]:
+        manifest = json.loads(p.read_text())
+        return [data_dir / manifest[key] for key in ("image0", "image1")]
+
+    return [_read(f"image named by {path}", image, formats.load_image)
+            for image in _read("dataset manifest", path, image_paths)]
 
 
 def cmd_sweep(args) -> int:
@@ -276,7 +260,6 @@ def cmd_sweep(args) -> int:
                              lambda n: replace(base, warp_iters=n))
     du_grid = _number_list("--du-max-grid", args.du_max_grid, float,
                            lambda du: replace(base, du_max=du))
-    out = _out_dir(args.out)
 
     rows = []
     for n in warp_grid:
@@ -300,7 +283,7 @@ def cmd_sweep(args) -> int:
             print(f"N={n:4d} du_max={du:5.2f} tau>1: {report.pct_bad[1.0]:6.2f}% "
                   f"({elapsed:.1f}s)")
 
-    table = out / "sweep.csv"
+    table = _out_dir(args.out) / "sweep.csv"
     with open(table, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
         writer.writeheader()

@@ -31,24 +31,31 @@ def write_pfm(path, data: np.ndarray) -> None:
         f.write(np.flipud(data).astype("<f4").tobytes())
 
 
-def read_pfm(path) -> np.ndarray:
-    """Read a PFM file into float32 (H, W) or (H, W, 3)."""
+def read_pfm(path, channels: int | None = None) -> np.ndarray:
+    """Read a PFM file into float32 (H, W) or (H, W, 3).
+
+    A file that is not a PFM, or (when given) does not hold `channels`
+    channels, raises ValueError.
+    """
     with open(path, "rb") as f:
         tag = f.readline().strip()
-        if tag == b"Pf":
-            channels = 1
-        elif tag == b"PF":
-            channels = 3
-        else:
+        found = {b"Pf": 1, b"PF": 3}.get(tag)
+        if found is None:
             raise ValueError(f"{path}: not a PFM file (header {tag!r})")
+        if channels not in (None, found):
+            raise ValueError(f"{path}: expected {channels}-channel PFM, got {found}")
         dims = f.readline().split()
+        if len(dims) != 2:
+            raise ValueError(f"{path}: bad PFM dimensions line {b' '.join(dims)!r}")
         w, h = int(dims[0]), int(dims[1])
         scale = float(f.readline())
         endian = "<" if scale < 0 else ">"
-        buf = f.read(w * h * channels * 4)
-    data = np.frombuffer(buf, dtype=f"{endian}f4").reshape(h, w, channels)
+        buf = f.read(w * h * found * 4)
+    if min(w, h) < 0 or len(buf) != w * h * found * 4:
+        raise ValueError(f"{path}: {len(buf)} data bytes for a {w}x{h}x{found} PFM")
+    data = np.frombuffer(buf, dtype=f"{endian}f4").reshape(h, w, found)
     data = np.flipud(data).astype(np.float32)
-    return data[:, :, 0] if channels == 1 else data
+    return data[:, :, 0] if found == 1 else data
 
 
 def write_vector_pfm(path, field: np.ndarray, third: np.ndarray | None = None) -> None:
@@ -67,9 +74,7 @@ def write_vector_pfm(path, field: np.ndarray, third: np.ndarray | None = None) -
 
 def read_vector_pfm(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a 3-channel PFM back as ((H, W, 2) field, (H, W) third channel)."""
-    data = read_pfm(path)
-    if data.ndim != 3:
-        raise ValueError(f"{path}: expected 3-channel PFM")
+    data = read_pfm(path, channels=3)
     return data[:, :, :2].astype(np.float64), data[:, :, 2].astype(np.float64)
 
 
@@ -103,8 +108,10 @@ def read_pgm(path) -> np.ndarray:
         tokens.append(raw[start:pos])
     pos += 1
     w, h, maxval = (int(t) for t in tokens)
-    if maxval > 255:
+    if not 0 < maxval <= 255:
         raise ValueError(f"{path}: only 8-bit PGM supported (maxval {maxval})")
+    if min(w, h) < 0 or len(raw) - pos < w * h:
+        raise ValueError(f"{path}: {len(raw) - pos} pixel bytes for a {w}x{h} PGM")
     q = np.frombuffer(raw[pos : pos + w * h], dtype=np.uint8).reshape(h, w)
     return q.astype(np.float64) / maxval
 
@@ -148,16 +155,22 @@ def read_png(path) -> np.ndarray:
         raise ValueError(f"{path}: not a PNG")
     pos, idat, meta = 8, b"", None
     while pos < len(raw):
+        if pos + 8 > len(raw):
+            raise ValueError(f"{path}: truncated PNG chunk header")
         (length,) = struct.unpack(">I", raw[pos : pos + 4])
         kind = raw[pos + 4 : pos + 8]
         payload = raw[pos + 8 : pos + 8 + length]
         if kind == b"IHDR":
+            if len(payload) != 13:
+                raise ValueError(f"{path}: IHDR holds {len(payload)} bytes, not 13")
             meta = struct.unpack(">IIBBBBB", payload)
         elif kind == b"IDAT":
             idat += payload
         elif kind == b"IEND":
             break
         pos += 12 + length
+    if meta is None:
+        raise ValueError(f"{path}: no IHDR chunk")
     w, h, depth, color_type, _, _, interlace = meta
     if depth != 8 or interlace != 0:
         raise ValueError(f"{path}: only non-interlaced 8-bit PNG supported")
@@ -165,8 +178,14 @@ def read_png(path) -> np.ndarray:
     if planes is None:
         raise ValueError(f"{path}: unsupported color type {color_type}")
     stride = w * planes
-    flat = np.frombuffer(zlib.decompress(idat), dtype=np.uint8)
-    flat = flat.reshape(h, stride + 1)
+    try:
+        scanlines = zlib.decompress(idat)
+    except zlib.error as exc:
+        raise ValueError(f"{path}: bad IDAT data ({exc})") from None
+    if len(scanlines) != h * (stride + 1):
+        raise ValueError(f"{path}: IDAT holds {len(scanlines)} bytes, "
+                         f"expected {h * (stride + 1)}")
+    flat = np.frombuffer(scanlines, dtype=np.uint8).reshape(h, stride + 1)
     out = np.zeros((h, stride), dtype=np.uint8)
     prev = np.zeros(stride, dtype=np.uint8)
     for i in range(h):

@@ -354,11 +354,11 @@ def upsample_state(u: np.ndarray, w: np.ndarray, mask: np.ndarray,
     sx = dw / sw
     sy = dh / sh
     src_pos = (pixel_grid(dh, dw) + 0.5) / (sx, sy) - 0.5
-    u_f, u_ok = sample_bicubic(u, src_pos, mask)
-    w_f, w_ok = sample_bicubic(w, src_pos, mask)
-    w_f = np.where((w_ok & dst_mask)[:, :, None], w_f, 0.0)
+    uw, ok = sample_bicubic(np.concatenate([u[:, :, None], w], axis=-1), src_pos, mask)
+    ok &= dst_mask
+    u_f, w_f = uw[:, :, 0], np.where(ok[:, :, None], uw[:, :, 1:], 0.0)
     w_s = w_f * (sx, sy)
     before = np.linalg.norm(w_f, axis=-1)
     scale = np.divide(np.linalg.norm(w_s, axis=-1), before,
                       out=np.full(before.shape, 0.5 * (sx + sy)), where=before > 0)
-    return np.where(u_ok & dst_mask, u_f, 0.0) * scale, w_s
+    return np.where(ok, u_f, 0.0) * scale, w_s

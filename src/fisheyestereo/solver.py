@@ -435,14 +435,13 @@ def solve_pyramid(i0: np.ndarray, i1: np.ndarray, rig: StereoRig,
                          "through the calibration warp")
 
     rig_t = fieldsmod.translation_only_rig(rig)
-    pyr0 = build_pyramid(i0, solve_mask, params.pyramid_levels,
-                         params.pyramid_scale, params.min_width)
-    pyr1 = build_pyramid(i1c, solve_mask, params.pyramid_levels,
-                         params.pyramid_scale, params.min_width)
+    # One pyramid of the stacked pair: area averaging is per channel, and
+    # both images share the solve mask.
+    pyr = build_pyramid(np.stack([i0, i1c], axis=-1), solve_mask,
+                        params.pyramid_levels, params.pyramid_scale, params.min_width)
 
     u = w = prev_mask = None
-    for lvl in range(pyr0.num_levels):
-        level_mask = pyr0.masks[lvl]
+    for pair, level_mask in zip(pyr.fields, pyr.masks):
         h, w_ = level_mask.shape
         cam_lvl = rig.cam0.scaled_to((h, w_))
         dirs, traj_ok = fieldsmod.generate_trajectory_field(
@@ -451,7 +450,7 @@ def solve_pyramid(i0: np.ndarray, i1: np.ndarray, rig: StereoRig,
             u, w = np.zeros((h, w_)), np.zeros((h, w_, 2))
         else:
             u, w = upsample_state(u, w, prev_mask, (h, w_), level_mask)
-        u, w, v = solve_level(pyr0.fields[lvl], pyr1.fields[lvl], dirs, traj_ok,
+        u, w, v = solve_level(pair[:, :, 0], pair[:, :, 1], dirs, traj_ok,
                               params, level_mask, u, w, observe)
         prev_mask = level_mask
 

@@ -12,14 +12,14 @@ Everything is seeded and pure: identical inputs render bit-identical images.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Union
 
 import numpy as np
 
-from .camera import CameraBase, RelativePose, StereoRig, UnifiedCamera, PinholeCamera
+from .camera import (CameraBase, PinholeCamera, RelativePose, StereoRig, UnifiedCamera,
+                     is_finite_number as _finite)
 from .rasters import pixel_grid
 
 _EPS = 1e-9
@@ -428,10 +428,6 @@ def plane_scene(depth: float = 2.0, texture: Texture | None = None) -> Scene:
 
 _TEXTURES = {"noise": ValueNoise, "checker": Checkerboard, "sine": SineGrating}
 _PRIMITIVES = {"plane": Plane, "sphere": Sphere, "box": Box}
-
-
-def _finite(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _vec3(value, where: str, nonzero: bool = False) -> tuple:

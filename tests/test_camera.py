@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -126,6 +127,9 @@ def test_pose_rejects_non_orthonormal():
         RelativePose(np.eye(3) * 1.01)
     with pytest.raises(ValueError):
         RelativePose(np.diag([1.0, 1.0, -1.0]))  # det -1
+    with pytest.raises(ValueError, match="finite"):
+        # NaN compares false, so the orthonormality test alone would pass it.
+        RelativePose(np.eye(3), np.array([0.0, 0.0, np.nan]))
 
 
 @settings(max_examples=50, deadline=None)
@@ -200,10 +204,33 @@ def test_rig_json_roundtrip(tmp_path):
     assert len(d["pose"]["rotation"]) == 9
 
 
-def test_rig_from_dict_rejects_unknown_type():
-    d = rig_to_dict(_midpoint_rig())
-    d["cam0"]["type"] = "orthographic"
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("part, key, value, message", [
+    ("cam0", "type", "orthographic", "cam0: unknown camera type 'orthographic'"),
+    ("pose", "translation", [0.0, 0.0, float("nan")], "pose: translation must be 3 finite"),
+    ("pose", "rotation", [float("inf")] + [0.0] * 8, "pose: rotation must be 9 finite"),
+    ("pose", "rotation", ["1", "0", "0", "0", "1", "0", "0", "0", "1"],
+     "pose: rotation must be 9 finite"),
+    ("pose", "translation", [0.1, 0.0], "pose: translation must be 3 finite"),
+    ("cam1", "width", 40.5, "cam1: width must be an integer >= 1"),
+    ("cam0", "height", 0, "cam0: height must be an integer >= 1"),
+    ("cam0", "width", True, "cam0: width must be an integer >= 1"),
+    ("cam0", "fov_deg", float("inf"), "cam0: fov_deg must be finite and > 0"),
+    ("cam1", "fov_deg", 0, "cam1: fov_deg must be finite and > 0"),
+    ("cam0", "fx", 0.0, "cam0: fx must be finite and > 0"),
+    ("cam1", "fy", -300.0, "cam1: fy must be finite and > 0"),
+    ("cam0", "cx", float("nan"), "cam0: cx must be finite"),
+    ("cam1", "cy", "400", "cam1: cy must be finite"),
+    ("cam0", "xi", -0.5, "cam0: xi must be finite and >= 0"),
+    ("cam1", "k", [1.0, 0.0, float("nan"), 0.0], "cam1: k must be 4 finite numbers"),
+    ("cam1", "k", [1.0, 0.0], "cam1: k must be 4 finite numbers"),
+], ids=["unknown-type", "nan-translation", "inf-rotation", "text-rotation",
+        "short-translation", "fractional-width", "zero-height",
+        "bool-width", "inf-fov", "zero-fov", "zero-fx", "negative-fy", "nan-cx", "text-cy",
+        "negative-xi", "nan-k", "short-k"])
+def test_rig_from_dict_rejects_bad_values(part, key, value, message):
+    d = rig_to_dict(StereoRig(UNIFIED, POLY_FULL, RelativePose.from_displacement((0.1, 0, 0))))
+    d[part][key] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
         rig_from_dict(d)
 
 

@@ -1,5 +1,6 @@
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,6 +269,7 @@ def test_stereo_empty_solve_mask_fails_with_message(tmp_path, dataset, turned_ri
                  "--rig", str(turned_rig_path), "--out", str(tmp_path / "s")])
     assert code == 2
     assert "empty solve mask" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_sweep_empty_solve_mask_fails_with_message(tmp_path, dataset, turned_rig_path,
@@ -279,6 +281,7 @@ def test_sweep_empty_solve_mask_fails_with_message(tmp_path, dataset, turned_rig
                  "--warp-iters-grid", "2", "--pyramid-levels", "2", "--min-width", "40"])
     assert code == 2
     assert "empty solve mask" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("manifest, flags, message", [
@@ -302,6 +305,120 @@ def test_sweep_bad_inputs_fail_with_message(tmp_path, dataset, capsys, manifest,
                  "--warp-iters-grid", "2"] + flags)
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def _stereo(d, left="image0.pgm", right="image1.pgm", rig="rig.json", config=None):
+    command = ["stereo", "--left", d / left, "--right", d / right, "--rig", d / rig]
+    return [str(a) for a in command + (["--config", config] if config else [])]
+
+
+def _eval(d, f):
+    return ["eval", "--estimate", d / "estimate.pfm", "--gt", d]
+
+
+def _sweep(d, f):
+    return ["sweep", "--dataset", d, "--warp-iters-grid", "2"]
+
+
+# Every file the CLI reads: its name in a copy `d` of the dataset, and a
+# command that reads it after reading only valid files.
+READ_SITES = {
+    "rig": ("rig.json", lambda d, f: ["fields", "--rig", f]),
+    "scene": ("scene.json", lambda d, f: ["render", "--rig", d / "rig.json", "--scene", f]),
+    "config": ("config.json", lambda d, f: _stereo(d, config=f)),
+    "left": ("left.png", lambda d, f: _stereo(d, left=f)),
+    "right": ("right.png", lambda d, f: _stereo(d, right=f)),
+    "estimate": ("estimate.pfm", lambda d, f: ["eval", "--estimate", f, "--gt", d]),
+    "gt-correspondence": ("correspondence.pfm", _eval),
+    "gt-depth": ("depth0.pfm", _eval),
+    "gt-rig": ("rig.json", _eval),
+    "manifest": ("manifest.json", _sweep),
+    "manifest-image": ("image0.png", _sweep),
+}
+KINDS = {
+    ".json": ["missing", "directory", "garbage", "not-an-object", "missing-key"],
+    ".png": ["missing", "directory", "garbage", "channels", "missing-key"],
+    ".pfm": ["missing", "directory", "garbage", "channels"],
+}
+READ_FAILURES = [(site, kind) for site, (name, _) in READ_SITES.items()
+                 for kind in KINDS[Path(name).suffix]
+                 if (site, kind) != ("config", "missing-key")]
+
+
+def _damage(f, kind: str) -> str:
+    """Damage the valid file `f` as `kind` says; returns part of the expected error."""
+    if kind == "missing":
+        f.unlink()
+        return "not found"
+    if kind == "directory":
+        f.unlink()
+        f.mkdir()
+        return "Is a directory"
+    if kind == "garbage":
+        f.write_bytes(b"P5 garbage\xff")
+        return "bad "
+    if kind == "not-an-object":
+        f.write_text("[1, 2]")
+        return "bad "
+    raw = bytearray(f.read_bytes())
+    if f.suffix == ".json":  # missing-key: drop the object's first key
+        obj = json.loads(raw)
+        key = next(iter(obj))
+        f.write_text(json.dumps({k: v for k, v in obj.items() if k != key}))
+        return f"is missing key '{key}'"
+    if f.suffix == ".pfm":  # channels: the other PFM channel count
+        formats.write_pfm(f, np.zeros((100, 100, 3) if f.name == "depth0.pfm" else (100, 100)))
+        return "channel PFM"
+    if kind == "channels":  # IHDR colour type 4, gray + alpha
+        raw[25] = 4
+        f.write_bytes(bytes(raw))
+        return "unsupported color type 4"
+    f.write_bytes(bytes(raw[:8] + raw[33:]))  # missing-key: no IHDR chunk
+    return "no IHDR chunk"
+
+
+@pytest.mark.parametrize("site, kind", READ_FAILURES,
+                         ids=[f"{site}-{kind}" for site, kind in READ_FAILURES])
+def test_every_read_failure_exits_2_naming_the_file(tmp_path, dataset, capsys, site, kind):
+    d = tmp_path / "d"
+    shutil.copytree(dataset, d)
+    (d / "scene.json").write_text(json.dumps(TINY_SCENE))
+    (d / "config.json").write_text(json.dumps({"warp_iters": 2}))
+    shutil.copy(d / "correspondence.pfm", d / "estimate.pfm")
+    for name, image in (("left.png", "image0"), ("right.png", "image1"), ("image0.png", "image0")):
+        pixels = formats.read_pgm(d / f"{image}.pgm")
+        formats.write_png(d / name, np.rint(pixels * 255).astype(np.uint8))
+    manifest = json.loads((d / "manifest.json").read_text())
+    (d / "manifest.json").write_text(json.dumps({**manifest, "image0": "image0.png"}))
+
+    name, command = READ_SITES[site]
+    message = _damage(d / name, kind)
+    code = main([str(a) for a in command(d, d / name)] + ["--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert name in err and message in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_stereo_nan_translation_fails_without_output(tmp_path, dataset, tiny_rig_path, capsys):
+    rig = json.loads(tiny_rig_path.read_text())
+    rig["pose"]["translation"] = [0.0, 0.0, float("nan")]
+    path = tmp_path / "nan_rig.json"
+    path.write_text(json.dumps(rig))
+    code = main(_stereo(dataset, rig=path) + ["--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "nan_rig.json" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_fields_zero_baseline_fails_without_output(tmp_path, capsys):
+    cam = UnifiedCamera(width=40, height=40, fx=20.0, fy=20.0, cx=19.5, cy=19.5,
+                        fov=np.pi, xi=0.9)
+    rig_path = tmp_path / "zero.json"
+    save_rig(rig_path, StereoRig(cam, cam, RelativePose()))
+    assert main(["fields", "--rig", str(rig_path), "--out", str(tmp_path / "o")]) == 2
+    assert "zero baseline" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

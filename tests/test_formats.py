@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fisheyestereo import formats
 
@@ -96,3 +97,47 @@ def test_luminance_weights():
     rgb = np.zeros((1, 1, 3), dtype=np.uint8)
     rgb[0, 0] = (255, 0, 0)
     assert np.isclose(formats.to_luminance(rgb)[0, 0], 0.299)
+
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """One small valid file per decoder, with the function that reads it."""
+    directory = tmp_path_factory.mktemp("valid")
+    rng = np.random.default_rng(3)
+    img = rng.uniform(size=(9, 7))
+    formats.write_pgm(directory / "a.pgm", img)
+    formats.write_pfm(directory / "a.pfm", img)
+    formats.write_vector_pfm(directory / "v.pfm", rng.normal(size=(9, 7, 2)))
+    formats.write_png(directory / "a.png", (img * 255).astype(np.uint8))
+    formats.write_png(directory / "c.png", rng.integers(0, 256, (9, 7, 3), dtype=np.uint8))
+    return [(directory / "a.pgm", formats.read_pgm), (directory / "a.pfm", formats.read_pfm),
+            (directory / "v.pfm", formats.read_vector_pfm),
+            (directory / "a.png", formats.read_png), (directory / "c.png", formats.read_png)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(which=st.integers(0, 4), cut=st.none() | st.floats(0.0, 1.0),
+       flips=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 255)), max_size=3))
+def test_damaged_file_loads_or_raises_value_error(valid_files, which, cut, flips):
+    """A truncated or byte-flipped PGM, PFM or PNG either loads or raises
+    ValueError (never zlib.error, struct.error, IndexError, ...)."""
+    path, read = valid_files[which]
+    raw = bytearray(path.read_bytes())
+    for where, value in flips:
+        raw[min(int(where * len(raw)), len(raw) - 1)] = value
+    if cut is not None:
+        raw = raw[: int(cut * len(raw))]
+    damaged = path.with_name("damaged" + path.suffix)
+    damaged.write_bytes(bytes(raw))
+    try:
+        read(damaged)
+    except ValueError:
+        pass
+
+
+def test_pgm_zero_maxval_raises_value_error(tmp_path):
+    path = tmp_path / "zero.pgm"
+    path.write_bytes(b"P5\n3 2\n0\n" + bytes(6))
+    with pytest.raises(ValueError, match="zero.pgm"):
+        formats.read_pgm(path)
