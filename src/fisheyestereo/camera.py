@@ -22,9 +22,9 @@ return a boolean validity array alongside the values; invalid entries are NaN.
 from __future__ import annotations
 
 import json
-import math
 import numbers
-from dataclasses import dataclass, field, asdict
+import sys
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,8 @@ from .rasters import pixel_grid
 
 _POLY_TOL = 1e-10
 _POLY_MAX_ITER = 50
+# Rays closer to parallel than this sine of their angle do not triangulate.
+_MIN_RAY_ANGLE = 1e-6
 
 
 def _as_points(x) -> np.ndarray:
@@ -191,16 +193,15 @@ class PolynomialFisheyeCamera(CameraBase):
         return np.where(valid[..., None], ray, np.nan), valid
 
 
-_MODEL_CLASSES = {
-    "pinhole": PinholeCamera,
-    "unified": UnifiedCamera,
-    "polynomial": PolynomialFisheyeCamera,
-}
+_MODEL_CLASSES = {cls.model: cls
+                  for cls in (PinholeCamera, UnifiedCamera, PolynomialFisheyeCamera)}
 
 
 def is_finite_number(x) -> bool:
-    """True for a finite real number that is not a bool (a JSON number)."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    """True for a real number that is not a bool and fits a finite float (a
+    JSON number; an integer too large for a float is not one)."""
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
 
 
 def _finite_numbers(value, n: int, where: str) -> list[float]:
@@ -210,55 +211,67 @@ def _finite_numbers(value, n: int, where: str) -> list[float]:
     return [float(v) for v in value]
 
 
-# What docs/rig_schema.json allows for each camera number beyond being finite.
+def reject_unknown_keys(d: dict, known, where: str, what: str) -> None:
+    """ValueError naming the first key of `d` that is not in `known`."""
+    for key in d:
+        if key not in known:
+            raise ValueError(f"{where}{key!r} is not a key of a {what} "
+                             f"({', '.join(known)})")
+
+
+def _number(ok, rule: str, store=float):
+    """Decoder of a finite JSON number that `ok` accepts, kept as `store(value)`."""
+    def decode(value, where: str):
+        if not (is_finite_number(value) and ok(value)):
+            raise ValueError(f"{where} must be {rule}, got {value!r}")
+        return store(value)
+    return decode
+
+
+_COUNT = _number(lambda v: isinstance(v, numbers.Integral) and v >= 1, "an integer >= 1", int)
+_INTEGER = _number(lambda v: isinstance(v, numbers.Integral), "an integer", int)
+_POSITIVE_NUMBER = _number(lambda v: v > 0, "finite and > 0")
+_FINITE_NUMBER = _number(lambda v: True, "finite")
+
+# Per camera field: its JSON key, the decoder that checks a JSON value and
+# gives the field's value, and the encoder back to JSON. These are the rules
+# docs/rig_schema.json states.
 _CAMERA_RULES = {
-    "width": (lambda v: isinstance(v, numbers.Integral) and v >= 1, "an integer >= 1"),
-    "height": (lambda v: isinstance(v, numbers.Integral) and v >= 1, "an integer >= 1"),
-    "fx": (lambda v: v > 0, "finite and > 0"),
-    "fy": (lambda v: v > 0, "finite and > 0"),
-    "cx": (lambda v: True, "finite"),
-    "cy": (lambda v: True, "finite"),
-    "fov_deg": (lambda v: v > 0, "finite and > 0"),
-    "xi": (lambda v: v >= 0, "finite and >= 0"),
+    "width": ("width", _COUNT, int),
+    "height": ("height", _COUNT, int),
+    "fx": ("fx", _POSITIVE_NUMBER, float),
+    "fy": ("fy", _POSITIVE_NUMBER, float),
+    "cx": ("cx", _FINITE_NUMBER, float),
+    "cy": ("cy", _FINITE_NUMBER, float),
+    "fov": ("fov_deg", _number(lambda v: v > 0, "finite and > 0",
+                               lambda v: float(np.deg2rad(v))),
+            lambda v: float(np.rad2deg(v))),
+    "xi": ("xi", _number(lambda v: v >= 0, "finite and >= 0"), float),
+    "k": ("k", lambda v, where: tuple(_finite_numbers(v, 4, where)), list),
 }
 
 
 def camera_from_dict(d: dict, name: str = "camera") -> CameraBase:
-    """Camera from its JSON form. A missing key raises KeyError; a bad type or
-    value raises ValueError naming the camera (`name`) and the key."""
+    """Camera from its JSON form. A missing key raises KeyError; a bad type,
+    value or unknown key raises ValueError naming the camera (`name`) and the key."""
     kind = d["type"]
     if kind not in _MODEL_CLASSES:
         raise ValueError(f"{name}: unknown camera type {kind!r}")
-    keys = ["width", "height", "fx", "fy", "cx", "cy", "fov_deg"]
-    keys += ["xi"] if kind == "unified" else []
-    for key in keys:
-        ok, rule = _CAMERA_RULES[key]
-        if not (is_finite_number(d[key]) and ok(d[key])):
-            raise ValueError(f"{name}: {key} must be {rule}, got {d[key]!r}")
-    kwargs = dict(
-        width=int(d["width"]), height=int(d["height"]),
-        fx=float(d["fx"]), fy=float(d["fy"]),
-        cx=float(d["cx"]), cy=float(d["cy"]),
-        fov=float(np.deg2rad(d["fov_deg"])),
-    )
-    if kind == "unified":
-        kwargs["xi"] = float(d["xi"])
-    elif kind == "polynomial":
-        kwargs["k"] = tuple(_finite_numbers(d["k"], 4, f"{name}: k"))
-    return _MODEL_CLASSES[kind](**kwargs)
+    cls = _MODEL_CLASSES[kind]
+    kwargs, keys = {}, ["type"]
+    for f in fields(cls):
+        key, decode, _ = _CAMERA_RULES[f.name]
+        kwargs[f.name] = decode(d[key], f"{name}: {key}")
+        keys.append(key)
+    reject_unknown_keys(d, keys, f"{name}: ", f"{kind} camera")
+    return cls(**kwargs)
 
 
 def camera_to_dict(cam: CameraBase) -> dict:
-    d = {
-        "type": cam.model,
-        "width": cam.width, "height": cam.height,
-        "fx": cam.fx, "fy": cam.fy, "cx": cam.cx, "cy": cam.cy,
-        "fov_deg": float(np.rad2deg(cam.fov)),
-    }
-    if isinstance(cam, UnifiedCamera):
-        d["xi"] = cam.xi
-    elif isinstance(cam, PolynomialFisheyeCamera):
-        d["k"] = list(cam.k)
+    d = {"type": cam.model}
+    for f in fields(cam):
+        key, _, encode = _CAMERA_RULES[f.name]
+        d[key] = encode(getattr(cam, f.name))
     return d
 
 
@@ -350,13 +363,12 @@ def save_rig(path, rig: StereoRig) -> None:
     Path(path).write_text(json.dumps(rig_to_dict(rig), indent=2) + "\n")
 
 
-def triangulate_midpoint(rig: StereoRig, x0, x1,
-                         min_angle: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+def triangulate_midpoint(rig: StereoRig, x0, x1) -> tuple[np.ndarray, np.ndarray]:
     """Depth along the camera-0 ray from a pixel correspondence.
 
     Intersects the two unprojection rays at the midpoint of their shortest
     connecting segment; the returned depth is the distance of that midpoint's
-    foot along the camera-0 ray. Rays closer to parallel than `min_angle`
+    foot along the camera-0 ray. Rays closer to parallel than `_MIN_RAY_ANGLE`
     (zero disparity, point at infinity) are invalid.
     """
     r0, v0 = rig.cam0.unproject(x0)
@@ -372,7 +384,7 @@ def triangulate_midpoint(rig: StereoRig, x0, x1,
     p = r0z @ np.asarray(c1)
     q = d1z @ np.asarray(c1)
     denom = 1.0 - b * b
-    ok = v0 & v1 & (sin_angle >= min_angle)
+    ok = v0 & v1 & (sin_angle >= _MIN_RAY_ANGLE)
     denom = np.where(ok, denom, 1.0)
     s0 = (p - b * q) / denom
     ok = ok & (s0 > 0)

@@ -28,7 +28,9 @@ class CommandError(Exception):
 
 def _read(what: str, path, reader):
     """`reader(Path(path))`, with a missing path or a file that `reader` cannot
-    read (KeyError, OSError, TypeError, ValueError) as a CommandError naming it."""
+    read (KeyError, OSError, TypeError, ValueError) as a CommandError naming it
+    once: the reason drops the copy of the path that starts a `formats`
+    message or ends an OSError's."""
     path = Path(path)
     try:
         if not path.exists():
@@ -37,7 +39,8 @@ def _read(what: str, path, reader):
     except KeyError as exc:
         raise CommandError(f"{what} {path} is missing key {exc}") from None
     except (OSError, TypeError, ValueError) as exc:
-        raise CommandError(f"bad {what} {path}: {exc}") from None
+        reason = str(exc).removeprefix(f"{path}: ").removesuffix(f": {str(path)!r}")
+        raise CommandError(f"bad {what} {path}: {reason}") from None
 
 
 def _load_rig_arg(spec: str) -> StereoRig:
@@ -129,14 +132,12 @@ def cmd_render(args) -> int:
     formats.write_pfm(out / "depth0.pfm", gt.depth0)
     formats.write_vector_pfm(out / "correspondence.pfm", gt.correspondence,
                              third=gt.covisibility)
-    formats.write_pfm(out / "covisibility.pfm", gt.covisibility.astype(np.float32))
     save_rig(out / "rig.json", rig)
     manifest = {
         "image0": "image0.pgm",
         "image1": "image1.pgm",
         "depth0": "depth0.pfm",
         "correspondence": "correspondence.pfm",
-        "covisibility": "covisibility.pfm",
         "rig": "rig.json",
         "seed": args.seed,
         "noise_sigma": args.noise,

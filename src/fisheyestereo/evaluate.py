@@ -16,6 +16,8 @@ from .camera import StereoRig, triangulate_midpoint
 from .rasters import pixel_grid
 
 DEFAULT_TAUS = (1.0, 3.0, 5.0)
+# Largest depth, meters, that depth_from_correspondence reports.
+_DEPTH_CAP = 1e6
 
 # Depth-error color ramp: bin edges in meters and one RGB color per bin.
 DEPTH_ERROR_BREAKS = (0.0, 0.19, 0.75, 3.0, 24.0, 48.0, float("inf"))
@@ -98,18 +100,18 @@ def make_report(w_est: np.ndarray, w_gt: np.ndarray, valid: np.ndarray,
     )
 
 
-def depth_from_correspondence(rig: StereoRig, corr: np.ndarray, valid: np.ndarray,
-                              depth_cap: float = 1e6) -> tuple[np.ndarray, np.ndarray]:
+def depth_from_correspondence(rig: StereoRig, corr: np.ndarray,
+                              valid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Triangulate a correspondence field into depth along camera-0 rays.
 
-    Near-parallel rays (vanishing disparity) triangulate to the cap value and
-    are flagged invalid.
+    Near-parallel rays (vanishing disparity) are flagged invalid with depth 0;
+    valid depths are capped at `_DEPTH_CAP`.
     """
     grid = pixel_grid(*valid.shape)
     x1 = grid + corr
     depth, ok = triangulate_midpoint(rig, grid, x1)
     ok = ok & valid
-    depth = np.where(ok, np.minimum(depth, depth_cap), 0.0)
+    depth = np.where(ok, np.minimum(depth, _DEPTH_CAP), 0.0)
     return depth, ok
 
 

@@ -12,17 +12,19 @@ Everything is seeded and pure: identical inputs render bit-identical images.
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import dataclass, fields, replace
-from typing import Union
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import Union, get_args
 
 import numpy as np
 
-from .camera import (CameraBase, PinholeCamera, RelativePose, StereoRig, UnifiedCamera,
-                     is_finite_number as _finite)
+from .camera import (_COUNT, _FINITE_NUMBER, _INTEGER, _POSITIVE_NUMBER, CameraBase,
+                     PinholeCamera, RelativePose, StereoRig, UnifiedCamera, _finite_numbers,
+                     reject_unknown_keys)
 from .rasters import pixel_grid
 
 _EPS = 1e-9
+# Relative depth mismatch above which a camera-0 point counts as occluded.
+_OCCLUSION_TOL = 1e-6
 
 
 # --------------------------------------------------------------------------
@@ -303,13 +305,12 @@ def _cast_through(scene: Scene, cam: CameraBase, pose: RelativePose | None,
     return t, shade, valid
 
 
-def make_ground_truth(scene: Scene, rig: StereoRig,
-                      occlusion_tol: float = 1e-6) -> GroundTruth:
+def make_ground_truth(scene: Scene, rig: StereoRig) -> GroundTruth:
     """Exact depth, correspondence, and covisibility for a rendered pair.
 
     Covisibility re-casts a ray from camera 1 toward every camera-0 surface
     point and rejects pixels whose first hit differs from that point (relative
-    depth mismatch above `occlusion_tol`), plus pixels projecting outside
+    depth mismatch above `_OCCLUSION_TOL`), plus pixels projecting outside
     camera 1's FOV or image bounds.
     """
     grid = pixel_grid(rig.cam0.height, rig.cam0.width)
@@ -328,7 +329,7 @@ def make_ground_truth(scene: Scene, rig: StereoRig,
     dist1 = np.linalg.norm(seg, axis=-1)
     dirs1 = seg / np.maximum(dist1, 1e-300)[..., None]
     t_hit, _ = scene.nearest(c1, dirs1)
-    unoccluded = np.abs(t_hit - dist1) <= occlusion_tol * np.maximum(dist1, 1.0)
+    unoccluded = np.abs(t_hit - dist1) <= _OCCLUSION_TOL * np.maximum(dist1, 1.0)
 
     in_bounds = ((x1[..., 0] >= 0) & (x1[..., 0] <= rig.cam1.width - 1)
                  & (x1[..., 1] >= 0) & (x1[..., 1] <= rig.cam1.height - 1))
@@ -426,91 +427,59 @@ def plane_scene(depth: float = 2.0, texture: Texture | None = None) -> Scene:
 # --------------------------------------------------------------------------
 # JSON scene specs
 
-_TEXTURES = {"noise": ValueNoise, "checker": Checkerboard, "sine": SineGrating}
-_PRIMITIVES = {"plane": Plane, "sphere": Sphere, "box": Box}
+_KINDS = {"texture": {cls.kind: cls for cls in get_args(Texture)},
+          "primitive": {cls.kind: cls for cls in get_args(Primitive)}}
+# Vectors that must not be all zero, and numbers that must be > 0; every
+# other number need only be finite.
+_NONZERO = {"normal", "direction"}
+_POSITIVE = {"scale", "period", "wavelength", "persistence", "radius"}
 
 
-def _vec3(value, where: str, nonzero: bool = False) -> tuple:
-    if not (isinstance(value, (list, tuple)) and len(value) == 3 and all(map(_finite, value))
-            and (any(value) or not nonzero)):
-        rule = "3 finite numbers, not all zero" if nonzero else "3 finite numbers"
-        raise ValueError(f"{where} must be {rule}, got {value!r}")
-    return tuple(value)
-
-
-# Texture numbers that must be > 0; the others need only be finite.
-_POSITIVE = {"scale", "period", "wavelength", "persistence"}
-
-
-def _texture_from_dict(d: dict, index: int) -> Texture:
-    kind = d.pop("kind")
-    if kind not in _TEXTURES:
-        raise ValueError(f"unknown texture kind {kind!r}")
-    cls = _TEXTURES[kind]
+def _from_dict(d: dict, what: str, where: str):
+    """The `what` ("primitive" or "texture") of kind `d["kind"]`, built from its
+    dataclass fields; `where` prefixes each message ("primitive 1: ")."""
+    kind = d["kind"]
+    if kind not in _KINDS[what]:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    cls = _KINDS[what][kind]
+    kwargs = {}
     for f in fields(cls):
-        if f.name not in d:
+        if f.name not in d and f.default is not MISSING:
             continue
-        value, where = d[f.name], f"primitive {index}: texture {f.name}"
-        if f.name == "direction":
-            d[f.name] = _vec3(value, where, nonzero=True)
-        elif isinstance(f.default, int):
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or (f.name == "octaves" and value < 1)):
-                rule = "an integer >= 1" if f.name == "octaves" else "an integer"
-                raise ValueError(f"{where} must be {rule}, got {value!r}")
-        elif not (_finite(value) and (value > 0 or f.name not in _POSITIVE)):
-            rule = "finite and > 0" if f.name in _POSITIVE else "finite"
-            raise ValueError(f"{where} must be {rule}, got {value!r}")
-    return cls(**d)
-
-
-def scene_from_dict(d: dict) -> Scene:
-    """Scene from its JSON form. A missing key raises KeyError; a bad kind or
-    value raises ValueError naming the primitive's index and the key."""
-    prims = []
-    for i, spec in enumerate(d["primitives"]):
-        spec = dict(spec)
-        kind = spec.pop("kind")
-        if kind not in _PRIMITIVES:
-            raise ValueError(f"unknown primitive kind {kind!r}")
-        tex = _texture_from_dict(dict(spec.pop("texture")), i)
-        if kind == "plane":
-            prims.append(Plane(point=_vec3(spec["point"], f"primitive {i}: point"),
-                               normal=_vec3(spec["normal"], f"primitive {i}: normal",
-                                            nonzero=True),
-                               texture=tex))
-        elif kind == "sphere":
-            center, radius = _vec3(spec["center"], f"primitive {i}: center"), spec["radius"]
-            if not (_finite(radius) and radius > 0):
-                raise ValueError(f"primitive {i}: radius must be finite and > 0, got {radius!r}")
-            prims.append(Sphere(center=center, radius=float(radius), texture=tex))
+        value, at = d[f.name], where + f.name
+        if f.name == "texture":
+            value = _from_dict(value, "texture", where + "texture ")
+        elif f.type.startswith("tuple"):
+            value = tuple(_finite_numbers(value, 3, at))
+            if f.name in _NONZERO and not any(value):
+                raise ValueError(f"{at} must be 3 finite numbers, not all zero, "
+                                 f"got {d[f.name]!r}")
+        elif f.type == "int":
+            value = (_COUNT if f.name == "octaves" else _INTEGER)(value, at)
         else:
-            prims.append(Box(lo=_vec3(spec["lo"], f"primitive {i}: lo"),
-                             hi=_vec3(spec["hi"], f"primitive {i}: hi"), texture=tex))
-    return Scene(primitives=tuple(prims))
+            value = (_POSITIVE_NUMBER if f.name in _POSITIVE else _FINITE_NUMBER)(value, at)
+        kwargs[f.name] = value
+    reject_unknown_keys(d, ["kind"] + [f.name for f in fields(cls)], where,
+                        f"{kind} {what}")
+    return cls(**kwargs)
 
 
-def _texture_to_dict(t: Texture) -> dict:
-    d = {"kind": t.kind}
-    if isinstance(t, ValueNoise):
-        d.update(scale=t.scale, octaves=t.octaves, seed=t.seed, lo=t.lo, hi=t.hi,
-                 persistence=t.persistence)
-    elif isinstance(t, Checkerboard):
-        d.update(period=t.period, lo=t.lo, hi=t.hi)
-    else:
-        d.update(wavelength=t.wavelength, direction=list(t.direction), lo=t.lo, hi=t.hi)
+def _to_dict(obj) -> dict:
+    d = {"kind": obj.kind}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        d[f.name] = (_to_dict(value) if f.name == "texture"
+                     else list(value) if isinstance(value, tuple) else value)
     return d
 
 
+def scene_from_dict(d: dict) -> Scene:
+    """Scene from its JSON form. A missing key raises KeyError; a bad kind,
+    value or unknown key raises ValueError naming the primitive's index and
+    the key."""
+    return Scene(primitives=tuple(_from_dict(spec, "primitive", f"primitive {i}: ")
+                                  for i, spec in enumerate(d["primitives"])))
+
+
 def scene_to_dict(scene: Scene) -> dict:
-    prims = []
-    for p in scene.primitives:
-        d = {"kind": p.kind, "texture": _texture_to_dict(p.texture)}
-        if isinstance(p, Plane):
-            d.update(point=list(p.point), normal=list(p.normal))
-        elif isinstance(p, Sphere):
-            d.update(center=list(p.center), radius=p.radius)
-        else:
-            d.update(lo=list(p.lo), hi=list(p.hi))
-        prims.append(d)
-    return {"primitives": prims}
+    return {"primitives": [_to_dict(p) for p in scene.primitives]}

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,15 +224,49 @@ def test_rig_json_roundtrip(tmp_path):
     ("cam0", "xi", -0.5, "cam0: xi must be finite and >= 0"),
     ("cam1", "k", [1.0, 0.0, float("nan"), 0.0], "cam1: k must be 4 finite numbers"),
     ("cam1", "k", [1.0, 0.0], "cam1: k must be 4 finite numbers"),
+    ("cam0", "colour", "red", "cam0: 'colour' is not a key of a unified camera"),
+    ("cam1", "xi", 1.0, "cam1: 'xi' is not a key of a polynomial camera"),
+    ("cam0", "fx", 10 ** 400, "cam0: fx must be finite and > 0"),
 ], ids=["unknown-type", "nan-translation", "inf-rotation", "text-rotation",
         "short-translation", "fractional-width", "zero-height",
         "bool-width", "inf-fov", "zero-fov", "zero-fx", "negative-fy", "nan-cx", "text-cy",
-        "negative-xi", "nan-k", "short-k"])
+        "negative-xi", "nan-k", "short-k", "unknown-key", "xi-on-polynomial",
+        "huge-int-fx"])
 def test_rig_from_dict_rejects_bad_values(part, key, value, message):
     d = rig_to_dict(StereoRig(UNIFIED, POLY_FULL, RelativePose.from_displacement((0.1, 0, 0))))
     d[part][key] = value
     with pytest.raises(ValueError, match=re.escape(message)):
         rig_from_dict(d)
+
+
+def test_rig_from_dict_enforces_rig_schema():
+    """Each camera number just outside its docs/rig_schema.json bound is a
+    ValueError, and each key the schema requires is a KeyError when removed."""
+    schema = json.loads((Path(__file__).parents[1] / "docs" / "rig_schema.json").read_text())
+    camera = schema["$defs"]["camera"]
+    rig = rig_to_dict(StereoRig(UNIFIED, POLY_FULL, RelativePose.from_displacement((0.1, 0, 0))))
+    required = {(): schema["required"], ("pose",): schema["properties"]["pose"]["required"]}
+    bounded = set()
+    for part in ("cam0", "cam1"):
+        required[(part,)] = camera["required"] + [
+            key for rule in camera["allOf"]
+            if rule["if"]["properties"]["type"]["const"] == rig[part]["type"]
+            for key in rule["then"]["required"]]
+        for key, rule in camera["properties"].items():
+            if key in rig[part] and ("minimum" in rule or "exclusiveMinimum" in rule):
+                step = 1 if rule["type"] == "integer" else 1e-9
+                outside = rule["minimum"] - step if "minimum" in rule else rule["exclusiveMinimum"]
+                with pytest.raises(ValueError, match=f"{part}: {key} must be"):
+                    rig_from_dict({**rig, part: {**rig[part], key: outside}})
+                bounded.add(key)
+    assert bounded == {"width", "height", "fx", "fy", "fov_deg", "xi"}
+    for path, keys in required.items():
+        for key in keys:
+            d = json.loads(json.dumps(rig))
+            parent = d[path[0]] if path else d
+            del parent[key]
+            with pytest.raises(KeyError, match=key):
+                rig_from_dict(d)
 
 
 def test_fov_mask_is_circular():

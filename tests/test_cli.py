@@ -53,8 +53,8 @@ def dataset(tmp_path_factory, tiny_rig_path, tiny_scene_path):
 def test_render_writes_expected_files(dataset):
     names = {p.name for p in dataset.iterdir()}
     expected = {"image0.pgm", "image1.pgm", "depth0.pfm", "correspondence.pfm",
-                "covisibility.pfm", "manifest.json", "rig.json"}
-    assert expected <= names
+                "manifest.json", "rig.json"}
+    assert names == expected
 
 
 def test_render_deterministic_given_seed(tmp_path, tiny_rig_path, tiny_scene_path, dataset):
@@ -109,9 +109,16 @@ def _scene_with(sphere_edit=None, texture_edit=None):
      "primitive 1: texture direction must be 3 finite numbers, not all zero"),
     (_scene_with(sphere_edit={"kind": "plane", "point": [0, 0, 1], "normal": [0, 0, 0]}),
      "primitive 1: normal must be 3 finite numbers, not all zero"),
+    (_scene_with(sphere_edit={"colour": "red"}),
+     "primitive 1: 'colour' is not a key of a sphere primitive"),
+    (_scene_with(texture_edit={"period": 0.4}),
+     "primitive 1: texture 'period' is not a key of a noise texture"),
+    (_scene_with(sphere_edit={"kind": "plane", "point": [0, 0, 1], "normal": [0, 0, -1]}),
+     "primitive 1: 'center' is not a key of a plane primitive"),
 ], ids=["no-radius", "cone", "not-json", "bogus-texture-field", "negative-radius",
         "2d-center", "fractional-octaves", "zero-scale", "text-scale", "fractional-seed",
-        "text-lo", "zero-period", "zero-wavelength", "zero-direction", "zero-normal"])
+        "text-lo", "zero-period", "zero-wavelength", "zero-direction", "zero-normal",
+        "unknown-primitive-key", "unknown-texture-key", "sphere-keys-on-plane"])
 def test_render_malformed_scene_fails_with_message(tmp_path, tiny_rig_path, capsys,
                                                    text, message):
     path = tmp_path / "bad_scene.json"
@@ -153,12 +160,14 @@ def test_fields_outputs_load_back_losslessly(tmp_path, tiny_rig_path):
 
 def test_fields_malformed_rig_fails_with_message(tmp_path, tiny_rig_path, capsys):
     rig = json.loads(tiny_rig_path.read_text())
-    rig["pose"] = {}
     path = tmp_path / "bad_rig.json"
-    path.write_text(json.dumps(rig))
-    assert main(["fields", "--rig", str(path), "--out", str(tmp_path / "f")]) == 2
-    err = capsys.readouterr().err
-    assert "bad_rig.json" in err and "rotation" in err
+    for bad, message in [({**rig, "pose": {}}, "rotation"),
+                         ({**rig, "cam1": {**rig["cam1"], "colour": "red"}},
+                          "cam1: 'colour' is not a key of a unified camera")]:
+        path.write_text(json.dumps(bad))
+        assert main(["fields", "--rig", str(path), "--out", str(tmp_path / "f")]) == 2
+        err = capsys.readouterr().err
+        assert "bad_rig.json" in err and message in err
 
 
 def test_fields_identity_rig_zero_calibration(tmp_path):
@@ -398,6 +407,7 @@ def test_every_read_failure_exits_2_naming_the_file(tmp_path, dataset, capsys, s
     assert code == 2
     err = capsys.readouterr().err
     assert name in err and message in err
+    assert err.count(str(d / name)) == 1
     assert not (tmp_path / "o").exists()
 
 

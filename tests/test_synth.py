@@ -167,12 +167,17 @@ def test_scene_json_roundtrip():
     (2, "wavelength", 0.0, "texture wavelength must be finite and > 0"),
     (2, "direction", [0, 0, 0], "texture direction must be 3 finite numbers, not all zero"),
     (2, "direction", [1.0, 0.0], "texture direction must be 3 finite numbers"),
+    (0, "colour", "red", "'colour' is not a key of a plane primitive"),
+    (1, "normal", [0.0, 0.0, 1.0], "'normal' is not a key of a sphere primitive"),
+    (2, "texture", {"kind": "checker", "wavelength": 0.2},
+     "texture 'wavelength' is not a key of a checker texture"),
+    pytest.param(1, "lo", 10 ** 400, "texture lo must be finite", id="1-lo-huge-int"),
 ])
 def test_scene_from_dict_rejects_bad_values(index, key, value, message):
-    # A key the primitive lacks is set on its texture.
+    # A key the primitive lacks is set on its texture if the texture has it.
     d = scene_to_dict(_SCENE_SPEC)
     spec = d["primitives"][index]
-    (spec if key in spec else spec["texture"])[key] = value
+    (spec["texture"] if key not in spec and key in spec["texture"] else spec)[key] = value
     with pytest.raises(ValueError, match=f"primitive {index}: {message}"):
         scene_from_dict(d)
 
