@@ -10,8 +10,9 @@ Each configuration renders a pair of the default scene, solves it with an
 observer, and hashes `u`, `w`, `v`, `mask`, `cal` and `cal_ok` of the
 `StereoResult`, every `WarpRecord` (its `du`, `dirs` and the float bits of
 both dual norms) and the float bits of `energy()` at the solution. The
-configurations are a 200x200 rig with 3 pyramid levels and a 47x61 rig with
-2 levels; `--big` adds the `solve-400` benchmark inputs (the default
+configurations are a 200x200 rig with 3 pyramid levels, a 47x61 unified rig
+with 2 levels, and a 117x91 polynomial and a 117x91 pinhole rig, each with
+N=4 and 2 levels; `--big` adds the `solve-400` benchmark inputs (the default
 400x400 rig, seed 0, N=10, 4 levels).
 """
 
@@ -24,7 +25,10 @@ import struct
 import numpy as np
 
 from fisheyestereo import solver, synth
-from fisheyestereo.camera import RelativePose, StereoRig, UnifiedCamera
+from fisheyestereo.camera import (PinholeCamera, PolynomialFisheyeCamera, RelativePose,
+                                  StereoRig, UnifiedCamera)
+
+_POSE = RelativePose.from_displacement((0.1, 0.0, 0.0), (0.0, 0.02, 0.005))
 
 
 def _digest(a) -> str:
@@ -47,8 +51,13 @@ def _scaled_default_rig(size: int) -> StereoRig:
 def _unified_rig(width: int, height: int) -> StereoRig:
     cam = UnifiedCamera(width=width, height=height, fx=0.5 * width, fy=0.5 * width,
                         cx=(width - 1) / 2.0, cy=(height - 1) / 2.0, fov=np.pi, xi=0.9)
-    return StereoRig(cam, cam, RelativePose.from_displacement((0.1, 0.0, 0.0),
-                                                              (0.0, 0.02, 0.005)))
+    return StereoRig(cam, cam, _POSE)
+
+
+def _rig_117x91(model, f: float, fov_deg: float, **lens) -> StereoRig:
+    cam = model(width=117, height=91, fx=f, fy=f, cx=58.0, cy=45.0,
+                fov=float(np.deg2rad(fov_deg)), **lens)
+    return StereoRig(cam, cam, _POSE)
 
 
 def configurations(big: bool):
@@ -56,6 +65,11 @@ def configurations(big: bool):
         warp_iters=10, du_max=0.2, pyramid_levels=3)
     yield "47x61", _unified_rig(47, 61), solver.SolverParams(
         warp_iters=5, pyramid_levels=2, min_width=20)
+    yield "poly", _rig_117x91(PolynomialFisheyeCamera, 30.0, 190.0,
+                              k=(1.0, -0.05, 0.003, 0.0)), solver.SolverParams(
+        warp_iters=4, pyramid_levels=2)
+    yield "pinhole", _rig_117x91(PinholeCamera, 40.0, 140.0), solver.SolverParams(
+        warp_iters=4, pyramid_levels=2)
     if big:
         yield "solve-400", synth.default_rig(), solver.SolverParams(
             warp_iters=10, du_max=0.2, pyramid_levels=4)

@@ -14,6 +14,12 @@ Supported models:
   r/f = k1*theta + k2*theta^3 + k3*theta^5 + k4*theta^7, inverted by damped
   Newton iteration (tolerance 1e-10 rad, at most 50 steps).
 
+A model supplies only its formulas: ``_project(X, theta) -> (pix, ok)`` from
+points and their polar angles, and ``_unproject(m) -> (ray, theta, ok)`` from
+normalized pixel coordinates. :class:`CameraBase` wraps them in ``project``
+and ``unproject``, which add the field-of-view test on ``theta`` and mark
+every invalid entry NaN.
+
 Pixels returned by projection are continuous (x, y) with pixel centers at
 integer coordinates. All operations are vectorized over leading axes and
 return a boolean validity array alongside the values; invalid entries are NaN.
@@ -60,9 +66,19 @@ class CameraBase:
     cy: float
     fov: float  # full field-of-view angle, radians
 
-    def _mark(self, pix: np.ndarray, valid: np.ndarray):
-        pix = np.where(valid[..., None], pix, np.nan)
-        return pix, valid
+    def project(self, points):
+        """Pixels (..., 2) of points (..., 3) and their validity; NaN where invalid."""
+        X = _as_points(points)
+        theta = _ray_angles(X)
+        pix, ok = self._project(X, theta)
+        valid = ok & (theta <= 0.5 * self.fov + 1e-12)
+        return np.where(valid[..., None], pix, np.nan), valid
+
+    def unproject(self, pix):
+        """Unit rays (..., 3) of pixels (..., 2) and their validity; NaN where invalid."""
+        ray, theta, ok = self._unproject(self._normalized(pix))
+        valid = ok & (theta <= 0.5 * self.fov + 1e-12)
+        return np.where(valid[..., None], ray, np.nan), valid
 
     def _normalized(self, pix) -> np.ndarray:
         pix = _as_points(pix)
@@ -91,22 +107,17 @@ class CameraBase:
 class PinholeCamera(CameraBase):
     model = "pinhole"
 
-    def project(self, points):
-        X = _as_points(points)
+    def _project(self, X, theta):
         z = X[..., 2]
-        valid = z > 1e-12
-        zs = np.where(valid, z, 1.0)
-        pix = np.stack([self.fx * X[..., 0] / zs + self.cx,
-                        self.fy * X[..., 1] / zs + self.cy], axis=-1)
-        valid = valid & (_ray_angles(X) <= 0.5 * self.fov + 1e-12)
-        return self._mark(pix, valid)
+        ok = z > 1e-12
+        zs = np.where(ok, z, 1.0)
+        return np.stack([self.fx * X[..., 0] / zs + self.cx,
+                         self.fy * X[..., 1] / zs + self.cy], axis=-1), ok
 
-    def unproject(self, pix):
-        m = self._normalized(pix)
+    def _unproject(self, m):
         ray = np.concatenate([m, np.ones(m.shape[:-1] + (1,))], axis=-1)
         ray = ray / np.linalg.norm(ray, axis=-1, keepdims=True)
-        valid = _ray_angles(ray) <= 0.5 * self.fov + 1e-12
-        return np.where(valid[..., None], ray, np.nan), valid
+        return ray, _ray_angles(ray), True
 
 
 @dataclass(frozen=True)
@@ -115,28 +126,22 @@ class UnifiedCamera(CameraBase):
 
     model = "unified"
 
-    def project(self, points):
-        X = _as_points(points)
+    def _project(self, X, theta):
         rho = np.linalg.norm(X, axis=-1)
         denom = X[..., 2] + self.xi * rho
-        valid = (denom > 1e-12) & (rho > 0)
-        d = np.where(valid, denom, 1.0)
-        pix = np.stack([self.fx * X[..., 0] / d + self.cx,
-                        self.fy * X[..., 1] / d + self.cy], axis=-1)
-        valid = valid & (_ray_angles(X) <= 0.5 * self.fov + 1e-12)
-        return self._mark(pix, valid)
+        ok = (denom > 1e-12) & (rho > 0)
+        d = np.where(ok, denom, 1.0)
+        return np.stack([self.fx * X[..., 0] / d + self.cx,
+                         self.fy * X[..., 1] / d + self.cy], axis=-1), ok
 
-    def unproject(self, pix):
-        m = self._normalized(pix)
+    def _unproject(self, m):
         r2 = m[..., 0] ** 2 + m[..., 1] ** 2
         disc = 1.0 + (1.0 - self.xi ** 2) * r2
-        valid = disc >= 0.0
         eta = (self.xi + np.sqrt(np.maximum(disc, 0.0))) / (1.0 + r2)
         ray = np.stack([eta * m[..., 0], eta * m[..., 1], eta - self.xi], axis=-1)
         norm = np.linalg.norm(ray, axis=-1, keepdims=True)
         ray = ray / np.maximum(norm, 1e-300)
-        valid = valid & (_ray_angles(ray) <= 0.5 * self.fov + 1e-12)
-        return np.where(valid[..., None], ray, np.nan), valid
+        return ray, _ray_angles(ray), disc >= 0.0
 
 
 @dataclass(frozen=True)
@@ -155,24 +160,15 @@ class PolynomialFisheyeCamera(CameraBase):
         t2 = theta * theta
         return k1 + t2 * (3 * k2 + t2 * (5 * k3 + t2 * 7 * k4))
 
-    def project(self, points):
-        X = _as_points(points)
-        theta = _ray_angles(X)
-        rxy = np.hypot(X[..., 0], X[..., 1])
-        safe = np.maximum(rxy, 1e-300)
+    def _project(self, X, theta):
+        # On the axis the numerator is 0, so the pixel is exactly (cx, cy).
+        safe = np.maximum(np.hypot(X[..., 0], X[..., 1]), 1e-300)
         d = self._radial(theta)
-        pix = np.stack([self.fx * d * X[..., 0] / safe + self.cx,
-                        self.fy * d * X[..., 1] / safe + self.cy], axis=-1)
-        on_axis = rxy == 0
-        if np.any(on_axis):
-            pix = np.where(on_axis[..., None],
-                           np.stack([np.full_like(theta, self.cx),
-                                     np.full_like(theta, self.cy)], axis=-1), pix)
-        valid = (theta <= 0.5 * self.fov + 1e-12) & (np.linalg.norm(X, axis=-1) > 0)
-        return self._mark(pix, valid)
+        ok = np.linalg.norm(X, axis=-1) > 0
+        return np.stack([self.fx * d * X[..., 0] / safe + self.cx,
+                         self.fy * d * X[..., 1] / safe + self.cy], axis=-1), ok
 
-    def unproject(self, pix):
-        m = self._normalized(pix)
+    def _unproject(self, m):
         rd = np.hypot(m[..., 0], m[..., 1])
         phi = np.arctan2(m[..., 1], m[..., 0])
         theta = rd / max(abs(self.k[0]), 1e-6)
@@ -189,8 +185,8 @@ class PolynomialFisheyeCamera(CameraBase):
         ray = np.stack([np.sin(theta) * np.cos(phi),
                         np.sin(theta) * np.sin(phi),
                         np.cos(theta)], axis=-1)
-        valid = converged & (theta <= 0.5 * self.fov + 1e-12)
-        return np.where(valid[..., None], ray, np.nan), valid
+        # The FOV test reads the Newton angle, not that of the rebuilt ray.
+        return ray, theta, converged
 
 
 _MODEL_CLASSES = {cls.model: cls
@@ -335,7 +331,10 @@ class StereoRig:
 
 def rig_from_dict(d: dict) -> StereoRig:
     """Rig from its JSON form (docs/rig_schema.json). A missing key raises
-    KeyError; a bad type or value raises ValueError naming the part and key."""
+    KeyError; a bad type, value or unknown key raises ValueError naming the
+    part and key."""
+    reject_unknown_keys(d, ("cam0", "cam1", "pose"), "rig: ", "rig")
+    reject_unknown_keys(d["pose"], ("rotation", "translation"), "pose: ", "pose")
     pose = RelativePose(
         np.reshape(_finite_numbers(d["pose"]["rotation"], 9, "pose: rotation"), (3, 3)),
         np.array(_finite_numbers(d["pose"]["translation"], 3, "pose: translation")),

@@ -55,6 +55,8 @@ def read_pfm(path, channels: int | None = None) -> np.ndarray:
         raise ValueError(f"{path}: {len(buf)} data bytes for a {w}x{h}x{found} PFM")
     data = np.frombuffer(buf, dtype=f"{endian}f4").reshape(h, w, found)
     data = np.flipud(data).astype(np.float32)
+    with np.errstate(invalid="ignore"):  # quiet the signaling NaNs a damaged file may hold
+        data[np.isnan(data)] = np.nan
     return data[:, :, 0] if found == 1 else data
 
 

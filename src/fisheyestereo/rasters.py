@@ -18,7 +18,6 @@ summation-by-parts identity exact and testable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -259,18 +258,6 @@ def smooth_masked(field: np.ndarray, mask: np.ndarray, sigma: float) -> np.ndarr
     return out
 
 
-@dataclass
-class Pyramid:
-    """Image pyramid, levels ordered coarsest to finest."""
-
-    fields: list[np.ndarray]
-    masks: list[np.ndarray]
-
-    @property
-    def num_levels(self) -> int:
-        return len(self.fields)
-
-
 def pyramid_shapes(height: int, width: int, levels: int, scale: float,
                    min_width: int) -> list[tuple[int, int]]:
     """Level shapes finest-first, truncated so the coarsest width >= min_width."""
@@ -294,7 +281,8 @@ def _bin_indices(n_fine: int, n_coarse: int) -> np.ndarray:
 
 def downsample_area(field: np.ndarray, mask: np.ndarray,
                     shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Area-average `field` over in-mask pixels onto `shape`; mask via nearest."""
+    """Area-average each channel of an (H, W, C) `field` over in-mask pixels
+    onto `shape`; mask via nearest."""
     f = np.asarray(field, dtype=np.float64)
     ch, cw = shape
     fh, fw = mask.shape
@@ -309,10 +297,7 @@ def downsample_area(field: np.ndarray, mask: np.ndarray,
                         minlength=ch * cw)
         return (s / np.maximum(cnt, 1.0)).reshape(ch, cw)
 
-    if f.ndim == 2:
-        out = avg(f)
-    else:
-        out = np.stack([avg(f[:, :, k]) for k in range(f.shape[2])], axis=-1)
+    out = np.stack([avg(f[:, :, k]) for k in range(f.shape[2])], axis=-1)
 
     # Nearest-neighbor mask, pinned to the fine sample closest to each
     # coarse pixel center.
@@ -320,24 +305,21 @@ def downsample_area(field: np.ndarray, mask: np.ndarray,
     cc = np.clip(np.rint((np.arange(cw) + 0.5) * fw / cw - 0.5).astype(np.int64), 0, fw - 1)
     cmask = mask[rr[:, None], cc[None, :]]
     cmask &= cnt.reshape(ch, cw) > 0
-    if f.ndim == 2:
-        out = np.where(cmask, out, 0.0)
-    else:
-        out = np.where(cmask[:, :, None], out, 0.0)
-    return out, cmask
+    return np.where(cmask[:, :, None], out, 0.0), cmask
 
 
 def build_pyramid(field: np.ndarray, mask: np.ndarray, levels: int,
-                  scale: float, min_width: int = 50) -> Pyramid:
-    """Coarse-to-fine pyramid with in-mask area averaging per level."""
+                  scale: float, min_width: int = 50) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Coarse-to-fine pyramid of an (H, W, C) `field` with in-mask area averaging.
+
+    Returns one (field, mask) pair per level, coarsest first; the last pair is
+    the input itself, as float64 and bool.
+    """
     shapes = pyramid_shapes(mask.shape[0], mask.shape[1], levels, scale, min_width)
-    fields = [np.asarray(field, dtype=np.float64)]
-    masks = [np.asarray(mask, dtype=bool)]
+    pyr = [(np.asarray(field, dtype=np.float64), np.asarray(mask, dtype=bool))]
     for shape in shapes[1:]:
-        f, m = downsample_area(fields[-1], masks[-1], shape)
-        fields.append(f)
-        masks.append(m)
-    return Pyramid(fields=fields[::-1], masks=masks[::-1])
+        pyr.append(downsample_area(*pyr[-1], shape))
+    return pyr[::-1]
 
 
 def upsample_state(u: np.ndarray, w: np.ndarray, mask: np.ndarray,

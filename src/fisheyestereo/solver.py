@@ -72,7 +72,7 @@ class SolverParams:
     min_width: int = _param(50, "narrowest pyramid level width, px")
     epsilon_scale: float = _param(0.1, "target peak flow when generating trajectory fields, px")
     tensor_sigma: float = _param(1.0, "edge tensor pre-smoothing sigma, px")
-    theta: float = _param(1.0, "primal over-relaxation factor")
+    theta: float = _param(1.0, "primal over-relaxation factor, in [0, 1]")
 
     def __post_init__(self):
         for name, f in self.__dataclass_fields__.items():
@@ -98,6 +98,8 @@ class SolverParams:
             raise ValueError("epsilon_scale must be positive")
         if self.tensor_sigma < 0:
             raise ValueError("tensor_sigma must be >= 0")
+        if not 0 <= self.theta <= 1:
+            raise ValueError(f"theta must be in [0, 1], got {self.theta!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -441,7 +443,7 @@ def solve_pyramid(i0: np.ndarray, i1: np.ndarray, rig: StereoRig,
                         params.pyramid_levels, params.pyramid_scale, params.min_width)
 
     u = w = prev_mask = None
-    for pair, level_mask in zip(pyr.fields, pyr.masks):
+    for pair, level_mask in pyr:
         h, w_ = level_mask.shape
         cam_lvl = rig.cam0.scaled_to((h, w_))
         dirs, traj_ok = fieldsmod.generate_trajectory_field(

@@ -475,8 +475,9 @@ def _to_dict(obj) -> dict:
 
 def scene_from_dict(d: dict) -> Scene:
     """Scene from its JSON form. A missing key raises KeyError; a bad kind,
-    value or unknown key raises ValueError naming the primitive's index and
-    the key."""
+    value or unknown key raises ValueError naming the key and the primitive's
+    index (or `scene` for a top-level key)."""
+    reject_unknown_keys(d, ("primitives",), "scene: ", "scene")
     return Scene(primitives=tuple(_from_dict(spec, "primitive", f"primitive {i}: ")
                                   for i, spec in enumerate(d["primitives"])))
 

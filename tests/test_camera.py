@@ -12,6 +12,7 @@ from fisheyestereo.camera import (PinholeCamera, PolynomialFisheyeCamera,
                                   rotation_from_rotvec, save_rig,
                                   triangulate_midpoint)
 from fisheyestereo.rasters import pixel_grid
+from fisheyestereo.synth import plane_scene, scene_from_dict, scene_to_dict
 
 PINHOLE = PinholeCamera(width=800, height=800, fx=300.0, fy=300.0,
                         cx=400.0, cy=400.0, fov=np.deg2rad(120.0))
@@ -29,6 +30,16 @@ def test_pinhole_optical_axis_hits_principal_point():
     pix, ok = PINHOLE.project(np.array([0.0, 0.0, 1.0]))
     assert bool(ok)
     assert np.allclose(pix, [400.0, 400.0], atol=0)
+
+
+def test_polynomial_axis_both_ways_hits_principal_point():
+    # fov 360 deg keeps the backward axis (theta = pi) inside the field of view.
+    cam = PolynomialFisheyeCamera(width=800, height=800, fx=300.0, fy=300.0,
+                                  cx=400.25, cy=399.5, fov=2 * np.pi,
+                                  k=(1.0, 0.03, -0.006, 0.001))
+    pix, ok = cam.project(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
+    assert ok.all()
+    assert np.array_equal(pix, [[400.25, 399.5], [400.25, 399.5]])
 
 
 def test_pinhole_projection_formula():
@@ -227,16 +238,28 @@ def test_rig_json_roundtrip(tmp_path):
     ("cam0", "colour", "red", "cam0: 'colour' is not a key of a unified camera"),
     ("cam1", "xi", 1.0, "cam1: 'xi' is not a key of a polynomial camera"),
     ("cam0", "fx", 10 ** 400, "cam0: fx must be finite and > 0"),
+    ("pose", "scale", 2.0, "pose: 'scale' is not a key of a pose (rotation, translation)"),
 ], ids=["unknown-type", "nan-translation", "inf-rotation", "text-rotation",
         "short-translation", "fractional-width", "zero-height",
         "bool-width", "inf-fov", "zero-fov", "zero-fx", "negative-fy", "nan-cx", "text-cy",
         "negative-xi", "nan-k", "short-k", "unknown-key", "xi-on-polynomial",
-        "huge-int-fx"])
+        "huge-int-fx", "unknown-pose-key"])
 def test_rig_from_dict_rejects_bad_values(part, key, value, message):
     d = rig_to_dict(StereoRig(UNIFIED, POLY_FULL, RelativePose.from_displacement((0.1, 0, 0))))
     d[part][key] = value
     with pytest.raises(ValueError, match=re.escape(message)):
         rig_from_dict(d)
+
+
+def test_unknown_top_level_keys_rejected():
+    rig = rig_to_dict(StereoRig(UNIFIED, POLY_FULL, RelativePose.from_displacement((0.1, 0, 0))))
+    with pytest.raises(ValueError, match=re.escape(
+            "rig: 'baseline' is not a key of a rig (cam0, cam1, pose)")):
+        rig_from_dict({**rig, "baseline": 0.2})
+    scene = scene_to_dict(plane_scene())
+    with pytest.raises(ValueError, match=re.escape(
+            "scene: 'primitves' is not a key of a scene (primitives)")):
+        scene_from_dict({**scene, "primitves": []})
 
 
 def test_rig_from_dict_enforces_rig_schema():

@@ -246,6 +246,7 @@ def test_stereo_config_file_merge(tmp_path, dataset, tiny_rig_path):
     ({"pd_iters": True}, [], "pd_iters"),
     ({"du_max": "0.2"}, [], "du_max must be a number"),
     ({}, ["--lam", "nan"], "lam must be finite"),
+    ({}, ["--theta", "-1"], "theta must be in [0, 1]"),
 ])
 def test_stereo_bad_params_fail_with_message(tmp_path, dataset, tiny_rig_path, capsys,
                                              config, flags, message):

@@ -136,6 +136,15 @@ def test_damaged_file_loads_or_raises_value_error(valid_files, which, cut, flips
         pass
 
 
+def test_pfm_signaling_nan_loads_as_nan(tmp_path):
+    # Bits 0x7f800001 are a float32 signaling NaN; widening one to float64
+    # raises "invalid value encountered in cast" unless the reader quiets it.
+    path = tmp_path / "snan.pfm"
+    path.write_bytes(b"PF\n1 1\n-1.0\n" + np.array([0x7F800001, 0, 0], "<u4").tobytes())
+    field, third = formats.read_vector_pfm(path)
+    assert np.isnan(field[0, 0, 0]) and field[0, 0, 1] == 0.0 and third[0, 0] == 0.0
+
+
 def test_pgm_zero_maxval_raises_value_error(tmp_path):
     path = tmp_path / "zero.pgm"
     path.write_bytes(b"P5\n3 2\n0\n" + bytes(6))

@@ -268,9 +268,9 @@ def test_pyramid_truncates_below_min_width():
 def test_pyramid_single_level_is_input():
     rng = np.random.default_rng(3)
     img = rng.random((40, 40))
-    pyr = build_pyramid(img, np.ones((40, 40), bool), levels=1, scale=2.0)
-    assert pyr.num_levels == 1
-    assert np.array_equal(pyr.fields[0], img)
+    pyr = build_pyramid(img[..., None], np.ones((40, 40), bool), levels=1, scale=2.0)
+    assert len(pyr) == 1
+    assert np.array_equal(pyr[0][0], img[..., None])
 
 
 @pytest.mark.parametrize("levels,scale", [(0, 2.0), (3, 1.0), (3, 0.5)])
@@ -281,8 +281,9 @@ def test_pyramid_rejects_bad_parameters(levels, scale):
 
 def test_pyramid_levels_ordered_coarse_to_fine():
     img = np.random.default_rng(4).random((64, 64))
-    pyr = build_pyramid(img, np.ones((64, 64), bool), levels=3, scale=2.0, min_width=8)
-    widths = [m.shape[1] for m in pyr.masks]
+    pyr = build_pyramid(img[..., None], np.ones((64, 64), bool), levels=3, scale=2.0,
+                        min_width=8)
+    widths = [m.shape[1] for _, m in pyr]
     assert widths == [16, 32, 64]
 
 
@@ -291,16 +292,16 @@ def test_downsample_skips_masked_pixels():
     img[0, 1] = 999.0  # masked out; must not leak into the average
     mask = np.ones((4, 4), dtype=bool)
     mask[0, 1] = False
-    coarse, cmask = downsample_area(img, mask, (2, 2))
+    coarse, cmask = downsample_area(img[..., None], mask, (2, 2))
     assert bool(cmask[0, 0])
-    assert coarse[0, 0] == 1.0
+    assert coarse[0, 0, 0] == 1.0
     assert cmask.dtype == bool
 
 
 def test_downsample_mask_is_nearest_neighbor():
     mask = np.zeros((8, 8), dtype=bool)
     mask[:4, :] = True
-    _, cmask = downsample_area(np.ones((8, 8)), mask, (4, 4))
+    _, cmask = downsample_area(np.ones((8, 8, 1)), mask, (4, 4))
     assert np.array_equal(cmask, np.vstack([np.ones((2, 4), bool),
                                             np.zeros((2, 4), bool)]))
 
