@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Print sha256 digests of everything a pyramid solve produces.
+"""Print sha256 digests of everything a pyramid solve produces, and of the
+rig and scene JSON the codec writes.
 
 Run it on two checkouts and diff the output to show that a refactor leaves
-the solver's results bit-identical:
+the solver's results bit-identical and the JSON byte-identical:
 
     PYTHONPATH=src python scripts/hash_solver_outputs.py [--big]
 
@@ -13,20 +14,25 @@ both dual norms) and the float bits of `energy()` at the solution. The
 configurations are a 200x200 rig with 3 pyramid levels, a 47x61 unified rig
 with 2 levels, and a 117x91 polynomial and a 117x91 pinhole rig, each with
 N=4 and 2 levels; `--big` adds the `solve-400` benchmark inputs (the default
-400x400 rig, seed 0, N=10, 4 levels).
+400x400 rig, seed 0, N=10, 4 levels). Each configuration also hashes the
+bytes `save_rig` writes for its rig, and one last line hashes the JSON of
+`scene_to_dict(default_scene())`.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from fisheyestereo import solver, synth
 from fisheyestereo.camera import (PinholeCamera, PolynomialFisheyeCamera, RelativePose,
-                                  StereoRig, UnifiedCamera)
+                                  StereoRig, UnifiedCamera, save_rig)
 
 _POSE = RelativePose.from_displacement((0.1, 0.0, 0.0), (0.0, 0.02, 0.005))
 
@@ -94,6 +100,13 @@ def hash_solve(rig: StereoRig, params: solver.SolverParams, seed: int = 0) -> di
     return out
 
 
+def hash_rig_json(rig: StereoRig) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rig.json"
+        save_rig(path, rig)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--big", action="store_true",
@@ -102,6 +115,9 @@ def main() -> None:
     for name, rig, params in configurations(args.big):
         for key, value in hash_solve(rig, params).items():
             print(f"{name:10s} {key:12s} {value}")
+        print(f"{name:10s} {'rig.json':12s} {hash_rig_json(rig)}")
+    scene = json.dumps(synth.scene_to_dict(synth.default_scene()), indent=2).encode()
+    print(f"{'scene':10s} {'default':12s} {hashlib.sha256(scene).hexdigest()}")
 
 
 if __name__ == "__main__":

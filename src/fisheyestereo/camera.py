@@ -23,19 +23,23 @@ every invalid entry NaN.
 Pixels returned by projection are continuous (x, y) with pixel centers at
 integer coordinates. All operations are vectorized over leading axes and
 return a boolean validity array alongside the values; invalid entries are NaN.
+
+Each camera field states its rule (docs/rig_schema.json's bounds) in its
+metadata; construction checks them (`schema.Ruled`), so a camera
+built in Python and one read from rig JSON fail on the same values.
 """
 
 from __future__ import annotations
 
 import json
-import numbers
-import sys
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
 
 from .rasters import pixel_grid
+from .schema import (COUNT, FINITE, NONNEGATIVE, POSITIVE, Family, Ruled, finite_numbers,
+                     from_dict, reject_unknown_keys, ruled, to_dict)
 
 _POLY_TOL = 1e-10
 _POLY_MAX_ITER = 50
@@ -57,14 +61,16 @@ def _ray_angles(points: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CameraBase:
-    width: int
-    height: int
-    fx: float
-    fy: float
-    cx: float
-    cy: float
-    fov: float  # full field-of-view angle, radians
+class CameraBase(Ruled):
+    width: int = ruled(COUNT)
+    height: int = ruled(COUNT)
+    fx: float = ruled(POSITIVE)
+    fy: float = ruled(POSITIVE)
+    cx: float = ruled(FINITE)
+    cy: float = ruled(FINITE)
+    # Full field-of-view angle, radians; degrees in JSON.
+    fov: float = ruled(POSITIVE, key="fov_deg", decode=lambda v: float(np.deg2rad(v)),
+                       encode=lambda v: float(np.rad2deg(v)))
 
     def project(self, points):
         """Pixels (..., 2) of points (..., 3) and their validity; NaN where invalid."""
@@ -105,7 +111,7 @@ class CameraBase:
 
 @dataclass(frozen=True)
 class PinholeCamera(CameraBase):
-    model = "pinhole"
+    kind = "pinhole"
 
     def _project(self, X, theta):
         z = X[..., 2]
@@ -122,9 +128,9 @@ class PinholeCamera(CameraBase):
 
 @dataclass(frozen=True)
 class UnifiedCamera(CameraBase):
-    xi: float = 1.0
+    xi: float = ruled(NONNEGATIVE)
 
-    model = "unified"
+    kind = "unified"
 
     def _project(self, X, theta):
         rho = np.linalg.norm(X, axis=-1)
@@ -146,9 +152,9 @@ class UnifiedCamera(CameraBase):
 
 @dataclass(frozen=True)
 class PolynomialFisheyeCamera(CameraBase):
-    k: tuple[float, float, float, float] = (1.0, 0.0, 0.0, 0.0)
+    k: tuple[float, float, float, float] = ruled(finite_numbers(4))
 
-    model = "polynomial"
+    kind = "polynomial"
 
     def _radial(self, theta):
         k1, k2, k3, k4 = self.k
@@ -189,86 +195,7 @@ class PolynomialFisheyeCamera(CameraBase):
         return ray, theta, converged
 
 
-_MODEL_CLASSES = {cls.model: cls
-                  for cls in (PinholeCamera, UnifiedCamera, PolynomialFisheyeCamera)}
-
-
-def is_finite_number(x) -> bool:
-    """True for a real number that is not a bool and fits a finite float (a
-    JSON number; an integer too large for a float is not one)."""
-    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
-            and abs(x) <= sys.float_info.max)
-
-
-def _finite_numbers(value, n: int, where: str) -> list[float]:
-    if not (isinstance(value, (list, tuple)) and len(value) == n
-            and all(map(is_finite_number, value))):
-        raise ValueError(f"{where} must be {n} finite numbers, got {value!r}")
-    return [float(v) for v in value]
-
-
-def reject_unknown_keys(d: dict, known, where: str, what: str) -> None:
-    """ValueError naming the first key of `d` that is not in `known`."""
-    for key in d:
-        if key not in known:
-            raise ValueError(f"{where}{key!r} is not a key of a {what} "
-                             f"({', '.join(known)})")
-
-
-def _number(ok, rule: str, store=float):
-    """Decoder of a finite JSON number that `ok` accepts, kept as `store(value)`."""
-    def decode(value, where: str):
-        if not (is_finite_number(value) and ok(value)):
-            raise ValueError(f"{where} must be {rule}, got {value!r}")
-        return store(value)
-    return decode
-
-
-_COUNT = _number(lambda v: isinstance(v, numbers.Integral) and v >= 1, "an integer >= 1", int)
-_INTEGER = _number(lambda v: isinstance(v, numbers.Integral), "an integer", int)
-_POSITIVE_NUMBER = _number(lambda v: v > 0, "finite and > 0")
-_FINITE_NUMBER = _number(lambda v: True, "finite")
-
-# Per camera field: its JSON key, the decoder that checks a JSON value and
-# gives the field's value, and the encoder back to JSON. These are the rules
-# docs/rig_schema.json states.
-_CAMERA_RULES = {
-    "width": ("width", _COUNT, int),
-    "height": ("height", _COUNT, int),
-    "fx": ("fx", _POSITIVE_NUMBER, float),
-    "fy": ("fy", _POSITIVE_NUMBER, float),
-    "cx": ("cx", _FINITE_NUMBER, float),
-    "cy": ("cy", _FINITE_NUMBER, float),
-    "fov": ("fov_deg", _number(lambda v: v > 0, "finite and > 0",
-                               lambda v: float(np.deg2rad(v))),
-            lambda v: float(np.rad2deg(v))),
-    "xi": ("xi", _number(lambda v: v >= 0, "finite and >= 0"), float),
-    "k": ("k", lambda v, where: tuple(_finite_numbers(v, 4, where)), list),
-}
-
-
-def camera_from_dict(d: dict, name: str = "camera") -> CameraBase:
-    """Camera from its JSON form. A missing key raises KeyError; a bad type,
-    value or unknown key raises ValueError naming the camera (`name`) and the key."""
-    kind = d["type"]
-    if kind not in _MODEL_CLASSES:
-        raise ValueError(f"{name}: unknown camera type {kind!r}")
-    cls = _MODEL_CLASSES[kind]
-    kwargs, keys = {}, ["type"]
-    for f in fields(cls):
-        key, decode, _ = _CAMERA_RULES[f.name]
-        kwargs[f.name] = decode(d[key], f"{name}: {key}")
-        keys.append(key)
-    reject_unknown_keys(d, keys, f"{name}: ", f"{kind} camera")
-    return cls(**kwargs)
-
-
-def camera_to_dict(cam: CameraBase) -> dict:
-    d = {"type": cam.model}
-    for f in fields(cam):
-        key, _, encode = _CAMERA_RULES[f.name]
-        d[key] = encode(getattr(cam, f.name))
-    return d
+CAMERAS = Family("camera", "type", (PinholeCamera, UnifiedCamera, PolynomialFisheyeCamera))
 
 
 def rotation_from_rotvec(rotvec) -> np.ndarray:
@@ -336,17 +263,17 @@ def rig_from_dict(d: dict) -> StereoRig:
     reject_unknown_keys(d, ("cam0", "cam1", "pose"), "rig: ", "rig")
     reject_unknown_keys(d["pose"], ("rotation", "translation"), "pose: ", "pose")
     pose = RelativePose(
-        np.reshape(_finite_numbers(d["pose"]["rotation"], 9, "pose: rotation"), (3, 3)),
-        np.array(_finite_numbers(d["pose"]["translation"], 3, "pose: translation")),
+        np.reshape(finite_numbers(9)(d["pose"]["rotation"], "pose: rotation"), (3, 3)),
+        np.array(finite_numbers(3)(d["pose"]["translation"], "pose: translation")),
     )
-    return StereoRig(camera_from_dict(d["cam0"], "cam0"),
-                     camera_from_dict(d["cam1"], "cam1"), pose)
+    return StereoRig(from_dict(d["cam0"], CAMERAS, "cam0: "),
+                     from_dict(d["cam1"], CAMERAS, "cam1: "), pose)
 
 
 def rig_to_dict(rig: StereoRig) -> dict:
     return {
-        "cam0": camera_to_dict(rig.cam0),
-        "cam1": camera_to_dict(rig.cam1),
+        "cam0": to_dict(rig.cam0, CAMERAS),
+        "cam1": to_dict(rig.cam1, CAMERAS),
         "pose": {
             "rotation": [float(v) for v in rig.pose.rotation.ravel()],
             "translation": [float(v) for v in rig.pose.translation],

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
 from dataclasses import fields as dataclass_fields, replace
@@ -20,6 +19,7 @@ import numpy as np
 
 from . import evaluate, fields, formats, solver, synth
 from .camera import StereoRig, load_rig, rig_to_dict, save_rig
+from .schema import POSITIVE
 
 
 class CommandError(Exception):
@@ -98,11 +98,6 @@ def _number_list(flag: str, text: str, kind, check) -> list:
     except (TypeError, ValueError) as exc:
         raise CommandError(f"bad {flag} {text!r}: {exc}") from None
     return values
-
-
-def _positive_tau(tau: float) -> None:
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError(f"tau must be finite and > 0, got {tau!r}")
 
 
 def _add_param_flags(p: argparse.ArgumentParser, names=tuple(_PARAM_FIELDS)) -> None:
@@ -216,8 +211,11 @@ def _load_gt_dir(path: Path):
 
 
 def cmd_eval(args) -> int:
-    taus = _number_list("--taus", args.taus, float, _positive_tau)
+    taus = _number_list("--taus", args.taus, float, lambda tau: POSITIVE(tau, "tau"))
     w_est, est_ok = _read("estimate file", args.estimate, formats.read_vector_pfm)
+    if not np.isfinite(w_est[est_ok > 0.5]).all():
+        raise CommandError(f"bad estimate file {args.estimate}: non-finite vector "
+                           "on a pixel its third channel marks valid")
     corr_gt, covis, depth_gt, rig = _load_gt_dir(Path(args.gt))
     if w_est.shape != corr_gt.shape:
         raise CommandError(f"estimate {args.estimate} is {w_est.shape[1]}x{w_est.shape[0]}, "

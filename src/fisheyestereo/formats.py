@@ -14,6 +14,15 @@ from pathlib import Path
 import numpy as np
 
 
+def _header_int(path, fmt: str, part: str, token: bytes) -> int:
+    """Header field `part` of a `fmt` file, a non-negative decimal integer."""
+    if not token:
+        raise ValueError(f"{path}: {fmt} header has no {part}")
+    if not token.isdigit():
+        raise ValueError(f"{path}: {fmt} {part} {token!r} is not an integer")
+    return int(token)
+
+
 def write_pfm(path, data: np.ndarray) -> None:
     """Write a (H, W) or (H, W, 3) float array as little-endian PFM."""
     data = np.asarray(data, dtype=np.float32)
@@ -47,11 +56,18 @@ def read_pfm(path, channels: int | None = None) -> np.ndarray:
         dims = f.readline().split()
         if len(dims) != 2:
             raise ValueError(f"{path}: bad PFM dimensions line {b' '.join(dims)!r}")
-        w, h = int(dims[0]), int(dims[1])
-        scale = float(f.readline())
+        w, h = (_header_int(path, "PFM", part, token)
+                for part, token in zip(("width", "height"), dims))
+        line = f.readline().strip()
+        if not line:
+            raise ValueError(f"{path}: PFM header has no scale")
+        try:
+            scale = float(line)
+        except ValueError:
+            raise ValueError(f"{path}: PFM scale {line!r} is not a number") from None
         endian = "<" if scale < 0 else ">"
         buf = f.read(w * h * found * 4)
-    if min(w, h) < 0 or len(buf) != w * h * found * 4:
+    if len(buf) != w * h * found * 4:
         raise ValueError(f"{path}: {len(buf)} data bytes for a {w}x{h}x{found} PFM")
     data = np.frombuffer(buf, dtype=f"{endian}f4").reshape(h, w, found)
     data = np.flipud(data).astype(np.float32)
@@ -96,23 +112,26 @@ def read_pgm(path) -> np.ndarray:
         raw = f.read()
     if not raw.startswith(b"P5"):
         raise ValueError(f"{path}: not a binary PGM")
-    # Header: magic, width, height, maxval; comments allowed between tokens.
-    tokens, pos = [], 2
-    while len(tokens) < 3:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
+    # Header: magic, width, height, maxval, one whitespace byte; comments
+    # allowed between tokens.
+    values, pos = [], 2
+    for part in ("width", "height", "maxval"):
+        while pos < len(raw) and (raw[pos : pos + 1].isspace() or raw[pos : pos + 1] == b"#"):
+            if raw[pos : pos + 1] == b"#":
+                end = raw.find(b"\n", pos)
+                pos = len(raw) if end < 0 else end
             pos += 1
-        if raw[pos : pos + 1] == b"#":
-            pos = raw.index(b"\n", pos) + 1
-            continue
         start = pos
         while pos < len(raw) and not raw[pos : pos + 1].isspace():
             pos += 1
-        tokens.append(raw[start:pos])
+        values.append(_header_int(path, "PGM", part, raw[start:pos]))
+    if pos >= len(raw):
+        raise ValueError(f"{path}: PGM header has no whitespace after maxval")
     pos += 1
-    w, h, maxval = (int(t) for t in tokens)
+    w, h, maxval = values
     if not 0 < maxval <= 255:
         raise ValueError(f"{path}: only 8-bit PGM supported (maxval {maxval})")
-    if min(w, h) < 0 or len(raw) - pos < w * h:
+    if len(raw) - pos < w * h:
         raise ValueError(f"{path}: {len(raw) - pos} pixel bytes for a {w}x{h} PGM")
     q = np.frombuffer(raw[pos : pos + w * h], dtype=np.uint8).reshape(h, w)
     return q.astype(np.float64) / maxval

@@ -29,10 +29,9 @@ variables stay inside their unit balls by construction.
 
 from __future__ import annotations
 
-import math
 import numbers
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,14 +40,11 @@ from .camera import StereoRig
 from .rasters import (backward_divergence, build_pyramid, edge_indicators,
                       forward_difference, pixel_grid, smooth_masked,
                       upsample_state, warp_image)
-
-
-def _param(default, help_text: str):
-    return field(default=default, metadata={"help": help_text})
+from .schema import ABOVE_ONE, COUNT, NONNEGATIVE, POSITIVE, UNIT_INTERVAL, Ruled, ruled
 
 
 @dataclass
-class SolverParams:
+class SolverParams(Ruled):
     """Optimization weights and schedule; defaults follow the reference setup.
 
     lam is this package's default (5.0) for unit-range intensities; it puts
@@ -56,23 +52,25 @@ class SolverParams:
     with the du_max clip. du_max bounds each warp increment so the
     piecewise-linear curve tracking cannot overshoot the trajectory;
     warp_iters (N) times du_max bounds the disparity a single pyramid level
-    can accumulate. Each field's `help` metadata documents its CLI flag.
+    can accumulate. Each field's metadata holds its rule, which construction
+    checks (`schema.Ruled`), and its `help`, which documents its CLI flag.
     """
 
-    lam: float = _param(5.0, "data term weight")
-    alpha0: float = _param(17.0, "second-order TGV weight")
-    alpha1: float = _param(1.2, "first-order TGV weight")
-    beta: float = _param(9.0, "edge tensor magnitude")
-    eta: float = _param(0.85, "edge tensor sharpness")
-    warp_iters: int = _param(50, "warping iterations per pyramid level")
-    pd_iters: int = _param(10, "primal-dual cycles per warp iteration")
-    du_max: float = _param(0.2, "clip for each disparity increment, px")
-    pyramid_levels: int = _param(5, "most pyramid levels, finest included")
-    pyramid_scale: float = _param(2.0, "size ratio between pyramid levels, > 1")
-    min_width: int = _param(50, "narrowest pyramid level width, px")
-    epsilon_scale: float = _param(0.1, "target peak flow when generating trajectory fields, px")
-    tensor_sigma: float = _param(1.0, "edge tensor pre-smoothing sigma, px")
-    theta: float = _param(1.0, "primal over-relaxation factor, in [0, 1]")
+    lam: float = ruled(POSITIVE, 5.0, help="data term weight")
+    alpha0: float = ruled(POSITIVE, 17.0, help="second-order TGV weight")
+    alpha1: float = ruled(POSITIVE, 1.2, help="first-order TGV weight")
+    beta: float = ruled(POSITIVE, 9.0, help="edge tensor magnitude")
+    eta: float = ruled(POSITIVE, 0.85, help="edge tensor sharpness")
+    warp_iters: int = ruled(COUNT, 50, help="warping iterations per pyramid level")
+    pd_iters: int = ruled(COUNT, 10, help="primal-dual cycles per warp iteration")
+    du_max: float = ruled(POSITIVE, 0.2, help="clip for each disparity increment, px")
+    pyramid_levels: int = ruled(COUNT, 5, help="most pyramid levels, finest included")
+    pyramid_scale: float = ruled(ABOVE_ONE, 2.0, help="size ratio between pyramid levels, > 1")
+    min_width: int = ruled(COUNT, 50, help="narrowest pyramid level width, px")
+    epsilon_scale: float = ruled(POSITIVE, 0.1,
+                                 help="target peak flow when generating trajectory fields, px")
+    tensor_sigma: float = ruled(NONNEGATIVE, 1.0, help="edge tensor pre-smoothing sigma, px")
+    theta: float = ruled(UNIT_INTERVAL, 1.0, help="primal over-relaxation factor, in [0, 1]")
 
     def __post_init__(self):
         for name, f in self.__dataclass_fields__.items():
@@ -84,22 +82,7 @@ class SolverParams:
                     raise TypeError(f"{name} must be an integer, got {value!r}")
             elif not isinstance(value, numbers.Real):
                 raise TypeError(f"{name} must be a number, got {value!r}")
-            elif not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if min(self.lam, self.alpha0, self.alpha1, self.beta, self.eta) <= 0:
-            raise ValueError("all weights must be positive")
-        if self.du_max <= 0:
-            raise ValueError("du_max must be positive")
-        if self.warp_iters < 1 or self.pd_iters < 1 or self.pyramid_levels < 1:
-            raise ValueError("iteration and level counts must be >= 1")
-        if self.pyramid_scale <= 1:
-            raise ValueError("pyramid_scale must be > 1")
-        if self.epsilon_scale <= 0:
-            raise ValueError("epsilon_scale must be positive")
-        if self.tensor_sigma < 0:
-            raise ValueError("tensor_sigma must be >= 0")
-        if not 0 <= self.theta <= 1:
-            raise ValueError(f"theta must be in [0, 1], got {self.theta!r}")
+        super().__post_init__()
 
     def to_dict(self) -> dict:
         return asdict(self)

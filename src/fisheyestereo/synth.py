@@ -8,19 +8,23 @@ as oracles for the whole stereo pipeline. World coordinates coincide with the
 camera-0 frame.
 
 Everything is seeded and pure: identical inputs render bit-identical images.
+
+Each texture and primitive field states its rule in its metadata, and
+construction checks them (`schema.Ruled`); `scene_from_dict` and
+`scene_to_dict` read and write scene JSON through the one `schema` codec.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Union, get_args
 
 import numpy as np
 
-from .camera import (_COUNT, _FINITE_NUMBER, _INTEGER, _POSITIVE_NUMBER, CameraBase,
-                     PinholeCamera, RelativePose, StereoRig, UnifiedCamera, _finite_numbers,
-                     reject_unknown_keys)
+from .camera import CameraBase, PinholeCamera, RelativePose, StereoRig, UnifiedCamera
 from .rasters import pixel_grid
+from .schema import (COUNT, DIRECTION, FINITE, INTEGER, NONNEGATIVE, POSITIVE, VECTOR, Family,
+                     Ruled, from_dict, reject_unknown_keys, ruled, to_dict)
 
 _EPS = 1e-9
 # Relative depth mismatch above which a camera-0 point counts as occluded.
@@ -63,16 +67,16 @@ def _value_noise(points: np.ndarray, scale: float, seed: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ValueNoise:
+class ValueNoise(Ruled):
     """Fractal value noise: `octaves` frequency doublings, amplitudes
     decaying by `persistence` (higher keeps more fine-scale contrast)."""
 
-    scale: float = 0.5
-    octaves: int = 3
-    seed: int = 0
-    lo: float = 0.1
-    hi: float = 0.9
-    persistence: float = 0.5
+    scale: float = ruled(POSITIVE, 0.5)
+    octaves: int = ruled(COUNT, 3)
+    seed: int = ruled(INTEGER, 0)
+    lo: float = ruled(FINITE, 0.1)
+    hi: float = ruled(FINITE, 0.9)
+    persistence: float = ruled(POSITIVE, 0.5)
 
     kind = "noise"
 
@@ -89,10 +93,10 @@ class ValueNoise:
 
 
 @dataclass(frozen=True)
-class Checkerboard:
-    period: float = 0.4
-    lo: float = 0.15
-    hi: float = 0.9
+class Checkerboard(Ruled):
+    period: float = ruled(POSITIVE, 0.4)
+    lo: float = ruled(FINITE, 0.15)
+    hi: float = ruled(FINITE, 0.9)
 
     kind = "checker"
 
@@ -103,11 +107,11 @@ class Checkerboard:
 
 
 @dataclass(frozen=True)
-class SineGrating:
-    wavelength: float = 0.3
-    direction: tuple[float, float, float] = (1.0, 0.0, 0.0)
-    lo: float = 0.1
-    hi: float = 0.9
+class SineGrating(Ruled):
+    wavelength: float = ruled(POSITIVE, 0.3)
+    direction: tuple[float, float, float] = ruled(DIRECTION, (1.0, 0.0, 0.0))
+    lo: float = ruled(FINITE, 0.1)
+    hi: float = ruled(FINITE, 0.9)
 
     kind = "sine"
 
@@ -124,16 +128,21 @@ class SineGrating:
 
 
 Texture = Union[ValueNoise, Checkerboard, SineGrating]
+TEXTURES = Family("texture", "kind", get_args(Texture))
+
+
+def _texture():  # no rule: anything with a `shade` method will do
+    return field(metadata={"family": TEXTURES})
 
 
 # --------------------------------------------------------------------------
 # primitives
 
 @dataclass(frozen=True)
-class Plane:
-    point: tuple[float, float, float]
-    normal: tuple[float, float, float]
-    texture: Texture
+class Plane(Ruled):
+    point: tuple[float, float, float] = ruled(VECTOR)
+    normal: tuple[float, float, float] = ruled(DIRECTION)
+    texture: Texture = _texture()
 
     kind = "plane"
 
@@ -147,10 +156,10 @@ class Plane:
 
 
 @dataclass(frozen=True)
-class Sphere:
-    center: tuple[float, float, float]
-    radius: float
-    texture: Texture
+class Sphere(Ruled):
+    center: tuple[float, float, float] = ruled(VECTOR)
+    radius: float = ruled(POSITIVE)
+    texture: Texture = _texture()
 
     kind = "sphere"
 
@@ -168,10 +177,10 @@ class Sphere:
 
 
 @dataclass(frozen=True)
-class Box:
-    lo: tuple[float, float, float]
-    hi: tuple[float, float, float]
-    texture: Texture
+class Box(Ruled):
+    lo: tuple[float, float, float] = ruled(VECTOR)
+    hi: tuple[float, float, float] = ruled(VECTOR)
+    texture: Texture = _texture()
 
     kind = "box"
 
@@ -192,6 +201,7 @@ class Box:
 
 
 Primitive = Union[Plane, Sphere, Box]
+PRIMITIVES = Family("primitive", "kind", get_args(Primitive))
 
 
 @dataclass(frozen=True)
@@ -256,8 +266,7 @@ def render(scene: Scene, cam: CameraBase, pose: RelativePose | None = None,
     """
     if supersample < 1:
         raise ValueError(f"supersample must be >= 1, got {supersample}")
-    if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
-        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    noise_sigma = NONNEGATIVE(noise_sigma, "noise_sigma")
     grid = pixel_grid(cam.height, cam.width)
     if supersample == 1:
         t, shade, valid = _cast_through(scene, cam, pose, grid)
@@ -427,60 +436,14 @@ def plane_scene(depth: float = 2.0, texture: Texture | None = None) -> Scene:
 # --------------------------------------------------------------------------
 # JSON scene specs
 
-_KINDS = {"texture": {cls.kind: cls for cls in get_args(Texture)},
-          "primitive": {cls.kind: cls for cls in get_args(Primitive)}}
-# Vectors that must not be all zero, and numbers that must be > 0; every
-# other number need only be finite.
-_NONZERO = {"normal", "direction"}
-_POSITIVE = {"scale", "period", "wavelength", "persistence", "radius"}
-
-
-def _from_dict(d: dict, what: str, where: str):
-    """The `what` ("primitive" or "texture") of kind `d["kind"]`, built from its
-    dataclass fields; `where` prefixes each message ("primitive 1: ")."""
-    kind = d["kind"]
-    if kind not in _KINDS[what]:
-        raise ValueError(f"unknown {what} kind {kind!r}")
-    cls = _KINDS[what][kind]
-    kwargs = {}
-    for f in fields(cls):
-        if f.name not in d and f.default is not MISSING:
-            continue
-        value, at = d[f.name], where + f.name
-        if f.name == "texture":
-            value = _from_dict(value, "texture", where + "texture ")
-        elif f.type.startswith("tuple"):
-            value = tuple(_finite_numbers(value, 3, at))
-            if f.name in _NONZERO and not any(value):
-                raise ValueError(f"{at} must be 3 finite numbers, not all zero, "
-                                 f"got {d[f.name]!r}")
-        elif f.type == "int":
-            value = (_COUNT if f.name == "octaves" else _INTEGER)(value, at)
-        else:
-            value = (_POSITIVE_NUMBER if f.name in _POSITIVE else _FINITE_NUMBER)(value, at)
-        kwargs[f.name] = value
-    reject_unknown_keys(d, ["kind"] + [f.name for f in fields(cls)], where,
-                        f"{kind} {what}")
-    return cls(**kwargs)
-
-
-def _to_dict(obj) -> dict:
-    d = {"kind": obj.kind}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        d[f.name] = (_to_dict(value) if f.name == "texture"
-                     else list(value) if isinstance(value, tuple) else value)
-    return d
-
-
 def scene_from_dict(d: dict) -> Scene:
     """Scene from its JSON form. A missing key raises KeyError; a bad kind,
     value or unknown key raises ValueError naming the key and the primitive's
     index (or `scene` for a top-level key)."""
     reject_unknown_keys(d, ("primitives",), "scene: ", "scene")
-    return Scene(primitives=tuple(_from_dict(spec, "primitive", f"primitive {i}: ")
+    return Scene(primitives=tuple(from_dict(spec, PRIMITIVES, f"primitive {i}: ")
                                   for i, spec in enumerate(d["primitives"])))
 
 
 def scene_to_dict(scene: Scene) -> dict:
-    return {"primitives": [_to_dict(p) for p in scene.primitives]}
+    return {"primitives": [to_dict(p, PRIMITIVES) for p in scene.primitives]}

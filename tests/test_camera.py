@@ -216,7 +216,8 @@ def test_rig_json_roundtrip(tmp_path):
     assert len(d["pose"]["rotation"]) == 9
 
 
-@pytest.mark.parametrize("part, key, value, message", [
+# A rig JSON value, the part and key it replaces, and the expected message.
+BAD_RIG_VALUES = [
     ("cam0", "type", "orthographic", "cam0: unknown camera type 'orthographic'"),
     ("pose", "translation", [0.0, 0.0, float("nan")], "pose: translation must be 3 finite"),
     ("pose", "rotation", [float("inf")] + [0.0] * 8, "pose: rotation must be 9 finite"),
@@ -239,16 +240,28 @@ def test_rig_json_roundtrip(tmp_path):
     ("cam1", "xi", 1.0, "cam1: 'xi' is not a key of a polynomial camera"),
     ("cam0", "fx", 10 ** 400, "cam0: fx must be finite and > 0"),
     ("pose", "scale", 2.0, "pose: 'scale' is not a key of a pose (rotation, translation)"),
-], ids=["unknown-type", "nan-translation", "inf-rotation", "text-rotation",
-        "short-translation", "fractional-width", "zero-height",
-        "bool-width", "inf-fov", "zero-fov", "zero-fx", "negative-fy", "nan-cx", "text-cy",
-        "negative-xi", "nan-k", "short-k", "unknown-key", "xi-on-polynomial",
-        "huge-int-fx", "unknown-pose-key"])
+]
+BAD_RIG_IDS = ["unknown-type", "nan-translation", "inf-rotation", "text-rotation",
+               "short-translation", "fractional-width", "zero-height",
+               "bool-width", "inf-fov", "zero-fov", "zero-fx", "negative-fy", "nan-cx",
+               "text-cy", "negative-xi", "nan-k", "short-k", "unknown-key",
+               "xi-on-polynomial", "huge-int-fx", "unknown-pose-key"]
+
+
+@pytest.mark.parametrize("part, key, value, message", BAD_RIG_VALUES, ids=BAD_RIG_IDS)
 def test_rig_from_dict_rejects_bad_values(part, key, value, message):
     d = rig_to_dict(StereoRig(UNIFIED, POLY_FULL, RelativePose.from_displacement((0.1, 0, 0))))
     d[part][key] = value
     with pytest.raises(ValueError, match=re.escape(message)):
         rig_from_dict(d)
+
+
+@pytest.mark.parametrize("cam", [PINHOLE, UNIFIED, POLY_FULL], ids=lambda c: c.kind)
+def test_camera_json_roundtrip(cam):
+    d = rig_to_dict(StereoRig(cam, cam, RelativePose()))
+    back = rig_from_dict(json.loads(json.dumps(d)))
+    assert back.cam0 == cam and back.cam1 == cam
+    assert d["cam0"]["type"] == cam.kind and d["cam0"]["fov_deg"] == np.rad2deg(cam.fov)
 
 
 def test_unknown_top_level_keys_rejected():

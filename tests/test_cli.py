@@ -483,6 +483,38 @@ def test_eval_bad_taus_fail_with_message(tmp_path, dataset, capsys, taus):
     assert not (tmp_path / "o").exists()
 
 
+def test_eval_nan_estimate_fails_with_message(tmp_path, dataset, capsys):
+    corr, covis = formats.read_vector_pfm(dataset / "correspondence.pfm")
+    est_path = tmp_path / "nan.pfm"
+    formats.write_vector_pfm(est_path, np.full_like(corr, np.nan), third=covis)
+    code = main(["eval", "--estimate", str(est_path), "--gt", str(dataset),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bad estimate file" in err and "nan.pfm" in err and "non-finite" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name, header, message", [
+    ("a.pgm", b"P5\n# c", "PGM header has no width"),
+    ("b.pgm", b"P5\n4", "PGM header has no height"),
+    ("c.pgm", b"P5\n4 4\n255", "PGM header has no whitespace after maxval"),
+    ("d.pfm", b"PF\n4 4\n", "PFM header has no scale"),
+    ("e.pfm", b"PF\nx y\n-1\n", "PFM width b'x' is not an integer"),
+], ids=["pgm-open-comment", "pgm-no-height", "pgm-no-whitespace", "pfm-no-scale",
+        "pfm-text-width"])
+def test_truncated_or_text_header_names_the_part(tmp_path, dataset, capsys, name, header,
+                                                 message):
+    path = tmp_path / name
+    path.write_bytes(header)
+    if name.endswith(".pgm"):
+        what, command = "left image", _stereo(dataset, left=path)
+    else:
+        what, command = "estimate file", ["eval", "--estimate", str(path), "--gt", str(dataset)]
+    assert main(command + ["--out", str(tmp_path / "o")]) == 2
+    assert f"bad {what} {path}: {message}" in capsys.readouterr().err
+
+
 def test_stereo_output_feeds_eval(tmp_path, stereo_run, dataset):
     out = tmp_path / "chained_eval"
     assert main(["eval", "--estimate", str(stereo_run / "warp.pfm"),

@@ -145,7 +145,10 @@ def test_scene_json_roundtrip():
     assert scene_to_dict(back) == scene_to_dict(_SCENE_SPEC)
 
 
-@pytest.mark.parametrize("index, key, value, message", [
+# A scene JSON value, the primitive index and the key (of the primitive, or
+# else of its texture) it replaces, and the expected message after
+# "primitive {index}: ".
+BAD_SCENE_VALUES = [
     (0, "point", [0.0, 2.0], "point must be 3 finite numbers"),
     (0, "normal", [0.0, 0.0, "-1"], "normal must be 3 finite numbers"),
     (1, "center", [0.1, float("nan"), 1.0], "center must be 3 finite numbers"),
@@ -172,7 +175,10 @@ def test_scene_json_roundtrip():
     (2, "texture", {"kind": "checker", "wavelength": 0.2},
      "texture 'wavelength' is not a key of a checker texture"),
     pytest.param(1, "lo", 10 ** 400, "texture lo must be finite", id="1-lo-huge-int"),
-])
+]
+
+
+@pytest.mark.parametrize("index, key, value, message", BAD_SCENE_VALUES)
 def test_scene_from_dict_rejects_bad_values(index, key, value, message):
     # A key the primitive lacks is set on its texture if the texture has it.
     d = scene_to_dict(_SCENE_SPEC)
@@ -185,6 +191,14 @@ def test_scene_from_dict_rejects_bad_values(index, key, value, message):
 def test_scene_from_dict_rejects_unknown_primitive():
     with pytest.raises(ValueError):
         scene_from_dict({"primitives": [{"kind": "torus", "texture": {"kind": "noise"}}]})
+
+
+def test_scene_from_dict_names_the_primitive_of_an_unknown_kind():
+    plane = scene_to_dict(plane_scene())["primitives"][0]
+    with pytest.raises(ValueError, match="^primitive 1: unknown primitive kind 'torus'"):
+        scene_from_dict({"primitives": [plane, {**plane, "kind": "torus"}]})
+    with pytest.raises(ValueError, match="^primitive 0: texture unknown texture kind 'wood'"):
+        scene_from_dict({"primitives": [{**plane, "texture": {"kind": "wood"}}]})
 
 
 def test_texture_shading_ranges():
@@ -234,6 +248,13 @@ _primitives = st.one_of(
     st.builds(lambda lo, size, tex: Box(lo=lo, hi=tuple(np.add(lo, size)), texture=tex),
               _vec3, st.tuples(_length, _length, _length), _textures),
 )
+
+
+@settings(max_examples=100, deadline=None)
+@given(prims=st.lists(_primitives, max_size=4))
+def test_scene_dict_roundtrip_property(prims):
+    scene = Scene(primitives=tuple(prims))
+    assert scene_from_dict(scene_to_dict(scene)) == scene
 
 
 @st.composite
