@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Print sha256 digests of everything a pyramid solve produces, and of the
-rig and scene JSON the codec writes.
+"""Print sha256 digests of everything a pyramid solve produces, of the
+synthetic oracle (renders and ground truth), and of the rig and scene JSON
+the codec writes.
 
 Run it on two checkouts and diff the output to show that a refactor leaves
-the solver's results bit-identical and the JSON byte-identical:
+the solver's and the oracle's results bit-identical and the JSON
+byte-identical:
 
     PYTHONPATH=src python scripts/hash_solver_outputs.py [--big]
 
@@ -14,9 +16,11 @@ both dual norms) and the float bits of `energy()` at the solution. The
 configurations are a 200x200 rig with 3 pyramid levels, a 47x61 unified rig
 with 2 levels, and a 117x91 polynomial and a 117x91 pinhole rig, each with
 N=4 and 2 levels; `--big` adds the `solve-400` benchmark inputs (the default
-400x400 rig, seed 0, N=10, 4 levels). Each configuration also hashes the
-bytes `save_rig` writes for its rig, and one last line hashes the JSON of
-`scene_to_dict(default_scene())`.
+400x400 rig, seed 0, N=10, 4 levels). Each configuration also hashes, for
+its rig, both cameras' `render` output (image, depth and hit mask) at
+supersample 1, 2 and 3 and once more at supersample 1 with noise, the three
+`make_ground_truth` arrays, and the bytes `save_rig` writes. One last line
+hashes the JSON of `scene_to_dict(default_scene())`.
 """
 
 from __future__ import annotations
@@ -100,6 +104,23 @@ def hash_solve(rig: StereoRig, params: solver.SolverParams, seed: int = 0) -> di
     return out
 
 
+def hash_oracle(rig: StereoRig, seed: int = 0) -> dict:
+    scene = synth.reseed_scene(synth.default_scene(), seed)
+    out = {}
+    for kind, supersample, sigma in (("render", 1, 0.0), ("noisy", 1, 0.05),
+                                     ("render", 2, 0.0), ("render", 3, 0.0)):
+        for i, (cam, pose) in enumerate(((rig.cam0, None), (rig.cam1, rig.pose))):
+            arrays = synth.render(scene, cam, pose, noise_sigma=sigma, noise_seed=seed + 1,
+                                  supersample=supersample)
+            digests = "".join(map(_digest, arrays)).encode()
+            out[f"{kind}{i}.s{supersample}"] = hashlib.sha256(digests).hexdigest()
+    gt = synth.make_ground_truth(scene, rig)
+    for key, name in (("gt.depth0", "depth0"), ("gt.corr", "correspondence"),
+                      ("gt.covis", "covisibility")):
+        out[key] = _digest(getattr(gt, name))
+    return out
+
+
 def hash_rig_json(rig: StereoRig) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rig.json"
@@ -113,7 +134,7 @@ def main() -> None:
                         help="also hash the 400x400 solve-400 inputs (about 10 s)")
     args = parser.parse_args()
     for name, rig, params in configurations(args.big):
-        for key, value in hash_solve(rig, params).items():
+        for key, value in {**hash_solve(rig, params), **hash_oracle(rig)}.items():
             print(f"{name:10s} {key:12s} {value}")
         print(f"{name:10s} {'rig.json':12s} {hash_rig_json(rig)}")
     scene = json.dumps(synth.scene_to_dict(synth.default_scene()), indent=2).encode()

@@ -18,7 +18,8 @@ A model supplies only its formulas: ``_project(X, theta) -> (pix, ok)`` from
 points and their polar angles, and ``_unproject(m) -> (ray, theta, ok)`` from
 normalized pixel coordinates. :class:`CameraBase` wraps them in ``project``
 and ``unproject``, which add the field-of-view test on ``theta`` and mark
-every invalid entry NaN.
+every invalid entry NaN. ``rays`` is the one place where invalid rays become
+zero vectors instead, for callers that cast or multiply them unmasked.
 
 Pixels returned by projection are continuous (x, y) with pixel centers at
 integer coordinates. All operations are vectorized over leading axes and
@@ -85,6 +86,11 @@ class CameraBase(Ruled):
         ray, theta, ok = self._unproject(self._normalized(pix))
         valid = ok & (theta <= 0.5 * self.fov + 1e-12)
         return np.where(valid[..., None], ray, np.nan), valid
+
+    def rays(self, pix):
+        """`unproject` with zero vectors instead of NaN where invalid."""
+        ray, valid = self.unproject(pix)
+        return np.where(valid[..., None], ray, 0.0), valid
 
     def _normalized(self, pix) -> np.ndarray:
         pix = _as_points(pix)
@@ -217,10 +223,8 @@ class RelativePose:
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        R = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
-        t = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        if not (np.isfinite(R).all() and np.isfinite(t).all()):
-            raise ValueError("rotation and translation must be finite")
+        R = np.reshape(finite_numbers(9)(np.ravel(self.rotation), "rotation"), (3, 3))
+        t = np.array(finite_numbers(3)(self.translation, "translation"))
         if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-12 or np.linalg.det(R) < 0:
             raise ValueError("rotation must be orthonormal with det +1")
         object.__setattr__(self, "rotation", R)
@@ -297,18 +301,16 @@ def triangulate_midpoint(rig: StereoRig, x0, x1) -> tuple[np.ndarray, np.ndarray
     foot along the camera-0 ray. Rays closer to parallel than `_MIN_RAY_ANGLE`
     (zero disparity, point at infinity) are invalid.
     """
-    r0, v0 = rig.cam0.unproject(x0)
-    r1, v1 = rig.cam1.unproject(x1)
+    r0, v0 = rig.cam0.rays(x0)
+    r1, v1 = rig.cam1.rays(x1)
     R = rig.pose.rotation
     c1 = rig.pose.camera1_center
     d1 = r1 @ R  # rotate cam-1 rays into cam-0 coordinates (R^T @ r1)
-    r0z = np.where(v0[..., None], r0, 0.0)
-    d1z = np.where(v1[..., None], d1, 0.0)
-    b = np.sum(r0z * d1z, axis=-1)
-    cross = np.cross(r0z, d1z)
+    b = np.sum(r0 * d1, axis=-1)
+    cross = np.cross(r0, d1)
     sin_angle = np.linalg.norm(cross, axis=-1)
-    p = r0z @ np.asarray(c1)
-    q = d1z @ np.asarray(c1)
+    p = r0 @ np.asarray(c1)
+    q = d1 @ np.asarray(c1)
     denom = 1.0 - b * b
     ok = v0 & v1 & (sin_angle >= _MIN_RAY_ANGLE)
     denom = np.where(ok, denom, 1.0)

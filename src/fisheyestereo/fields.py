@@ -25,10 +25,14 @@ from .rasters import pixel_grid, sample_bicubic, warp_image
 _DEGENERATE_FLOW = 1e-12
 
 
-def _grid_rays(cam: CameraBase) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    grid = pixel_grid(cam.height, cam.width)
-    rays, valid = cam.unproject(grid)
-    return grid, np.where(valid[..., None], rays, 0.0), valid
+def _flow(cam: CameraBase, points: np.ndarray,
+          valid0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets of `points` (one per pixel) projected through `cam` from
+    the pixel grid, and where they are valid: inside `valid0` and `cam`'s
+    view. Offsets are zero elsewhere."""
+    x1, valid1 = cam.project(points)
+    valid = valid0 & valid1
+    return np.where(valid[..., None], x1 - pixel_grid(*valid0.shape), 0.0), valid
 
 
 def generate_calibration_field(rig: StereoRig) -> tuple[np.ndarray, np.ndarray]:
@@ -38,11 +42,8 @@ def generate_calibration_field(rig: StereoRig) -> tuple[np.ndarray, np.ndarray]:
     resulting flow is depth-independent. Returns (field, valid) where field
     maps camera-0 pixels onto camera-1 pixels, ``x1 = x + field[x]``.
     """
-    grid, rays, valid0 = _grid_rays(rig.cam0)
-    rotated = rays @ rig.pose.rotation.T
-    x1, valid1 = rig.cam1.project(rotated)
-    field = np.where((valid0 & valid1)[..., None], x1 - grid, 0.0)
-    return field, valid0 & valid1
+    rays, valid0 = rig.cam0.rays(pixel_grid(rig.cam0.height, rig.cam0.width))
+    return _flow(rig.cam1, rays @ rig.pose.rotation.T, valid0)
 
 
 def generate_trajectory_field(rig: StereoRig, epsilon_scale: float = 0.1,
@@ -66,18 +67,13 @@ def generate_trajectory_field(rig: StereoRig, epsilon_scale: float = 0.1,
         raise ValueError("trajectory field undefined for zero baseline")
     t_hat = t / t_norm
 
-    grid, rays, valid0 = _grid_rays(rig.cam0)
+    rays, valid0 = rig.cam0.rays(pixel_grid(rig.cam0.height, rig.cam0.width))
     X = rays * depth
-
-    def flow(eps: float) -> tuple[np.ndarray, np.ndarray]:
-        x1, valid1 = rig.cam1.project(X + eps * t_hat)
-        w = np.where((valid0 & valid1)[..., None], x1 - grid, 0.0)
-        return w, valid0 & valid1
-
-    w, valid = flow(1e-4 * depth)
+    w, valid = _flow(rig.cam1, X + 1e-4 * depth * t_hat, valid0)
     peak = np.max(np.linalg.norm(w, axis=-1)[valid], initial=0.0)
     if peak > 0:
-        w, valid = flow(1e-4 * depth * epsilon_scale / peak)
+        eps = 1e-4 * depth * epsilon_scale / peak
+        w, valid = _flow(rig.cam1, X + eps * t_hat, valid0)
 
     mag = np.linalg.norm(w, axis=-1)
     degenerate = valid & (mag < _DEGENERATE_FLOW)

@@ -38,13 +38,6 @@ def pixel_grid(height: int, width: int) -> np.ndarray:
     return grid
 
 
-def circular_mask(height: int, width: int, center: tuple[float, float],
-                  radius: float) -> np.ndarray:
-    """Boolean disc of given center (x, y) and radius in pixels."""
-    g = pixel_grid(height, width)
-    return (g[:, :, 0] - center[0]) ** 2 + (g[:, :, 1] - center[1]) ** 2 <= radius ** 2
-
-
 def _cubic_weights(f: np.ndarray) -> list[np.ndarray]:
     """Catmull-Rom weights for taps at offsets -1..2, fractional part f."""
     f2 = f * f

@@ -260,35 +260,34 @@ def render(scene: Scene, cam: CameraBase, pose: RelativePose | None = None,
     Returns (image, depth, valid): image intensities in [0, 1] (zero outside
     the FOV), depth in meters along each unit pixel ray, and the FOV mask.
 
-    `supersample` > 1 integrates intensity over an s x s grid per pixel
-    footprint, suppressing texture aliasing where the lens compresses the
-    scene. Depth stays point-sampled at pixel centers (exact geometry).
+    `supersample` s integrates intensity over an s x s grid of casts per
+    pixel footprint, suppressing texture aliasing where the lens compresses
+    the scene. Depth stays point-sampled at pixel centers (exact geometry):
+    an odd s takes it from its center cast, an even s from one distance-only
+    pass.
     """
-    if supersample < 1:
-        raise ValueError(f"supersample must be >= 1, got {supersample}")
+    s = INTEGER(supersample, "supersample")
+    if s < 1:
+        raise ValueError(f"supersample must be >= 1, got {s}")
     noise_sigma = NONNEGATIVE(noise_sigma, "noise_sigma")
     grid = pixel_grid(cam.height, cam.width)
-    if supersample == 1:
-        t, shade, valid = _cast_through(scene, cam, pose, grid)
-        hit = np.isfinite(t) & valid
-        image = np.where(hit, shade, 0.0)
-    else:
-        # Depth at the pixel centers; only the sub-pixel casts are shaded.
+    offsets = (np.arange(s) + 0.5) / s - 0.5
+    if s % 2 == 0:  # no sub-pixel cast falls on the pixel centers
         origin, dirs, valid = _pixel_rays(cam, pose, grid)
         t, _ = scene.nearest(origin, dirs)
         hit = np.isfinite(t) & valid
-        s = supersample
-        acc = np.zeros_like(t)
-        cnt = np.zeros_like(t)
-        offsets = (np.arange(s) + 0.5) / s - 0.5
-        for dy in offsets:
-            for dx in offsets:
-                ts, sh, va = _cast_through(scene, cam, pose,
-                                           grid + np.array([dx, dy]))
-                ok = np.isfinite(ts) & va
-                acc += np.where(ok, sh, 0.0)
-                cnt += ok
-        image = np.where(hit & (cnt > 0), acc / np.maximum(cnt, 1.0), 0.0)
+    acc = np.zeros(grid.shape[:-1])
+    cnt = np.zeros(grid.shape[:-1])
+    for dy in offsets:
+        for dx in offsets:
+            origin, dirs, valid = _pixel_rays(cam, pose, grid + np.array([dx, dy]))
+            ts, shade = scene.cast(origin, dirs)
+            ok = np.isfinite(ts) & valid
+            if dx == 0 and dy == 0:
+                t, hit = ts, ok
+            np.add(acc, shade, out=acc, where=ok)
+            cnt += ok
+    image = np.divide(acc, cnt, out=np.zeros_like(acc), where=hit & (cnt > 0))
     depth = np.where(hit, t, 0.0)
     if noise_sigma > 0:
         rng = np.random.default_rng(noise_seed)
@@ -298,20 +297,12 @@ def render(scene: Scene, cam: CameraBase, pose: RelativePose | None = None,
 
 
 def _pixel_rays(cam: CameraBase, pose: RelativePose | None, positions: np.ndarray):
-    """World-frame origin, unit ray per pixel position, and the FOV mask.
-    Positions outside the FOV get a zero direction, which hits nothing."""
-    rays_cam, valid = cam.unproject(positions)
-    rays_cam = np.where(valid[..., None], rays_cam, 0.0)
+    """World-frame origin, unit ray per pixel position (zero outside the FOV),
+    and the FOV mask."""
+    rays_cam, valid = cam.rays(positions)
     if pose is None:
         return np.zeros(3), rays_cam, valid
     return pose.camera1_center, rays_cam @ pose.rotation, valid  # R^T applied row-wise
-
-
-def _cast_through(scene: Scene, cam: CameraBase, pose: RelativePose | None,
-                  positions: np.ndarray):
-    origin, dirs, valid = _pixel_rays(cam, pose, positions)
-    t, shade = scene.cast(origin, dirs)
-    return t, shade, valid
 
 
 def make_ground_truth(scene: Scene, rig: StereoRig) -> GroundTruth:
@@ -327,7 +318,6 @@ def make_ground_truth(scene: Scene, rig: StereoRig) -> GroundTruth:
     t0, _ = scene.nearest(origin, rays)
     valid0 = np.isfinite(t0) & fov0
     depth0 = np.where(valid0, t0, 0.0)
-    rays = np.where(valid0[..., None], rays, 0.0)
     pts = rays * depth0[..., None]
 
     x1, v1 = rig.cam1.project(rig.pose.transform(pts))

@@ -63,6 +63,20 @@ def test_unprojection_principal_point_is_axis():
         assert np.allclose(ray, [0.0, 0.0, 1.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("cam", [PINHOLE, UNIFIED, POLY_FULL], ids=lambda c: c.kind)
+def test_rays_are_zero_exactly_where_unproject_is_invalid(cam):
+    # A 33 x 33 lattice reaching 400 px past every edge of the 800 x 800 image.
+    pix = np.stack(np.meshgrid(np.linspace(-400, 1200, 33),
+                               np.linspace(-400, 1200, 33)), axis=-1)
+    ray, ok = cam.unproject(pix)
+    zeroed, ok_zeroed = cam.rays(pix)
+    assert ok.any() and not ok.all()
+    assert np.array_equal(ok_zeroed, ok)
+    assert np.array_equal(zeroed[ok], ray[ok])
+    assert np.all(zeroed[~ok] == 0.0)
+    assert np.isnan(ray[~ok]).all()
+
+
 def test_pinhole_unprojection_inverse_example():
     ray, ok = PINHOLE.unproject(np.array([700.0, 400.0]))
     assert bool(ok)
@@ -142,6 +156,25 @@ def test_pose_rejects_non_orthonormal():
     with pytest.raises(ValueError, match="finite"):
         # NaN compares false, so the orthonormality test alone would pass it.
         RelativePose(np.eye(3), np.array([0.0, 0.0, np.nan]))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"translation": [0.1, 0.0]}, "translation must be 3 finite numbers"),
+    ({"rotation": ["1", "0", "0", "0", "1", "0", "0", "0", "1"]},
+     "rotation must be 9 finite numbers"),
+    ({"translation": ["0.1", "0", "0"]}, "translation must be 3 finite numbers"),
+], ids=["short-translation", "text-rotation", "text-translation"])
+def test_pose_checks_its_fields(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        RelativePose(**kwargs)
+
+
+def test_pose_takes_a_matrix_or_nine_numbers():
+    R = rotation_from_rotvec((0.1, 0.2, -0.3))
+    for rotation in (R, list(R.ravel())):
+        pose = RelativePose(rotation, (0.1, 0, 0))
+        assert np.array_equal(pose.rotation, R)
+        assert np.array_equal(pose.translation, [0.1, 0.0, 0.0])
 
 
 @settings(max_examples=50, deadline=None)

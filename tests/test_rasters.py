@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fisheyestereo.rasters import (backward_divergence, build_pyramid, circular_mask,
-                                   divergence, downsample_area, edge_indicators,
+from fisheyestereo.rasters import (backward_divergence, build_pyramid, divergence,
+                                   downsample_area, edge_indicators,
                                    forward_difference, gradient, pixel_grid,
                                    pyramid_shapes, sample_bicubic,
                                    smooth_masked, upsample_state, warp_image)
@@ -358,7 +358,7 @@ def test_warp_image_grid_follows_offset_field():
 def test_operations_are_pure():
     rng = np.random.default_rng(5)
     field = rng.random((20, 20))
-    mask = circular_mask(20, 20, (9.5, 9.5), 8.0)
+    mask = np.linalg.norm(pixel_grid(20, 20) - 9.5, axis=-1) <= 8.0
     pos = rng.random((7, 2)) * 19
     a1, _ = sample_bicubic(field, pos, mask)
     a2, _ = sample_bicubic(field, pos, mask)
@@ -367,7 +367,7 @@ def test_operations_are_pure():
 
 
 def test_smooth_masked_constant_preserved():
-    mask = circular_mask(24, 24, (11.5, 11.5), 9.0)
+    mask = np.linalg.norm(pixel_grid(24, 24) - 11.5, axis=-1) <= 9.0
     out = smooth_masked(np.full((24, 24), 0.4), mask, sigma=1.5)
     assert np.allclose(out[mask], 0.4, atol=1e-9)
     assert np.all(out[~mask] == 0.0)

@@ -1,10 +1,12 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fisheyestereo.camera import RelativePose, StereoRig, UnifiedCamera
+from fisheyestereo.camera import (PinholeCamera, PolynomialFisheyeCamera, RelativePose,
+                                  StereoRig, UnifiedCamera)
 from fisheyestereo.rasters import pixel_grid
 from fisheyestereo.synth import (Box, Checkerboard, GroundTruth, Plane, Scene,
                                  SineGrating, Sphere, ValueNoise, default_rig,
@@ -121,6 +123,35 @@ def test_supersampling_changes_intensities_not_geometry(small_fisheye_rig, small
     assert np.array_equal(d1, d2)
     assert np.array_equal(m1, m2)
     assert not np.array_equal(i1, i2)
+
+
+LENSES = [
+    PinholeCamera(width=61, height=47, fx=10.0, fy=10.0, cx=30.0, cy=23.0,
+                  fov=np.deg2rad(140.0)),
+    UnifiedCamera(width=61, height=47, fx=20.0, fy=20.0, cx=30.0, cy=23.0,
+                  fov=np.pi, xi=0.9),
+    PolynomialFisheyeCamera(width=61, height=47, fx=15.0, fy=15.0, cx=30.0, cy=23.0,
+                            fov=np.deg2rad(190.0), k=(1.0, -0.05, 0.003, 0.0)),
+]
+
+
+@pytest.mark.parametrize("cam", LENSES, ids=lambda c: c.kind)
+def test_odd_supersample_takes_geometry_from_its_center_cast(cam, small_scene):
+    pose = RelativePose.from_displacement((0.1, 0.0, 0.0), rotvec=(0.0, 0.02, 0.005))
+    for p in (None, pose):
+        i1, d1, m1 = render(small_scene, cam, p, supersample=1)
+        i3, d3, m3 = render(small_scene, cam, p, supersample=3)
+        assert m1.any() and not m1.all()
+        assert np.array_equal(d3, d1)
+        assert np.array_equal(m3, m1)
+        assert not np.array_equal(i3, i1)
+
+
+@pytest.mark.parametrize("value", [1.5, 2.5, True, "2"], ids=["1.5", "2.5", "true", "text"])
+def test_render_rejects_non_integer_supersample(small_scene, value):
+    with pytest.raises(ValueError, match=re.escape(
+            f"supersample must be an integer, got {value!r}")):
+        render(small_scene, LENSES[1], supersample=value)
 
 
 def test_reseed_scene_changes_noise_textures(small_scene):
