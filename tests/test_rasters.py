@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fisheyestereo import rasters
 from fisheyestereo.rasters import (backward_divergence, build_pyramid, divergence,
                                    downsample_area, edge_indicators,
                                    forward_difference, gradient, pixel_grid,
@@ -172,6 +173,29 @@ def test_sample_matches_reference_chain(case):
     ref_vals = np.array([r[0] for r in ref]).reshape(vals.shape)
     assert np.array_equal(ok, [r[1] for r in ref])
     assert np.array_equal(vals, ref_vals, equal_nan=True)
+
+
+@pytest.mark.parametrize("nc", [1, 3])
+@pytest.mark.parametrize("n", [0, 1, 23])
+def test_sample_chunk_size_leaves_values_unchanged(monkeypatch, nc, n):
+    # n positions with full stencils (floors 1..8 of a fully valid 12x12
+    # field), shuffled among rim positions and invalid ones.
+    rng = np.random.default_rng(10 * n + nc)
+    data = rng.normal(size=(12, 12, nc))
+    field = data[:, :, 0] if nc == 1 else data
+    mask = np.ones((12, 12), dtype=bool)
+    full = rng.uniform(1.0, 8.99, size=(n, 2))
+    rim = np.array([[0.3, 5.5], [10.6, 2.2], [-1.5, 4.0], [6.0, 11.0]])
+    invalid = np.array([[-9.0, 3.0], [np.nan, 1.0], [4.0, 40.0]])
+    pos = rng.permutation(np.concatenate([full, rim, invalid]))
+    monkeypatch.setattr(rasters, "_CUBIC_CHUNK", n + 1000)
+    ref_vals, ref_ok = sample_bicubic(field, pos, mask)
+    assert np.count_nonzero(ref_ok) == n + len(rim)
+    for chunk in sorted({1, 7, n - 1, n, n + 1} - {-1, 0}):
+        monkeypatch.setattr(rasters, "_CUBIC_CHUNK", chunk)
+        vals, ok = sample_bicubic(field, pos, mask)
+        assert np.array_equal(ok, ref_ok)
+        assert np.array_equal(vals, ref_vals, equal_nan=True), chunk
 
 
 def test_sample_floor_minus_two_reaches_column_zero():
