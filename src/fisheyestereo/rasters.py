@@ -4,6 +4,10 @@ Conventions used throughout the package:
 
 * images and scalar fields are float64 arrays of shape (H, W), intensities
   normalized to [0, 1] on load;
+* precision: every raster this module returns, like every solver output, is
+  float64, except that the difference kernels `forward_difference` and
+  `backward_divergence` (the solver's K and K*) keep the dtype of their
+  inputs; the solver runs its primal-dual state through them in float32;
 * vector fields are (H, W, 2) with channel order (x, y);
 * a position is continuous (x, y) with pixel centers at integer coordinates,
   so position (j, i) is the center of ``field[i, j]``;
@@ -211,8 +215,9 @@ def edge_indicators(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def forward_difference(f: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
     """Forward differences of float fields (..., H, W) as (..., 2, H, W), channels
-    (d/dx, d/dy), zeroed on the edges that `edge_indicators` marks as leaving the mask."""
-    g = np.zeros(f.shape[:-2] + (2,) + f.shape[-2:])
+    (d/dx, d/dy), zeroed on the edges that `edge_indicators` marks as leaving the
+    mask; in the dtype of the inputs."""
+    g = np.zeros(f.shape[:-2] + (2,) + f.shape[-2:], dtype=np.result_type(f, ex, ey))
     gx, gy = g[..., 0, :, :], g[..., 1, :, :]
     np.subtract(f[..., :, 1:], f[..., :, :-1], out=gx[..., :, :-1])
     gx[..., :, :-1] *= ex[:, :-1]
@@ -224,10 +229,10 @@ def forward_difference(f: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> np.ndar
 def backward_divergence(p: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
     """Backward-difference divergence of (..., 2, H, W) fields as (..., H, W), the
     negative adjoint of `forward_difference`: components on edges leaving the
-    mask count as zero."""
+    mask count as zero. In the dtype of the inputs."""
     mx = p[..., 0, :, :] * ex
     my = p[..., 1, :, :] * ey
-    div = np.empty(mx.shape)
+    div = np.empty(mx.shape, dtype=np.result_type(mx, my))
     div[..., :, 0] = mx[..., :, 0]
     np.subtract(mx[..., :, 1:], mx[..., :, :-1], out=div[..., :, 1:])
     div += my

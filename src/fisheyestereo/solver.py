@@ -25,6 +25,9 @@ level to level.
 Per-pixel step sizes come from diagonal preconditioning (absolute row/column
 sums of K, exponent one), so no global step tuning is needed; the dual
 variables stay inside their unit balls by construction.
+
+The primal-dual cycles run in float32 (see `solve_level`); every array the
+solver returns, and `energy()`, is float64.
 """
 
 from __future__ import annotations
@@ -104,6 +107,10 @@ class SolverState:
     contiguous (H, W) array: v, v_bar and p are (2, H, W), q is (4, H, W) with
     channels (dv0/dx, dv0/dy, dv1/dx, dv1/dy).
 
+    `solve_level` keeps every field in float32 (the precision of GPU
+    primal-dual solvers, and half the bytes of the memory-bound cycle);
+    `primal_dual_iterate` keeps whatever dtype it is given.
+
     No solver function writes into an array it was given; each step returns
     fresh arrays. So a state may share its arrays with another state, with
     the caller's inputs, or among its own fields, without copies.
@@ -134,6 +141,12 @@ class WarpRecord:
 
 
 Observer = Callable[[WarpRecord], None]
+
+# Units in the last place by which a dual's norm is inflated before its
+# projection: enough to absorb the rounding of a 4-channel norm and of the
+# division (about 5 units of roundoff, 2.5 of eps), so a projected dual lies
+# inside its unit ball.
+_PROJECTION_ULPS = 4
 
 
 def compute_tensor(i0: np.ndarray, beta: float, eta: float,
@@ -217,7 +230,19 @@ def _norm(x: np.ndarray) -> np.ndarray:
 
 
 def _max_norm(x: np.ndarray) -> float:
-    return float(np.max(_norm(x), initial=0.0))
+    """Largest channel norm, evaluated in float64 whatever the dtype of x."""
+    return float(np.max(_norm(x.astype(np.float64, copy=False)), initial=0.0))
+
+
+def _project_unit_ball(x: np.ndarray) -> np.ndarray:
+    """Scale each pixel of a channel-first dual back into the unit ball.
+
+    The norm is inflated by a few units in the last place of x's dtype, which
+    outweighs the rounding of the norm and of the division: the result lies
+    inside the ball when measured exactly, in float32 as in float64.
+    """
+    x /= np.maximum(1.0, _norm(x) * (1.0 + _PROJECTION_ULPS * np.finfo(x.dtype).eps))
+    return x
 
 
 @dataclass
@@ -229,6 +254,10 @@ class LevelOperator:
     meet a weight carry it: `p_step` is alpha1*sigma_p, `q_step`
     alpha0*sigma_q and `u_step` alpha1*tau_u; `tau_u` (for the data term's
     proximal step) and `tau_v` are plain.
+
+    `precondition_steps` builds it in float64; `solve_level` casts its
+    arrays to float32 for the primal-dual cycle. `apply` and `adjoint` keep
+    the dtype of their inputs.
     """
 
     ex: np.ndarray
@@ -303,10 +332,8 @@ def primal_dual_iterate(state: SolverState, op: LevelOperator, iu: np.ndarray,
     `op` comes from `precondition_steps(t, mask, params)`.
     """
     kp, kq = op.apply(state.u_bar, state.v_bar)
-    p = state.p + op.p_step * kp
-    p /= np.maximum(1.0, _norm(p))
-    q = state.q + op.q_step * kq
-    q /= np.maximum(1.0, _norm(q))
+    p = _project_unit_ball(state.p + op.p_step * kp)
+    q = _project_unit_ball(state.q + op.q_step * kq)
 
     div_tp, div_q = op.adjoint(p, q)
     u_hat = state.u + op.u_step * div_tp
@@ -333,10 +360,15 @@ def solve_level(i0: np.ndarray, i1: np.ndarray, traj_dirs: np.ndarray,
     du_max, and accumulates w += du * dirs. The duals and v carry over from
     one warp to the next. `observe`, when given, receives a `WarpRecord`
     after each accumulation; the dual norms are only computed for it.
+
+    The primal-dual cycles run in float32: the operator, the linearized data
+    term and the state. Warping, linearization, the clip and the
+    accumulation stay in float64, and so do the returned u, w and v.
     """
     op = precondition_steps(edge_tensor(i0, mask, params), mask, params)
-    v = p = np.zeros((2,) + mask.shape)
-    q = np.zeros((4,) + mask.shape)
+    op = LevelOperator(**{k: np.asarray(x, dtype=np.float32) for k, x in vars(op).items()})
+    v = p = np.zeros((2,) + mask.shape, dtype=np.float32)
+    q = np.zeros((4,) + mask.shape, dtype=np.float32)
     grid = pixel_grid(*mask.shape)
 
     for _ in range(params.warp_iters):
@@ -347,25 +379,28 @@ def solve_level(i0: np.ndarray, i1: np.ndarray, traj_dirs: np.ndarray,
 
         iu, iu_ok = image_derivative_along(dirs, i1w, warp_ok & mask, mask)
         data_ok = iu_ok & dir_ok
-        iu = np.where(data_ok, iu, 0.0)
-        rho0 = np.where(data_ok, i1w - i0, 0.0)
+        iu = np.where(data_ok, iu, 0.0).astype(np.float32)
+        rho0 = np.where(data_ok, i1w - i0, 0.0).astype(np.float32)
 
-        state = SolverState(u=u, v=v, p=p, q=q, u_bar=u, v_bar=v)
+        u32 = u.astype(np.float32)
+        state = SolverState(u=u32, v=v, p=p, q=q, u_bar=u32, v_bar=v)
         max_p = max_q = 0.0
         for _k in range(params.pd_iters):
-            state = primal_dual_iterate(state, op, iu, rho0, u, params)
+            state = primal_dual_iterate(state, op, iu, rho0, u32, params)
             if observe is not None:
                 max_p = max(max_p, _max_norm(state.p))
                 max_q = max(max_q, _max_norm(state.q))
         v, p, q = state.v, state.p, state.q
 
-        du = np.where(mask, np.clip(state.u - u, -params.du_max, params.du_max), 0.0)
+        # Clipped in float64: a float32 bound would round du_max up.
+        du = np.where(mask, np.clip((state.u - u32).astype(np.float64),
+                                    -params.du_max, params.du_max), 0.0)
         u = u + du
         w = w + du[..., None] * dirs
         if observe is not None:
             observe(WarpRecord(du=du, dirs=dirs, max_p_norm=max_p, max_q_norm=max_q))
 
-    return u, w, np.stack(v, axis=-1)
+    return u, w, np.stack(v, axis=-1).astype(np.float64)
 
 
 @dataclass

@@ -9,9 +9,11 @@ from fisheyestereo.camera import (PinholeCamera, PolynomialFisheyeCamera, Relati
 from fisheyestereo.evaluate import erroneous_percentage
 from fisheyestereo.fields import (compose_with_calibration, generate_calibration_field,
                                   translation_only_rig)
-from fisheyestereo.rasters import (gradient, pixel_grid, sample_bicubic, smooth_masked,
-                                   warp_image)
-from fisheyestereo.solver import (SolverParams, SolverState, calibrate_second_image,
+from fisheyestereo import solver
+from fisheyestereo.rasters import (backward_divergence, forward_difference, gradient,
+                                   pixel_grid, sample_bicubic, smooth_masked, warp_image)
+from fisheyestereo.solver import (LevelOperator, SolverParams, SolverState,
+                                  calibrate_second_image,
                                   compute_tensor, edge_tensor, energy,
                                   image_derivative_along, precondition_steps,
                                   primal_dual_iterate, solve_level,
@@ -250,6 +252,58 @@ def test_pd_projection_keeps_duals_feasible():
     assert np.max(np.linalg.norm(out.q, axis=0)) <= 1.0 + 1e-12
 
 
+def _cast_operator(op, dtype):
+    return LevelOperator(**{k: np.asarray(x, dtype=dtype) for k, x in vars(op).items()})
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_kernels_and_cycle_keep_input_dtype(dtype):
+    # One float64 temporary would promote the whole cycle back to float64.
+    rng = np.random.default_rng(4)
+    h, w = 9, 11
+    mask = rng.random((h, w)) > 0.2
+    op = _cast_operator(precondition_steps(rng.normal(size=(h, w, 3)), mask,
+                                           SolverParams()), dtype)
+    u, iu, rho0 = (rng.normal(size=(h, w)).astype(dtype) for _ in range(3))
+    v, p = (rng.normal(size=(2, h, w)).astype(dtype) for _ in range(2))
+    q = rng.normal(size=(4, h, w)).astype(dtype)
+    outputs = [forward_difference(u, op.ex, op.ey), forward_difference(v, op.ex, op.ey),
+               backward_divergence(p, op.ex, op.ey),
+               backward_divergence(q.reshape(2, 2, h, w), op.ex, op.ey),
+               *op.apply(u, v), *op.adjoint(p, q)]
+    state = SolverState(u=u, v=v, p=p, q=q, u_bar=u, v_bar=v)
+    outputs += vars(primal_dual_iterate(state, op, iu, rho0, u, SolverParams())).values()
+    assert [a.dtype for a in outputs] == [np.dtype(dtype)] * 14
+
+
+_DUAL_SCALES = (0.0, 1e-20, 1e-3, 1.0, 1.5, 1e3, 1e15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), on_ball=st.floats(0.0, 1.0), still=st.booleans())
+def test_pd_float32_projection_lands_in_unit_ball(seed, on_ball, still):
+    # Duals of huge, tiny and unit norm; `still` zeroes K's input, so duals
+    # set exactly on the ball reach the projection unchanged.
+    rng = np.random.default_rng(seed)
+    mask, t, _, _ = _idle_inputs(8, 8)
+    op = _cast_operator(precondition_steps(t, mask, SolverParams()), np.float32)
+
+    def duals(nc):
+        x = rng.normal(size=(nc, 8, 8)) * rng.choice(_DUAL_SCALES, size=(8, 8))
+        unit = rng.normal(size=(nc, 8, 8))
+        unit /= np.linalg.norm(unit, axis=0)
+        return np.where(rng.random((8, 8)) < on_ball, unit, x).astype(np.float32)
+
+    u, iu, rho0 = (rng.normal(size=(8, 8)).astype(np.float32) for _ in range(3))
+    v = rng.normal(size=(2, 8, 8)).astype(np.float32)
+    u_bar, v_bar = (np.zeros_like(u), np.zeros_like(v)) if still else (u, v)
+    state = SolverState(u=u, v=v, p=duals(2), q=duals(4), u_bar=u_bar, v_bar=v_bar)
+    out = primal_dual_iterate(state, op, iu, rho0, u, SolverParams())
+    assert out.p.dtype == out.q.dtype == np.float32
+    assert np.max(np.linalg.norm(out.p.astype(np.float64), axis=0)) <= 1.0 + 1e-12
+    assert np.max(np.linalg.norm(out.q.astype(np.float64), axis=0)) <= 1.0 + 1e-12
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 10_000), h=st.integers(1, 13), w=st.integers(1, 13))
 def test_level_operator_summation_by_parts(seed, h, w):
@@ -388,6 +442,24 @@ def test_solve_level_never_writes_its_inputs():
     assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
     assert all(np.array_equal(rec.du, du) for rec, du in records)
     assert u.shape == (24, 32) and w.shape == v.shape == (24, 32, 2)
+
+
+def test_solve_level_cycles_in_float32_and_returns_float64(monkeypatch):
+    i0, i1, _, mask, dirs = _rectified_setup(24, 32, lambda g: np.full(g.shape[:2], 1.0))
+    seen = []
+
+    def iterate(state, op, iu, rho0, u_omega, params):
+        arrays = [*vars(state).values(), *vars(op).values(), iu, rho0, u_omega]
+        seen.extend(np.asarray(a).dtype for a in arrays)
+        return primal_dual_iterate(state, op, iu, rho0, u_omega, params)
+
+    monkeypatch.setattr(solver, "primal_dual_iterate", iterate)
+    records = []
+    u, w, v = solve_level(i0, i1, dirs, mask, SolverParams(warp_iters=2, pyramid_levels=1),
+                          mask, np.zeros((24, 32)), np.zeros((24, 32, 2)), records.append)
+    assert seen and set(seen) == {np.dtype(np.float32)}
+    assert u.dtype == w.dtype == v.dtype == np.float64
+    assert all(rec.du.dtype == rec.dirs.dtype == np.float64 for rec in records)
 
 
 def test_solve_level_step_edge_vs_exhaustive_search():
