@@ -213,7 +213,9 @@ class Scene:
 
         A primitive replaces the current hit only if strictly closer, so the
         earliest primitive wins a tie and a NaN distance never wins. Rays that
-        hit nothing get distance inf and index -1.
+        hit nothing get distance inf and index -1, and so do zero-length rays
+        (a camera's rays outside its FOV): a primitive around the origin would
+        otherwise report a hit at any distance along them.
         """
         best_t = np.full(dirs.shape[:-1], np.inf)
         winner = np.full(dirs.shape[:-1], -1,
@@ -223,6 +225,9 @@ class Scene:
             closer = t < best_t
             np.copyto(best_t, t, where=closer)
             winner[closer] = i
+        zero = ~np.any(dirs, axis=-1)
+        best_t[zero] = np.inf
+        winner[zero] = -1
         return best_t, winner
 
     def cast(self, origin: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

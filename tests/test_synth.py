@@ -247,12 +247,13 @@ def test_texture_shading_ranges():
 
 def _reference_cast(scene, origin, dirs):
     """Sequential caster: whenever a primitive comes closer on any ray, shade
-    its texture over every ray and keep that shading where it is closer."""
+    its texture over every ray and keep that shading where it is closer.
+    A zero-length ray hits nothing."""
     best_t = np.full(dirs.shape[:-1], np.inf)
     shade = np.zeros(dirs.shape[:-1])
     winner = np.full(dirs.shape[:-1], -1)
     for i, prim in enumerate(scene.primitives):
-        t = prim.intersect(origin, dirs)
+        t = np.where(np.linalg.norm(dirs, axis=-1) > 0, prim.intersect(origin, dirs), np.inf)
         closer = t < best_t
         if np.any(closer):
             tc = np.where(closer, t, 1.0)  # keep inf out of the shading pass
@@ -333,6 +334,25 @@ def test_cast_tie_and_miss_values():
     t, shade = scene.cast(np.zeros(3), dirs)
     assert t.tolist() == [1.5, np.inf, np.inf]
     assert shade.tolist() == [0.2, 0.0, 0.0]
+
+
+_GREY = Checkerboard(lo=0.6, hi=0.6)
+
+
+@pytest.mark.parametrize("prim", [
+    Sphere(center=(0.1, 0.0, 0.2), radius=0.5, texture=_GREY),             # origin inside
+    Box(lo=(-0.3, -0.2, -0.4), hi=(0.5, 0.3, 0.2), texture=_GREY),         # origin inside
+    Plane(point=(0.0, 0.0, 0.1), normal=(0.0, 0.0, -1.0), texture=_GREY),  # origin in front
+])
+def test_zero_ray_misses_every_primitive(prim):
+    # The zero direction a camera gives outside its FOV, next to a real ray.
+    scene = Scene(primitives=(prim,))
+    dirs = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    t, winner = scene.nearest(np.zeros(3), dirs)
+    assert t[0] == np.inf and winner[0] == -1
+    assert np.isfinite(t[1]) and winner[1] == 0
+    t, shade = scene.cast(np.zeros(3), dirs)
+    assert t[0] == np.inf and shade.tolist() == [0.0, 0.6]
 
 
 class _CountingTexture:
