@@ -21,6 +21,17 @@ its rig, both cameras' `render` output (image, depth and hit mask) at
 supersample 1, 2 and 3 and once more at supersample 1 with noise, the three
 `make_ground_truth` arrays, and the bytes `save_rig` writes. One last line
 hashes the JSON of `scene_to_dict(default_scene())`.
+
+A change that alters the solver's arithmetic on purpose (a new precision, a
+reordered sum) cannot be bit-identical. Check it in two steps. First, the
+solver lines (`u`, `w`, `v`, `records[...]`, `energy`) may change, but every
+`render*`, `noisy*`, `gt.*`, `mask`, `cal`, `cal_ok`, `rig.json` and `scene`
+line must still match. Second, save the solutions of both checkouts and
+report how far they moved, as max |du| and max |dw| per configuration:
+
+    PYTHONPATH=src python scripts/hash_solver_outputs.py --big --save /tmp/old
+    # in the other checkout:
+    PYTHONPATH=src python scripts/hash_solver_outputs.py --big --against /tmp/old
 """
 
 from __future__ import annotations
@@ -85,7 +96,9 @@ def configurations(big: bool):
             warp_iters=10, du_max=0.2, pyramid_levels=4)
 
 
-def hash_solve(rig: StereoRig, params: solver.SolverParams, seed: int = 0) -> dict:
+def hash_solve(rig: StereoRig, params: solver.SolverParams,
+               seed: int = 0) -> tuple[dict, solver.StereoResult]:
+    """Digests of one configuration's solve, and its `StereoResult`."""
     scene = synth.reseed_scene(synth.default_scene(), seed)
     i0, _, _ = synth.render(scene, rig.cam0, supersample=2)
     i1, _, _ = synth.render(scene, rig.cam1, pose=rig.pose, supersample=2)
@@ -101,7 +114,7 @@ def hash_solve(rig: StereoRig, params: solver.SolverParams, seed: int = 0) -> di
                     + _float_digest(r.max_p_norm, r.max_q_norm)).encode())
     out[f"records[{len(records)}]"] = rec.hexdigest()
     out["energy"] = _float_digest(e)
-    return out
+    return out, res
 
 
 def hash_oracle(rig: StereoRig, seed: int = 0) -> dict:
@@ -132,10 +145,22 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--big", action="store_true",
                         help="also hash the 400x400 solve-400 inputs (about 10 s)")
+    parser.add_argument("--save", type=Path, metavar="DIR",
+                        help="write each configuration's u and w to DIR/<name>.npz")
+    parser.add_argument("--against", type=Path, metavar="DIR",
+                        help="print max |du| and max |dw| against the u and w in DIR")
     args = parser.parse_args()
     for name, rig, params in configurations(args.big):
-        for key, value in {**hash_solve(rig, params), **hash_oracle(rig)}.items():
+        digests, res = hash_solve(rig, params)
+        if args.save:
+            args.save.mkdir(parents=True, exist_ok=True)
+            np.savez(args.save / f"{name}.npz", u=res.u, w=res.w)
+        for key, value in {**digests, **hash_oracle(rig)}.items():
             print(f"{name:10s} {key:12s} {value}")
+        if args.against:
+            old = np.load(args.against / f"{name}.npz")
+            print(f"{name:10s} {'max |du|':12s} {np.max(np.abs(res.u - old['u'])):.3e}")
+            print(f"{name:10s} {'max |dw|':12s} {np.max(np.abs(res.w - old['w'])):.3e}")
         print(f"{name:10s} {'rig.json':12s} {hash_rig_json(rig)}")
     scene = json.dumps(synth.scene_to_dict(synth.default_scene()), indent=2).encode()
     print(f"{'scene':10s} {'default':12s} {hashlib.sha256(scene).hexdigest()}")
