@@ -214,8 +214,8 @@ class Scene:
         A primitive replaces the current hit only if strictly closer, so the
         earliest primitive wins a tie and a NaN distance never wins. Rays that
         hit nothing get distance inf and index -1, and so do zero-length rays
-        (a camera's rays outside its FOV): a primitive around the origin would
-        otherwise report a hit at any distance along them.
+        (a camera's rays outside its FOV), which a sphere or box around the
+        origin would otherwise report as hit.
         """
         best_t = np.full(dirs.shape[:-1], np.inf)
         winner = np.full(dirs.shape[:-1], -1,
