@@ -235,7 +235,7 @@ def _max_norm(x: np.ndarray) -> float:
 
 
 def _project_unit_ball(x: np.ndarray) -> np.ndarray:
-    """Scale each pixel of a channel-first dual back into the unit ball.
+    """Scale each pixel of a channel-first dual back into the unit ball, in place.
 
     The norm is inflated by a few units in the last place of x's dtype, which
     outweighs the rounding of the norm and of the division: the result lies
