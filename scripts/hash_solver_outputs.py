@@ -19,8 +19,11 @@ N=4 and 2 levels; `--big` adds the `solve-400` benchmark inputs (the default
 400x400 rig, seed 0, N=10, 4 levels). Each configuration also hashes, for
 its rig, both cameras' `render` output (image, depth and hit mask) at
 supersample 1, 2 and 3 and once more at supersample 1 with noise, the three
-`make_ground_truth` arrays, and the bytes `save_rig` writes. One last line
-hashes the JSON of `scene_to_dict(default_scene())`.
+`make_ground_truth` arrays, the bytes `save_rig` writes, and the JSON of its
+`SolverParams.to_dict()` (the params block `stereo` echoes to
+`config_resolved.json`), after checking that `SolverParams.from_dict` reads
+that dict back as the same parameters. One last line hashes the JSON of
+`scene_to_dict(default_scene())`.
 
 A change that alters the solver's arithmetic on purpose (a new precision, a
 reordered sum) cannot be bit-identical. Check it in two steps. First, the
@@ -141,6 +144,11 @@ def hash_rig_json(rig: StereoRig) -> str:
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def hash_params_json(params: solver.SolverParams) -> str:
+    assert solver.SolverParams.from_dict(params.to_dict()) == params
+    return hashlib.sha256(json.dumps(params.to_dict(), indent=2).encode()).hexdigest()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--big", action="store_true",
@@ -162,6 +170,7 @@ def main() -> None:
             print(f"{name:10s} {'max |du|':12s} {np.max(np.abs(res.u - old['u'])):.3e}")
             print(f"{name:10s} {'max |dw|':12s} {np.max(np.abs(res.w - old['w'])):.3e}")
         print(f"{name:10s} {'rig.json':12s} {hash_rig_json(rig)}")
+        print(f"{name:10s} {'params':12s} {hash_params_json(params)}")
     scene = json.dumps(synth.scene_to_dict(synth.default_scene()), indent=2).encode()
     print(f"{'scene':10s} {'default':12s} {hashlib.sha256(scene).hexdigest()}")
 

@@ -223,10 +223,12 @@ class RelativePose:
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        R = np.reshape(finite_numbers(9)(np.ravel(self.rotation), "rotation"), (3, 3))
-        t = np.array(finite_numbers(3)(self.translation, "translation"))
+        # Only a matrix is flattened: like rig JSON, a list holds the 9 numbers.
+        R = self.rotation.ravel() if isinstance(self.rotation, np.ndarray) else self.rotation
+        R = np.reshape(finite_numbers(9)(R, "pose: rotation"), (3, 3))
+        t = np.array(finite_numbers(3)(self.translation, "pose: translation"))
         if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-12 or np.linalg.det(R) < 0:
-            raise ValueError("rotation must be orthonormal with det +1")
+            raise ValueError("pose: rotation must be orthonormal with det +1")
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
 
@@ -266,10 +268,7 @@ def rig_from_dict(d: dict) -> StereoRig:
     part and key."""
     reject_unknown_keys(d, ("cam0", "cam1", "pose"), "rig: ", "rig")
     reject_unknown_keys(d["pose"], ("rotation", "translation"), "pose: ", "pose")
-    pose = RelativePose(
-        np.reshape(finite_numbers(9)(d["pose"]["rotation"], "pose: rotation"), (3, 3)),
-        np.array(finite_numbers(3)(d["pose"]["translation"], "pose: translation")),
-    )
+    pose = RelativePose(d["pose"]["rotation"], d["pose"]["translation"])
     return StereoRig(from_dict(d["cam0"], CAMERAS, "cam0: "),
                      from_dict(d["cam1"], CAMERAS, "cam1: "), pose)
 

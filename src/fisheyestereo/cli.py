@@ -84,18 +84,18 @@ def _resolve_params(args) -> solver.SolverParams:
             values[name] = value
     try:
         return solver.SolverParams.from_dict(values)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CommandError(f"invalid solver parameters: {exc}") from None
 
 
 def _number_list(flag: str, text: str, kind, check) -> list:
     """Parse `flag`'s comma-separated numbers; an entry that `kind` cannot read
-    or that `check` rejects (by TypeError/ValueError) is a CommandError."""
+    or that `check` rejects (by ValueError) is a CommandError."""
     try:
         values = [kind(v) for v in text.split(",")]
         for value in values:
             check(value)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CommandError(f"bad {flag} {text!r}: {exc}") from None
     return values
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .camera import StereoRig, triangulate_midpoint
 from .rasters import pixel_grid
+from .schema import POSITIVE
 
 DEFAULT_TAUS = (1.0, 3.0, 5.0)
 # Largest depth, meters, that depth_from_correspondence reports.
@@ -72,8 +73,7 @@ def correspondence_error(w_est: np.ndarray, w_gt: np.ndarray,
 
 def erroneous_percentage(err: np.ndarray, valid: np.ndarray, tau: float) -> float:
     """Percentage of valid pixels with error above tau; NaN on an empty set."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    tau = POSITIVE(tau, "tau")
     n = int(np.count_nonzero(valid))
     if n == 0:
         return float("nan")

@@ -20,6 +20,7 @@ import numpy as np
 
 from .camera import CameraBase, RelativePose, StereoRig
 from .rasters import pixel_grid, sample_bicubic, warp_image
+from .schema import NONNEGATIVE, POSITIVE
 
 # Flow magnitudes below this are indistinguishable from the epipole.
 _DEGENERATE_FLOW = 1e-12
@@ -123,10 +124,9 @@ def trace_epipolar_curves(dirs: np.ndarray, valid: np.ndarray, starts: np.ndarra
     and alive flags which vertices were reached before the trace left the
     valid region. Segments all have length `step` except a shorter last one.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    step, length = POSITIVE(step, "step"), NONNEGATIVE(length, "length")
     starts = np.atleast_2d(np.asarray(starts, dtype=np.float64))
-    n_steps = max(int(math.ceil(length / step)), 0)
+    n_steps = int(math.ceil(length / step))
     verts = np.full((starts.shape[0], n_steps + 1, 2), np.nan)
     alive = np.zeros((starts.shape[0], n_steps + 1), dtype=bool)
     verts[:, 0] = starts

@@ -27,6 +27,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
+from .schema import ABOVE_ONE, COUNT
+
 # Catmull-Rom taps reproduce constants and affine ramps exactly and are
 # interpolating (weight 1 at the node), which the downstream warping relies on.
 _TAP_OFFSETS = (-1, 0, 1, 2)
@@ -272,10 +274,7 @@ def smooth_masked(field: np.ndarray, mask: np.ndarray, sigma: float) -> np.ndarr
 def pyramid_shapes(height: int, width: int, levels: int, scale: float,
                    min_width: int) -> list[tuple[int, int]]:
     """Level shapes finest-first, truncated so the coarsest width >= min_width."""
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    if scale <= 1.0:
-        raise ValueError("scale must be > 1")
+    levels, scale = COUNT(levels, "levels"), ABOVE_ONE(scale, "scale")
     shapes = [(height, width)]
     while len(shapes) < levels:
         h, w = shapes[-1]

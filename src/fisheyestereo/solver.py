@@ -32,7 +32,6 @@ solver returns, and `energy()`, is float64.
 
 from __future__ import annotations
 
-import numbers
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
@@ -43,7 +42,8 @@ from .camera import StereoRig
 from .rasters import (backward_divergence, build_pyramid, edge_indicators,
                       forward_difference, pixel_grid, smooth_masked,
                       upsample_state, warp_image)
-from .schema import ABOVE_ONE, COUNT, NONNEGATIVE, POSITIVE, UNIT_INTERVAL, Ruled, ruled
+from .schema import (ABOVE_ONE, COUNT, NONNEGATIVE, POSITIVE, UNIT_INTERVAL, Ruled,
+                     reject_unknown_keys, ruled)
 
 
 @dataclass
@@ -75,27 +75,12 @@ class SolverParams(Ruled):
     tensor_sigma: float = ruled(NONNEGATIVE, 1.0, help="edge tensor pre-smoothing sigma, px")
     theta: float = ruled(UNIT_INTERVAL, 1.0, help="primal over-relaxation factor, in [0, 1]")
 
-    def __post_init__(self):
-        for name, f in self.__dataclass_fields__.items():
-            value = getattr(self, name)
-            if isinstance(value, bool):
-                raise TypeError(f"{name} must be a number, got {value!r}")
-            if isinstance(f.default, int):
-                if not isinstance(value, numbers.Integral):
-                    raise TypeError(f"{name} must be an integer, got {value!r}")
-            elif not isinstance(value, numbers.Real):
-                raise TypeError(f"{name} must be a number, got {value!r}")
-        super().__post_init__()
-
     def to_dict(self) -> dict:
         return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "SolverParams":
-        known = {f for f in SolverParams.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown solver parameters: {sorted(unknown)}")
+        reject_unknown_keys(d, SolverParams.__dataclass_fields__, "", "solver config")
         return SolverParams(**d)
 
 

@@ -163,7 +163,8 @@ def test_pose_rejects_non_orthonormal():
     ({"rotation": ["1", "0", "0", "0", "1", "0", "0", "0", "1"]},
      "rotation must be 9 finite numbers"),
     ({"translation": ["0.1", "0", "0"]}, "translation must be 3 finite numbers"),
-], ids=["short-translation", "text-rotation", "text-translation"])
+    ({"rotation": np.eye(3).tolist()}, "pose: rotation must be 9 finite numbers"),
+], ids=["short-translation", "text-rotation", "text-translation", "nested-rotation"])
 def test_pose_checks_its_fields(kwargs, message):
     with pytest.raises(ValueError, match=message):
         RelativePose(**kwargs)
@@ -273,12 +274,13 @@ BAD_RIG_VALUES = [
     ("cam1", "xi", 1.0, "cam1: 'xi' is not a key of a polynomial camera"),
     ("cam0", "fx", 10 ** 400, "cam0: fx must be finite and > 0"),
     ("pose", "scale", 2.0, "pose: 'scale' is not a key of a pose (rotation, translation)"),
+    ("pose", "rotation", np.eye(3).tolist(), "pose: rotation must be 9 finite"),
 ]
 BAD_RIG_IDS = ["unknown-type", "nan-translation", "inf-rotation", "text-rotation",
                "short-translation", "fractional-width", "zero-height",
                "bool-width", "inf-fov", "zero-fov", "zero-fx", "negative-fy", "nan-cx",
                "text-cy", "negative-xi", "nan-k", "short-k", "unknown-key",
-               "xi-on-polynomial", "huge-int-fx", "unknown-pose-key"]
+               "xi-on-polynomial", "huge-int-fx", "unknown-pose-key", "nested-rotation"]
 
 
 @pytest.mark.parametrize("part, key, value, message", BAD_RIG_VALUES, ids=BAD_RIG_IDS)

@@ -62,6 +62,12 @@ def test_erroneous_percentage_rejects_bad_tau():
         erroneous_percentage(np.zeros((4, 4)), np.ones((4, 4), bool), 0.0)
 
 
+@pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+def test_erroneous_percentage_names_a_bad_tau(tau):
+    with pytest.raises(ValueError, match="^tau must be "):
+        erroneous_percentage(np.zeros((4, 4)), np.ones((4, 4), bool), tau)
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 1000), t1=st.floats(0.1, 3.0), t2=st.floats(0.1, 3.0))
 def test_erroneous_percentage_monotone_in_tau(seed, t1, t2):

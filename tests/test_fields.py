@@ -154,6 +154,16 @@ def test_trace_stops_at_mask_boundary():
     assert poly.shape[0] < 51  # truncated where the stencil leaves the mask
 
 
+@pytest.mark.parametrize("length, step, name", [
+    (float("inf"), 0.5, "length"), (-1.0, 0.5, "length"), (5.0, float("nan"), "step"),
+    (5.0, 0.0, "step"),
+])
+def test_trace_rejects_bad_length_or_step(length, step, name):
+    dirs, ok = np.zeros((8, 8, 2)), np.ones((8, 8), dtype=bool)
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        trace_epipolar_curves(dirs, ok, [[3.0, 3.0]], length=length, step=step)
+
+
 def _point_to_polyline(points, poly):
     a, b = poly[:-1], poly[1:]
     ab = b - a

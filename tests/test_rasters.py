@@ -297,9 +297,10 @@ def test_pyramid_single_level_is_input():
     assert np.array_equal(pyr[0][0], img[..., None])
 
 
-@pytest.mark.parametrize("levels,scale", [(0, 2.0), (3, 1.0), (3, 0.5)])
+@pytest.mark.parametrize("levels,scale", [(0, 2.0), (3, 1.0), (3, 0.5), (2.5, 2.0),
+                                          (3, float("nan"))])
 def test_pyramid_rejects_bad_parameters(levels, scale):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^(levels|scale) must be "):
         pyramid_shapes(64, 64, levels=levels, scale=scale, min_width=8)
 
 

@@ -5,10 +5,14 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from fisheyestereo.camera import PinholeCamera, UnifiedCamera
+from fisheyestereo.camera import CAMERAS, PinholeCamera, UnifiedCamera
+from fisheyestereo.schema import (ABOVE_ONE, COUNT, NONNEGATIVE, POSITIVE, UNIT_INTERVAL,
+                                  Ruled)
 from fisheyestereo.solver import SolverParams
-from fisheyestereo.synth import Checkerboard, SineGrating, Sphere, ValueNoise
+from fisheyestereo.synth import (PRIMITIVES, TEXTURES, Checkerboard, SineGrating, Sphere,
+                                 ValueNoise)
 from test_camera import BAD_RIG_IDS, BAD_RIG_VALUES, POLY_FULL, UNIFIED
+from test_solver import PARAMS_WRONG_TYPES
 from test_synth import BAD_SCENE_VALUES, _SCENE_SPEC
 
 
@@ -50,6 +54,39 @@ _OTHER_CASES = [
 def test_constructor_rejects_what_json_rejects(obj, name, value):
     with pytest.raises(ValueError, match=f"^{name} must be "):
         replace(obj, **{name: value})
+
+
+# Of 0, -1 and NaN, the values that each rule of a SolverParams field rejects.
+_REJECTED = {COUNT: (0, -1, float("nan")), POSITIVE: (0, -1, float("nan")),
+             ABOVE_ONE: (0, -1, float("nan")), NONNEGATIVE: (-1, float("nan")),
+             UNIT_INTERVAL: (-1, float("nan"))}
+
+
+def _params_cases():
+    """Each wrong-type value of the solver table, then each field's rejected
+    values among 0, -1 and NaN."""
+    for name, value in PARAMS_WRONG_TYPES:
+        yield pytest.param(name, value, id=f"{name}-{value!r}")
+    for f in fields(SolverParams):
+        for value in _REJECTED[f.metadata["rule"]]:
+            yield pytest.param(f.name, value, id=f"{f.name}-{value!r}")
+
+
+@pytest.mark.parametrize("build", [lambda d: SolverParams(**d), SolverParams.from_dict],
+                         ids=["constructor", "from_dict"])
+@pytest.mark.parametrize("name, value", _params_cases())
+def test_solver_params_reject_what_their_rules_reject(build, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        build({name: value})
+
+
+@pytest.mark.parametrize("cls", [SolverParams, *CAMERAS.classes, *PRIMITIVES.classes,
+                                 *TEXTURES.classes], ids=lambda cls: cls.__name__)
+def test_every_config_field_carries_a_rule(cls):
+    # Construction checks only the fields that name a rule (or nest a family).
+    assert issubclass(cls, Ruled)
+    assert [f.name for f in fields(cls)
+            if "rule" not in f.metadata and "family" not in f.metadata] == []
 
 
 def test_constructor_keeps_values_in_the_field_types():

@@ -40,12 +40,16 @@ def test_params_validate():
     assert SolverParams(theta=0).theta == 0 and SolverParams(theta=1.0).theta == 1.0
 
 
-@pytest.mark.parametrize("name, value", [
+# A SolverParams field and a value of the wrong type for it.
+PARAMS_WRONG_TYPES = [
     ("warp_iters", 2.5), ("warp_iters", True), ("warp_iters", "5"), ("pd_iters", 10.0),
     ("min_width", None), ("lam", "5"), ("lam", False), ("du_max", [0.2]),
-])
+]
+
+
+@pytest.mark.parametrize("name, value", PARAMS_WRONG_TYPES)
 def test_params_reject_wrong_types(name, value):
-    with pytest.raises(TypeError, match=name):
+    with pytest.raises(ValueError, match=name):
         SolverParams.from_dict({name: value})
 
 
