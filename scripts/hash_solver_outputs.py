@@ -22,8 +22,15 @@ supersample 1, 2 and 3 and once more at supersample 1 with noise, the three
 `make_ground_truth` arrays, the bytes `save_rig` writes, and the JSON of its
 `SolverParams.to_dict()` (the params block `stereo` echoes to
 `config_resolved.json`), after checking that `SolverParams.from_dict` reads
-that dict back as the same parameters. One last line hashes the JSON of
+that dict back as the same parameters. One more line hashes the JSON of
 `scene_to_dict(default_scene())`.
+
+The last lines check the sampler on its edge cases. For each image shape
+from 1x1 to 4x4, and 9x7 (which has full stencils), a `sampler` line hashes
+`sample_bicubic` of a 1- and a 3-channel field under a full mask and under
+a mask with holes, at positions in and around the image and at NaN, +-inf
+and +-1e300 coordinates; a `.many` line hashes `sample_bicubic_many`, the
+shared pass, on both fields at once, each under its own mask.
 
 A change that alters the solver's arithmetic on purpose (a new precision, a
 reordered sum) cannot be bit-identical. Check it in two steps. First, the
@@ -48,7 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fisheyestereo import solver, synth
+from fisheyestereo import rasters, solver, synth
 from fisheyestereo.camera import (PinholeCamera, PolynomialFisheyeCamera, RelativePose,
                                   StereoRig, UnifiedCamera, save_rig)
 
@@ -149,6 +156,30 @@ def hash_params_json(params: solver.SolverParams) -> str:
     return hashlib.sha256(json.dumps(params.to_dict(), indent=2).encode()).hexdigest()
 
 
+_SPECIAL = (np.nan, np.inf, -np.inf, 1e300, -1e300)
+
+
+def hash_sampler():
+    """(key, digest) of the sampler on each edge-case image shape."""
+    for h, w in [(h, w) for h in range(1, 5) for w in range(1, 5)] + [(9, 7)]:
+        rng = np.random.default_rng(100 * h + w)
+        fields = rng.normal(size=(h, w)), rng.normal(size=(h, w, 3))
+        masks = np.ones((h, w), dtype=bool), rng.random((h, w)) < 0.7
+        around = rng.uniform((-4.5, -4.5), (w + 3.5, h + 3.5), size=(150, 2))
+        # Integer positions from -3 to W + 2 (H + 2), and the same shifted.
+        lattice = rasters.pixel_grid(h + 6, w + 6).reshape(-1, 2) - 3.0
+        special = ([(a, 1.0) for a in _SPECIAL] + [(1.0, a) for a in _SPECIAL]
+                   + [(a, a) for a in _SPECIAL])
+        pos = np.concatenate([around, lattice, lattice + 0.25, special])
+        single = "".join(_digest(a) for field in fields for mask in masks
+                         for a in rasters.sample_bicubic(field, pos, mask))
+        yield f"{h}x{w}", hashlib.sha256(single.encode()).hexdigest()
+        pairs = [(fields[0], masks[1]), (fields[1], masks[0])]
+        many = "".join(_digest(a) for out in rasters.sample_bicubic_many(pairs, pos)
+                       for a in out)
+        yield f"{h}x{w}.many", hashlib.sha256(many.encode()).hexdigest()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--big", action="store_true",
@@ -173,6 +204,8 @@ def main() -> None:
         print(f"{name:10s} {'params':12s} {hash_params_json(params)}")
     scene = json.dumps(synth.scene_to_dict(synth.default_scene()), indent=2).encode()
     print(f"{'scene':10s} {'default':12s} {hashlib.sha256(scene).hexdigest()}")
+    for key, value in hash_sampler():
+        print(f"{'sampler':10s} {key:12s} {value}")
 
 
 if __name__ == "__main__":

@@ -107,12 +107,16 @@ def generate_trajectory_field(rig: StereoRig, epsilon_scale: float = 0.1,
 
 def sample_directions(dirs: np.ndarray, valid: np.ndarray,
                       pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample a unit direction field at `pos` and renormalize: (unit, ok), ok
-    where the sample's norm exceeds 0.5, unit zero elsewhere."""
-    d, ok = sample_bicubic(dirs, pos, valid)
+    """Sample a unit direction field at `pos` and renormalize (`unit_directions`)."""
+    return unit_directions(*sample_bicubic(dirs, pos, valid))
+
+
+def unit_directions(d: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Renormalize sampled directions `d` valid at `ok`: (unit, ok), ok where
+    the sample's norm exceeds 0.5, unit zero elsewhere."""
     d = np.where(ok[..., None], d, 0.0)
     norm = np.linalg.norm(d, axis=-1)
-    ok &= norm > 0.5
+    ok = ok & (norm > 0.5)
     return np.where(ok[..., None], d / np.maximum(norm, 1e-300)[..., None], 0.0), ok
 
 

@@ -5,9 +5,10 @@ Conventions used throughout the package:
 * images and scalar fields are float64 arrays of shape (H, W), intensities
   normalized to [0, 1] on load;
 * precision: every raster this module returns, like every solver output, is
-  float64, except that the difference kernels `forward_difference` and
-  `backward_divergence` (the solver's K and K*) keep the dtype of their
-  inputs; the solver runs its primal-dual state through them in float32;
+  float64, except that the difference kernels `forward_difference`,
+  `backward_divergence` and `edge_divergence` (the solver's K and K*) keep
+  the dtype of their inputs; the solver runs its primal-dual state through
+  them in float32;
 * vector fields are (H, W, 2) with channel order (x, y);
 * a position is continuous (x, y) with pixel centers at integer coordinates,
   so position (j, i) is the center of ``field[i, j]``;
@@ -22,6 +23,7 @@ summation-by-parts identity exact and testable.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -60,17 +62,19 @@ def _cubic_weights(f: np.ndarray) -> list[np.ndarray]:
 
 
 def _stencil_tap_counts(mask: np.ndarray) -> np.ndarray:
-    """In-image, in-mask taps of the 4x4 stencil at every floor (ix, iy).
+    """In-image, in-mask taps of the 4x4 stencil at every floor (ix, iy), as uint8.
 
-    Entry [iy + 2, ix + 2] counts the taps of the stencil whose floor is
-    (ix, iy), for ix in [-2, W] and iy in [-2, H]; every other floor has no
-    tap in the image.
+    Entry [iy + 3, ix + 3] counts the taps of the stencil whose floor is
+    (ix, iy), for ix in [-3, W + 1] and iy in [-3, H + 1]: four shifted
+    sums of the zero-padded mask along each axis. The outer ring of floors
+    (-3 and W + 1, or H + 1) has no tap in the image, and neither has any
+    floor beyond it.
     """
     h, w = mask.shape
-    csum = np.zeros((h + 7, w + 7), dtype=np.int32)
-    csum[4:-3, 4:-3] = mask
-    csum = csum.cumsum(axis=0).cumsum(axis=1)
-    return csum[4:, 4:] - csum[:-4, 4:] - csum[4:, :-4] + csum[:-4, :-4]
+    padded = np.zeros((h + 8, w + 8), dtype=np.uint8)
+    padded[4:-4, 4:-4] = mask
+    rows = padded[:-3] + padded[1:-2] + padded[2:-1] + padded[3:]
+    return rows[:, :-3] + rows[:, 1:-2] + rows[:, 2:-1] + rows[:, 3:]
 
 
 def sample_bicubic(field: np.ndarray, pos: np.ndarray,
@@ -82,12 +86,7 @@ def sample_bicubic(field: np.ndarray, pos: np.ndarray,
     valid tap of the stencil. Positions whose whole stencil is invalid (or
     that are not finite) return NaN with a False validity flag.
 
-    Each position is classified first, by a lookup at (floor x, floor y) in a
-    per-mask map of valid taps per stencil: full stencils take the 16-tap
-    Catmull-Rom sum, gathered by flat index; empty ones are NaN at once; only
-    the rim positions left over run the bilinear/nearest chain. Every class
-    accumulates its taps in the order of the chain, so the results are those
-    of evaluating the whole chain at every position.
+    This is `sample_bicubic_many` with one (field, mask) pair.
 
     Parameters
     ----------
@@ -100,40 +99,65 @@ def sample_bicubic(field: np.ndarray, pos: np.ndarray,
     values : (...,) or (..., C) array, NaN where invalid
     valid : (...) boolean array
     """
-    data = np.asarray(field, dtype=np.float64)
-    squeeze = data.ndim == 2
-    if squeeze:
-        data = data[:, :, None]
-    h, w, nc = data.shape
+    return sample_bicubic_many([(field, mask)], pos)[0]
+
+
+def sample_bicubic_many(pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+                        pos: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Sample each (field, mask) pair of `pairs` at the same positions, in one pass.
+
+    Returns one (values, valid) per pair, exactly what
+    `sample_bicubic(field, pos, mask)` returns; every field has the shape of
+    the first mask. The positions' floors, fractions and flat indices are
+    computed once. Floors are clipped into [-3, W + 1] x [-3, H + 1] (NaN to
+    -3), where every floor outside the image's reach has no tap, and the
+    16-tap Catmull-Rom sum runs at every position for the channels of all
+    fields together. Each pair then reads its own mask's map of valid taps
+    per stencil (`_stencil_tap_counts`) with one `take`: a full stencil (16
+    taps) keeps the sum, an empty one (0) is NaN and invalid, and only the
+    rim positions left over run the bilinear/nearest chain. Every class
+    accumulates its taps in the order of the chain, so the results are those
+    of evaluating the whole chain at every position.
+    """
     pos = np.asarray(pos, dtype=np.float64)
-    out_shape = pos.shape[:-1]
-    x = pos[..., 0].ravel()
-    y = pos[..., 1].ravel()
-    n = x.size
-    mask = np.asarray(mask, dtype=bool)
+    xy = pos.reshape(-1, 2)
+    datas = [np.asarray(field, dtype=np.float64) for field, _ in pairs]
+    masks = [np.asarray(mask, dtype=bool) for _, mask in pairs]
+    h, w = masks[0].shape
+    ix, fx = _floor_and_fraction(xy[:, 0], w)
+    iy, fy = _floor_and_fraction(xy[:, 1], h)
 
+    channels = [[np.ascontiguousarray(d[:, :, k]).ravel() for k in range(d.shape[2])]
+                if d.ndim == 3 else [d.ravel()] for d in datas]
+    sums = [np.empty((ix.size, len(c))) for c in channels]
+    # Only an image of at least 4 x 4 pixels has full stencils. The sums at
+    # other stencils (and at non-finite positions) are overwritten below.
+    if h >= 4 and w >= 4:
+        with np.errstate(invalid="ignore", over="ignore"):
+            _cubic_full([c for cs in channels for c in cs], ix, iy, fx, fy, h, w,
+                        [s[:, k] for s in sums for k in range(s.shape[1])])
+    stencil = (iy + 3) * (w + 5) + (ix + 3)
+    out = []
+    for data, mask, values in zip(datas, masks, sums):
+        count = _stencil_tap_counts(mask).take(stencil)
+        valid = count > 0
+        values[~valid] = np.nan
+        rim = np.flatnonzero(valid & (count < 16))
+        values[rim] = _rim_chain(data.reshape(h, w, -1), mask, xy[rim, 0], xy[rim, 1],
+                                 ix[rim], iy[rim])
+        values = values.reshape(pos.shape[:-1] + values.shape[1:])
+        out.append((values[..., 0] if data.ndim == 2 else values,
+                    valid.reshape(pos.shape[:-1])))
+    return out
+
+
+def _floor_and_fraction(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Floors of `x` clipped into [-3, n + 1] (NaN to -3) as indices, and the
+    fractions x - floor(x) of the unclipped floors (NaN where x is not finite)."""
     with np.errstate(invalid="ignore"):
-        fx0 = np.floor(x)
-        fy0 = np.floor(y)
-        near = np.flatnonzero((fx0 >= -2) & (fx0 <= w) & (fy0 >= -2) & (fy0 <= h))
-    ix = fx0[near].astype(np.int64)
-    iy = fy0[near].astype(np.int64)
-    count = _stencil_tap_counts(mask)[iy + 2, ix + 2]
-    full = count == 16
-    rim = (count > 0) & ~full
-
-    values = np.full((n, nc), np.nan)
-    valid = np.zeros(n, dtype=bool)
-    valid[near[count > 0]] = True
-    sel = near[full]
-    values[sel] = _cubic_full(data, x[sel], y[sel], ix[full], iy[full])
-    sel = near[rim]
-    values[sel] = _rim_chain(data, mask, x[sel], y[sel], ix[rim], iy[rim])
-
-    values = values.reshape(out_shape + (nc,))
-    if squeeze:
-        values = values[..., 0]
-    return values, valid.reshape(out_shape)
+        floor = np.floor(x)
+        frac = x - floor
+    return np.fmin(np.fmax(floor, -3), n + 1).astype(np.intp), frac
 
 
 def warp_image(image: np.ndarray, w: np.ndarray,
@@ -144,32 +168,32 @@ def warp_image(image: np.ndarray, w: np.ndarray,
     return np.where(ok if vals.ndim == 2 else ok[..., None], vals, 0.0), ok
 
 
-def _cubic_full(data, x, y, ix, iy):
-    """16-tap Catmull-Rom sum at positions whose taps are all valid.
+def _cubic_full(channels, ix, iy, fx, fy, h, w, outs):
+    """16-tap Catmull-Rom sums of each flat channel of an (h, w) image, written
+    into `outs`, at every floor (ix, iy) with fractions (fx, fy).
 
-    Positions are summed in chunks of `_CUBIC_CHUNK`, so the weights, flat
-    indices and accumulators of a chunk stay in cache; each position's
-    arithmetic is the same whatever the chunk size.
+    Each stencil's top-left tap is clamped into the image, so that every tap
+    is read from it; that moves only stencils with a tap outside the image,
+    which are not full. Positions are summed in chunks of `_CUBIC_CHUNK`, so
+    the weights, flat indices and accumulators of a chunk stay in cache; each
+    position's arithmetic is the same whatever the chunk size or the number
+    of channels.
     """
-    h, w, nc = data.shape
-    channels = [np.ascontiguousarray(data[:, :, k]).ravel() for k in range(nc)]
-    out = np.empty((x.size, nc))
-    for start in range(0, x.size, _CUBIC_CHUNK):
+    for start in range(0, ix.size, _CUBIC_CHUNK):
         c = slice(start, start + _CUBIC_CHUNK)
-        wx = _cubic_weights(x[c] - ix[c])
-        wy = _cubic_weights(y[c] - iy[c])
-        corner = (iy[c] - 1) * w + (ix[c] - 1)
-        accs = [np.zeros(corner.size) for _ in range(nc)]
+        wx = _cubic_weights(fx[c])
+        wy = _cubic_weights(fy[c])
+        top_left = (np.clip(iy[c], 1, h - 3) - 1) * w + (np.clip(ix[c], 1, w - 3) - 1)
+        accs = [np.zeros(top_left.size) for _ in channels]
         for a in range(4):
-            row = corner + a * w
             for b in range(4):
                 weight = wy[a] * wx[b]
-                idx = row + b
+                # Tap (a, b) of every stencil, read through a view that
+                # starts a rows and b columns after the top-left tap.
                 for channel, acc in zip(channels, accs):
-                    acc += weight * channel.take(idx)
-        for k, acc in enumerate(accs):
-            out[c, k] = acc
-    return out
+                    acc += weight * channel[a * w + b:].take(top_left)
+        for out, acc in zip(outs, accs):
+            out[c] = acc
 
 
 def _rim_chain(data, mask, x, y, ix, iy):
@@ -217,14 +241,17 @@ def edge_indicators(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def forward_difference(f: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
     """Forward differences of float fields (..., H, W) as (..., 2, H, W), channels
-    (d/dx, d/dy), zeroed on the edges that `edge_indicators` marks as leaving the
-    mask; in the dtype of the inputs."""
-    g = np.zeros(f.shape[:-2] + (2,) + f.shape[-2:], dtype=np.result_type(f, ex, ey))
+    (d/dx, d/dy), each multiplied by its edge weight, `ex` or `ey`, and zero on
+    the last column or row; in the dtype of the inputs. With the 0/1 maps of
+    `edge_indicators`, edges leaving the mask are zeroed."""
+    g = np.empty(f.shape[:-2] + (2,) + f.shape[-2:], dtype=np.result_type(f, ex, ey))
     gx, gy = g[..., 0, :, :], g[..., 1, :, :]
     np.subtract(f[..., :, 1:], f[..., :, :-1], out=gx[..., :, :-1])
     gx[..., :, :-1] *= ex[:, :-1]
+    gx[..., :, -1] = 0.0
     np.subtract(f[..., 1:, :], f[..., :-1, :], out=gy[..., :-1, :])
     gy[..., :-1, :] *= ey[:-1, :]
+    gy[..., -1, :] = 0.0
     return g
 
 
@@ -232,8 +259,12 @@ def backward_divergence(p: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> np.nda
     """Backward-difference divergence of (..., 2, H, W) fields as (..., H, W), the
     negative adjoint of `forward_difference`: components on edges leaving the
     mask count as zero. In the dtype of the inputs."""
-    mx = p[..., 0, :, :] * ex
-    my = p[..., 1, :, :] * ey
+    return edge_divergence(p[..., 0, :, :] * ex, p[..., 1, :, :] * ey)
+
+
+def edge_divergence(mx: np.ndarray, my: np.ndarray) -> np.ndarray:
+    """Backward-difference divergence of edge components (..., H, W) that are
+    already zero on the edges leaving the mask (see `backward_divergence`)."""
     div = np.empty(mx.shape, dtype=np.result_type(mx, my))
     div[..., :, 0] = mx[..., :, 0]
     np.subtract(mx[..., :, 1:], mx[..., :, :-1], out=div[..., :, 1:])
@@ -273,13 +304,16 @@ def smooth_masked(field: np.ndarray, mask: np.ndarray, sigma: float) -> np.ndarr
 
 def pyramid_shapes(height: int, width: int, levels: int, scale: float,
                    min_width: int) -> list[tuple[int, int]]:
-    """Level shapes finest-first, truncated so the coarsest width >= min_width."""
+    """Level shapes finest-first, each `scale` times smaller (rounded up) than
+    the one before; the chain stops at `levels` shapes, before a width below
+    `min_width`, and before a shape that no longer shrinks."""
     levels, scale = COUNT(levels, "levels"), ABOVE_ONE(scale, "scale")
+    min_width = COUNT(min_width, "min_width")
     shapes = [(height, width)]
     while len(shapes) < levels:
         h, w = shapes[-1]
         nh, nw = int(np.ceil(h / scale)), int(np.ceil(w / scale))
-        if nw < min_width:
+        if nw < min_width or (nh, nw) == (h, w):
             break
         shapes.append((nh, nw))
     return shapes

@@ -11,7 +11,9 @@ direction and T is an edge-weighted diffusion tensor built from the reference
 image. `LevelOperator.apply` is the operator K(u, v) = (T grad u - v, grad v)
 and `LevelOperator.adjoint` its adjoint; the inner loop and `energy()` both
 use them. K acts on channel-first stacks, so one difference kernel call
-serves u, one serves both channels of v, and likewise for the adjoint.
+serves both channels of v, and likewise for the adjoint. T is stored
+multiplied by the 0/1 edge indicators, so T grad u and div(T p) take raw
+differences with no separate edge mask.
 
 The inner loop is a preconditioned primal-dual iteration: projected ascent
 on duals p (2-channel) and q (4-channel), a closed-form shrinkage step on u
@@ -39,9 +41,9 @@ import numpy as np
 
 from . import fields as fieldsmod
 from .camera import StereoRig
-from .rasters import (backward_divergence, build_pyramid, edge_indicators,
-                      forward_difference, pixel_grid, smooth_masked,
-                      upsample_state, warp_image)
+from .rasters import (backward_divergence, build_pyramid, edge_divergence,
+                      edge_indicators, forward_difference, pixel_grid, sample_bicubic_many,
+                      smooth_masked, upsample_state, warp_image)
 from .schema import (ABOVE_ONE, COUNT, NONNEGATIVE, POSITIVE, UNIT_INTERVAL, Ruled,
                      reject_unknown_keys, ruled)
 
@@ -234,11 +236,15 @@ def _project_unit_ball(x: np.ndarray) -> np.ndarray:
 class LevelOperator:
     """One pyramid level's linear operator and preconditioned step sizes.
 
-    `ex`/`ey` are the float edge indicators of K's masked forward differences
-    and `a`/`b`/`c` the channels of the packed tensor T. Steps that always
-    meet a weight carry it: `p_step` is alpha1*sigma_p, `q_step`
-    alpha0*sigma_q and `u_step` alpha1*tau_u; `tau_u` (for the data term's
-    proximal step) and `tau_v` are plain.
+    `ex`/`ey` are the float 0/1 indicators of the mask's forward edges, and
+    the tensor T = [[a, b], [b, c]] is stored folded into them, as `a_ex` =
+    a*ex, `b_ex`, `b_ey` and `c_ey`. Multiplying by a 0/1 factor is exact,
+    so K and K* take raw differences and give the values of masking the
+    differences first. Steps that always meet a weight carry it: `p_step` is
+    alpha1*sigma_p, `q_step` alpha0*sigma_q and `u_step` alpha1*tau_u;
+    `q_ex`/`q_ey` hold q_step*ex and q_step*ey, the weights of grad v in the
+    dual step on q. `tau_u` (for the data term's proximal step) and `tau_v`
+    are plain.
 
     `precondition_steps` builds it in float64; `solve_level` casts its
     arrays to float32 for the primal-dual cycle. `apply` and `adjoint` keep
@@ -247,30 +253,48 @@ class LevelOperator:
 
     ex: np.ndarray
     ey: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
+    a_ex: np.ndarray
+    b_ex: np.ndarray
+    b_ey: np.ndarray
+    c_ey: np.ndarray
     p_step: np.ndarray
     q_step: float
+    q_ex: np.ndarray
+    q_ey: np.ndarray
     u_step: np.ndarray
     tau_u: np.ndarray
     tau_v: np.ndarray
 
-    def _tensor(self, x: np.ndarray) -> np.ndarray:
-        """T x for a (2, H, W) field (T is symmetric, so also T^T x)."""
-        a, b, c = self.a, self.b, self.c
-        return np.stack([a * x[0] + b * x[1], b * x[0] + c * x[1]])
+    def _tensor_gradient(self, u: np.ndarray) -> np.ndarray:
+        """T grad u as (2, H, W), zero on the last column and row."""
+        dx = u[:, 1:] - u[:, :-1]
+        dy = u[1:] - u[:-1]
+        tg = np.empty((2,) + u.shape, dtype=np.result_type(u, self.a_ex))
+        for out, wx, wy in ((tg[0], self.a_ex, self.b_ey), (tg[1], self.b_ex, self.c_ey)):
+            np.multiply(wx[:, :-1], dx, out=out[:, :-1])
+            out[:, -1] = 0.0
+            out[:-1] += wy[:-1] * dy
+        return tg
 
-    def apply(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def apply(self, u: np.ndarray, v: np.ndarray,
+              v_weights: tuple[np.ndarray, np.ndarray] | None = None,
+              ) -> tuple[np.ndarray, np.ndarray]:
         """K(u, v) = (T grad u - v, grad v): (H, W) u and (2, H, W) v give
-        (2, H, W) and (4, H, W), channels (dv0/dx, dv0/dy, dv1/dx, dv1/dy)."""
-        return (self._tensor(forward_difference(u, self.ex, self.ey)) - v,
-                forward_difference(v, self.ex, self.ey).reshape((4,) + u.shape))
+        (2, H, W) and (4, H, W), channels (dv0/dx, dv0/dy, dv1/dx, dv1/dy).
+
+        `v_weights` replaces (ex, ey) as the weights of v's differences: the
+        cycle passes (q_ex, q_ey) and gets q_step * grad v in the same pass.
+        """
+        wx, wy = (self.ex, self.ey) if v_weights is None else v_weights
+        return (self._tensor_gradient(u) - v,
+                forward_difference(v, wx, wy).reshape((4,) + u.shape))
 
     def adjoint(self, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(div(T p), div q) per component, so <K(u, v), (p, q)> =
         -<u, div(T p)> - <v, div q + p>; shapes mirror `apply`."""
-        return (backward_divergence(self._tensor(p), self.ex, self.ey),
+        p0, p1 = p
+        return (edge_divergence(self.a_ex * p0 + self.b_ex * p1,
+                                self.b_ey * p0 + self.c_ey * p1),
                 backward_divergence(q.reshape((2, 2) + q.shape[1:]), self.ex, self.ey))
 
 
@@ -301,9 +325,11 @@ def precondition_steps(t: np.ndarray, mask: np.ndarray,
     edge_count[:, 1:] += exf[:, :-1]
     edge_count[1:, :] += eyf[:-1, :]
     tau_v = 1.0 / (params.alpha1 + params.alpha0 * edge_count)
+    q_step = sigma_q * params.alpha0
     return LevelOperator(
-        ex=exf, ey=eyf, a=t[..., 0].copy(), b=t[..., 1].copy(), c=t[..., 2].copy(),
-        p_step=sigma_p * params.alpha1, q_step=sigma_q * params.alpha0,
+        ex=exf, ey=eyf, a_ex=t[..., 0] * exf, b_ex=t[..., 1] * exf,
+        b_ey=t[..., 1] * eyf, c_ey=t[..., 2] * eyf,
+        p_step=sigma_p * params.alpha1, q_step=q_step, q_ex=q_step * exf, q_ey=q_step * eyf,
         u_step=tau_u * params.alpha1, tau_u=tau_u, tau_v=tau_v)
 
 
@@ -316,9 +342,9 @@ def primal_dual_iterate(state: SolverState, op: LevelOperator, iu: np.ndarray,
     residual handed to the shrinkage step is rho0 + (u - u_omega) * iu.
     `op` comes from `precondition_steps(t, mask, params)`.
     """
-    kp, kq = op.apply(state.u_bar, state.v_bar)
+    kp, q_step_kq = op.apply(state.u_bar, state.v_bar, (op.q_ex, op.q_ey))
     p = _project_unit_ball(state.p + op.p_step * kp)
-    q = _project_unit_ball(state.q + op.q_step * kq)
+    q = _project_unit_ball(state.q + q_step_kq)
 
     div_tp, div_q = op.adjoint(p, q)
     u_hat = state.u + op.u_step * div_tp
@@ -339,8 +365,9 @@ def solve_level(i0: np.ndarray, i1: np.ndarray, traj_dirs: np.ndarray,
     warp vector w (H, W, 2); returns the level's (u, w, v), v as (H, W, 2).
 
     `i1` must already be calibration-warped. Each of the N warp iterations
-    warps i1 by the current warp vector, linearizes the residual along
-    trajectory directions sampled at the warped positions, runs the inner
+    samples i1 and the trajectory directions at the warped positions x + w
+    in one pass (`sample_bicubic_many`, each under its own mask),
+    linearizes the residual along those directions, runs the inner
     primal-dual cycles from the relaxed primal (u, v), clips the increment to
     du_max, and accumulates w += du * dirs. The duals and v carry over from
     one warp to the next. `observe`, when given, receives a `WarpRecord`
@@ -351,14 +378,18 @@ def solve_level(i0: np.ndarray, i1: np.ndarray, traj_dirs: np.ndarray,
     accumulation stay in float64, and so do the returned u, w and v.
     """
     op = precondition_steps(edge_tensor(i0, mask, params), mask, params)
-    op = LevelOperator(**{k: np.asarray(x, dtype=np.float32) for k, x in vars(op).items()})
+    # Cast in place, so each float64 array is freed once its copy is made.
+    for name, value in vars(op).items():
+        setattr(op, name, np.asarray(value, dtype=np.float32))
     v = p = np.zeros((2,) + mask.shape, dtype=np.float32)
     q = np.zeros((4,) + mask.shape, dtype=np.float32)
     grid = pixel_grid(*mask.shape)
 
     for _ in range(params.warp_iters):
-        i1w, warp_ok = warp_image(i1, w, mask)
-        dirs, dir_ok = fieldsmod.sample_directions(traj_dirs, traj_valid, grid + w)
+        (i1w, warp_ok), (dirs, dir_ok) = sample_bicubic_many(
+            ((i1, mask), (traj_dirs, traj_valid)), grid + w)
+        i1w = np.where(warp_ok, i1w, 0.0)
+        dirs, dir_ok = fieldsmod.unit_directions(dirs, dir_ok)
         dir_ok &= mask
         dirs = np.where(dir_ok[..., None], dirs, 0.0)
 

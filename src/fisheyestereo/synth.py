@@ -271,9 +271,7 @@ def render(scene: Scene, cam: CameraBase, pose: RelativePose | None = None,
     an odd s takes it from its center cast, an even s from one distance-only
     pass.
     """
-    s = INTEGER(supersample, "supersample")
-    if s < 1:
-        raise ValueError(f"supersample must be >= 1, got {s}")
+    s = COUNT(supersample, "supersample")
     noise_sigma = NONNEGATIVE(noise_sigma, "noise_sigma")
     grid = pixel_grid(cam.height, cam.width)
     offsets = (np.arange(s) + 0.5) / s - 0.5

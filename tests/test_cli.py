@@ -131,7 +131,7 @@ def test_render_malformed_scene_fails_with_message(tmp_path, tiny_rig_path, caps
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--supersample", "0"], "supersample must be >= 1"),
+    (["--supersample", "0"], "supersample must be an integer >= 1, got 0"),
     (["--noise", "-1"], "noise_sigma must be finite and >= 0"),
     (["--noise", "nan"], "noise_sigma must be finite and >= 0"),
     (["--noise", "inf"], "noise_sigma must be finite and >= 0"),

@@ -8,7 +8,7 @@ from fisheyestereo import rasters
 from fisheyestereo.rasters import (backward_divergence, build_pyramid, divergence,
                                    downsample_area, edge_indicators,
                                    forward_difference, gradient, pixel_grid,
-                                   pyramid_shapes, sample_bicubic,
+                                   pyramid_shapes, sample_bicubic, sample_bicubic_many,
                                    smooth_masked, upsample_state, warp_image)
 
 FULL = np.ones((16, 16), dtype=bool)
@@ -175,6 +175,54 @@ def test_sample_matches_reference_chain(case):
     assert np.array_equal(vals, ref_vals, equal_nan=True)
 
 
+@pytest.mark.parametrize("h,w", [(1, 1), (3, 4), (4, 4), (5, 7), (7, 5)])
+def test_sample_every_floor_matches_reference_chain(h, w):
+    # Every floor from -3 to W + 1 (H + 1), so the full stencils nearest the
+    # edges (floors 1 and W - 3) and the clamped non-full ones all occur.
+    rng = np.random.default_rng(h * w)
+    data = rng.normal(size=(h, w, 2))
+    mask = np.ones((h, w), dtype=bool)
+    if h * w >= 20:  # one hole, so that rims occur inside the larger images too
+        mask[rng.integers(h), rng.integers(w)] = False
+    pos = pixel_grid(h + 5, w + 5).reshape(-1, 2) - 3.0 + (0.5, 0.25)
+    vals, ok = sample_bicubic(data, pos, mask)
+    ref = [_reference_sample(data, mask, x, y) for x, y in pos]
+    assert np.array_equal(ok, [r[1] for r in ref])
+    assert np.array_equal(vals, np.array([r[0] for r in ref]), equal_nan=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_sampling_cases(), seed=st.integers(0, 2**32 - 1), nc=st.sampled_from([1, 3]))
+def test_sample_many_matches_one_call_per_field(case, seed, nc):
+    # The shared pass samples each field under its own mask: a stencil may be
+    # full under one mask and a rim or empty under the other.
+    data, mask, pos = case
+    rng = np.random.default_rng(seed)
+    other = rng.normal(size=mask.shape + (nc,))
+    other = other[:, :, 0] if nc == 1 else other
+    other_mask = rng.random(mask.shape) < rng.choice([0.5, 0.9, 1.0])
+    field = data[:, :, 0] if data.shape[2] == 1 else data
+    pairs = [(field, mask), (other, other_mask), (field, other_mask)]
+    for (vals, ok), (f, m) in zip(sample_bicubic_many(pairs, pos), pairs):
+        ref_vals, ref_ok = sample_bicubic(f, pos, m)
+        assert vals.shape == ref_vals.shape
+        assert np.array_equal(ok, ref_ok)
+        assert np.array_equal(vals, ref_vals, equal_nan=True)
+
+
+@pytest.mark.parametrize("h", range(1, 10))
+def test_stencil_tap_counts_match_brute_force(h):
+    for w in range(1, 10):
+        mask = np.random.default_rng(10 * h + w).random((h, w)) < 0.7
+        counts = rasters._stencil_tap_counts(mask)
+        assert counts.dtype == np.uint8 and counts.shape == (h + 5, w + 5)
+        for iy in range(-3, h + 2):
+            for ix in range(-3, w + 2):
+                taps = sum(bool(mask[r, c]) for r in range(iy - 1, iy + 3)
+                           for c in range(ix - 1, ix + 3) if 0 <= r < h and 0 <= c < w)
+                assert counts[iy + 3, ix + 3] == taps, (w, ix, iy)
+
+
 @pytest.mark.parametrize("nc", [1, 3])
 @pytest.mark.parametrize("n", [0, 1, 23])
 def test_sample_chunk_size_leaves_values_unchanged(monkeypatch, nc, n):
@@ -297,11 +345,28 @@ def test_pyramid_single_level_is_input():
     assert np.array_equal(pyr[0][0], img[..., None])
 
 
-@pytest.mark.parametrize("levels,scale", [(0, 2.0), (3, 1.0), (3, 0.5), (2.5, 2.0),
-                                          (3, float("nan"))])
-def test_pyramid_rejects_bad_parameters(levels, scale):
-    with pytest.raises(ValueError, match="^(levels|scale) must be "):
-        pyramid_shapes(64, 64, levels=levels, scale=scale, min_width=8)
+@pytest.mark.parametrize("levels,scale,min_width", [
+    pytest.param(0, 2.0, 8, id="0-2.0"),
+    pytest.param(3, 1.0, 8, id="3-1.0"),
+    pytest.param(3, 0.5, 8, id="3-0.5"),
+    pytest.param(2.5, 2.0, 8, id="2.5-2.0"),
+    pytest.param(3, float("nan"), 8, id="3-nan"),
+    pytest.param(3, 2.0, 0, id="min_width-0"),
+    pytest.param(3, 2.0, float("nan"), id="min_width-nan"),
+    pytest.param(3, 2.0, 2.5, id="min_width-2.5"),
+])
+def test_pyramid_rejects_bad_parameters(levels, scale, min_width):
+    with pytest.raises(ValueError, match="^(levels|scale|min_width) must be "):
+        pyramid_shapes(64, 64, levels=levels, scale=scale, min_width=min_width)
+
+
+@pytest.mark.parametrize("height,width,scale", [(64, 64, 2.0), (1, 64, 2.0), (64, 1, 2.0),
+                                                (7, 5, 1.1), (3, 3, 1.5)])
+def test_pyramid_stops_when_a_level_no_longer_shrinks(height, width, scale):
+    shapes = pyramid_shapes(height, width, levels=40, scale=scale, min_width=1)
+    assert len(set(shapes)) == len(shapes)
+    h, w = shapes[-1]
+    assert (int(np.ceil(h / scale)), int(np.ceil(w / scale))) == (h, w)
 
 
 def test_pyramid_levels_ordered_coarse_to_fine():

@@ -10,8 +10,9 @@ from fisheyestereo.evaluate import erroneous_percentage
 from fisheyestereo.fields import (compose_with_calibration, generate_calibration_field,
                                   translation_only_rig)
 from fisheyestereo import solver
-from fisheyestereo.rasters import (backward_divergence, forward_difference, gradient,
-                                   pixel_grid, sample_bicubic, smooth_masked, warp_image)
+from fisheyestereo.rasters import (backward_divergence, edge_indicators, forward_difference,
+                                   gradient, pixel_grid, sample_bicubic, smooth_masked,
+                                   warp_image)
 from fisheyestereo.solver import (LevelOperator, SolverParams, SolverState,
                                   calibrate_second_image,
                                   compute_tensor, edge_tensor, energy,
@@ -322,6 +323,70 @@ def test_level_operator_summation_by_parts(seed, h, w):
     lhs = float(np.sum(tgu * p)) + float(np.sum(jac * q))
     rhs = -float(np.sum(u * div_tp)) - float(np.sum(v * (div_q + p)))
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
+def _reference_cycle(state, t, mask, op, iu, rho0, u_omega, params):
+    """One primal-dual cycle with K written out: masked differences first,
+    then the tensor, then the steps (the operator before its folding)."""
+    dtype = state.u.dtype
+    ex, ey = (e.astype(dtype) for e in edge_indicators(mask))
+    a, b, c = (t[..., k].astype(dtype) for k in range(3))
+    h, w = mask.shape
+
+    def tensor(x):
+        return np.stack([a * x[0] + b * x[1], b * x[0] + c * x[1]])
+
+    kp = tensor(forward_difference(state.u_bar, ex, ey)) - state.v_bar
+    kq = forward_difference(state.v_bar, ex, ey).reshape(4, h, w)
+    p = solver._project_unit_ball(state.p + op.p_step * kp)
+    q = solver._project_unit_ball(state.q + op.q_step * kq)
+    div_tp = backward_divergence(tensor(p), ex, ey)
+    div_q = backward_divergence(q.reshape(2, 2, h, w), ex, ey)
+    u_hat = state.u + op.u_step * div_tp
+    u_new = thresholding_step(u_hat, rho0 + (u_hat - u_omega) * iu, iu, op.tau_u, params.lam)
+    v_new = state.v + op.tau_v * (params.alpha0 * div_q + params.alpha1 * p)
+    return SolverState(u=u_new, v=v_new, p=p, q=q,
+                       u_bar=u_new + params.theta * (u_new - state.u),
+                       v_bar=v_new + params.theta * (v_new - state.v))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 13), w=st.integers(1, 13))
+def test_pd_cycle_matches_unfolded_reference(dtype, seed, h, w):
+    rng = np.random.default_rng(seed)
+    mask = rng.random((h, w)) < rng.choice([0.6, 0.9, 1.0])
+    t = compute_tensor(rng.random((h, w)), 9.0, 0.85, mask)
+    params = SolverParams(theta=rng.choice([0.5, 1.0]))
+    op = _cast_operator(precondition_steps(t, mask, params), dtype)
+
+    def draw(*shape):
+        return (rng.normal(size=shape) * 3).astype(dtype)
+
+    u = draw(h, w)
+    state = SolverState(u=u, v=draw(2, h, w), p=draw(2, h, w), q=draw(4, h, w),
+                        u_bar=draw(h, w), v_bar=draw(2, h, w))
+    iu, rho0 = draw(h, w), draw(h, w)
+    iu[rng.random((h, w)) < 0.2] = 0
+    out = primal_dual_iterate(state, op, iu, rho0, u, params)
+    ref = _reference_cycle(state, t, mask, op, iu, rho0, u, params)
+    for name, value in vars(ref).items():
+        assert getattr(out, name).dtype == dtype
+        assert np.array_equal(getattr(out, name), value), name
+
+
+def test_folded_operator_fields_vanish_exactly_off_the_edges():
+    rng = np.random.default_rng(8)
+    mask = rng.random((17, 13)) > 0.3
+    t = rng.normal(size=(17, 13, 3))
+    op = precondition_steps(t, mask, SolverParams())
+    ex, ey = edge_indicators(mask)
+    assert np.array_equal(op.ex, ex) and np.array_equal(op.ey, ey)
+    for folded, edges, factor in ((op.a_ex, ex, t[..., 0]), (op.b_ex, ex, t[..., 1]),
+                                  (op.b_ey, ey, t[..., 1]), (op.c_ey, ey, t[..., 2]),
+                                  (op.q_ex, ex, op.q_step), (op.q_ey, ey, op.q_step)):
+        assert np.array_equal(folded == 0, edges == 0)
+        assert np.array_equal(folded, np.where(edges == 1, factor, 0.0))
 
 
 def test_preconditioned_steps_positive_and_finite():

@@ -150,7 +150,7 @@ def test_odd_supersample_takes_geometry_from_its_center_cast(cam, small_scene):
 @pytest.mark.parametrize("value", [1.5, 2.5, True, "2"], ids=["1.5", "2.5", "true", "text"])
 def test_render_rejects_non_integer_supersample(small_scene, value):
     with pytest.raises(ValueError, match=re.escape(
-            f"supersample must be an integer, got {value!r}")):
+            f"supersample must be an integer >= 1, got {value!r}")):
         render(small_scene, LENSES[1], supersample=value)
 
 
