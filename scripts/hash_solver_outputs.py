@@ -30,7 +30,11 @@ from 1x1 to 4x4, and 9x7 (which has full stencils), a `sampler` line hashes
 `sample_bicubic` of a 1- and a 3-channel field under a full mask and under
 a mask with holes, at positions in and around the image and at NaN, +-inf
 and +-1e300 coordinates; a `.many` line hashes `sample_bicubic_many`, the
-shared pass, on both fields at once, each under its own mask.
+shared pass, on both fields at once, each under its own mask. Two
+`thresholding` lines, one per dtype (float32 and float64), hash
+`thresholding_step` on a grid of its edge cases: signed-zero u_hat, signed-
+zero and tiny slopes iu, NaN and signed-zero residuals, and residuals
+exactly at the case boundaries +-tau*lam*iu^2.
 
 A change that alters the solver's arithmetic on purpose (a new precision, a
 reordered sum) cannot be bit-identical. Check it in two steps. First, the
@@ -180,6 +184,19 @@ def hash_sampler():
         yield f"{h}x{w}.many", hashlib.sha256(many.encode()).hexdigest()
 
 
+def hash_thresholding():
+    """(key, digest) of `thresholding_step` on its edge cases, per dtype."""
+    lam = 5.0
+    for dtype in (np.float32, np.float64):
+        u_hat, iu, tau, rho = (a.astype(dtype) for a in np.meshgrid(
+            [-0.0, 0.0, 1.5, -2.25], [-0.0, 0.0, 1e-7, 0.5, -3.0], [0.25, 7.0],
+            [np.nan, -1.0, -0.0, 0.0, 0.3, 1e6, 0.0, 0.0], indexing="ij"))
+        # The last two residuals sit on the case boundaries +-tau*lam*iu^2.
+        th = tau[..., -1] * lam * iu[..., -1] * iu[..., -1]
+        rho[..., -2], rho[..., -1] = th, -th
+        yield dtype.__name__, _digest(solver.thresholding_step(u_hat, rho, iu, tau, lam))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--big", action="store_true",
@@ -206,6 +223,8 @@ def main() -> None:
     print(f"{'scene':10s} {'default':12s} {hashlib.sha256(scene).hexdigest()}")
     for key, value in hash_sampler():
         print(f"{'sampler':10s} {key:12s} {value}")
+    for key, value in hash_thresholding():
+        print(f"{'thresholding':10s} {key:12s} {value}")
 
 
 if __name__ == "__main__":

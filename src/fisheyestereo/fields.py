@@ -105,12 +105,6 @@ def generate_trajectory_field(rig: StereoRig, epsilon_scale: float = 0.1,
     return dirs, good
 
 
-def sample_directions(dirs: np.ndarray, valid: np.ndarray,
-                      pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample a unit direction field at `pos` and renormalize (`unit_directions`)."""
-    return unit_directions(*sample_bicubic(dirs, pos, valid))
-
-
 def unit_directions(d: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Renormalize sampled directions `d` valid at `ok`: (unit, ok), ok where
     the sample's norm exceeds 0.5, unit zero elsewhere."""
@@ -139,7 +133,7 @@ def trace_epipolar_curves(dirs: np.ndarray, valid: np.ndarray, starts: np.ndarra
     live = np.ones(starts.shape[0], dtype=bool)
     for i in range(n_steps):
         seg = min(step, length - i * step)
-        unit, ok = sample_directions(dirs, valid, pos)
+        unit, ok = unit_directions(*sample_bicubic(dirs, pos, valid))
         live = live & ok
         pos = pos + seg * np.where(live[:, None], unit, 0.0)
         verts[live, i + 1] = pos[live]

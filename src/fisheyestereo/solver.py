@@ -42,8 +42,8 @@ import numpy as np
 from . import fields as fieldsmod
 from .camera import StereoRig
 from .rasters import (backward_divergence, build_pyramid, edge_divergence,
-                      edge_indicators, forward_difference, pixel_grid, sample_bicubic_many,
-                      smooth_masked, upsample_state, warp_image)
+                      edge_indicators, forward_difference, pixel_grid, sample_bicubic,
+                      sample_bicubic_many, smooth_masked, upsample_state, warp_image)
 from .schema import (ABOVE_ONE, COUNT, NONNEGATIVE, POSITIVE, UNIT_INTERVAL, Ruled,
                      reject_unknown_keys, ruled)
 
@@ -179,15 +179,16 @@ def edge_tensor(i0: np.ndarray, mask: np.ndarray, params: SolverParams) -> np.nd
                           params.beta, params.eta, mask)
 
 
-def image_derivative_along(dirs: np.ndarray, i1w: np.ndarray, i1w_valid: np.ndarray,
-                           mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def image_derivative_along(dirs: np.ndarray, i1w: np.ndarray,
+                           valid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Discrete derivative of the warped image along unit directions.
 
-    I_u(x) = I1w(x + dir(x)) - I1w(x), sampled with masked bicubic taps;
-    invalid wherever either sample is.
+    I_u(x) = I1w(x + dir(x)) - I1w(x), sampled with bicubic taps on `valid`
+    only, so `i1w` is never read off `valid`; (I_u, ok), ok where x and
+    the sample ahead are valid, I_u zero elsewhere.
     """
-    ahead, ok = warp_image(i1w, dirs, mask & i1w_valid)
-    ok &= i1w_valid
+    ahead, ok = sample_bicubic(i1w, pixel_grid(*valid.shape) + dirs, valid)
+    ok &= valid
     return np.where(ok, ahead - i1w, 0.0), ok
 
 
@@ -195,17 +196,16 @@ def thresholding_step(u_hat: np.ndarray, rho_hat: np.ndarray, iu: np.ndarray,
                       tau_u: np.ndarray | float, lam: float) -> np.ndarray:
     """Closed-form proximal step for the linearized L1 data term.
 
-    Minimizes lam*|rho_hat + (u - u_hat)*iu| + (u - u_hat)^2 / (2*tau_u).
-    Pixels with iu == 0 carry no data information and pass through unchanged.
+    Minimizes lam*|rho_hat + (u - u_hat)*iu| + (u - u_hat)^2 / (2*tau_u):
+    the step is tau_u*lam*iu or its negation where |rho_hat| exceeds
+    tau_u*lam*iu^2, else -rho_hat/iu. Pixels with iu == 0 carry no data
+    information and pass through unchanged (a +0 step).
     """
     clamp = tau_u * lam * iu
     th = clamp * iu
-    nz = iu != 0
-    shrink = np.zeros_like(u_hat)
-    np.divide(rho_hat, iu, out=shrink, where=nz)
-    step = np.where(rho_hat < -th, clamp, np.where(rho_hat > th, -clamp, -shrink))
-    np.copyto(step, 0.0, where=~nz)
-    return u_hat + step
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = np.where(rho_hat < -th, clamp, np.where(rho_hat > th, -clamp, -(rho_hat / iu)))
+    return u_hat + np.where(iu != 0, step, 0.0)
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
@@ -388,14 +388,12 @@ def solve_level(i0: np.ndarray, i1: np.ndarray, traj_dirs: np.ndarray,
     for _ in range(params.warp_iters):
         (i1w, warp_ok), (dirs, dir_ok) = sample_bicubic_many(
             ((i1, mask), (traj_dirs, traj_valid)), grid + w)
-        i1w = np.where(warp_ok, i1w, 0.0)
-        dirs, dir_ok = fieldsmod.unit_directions(dirs, dir_ok)
-        dir_ok &= mask
-        dirs = np.where(dir_ok[..., None], dirs, 0.0)
-
-        iu, iu_ok = image_derivative_along(dirs, i1w, warp_ok & mask, mask)
+        dirs, dir_ok = fieldsmod.unit_directions(dirs, dir_ok & mask)
+        # i1w is NaN off warp_ok, never read there; I_u is +0 off data_ok (off
+        # dir_ok the direction is zero, so i1w is sampled exactly at its node).
+        iu, iu_ok = image_derivative_along(dirs, i1w, warp_ok & mask)
         data_ok = iu_ok & dir_ok
-        iu = np.where(data_ok, iu, 0.0).astype(np.float32)
+        iu = iu.astype(np.float32)
         rho0 = np.where(data_ok, i1w - i0, 0.0).astype(np.float32)
 
         u32 = u.astype(np.float32)

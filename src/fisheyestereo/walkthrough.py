@@ -117,7 +117,7 @@ def generate_walkthrough(out_dir) -> Path:
                                  pyramid_levels=1, min_width=8)
     tens = solver.edge_tensor(i0, mask, params)
     _save(out, "tensor_across_edge_weight", tens[:, :, 0], mask)
-    iu, iu_ok = solver.image_derivative_along(traj, i1c, i1c_ok, mask)
+    iu, iu_ok = solver.image_derivative_along(traj, i1c, mask)
     _save(out, "image_derivative", iu, iu_ok)
     rho0 = np.where(mask, i1c - i0, 0.0)
     _save(out, "residual_initial", rho0, mask)

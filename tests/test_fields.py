@@ -5,9 +5,9 @@ from fisheyestereo.camera import (PinholeCamera, RelativePose, StereoRig,
                                   UnifiedCamera)
 from fisheyestereo.fields import (compose_with_calibration, depth_swept_curve,
                                   generate_calibration_field,
-                                  generate_trajectory_field, sample_directions,
-                                  trace_epipolar_curve, trace_epipolar_curves,
-                                  translation_only_rig)
+                                  generate_trajectory_field, trace_epipolar_curve,
+                                  trace_epipolar_curves, translation_only_rig,
+                                  unit_directions)
 from fisheyestereo.rasters import pixel_grid, sample_bicubic
 from fisheyestereo.solver import calibrate_second_image
 from fisheyestereo.synth import Box, Scene, ValueNoise, pinhole_rig, render
@@ -193,7 +193,7 @@ def test_sample_directions_renormalizes_and_zeroes_invalid():
     dirs = np.zeros((8, 8, 2))
     dirs[:, :4] = (1.2, 1.6)
     pos = np.array([[1.3, 3.5], [6.5, 3.5], [40.0, 3.0]])
-    unit, ok = sample_directions(dirs, np.ones((8, 8), bool), pos)
+    unit, ok = unit_directions(*sample_bicubic(dirs, pos, np.ones((8, 8), bool)))
     assert ok.tolist() == [True, False, False]
     assert np.allclose(unit[0], (0.6, 0.8), atol=1e-12)
     assert np.all(unit[1:] == 0.0)

@@ -10,18 +10,18 @@ from fisheyestereo.evaluate import erroneous_percentage
 from fisheyestereo.fields import (compose_with_calibration, generate_calibration_field,
                                   translation_only_rig)
 from fisheyestereo import solver
-from fisheyestereo.rasters import (backward_divergence, edge_indicators, forward_difference,
-                                   gradient, pixel_grid, sample_bicubic, smooth_masked,
-                                   warp_image)
+from fisheyestereo.rasters import (backward_divergence, build_pyramid, edge_indicators,
+                                   forward_difference, gradient, pixel_grid, sample_bicubic,
+                                   smooth_masked, upsample_state, warp_image)
 from fisheyestereo.solver import (LevelOperator, SolverParams, SolverState,
                                   calibrate_second_image,
                                   compute_tensor, edge_tensor, energy,
                                   image_derivative_along, precondition_steps,
                                   primal_dual_iterate, solve_level,
                                   solve_pyramid, thresholding_step)
-from fisheyestereo.synth import (Plane, Scene, Sphere, ValueNoise, default_scene,
-                                 make_ground_truth, pinhole_rig, plane_scene,
-                                 render)
+from fisheyestereo.synth import (Plane, Scene, Sphere, ValueNoise, default_rig,
+                                 default_scene, make_ground_truth, pinhole_rig,
+                                 plane_scene, render)
 
 E_MINUS_9 = 1.2340980408667956e-04  # exp(-9), the across-edge eigenvalue at |g|=1
 
@@ -114,7 +114,7 @@ def test_image_derivative_constant_image():
     mask = np.ones((16, 16), dtype=bool)
     dirs = np.zeros((16, 16, 2))
     dirs[:, :, 0] = 1.0
-    iu, ok = image_derivative_along(dirs, np.full((16, 16), 0.3), mask, mask)
+    iu, ok = image_derivative_along(dirs, np.full((16, 16), 0.3), mask)
     assert np.all(iu[ok] == 0.0)
 
 
@@ -124,7 +124,7 @@ def test_image_derivative_ramp():
     mask = np.ones((16, 16), dtype=bool)
     dirs = np.zeros((16, 16, 2))
     dirs[:, :, 0] = 1.0
-    iu, ok = image_derivative_along(dirs, img, mask, mask)
+    iu, ok = image_derivative_along(dirs, img, mask)
     interior = ok & (g[:, :, 0] >= 2) & (g[:, :, 0] <= 12)
     assert np.allclose(iu[interior], 2.0, atol=1e-9)
 
@@ -137,7 +137,7 @@ def test_image_derivative_matches_curve_profile():
     img = smooth_masked(rng.random((64, 64)), mask, 2.5)
     dirs = np.zeros((64, 64, 2))
     dirs[:, :, 0] = 1.0
-    iu, ok = image_derivative_along(dirs, img, mask, mask)
+    iu, ok = image_derivative_along(dirs, img, mask)
     grid = pixel_grid(64, 64)
     ahead, _ = sample_bicubic(img, grid + np.array([1.0, 0.0]), mask)
     behind, _ = sample_bicubic(img, grid - np.array([1.0, 0.0]), mask)
@@ -147,6 +147,25 @@ def test_image_derivative_matches_curve_profile():
     # Forward secant vs central difference of the same profile: the gap is
     # the second-derivative term, small on a heavily smoothed image.
     assert np.max(np.abs(iu - central)[interior & ok]) < 1e-3 * 30
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 12), w=st.integers(1, 12))
+def test_image_derivative_never_reads_off_valid(seed, h, w):
+    # solve_level hands over the sampler's i1w, NaN off valid, unzeroed, and
+    # relies on a zero direction giving an exact +0 derivative.
+    rng = np.random.default_rng(seed)
+    valid = rng.random((h, w)) < rng.choice([0.5, 0.9, 1.0])
+    angle = rng.uniform(0.0, 2.0 * np.pi, (h, w))
+    dirs = np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+    dirs[rng.random((h, w)) < 0.3] = 0.0
+    i1w = rng.random((h, w))
+    iu, ok = image_derivative_along(dirs, np.where(valid, i1w, 0.0), valid)
+    iu_nan, ok_nan = image_derivative_along(dirs, np.where(valid, i1w, np.nan), valid)
+    assert np.array_equal(ok, ok_nan) and iu.tobytes() == iu_nan.tobytes()
+    assert not ok[~valid].any()
+    still = ~ok | np.all(dirs == 0.0, axis=-1)
+    assert np.all(iu[still] == 0.0) and not np.signbit(iu[still]).any()
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +229,46 @@ def test_thresholding_matches_grid_search():
         e_grid = _prox_objective(ug, u_hat, rho, iu, tau, lam)
         assert e_closed <= e_grid + 1e-6
         assert abs(u - ug) <= 1.5e-4
+
+
+def _thresholding_masked_divide(u_hat, rho_hat, iu, tau_u, lam):
+    """The data step in its earlier form: a masked divide into a zeroed
+    buffer, and the steps where iu == 0 reset to +0 afterwards."""
+    clamp = tau_u * lam * iu
+    th = clamp * iu
+    nz = iu != 0
+    shrink = np.zeros_like(u_hat)
+    np.divide(rho_hat, iu, out=shrink, where=nz)
+    step = np.where(rho_hat < -th, clamp, np.where(rho_hat > th, -clamp, -shrink))
+    np.copyto(step, 0.0, where=~nz)
+    return u_hat + step
+
+
+_SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+_ENTRY = st.tuples(
+    st.one_of(_SIGNED_ZERO, st.floats(-1e3, 1e3)),                      # u_hat
+    st.floats(-1e3, 1e3),                                               # rho_hat
+    st.one_of(_SIGNED_ZERO, st.floats(1e-6, 1e3), st.floats(-1e3, -1e-6)),  # iu
+    st.floats(1e-4, 1e2),                                               # tau_u
+    st.sampled_from(["free", "+th", "-th", "nan"]),                     # rho_hat case
+)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@settings(max_examples=150, deadline=None)
+@given(entries=st.lists(_ENTRY, min_size=1, max_size=40), lam=st.floats(0.05, 10.0))
+def test_thresholding_matches_masked_divide_bits(dtype, entries, lam):
+    u_hat, rho, iu, tau, case = (np.array(c) for c in zip(*entries))
+    u_hat, rho, iu, tau = (a.astype(dtype) for a in (u_hat, rho, iu, tau))
+    # The case boundaries |rho_hat| = tau*lam*iu^2, rounded as the step rounds them.
+    th = tau * lam * iu * iu
+    rho = np.select([case == "+th", case == "-th", case == "nan"], [th, -th, np.nan], rho)
+    rho = rho.astype(dtype)
+    got = thresholding_step(u_hat, rho, iu, tau, lam)
+    want = _thresholding_masked_divide(u_hat, rho, iu, tau, lam)
+    assert got.dtype == want.dtype == dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 # ---------------------------------------------------------------------------
@@ -760,6 +819,51 @@ def test_solve_pyramid_each_lens_model(lens):
     valid = gt.covisibility & corr_ok & res.mask
     err = np.linalg.norm(corr - gt.correspondence, axis=-1)
     assert erroneous_percentage(err, valid, 3.0) < bound
+
+
+@pytest.mark.parametrize("size", range(1, 9))
+def test_solve_pyramid_tiny_default_rig_is_one_level(size):
+    # Narrower than min_width (50), so the pyramid is the finest level alone.
+    rig = default_rig()
+    rig = StereoRig(rig.cam0.scaled_to((size, size)), rig.cam1.scaled_to((size, size)),
+                    rig.pose)
+    scene = default_scene()
+    i0, _, _ = render(scene, rig.cam0)
+    i1, _, _ = render(scene, rig.cam1, pose=rig.pose)
+    records = []
+    res = solve_pyramid(i0, i1, rig, SolverParams(warp_iters=3), observe=records.append)
+    assert res.mask.any()
+    assert [r.du.shape for r in records] == [(size, size)] * 3
+    assert np.all(np.isfinite(res.u)) and np.all(np.isfinite(res.w))
+
+
+def test_empty_level_mask_solves_to_zero():
+    # One pixel of a 64x64 mask, at even coordinates whose halves are odd:
+    # the nearest-pixel downsampling keeps it at 32x32 and loses it below.
+    mask = np.zeros((64, 64), dtype=bool)
+    mask[38, 22] = True
+    pair = np.random.default_rng(5).random((64, 64, 2))
+    pyr = build_pyramid(pair, mask, levels=4, scale=2.0, min_width=4)
+    assert [int(m.sum()) for _, m in pyr] == [0, 0, 1, 1]
+    params = SolverParams(warp_iters=2, pd_iters=3)
+    prev_mask = None
+    # filterwarnings = error (pyproject.toml): a warning anywhere fails the test.
+    for level, level_mask in pyr:
+        shape = level_mask.shape
+        dirs = np.zeros(shape + (2,))
+        dirs[..., 0] = 1.0
+        if prev_mask is None:
+            u, w = np.zeros(shape), np.zeros(shape + (2,))
+        else:
+            u, w = upsample_state(u, w, prev_mask, shape, level_mask)
+        records = []
+        u, w, v = solve_level(level[..., 0], level[..., 1], dirs, np.ones(shape, dtype=bool),
+                              params, level_mask, u, w, records.append)
+        assert np.all(np.isfinite(u)) and np.all(np.isfinite(w)) and np.all(np.isfinite(v))
+        if not level_mask.any():
+            assert not u.any() and not w.any() and not v.any()
+            assert all(r.max_p_norm == 0.0 and r.max_q_norm == 0.0 for r in records)
+        prev_mask = level_mask
 
 
 def test_solve_pyramid_returns_calibration_field(small_fisheye_rig, small_pair):
