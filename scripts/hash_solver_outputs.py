@@ -19,10 +19,13 @@ N=4 and 2 levels; `--big` adds the `solve-400` benchmark inputs (the default
 400x400 rig, seed 0, N=10, 4 levels). Each configuration also hashes, for
 its rig, both cameras' `render` output (image, depth and hit mask) at
 supersample 1, 2 and 3 and once more at supersample 1 with noise, the three
-`make_ground_truth` arrays, the bytes `save_rig` writes, and the JSON of its
-`SolverParams.to_dict()` (the params block `stereo` echoes to
-`config_resolved.json`), after checking that `SolverParams.from_dict` reads
-that dict back as the same parameters. One more line hashes the JSON of
+`make_ground_truth` arrays, the bytes `save_rig` writes, the bytes of the
+`calibration.pfm` and `trajectory.pfm` that the `fields` command writes for
+that rig, and the JSON of its `SolverParams.to_dict()` (the params block
+`stereo` echoes to `config_resolved.json`), after checking that
+`SolverParams.from_dict` reads that dict back as the same parameters. The
+`params` lines change exactly when a `SolverParams` field is added or
+removed, or a value they echo changes. One more line hashes the JSON of
 `scene_to_dict(default_scene())`.
 
 The last lines check the sampler on its edge cases. For each image shape
@@ -51,7 +54,9 @@ report how far they moved, as max |du| and max |dw| per configuration:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import struct
 import tempfile
@@ -59,7 +64,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fisheyestereo import rasters, solver, synth
+from fisheyestereo import cli, rasters, solver, synth
 from fisheyestereo.camera import (PinholeCamera, PolynomialFisheyeCamera, RelativePose,
                                   StereoRig, UnifiedCamera, save_rig)
 
@@ -155,6 +160,20 @@ def hash_rig_json(rig: StereoRig) -> str:
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def hash_fields_command(rig: StereoRig) -> str:
+    """Digest of the two PFM files `fisheyestereo fields` writes for `rig`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_rig(tmp / "rig.json", rig)
+        argv = ["fields", "--rig", str(tmp / "rig.json"), "--out", str(tmp / "fields")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        h = hashlib.sha256()
+        for name in ("calibration.pfm", "trajectory.pfm"):
+            h.update((tmp / "fields" / name).read_bytes())
+        return h.hexdigest()
+
+
 def hash_params_json(params: solver.SolverParams) -> str:
     assert solver.SolverParams.from_dict(params.to_dict()) == params
     return hashlib.sha256(json.dumps(params.to_dict(), indent=2).encode()).hexdigest()
@@ -218,6 +237,7 @@ def main() -> None:
             print(f"{name:10s} {'max |du|':12s} {np.max(np.abs(res.u - old['u'])):.3e}")
             print(f"{name:10s} {'max |dw|':12s} {np.max(np.abs(res.w - old['w'])):.3e}")
         print(f"{name:10s} {'rig.json':12s} {hash_rig_json(rig)}")
+        print(f"{name:10s} {'fields':12s} {hash_fields_command(rig)}")
         print(f"{name:10s} {'params':12s} {hash_params_json(params)}")
     scene = json.dumps(synth.scene_to_dict(synth.default_scene()), indent=2).encode()
     print(f"{'scene':10s} {'default':12s} {hashlib.sha256(scene).hexdigest()}")

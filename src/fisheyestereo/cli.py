@@ -75,7 +75,7 @@ _PARAM_FIELDS = {f.name: f for f in dataclass_fields(solver.SolverParams)}
 def _resolve_params(args) -> solver.SolverParams:
     """Defaults < `--config` file < flags; bad keys or values are a CommandError."""
     values = solver.SolverParams().to_dict()
-    if getattr(args, "config", None):
+    if args.config:
         values = _read("config file", args.config,
                        lambda p: {**values, **json.loads(p.read_text())})
     for name in _PARAM_FIELDS:
@@ -146,11 +146,9 @@ def cmd_render(args) -> int:
 
 def cmd_fields(args) -> int:
     rig = _load_rig_arg(args.rig)
-    epsilon = _resolve_params(args).epsilon_scale
     cal, cal_ok = fields.generate_calibration_field(rig)
     try:
-        traj, traj_ok = fields.generate_trajectory_field(
-            fields.translation_only_rig(rig), epsilon_scale=epsilon)
+        traj, traj_ok = fields.generate_trajectory_field(fields.translation_only_rig(rig))
     except ValueError as exc:
         raise CommandError(f"cannot generate fields: {exc}") from None
 
@@ -310,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fields", help="write calibration and trajectory fields")
     p.add_argument("--rig", default="default")
     p.add_argument("--out", required=True)
-    _add_param_flags(p, ["epsilon_scale"])
     p.set_defaults(func=cmd_fields)
 
     p = sub.add_parser("stereo", help="solve a stereo pair for disparity and depth")
@@ -326,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimate", required=True, help="warp PFM (3-channel)")
     p.add_argument("--gt", required=True, help="dataset directory with ground truth")
     p.add_argument("--out", required=True)
-    p.add_argument("--taus", default="1,3,5")
+    p.add_argument("--taus", default=",".join(f"{tau:g}" for tau in evaluate.DEFAULT_TAUS),
+                   help="comma-separated error thresholds, px (default %(default)s)")
     p.add_argument("--error-png", dest="error_png", action="store_true")
     p.set_defaults(func=cmd_eval)
 

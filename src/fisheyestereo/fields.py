@@ -55,6 +55,7 @@ def generate_trajectory_field(rig: StereoRig, epsilon_scale: float = 0.1,
     first). The translation is rescaled so the largest in-mask flow is about
     `epsilon_scale` pixels: small enough to approximate the vanishing-
     translation tangent, large enough to dodge float cancellation. The
+    solver and the `fields` command use the default. The
     direction is independent of `depth` and of the baseline length; both
     invariances are exercised in the test suite rather than assumed.
     """

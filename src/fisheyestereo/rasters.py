@@ -353,7 +353,7 @@ def downsample_area(field: np.ndarray, mask: np.ndarray,
 
 
 def build_pyramid(field: np.ndarray, mask: np.ndarray, levels: int,
-                  scale: float, min_width: int = 50) -> list[tuple[np.ndarray, np.ndarray]]:
+                  scale: float, min_width: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Coarse-to-fine pyramid of an (H, W, C) `field` with in-mask area averaging.
 
     Returns one (field, mask) pair per level, coarsest first; the last pair is

@@ -17,7 +17,8 @@ differences with no separate edge mask.
 
 The inner loop is a preconditioned primal-dual iteration: projected ascent
 on duals p (2-channel) and q (4-channel), a closed-form shrinkage step on u
-against the linearized residual, a descent step on v, then over-relaxation.
+against the linearized residual, a descent step on v, then over-relaxation
+with theta = 1, as in the convergence proof (Chambolle & Pock, JMIV 2011).
 The outer loop re-warps the second image, re-linearizes the residual, clips
 each disparity increment to du_max, and accumulates the warp vector as the
 direction-weighted sum of increments. `solve_level` takes the level's (u, w)
@@ -44,8 +45,7 @@ from .camera import StereoRig
 from .rasters import (backward_divergence, build_pyramid, edge_divergence,
                       edge_indicators, forward_difference, pixel_grid, sample_bicubic,
                       sample_bicubic_many, smooth_masked, upsample_state, warp_image)
-from .schema import (ABOVE_ONE, COUNT, NONNEGATIVE, POSITIVE, UNIT_INTERVAL, Ruled,
-                     reject_unknown_keys, ruled)
+from .schema import ABOVE_ONE, COUNT, NONNEGATIVE, POSITIVE, Ruled, reject_unknown_keys, ruled
 
 
 @dataclass
@@ -59,6 +59,8 @@ class SolverParams(Ruled):
     warp_iters (N) times du_max bounds the disparity a single pyramid level
     can accumulate. Each field's metadata holds its rule, which construction
     checks (`schema.Ruled`), and its `help`, which documents its CLI flag.
+    The method's constants are not fields: theta = 1 (`primal_dual_iterate`)
+    and the trajectory probe's size (`fields.generate_trajectory_field`).
     """
 
     lam: float = ruled(POSITIVE, 5.0, help="data term weight")
@@ -72,10 +74,7 @@ class SolverParams(Ruled):
     pyramid_levels: int = ruled(COUNT, 5, help="most pyramid levels, finest included")
     pyramid_scale: float = ruled(ABOVE_ONE, 2.0, help="size ratio between pyramid levels, > 1")
     min_width: int = ruled(COUNT, 50, help="narrowest pyramid level width, px")
-    epsilon_scale: float = ruled(POSITIVE, 0.1,
-                                 help="target peak flow when generating trajectory fields, px")
     tensor_sigma: float = ruled(NONNEGATIVE, 1.0, help="edge tensor pre-smoothing sigma, px")
-    theta: float = ruled(UNIT_INTERVAL, 1.0, help="primal over-relaxation factor, in [0, 1]")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -241,10 +240,10 @@ class LevelOperator:
     a*ex, `b_ex`, `b_ey` and `c_ey`. Multiplying by a 0/1 factor is exact,
     so K and K* take raw differences and give the values of masking the
     differences first. Steps that always meet a weight carry it: `p_step` is
-    alpha1*sigma_p, `q_step` alpha0*sigma_q and `u_step` alpha1*tau_u;
-    `q_ex`/`q_ey` hold q_step*ex and q_step*ey, the weights of grad v in the
-    dual step on q. `tau_u` (for the data term's proximal step) and `tau_v`
-    are plain.
+    alpha1*sigma_p and `u_step` alpha1*tau_u. q's step alpha0*sigma_q is 1/2,
+    as each row of grad v has absolute sum 2, so `q_ex`/`q_ey` are 0.5*ex and
+    0.5*ey, the weights of grad v in the dual step on q. `tau_u` (for the data
+    term's proximal step) and `tau_v` are plain.
 
     `precondition_steps` builds it in float64; `solve_level` casts its
     arrays to float32 for the primal-dual cycle. `apply` and `adjoint` keep
@@ -258,7 +257,6 @@ class LevelOperator:
     b_ey: np.ndarray
     c_ey: np.ndarray
     p_step: np.ndarray
-    q_step: float
     q_ex: np.ndarray
     q_ey: np.ndarray
     u_step: np.ndarray
@@ -283,7 +281,7 @@ class LevelOperator:
         (2, H, W) and (4, H, W), channels (dv0/dx, dv0/dy, dv1/dx, dv1/dy).
 
         `v_weights` replaces (ex, ey) as the weights of v's differences: the
-        cycle passes (q_ex, q_ey) and gets q_step * grad v in the same pass.
+        cycle passes (q_ex, q_ey) and gets q's step 1/2 times grad v at once.
         """
         wx, wy = (self.ex, self.ey) if v_weights is None else v_weights
         return (self._tensor_gradient(u) - v,
@@ -314,7 +312,6 @@ def precondition_steps(t: np.ndarray, mask: np.ndarray,
     row_px = 2.0 * a * exf + 2.0 * b * eyf + 1.0
     row_py = 2.0 * b * exf + 2.0 * c * eyf + 1.0
     sigma_p = 1.0 / (params.alpha1 * np.maximum(row_px, row_py))
-    sigma_q = 1.0 / (2.0 * params.alpha0)
 
     col_u = (a + b) * exf + (b + c) * eyf
     col_u[:, 1:] += ((a + b) * exf)[:, :-1]
@@ -325,11 +322,10 @@ def precondition_steps(t: np.ndarray, mask: np.ndarray,
     edge_count[:, 1:] += exf[:, :-1]
     edge_count[1:, :] += eyf[:-1, :]
     tau_v = 1.0 / (params.alpha1 + params.alpha0 * edge_count)
-    q_step = sigma_q * params.alpha0
     return LevelOperator(
         ex=exf, ey=eyf, a_ex=t[..., 0] * exf, b_ex=t[..., 1] * exf,
         b_ey=t[..., 1] * eyf, c_ey=t[..., 2] * eyf,
-        p_step=sigma_p * params.alpha1, q_step=q_step, q_ex=q_step * exf, q_ey=q_step * eyf,
+        p_step=sigma_p * params.alpha1, q_ex=0.5 * exf, q_ey=0.5 * eyf,
         u_step=tau_u * params.alpha1, tau_u=tau_u, tau_v=tau_v)
 
 
@@ -342,9 +338,9 @@ def primal_dual_iterate(state: SolverState, op: LevelOperator, iu: np.ndarray,
     residual handed to the shrinkage step is rho0 + (u - u_omega) * iu.
     `op` comes from `precondition_steps(t, mask, params)`.
     """
-    kp, q_step_kq = op.apply(state.u_bar, state.v_bar, (op.q_ex, op.q_ey))
+    kp, half_kq = op.apply(state.u_bar, state.v_bar, (op.q_ex, op.q_ey))
     p = _project_unit_ball(state.p + op.p_step * kp)
-    q = _project_unit_ball(state.q + q_step_kq)
+    q = _project_unit_ball(state.q + half_kq)
 
     div_tp, div_q = op.adjoint(p, q)
     u_hat = state.u + op.u_step * div_tp
@@ -352,8 +348,8 @@ def primal_dual_iterate(state: SolverState, op: LevelOperator, iu: np.ndarray,
     u_new = thresholding_step(u_hat, rho_hat, iu, op.tau_u, params.lam)
     v_new = state.v + op.tau_v * (params.alpha0 * div_q + params.alpha1 * p)
 
-    u_bar = u_new + params.theta * (u_new - state.u)
-    v_bar = v_new + params.theta * (v_new - state.v)
+    u_bar = u_new + (u_new - state.u)
+    v_bar = v_new + (v_new - state.v)
     return SolverState(u=u_new, v=v_new, p=p, q=q, u_bar=u_bar, v_bar=v_bar)
 
 
@@ -479,7 +475,7 @@ def solve_pyramid(i0: np.ndarray, i1: np.ndarray, rig: StereoRig,
         h, w_ = level_mask.shape
         cam_lvl = rig.cam0.scaled_to((h, w_))
         dirs, traj_ok = fieldsmod.generate_trajectory_field(
-            StereoRig(cam_lvl, cam_lvl, rig_t.pose), params.epsilon_scale)
+            StereoRig(cam_lvl, cam_lvl, rig_t.pose))
         if prev_mask is None:
             u, w = np.zeros((h, w_)), np.zeros((h, w_, 2))
         else:

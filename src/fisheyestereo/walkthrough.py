@@ -113,8 +113,7 @@ def generate_walkthrough(out_dir) -> Path:
 
     # 4. anisotropy tensor and the linearized residual
     mask = m0 & i1c_ok
-    params = solver.SolverParams(warp_iters=4, pd_iters=10,
-                                 pyramid_levels=1, min_width=8)
+    params = solver.SolverParams(warp_iters=4, pyramid_levels=1)
     tens = solver.edge_tensor(i0, mask, params)
     _save(out, "tensor_across_edge_weight", tens[:, :, 0], mask)
     iu, iu_ok = solver.image_derivative_along(traj, i1c, mask)

@@ -187,7 +187,7 @@ def test_criterion_05_degenerates_to_rectified(monkeypatch):
 
     widths = []
 
-    def horizontal(rig_lvl, epsilon_scale):
+    def horizontal(rig_lvl):
         h, w = rig_lvl.cam0.height, rig_lvl.cam0.width
         widths.append(w)
         dirs = np.zeros((h, w, 2))

@@ -1,5 +1,7 @@
+import argparse
 import json
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,8 @@ import pytest
 from fisheyestereo import formats
 from fisheyestereo.camera import (RelativePose, StereoRig, UnifiedCamera,
                                   save_rig)
-from fisheyestereo.cli import main
+from fisheyestereo.cli import build_parser, main
+from fisheyestereo.solver import SolverParams
 
 TINY_SCENE = {
     "primitives": [
@@ -227,16 +230,16 @@ def test_stereo_config_echo_resolves_overrides(stereo_run):
 def test_stereo_config_file_merge(tmp_path, dataset, tiny_rig_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"warp_iters": 3, "pyramid_levels": 2,
-                               "min_width": 40, "lam": 2.5, "theta": 0.8}))
+                               "min_width": 40, "lam": 2.5, "eta": 0.8}))
     out = tmp_path / "s"
     assert main(["stereo", "--left", str(dataset / "image0.pgm"),
                  "--right", str(dataset / "image1.pgm"),
                  "--rig", str(tiny_rig_path), "--out", str(out),
-                 "--config", str(cfg), "--lam", "3.5", "--theta", "0.9"]) == 0
+                 "--config", str(cfg), "--lam", "3.5", "--eta", "0.9"]) == 0
     echo = json.loads((out / "config_resolved.json").read_text())
     assert echo["params"]["warp_iters"] == 3     # from config file
     assert echo["params"]["lam"] == 3.5          # flag beats config
-    assert echo["params"]["theta"] == 0.9
+    assert echo["params"]["eta"] == 0.9
 
 
 @pytest.mark.parametrize("config, flags, message", [
@@ -248,7 +251,11 @@ def test_stereo_config_file_merge(tmp_path, dataset, tiny_rig_path):
     pytest.param({"du_max": "0.2"}, [], "du_max must be finite and > 0",
                  id="config4-flags4-du_max as text"),
     ({}, ["--lam", "nan"], "lam must be finite"),
-    ({}, ["--theta", "-1"], "theta must be in [0, 1]"),
+    # theta and epsilon_scale are constants of the method, not settings.
+    pytest.param({"theta": 1.0}, [], "'theta' is not a key of a solver config",
+                 id="config6-flags6-theta not a key"),
+    pytest.param({"epsilon_scale": 0.1}, [], "'epsilon_scale' is not a key of a solver config",
+                 id="config7-flags7-epsilon_scale not a key"),
 ])
 def test_stereo_bad_params_fail_with_message(tmp_path, dataset, tiny_rig_path, capsys,
                                              config, flags, message):
@@ -260,6 +267,37 @@ def test_stereo_bad_params_fail_with_message(tmp_path, dataset, tiny_rig_path, c
                  "--config", str(cfg)] + flags)
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+# Each SolverParams field's flag, by its argparse dest.
+PARAM_FLAGS = {f.name: ["--" + f.name.replace("_", "-")] for f in fields(SolverParams)}
+
+
+@pytest.mark.parametrize("command, params, others", [
+    ("stereo", set(PARAM_FLAGS), {"left", "right", "rig", "out", "config"}),
+    ("sweep", set(PARAM_FLAGS) - {"warp_iters", "du_max"},
+     {"dataset", "out", "warp_iters_grid", "du_max_grid", "config"}),
+    ("fields", set(), {"rig", "out"}),
+], ids=["stereo", "sweep", "fields"])
+def test_solver_flags_are_one_per_params_field(command, params, others):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a.option_strings for a in sub.choices[command]._actions
+             if a.dest != "help"}
+    assert set(flags) == params | others
+    assert {name: flags[name] for name in params} == {name: PARAM_FLAGS[name] for name in params}
+
+
+@pytest.mark.parametrize("argv", [
+    ["stereo", "--left", "l.pgm", "--right", "r.pgm", "--theta", "1"],
+    ["fields", "--epsilon-scale", "0.1"],
+], ids=["stereo-theta", "fields-epsilon-scale"])
+def test_removed_setting_flags_exit_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.fixture(scope="module")

@@ -340,7 +340,8 @@ def test_pyramid_truncates_below_min_width():
 def test_pyramid_single_level_is_input():
     rng = np.random.default_rng(3)
     img = rng.random((40, 40))
-    pyr = build_pyramid(img[..., None], np.ones((40, 40), bool), levels=1, scale=2.0)
+    pyr = build_pyramid(img[..., None], np.ones((40, 40), bool), levels=1, scale=2.0,
+                        min_width=50)
     assert len(pyr) == 1
     assert np.array_equal(pyr[0][0], img[..., None])
 

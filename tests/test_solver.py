@@ -35,10 +35,6 @@ def test_params_validate():
         SolverParams(warp_iters=0)
     with pytest.raises(ValueError):
         SolverParams.from_dict({"lambda_weight": 1.0})
-    for theta in (-3.0, -1e-9, 1.5):
-        with pytest.raises(ValueError, match="theta"):
-            SolverParams(theta=theta)
-    assert SolverParams(theta=0).theta == 0 and SolverParams(theta=1.0).theta == 1.0
 
 
 # A SolverParams field and a value of the wrong type for it.
@@ -54,8 +50,7 @@ def test_params_reject_wrong_types(name, value):
         SolverParams.from_dict({name: value})
 
 
-@pytest.mark.parametrize("name", ["lam", "alpha0", "du_max", "pyramid_scale", "theta",
-                                  "tensor_sigma"])
+@pytest.mark.parametrize("name", ["lam", "alpha0", "du_max", "pyramid_scale", "tensor_sigma"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_params_reject_non_finite(name, value):
     with pytest.raises(ValueError, match=name):
@@ -398,15 +393,14 @@ def _reference_cycle(state, t, mask, op, iu, rho0, u_omega, params):
     kp = tensor(forward_difference(state.u_bar, ex, ey)) - state.v_bar
     kq = forward_difference(state.v_bar, ex, ey).reshape(4, h, w)
     p = solver._project_unit_ball(state.p + op.p_step * kp)
-    q = solver._project_unit_ball(state.q + op.q_step * kq)
+    q = solver._project_unit_ball(state.q + 0.5 * kq)
     div_tp = backward_divergence(tensor(p), ex, ey)
     div_q = backward_divergence(q.reshape(2, 2, h, w), ex, ey)
     u_hat = state.u + op.u_step * div_tp
     u_new = thresholding_step(u_hat, rho0 + (u_hat - u_omega) * iu, iu, op.tau_u, params.lam)
     v_new = state.v + op.tau_v * (params.alpha0 * div_q + params.alpha1 * p)
     return SolverState(u=u_new, v=v_new, p=p, q=q,
-                       u_bar=u_new + params.theta * (u_new - state.u),
-                       v_bar=v_new + params.theta * (v_new - state.v))
+                       u_bar=u_new + (u_new - state.u), v_bar=v_new + (v_new - state.v))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -416,7 +410,7 @@ def test_pd_cycle_matches_unfolded_reference(dtype, seed, h, w):
     rng = np.random.default_rng(seed)
     mask = rng.random((h, w)) < rng.choice([0.6, 0.9, 1.0])
     t = compute_tensor(rng.random((h, w)), 9.0, 0.85, mask)
-    params = SolverParams(theta=rng.choice([0.5, 1.0]))
+    params = SolverParams()
     op = _cast_operator(precondition_steps(t, mask, params), dtype)
 
     def draw(*shape):
@@ -443,7 +437,7 @@ def test_folded_operator_fields_vanish_exactly_off_the_edges():
     assert np.array_equal(op.ex, ex) and np.array_equal(op.ey, ey)
     for folded, edges, factor in ((op.a_ex, ex, t[..., 0]), (op.b_ex, ex, t[..., 1]),
                                   (op.b_ey, ey, t[..., 1]), (op.c_ey, ey, t[..., 2]),
-                                  (op.q_ex, ex, op.q_step), (op.q_ey, ey, op.q_step)):
+                                  (op.q_ex, ex, 0.5), (op.q_ey, ey, 0.5)):
         assert np.array_equal(folded == 0, edges == 0)
         assert np.array_equal(folded, np.where(edges == 1, factor, 0.0))
 
@@ -455,7 +449,6 @@ def test_preconditioned_steps_positive_and_finite():
     op = precondition_steps(t, mask, SolverParams())
     for step in (op.p_step, op.u_step, op.tau_u, op.tau_v):
         assert np.all(np.isfinite(step)) and np.all(step > 0)
-    assert np.isfinite(op.q_step) and op.q_step > 0
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,7 @@ def test_walkthrough_scores_the_composed_correspondence(tmp_path):
     i0, _, _ = render(scene, rig.cam0)
     i1, _, _ = render(scene, rig.cam1, pose=rig.pose)
     gt = make_ground_truth(scene, rig)
-    res = solve_pyramid(i0, i1, rig, SolverParams(warp_iters=4, pd_iters=10,
-                                                  pyramid_levels=1, min_width=8))
+    res = solve_pyramid(i0, i1, rig, SolverParams(warp_iters=4, pyramid_levels=1))
     corr, corr_ok = compose_with_calibration(res.w, res.cal, res.cal_ok)
     scored = gt.covisibility & res.mask & corr_ok
     composed = correspondence_error(corr, gt.correspondence, scored)[scored].mean()
