@@ -239,12 +239,16 @@ def edge_indicators(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ex, ey
 
 
-def forward_difference(f: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
+def forward_difference(f: np.ndarray, ex: np.ndarray, ey: np.ndarray,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """Forward differences of float fields (..., H, W) as (..., 2, H, W), channels
     (d/dx, d/dy), each multiplied by its edge weight, `ex` or `ey`, and zero on
     the last column or row; in the dtype of the inputs. With the 0/1 maps of
-    `edge_indicators`, edges leaving the mask are zeroed."""
-    g = np.empty(f.shape[:-2] + (2,) + f.shape[-2:], dtype=np.result_type(f, ex, ey))
+    `edge_indicators`, edges leaving the mask are zeroed. `out`, when given,
+    receives the result and is the only array written; it must not overlap
+    the inputs."""
+    g = np.empty(f.shape[:-2] + (2,) + f.shape[-2:],
+                 dtype=np.result_type(f, ex, ey)) if out is None else out
     gx, gy = g[..., 0, :, :], g[..., 1, :, :]
     np.subtract(f[..., :, 1:], f[..., :, :-1], out=gx[..., :, :-1])
     gx[..., :, :-1] *= ex[:, :-1]
@@ -262,10 +266,13 @@ def backward_divergence(p: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> np.nda
     return edge_divergence(p[..., 0, :, :] * ex, p[..., 1, :, :] * ey)
 
 
-def edge_divergence(mx: np.ndarray, my: np.ndarray) -> np.ndarray:
+def edge_divergence(mx: np.ndarray, my: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Backward-difference divergence of edge components (..., H, W) that are
-    already zero on the edges leaving the mask (see `backward_divergence`)."""
-    div = np.empty(mx.shape, dtype=np.result_type(mx, my))
+    already zero on the edges leaving the mask (see `backward_divergence`).
+    `out`, when given, receives the result and is the only array written; it
+    must not overlap `mx` or `my`."""
+    div = np.empty(mx.shape, dtype=np.result_type(mx, my)) if out is None else out
     div[..., :, 0] = mx[..., :, 0]
     np.subtract(mx[..., :, 1:], mx[..., :, :-1], out=div[..., :, 1:])
     div += my

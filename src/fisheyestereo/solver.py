@@ -31,11 +31,32 @@ variables stay inside their unit balls by construction.
 
 The primal-dual cycles run in float32 (see `solve_level`); every array the
 solver returns, and `energy()`, is float64.
+
+A cycle's two halves are independent until they meet: p, div(T p) and u on
+one side, q and v on the other. On levels of `_SPLIT_MIN_PIXELS` pixels or
+more, when the process's CPU affinity holds two CPUs, one module-level
+worker thread runs the q dual step and then the v primal step (with v_bar)
+while the calling thread runs the rest, `thresholding_step` included.
+NumPy releases the GIL inside its loops, so the halves overlap; the results
+are bit-identical to running both halves inline. Smaller levels run inline:
+each split cycle pays two thread hand-offs, about 0.35 ms per cycle on a
+2-core VM, which on the 50x50 level of a solve-400 op alone would add about
+0.04 s; on that machine splitting starts to pay between about 120x120 and
+150x150 (see `_SPLIT_MIN_PIXELS`). The worker writes only into arrays the calling thread allocated
+for that cycle, scratch included. Each thread gets its own glibc malloc
+arena: letting the worker allocate its arrays raised solve-400 peak RSS
+from 152 to 163 MB (151.6 MB under `MALLOC_ARENA_MAX=1`), where
+caller-allocated buffers keep it at 149-152 MB. NumPy's `errstate`
+is per thread, and a task on the worker does not inherit the caller's, so
+any `errstate` the worker needs is entered inside the task (none does).
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from collections.abc import Callable
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -99,7 +120,10 @@ class SolverState:
 
     No solver function writes into an array it was given; each step returns
     fresh arrays. So a state may share its arrays with another state, with
-    the caller's inputs, or among its own fields, without copies.
+    the caller's inputs, or among its own fields, without copies. That holds
+    for the worker thread of a split cycle too (see the module docstring):
+    it computes the new q, v and v_bar into arrays the calling thread
+    allocated for that cycle, and only reads the state it is given.
     """
 
     u: np.ndarray
@@ -133,6 +157,18 @@ Observer = Callable[[WarpRecord], None]
 # division (about 5 units of roundoff, 2.5 of eps), so a projected dual lies
 # inside its unit ball.
 _PROJECTION_ULPS = 4
+
+# Levels of fewer pixels run the primal-dual cycle inline. A split cycle
+# pays two thread hand-offs, about 0.35 ms (2-core VM): a 50x50 cycle took
+# 0.62 ms split against 0.24 ms inline, a 100x100 one 0.71 against 0.57 ms.
+# Splitting paid from between 120x120 and 150x150 on, and 400x400 cycles
+# took 6.2 ms against 11.4 ms. The solve-400 levels 100x100 and 50x50 run
+# inline, 200x200 and 400x400 split.
+_SPLIT_MIN_PIXELS = 20_000
+# The primal-dual worker thread, made by `_cycle_worker` on first use, and
+# the lock that keeps two calling threads from each making one.
+_worker: ThreadPoolExecutor | None = None
+_worker_lock = threading.Lock()
 
 
 def compute_tensor(i0: np.ndarray, beta: float, eta: float,
@@ -207,12 +243,17 @@ def thresholding_step(u_hat: np.ndarray, rho_hat: np.ndarray, iu: np.ndarray,
     return u_hat + np.where(iu != 0, step, 0.0)
 
 
-def _norm(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the channels of a channel-first array."""
-    s = x[0] * x[0]
+def _norm(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean norm over the channels of a channel-first array.
+
+    `scratch`, a (2, H, W) array of x's dtype, holds every temporary when
+    given, and the norm is returned in scratch[0]; otherwise both are fresh.
+    """
+    s, t = np.empty((2,) + x.shape[1:], x.dtype) if scratch is None else scratch
+    np.multiply(x[0], x[0], out=s)
     for c in x[1:]:
-        s += c * c
-    return np.sqrt(s)
+        s += np.multiply(c, c, out=t)
+    return np.sqrt(s, out=s)
 
 
 def _max_norm(x: np.ndarray) -> float:
@@ -220,14 +261,17 @@ def _max_norm(x: np.ndarray) -> float:
     return float(np.max(_norm(x.astype(np.float64, copy=False)), initial=0.0))
 
 
-def _project_unit_ball(x: np.ndarray) -> np.ndarray:
+def _project_unit_ball(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """Scale each pixel of a channel-first dual back into the unit ball, in place.
 
     The norm is inflated by a few units in the last place of x's dtype, which
     outweighs the rounding of the norm and of the division: the result lies
-    inside the ball when measured exactly, in float32 as in float64.
+    inside the ball when measured exactly, in float32 as in float64. With
+    `scratch` (see `_norm`) it writes into no other array.
     """
-    x /= np.maximum(1.0, _norm(x) * (1.0 + _PROJECTION_ULPS * np.finfo(x.dtype).eps))
+    n = _norm(x, scratch)
+    n *= 1.0 + _PROJECTION_ULPS * np.finfo(x.dtype).eps
+    x /= np.maximum(n, 1.0, out=n)
     return x
 
 
@@ -274,25 +318,22 @@ class LevelOperator:
             out[:-1] += wy[:-1] * dy
         return tg
 
-    def apply(self, u: np.ndarray, v: np.ndarray,
-              v_weights: tuple[np.ndarray, np.ndarray] | None = None,
-              ) -> tuple[np.ndarray, np.ndarray]:
-        """K(u, v) = (T grad u - v, grad v): (H, W) u and (2, H, W) v give
-        (2, H, W) and (4, H, W), channels (dv0/dx, dv0/dy, dv1/dx, dv1/dy).
+    def _tensor_divergence(self, p: np.ndarray) -> np.ndarray:
+        """div(T p) as (H, W), the negative adjoint of `_tensor_gradient`."""
+        p0, p1 = p
+        return edge_divergence(self.a_ex * p0 + self.b_ex * p1,
+                               self.b_ey * p0 + self.c_ey * p1)
 
-        `v_weights` replaces (ex, ey) as the weights of v's differences: the
-        cycle passes (q_ex, q_ey) and gets q's step 1/2 times grad v at once.
-        """
-        wx, wy = (self.ex, self.ey) if v_weights is None else v_weights
+    def apply(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """K(u, v) = (T grad u - v, grad v): (H, W) u and (2, H, W) v give
+        (2, H, W) and (4, H, W), channels (dv0/dx, dv0/dy, dv1/dx, dv1/dy)."""
         return (self._tensor_gradient(u) - v,
-                forward_difference(v, wx, wy).reshape((4,) + u.shape))
+                forward_difference(v, self.ex, self.ey).reshape((4,) + u.shape))
 
     def adjoint(self, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(div(T p), div q) per component, so <K(u, v), (p, q)> =
         -<u, div(T p)> - <v, div q + p>; shapes mirror `apply`."""
-        p0, p1 = p
-        return (edge_divergence(self.a_ex * p0 + self.b_ex * p1,
-                                self.b_ey * p0 + self.c_ey * p1),
+        return (self._tensor_divergence(p),
                 backward_divergence(q.reshape((2, 2) + q.shape[1:]), self.ex, self.ey))
 
 
@@ -329,6 +370,81 @@ def precondition_steps(t: np.ndarray, mask: np.ndarray,
         u_step=tau_u * params.alpha1, tau_u=tau_u, tau_v=tau_v)
 
 
+def _cycle_worker(pixels: int) -> ThreadPoolExecutor | None:
+    """The worker thread for a cycle on `pixels` pixels, or None to run inline.
+
+    Inline below `_SPLIT_MIN_PIXELS`, and in a process whose CPU affinity
+    holds one CPU. The worker is made on first use, not on import.
+    """
+    global _worker
+    if pixels < _SPLIT_MIN_PIXELS or _usable_cpus() < 2:
+        return None
+    if _worker is None:
+        with _worker_lock:
+            if _worker is None:
+                _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="primal-dual")
+    return _worker
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity where the OS reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _forget_worker() -> None:
+    """A forked child has no worker thread; it makes its own on first use."""
+    global _worker, _worker_lock
+    _worker = None
+    _worker_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+_DONE: Future = Future()
+_DONE.set_result(None)
+
+
+def _start(worker: ThreadPoolExecutor | None, task: Callable, *args) -> Future:
+    """Run `task` on the worker, or at once on the calling thread if None."""
+    if worker is not None:
+        return worker.submit(task, *args)
+    task(*args)
+    return _DONE
+
+
+def _dual_q_step(v_bar: np.ndarray, q_old: np.ndarray, op: LevelOperator,
+                 q: np.ndarray, scratch: np.ndarray) -> None:
+    """q = projection of q_old + grad(v_bar) / 2, written into `q`.
+
+    Writes `q` and `scratch` (2, H, W) and no other array.
+    """
+    forward_difference(v_bar, op.q_ex, op.q_ey, out=q.reshape((2, 2) + q.shape[1:]))
+    q += q_old
+    _project_unit_ball(q, scratch)
+
+
+def _primal_v_step(q: np.ndarray, p: np.ndarray, v_old: np.ndarray, op: LevelOperator,
+                   params: SolverParams, v: np.ndarray, v_bar: np.ndarray,
+                   scratch: np.ndarray) -> None:
+    """v = v_old + tau_v (alpha0 div q + alpha1 p) and v_bar = 2 v - v_old.
+
+    Writes `v`, `v_bar` and `scratch`, all (2, H, W), and no other array.
+    """
+    q2 = q.reshape((2, 2) + q.shape[1:])
+    div_q = edge_divergence(np.multiply(q2[:, 0], op.ex, out=v),
+                            np.multiply(q2[:, 1], op.ey, out=v_bar), out=scratch)
+    div_q *= params.alpha0
+    div_q += np.multiply(p, params.alpha1, out=v_bar)
+    div_q *= op.tau_v
+    np.add(v_old, div_q, out=v)
+    np.subtract(v, v_old, out=v_bar)
+    v_bar += v
+
+
 def primal_dual_iterate(state: SolverState, op: LevelOperator, iu: np.ndarray,
                         rho0: np.ndarray, u_omega: np.ndarray,
                         params: SolverParams) -> SolverState:
@@ -337,20 +453,35 @@ def primal_dual_iterate(state: SolverState, op: LevelOperator, iu: np.ndarray,
     rho0 is the residual at the current warp (u = u_omega); the linearized
     residual handed to the shrinkage step is rho0 + (u - u_omega) * iu.
     `op` comes from `precondition_steps(t, mask, params)`.
-    """
-    kp, half_kq = op.apply(state.u_bar, state.v_bar, (op.q_ex, op.q_ey))
-    p = _project_unit_ball(state.p + op.p_step * kp)
-    q = _project_unit_ball(state.q + half_kq)
 
-    div_tp, div_q = op.adjoint(p, q)
+    The cycle has two independent halves: (p, u) and (q, v). From
+    `_SPLIT_MIN_PIXELS` pixels on, and when the process's CPU affinity holds
+    two CPUs, one worker thread runs the q dual step and then the v primal
+    step (with v_bar) while the calling thread runs p and div(T p), waits
+    for q, then runs u_hat, rho_hat, `thresholding_step` and u_bar. The
+    worker writes only into arrays this call allocated for the cycle (the
+    reason is measured in the module docstring). Below the floor, where two
+    thread hand-offs per cycle cost more than the overlap saves, or with one
+    CPU, both halves run inline on the calling thread; the two paths do the
+    same operations, so their results are bit-identical.
+    """
+    worker = _cycle_worker(state.u.size)
+    dtype = np.result_type(state.v, state.q, op.ex)
+    q = np.empty(state.q.shape, dtype)
+    v, v_bar, scratch = (np.empty(state.v.shape, dtype) for _ in range(3))
+    q_done = _start(worker, _dual_q_step, state.v_bar, state.q, op, q, scratch)
+    kp = op._tensor_gradient(state.u_bar) - state.v_bar
+    p = _project_unit_ball(state.p + op.p_step * kp)
+    div_tp = op._tensor_divergence(p)
+    q_done.result()
+
+    v_done = _start(worker, _primal_v_step, q, p, state.v, op, params, v, v_bar, scratch)
     u_hat = state.u + op.u_step * div_tp
     rho_hat = rho0 + (u_hat - u_omega) * iu
     u_new = thresholding_step(u_hat, rho_hat, iu, op.tau_u, params.lam)
-    v_new = state.v + op.tau_v * (params.alpha0 * div_q + params.alpha1 * p)
-
     u_bar = u_new + (u_new - state.u)
-    v_bar = v_new + (v_new - state.v)
-    return SolverState(u=u_new, v=v_new, p=p, q=q, u_bar=u_bar, v_bar=v_bar)
+    v_done.result()
+    return SolverState(u=u_new, v=v, p=p, q=q, u_bar=u_bar, v_bar=v_bar)
 
 
 def solve_level(i0: np.ndarray, i1: np.ndarray, traj_dirs: np.ndarray,

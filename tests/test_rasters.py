@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fisheyestereo import rasters
 from fisheyestereo.rasters import (backward_divergence, build_pyramid, divergence,
-                                   downsample_area, edge_indicators,
+                                   downsample_area, edge_divergence, edge_indicators,
                                    forward_difference, gradient, pixel_grid,
                                    pyramid_shapes, sample_bicubic, sample_bicubic_many,
                                    smooth_masked, upsample_state, warp_image)
@@ -325,6 +325,22 @@ def test_kernels_on_stacks_match_per_channel_calls(seed, lead, h, w):
     lhs = float(np.sum(g * p))
     rhs = -float(np.sum(f * d))
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_kernels_write_into_out_as_they_would_allocate(dtype):
+    rng = np.random.default_rng(12)
+    ex, ey = edge_indicators(rng.random((9, 7)) > 0.3)
+    f = rng.normal(size=(2, 9, 7)).astype(dtype)
+    mx, my = rng.normal(size=(2, 2, 9, 7)).astype(dtype)
+    inputs = [a.copy() for a in (f, mx, my, ex, ey)]
+    g = np.full((2, 2, 9, 7), np.nan, dtype)
+    div = np.full((2, 9, 7), np.nan, dtype)
+    assert forward_difference(f, ex, ey, out=g) is g
+    assert edge_divergence(mx, my, out=div) is div
+    assert np.array_equal(g, forward_difference(f, ex, ey))
+    assert np.array_equal(div, edge_divergence(mx, my))
+    assert all(np.array_equal(a, b) for a, b in zip(inputs, (f, mx, my, ex, ey)))
 
 
 def test_pyramid_shapes_reference_chain():

@@ -1,4 +1,11 @@
+import importlib
+import importlib.util
 import math
+import multiprocessing
+import os
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +16,7 @@ from fisheyestereo.camera import (PinholeCamera, PolynomialFisheyeCamera, Relati
 from fisheyestereo.evaluate import erroneous_percentage
 from fisheyestereo.fields import (compose_with_calibration, generate_calibration_field,
                                   translation_only_rig)
-from fisheyestereo import solver
+from fisheyestereo import rasters, solver
 from fisheyestereo.rasters import (backward_divergence, build_pyramid, edge_indicators,
                                    forward_difference, gradient, pixel_grid, sample_bicubic,
                                    smooth_masked, upsample_state, warp_image)
@@ -403,15 +410,11 @@ def _reference_cycle(state, t, mask, op, iu, rho0, u_omega, params):
                        u_bar=u_new + (u_new - state.u), v_bar=v_new + (v_new - state.v))
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 13), w=st.integers(1, 13))
-def test_pd_cycle_matches_unfolded_reference(dtype, seed, h, w):
-    rng = np.random.default_rng(seed)
-    mask = rng.random((h, w)) < rng.choice([0.6, 0.9, 1.0])
+def _random_cycle(rng, h, w, dtype, density):
+    """(state, t, mask, op, iu, rho0, u_omega) of one random cycle."""
+    mask = rng.random((h, w)) < density
     t = compute_tensor(rng.random((h, w)), 9.0, 0.85, mask)
-    params = SolverParams()
-    op = _cast_operator(precondition_steps(t, mask, params), dtype)
+    op = _cast_operator(precondition_steps(t, mask, SolverParams()), dtype)
 
     def draw(*shape):
         return (rng.normal(size=shape) * 3).astype(dtype)
@@ -421,11 +424,158 @@ def test_pd_cycle_matches_unfolded_reference(dtype, seed, h, w):
                         u_bar=draw(h, w), v_bar=draw(2, h, w))
     iu, rho0 = draw(h, w), draw(h, w)
     iu[rng.random((h, w)) < 0.2] = 0
-    out = primal_dual_iterate(state, op, iu, rho0, u, params)
-    ref = _reference_cycle(state, t, mask, op, iu, rho0, u, params)
+    return state, t, mask, op, iu, rho0, u
+
+
+def _assert_same_state(out, ref, dtype):
     for name, value in vars(ref).items():
         assert getattr(out, name).dtype == dtype
         assert np.array_equal(getattr(out, name), value), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 13), w=st.integers(1, 13))
+def test_pd_cycle_matches_unfolded_reference(dtype, seed, h, w):
+    rng = np.random.default_rng(seed)
+    state, t, mask, op, iu, rho0, u = _random_cycle(rng, h, w, dtype,
+                                                    rng.choice([0.6, 0.9, 1.0]))
+    params = SolverParams()
+    out = primal_dual_iterate(state, op, iu, rho0, u, params)
+    _assert_same_state(out, _reference_cycle(state, t, mask, op, iu, rho0, u, params), dtype)
+
+
+def _two_cpus(monkeypatch):
+    """Let `_cycle_worker` split cycles even where the process has one CPU."""
+    monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("density", [0.6, 0.9, 1.0])
+@pytest.mark.parametrize("h, w", [(160, 150), (131, 200)])
+def test_split_pd_cycle_matches_reference_and_inline(monkeypatch, dtype, density, h, w):
+    # Above the size floor the (q, v) half runs on the worker thread; the
+    # result matches the unfolded reference and the inline cycle bit for bit.
+    assert h * w >= solver._SPLIT_MIN_PIXELS
+    _two_cpus(monkeypatch)
+    rng = np.random.default_rng(h * w + int(10 * density))
+    state, t, mask, op, iu, rho0, u = _random_cycle(rng, h, w, dtype, density)
+    params = SolverParams()
+    assert solver._cycle_worker(h * w) is not None
+    out = primal_dual_iterate(state, op, iu, rho0, u, params)
+    _assert_same_state(out, _reference_cycle(state, t, mask, op, iu, rho0, u, params), dtype)
+    monkeypatch.setattr(solver, "_cycle_worker", lambda pixels: None)
+    _assert_same_state(out, primal_dual_iterate(state, op, iu, rho0, u, params), dtype)
+
+
+def test_cycle_dispatch_floor_and_affinity(monkeypatch):
+    floor = solver._SPLIT_MIN_PIXELS
+    _two_cpus(monkeypatch)
+    assert solver._cycle_worker(floor - 1) is None
+    worker = solver._cycle_worker(floor)
+    assert worker is not None and solver._cycle_worker(400 * 400) is worker
+    monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: {1})
+    assert solver._cycle_worker(400 * 400) is None
+
+
+def _traced_names():
+    """The (module, function) pairs of the benchmark's tracer, if it is there."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    if not path.is_file():
+        pytest.skip("perfbench/tracing.py is not in this checkout")
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return [(m, attr) for m, attr, _, _ in tracing.TARGETS if "." not in attr]
+
+
+def test_traced_functions_of_a_split_cycle_run_on_the_calling_thread(monkeypatch):
+    # The tracer keeps one span stack and assumes one thread: every function
+    # it wraps that the cycle reaches must run on the calling thread.
+    _two_cpus(monkeypatch)
+    calls = []
+
+    def recorder(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append((name, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for mod_name, attr in _traced_names():
+        original = getattr(importlib.import_module(f"fisheyestereo.{mod_name}"), attr)
+        for mod in (solver, rasters):
+            if vars(mod).get(attr) is original:
+                monkeypatch.setattr(mod, attr, recorder(f"{mod_name}.{attr}", original))
+    monkeypatch.setattr(solver, "_dual_q_step",
+                        recorder("worker", solver._dual_q_step))
+    rng = np.random.default_rng(5)
+    state, _, _, op, iu, rho0, u = _random_cycle(rng, 160, 160, np.float32, 0.9)
+    primal_dual_iterate(state, op, iu, rho0, u, SolverParams())
+    me = threading.get_ident()
+    assert ("solver.thresholding_step", me) in calls
+    assert [name for name, ident in calls if ident != me] == ["worker"]
+
+
+def test_callers_on_several_threads_share_the_worker(monkeypatch):
+    # More calling threads than cores, all handing halves to the one worker,
+    # with frequent thread switches: every result is the inline one.
+    _two_cpus(monkeypatch)
+    rng = np.random.default_rng(6)
+    cases = [_random_cycle(rng, 150, 140, np.float32, 0.9) for _ in range(3)]
+    params = SolverParams()
+
+    def run(state, op, iu, rho0, u):
+        for _ in range(4):
+            state = primal_dual_iterate(state, op, iu, rho0, u, params)
+        return state
+
+    results = [None] * len(cases)
+
+    def target(k):
+        state, _, _, op, iu, rho0, u = cases[k]
+        results[k] = run(state, op, iu, rho0, u)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=target, args=(k,)) for k in range(len(cases))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+        assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(solver, "_cycle_worker", lambda pixels: None)
+    for (state, _, _, op, iu, rho0, u), out in zip(cases, results):
+        _assert_same_state(out, run(state, op, iu, rho0, u), np.float32)
+
+
+def _split_cycle(conn=None):
+    rng = np.random.default_rng(7)
+    state, _, _, op, iu, rho0, u = _random_cycle(rng, 150, 140, np.float32, 0.9)
+    out = primal_dual_iterate(state, op, iu, rho0, u, SolverParams())
+    if conn is not None:
+        conn.send(bool(solver._worker is not None and np.isfinite(out.u).all()))
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+def test_forked_child_makes_its_own_worker():
+    # A forked child inherits no worker thread, only the parent's reference
+    # to one; the at-fork hook drops it so the child's cycles do not hang.
+    _split_cycle()
+    assert solver._worker is not None
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_split_cycle, args=(send,))
+    child.start()
+    try:
+        assert recv.poll(60) and recv.recv() is True
+    finally:
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
 
 
 def test_folded_operator_fields_vanish_exactly_off_the_edges():
