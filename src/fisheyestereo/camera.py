@@ -236,9 +236,6 @@ class RelativePose:
         X = np.asarray(points, dtype=np.float64)
         return X @ self.rotation.T + self.translation
 
-    def inverse(self) -> "RelativePose":
-        return RelativePose(self.rotation.T, -self.rotation.T @ self.translation)
-
     @property
     def camera1_center(self) -> np.ndarray:
         """Position of camera 1 in camera-0 coordinates."""

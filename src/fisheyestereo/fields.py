@@ -88,10 +88,7 @@ def generate_trajectory_field(rig: StereoRig, epsilon_scale: float = 0.1,
     # axis-aligned (a rectified pinhole rig must degenerate bit-exactly).
     residue = (np.abs(dirs) < 1e-9) & (dirs != 0.0)
     if np.any(residue):
-        dirs = np.where(residue, 0.0, dirs)
-        norm = np.linalg.norm(dirs, axis=-1, keepdims=True)
-        dirs = np.divide(dirs, norm, out=np.zeros_like(dirs),
-                         where=norm > 0.5)
+        dirs, good = unit_directions(np.where(residue, 0.0, dirs), good)
 
     # The tangent is undefined at the epipole; drop a radius-1 disc around
     # every degenerate pixel.

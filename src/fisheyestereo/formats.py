@@ -43,8 +43,9 @@ def write_pfm(path, data: np.ndarray) -> None:
 def read_pfm(path, channels: int | None = None) -> np.ndarray:
     """Read a PFM file into float32 (H, W) or (H, W, 3).
 
-    A file that is not a PFM, or (when given) does not hold `channels`
-    channels, raises ValueError.
+    A file that is not a PFM, does not hold `channels` channels (when
+    given), or holds fewer data bytes than its header claims raises
+    ValueError.
     """
     with open(path, "rb") as f:
         tag = f.readline().strip()
@@ -66,10 +67,10 @@ def read_pfm(path, channels: int | None = None) -> np.ndarray:
         except ValueError:
             raise ValueError(f"{path}: PFM scale {line!r} is not a number") from None
         endian = "<" if scale < 0 else ">"
-        buf = f.read(w * h * found * 4)
-    if len(buf) != w * h * found * 4:
+        buf = f.read()  # what the file holds: its header may claim far more
+    if len(buf) < w * h * found * 4:
         raise ValueError(f"{path}: {len(buf)} data bytes for a {w}x{h}x{found} PFM")
-    data = np.frombuffer(buf, dtype=f"{endian}f4").reshape(h, w, found)
+    data = np.frombuffer(buf, dtype=f"{endian}f4", count=w * h * found).reshape(h, w, found)
     data = np.flipud(data).astype(np.float32)
     with np.errstate(invalid="ignore"):  # quiet the signaling NaNs a damaged file may hold
         data[np.isnan(data)] = np.nan

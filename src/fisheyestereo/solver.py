@@ -8,10 +8,10 @@ field) and auxiliary vector field v, the saddle-point form of
 
 where rho is the brightness residual linearized along the local trajectory
 direction and T is an edge-weighted diffusion tensor built from the reference
-image. `LevelOperator.apply` is the operator K(u, v) = (T grad u - v, grad v)
-and `LevelOperator.adjoint` its adjoint; the inner loop and `energy()` both
-use them. K acts on channel-first stacks, so one difference kernel call
-serves both channels of v, and likewise for the adjoint. T is stored
+image. `LevelOperator.apply` is the operator K(u, v) = (T grad u - v, grad v),
+which `energy()` evaluates; the inner loop takes K and its adjoint block by
+block (see `LevelOperator`). K acts on channel-first stacks, so one
+difference kernel call serves both channels of v. T is stored
 multiplied by the 0/1 edge indicators, so T grad u and div(T p) take raw
 differences with no separate edge mask.
 
@@ -34,27 +34,28 @@ solver returns, and `energy()`, is float64.
 
 A cycle's two halves are independent until they meet: p, div(T p) and u on
 one side, q and v on the other. On levels of `_SPLIT_MIN_PIXELS` pixels or
-more, when the process's CPU affinity holds two CPUs, one module-level
+more, when the process's CPU affinity holds two CPUs, the module's one
 worker thread runs the q dual step and then the v primal step (with v_bar)
 while the calling thread runs the rest, `thresholding_step` included.
 NumPy releases the GIL inside its loops, so the halves overlap; the results
-are bit-identical to running both halves inline. Smaller levels run inline:
-each split cycle pays two thread hand-offs, about 0.35 ms per cycle on a
-2-core VM, which on the 50x50 level of a solve-400 op alone would add about
-0.04 s; on that machine splitting starts to pay between about 120x120 and
-150x150 (see `_SPLIT_MIN_PIXELS`). The worker writes only into arrays the calling thread allocated
-for that cycle, scratch included. Each thread gets its own glibc malloc
-arena: letting the worker allocate its arrays raised solve-400 peak RSS
-from 152 to 163 MB (151.6 MB under `MALLOC_ARENA_MAX=1`), where
-caller-allocated buffers keep it at 149-152 MB. NumPy's `errstate`
-is per thread, and a task on the worker does not inherit the caller's, so
-any `errstate` the worker needs is entered inside the task (none does).
+are bit-identical to running both halves inline. Smaller levels, and a
+process on one CPU, run inline, because each split cycle pays two thread
+hand-offs (see `_SPLIT_MIN_PIXELS` and `_cycle_worker`). One hand-off (p
+first, then q and v as one task) was bit-identical but slower, as p no
+longer overlaps q: 5.92 against 5.08 ms per 400x400 cycle (2-core VM).
+
+The worker writes only into arrays the calling thread allocated for that
+cycle, scratch included. Each thread gets its own glibc malloc arena:
+letting the worker allocate its arrays raised solve-400 peak RSS from 152
+to 163 MB (151.6 MB under `MALLOC_ARENA_MAX=1`), where caller-allocated
+buffers keep it at 149-152 MB. NumPy's `errstate` is per thread, and a task
+on the worker does not inherit the caller's, so any `errstate` the worker
+needs is entered inside the task (none does).
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from collections.abc import Callable
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -63,9 +64,9 @@ import numpy as np
 
 from . import fields as fieldsmod
 from .camera import StereoRig
-from .rasters import (backward_divergence, build_pyramid, edge_divergence,
-                      edge_indicators, forward_difference, pixel_grid, sample_bicubic,
-                      sample_bicubic_many, smooth_masked, upsample_state, warp_image)
+from .rasters import (build_pyramid, edge_divergence, edge_indicators, forward_difference,
+                      pixel_grid, sample_bicubic, sample_bicubic_many, smooth_masked,
+                      upsample_state, warp_image)
 from .schema import ABOVE_ONE, COUNT, NONNEGATIVE, POSITIVE, Ruled, reject_unknown_keys, ruled
 
 
@@ -165,10 +166,6 @@ _PROJECTION_ULPS = 4
 # took 6.2 ms against 11.4 ms. The solve-400 levels 100x100 and 50x50 run
 # inline, 200x200 and 400x400 split.
 _SPLIT_MIN_PIXELS = 20_000
-# The primal-dual worker thread, made by `_cycle_worker` on first use, and
-# the lock that keeps two calling threads from each making one.
-_worker: ThreadPoolExecutor | None = None
-_worker_lock = threading.Lock()
 
 
 def compute_tensor(i0: np.ndarray, beta: float, eta: float,
@@ -289,9 +286,13 @@ class LevelOperator:
     0.5*ey, the weights of grad v in the dual step on q. `tau_u` (for the data
     term's proximal step) and `tau_v` are plain.
 
+    `apply` is K, as `energy()` evaluates it. The cycle takes K's adjoint
+    block by block, with <K(u, v), (p, q)> = -<u, div(T p)> - <v, div q + p>:
+    div(T p) from `_tensor_divergence`, and div q inside `_primal_v_step`.
+
     `precondition_steps` builds it in float64; `solve_level` casts its
-    arrays to float32 for the primal-dual cycle. `apply` and `adjoint` keep
-    the dtype of their inputs.
+    arrays to float32 for the primal-dual cycle. `apply` and the tensor
+    kernels keep the dtype of their inputs.
     """
 
     ex: np.ndarray
@@ -330,12 +331,6 @@ class LevelOperator:
         return (self._tensor_gradient(u) - v,
                 forward_difference(v, self.ex, self.ey).reshape((4,) + u.shape))
 
-    def adjoint(self, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(div(T p), div q) per component, so <K(u, v), (p, q)> =
-        -<u, div(T p)> - <v, div q + p>; shapes mirror `apply`."""
-        return (self._tensor_divergence(p),
-                backward_divergence(q.reshape((2, 2) + q.shape[1:]), self.ex, self.ey))
-
 
 def precondition_steps(t: np.ndarray, mask: np.ndarray,
                        params: SolverParams) -> LevelOperator:
@@ -370,20 +365,30 @@ def precondition_steps(t: np.ndarray, mask: np.ndarray,
         u_step=tau_u * params.alpha1, tau_u=tau_u, tau_v=tau_v)
 
 
+def _new_worker() -> None:
+    """Give this process its primal-dual worker, at import and in a forked
+    child (which inherits the executor but not its thread). The executor
+    starts its thread on its first task, so importing starts none."""
+    global _worker
+    _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="primal-dual")
+
+
+_new_worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_worker)
+
+
 def _cycle_worker(pixels: int) -> ThreadPoolExecutor | None:
     """The worker thread for a cycle on `pixels` pixels, or None to run inline.
 
     Inline below `_SPLIT_MIN_PIXELS`, and in a process whose CPU affinity
-    holds one CPU. The worker is made on first use, not on import.
+    holds one CPU: there the two halves cannot overlap, and each cycle still
+    pays its two hand-offs. Pinned to one CPU of a 2-core VM (float32,
+    medians of 8 rounds of 30 cycles), a split cycle took 9.9 ms against
+    9.7 ms inline at 400x400, 2.11 against 1.93 ms at 200x200, and 1.38
+    against 1.22 ms at 142x142: 0.16-0.24 ms, or 2-13 %, more per cycle.
     """
-    global _worker
-    if pixels < _SPLIT_MIN_PIXELS or _usable_cpus() < 2:
-        return None
-    if _worker is None:
-        with _worker_lock:
-            if _worker is None:
-                _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="primal-dual")
-    return _worker
+    return None if pixels < _SPLIT_MIN_PIXELS or _usable_cpus() < 2 else _worker
 
 
 def _usable_cpus() -> int:
@@ -391,17 +396,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _forget_worker() -> None:
-    """A forked child has no worker thread; it makes its own on first use."""
-    global _worker, _worker_lock
-    _worker = None
-    _worker_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
 
 
 _DONE: Future = Future()

@@ -186,12 +186,6 @@ def test_rotvec_rotations_are_orthonormal(rv):
     assert abs(np.linalg.det(R) - 1.0) < 1e-12
 
 
-def test_pose_inverse_roundtrip():
-    pose = RelativePose.from_displacement((0.1, -0.02, 0.05), rotvec=(0.1, 0.2, -0.3))
-    X = np.array([0.4, 0.1, 1.7])
-    assert np.allclose(pose.inverse().transform(pose.transform(X)), X, atol=1e-12)
-
-
 def _midpoint_rig():
     pose = RelativePose.from_displacement((0.1, 0.0, 0.0))
     return StereoRig(PINHOLE, PINHOLE, pose)

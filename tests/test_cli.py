@@ -389,7 +389,7 @@ READ_SITES = {
 KINDS = {
     ".json": ["missing", "directory", "garbage", "not-an-object", "missing-key"],
     ".png": ["missing", "directory", "garbage", "channels", "missing-key"],
-    ".pfm": ["missing", "directory", "garbage", "channels"],
+    ".pfm": ["missing", "directory", "garbage", "channels", "oversized"],
 }
 READ_FAILURES = [(site, kind) for site, (name, _) in READ_SITES.items()
                  for kind in KINDS[Path(name).suffix]
@@ -412,6 +412,9 @@ def _damage(f, kind: str) -> str:
         f.write_text("[1, 2]")
         return "bad "
     raw = bytearray(f.read_bytes())
+    if kind == "oversized":  # a PFM header, tag kept, claiming far more than the file holds
+        f.write_bytes(raw.split(b"\n", 1)[0] + b"\n99999999 99999999\n-1.0\n" + raw[-64:])
+        return "64 data bytes for a 99999999x99999999x"
     if f.suffix == ".json":  # missing-key: drop the object's first key
         obj = json.loads(raw)
         key = next(iter(obj))

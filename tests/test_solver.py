@@ -3,6 +3,7 @@ import importlib.util
 import math
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -336,10 +337,10 @@ def test_kernels_and_cycle_keep_input_dtype(dtype):
     outputs = [forward_difference(u, op.ex, op.ey), forward_difference(v, op.ex, op.ey),
                backward_divergence(p, op.ex, op.ey),
                backward_divergence(q.reshape(2, 2, h, w), op.ex, op.ey),
-               *op.apply(u, v), *op.adjoint(p, q)]
+               *op.apply(u, v), op._tensor_divergence(p)]
     state = SolverState(u=u, v=v, p=p, q=q, u_bar=u, v_bar=v)
     outputs += vars(primal_dual_iterate(state, op, iu, rho0, u, SolverParams())).values()
-    assert [a.dtype for a in outputs] == [np.dtype(dtype)] * 14
+    assert [a.dtype for a in outputs] == [np.dtype(dtype)] * 13
 
 
 _DUAL_SCALES = (0.0, 1e-20, 1e-3, 1.0, 1.5, 1e3, 1e15)
@@ -373,14 +374,16 @@ def test_pd_float32_projection_lands_in_unit_ball(seed, on_ball, still):
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 10_000), h=st.integers(1, 13), w=st.integers(1, 13))
 def test_level_operator_summation_by_parts(seed, h, w):
-    # <K(u, v), (p, q)> = -<u, div(T p)> - <v, div q + p> for any mask and tensor.
+    # <K(u, v), (p, q)> = -<u, div(T p)> - <v, div q + p> for any mask and
+    # tensor, with div q as the reference cycle takes it.
     rng = np.random.default_rng(seed)
     mask = rng.random((h, w)) > 0.3
     op = precondition_steps(rng.normal(size=(h, w, 3)), mask, SolverParams())
     u, v = rng.normal(size=(h, w)), rng.normal(size=(2, h, w))
     p, q = rng.normal(size=(2, h, w)), rng.normal(size=(4, h, w))
     tgu, jac = op.apply(u, v)
-    div_tp, div_q = op.adjoint(p, q)
+    div_tp = op._tensor_divergence(p)
+    div_q = backward_divergence(q.reshape(2, 2, h, w), op.ex, op.ey)
     lhs = float(np.sum(tgu * p)) + float(np.sum(jac * q))
     rhs = -float(np.sum(u * div_tp)) - float(np.sum(v * (div_q + p)))
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
@@ -556,15 +559,25 @@ def _split_cycle(conn=None):
     state, _, _, op, iu, rho0, u = _random_cycle(rng, 150, 140, np.float32, 0.9)
     out = primal_dual_iterate(state, op, iu, rho0, u, SolverParams())
     if conn is not None:
-        conn.send(bool(solver._worker is not None and np.isfinite(out.u).all()))
+        conn.send(bool(np.isfinite(out.u).all()))
+
+
+def test_importing_the_solver_starts_no_thread():
+    # The worker's executor is made at import; its thread starts with the
+    # first split cycle.
+    code = ("import threading, fisheyestereo.solver as s; "
+            "print(threading.active_count(), s._worker is not None)")
+    src = str(Path(solver.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+    assert out.stdout.split() == ["1", "True"]
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
 def test_forked_child_makes_its_own_worker():
-    # A forked child inherits no worker thread, only the parent's reference
-    # to one; the at-fork hook drops it so the child's cycles do not hang.
+    # A forked child inherits the parent's executor but not its thread; the
+    # at-fork hook gives it a fresh executor so the child's cycles do not hang.
     _split_cycle()
-    assert solver._worker is not None
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_split_cycle, args=(send,))
