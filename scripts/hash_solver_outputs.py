@@ -28,6 +28,15 @@ that rig, and the JSON of its `SolverParams.to_dict()` (the params block
 removed, or a value they echo changes. One more line hashes the JSON of
 `scene_to_dict(default_scene())`.
 
+The default scene carries only value noise, on a box and on spheres. The
+`mixed` lines hash the oracle on a scene with every texture and every
+primitive kind: a checkerboard plane, a sine-grating box and a value-noise
+sphere around both cameras. They hash `render` of both cameras at
+supersample 1 and 2 and the three `make_ground_truth` arrays, through a
+61x47 `pinhole_rig` whose centre ray is exactly (0, 0, 1). That ray has two
+zero components, and camera 0 sits on one of the box's slab planes, so the
+box's slab test meets 1/0 and 0 * inf.
+
 The last lines check the sampler on its edge cases. For each image shape
 from 1x1 to 4x4, and 9x7 (which has full stencils), a `sampler` line hashes
 `sample_bicubic` of a 1- and a 3-channel field under a full mask and under
@@ -140,13 +149,30 @@ def hash_solve(rig: StereoRig, params: solver.SolverParams,
     return out, res
 
 
-def hash_oracle(rig: StereoRig, seed: int = 0) -> dict:
-    scene = synth.reseed_scene(synth.default_scene(), seed)
+_MIXED_SCENE = synth.Scene(primitives=(
+    synth.Box(lo=(-0.35, 0.0, 1.5), hi=(0.35, 0.4, 2.1),
+              texture=synth.SineGrating(wavelength=0.15, direction=(1.0, 0.5, 0.0))),
+    synth.Plane(point=(0.0, 0.5, 0.0), normal=(0.0, -1.0, 0.0),
+                texture=synth.Checkerboard(period=0.25)),
+    synth.Sphere(center=(0.0, 0.0, 0.0), radius=4.0,
+                 texture=synth.ValueNoise(scale=0.5, octaves=3, seed=5)),
+))
+
+
+def mixed_oracle_rig() -> StereoRig:
+    rig = synth.pinhole_rig(width=61, height=47, f=40.0)
+    centre, ok = rig.cam0.rays(np.array([30.0, 23.0]))
+    assert ok and centre.tolist() == [0.0, 0.0, 1.0]
+    return rig
+
+
+def hash_oracle(rig: StereoRig, scene: synth.Scene,
+                casts=(("render", 1, 0.0), ("noisy", 1, 0.05),
+                       ("render", 2, 0.0), ("render", 3, 0.0))) -> dict:
     out = {}
-    for kind, supersample, sigma in (("render", 1, 0.0), ("noisy", 1, 0.05),
-                                     ("render", 2, 0.0), ("render", 3, 0.0)):
+    for kind, supersample, sigma in casts:
         for i, (cam, pose) in enumerate(((rig.cam0, None), (rig.cam1, rig.pose))):
-            arrays = synth.render(scene, cam, pose, noise_sigma=sigma, noise_seed=seed + 1,
+            arrays = synth.render(scene, cam, pose, noise_sigma=sigma, noise_seed=1,
                                   supersample=supersample)
             digests = "".join(map(_digest, arrays)).encode()
             out[f"{kind}{i}.s{supersample}"] = hashlib.sha256(digests).hexdigest()
@@ -255,7 +281,7 @@ def main() -> None:
         if args.save:
             args.save.mkdir(parents=True, exist_ok=True)
             np.savez(args.save / f"{name}.npz", u=res.u, w=res.w)
-        for key, value in {**digests, **hash_oracle(rig)}.items():
+        for key, value in {**digests, **hash_oracle(rig, synth.default_scene())}.items():
             print(f"{name:10s} {key:12s} {value}")
         if args.against:
             old = np.load(args.against / f"{name}.npz")
@@ -264,6 +290,10 @@ def main() -> None:
         print(f"{name:10s} {'rig.json':12s} {hash_rig_json(rig)}")
         print(f"{name:10s} {'fields':12s} {hash_fields_command(rig)}")
         print(f"{name:10s} {'params':12s} {hash_params_json(params)}")
+    mixed = hash_oracle(mixed_oracle_rig(), _MIXED_SCENE,
+                        casts=(("render", 1, 0.0), ("render", 2, 0.0)))
+    for key, value in mixed.items():
+        print(f"{'mixed':10s} {key:12s} {value}")
     scene = json.dumps(synth.scene_to_dict(synth.default_scene()), indent=2).encode()
     print(f"{'scene':10s} {'default':12s} {hashlib.sha256(scene).hexdigest()}")
     for key, value in hash_sampler():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fisheyestereo.camera import (PinholeCamera, PolynomialFisheyeCamera, RelativePose,
                                   StereoRig, UnifiedCamera)
+from fisheyestereo import synth
 from fisheyestereo.rasters import pixel_grid
 from fisheyestereo.synth import (Box, Checkerboard, GroundTruth, Plane, Scene,
                                  SineGrating, Sphere, ValueNoise, default_rig,
@@ -245,20 +246,106 @@ def test_texture_shading_ranges():
 # --------------------------------------------------------------------------
 # the caster against the sequential reference
 
+# Dense copies of the kernels as they stood before the caster shaded in
+# chunks and intersected only the rays that can hit: every ray through every
+# step, all three slabs at once, one hash call per lattice corner.
+
+def _dense_sphere_intersect(sphere, origin, dirs):
+    oc = origin - np.asarray(sphere.center, dtype=np.float64)
+    b = dirs @ oc
+    c = oc @ oc - sphere.radius ** 2
+    disc = b * b - c
+    hit = disc >= 0
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    t_near = -b - sq
+    t_far = -b + sq
+    t = np.where(t_near > synth._EPS, t_near, t_far)
+    return np.where(hit & (t > synth._EPS), t, np.inf)
+
+
+def _dense_box_intersect(box, origin, dirs):
+    lo = np.asarray(box.lo, dtype=np.float64)
+    hi = np.asarray(box.hi, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / dirs
+        t1 = (lo - origin) * inv
+        t2 = (hi - origin) * inv
+    t1 = np.nan_to_num(t1, nan=-np.inf)
+    t2 = np.nan_to_num(t2, nan=np.inf)
+    t_near = np.max(np.minimum(t1, t2), axis=-1)
+    t_far = np.min(np.maximum(t1, t2), axis=-1)
+    hit = (t_near <= t_far) & (t_far > synth._EPS)
+    t = np.where(t_near > synth._EPS, t_near, t_far)
+    return np.where(hit, t, np.inf)
+
+
+def _dense_hash01(ix, iy, iz, seed):
+    h = (ix.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+         ^ iy.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F)
+         ^ iz.astype(np.uint64) * np.uint64(0x165667B19E3779F9)
+         ^ np.uint64((seed * 0x27D4EB2F + 0x165667B1) & 0xFFFFFFFFFFFFFFFF))
+    h ^= h >> np.uint64(33)
+    h *= np.uint64(0xFF51AFD7ED558CCD)
+    h ^= h >> np.uint64(33)
+    h *= np.uint64(0xC4CEB9FE1A85EC53)
+    h ^= h >> np.uint64(33)
+    return (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+
+
+def _dense_value_noise(points, scale, seed):
+    cell = points / scale
+    base = np.floor(cell).astype(np.int64)
+    f = cell - base
+    f = f * f * (3.0 - 2.0 * f)
+    acc = np.zeros(points.shape[:-1])
+    for dz in (0, 1):
+        wz = f[..., 2] if dz else 1.0 - f[..., 2]
+        for dy in (0, 1):
+            wy = f[..., 1] if dy else 1.0 - f[..., 1]
+            for dx in (0, 1):
+                wx = f[..., 0] if dx else 1.0 - f[..., 0]
+                v = _dense_hash01(base[..., 0] + dx, base[..., 1] + dy,
+                                  base[..., 2] + dz, seed)
+                acc += wx * wy * wz * v
+    return acc
+
+
+def _dense_intersect(prim, origin, dirs):
+    if isinstance(prim, Sphere):
+        return _dense_sphere_intersect(prim, origin, dirs)
+    if isinstance(prim, Box):
+        return _dense_box_intersect(prim, origin, dirs)
+    return prim.intersect(origin, dirs)
+
+
+def _dense_shade(texture, points):
+    """`ValueNoise.shade` over `_dense_value_noise`; other textures as they are."""
+    if not isinstance(texture, ValueNoise):
+        return texture.shade(points)
+    total = np.zeros(points.shape[:-1])
+    amp_sum, amp = 0.0, 1.0
+    for o in range(texture.octaves):
+        total += amp * _dense_value_noise(points, texture.scale / (1 << o), texture.seed + o)
+        amp_sum += amp
+        amp *= texture.persistence
+    return texture.lo + (texture.hi - texture.lo) * (total / amp_sum)
+
+
 def _reference_cast(scene, origin, dirs):
-    """Sequential caster: whenever a primitive comes closer on any ray, shade
-    its texture over every ray and keep that shading where it is closer.
-    A zero-length ray hits nothing."""
+    """Sequential caster over the dense kernels: whenever a primitive comes
+    closer on any ray, shade its texture over every ray and keep that
+    shading where it is closer. A zero-length ray hits nothing."""
     best_t = np.full(dirs.shape[:-1], np.inf)
     shade = np.zeros(dirs.shape[:-1])
     winner = np.full(dirs.shape[:-1], -1)
     for i, prim in enumerate(scene.primitives):
-        t = np.where(np.linalg.norm(dirs, axis=-1) > 0, prim.intersect(origin, dirs), np.inf)
+        t = np.where(np.linalg.norm(dirs, axis=-1) > 0, _dense_intersect(prim, origin, dirs),
+                     np.inf)
         closer = t < best_t
         if np.any(closer):
             tc = np.where(closer, t, 1.0)  # keep inf out of the shading pass
             pts = origin + dirs * tc[..., None]
-            shade = np.where(closer, prim.texture.shade(pts), shade)
+            shade = np.where(closer, _dense_shade(prim.texture, pts), shade)
             best_t = np.where(closer, t, best_t)
             winner = np.where(closer, i, winner)
     return best_t, shade, winner
@@ -301,11 +388,87 @@ def _cast_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
     dirs = rng.normal(size=shape + (3,))
-    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    # Components exactly +-0 (rays in a coordinate plane or along an axis):
+    # the box slabs divide by them, and from an origin on a slab plane they
+    # give 0 * inf.
+    dirs[rng.random(dirs.shape) < draw(st.sampled_from([0.0, 0.4]))] = 0.0
     # Zero directions, as pixels outside the FOV get.
     dirs[rng.random(shape) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    dirs = np.where(rng.random(dirs.shape) < 0.5, dirs, -dirs)  # signed zeros
+    norm = np.linalg.norm(dirs, axis=-1, keepdims=True)
+    dirs /= np.where(norm > 0, norm, 1.0)
     origin = np.asarray(draw(st.tuples(*[st.floats(-0.5, 0.5)] * 3)))
+    solids = [p for p in prims if not isinstance(p, Plane)]
+    if solids and draw(st.booleans()):
+        # The origin on one of a box's slab planes, or inside a sphere.
+        solid = draw(st.sampled_from(solids))
+        if isinstance(solid, Box):
+            k = draw(st.integers(0, 2))
+            origin[k] = draw(st.sampled_from([solid.lo[k], solid.hi[k]]))
+        else:
+            origin = np.asarray(solid.center) + origin * solid.radius
     return Scene(primitives=tuple(prims)), origin, dirs
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_cast_cases())
+def test_intersect_matches_dense_kernels(case):
+    scene, origin, dirs = case
+    for prim in scene.primitives:
+        assert _same_bits(prim.intersect(origin, dirs), _dense_intersect(prim, origin, dirs))
+
+
+_EIGHTHS = st.integers(-16, 16).map(lambda k: k / 8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(center=st.tuples(_EIGHTHS, _EIGHTHS, _EIGHTHS),
+       radius=st.integers(1, 16).map(lambda k: k / 8), back=_EIGHTHS,
+       along=st.integers(0, 2), across=st.integers(1, 2))
+def test_sphere_grazing_rays_match_dense_kernel(center, radius, back, along, across):
+    # A ray along axis `along` from an origin `radius` off the center along
+    # another axis touches the sphere: every value is a multiple of 1/8, so
+    # no step rounds and b*b - c is exactly 0. (It is never -0.0: b*b is
+    # never -0.0, and x - x is +0.0.) The neighbouring origins graze it by
+    # one ulp, just inside and just outside.
+    sphere = Sphere(center=center, radius=radius, texture=_GREY)
+    side = (along + across) % 3
+    axis = np.zeros(3)
+    axis[along] = 1.0
+    dirs = np.stack([axis, -axis, np.where(axis == 0, -0.0, axis), np.zeros(3)])
+    origin = np.asarray(center, dtype=np.float64)
+    origin[side] += radius
+    origin[along] -= back
+    oc = origin - np.asarray(center)
+    assert (dirs[0] @ oc) ** 2 - (oc @ oc - radius ** 2) == 0.0
+    for toward in (-np.inf, None, np.inf):
+        o = origin.copy()
+        if toward is not None:
+            o[side] = np.nextafter(o[side], toward)
+        assert _same_bits(sphere.intersect(o, dirs), _dense_sphere_intersect(sphere, o, dirs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scale=st.one_of(st.sampled_from([0.07, 0.25, 0.3, 1.0]), st.floats(0.01, 4.0)),
+       seed=st.integers(-2**40, 2**40), data_seed=st.integers(0, 2**32 - 1))
+def test_value_noise_matches_dense_reference(scale, seed, data_seed):
+    rng = np.random.default_rng(data_seed)
+    # Points on the lattice planes (or one rounding off them), one ulp to
+    # either side of them, scattered with negatives, and signed zeros.
+    on_cells = rng.integers(-40, 40, size=(60, 3)) * scale
+    beside = np.nextafter(on_cells, rng.choice([-np.inf, np.inf], size=on_cells.shape))
+    scattered = rng.normal(size=(60, 3)) * 10.0 * scale
+    zeros = np.array([[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0], [-0.0, -0.0, -0.0]])
+    pts = np.concatenate([on_cells, beside, scattered, zeros])
+    assert _same_bits(synth._value_noise(pts, scale, seed), _dense_value_noise(pts, scale, seed))
+    tex = ValueNoise(scale=scale, octaves=3, seed=seed)
+    grid = pts[:180].reshape(12, 15, 3)
+    assert _same_bits(tex.shade(grid), _dense_shade(tex, grid))
 
 
 @settings(max_examples=300, deadline=None)
@@ -355,28 +518,61 @@ def test_zero_ray_misses_every_primitive(prim):
     assert t[0] == np.inf and shade.tolist() == [0.0, 0.6]
 
 
+def test_plane_nearly_parallel_ray_misses_without_overflow():
+    # denom = -0.98 * 5e-324 is subnormal: dividing by it overflows, which
+    # this suite turns into an error, though the ray is parallel and misses.
+    plane = Plane(point=(1.0, 0.0, 0.0), normal=(1.0, 0.0, 5e-324), texture=_GREY)
+    dirs = np.array([[-0.0, 0.2, -0.98], [1.0, 0.0, 0.0]])
+    assert plane.intersect(np.zeros(3), dirs).tolist() == [np.inf, 1.0]
+
+
 class _CountingTexture:
-    """Constant albedo that records how many points each shade call gets."""
+    """Constant albedo that records the points of each shade call."""
 
     def __init__(self):
         self.calls = []
 
     def shade(self, points):
-        self.calls.append(len(points))
+        self.calls.append(points.copy())
         return np.full(points.shape[:-1], 0.5)
 
 
-def test_cast_shades_each_primitive_once_on_the_rays_it_wins():
+def test_cast_shades_each_won_ray_once_in_chunks(monkeypatch):
+    monkeypatch.setattr(synth, "_SHADE_CHUNK", 8)
     near = Plane(point=(0.0, 0.0, 1.0), normal=(0.0, 0.0, -1.0), texture=_CountingTexture())
     far = Plane(point=(0.0, 0.0, 3.0), normal=(0.0, 0.0, -1.0), texture=_CountingTexture())
     unseen = Sphere(center=(0.0, 0.0, 5.0), radius=0.1, texture=_CountingTexture())
-    dirs = np.zeros((4, 5, 3))
-    dirs[..., 2] = 1.0
+    dirs = np.stack([*np.meshgrid(np.linspace(-0.2, 0.2, 5), np.linspace(-0.1, 0.1, 4)),
+                     np.ones((4, 5))], axis=-1)
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
     scene = Scene(primitives=(far, near, unseen))
-    scene.cast(np.zeros(3), dirs)
+    t, _ = scene.cast(np.zeros(3), dirs)
     assert far.texture.calls == []
-    assert near.texture.calls == [20]
     assert unseen.texture.calls == []
+    # The 20 won rays, each once and in ray order, in calls of at most 8.
+    assert [len(points) for points in near.texture.calls] == [8, 8, 4]
+    assert np.array_equal(np.concatenate(near.texture.calls),
+                          (dirs * t[..., None]).reshape(-1, 3))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100])
+def test_cast_chunk_size_leaves_values_unchanged(monkeypatch, chunk):
+    # _SCENE_SPEC's three primitives carry the three textures, and the
+    # origin inside its box sees all of them.
+    rng = np.random.default_rng(20)
+    dirs = rng.normal(size=(15, 17, 3))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    dirs[0, :4] = 0.0
+    origin = np.array([0.05, -0.1, 0.2])
+    ref_t, ref_shade, ref_winner = _reference_cast(_SCENE_SPEC, origin, dirs)
+    assert set(ref_winner.ravel()) == {-1, 0, 1, 2} and ref_winner.size > chunk
+    monkeypatch.setattr(synth, "_SHADE_CHUNK", ref_winner.size)
+    whole = _SCENE_SPEC.cast(origin, dirs)
+    monkeypatch.setattr(synth, "_SHADE_CHUNK", chunk)
+    chunked = _SCENE_SPEC.cast(origin, dirs)
+    for got, whole_value, ref in zip(chunked, whole, (ref_t, ref_shade)):
+        assert _same_bits(got, whole_value)
+        assert _same_bits(got, ref)
 
 
 def _reference_ground_truth(scene, rig, occlusion_tol=1e-6):
