@@ -48,9 +48,8 @@ shared pass, on both fields at once, each under its own mask. Two
 zero and tiny slopes iu, NaN and signed-zero residuals, and residuals
 exactly at the case boundaries +-tau*lam*iu^2. Two `cycle` lines, one per
 dtype, hash the state after 10 `primal_dual_iterate` cycles from a seeded
-random 160x150 state (mask density 0.9): a level that size is above the
-solver's size floor, so on a machine with two CPUs the cycles run split
-across the calling thread and the worker.
+random 160x150 state (mask density 0.9); its rows are long enough for the
+compiled cycle's vector loops and their tails.
 
 A change that alters the solver's arithmetic on purpose (a new precision, a
 reordered sum) cannot be bit-identical. Check it in two steps. First, the

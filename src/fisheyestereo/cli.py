@@ -19,6 +19,7 @@ import numpy as np
 
 from . import evaluate, fields, formats, solver, synth
 from .camera import StereoRig, load_rig, rig_to_dict, save_rig
+from .kernels import KernelCompileError
 from .schema import POSITIVE
 
 
@@ -162,7 +163,7 @@ def cmd_fields(args) -> int:
 def _solve(i0, i1, rig: StereoRig, params: solver.SolverParams) -> solver.StereoResult:
     try:
         return solver.solve_pyramid(i0, i1, rig, params)
-    except ValueError as exc:
+    except (KernelCompileError, ValueError) as exc:
         raise CommandError(f"cannot solve: {exc}") from None
 
 

@@ -1,0 +1,327 @@
+/* Compiled loops of the solver's primal-dual cycle and of the masked bicubic
+ * sampler.
+ *
+ * kernels.py compiles this file on first use and checks every array before
+ * it hands a pointer here. Each loop repeats the NumPy operations it
+ * replaced (kept as references in the tests): the same operations, in the
+ * same order and precision, so the results are bit-identical, signed zeros
+ * included. Where NumPy added a difference of +0 at the last column or row,
+ * so does the loop: 0 + x is not x when x is -0. That needs
+ * -ffp-contract=off (no fused multiply-add) and rules out -ffast-math.
+ *
+ * The cycle is written once for a float type T and stamped out for float
+ * and double: this file includes itself once per type, with T defined. It
+ * includes itself by name, which the compiler looks up beside this file.
+ */
+
+#ifndef T
+
+#include <math.h>
+#include <stddef.h>
+#include <stdint.h>
+
+#define CAT_(a, b) a##_##b
+#define CAT(a, b) CAT_(a, b)
+#define F(name) CAT(name, SUFFIX)
+#define ALWAYS_INLINE static inline __attribute__((always_inline))
+
+#define T float
+#define SUFFIX f32
+#define SQRT sqrtf
+#include "kernels.c"
+#undef T
+#undef SUFFIX
+#undef SQRT
+
+#define T double
+#define SUFFIX f64
+#define SQRT sqrt
+#include "kernels.c"
+#undef T
+#undef SUFFIX
+#undef SQRT
+
+/* Catmull-Rom weights of the taps at offsets -1..2 for fractional part f.
+ * They reproduce constants and affine ramps exactly and are interpolating
+ * (weight 1 at the node), which the warping relies on. */
+static void cubic_weights(double f, double wt[4])
+{
+    const double f2 = f * f, f3 = f2 * f;
+    wt[0] = -0.5 * f + f2 - 0.5 * f3;
+    wt[1] = 1.0 - 2.5 * f2 + 1.5 * f3;
+    wt[2] = 0.5 * f + 2.0 * f2 - 1.5 * f3;
+    wt[3] = -0.5 * f2 + 0.5 * f3;
+}
+
+/* floor(x) clipped into [-3, n + 1], NaN to -3: beyond that range no
+ * stencil has a tap in the image. */
+static ptrdiff_t clipped_floor(double floor_x, ptrdiff_t n)
+{
+    double c = floor_x >= -3 ? floor_x : -3;
+    c = c <= n + 1 ? c : n + 1;
+    return (ptrdiff_t)c;
+}
+
+static ptrdiff_t clamp_index(ptrdiff_t i, ptrdiff_t lo, ptrdiff_t hi)
+{
+    return i < lo ? lo : i > hi ? hi : i;
+}
+
+/* The 16-tap sum of every channel of an (h, w, nc) field at the stencil of
+ * floor (ix, iy). The top-left tap is clamped into the image, so that every
+ * tap is read from it; that moves only stencils that are not full. */
+static void full_sum(const double *f, ptrdiff_t nc, ptrdiff_t h, ptrdiff_t w,
+                     ptrdiff_t ix, ptrdiff_t iy, const double wx[4],
+                     const double wy[4], double *out)
+{
+    const ptrdiff_t top_left = (clamp_index(iy, 1, h - 3) - 1) * w
+                               + clamp_index(ix, 1, w - 3) - 1;
+    for (ptrdiff_t ch = 0; ch < nc; ch++) {
+        double acc = 0.0;
+        for (int a = 0; a < 4; a++)
+            for (int b = 0; b < 4; b++)
+                acc += (wy[a] * wx[b]) * f[(top_left + a * w + b) * nc + ch];
+        out[ch] = acc;
+    }
+}
+
+/* Bilinear over the valid inner 2x2 taps, else the nearest valid tap of the
+ * stencil of floor (ix, iy); every tap is bounds-checked. */
+static void rim_chain(const double *f, const uint8_t *mask, ptrdiff_t nc,
+                      ptrdiff_t h, ptrdiff_t w, ptrdiff_t ix, ptrdiff_t iy,
+                      double fx, double fy, double *out)
+{
+    double bw[4], wsum = 0.0, near_d2 = INFINITY;
+    ptrdiff_t at[4], near = -1;
+    int nb = 0;
+    for (ptrdiff_t dy = -1; dy <= 2; dy++) {
+        const ptrdiff_t r = iy + dy;
+        for (ptrdiff_t dx = -1; dx <= 2; dx++) {
+            const ptrdiff_t c = ix + dx;
+            const int ok = r >= 0 && r < h && c >= 0 && c < w && mask[r * w + c];
+            if ((dy == 0 || dy == 1) && (dx == 0 || dx == 1)) {
+                const double b = (dy == 1 ? fy : 1.0 - fy) * (dx == 1 ? fx : 1.0 - fx);
+                bw[nb] = ok ? b : 0.0;
+                at[nb] = ok ? r * w + c : -1;
+                wsum += bw[nb++];
+            }
+            const double d2 = (dx - fx) * (dx - fx) + (dy - fy) * (dy - fy);
+            if (ok && d2 < near_d2) {
+                near_d2 = d2;
+                near = r * w + c;
+            }
+        }
+    }
+    for (ptrdiff_t ch = 0; ch < nc; ch++) {
+        if (wsum > 1e-12) {
+            double acc = 0.0;
+            for (int t = 0; t < 4; t++)
+                acc += bw[t] * (at[t] >= 0 ? f[at[t] * nc + ch] : 0.0);
+            out[ch] = acc / wsum;
+        } else {
+            out[ch] = near >= 0 ? f[near * nc + ch] : 0.0;
+        }
+    }
+}
+
+/* Sample each of `pairs` (field, mask) at the n positions xy (x, y
+ * interleaved). Field s is (h, w, channels[s]) and counts[s] is the
+ * (h + 5, w + 5) map of its mask's valid taps per stencil floor. Per
+ * position and field: a full stencil (16 taps) gives the 16-tap sum, an
+ * empty one NaN and invalid, any other the bilinear/nearest chain. values[s]
+ * is (n, channels[s]); valid[s] is (n,). */
+void sample_bicubic(ptrdiff_t n, const double *xy, ptrdiff_t h, ptrdiff_t w,
+                    ptrdiff_t pairs, const double *const *fields,
+                    const ptrdiff_t *channels, const uint8_t *const *masks,
+                    const uint8_t *const *counts, double *const *values,
+                    uint8_t *const *valid)
+{
+    const int has_full = h >= 4 && w >= 4;
+    for (ptrdiff_t k = 0; k < n; k++) {
+        const double x = xy[2 * k], y = xy[2 * k + 1];
+        const double floor_x = floor(x), floor_y = floor(y);
+        const double fx = x - floor_x, fy = y - floor_y;
+        const ptrdiff_t ix = clipped_floor(floor_x, w), iy = clipped_floor(floor_y, h);
+        const ptrdiff_t stencil = (iy + 3) * (w + 5) + (ix + 3);
+        double wx[4], wy[4];
+        cubic_weights(fx, wx);
+        cubic_weights(fy, wy);
+        for (ptrdiff_t s = 0; s < pairs; s++) {
+            const ptrdiff_t nc = channels[s];
+            const int count = counts[s][stencil];
+            double *out = values[s] + k * nc;
+            valid[s][k] = count > 0;
+            if (count == 16 && has_full) {
+                full_sum(fields[s], nc, h, w, ix, iy, wx, wy, out);
+            } else if (count == 0) {
+                for (ptrdiff_t ch = 0; ch < nc; ch++)
+                    out[ch] = NAN;
+            } else {
+                rim_chain(fields[s], masks[s], nc, h, w, ix, iy, fx, fy, out);
+            }
+        }
+    }
+}
+
+#else /* T is defined: one primal-dual cycle in precision T */
+
+/* Pointers into one cycle's arrays, each (H, W) channel contiguous. */
+struct F(cycle) {
+    ptrdiff_t w;
+    const T *u, *v0, *v1, *p0, *p1, *q0, *q1, *q2, *q3, *ub, *vb0, *vb1;
+    const T *ex, *ey, *a_ex, *b_ex, *b_ey, *c_ey, *p_step, *u_step, *tau_u, *tau_v;
+    const T *iu, *rho0, *u_omega;
+    T *u_out, *v0_out, *v1_out, *p0_out, *p1_out, *q0_out, *q1_out, *q2_out, *q3_out;
+    T *ub_out, *vb0_out, *vb1_out;
+    T alpha0, alpha1, lam, scale;
+};
+
+/* Scale (x0, x1) or (x0..x3) back into the unit ball: the norm, inflated by
+ * `scale`, divides where it exceeds 1 (and NaN stays NaN, as np.maximum
+ * keeps it). */
+ALWAYS_INLINE T F(ball_divisor)(T sum_of_squares, T scale)
+{
+    const T n = SQRT(sum_of_squares) * scale;
+    return n < 1 ? 1 : n;
+}
+
+/* The dual step at pixel k: p from K's first row, q from grad v_bar / 2,
+ * each projected. has_x/has_y: pixel k has a right/lower neighbour. */
+ALWAYS_INLINE void F(dual_px)(const struct F(cycle) *c, ptrdiff_t k, int has_x, int has_y)
+{
+    const ptrdiff_t w = c->w;
+    T tg0 = 0, tg1 = 0, gx0 = 0, gy0 = 0, gx1 = 0, gy1 = 0;
+    if (has_x) {
+        const T d = c->ub[k + 1] - c->ub[k];
+        tg0 = c->a_ex[k] * d;
+        tg1 = c->b_ex[k] * d;
+        /* (d * 0.5) * ex equals d * (0.5 * ex): ex is 0 or 1, 0.5 exact. */
+        gx0 = ((c->vb0[k + 1] - c->vb0[k]) * (T)0.5) * c->ex[k];
+        gx1 = ((c->vb1[k + 1] - c->vb1[k]) * (T)0.5) * c->ex[k];
+    }
+    if (has_y) {
+        const T d = c->ub[k + w] - c->ub[k];
+        tg0 = tg0 + c->b_ey[k] * d;
+        tg1 = tg1 + c->c_ey[k] * d;
+        gy0 = ((c->vb0[k + w] - c->vb0[k]) * (T)0.5) * c->ey[k];
+        gy1 = ((c->vb1[k + w] - c->vb1[k]) * (T)0.5) * c->ey[k];
+    }
+    const T p0 = c->p0[k] + c->p_step[k] * (tg0 - c->vb0[k]);
+    const T p1 = c->p1[k] + c->p_step[k] * (tg1 - c->vb1[k]);
+    const T dp = F(ball_divisor)(p0 * p0 + p1 * p1, c->scale);
+    c->p0_out[k] = p0 / dp;
+    c->p1_out[k] = p1 / dp;
+
+    const T q0 = gx0 + c->q0[k], q1 = gy0 + c->q1[k];
+    const T q2 = gx1 + c->q2[k], q3 = gy1 + c->q3[k];
+    const T dq = F(ball_divisor)(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3, c->scale);
+    c->q0_out[k] = q0 / dq;
+    c->q1_out[k] = q1 / dq;
+    c->q2_out[k] = q2 / dq;
+    c->q3_out[k] = q3 / dq;
+}
+
+/* One channel of the v step at pixel k: v += tau_v (alpha0 div q + alpha1 p),
+ * and v_bar = 2 v - v_old as (v - v_old) + v. */
+ALWAYS_INLINE void F(v_px)(const struct F(cycle) *c, ptrdiff_t k, int has_left, int has_up,
+                           const T *qx, const T *qy, const T *p, const T *v,
+                           T *v_out, T *vb_out)
+{
+    const ptrdiff_t w = c->w;
+    T d = qx[k] * c->ex[k];
+    if (has_left)
+        d = d - qx[k - 1] * c->ex[k - 1];
+    d = d + qy[k] * c->ey[k];
+    if (has_up)
+        d = d - qy[k - w] * c->ey[k - w];
+    const T vn = v[k] + (d * c->alpha0 + p[k] * c->alpha1) * c->tau_v[k];
+    v_out[k] = vn;
+    vb_out[k] = (vn - v[k]) + vn;
+}
+
+/* The primal steps at pixel k, from the new p and q: u through div(T p) and
+ * the data term's thresholding step, u_bar, then v and v_bar.
+ * has_left/has_up: pixel k has a left/upper neighbour. */
+ALWAYS_INLINE void F(primal_px)(const struct F(cycle) *c, ptrdiff_t k, int has_left,
+                                int has_up)
+{
+    const ptrdiff_t w = c->w;
+    const T *p0 = c->p0_out, *p1 = c->p1_out;
+    T d = c->a_ex[k] * p0[k] + c->b_ex[k] * p1[k];
+    if (has_left)
+        d = d - (c->a_ex[k - 1] * p0[k - 1] + c->b_ex[k - 1] * p1[k - 1]);
+    d = d + (c->b_ey[k] * p0[k] + c->c_ey[k] * p1[k]);
+    if (has_up)
+        d = d - (c->b_ey[k - w] * p0[k - w] + c->c_ey[k - w] * p1[k - w]);
+    const T u_hat = c->u[k] + c->u_step[k] * d;
+
+    /* thresholding_step on the residual linearized at u_omega */
+    const T iu = c->iu[k];
+    const T rho = c->rho0[k] + (u_hat - c->u_omega[k]) * iu;
+    const T clamp = c->tau_u[k] * c->lam * iu;
+    const T th = clamp * iu;
+    const T step = rho < -th ? clamp : rho > th ? -clamp : -(rho / iu);
+    const T un = u_hat + (iu != 0 ? step : 0);
+    c->u_out[k] = un;
+    c->ub_out[k] = un + (un - c->u[k]);
+
+    F(v_px)(c, k, has_left, has_up, c->q0_out, c->q1_out, p0, c->v0, c->v0_out, c->vb0_out);
+    F(v_px)(c, k, has_left, has_up, c->q2_out, c->q3_out, p1, c->v1, c->v1_out, c->vb1_out);
+}
+
+/* One cycle on an (h, w) level. `in` holds u, v, p, q, u_bar, v_bar, then
+ * the operator's ex, ey, a_ex, b_ex, b_ey, c_ey, p_step, u_step, tau_u,
+ * tau_v, then iu, rho0, u_omega; `out` the new u, v, p, q, u_bar, v_bar,
+ * none of them overlapping an input. Row by row, the dual loop runs over
+ * the row, then the primal loop, which needs the new p and q of this row
+ * and the one above. The rows' first or last pixels are peeled, so the
+ * inner loops have no branch. As no output overlaps an input, no loop
+ * carries a dependence: `ivdep` says so, and gcc vectorizes the loops
+ * without checking 37 pointers for overlap at run time. */
+void F(pd_cycle)(ptrdiff_t h, ptrdiff_t w, const T *const *in, T *const *out,
+                 T alpha0, T alpha1, T lam, T scale)
+{
+    if (h <= 0 || w <= 0)
+        return;
+    const ptrdiff_t hw = h * w;
+    const struct F(cycle) c = {
+        .w = w, .u = in[0], .v0 = in[1], .v1 = in[1] + hw, .p0 = in[2], .p1 = in[2] + hw,
+        .q0 = in[3], .q1 = in[3] + hw, .q2 = in[3] + 2 * hw, .q3 = in[3] + 3 * hw,
+        .ub = in[4], .vb0 = in[5], .vb1 = in[5] + hw,
+        .ex = in[6], .ey = in[7], .a_ex = in[8], .b_ex = in[9], .b_ey = in[10],
+        .c_ey = in[11], .p_step = in[12], .u_step = in[13], .tau_u = in[14],
+        .tau_v = in[15], .iu = in[16], .rho0 = in[17], .u_omega = in[18],
+        .u_out = out[0], .v0_out = out[1], .v1_out = out[1] + hw, .p0_out = out[2],
+        .p1_out = out[2] + hw, .q0_out = out[3], .q1_out = out[3] + hw,
+        .q2_out = out[3] + 2 * hw, .q3_out = out[3] + 3 * hw, .ub_out = out[4],
+        .vb0_out = out[5], .vb1_out = out[5] + hw,
+        .alpha0 = alpha0, .alpha1 = alpha1, .lam = lam, .scale = scale,
+    };
+    for (ptrdiff_t r = 0; r < hw; r += w) {
+        const ptrdiff_t last = r + w - 1;
+        if (r + w < hw) {
+#pragma GCC ivdep
+            for (ptrdiff_t k = r; k < last; k++)
+                F(dual_px)(&c, k, 1, 1);
+            F(dual_px)(&c, last, 0, 1);
+        } else {
+#pragma GCC ivdep
+            for (ptrdiff_t k = r; k < last; k++)
+                F(dual_px)(&c, k, 1, 0);
+            F(dual_px)(&c, last, 0, 0);
+        }
+        if (r > 0) {
+            F(primal_px)(&c, r, 0, 1);
+#pragma GCC ivdep
+            for (ptrdiff_t k = r + 1; k <= last; k++)
+                F(primal_px)(&c, k, 1, 1);
+        } else {
+            F(primal_px)(&c, r, 0, 0);
+#pragma GCC ivdep
+            for (ptrdiff_t k = r + 1; k <= last; k++)
+                F(primal_px)(&c, k, 1, 0);
+        }
+    }
+}
+
+#endif

@@ -1,0 +1,187 @@
+"""Builds, loads and calls the compiled loops of `kernels.c`.
+
+The primal-dual cycle (`primal_dual_cycle`) and the masked bicubic sampler
+(`sample_bicubic`) run as C loops, compiled by the machine's `gcc` on first
+use: importing this module compiles and loads nothing. The library is cached
+in the package's `__pycache__/`, named by a hash of the C source and the
+compiler flags (`cache_key`), so an edited source or a changed flag builds a
+new one. It is compiled to a temporary file and published with `os.replace`,
+so a process never loads a half-written library. Without `gcc` on `PATH`,
+the first kernel call raises `KernelCompileError`.
+
+The flags, and why each is there:
+
+* `-O3` vectorizes the cycle's row loops;
+* `-ffp-contract=off` keeps gcc from fusing a multiply and an add into one
+  FMA, which rounds once where NumPy rounds twice; the kernels' results are
+  bit-identical to NumPy's only without it;
+* `-fno-trapping-math` lets gcc evaluate both arms of a select, as SIMD
+  blends do; without it the cycle's selects (the projections and the
+  thresholding step) are not vectorized;
+* `-fno-math-errno` lets `sqrt` compile to one instruction, since it need
+  not set `errno`.
+
+No `-march`: the library runs on every CPU of its architecture. Never
+`-ffast-math`, which reorders sums and drops signed zeros and NaN.
+
+Each wrapper checks the dtype, C-contiguity and shape of every array before
+it passes pointers to C, and raises ValueError on a mismatch, so C never
+reads or writes out of bounds.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import subprocess
+import tempfile
+from collections.abc import Sequence
+from pathlib import Path
+
+import numpy as np
+
+SOURCE = Path(__file__).with_name("kernels.c")
+CACHE_DIR = Path(__file__).with_name("__pycache__")
+COMPILER = "gcc"
+FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fno-trapping-math")
+
+_PTRS = ctypes.POINTER(ctypes.c_void_p)
+_SIZE = ctypes.c_ssize_t
+_CYCLES = {np.dtype(np.float32): ("pd_cycle_f32", ctypes.c_float),
+           np.dtype(np.float64): ("pd_cycle_f64", ctypes.c_double)}
+
+
+class KernelCompileError(RuntimeError):
+    """The C kernels could not be compiled or loaded."""
+
+
+def cache_key(source: bytes, flags: Sequence[str]) -> str:
+    """Hash of the C source and the compiler flags that names the library."""
+    digest = hashlib.sha256(source)
+    for flag in flags:
+        digest.update(b"\0" + flag.encode())
+    return digest.hexdigest()[:16]
+
+
+def load(cache_dir: Path = CACHE_DIR) -> ctypes.CDLL:
+    """The compiled kernels from `cache_dir`; a cache miss compiles them into
+    it first."""
+    path = Path(cache_dir) / f"kernels-{cache_key(SOURCE.read_bytes(), FLAGS)}.so"
+    if not path.exists():
+        _compile(path)
+    try:
+        lib = ctypes.CDLL(str(path))
+    except OSError as exc:
+        raise KernelCompileError(f"cannot load the compiled kernels {path}: {exc}") from None
+    for name, real in _CYCLES.values():
+        getattr(lib, name).argtypes = [_SIZE, _SIZE, _PTRS, _PTRS] + [real] * 4
+        getattr(lib, name).restype = None
+    lib.sample_bicubic.argtypes = [_SIZE, ctypes.c_void_p, _SIZE, _SIZE, _SIZE,
+                                   _PTRS, ctypes.c_void_p, _PTRS, _PTRS, _PTRS, _PTRS]
+    lib.sample_bicubic.restype = None
+    return lib
+
+
+def _compile(path: Path) -> None:
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
+        os.close(fd)
+    except OSError as exc:
+        raise KernelCompileError(f"cannot write the kernel cache {path.parent}: {exc}") from None
+    try:
+        try:
+            proc = subprocess.run([COMPILER, *FLAGS, "-shared", "-fPIC", "-o", tmp,
+                                   str(SOURCE), "-lm"], capture_output=True, text=True)
+        except FileNotFoundError:
+            raise KernelCompileError(f"the solver's kernels need the C compiler {COMPILER!r} "
+                                   f"on PATH to build {SOURCE.name}; none was found") from None
+        if proc.returncode != 0:
+            raise KernelCompileError(f"{COMPILER} failed to compile {SOURCE}:\n{proc.stderr}")
+        os.chmod(tmp, 0o755)  # mkstemp made it private; every user may load the cache
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+@functools.cache
+def _library() -> ctypes.CDLL:
+    return load(CACHE_DIR)
+
+
+def _check(name: str, a: np.ndarray, dtype: np.dtype, shape: tuple) -> None:
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.shape == shape
+            and a.flags.c_contiguous and a.flags.aligned):
+        got = (f"{a.dtype} {a.shape}{'' if a.flags.c_contiguous else ' non-contiguous'}"
+               f"{'' if a.flags.aligned else ' unaligned'}"
+               if isinstance(a, np.ndarray) else type(a).__name__)
+        raise ValueError(f"{name} must be a C-contiguous, aligned {dtype} array of shape "
+                         f"{shape}, got {got}")
+
+
+def _pointers(arrays: Sequence[np.ndarray]):
+    return (ctypes.c_void_p * len(arrays))(*(a.ctypes.data for a in arrays))
+
+
+def primal_dual_cycle(state: Sequence[np.ndarray], operator: Sequence[np.ndarray],
+                      data: Sequence[np.ndarray], alpha0: float, alpha1: float,
+                      lam: float, scale: float) -> tuple[np.ndarray, ...]:
+    """One primal-dual cycle in C; returns the new (u, v, p, q, u_bar, v_bar).
+
+    `state` is (u, v, p, q, u_bar, v_bar), shaped (H, W), (2, H, W),
+    (2, H, W), (4, H, W), (H, W) and (2, H, W); `operator` is the (H, W)
+    arrays ex, ey, a_ex, b_ex, b_ey, c_ey, p_step, u_step, tau_u, tau_v; and
+    `data` the (H, W) iu, rho0, u_omega. All share one dtype, float32 or
+    float64, which the scalars are rounded to and the results keep. `scale`
+    inflates the dual norms before the projections.
+    """
+    u = state[0]
+    if not isinstance(u, np.ndarray) or u.dtype not in _CYCLES or u.ndim != 2:
+        raise ValueError("u must be a float32 or float64 (H, W) array")
+    name, real = _CYCLES[u.dtype]
+    plane = u.shape
+    shapes = [plane, (2,) + plane, (2,) + plane, (4,) + plane, plane, (2,) + plane]
+    inputs = [*state, *operator, *data]
+    names = ["u", "v", "p", "q", "u_bar", "v_bar", "ex", "ey", "a_ex", "b_ex", "b_ey",
+             "c_ey", "p_step", "u_step", "tau_u", "tau_v", "iu", "rho0", "u_omega"]
+    if len(inputs) != len(names):
+        raise ValueError(f"expected {len(names)} arrays, got {len(inputs)}")
+    for label, a, shape in zip(names, inputs, shapes + [plane] * 13):
+        _check(label, a, u.dtype, shape)
+    outputs = tuple(np.empty(shape, u.dtype) for shape in shapes)
+    getattr(_library(), name)(plane[0], plane[1], _pointers(inputs), _pointers(outputs),
+                              *(real(x) for x in (alpha0, alpha1, lam, scale)))
+    return outputs
+
+
+def sample_bicubic(xy: np.ndarray, fields: Sequence[np.ndarray],
+                   masks: Sequence[np.ndarray], counts: Sequence[np.ndarray],
+                   ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Sample each (field, mask) at the positions `xy`, in C.
+
+    `xy` is (N, 2) float64; each field is (H, W) or (H, W, C) float64, each
+    mask (H, W) bool, and each of `counts` the (H + 5, W + 5) uint8 map of
+    its mask's valid taps per stencil floor (`rasters._stencil_tap_counts`).
+    Returns one (values (N, C), valid (N,)) per field, C = 1 for an (H, W)
+    field; see `rasters.sample_bicubic_many` for the sampling rule.
+    """
+    if not (len(fields) == len(masks) == len(counts) > 0):
+        raise ValueError("need one mask and one tap-count map per field")
+    _check("positions", xy, np.dtype(np.float64), (len(xy), 2))
+    if np.ndim(masks[0]) != 2:
+        raise ValueError(f"masks must be (H, W), got shape {np.shape(masks[0])}")
+    h, w = np.shape(masks[0])
+    for k, (field, mask, count) in enumerate(zip(fields, masks, counts)):
+        _check(f"field {k}", field, np.dtype(np.float64), (h, w) + np.shape(field)[2:3])
+        _check(f"mask {k}", mask, np.dtype(bool), (h, w))
+        _check(f"tap counts {k}", count, np.dtype(np.uint8), (h + 5, w + 5))
+    channels = np.array([f.shape[2] if f.ndim == 3 else 1 for f in fields], dtype=np.intp)
+    values = [np.empty((len(xy), nc)) for nc in channels]
+    valid = [np.empty(len(xy), dtype=bool) for _ in fields]
+    _library().sample_bicubic(len(xy), xy.ctypes.data, h, w, len(fields), _pointers(fields),
+                              channels.ctypes.data, _pointers(masks), _pointers(counts),
+                              _pointers(values), _pointers(valid))
+    return list(zip(values, valid))

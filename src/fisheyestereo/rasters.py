@@ -7,8 +7,7 @@ Conventions used throughout the package:
 * precision: every raster this module returns, like every solver output, is
   float64, except that the difference kernels `forward_difference`,
   `backward_divergence` and `edge_divergence` (the solver's K and K*) keep
-  the dtype of their inputs; the solver runs its primal-dual state through
-  them in float32;
+  the dtype of their inputs;
 * vector fields are (H, W, 2) with channel order (x, y);
 * a position is continuous (x, y) with pixel centers at integer coordinates,
   so position (j, i) is the center of ``field[i, j]``;
@@ -29,14 +28,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
+from . import kernels
 from .schema import ABOVE_ONE, COUNT
-
-# Catmull-Rom taps reproduce constants and affine ramps exactly and are
-# interpolating (weight 1 at the node), which the downstream warping relies on.
-_TAP_OFFSETS = (-1, 0, 1, 2)
-# Positions per chunk of the 16-tap sum: a chunk's weights, indices and
-# accumulators (about 15 arrays of 8-byte entries, 2 MB) fit a core's L2 cache.
-_CUBIC_CHUNK = 16384
 
 
 @lru_cache(maxsize=16)
@@ -47,18 +40,6 @@ def pixel_grid(height: int, width: int) -> np.ndarray:
     grid = np.stack([xs, ys], axis=-1)
     grid.flags.writeable = False
     return grid
-
-
-def _cubic_weights(f: np.ndarray) -> list[np.ndarray]:
-    """Catmull-Rom weights for taps at offsets -1..2, fractional part f."""
-    f2 = f * f
-    f3 = f2 * f
-    return [
-        -0.5 * f + f2 - 0.5 * f3,
-        1.0 - 2.5 * f2 + 1.5 * f3,
-        0.5 * f + 2.0 * f2 - 1.5 * f3,
-        -0.5 * f2 + 0.5 * f3,
-    ]
 
 
 def _stencil_tap_counts(mask: np.ndarray) -> np.ndarray:
@@ -108,56 +89,23 @@ def sample_bicubic_many(pairs: Sequence[tuple[np.ndarray, np.ndarray]],
 
     Returns one (values, valid) per pair, exactly what
     `sample_bicubic(field, pos, mask)` returns; every field has the shape of
-    the first mask. The positions' floors, fractions and flat indices are
-    computed once. Floors are clipped into [-3, W + 1] x [-3, H + 1] (NaN to
-    -3), where every floor outside the image's reach has no tap, and the
-    16-tap Catmull-Rom sum runs at every position for the channels of all
-    fields together. Each pair then reads its own mask's map of valid taps
-    per stencil (`_stencil_tap_counts`) with one `take`: a full stencil (16
-    taps) keeps the sum, an empty one (0) is NaN and invalid, and only the
-    rim positions left over run the bilinear/nearest chain. Every class
+    the first mask. The loop is compiled (`kernels.sample_bicubic`): per
+    position it computes the floors, fractions and Catmull-Rom weights once.
+    Floors are clipped into [-3, W + 1] x [-3, H + 1] (NaN to -3), where
+    every floor outside the image's reach has no tap. Each pair then reads
+    its own mask's map of valid taps per stencil (`_stencil_tap_counts`): a
+    full stencil (16 taps) takes the 16-tap sum, an empty one (0) is NaN and
+    invalid, and a rim stencil runs the bilinear/nearest chain. Every class
     accumulates its taps in the order of the chain, so the results are those
     of evaluating the whole chain at every position.
     """
     pos = np.asarray(pos, dtype=np.float64)
-    xy = pos.reshape(-1, 2)
-    datas = [np.asarray(field, dtype=np.float64) for field, _ in pairs]
-    masks = [np.asarray(mask, dtype=bool) for _, mask in pairs]
-    h, w = masks[0].shape
-    ix, fx = _floor_and_fraction(xy[:, 0], w)
-    iy, fy = _floor_and_fraction(xy[:, 1], h)
-
-    channels = [[np.ascontiguousarray(d[:, :, k]).ravel() for k in range(d.shape[2])]
-                if d.ndim == 3 else [d.ravel()] for d in datas]
-    sums = [np.empty((ix.size, len(c))) for c in channels]
-    # Only an image of at least 4 x 4 pixels has full stencils. The sums at
-    # other stencils (and at non-finite positions) are overwritten below.
-    if h >= 4 and w >= 4:
-        with np.errstate(invalid="ignore", over="ignore"):
-            _cubic_full([c for cs in channels for c in cs], ix, iy, fx, fy, h, w,
-                        [s[:, k] for s in sums for k in range(s.shape[1])])
-    stencil = (iy + 3) * (w + 5) + (ix + 3)
-    out = []
-    for data, mask, values in zip(datas, masks, sums):
-        count = _stencil_tap_counts(mask).take(stencil)
-        valid = count > 0
-        values[~valid] = np.nan
-        rim = np.flatnonzero(valid & (count < 16))
-        values[rim] = _rim_chain(data.reshape(h, w, -1), mask, xy[rim, 0], xy[rim, 1],
-                                 ix[rim], iy[rim])
-        values = values.reshape(pos.shape[:-1] + values.shape[1:])
-        out.append((values[..., 0] if data.ndim == 2 else values,
-                    valid.reshape(pos.shape[:-1])))
-    return out
-
-
-def _floor_and_fraction(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Floors of `x` clipped into [-3, n + 1] (NaN to -3) as indices, and the
-    fractions x - floor(x) of the unclipped floors (NaN where x is not finite)."""
-    with np.errstate(invalid="ignore"):
-        floor = np.floor(x)
-        frac = x - floor
-    return np.fmin(np.fmax(floor, -3), n + 1).astype(np.intp), frac
+    xy = np.ascontiguousarray(pos.reshape(-1, 2))
+    fields = [np.ascontiguousarray(field, dtype=np.float64) for field, _ in pairs]
+    masks = [np.ascontiguousarray(mask, dtype=bool) for _, mask in pairs]
+    sampled = kernels.sample_bicubic(xy, fields, masks, [_stencil_tap_counts(m) for m in masks])
+    return [(values.reshape(pos.shape[:-1] + field.shape[2:]), valid.reshape(pos.shape[:-1]))
+            for (values, valid), field in zip(sampled, fields)]
 
 
 def warp_image(image: np.ndarray, w: np.ndarray,
@@ -166,67 +114,6 @@ def warp_image(image: np.ndarray, w: np.ndarray,
     x on the pixel grid of `w`; returns (warped, valid), zero where invalid."""
     vals, ok = sample_bicubic(image, pixel_grid(*w.shape[:2]) + w, mask)
     return np.where(ok if vals.ndim == 2 else ok[..., None], vals, 0.0), ok
-
-
-def _cubic_full(channels, ix, iy, fx, fy, h, w, outs):
-    """16-tap Catmull-Rom sums of each flat channel of an (h, w) image, written
-    into `outs`, at every floor (ix, iy) with fractions (fx, fy).
-
-    Each stencil's top-left tap is clamped into the image, so that every tap
-    is read from it; that moves only stencils with a tap outside the image,
-    which are not full. Positions are summed in chunks of `_CUBIC_CHUNK`, so
-    the weights, flat indices and accumulators of a chunk stay in cache; each
-    position's arithmetic is the same whatever the chunk size or the number
-    of channels.
-    """
-    for start in range(0, ix.size, _CUBIC_CHUNK):
-        c = slice(start, start + _CUBIC_CHUNK)
-        wx = _cubic_weights(fx[c])
-        wy = _cubic_weights(fy[c])
-        top_left = (np.clip(iy[c], 1, h - 3) - 1) * w + (np.clip(ix[c], 1, w - 3) - 1)
-        accs = [np.zeros(top_left.size) for _ in channels]
-        for a in range(4):
-            for b in range(4):
-                weight = wy[a] * wx[b]
-                # Tap (a, b) of every stencil, read through a view that
-                # starts a rows and b columns after the top-left tap.
-                for channel, acc in zip(channels, accs):
-                    acc += weight * channel[a * w + b:].take(top_left)
-        for out, acc in zip(outs, accs):
-            out[c] = acc
-
-
-def _rim_chain(data, mask, x, y, ix, iy):
-    """Bilinear over the valid inner 2x2 taps, else the nearest valid tap."""
-    h, w, nc = data.shape
-    n = x.size
-    fx = x - ix
-    fy = y - iy
-    bilin_acc = np.zeros((n, nc))
-    bilin_wsum = np.zeros(n)
-    near_val = np.zeros((n, nc))
-    near_d2 = np.full(n, np.inf)
-    for dy in _TAP_OFFSETS:
-        r = iy + dy
-        rk = np.clip(r, 0, h - 1)
-        r_in = (r >= 0) & (r < h)
-        for dx in _TAP_OFFSETS:
-            c = ix + dx
-            ck = np.clip(c, 0, w - 1)
-            ok = r_in & (c >= 0) & (c < w)
-            ok &= mask[rk, ck]
-            v = np.where(ok[:, None], data[rk, ck], 0.0)
-            if dy in (0, 1) and dx in (0, 1):
-                bw = (fy if dy == 1 else 1.0 - fy) * (fx if dx == 1 else 1.0 - fx)
-                bw = np.where(ok, bw, 0.0)
-                bilin_acc += bw[:, None] * v
-                bilin_wsum += bw
-            d2 = (dx - fx) ** 2 + (dy - fy) ** 2
-            closer = ok & (d2 < near_d2)
-            near_d2 = np.where(closer, d2, near_d2)
-            near_val = np.where(closer[:, None], v, near_val)
-    return np.where((bilin_wsum > 1e-12)[:, None],
-                    bilin_acc / np.maximum(bilin_wsum, 1e-300)[:, None], near_val)
 
 
 def edge_indicators(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -239,16 +126,12 @@ def edge_indicators(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ex, ey
 
 
-def forward_difference(f: np.ndarray, ex: np.ndarray, ey: np.ndarray,
-                       out: np.ndarray | None = None) -> np.ndarray:
+def forward_difference(f: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
     """Forward differences of float fields (..., H, W) as (..., 2, H, W), channels
     (d/dx, d/dy), each multiplied by its edge weight, `ex` or `ey`, and zero on
     the last column or row; in the dtype of the inputs. With the 0/1 maps of
-    `edge_indicators`, edges leaving the mask are zeroed. `out`, when given,
-    receives the result and is the only array written; it must not overlap
-    the inputs."""
-    g = np.empty(f.shape[:-2] + (2,) + f.shape[-2:],
-                 dtype=np.result_type(f, ex, ey)) if out is None else out
+    `edge_indicators`, edges leaving the mask are zeroed."""
+    g = np.empty(f.shape[:-2] + (2,) + f.shape[-2:], dtype=np.result_type(f, ex, ey))
     gx, gy = g[..., 0, :, :], g[..., 1, :, :]
     np.subtract(f[..., :, 1:], f[..., :, :-1], out=gx[..., :, :-1])
     gx[..., :, :-1] *= ex[:, :-1]
@@ -266,13 +149,10 @@ def backward_divergence(p: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> np.nda
     return edge_divergence(p[..., 0, :, :] * ex, p[..., 1, :, :] * ey)
 
 
-def edge_divergence(mx: np.ndarray, my: np.ndarray,
-                    out: np.ndarray | None = None) -> np.ndarray:
+def edge_divergence(mx: np.ndarray, my: np.ndarray) -> np.ndarray:
     """Backward-difference divergence of edge components (..., H, W) that are
-    already zero on the edges leaving the mask (see `backward_divergence`).
-    `out`, when given, receives the result and is the only array written; it
-    must not overlap `mx` or `my`."""
-    div = np.empty(mx.shape, dtype=np.result_type(mx, my)) if out is None else out
+    already zero on the edges leaving the mask (see `backward_divergence`)."""
+    div = np.empty(mx.shape, dtype=np.result_type(mx, my))
     div[..., :, 0] = mx[..., :, 0]
     np.subtract(mx[..., :, 1:], mx[..., :, :-1], out=div[..., :, 1:])
     div += my

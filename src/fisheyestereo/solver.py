@@ -32,41 +32,41 @@ variables stay inside their unit balls by construction.
 The primal-dual cycles run in float32 (see `solve_level`); every array the
 solver returns, and `energy()`, is float64.
 
-A cycle's two halves are independent until they meet: p, div(T p) and u on
-one side, q and v on the other. On levels of `_SPLIT_MIN_PIXELS` pixels or
-more, when the process's CPU affinity holds two CPUs, the module's one
-worker thread runs the q dual step and then the v primal step (with v_bar)
-while the calling thread runs the rest, `thresholding_step` included.
-NumPy releases the GIL inside its loops, so the halves overlap; the results
-are bit-identical to running both halves inline. Smaller levels, and a
-process on one CPU, run inline, because each split cycle pays two thread
-hand-offs (see `_SPLIT_MIN_PIXELS` and `_cycle_worker`). One hand-off (p
-first, then q and v as one task) was bit-identical but slower, as p no
-longer overlaps q: 5.92 against 5.08 ms per 400x400 cycle (2-core VM).
+The cycle is one call into a compiled loop (`kernels.primal_dual_cycle`),
+on the calling thread; the solver starts no thread. The loop repeats the
+NumPy operations of the unfolded cycle (kept as the reference in the tests)
+in their order and precision, so its results are bit-identical to them.
+Row by row, a first loop takes the dual steps on p and q with their
+projections, and a second takes div(T p), the u step with
+`thresholding_step`'s arithmetic inlined, u_bar, div q, v and v_bar. The
+warps' bicubic sampling runs compiled too (`rasters.sample_bicubic_many`).
 
-The worker writes only into arrays the calling thread allocated for that
-cycle, scratch included. Each thread gets its own glibc malloc arena:
-letting the worker allocate its arrays raised solve-400 peak RSS from 152
-to 163 MB (151.6 MB under `MALLOC_ARENA_MAX=1`), where caller-allocated
-buffers keep it at 149-152 MB. NumPy's `errstate` is per thread, and a task
-on the worker does not inherit the caller's, so any `errstate` the worker
-needs is entered inside the task (none does).
+Solving needs the C compiler `gcc` on PATH the first time: the first kernel
+call compiles `kernels.c` (about 1 s) into the package's `__pycache__/`,
+where later processes find it, keyed by a hash of the source and the flags.
+Without gcc the solve raises `kernels.KernelCompileError`. The flags are
+`-O3 -ffp-contract=off -fno-math-errno -fno-trapping-math`: -O3 vectorizes
+the row loops; -ffp-contract=off forbids fused multiply-adds, which round
+once where NumPy rounds twice; -fno-trapping-math lets gcc compute both
+arms of a select, without which the projections and the thresholding step
+do not vectorize; -fno-math-errno makes sqrt one instruction. No -march,
+so the library runs on every CPU of its architecture, and never
+-ffast-math, which reorders sums and drops signed zeros.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import fields as fieldsmod
+from . import kernels
 from .camera import StereoRig
-from .rasters import (build_pyramid, edge_divergence, edge_indicators, forward_difference,
-                      pixel_grid, sample_bicubic, sample_bicubic_many, smooth_masked,
-                      upsample_state, warp_image)
+from .rasters import (build_pyramid, edge_indicators, forward_difference, pixel_grid,
+                      sample_bicubic, sample_bicubic_many, smooth_masked, upsample_state,
+                      warp_image)
 from .schema import ABOVE_ONE, COUNT, NONNEGATIVE, POSITIVE, Ruled, reject_unknown_keys, ruled
 
 
@@ -121,10 +121,7 @@ class SolverState:
 
     No solver function writes into an array it was given; each step returns
     fresh arrays. So a state may share its arrays with another state, with
-    the caller's inputs, or among its own fields, without copies. That holds
-    for the worker thread of a split cycle too (see the module docstring):
-    it computes the new q, v and v_bar into arrays the calling thread
-    allocated for that cycle, and only reads the state it is given.
+    the caller's inputs, or among its own fields, without copies.
     """
 
     u: np.ndarray
@@ -158,14 +155,6 @@ Observer = Callable[[WarpRecord], None]
 # division (about 5 units of roundoff, 2.5 of eps), so a projected dual lies
 # inside its unit ball.
 _PROJECTION_ULPS = 4
-
-# Levels of fewer pixels run the primal-dual cycle inline. A split cycle
-# pays two thread hand-offs, about 0.35 ms (2-core VM): a 50x50 cycle took
-# 0.62 ms split against 0.24 ms inline, a 100x100 one 0.71 against 0.57 ms.
-# Splitting paid from between 120x120 and 150x150 on, and 400x400 cycles
-# took 6.2 ms against 11.4 ms. The solve-400 levels 100x100 and 50x50 run
-# inline, 200x200 and 400x400 split.
-_SPLIT_MIN_PIXELS = 20_000
 
 
 def compute_tensor(i0: np.ndarray, beta: float, eta: float,
@@ -231,7 +220,8 @@ def thresholding_step(u_hat: np.ndarray, rho_hat: np.ndarray, iu: np.ndarray,
     Minimizes lam*|rho_hat + (u - u_hat)*iu| + (u - u_hat)^2 / (2*tau_u):
     the step is tau_u*lam*iu or its negation where |rho_hat| exceeds
     tau_u*lam*iu^2, else -rho_hat/iu. Pixels with iu == 0 carry no data
-    information and pass through unchanged (a +0 step).
+    information and pass through unchanged (a +0 step). The compiled cycle
+    inlines this arithmetic; this function is its NumPy form.
     """
     clamp = tau_u * lam * iu
     th = clamp * iu
@@ -240,36 +230,17 @@ def thresholding_step(u_hat: np.ndarray, rho_hat: np.ndarray, iu: np.ndarray,
     return u_hat + np.where(iu != 0, step, 0.0)
 
 
-def _norm(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """Euclidean norm over the channels of a channel-first array.
-
-    `scratch`, a (2, H, W) array of x's dtype, holds every temporary when
-    given, and the norm is returned in scratch[0]; otherwise both are fresh.
-    """
-    s, t = np.empty((2,) + x.shape[1:], x.dtype) if scratch is None else scratch
-    np.multiply(x[0], x[0], out=s)
+def _norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the channels of a channel-first array."""
+    s = x[0] * x[0]
     for c in x[1:]:
-        s += np.multiply(c, c, out=t)
+        s += c * c
     return np.sqrt(s, out=s)
 
 
 def _max_norm(x: np.ndarray) -> float:
     """Largest channel norm, evaluated in float64 whatever the dtype of x."""
     return float(np.max(_norm(x.astype(np.float64, copy=False)), initial=0.0))
-
-
-def _project_unit_ball(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """Scale each pixel of a channel-first dual back into the unit ball, in place.
-
-    The norm is inflated by a few units in the last place of x's dtype, which
-    outweighs the rounding of the norm and of the division: the result lies
-    inside the ball when measured exactly, in float32 as in float64. With
-    `scratch` (see `_norm`) it writes into no other array.
-    """
-    n = _norm(x, scratch)
-    n *= 1.0 + _PROJECTION_ULPS * np.finfo(x.dtype).eps
-    x /= np.maximum(n, 1.0, out=n)
-    return x
 
 
 @dataclass
@@ -282,17 +253,18 @@ class LevelOperator:
     so K and K* take raw differences and give the values of masking the
     differences first. Steps that always meet a weight carry it: `p_step` is
     alpha1*sigma_p and `u_step` alpha1*tau_u. q's step alpha0*sigma_q is 1/2,
-    as each row of grad v has absolute sum 2, so `q_ex`/`q_ey` are 0.5*ex and
-    0.5*ey, the weights of grad v in the dual step on q. `tau_u` (for the data
-    term's proximal step) and `tau_v` are plain.
+    as each row of grad v has absolute sum 2; the cycle forms its term as
+    (dv * 0.5) * ex, which equals dv * (0.5 * ex) bit for bit, as ex is 0 or
+    1 and 0.5 is exact. `tau_u` (for the data term's proximal step) and
+    `tau_v` are plain.
 
-    `apply` is K, as `energy()` evaluates it. The cycle takes K's adjoint
-    block by block, with <K(u, v), (p, q)> = -<u, div(T p)> - <v, div q + p>:
-    div(T p) from `_tensor_divergence`, and div q inside `_primal_v_step`.
+    `apply` is K, as `energy()` evaluates it. The cycle
+    (`kernels.primal_dual_cycle`) takes K's adjoint block by block, with
+    <K(u, v), (p, q)> = -<u, div(T p)> - <v, div q + p>.
 
     `precondition_steps` builds it in float64; `solve_level` casts its
-    arrays to float32 for the primal-dual cycle. `apply` and the tensor
-    kernels keep the dtype of their inputs.
+    arrays to float32 for the primal-dual cycle. `apply` keeps the dtype of
+    its inputs.
     """
 
     ex: np.ndarray
@@ -302,8 +274,6 @@ class LevelOperator:
     b_ey: np.ndarray
     c_ey: np.ndarray
     p_step: np.ndarray
-    q_ex: np.ndarray
-    q_ey: np.ndarray
     u_step: np.ndarray
     tau_u: np.ndarray
     tau_v: np.ndarray
@@ -318,12 +288,6 @@ class LevelOperator:
             out[:, -1] = 0.0
             out[:-1] += wy[:-1] * dy
         return tg
-
-    def _tensor_divergence(self, p: np.ndarray) -> np.ndarray:
-        """div(T p) as (H, W), the negative adjoint of `_tensor_gradient`."""
-        p0, p1 = p
-        return edge_divergence(self.a_ex * p0 + self.b_ex * p1,
-                               self.b_ey * p0 + self.c_ey * p1)
 
     def apply(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """K(u, v) = (T grad u - v, grad v): (H, W) u and (2, H, W) v give
@@ -361,82 +325,8 @@ def precondition_steps(t: np.ndarray, mask: np.ndarray,
     return LevelOperator(
         ex=exf, ey=eyf, a_ex=t[..., 0] * exf, b_ex=t[..., 1] * exf,
         b_ey=t[..., 1] * eyf, c_ey=t[..., 2] * eyf,
-        p_step=sigma_p * params.alpha1, q_ex=0.5 * exf, q_ey=0.5 * eyf,
-        u_step=tau_u * params.alpha1, tau_u=tau_u, tau_v=tau_v)
-
-
-def _new_worker() -> None:
-    """Give this process its primal-dual worker, at import and in a forked
-    child (which inherits the executor but not its thread). The executor
-    starts its thread on its first task, so importing starts none."""
-    global _worker
-    _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="primal-dual")
-
-
-_new_worker()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_worker)
-
-
-def _cycle_worker(pixels: int) -> ThreadPoolExecutor | None:
-    """The worker thread for a cycle on `pixels` pixels, or None to run inline.
-
-    Inline below `_SPLIT_MIN_PIXELS`, and in a process whose CPU affinity
-    holds one CPU: there the two halves cannot overlap, and each cycle still
-    pays its two hand-offs. Pinned to one CPU of a 2-core VM (float32,
-    medians of 8 rounds of 30 cycles), a split cycle took 9.9 ms against
-    9.7 ms inline at 400x400, 2.11 against 1.93 ms at 200x200, and 1.38
-    against 1.22 ms at 142x142: 0.16-0.24 ms, or 2-13 %, more per cycle.
-    """
-    return None if pixels < _SPLIT_MIN_PIXELS or _usable_cpus() < 2 else _worker
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity where the OS reports one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-_DONE: Future = Future()
-_DONE.set_result(None)
-
-
-def _start(worker: ThreadPoolExecutor | None, task: Callable, *args) -> Future:
-    """Run `task` on the worker, or at once on the calling thread if None."""
-    if worker is not None:
-        return worker.submit(task, *args)
-    task(*args)
-    return _DONE
-
-
-def _dual_q_step(v_bar: np.ndarray, q_old: np.ndarray, op: LevelOperator,
-                 q: np.ndarray, scratch: np.ndarray) -> None:
-    """q = projection of q_old + grad(v_bar) / 2, written into `q`.
-
-    Writes `q` and `scratch` (2, H, W) and no other array.
-    """
-    forward_difference(v_bar, op.q_ex, op.q_ey, out=q.reshape((2, 2) + q.shape[1:]))
-    q += q_old
-    _project_unit_ball(q, scratch)
-
-
-def _primal_v_step(q: np.ndarray, p: np.ndarray, v_old: np.ndarray, op: LevelOperator,
-                   params: SolverParams, v: np.ndarray, v_bar: np.ndarray,
-                   scratch: np.ndarray) -> None:
-    """v = v_old + tau_v (alpha0 div q + alpha1 p) and v_bar = 2 v - v_old.
-
-    Writes `v`, `v_bar` and `scratch`, all (2, H, W), and no other array.
-    """
-    q2 = q.reshape((2, 2) + q.shape[1:])
-    div_q = edge_divergence(np.multiply(q2[:, 0], op.ex, out=v),
-                            np.multiply(q2[:, 1], op.ey, out=v_bar), out=scratch)
-    div_q *= params.alpha0
-    div_q += np.multiply(p, params.alpha1, out=v_bar)
-    div_q *= op.tau_v
-    np.add(v_old, div_q, out=v)
-    np.subtract(v, v_old, out=v_bar)
-    v_bar += v
+        p_step=sigma_p * params.alpha1, u_step=tau_u * params.alpha1,
+        tau_u=tau_u, tau_v=tau_v)
 
 
 def primal_dual_iterate(state: SolverState, op: LevelOperator, iu: np.ndarray,
@@ -446,36 +336,18 @@ def primal_dual_iterate(state: SolverState, op: LevelOperator, iu: np.ndarray,
 
     rho0 is the residual at the current warp (u = u_omega); the linearized
     residual handed to the shrinkage step is rho0 + (u - u_omega) * iu.
-    `op` comes from `precondition_steps(t, mask, params)`.
-
-    The cycle has two independent halves: (p, u) and (q, v). From
-    `_SPLIT_MIN_PIXELS` pixels on, and when the process's CPU affinity holds
-    two CPUs, one worker thread runs the q dual step and then the v primal
-    step (with v_bar) while the calling thread runs p and div(T p), waits
-    for q, then runs u_hat, rho_hat, `thresholding_step` and u_bar. The
-    worker writes only into arrays this call allocated for the cycle (the
-    reason is measured in the module docstring). Below the floor, where two
-    thread hand-offs per cycle cost more than the overlap saves, or with one
-    CPU, both halves run inline on the calling thread; the two paths do the
-    same operations, so their results are bit-identical.
+    `op` comes from `precondition_steps(t, mask, params)`. The cycle runs
+    compiled (see the module docstring), in the dtype of the state, float32
+    or float64; every array given must be C-contiguous and of that dtype, or
+    ValueError is raised.
     """
-    worker = _cycle_worker(state.u.size)
-    dtype = np.result_type(state.v, state.q, op.ex)
-    q = np.empty(state.q.shape, dtype)
-    v, v_bar, scratch = (np.empty(state.v.shape, dtype) for _ in range(3))
-    q_done = _start(worker, _dual_q_step, state.v_bar, state.q, op, q, scratch)
-    kp = op._tensor_gradient(state.u_bar) - state.v_bar
-    p = _project_unit_ball(state.p + op.p_step * kp)
-    div_tp = op._tensor_divergence(p)
-    q_done.result()
-
-    v_done = _start(worker, _primal_v_step, q, p, state.v, op, params, v, v_bar, scratch)
-    u_hat = state.u + op.u_step * div_tp
-    rho_hat = rho0 + (u_hat - u_omega) * iu
-    u_new = thresholding_step(u_hat, rho_hat, iu, op.tau_u, params.lam)
-    u_bar = u_new + (u_new - state.u)
-    v_done.result()
-    return SolverState(u=u_new, v=v, p=p, q=q, u_bar=u_bar, v_bar=v_bar)
+    scale = 1.0 + _PROJECTION_ULPS * np.finfo(state.u.dtype).eps
+    u, v, p, q, u_bar, v_bar = kernels.primal_dual_cycle(
+        (state.u, state.v, state.p, state.q, state.u_bar, state.v_bar),
+        (op.ex, op.ey, op.a_ex, op.b_ex, op.b_ey, op.c_ey, op.p_step, op.u_step, op.tau_u,
+         op.tau_v),
+        (iu, rho0, u_omega), params.alpha0, params.alpha1, params.lam, scale)
+    return SolverState(u=u, v=v, p=p, q=q, u_bar=u_bar, v_bar=v_bar)
 
 
 def solve_level(i0: np.ndarray, i1: np.ndarray, traj_dirs: np.ndarray,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fisheyestereo import kernels
 from fisheyestereo.camera import RelativePose, StereoRig, UnifiedCamera
 from fisheyestereo.synth import Plane, Scene, Sphere, ValueNoise, render, make_ground_truth
 
@@ -36,3 +37,14 @@ def small_pair(small_fisheye_rig, small_scene):
     i1, _, _ = render(small_scene, rig.cam1, pose=rig.pose, supersample=2)
     gt = make_ground_truth(small_scene, rig)
     return i0, i1, gt
+
+
+@pytest.fixture
+def no_compiler(tmp_path, monkeypatch):
+    """An empty kernel cache and a PATH with no compiler: the next kernel call
+    must build the library and cannot. The library is reloaded afterwards."""
+    monkeypatch.setattr(kernels, "CACHE_DIR", tmp_path / "kernel-cache")
+    monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
+    kernels._library.cache_clear()
+    yield
+    kernels._library.cache_clear()

@@ -322,6 +322,18 @@ def test_stereo_empty_solve_mask_fails_with_message(tmp_path, dataset, turned_ri
     assert not (tmp_path / "s").exists()
 
 
+def test_stereo_without_compiler_fails_with_message(tmp_path, dataset, tiny_rig_path,
+                                                    capsys, no_compiler):
+    code = main(["stereo", "--left", str(dataset / "image0.pgm"),
+                 "--right", str(dataset / "image1.pgm"),
+                 "--rig", str(tiny_rig_path), "--out", str(tmp_path / "s")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot solve: ") and "'gcc'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "s").exists()
+
+
 def test_sweep_empty_solve_mask_fails_with_message(tmp_path, dataset, turned_rig_path,
                                                    capsys):
     data = tmp_path / "turned"

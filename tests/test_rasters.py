@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fisheyestereo import rasters
 from fisheyestereo.rasters import (backward_divergence, build_pyramid, divergence,
-                                   downsample_area, edge_divergence, edge_indicators,
+                                   downsample_area, edge_indicators,
                                    forward_difference, gradient, pixel_grid,
                                    pyramid_shapes, sample_bicubic, sample_bicubic_many,
                                    smooth_masked, upsample_state, warp_image)
@@ -223,29 +223,6 @@ def test_stencil_tap_counts_match_brute_force(h):
                 assert counts[iy + 3, ix + 3] == taps, (w, ix, iy)
 
 
-@pytest.mark.parametrize("nc", [1, 3])
-@pytest.mark.parametrize("n", [0, 1, 23])
-def test_sample_chunk_size_leaves_values_unchanged(monkeypatch, nc, n):
-    # n positions with full stencils (floors 1..8 of a fully valid 12x12
-    # field), shuffled among rim positions and invalid ones.
-    rng = np.random.default_rng(10 * n + nc)
-    data = rng.normal(size=(12, 12, nc))
-    field = data[:, :, 0] if nc == 1 else data
-    mask = np.ones((12, 12), dtype=bool)
-    full = rng.uniform(1.0, 8.99, size=(n, 2))
-    rim = np.array([[0.3, 5.5], [10.6, 2.2], [-1.5, 4.0], [6.0, 11.0]])
-    invalid = np.array([[-9.0, 3.0], [np.nan, 1.0], [4.0, 40.0]])
-    pos = rng.permutation(np.concatenate([full, rim, invalid]))
-    monkeypatch.setattr(rasters, "_CUBIC_CHUNK", n + 1000)
-    ref_vals, ref_ok = sample_bicubic(field, pos, mask)
-    assert np.count_nonzero(ref_ok) == n + len(rim)
-    for chunk in sorted({1, 7, n - 1, n, n + 1} - {-1, 0}):
-        monkeypatch.setattr(rasters, "_CUBIC_CHUNK", chunk)
-        vals, ok = sample_bicubic(field, pos, mask)
-        assert np.array_equal(ok, ref_ok)
-        assert np.array_equal(vals, ref_vals, equal_nan=True), chunk
-
-
 def test_sample_floor_minus_two_reaches_column_zero():
     # The stencil of floor -2 spans columns -3..0: column 0 is a valid tap.
     field = np.arange(12.0).reshape(3, 4)
@@ -325,22 +302,6 @@ def test_kernels_on_stacks_match_per_channel_calls(seed, lead, h, w):
     lhs = float(np.sum(g * p))
     rhs = -float(np.sum(f * d))
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_kernels_write_into_out_as_they_would_allocate(dtype):
-    rng = np.random.default_rng(12)
-    ex, ey = edge_indicators(rng.random((9, 7)) > 0.3)
-    f = rng.normal(size=(2, 9, 7)).astype(dtype)
-    mx, my = rng.normal(size=(2, 2, 9, 7)).astype(dtype)
-    inputs = [a.copy() for a in (f, mx, my, ex, ey)]
-    g = np.full((2, 2, 9, 7), np.nan, dtype)
-    div = np.full((2, 9, 7), np.nan, dtype)
-    assert forward_difference(f, ex, ey, out=g) is g
-    assert edge_divergence(mx, my, out=div) is div
-    assert np.array_equal(g, forward_difference(f, ex, ey))
-    assert np.array_equal(div, edge_divergence(mx, my))
-    assert all(np.array_equal(a, b) for a, b in zip(inputs, (f, mx, my, ex, ey)))
 
 
 def test_pyramid_shapes_reference_chain():

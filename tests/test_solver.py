@@ -1,11 +1,7 @@
-import importlib
-import importlib.util
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +13,10 @@ from fisheyestereo.camera import (PinholeCamera, PolynomialFisheyeCamera, Relati
 from fisheyestereo.evaluate import erroneous_percentage
 from fisheyestereo.fields import (compose_with_calibration, generate_calibration_field,
                                   translation_only_rig)
-from fisheyestereo import rasters, solver
-from fisheyestereo.rasters import (backward_divergence, build_pyramid, edge_indicators,
-                                   forward_difference, gradient, pixel_grid, sample_bicubic,
-                                   smooth_masked, upsample_state, warp_image)
+from fisheyestereo import solver
+from fisheyestereo.rasters import (backward_divergence, build_pyramid, edge_divergence,
+                                   edge_indicators, forward_difference, gradient, pixel_grid,
+                                   sample_bicubic, smooth_masked, upsample_state, warp_image)
 from fisheyestereo.solver import (LevelOperator, SolverParams, SolverState,
                                   calibrate_second_image,
                                   compute_tensor, edge_tensor, energy,
@@ -337,10 +333,10 @@ def test_kernels_and_cycle_keep_input_dtype(dtype):
     outputs = [forward_difference(u, op.ex, op.ey), forward_difference(v, op.ex, op.ey),
                backward_divergence(p, op.ex, op.ey),
                backward_divergence(q.reshape(2, 2, h, w), op.ex, op.ey),
-               *op.apply(u, v), op._tensor_divergence(p)]
+               *op.apply(u, v)]
     state = SolverState(u=u, v=v, p=p, q=q, u_bar=u, v_bar=v)
     outputs += vars(primal_dual_iterate(state, op, iu, rho0, u, SolverParams())).values()
-    assert [a.dtype for a in outputs] == [np.dtype(dtype)] * 13
+    assert [a.dtype for a in outputs] == [np.dtype(dtype)] * 12
 
 
 _DUAL_SCALES = (0.0, 1e-20, 1e-3, 1.0, 1.5, 1e3, 1e15)
@@ -382,11 +378,27 @@ def test_level_operator_summation_by_parts(seed, h, w):
     u, v = rng.normal(size=(h, w)), rng.normal(size=(2, h, w))
     p, q = rng.normal(size=(2, h, w)), rng.normal(size=(4, h, w))
     tgu, jac = op.apply(u, v)
-    div_tp = op._tensor_divergence(p)
+    div_tp = _tensor_divergence(op, p)
     div_q = backward_divergence(q.reshape(2, 2, h, w), op.ex, op.ey)
     lhs = float(np.sum(tgu * p)) + float(np.sum(jac * q))
     rhs = -float(np.sum(u * div_tp)) - float(np.sum(v * (div_q + p)))
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
+def _tensor_divergence(op, p):
+    """div(T p) with the folded operator: the negative adjoint of T grad."""
+    return edge_divergence(op.a_ex * p[0] + op.b_ex * p[1], op.b_ey * p[0] + op.c_ey * p[1])
+
+
+def _project_unit_ball(x):
+    """Scale each pixel of a channel-first dual back into the unit ball, with
+    the norm inflated by `solver._PROJECTION_ULPS` units in the last place."""
+    n = x[0] * x[0]
+    for c in x[1:]:
+        n += c * c
+    n = np.sqrt(n)
+    n *= 1.0 + solver._PROJECTION_ULPS * np.finfo(x.dtype).eps
+    return x / np.maximum(n, 1.0)
 
 
 def _reference_cycle(state, t, mask, op, iu, rho0, u_omega, params):
@@ -402,8 +414,8 @@ def _reference_cycle(state, t, mask, op, iu, rho0, u_omega, params):
 
     kp = tensor(forward_difference(state.u_bar, ex, ey)) - state.v_bar
     kq = forward_difference(state.v_bar, ex, ey).reshape(4, h, w)
-    p = solver._project_unit_ball(state.p + op.p_step * kp)
-    q = solver._project_unit_ball(state.q + 0.5 * kq)
+    p = _project_unit_ball(state.p + op.p_step * kp)
+    q = _project_unit_ball(state.q + 0.5 * kq)
     div_tp = backward_divergence(tensor(p), ex, ey)
     div_q = backward_divergence(q.reshape(2, 2, h, w), ex, ey)
     u_hat = state.u + op.u_step * div_tp
@@ -420,20 +432,53 @@ def _random_cycle(rng, h, w, dtype, density):
     op = _cast_operator(precondition_steps(t, mask, SolverParams()), dtype)
 
     def draw(*shape):
-        return (rng.normal(size=shape) * 3).astype(dtype)
+        # Many signed zeros: a cycle that dropped one of NumPy's 0 + x adds
+        # (which turn -0 into +0) shows only where zeros meet.
+        x = (rng.normal(size=shape) * 3).astype(dtype)
+        zero = rng.random(shape) < 0.3
+        x[zero] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zero]
+        return x
 
     u = draw(h, w)
     state = SolverState(u=u, v=draw(2, h, w), p=draw(2, h, w), q=draw(4, h, w),
                         u_bar=draw(h, w), v_bar=draw(2, h, w))
     iu, rho0 = draw(h, w), draw(h, w)
-    iu[rng.random((h, w)) < 0.2] = 0
     return state, t, mask, op, iu, rho0, u
 
 
-def _assert_same_state(out, ref, dtype):
+def _numpy_cycle(state, op, iu, rho0, u_omega, params):
+    """The cycle as NumPy ran it before it was compiled: the folded operator
+    and the compiled loops' order of operations, so that every bit matches,
+    signed zeros included. (The unfolded reference multiplies by the edge
+    indicators at other points, which can flip the sign of a zero.)"""
+    h, w = state.u.shape
+    kp = op._tensor_gradient(state.u_bar) - state.v_bar
+    p = _project_unit_ball(state.p + op.p_step * kp)
+    kq = forward_difference(state.v_bar, 0.5 * op.ex, 0.5 * op.ey).reshape(4, h, w)
+    q = _project_unit_ball(kq + state.q)
+    u_hat = state.u + op.u_step * _tensor_divergence(op, p)
+    u_new = thresholding_step(u_hat, rho0 + (u_hat - u_omega) * iu, iu, op.tau_u, params.lam)
+    q2 = q.reshape(2, 2, h, w)
+    div_q = edge_divergence(q2[:, 0] * op.ex, q2[:, 1] * op.ey)
+    v_new = state.v + (div_q * params.alpha0 + p * params.alpha1) * op.tau_v
+    return SolverState(u=u_new, v=v_new, p=p, q=q,
+                       u_bar=u_new + (u_new - state.u), v_bar=(v_new - state.v) + v_new)
+
+
+def _assert_same_state(out, ref, dtype, signed_zeros=True):
     for name, value in vars(ref).items():
         assert getattr(out, name).dtype == dtype
         assert np.array_equal(getattr(out, name), value), name
+        if signed_zeros:
+            assert np.array_equal(np.signbit(getattr(out, name)), np.signbit(value)), name
+
+
+def _assert_matches_references(state, t, mask, op, iu, rho0, u, dtype):
+    params = SolverParams()
+    out = primal_dual_iterate(state, op, iu, rho0, u, params)
+    _assert_same_state(out, _numpy_cycle(state, op, iu, rho0, u, params), dtype)
+    _assert_same_state(out, _reference_cycle(state, t, mask, op, iu, rho0, u, params), dtype,
+                       signed_zeros=False)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -441,154 +486,44 @@ def _assert_same_state(out, ref, dtype):
 @given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 13), w=st.integers(1, 13))
 def test_pd_cycle_matches_unfolded_reference(dtype, seed, h, w):
     rng = np.random.default_rng(seed)
-    state, t, mask, op, iu, rho0, u = _random_cycle(rng, h, w, dtype,
-                                                    rng.choice([0.6, 0.9, 1.0]))
-    params = SolverParams()
-    out = primal_dual_iterate(state, op, iu, rho0, u, params)
-    _assert_same_state(out, _reference_cycle(state, t, mask, op, iu, rho0, u, params), dtype)
-
-
-def _two_cpus(monkeypatch):
-    """Let `_cycle_worker` split cycles even where the process has one CPU."""
-    monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: {0, 1})
+    cycle = _random_cycle(rng, h, w, dtype, rng.choice([0.6, 0.9, 1.0]))
+    _assert_matches_references(*cycle, dtype)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("density", [0.6, 0.9, 1.0])
 @pytest.mark.parametrize("h, w", [(160, 150), (131, 200)])
-def test_split_pd_cycle_matches_reference_and_inline(monkeypatch, dtype, density, h, w):
-    # Above the size floor the (q, v) half runs on the worker thread; the
-    # result matches the unfolded reference and the inline cycle bit for bit.
-    assert h * w >= solver._SPLIT_MIN_PIXELS
-    _two_cpus(monkeypatch)
+def test_split_pd_cycle_matches_reference_and_inline(dtype, density, h, w):
+    # The compiled cycle split into its two loops per row, at rows long enough
+    # for their vector bodies and tails: it matches the unfolded reference and
+    # the inline NumPy cycle (`_numpy_cycle`) bit for bit.
     rng = np.random.default_rng(h * w + int(10 * density))
-    state, t, mask, op, iu, rho0, u = _random_cycle(rng, h, w, dtype, density)
+    _assert_matches_references(*_random_cycle(rng, h, w, dtype, density), dtype)
+
+
+def test_cycle_rejects_wrong_shapes_and_mixed_dtypes():
+    # The compiled cycle reads raw pointers: every array is checked first.
+    rng = np.random.default_rng(9)
+    state, _, _, op, iu, rho0, u = _random_cycle(rng, 6, 5, np.float32, 0.9)
     params = SolverParams()
-    assert solver._cycle_worker(h * w) is not None
-    out = primal_dual_iterate(state, op, iu, rho0, u, params)
-    _assert_same_state(out, _reference_cycle(state, t, mask, op, iu, rho0, u, params), dtype)
-    monkeypatch.setattr(solver, "_cycle_worker", lambda pixels: None)
-    _assert_same_state(out, primal_dual_iterate(state, op, iu, rho0, u, params), dtype)
-
-
-def test_cycle_dispatch_floor_and_affinity(monkeypatch):
-    floor = solver._SPLIT_MIN_PIXELS
-    _two_cpus(monkeypatch)
-    assert solver._cycle_worker(floor - 1) is None
-    worker = solver._cycle_worker(floor)
-    assert worker is not None and solver._cycle_worker(400 * 400) is worker
-    monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: {1})
-    assert solver._cycle_worker(400 * 400) is None
-
-
-def _traced_names():
-    """The (module, function) pairs of the benchmark's tracer, if it is there."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    if not path.is_file():
-        pytest.skip("perfbench/tracing.py is not in this checkout")
-    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return [(m, attr) for m, attr, _, _ in tracing.TARGETS if "." not in attr]
-
-
-def test_traced_functions_of_a_split_cycle_run_on_the_calling_thread(monkeypatch):
-    # The tracer keeps one span stack and assumes one thread: every function
-    # it wraps that the cycle reaches must run on the calling thread.
-    _two_cpus(monkeypatch)
-    calls = []
-
-    def recorder(name, fn):
-        def wrapped(*args, **kwargs):
-            calls.append((name, threading.get_ident()))
-            return fn(*args, **kwargs)
-        return wrapped
-
-    for mod_name, attr in _traced_names():
-        original = getattr(importlib.import_module(f"fisheyestereo.{mod_name}"), attr)
-        for mod in (solver, rasters):
-            if vars(mod).get(attr) is original:
-                monkeypatch.setattr(mod, attr, recorder(f"{mod_name}.{attr}", original))
-    monkeypatch.setattr(solver, "_dual_q_step",
-                        recorder("worker", solver._dual_q_step))
-    rng = np.random.default_rng(5)
-    state, _, _, op, iu, rho0, u = _random_cycle(rng, 160, 160, np.float32, 0.9)
-    primal_dual_iterate(state, op, iu, rho0, u, SolverParams())
-    me = threading.get_ident()
-    assert ("solver.thresholding_step", me) in calls
-    assert [name for name, ident in calls if ident != me] == ["worker"]
-
-
-def test_callers_on_several_threads_share_the_worker(monkeypatch):
-    # More calling threads than cores, all handing halves to the one worker,
-    # with frequent thread switches: every result is the inline one.
-    _two_cpus(monkeypatch)
-    rng = np.random.default_rng(6)
-    cases = [_random_cycle(rng, 150, 140, np.float32, 0.9) for _ in range(3)]
-    params = SolverParams()
-
-    def run(state, op, iu, rho0, u):
-        for _ in range(4):
-            state = primal_dual_iterate(state, op, iu, rho0, u, params)
-        return state
-
-    results = [None] * len(cases)
-
-    def target(k):
-        state, _, _, op, iu, rho0, u = cases[k]
-        results[k] = run(state, op, iu, rho0, u)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=target, args=(k,)) for k in range(len(cases))]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-        assert not any(th.is_alive() for th in threads)
-    finally:
-        sys.setswitchinterval(interval)
-    monkeypatch.setattr(solver, "_cycle_worker", lambda pixels: None)
-    for (state, _, _, op, iu, rho0, u), out in zip(cases, results):
-        _assert_same_state(out, run(state, op, iu, rho0, u), np.float32)
-
-
-def _split_cycle(conn=None):
-    rng = np.random.default_rng(7)
-    state, _, _, op, iu, rho0, u = _random_cycle(rng, 150, 140, np.float32, 0.9)
-    out = primal_dual_iterate(state, op, iu, rho0, u, SolverParams())
-    if conn is not None:
-        conn.send(bool(np.isfinite(out.u).all()))
+    bad_state = SolverState(**{**vars(state), "q": state.q[:2]})
+    with pytest.raises(ValueError, match="q must be .* shape \\(4, 6, 5\\)"):
+        primal_dual_iterate(bad_state, op, iu, rho0, u, params)
+    mixed = LevelOperator(**{**vars(op), "tau_v": op.tau_v.astype(np.float64)})
+    with pytest.raises(ValueError, match="tau_v must be .* float32"):
+        primal_dual_iterate(state, mixed, iu, rho0, u, params)
+    with pytest.raises(ValueError, match="iu must be .* non-contiguous"):
+        primal_dual_iterate(state, op, np.asfortranarray(iu), rho0, u, params)
 
 
 def test_importing_the_solver_starts_no_thread():
-    # The worker's executor is made at import; its thread starts with the
-    # first split cycle.
-    code = ("import threading, fisheyestereo.solver as s; "
-            "print(threading.active_count(), s._worker is not None)")
+    # Importing neither starts a thread nor compiles or loads the kernels.
+    code = ("import threading, fisheyestereo.solver, fisheyestereo.kernels as k; "
+            "print(threading.active_count(), k._library.cache_info().currsize)")
     src = str(Path(solver.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
-    assert out.stdout.split() == ["1", "True"]
-
-
-@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
-def test_forked_child_makes_its_own_worker():
-    # A forked child inherits the parent's executor but not its thread; the
-    # at-fork hook gives it a fresh executor so the child's cycles do not hang.
-    _split_cycle()
-    ctx = multiprocessing.get_context("fork")
-    recv, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_split_cycle, args=(send,))
-    child.start()
-    try:
-        assert recv.poll(60) and recv.recv() is True
-    finally:
-        child.join(timeout=60)
-        if child.is_alive():
-            child.kill()
-    assert child.exitcode == 0
+    assert out.stdout.split() == ["1", "0"]
 
 
 def test_folded_operator_fields_vanish_exactly_off_the_edges():
@@ -599,8 +534,7 @@ def test_folded_operator_fields_vanish_exactly_off_the_edges():
     ex, ey = edge_indicators(mask)
     assert np.array_equal(op.ex, ex) and np.array_equal(op.ey, ey)
     for folded, edges, factor in ((op.a_ex, ex, t[..., 0]), (op.b_ex, ex, t[..., 1]),
-                                  (op.b_ey, ey, t[..., 1]), (op.c_ey, ey, t[..., 2]),
-                                  (op.q_ex, ex, 0.5), (op.q_ey, ey, 0.5)):
+                                  (op.b_ey, ey, t[..., 1]), (op.c_ey, ey, t[..., 2])):
         assert np.array_equal(folded == 0, edges == 0)
         assert np.array_equal(folded, np.where(edges == 1, factor, 0.0))
 
