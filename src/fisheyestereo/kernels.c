@@ -8,38 +8,15 @@
  * included. Where NumPy added a difference of +0 at the last column or row,
  * so does the loop: 0 + x is not x when x is -0. That needs
  * -ffp-contract=off (no fused multiply-add) and rules out -ffast-math.
- *
- * The cycle is written once for a float type T and stamped out for float
- * and double: this file includes itself once per type, with T defined. It
- * includes itself by name, which the compiler looks up beside this file.
+ * The cycle runs in float, the precision the solver casts its levels to;
+ * the sampler in double.
  */
-
-#ifndef T
 
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 
-#define CAT_(a, b) a##_##b
-#define CAT(a, b) CAT_(a, b)
-#define F(name) CAT(name, SUFFIX)
 #define ALWAYS_INLINE static inline __attribute__((always_inline))
-
-#define T float
-#define SUFFIX f32
-#define SQRT sqrtf
-#include "kernels.c"
-#undef T
-#undef SUFFIX
-#undef SQRT
-
-#define T double
-#define SUFFIX f64
-#define SQRT sqrt
-#include "kernels.c"
-#undef T
-#undef SUFFIX
-#undef SQRT
 
 /* Catmull-Rom weights of the taps at offsets -1..2 for fractional part f.
  * They reproduce constants and affine ramps exactly and are interpolating
@@ -163,58 +140,56 @@ void sample_bicubic(ptrdiff_t n, const double *xy, ptrdiff_t h, ptrdiff_t w,
     }
 }
 
-#else /* T is defined: one primal-dual cycle in precision T */
-
 /* Pointers into one cycle's arrays, each (H, W) channel contiguous. */
-struct F(cycle) {
+struct cycle {
     ptrdiff_t w;
-    const T *u, *v0, *v1, *p0, *p1, *q0, *q1, *q2, *q3, *ub, *vb0, *vb1;
-    const T *ex, *ey, *a_ex, *b_ex, *b_ey, *c_ey, *p_step, *u_step, *tau_u, *tau_v;
-    const T *iu, *rho0, *u_omega;
-    T *u_out, *v0_out, *v1_out, *p0_out, *p1_out, *q0_out, *q1_out, *q2_out, *q3_out;
-    T *ub_out, *vb0_out, *vb1_out;
-    T alpha0, alpha1, lam, scale;
+    const float *u, *v0, *v1, *p0, *p1, *q0, *q1, *q2, *q3, *ub, *vb0, *vb1;
+    const float *ex, *ey, *a_ex, *b_ex, *b_ey, *c_ey, *p_step, *u_step, *tau_u, *tau_v;
+    const float *iu, *rho0, *u_omega;
+    float *u_out, *v0_out, *v1_out, *p0_out, *p1_out, *q0_out, *q1_out, *q2_out, *q3_out;
+    float *ub_out, *vb0_out, *vb1_out;
+    float alpha0, alpha1, lam, scale;
 };
 
 /* Scale (x0, x1) or (x0..x3) back into the unit ball: the norm, inflated by
  * `scale`, divides where it exceeds 1 (and NaN stays NaN, as np.maximum
  * keeps it). */
-ALWAYS_INLINE T F(ball_divisor)(T sum_of_squares, T scale)
+ALWAYS_INLINE float ball_divisor(float sum_of_squares, float scale)
 {
-    const T n = SQRT(sum_of_squares) * scale;
+    const float n = sqrtf(sum_of_squares) * scale;
     return n < 1 ? 1 : n;
 }
 
 /* The dual step at pixel k: p from K's first row, q from grad v_bar / 2,
  * each projected. has_x/has_y: pixel k has a right/lower neighbour. */
-ALWAYS_INLINE void F(dual_px)(const struct F(cycle) *c, ptrdiff_t k, int has_x, int has_y)
+ALWAYS_INLINE void dual_px(const struct cycle *c, ptrdiff_t k, int has_x, int has_y)
 {
     const ptrdiff_t w = c->w;
-    T tg0 = 0, tg1 = 0, gx0 = 0, gy0 = 0, gx1 = 0, gy1 = 0;
+    float tg0 = 0, tg1 = 0, gx0 = 0, gy0 = 0, gx1 = 0, gy1 = 0;
     if (has_x) {
-        const T d = c->ub[k + 1] - c->ub[k];
+        const float d = c->ub[k + 1] - c->ub[k];
         tg0 = c->a_ex[k] * d;
         tg1 = c->b_ex[k] * d;
         /* (d * 0.5) * ex equals d * (0.5 * ex): ex is 0 or 1, 0.5 exact. */
-        gx0 = ((c->vb0[k + 1] - c->vb0[k]) * (T)0.5) * c->ex[k];
-        gx1 = ((c->vb1[k + 1] - c->vb1[k]) * (T)0.5) * c->ex[k];
+        gx0 = ((c->vb0[k + 1] - c->vb0[k]) * 0.5f) * c->ex[k];
+        gx1 = ((c->vb1[k + 1] - c->vb1[k]) * 0.5f) * c->ex[k];
     }
     if (has_y) {
-        const T d = c->ub[k + w] - c->ub[k];
+        const float d = c->ub[k + w] - c->ub[k];
         tg0 = tg0 + c->b_ey[k] * d;
         tg1 = tg1 + c->c_ey[k] * d;
-        gy0 = ((c->vb0[k + w] - c->vb0[k]) * (T)0.5) * c->ey[k];
-        gy1 = ((c->vb1[k + w] - c->vb1[k]) * (T)0.5) * c->ey[k];
+        gy0 = ((c->vb0[k + w] - c->vb0[k]) * 0.5f) * c->ey[k];
+        gy1 = ((c->vb1[k + w] - c->vb1[k]) * 0.5f) * c->ey[k];
     }
-    const T p0 = c->p0[k] + c->p_step[k] * (tg0 - c->vb0[k]);
-    const T p1 = c->p1[k] + c->p_step[k] * (tg1 - c->vb1[k]);
-    const T dp = F(ball_divisor)(p0 * p0 + p1 * p1, c->scale);
+    const float p0 = c->p0[k] + c->p_step[k] * (tg0 - c->vb0[k]);
+    const float p1 = c->p1[k] + c->p_step[k] * (tg1 - c->vb1[k]);
+    const float dp = ball_divisor(p0 * p0 + p1 * p1, c->scale);
     c->p0_out[k] = p0 / dp;
     c->p1_out[k] = p1 / dp;
 
-    const T q0 = gx0 + c->q0[k], q1 = gy0 + c->q1[k];
-    const T q2 = gx1 + c->q2[k], q3 = gy1 + c->q3[k];
-    const T dq = F(ball_divisor)(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3, c->scale);
+    const float q0 = gx0 + c->q0[k], q1 = gy0 + c->q1[k];
+    const float q2 = gx1 + c->q2[k], q3 = gy1 + c->q3[k];
+    const float dq = ball_divisor(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3, c->scale);
     c->q0_out[k] = q0 / dq;
     c->q1_out[k] = q1 / dq;
     c->q2_out[k] = q2 / dq;
@@ -223,18 +198,18 @@ ALWAYS_INLINE void F(dual_px)(const struct F(cycle) *c, ptrdiff_t k, int has_x, 
 
 /* One channel of the v step at pixel k: v += tau_v (alpha0 div q + alpha1 p),
  * and v_bar = 2 v - v_old as (v - v_old) + v. */
-ALWAYS_INLINE void F(v_px)(const struct F(cycle) *c, ptrdiff_t k, int has_left, int has_up,
-                           const T *qx, const T *qy, const T *p, const T *v,
-                           T *v_out, T *vb_out)
+ALWAYS_INLINE void v_px(const struct cycle *c, ptrdiff_t k, int has_left, int has_up,
+                        const float *qx, const float *qy, const float *p, const float *v,
+                        float *v_out, float *vb_out)
 {
     const ptrdiff_t w = c->w;
-    T d = qx[k] * c->ex[k];
+    float d = qx[k] * c->ex[k];
     if (has_left)
         d = d - qx[k - 1] * c->ex[k - 1];
     d = d + qy[k] * c->ey[k];
     if (has_up)
         d = d - qy[k - w] * c->ey[k - w];
-    const T vn = v[k] + (d * c->alpha0 + p[k] * c->alpha1) * c->tau_v[k];
+    const float vn = v[k] + (d * c->alpha0 + p[k] * c->alpha1) * c->tau_v[k];
     v_out[k] = vn;
     vb_out[k] = (vn - v[k]) + vn;
 }
@@ -242,31 +217,30 @@ ALWAYS_INLINE void F(v_px)(const struct F(cycle) *c, ptrdiff_t k, int has_left, 
 /* The primal steps at pixel k, from the new p and q: u through div(T p) and
  * the data term's thresholding step, u_bar, then v and v_bar.
  * has_left/has_up: pixel k has a left/upper neighbour. */
-ALWAYS_INLINE void F(primal_px)(const struct F(cycle) *c, ptrdiff_t k, int has_left,
-                                int has_up)
+ALWAYS_INLINE void primal_px(const struct cycle *c, ptrdiff_t k, int has_left, int has_up)
 {
     const ptrdiff_t w = c->w;
-    const T *p0 = c->p0_out, *p1 = c->p1_out;
-    T d = c->a_ex[k] * p0[k] + c->b_ex[k] * p1[k];
+    const float *p0 = c->p0_out, *p1 = c->p1_out;
+    float d = c->a_ex[k] * p0[k] + c->b_ex[k] * p1[k];
     if (has_left)
         d = d - (c->a_ex[k - 1] * p0[k - 1] + c->b_ex[k - 1] * p1[k - 1]);
     d = d + (c->b_ey[k] * p0[k] + c->c_ey[k] * p1[k]);
     if (has_up)
         d = d - (c->b_ey[k - w] * p0[k - w] + c->c_ey[k - w] * p1[k - w]);
-    const T u_hat = c->u[k] + c->u_step[k] * d;
+    const float u_hat = c->u[k] + c->u_step[k] * d;
 
     /* thresholding_step on the residual linearized at u_omega */
-    const T iu = c->iu[k];
-    const T rho = c->rho0[k] + (u_hat - c->u_omega[k]) * iu;
-    const T clamp = c->tau_u[k] * c->lam * iu;
-    const T th = clamp * iu;
-    const T step = rho < -th ? clamp : rho > th ? -clamp : -(rho / iu);
-    const T un = u_hat + (iu != 0 ? step : 0);
+    const float iu = c->iu[k];
+    const float rho = c->rho0[k] + (u_hat - c->u_omega[k]) * iu;
+    const float clamp = c->tau_u[k] * c->lam * iu;
+    const float th = clamp * iu;
+    const float step = rho < -th ? clamp : rho > th ? -clamp : -(rho / iu);
+    const float un = u_hat + (iu != 0 ? step : 0);
     c->u_out[k] = un;
     c->ub_out[k] = un + (un - c->u[k]);
 
-    F(v_px)(c, k, has_left, has_up, c->q0_out, c->q1_out, p0, c->v0, c->v0_out, c->vb0_out);
-    F(v_px)(c, k, has_left, has_up, c->q2_out, c->q3_out, p1, c->v1, c->v1_out, c->vb1_out);
+    v_px(c, k, has_left, has_up, c->q0_out, c->q1_out, p0, c->v0, c->v0_out, c->vb0_out);
+    v_px(c, k, has_left, has_up, c->q2_out, c->q3_out, p1, c->v1, c->v1_out, c->vb1_out);
 }
 
 /* One cycle on an (h, w) level. `in` holds u, v, p, q, u_bar, v_bar, then
@@ -278,13 +252,13 @@ ALWAYS_INLINE void F(primal_px)(const struct F(cycle) *c, ptrdiff_t k, int has_l
  * inner loops have no branch. As no output overlaps an input, no loop
  * carries a dependence: `ivdep` says so, and gcc vectorizes the loops
  * without checking 37 pointers for overlap at run time. */
-void F(pd_cycle)(ptrdiff_t h, ptrdiff_t w, const T *const *in, T *const *out,
-                 T alpha0, T alpha1, T lam, T scale)
+void pd_cycle(ptrdiff_t h, ptrdiff_t w, const float *const *in, float *const *out,
+              float alpha0, float alpha1, float lam, float scale)
 {
     if (h <= 0 || w <= 0)
         return;
     const ptrdiff_t hw = h * w;
-    const struct F(cycle) c = {
+    const struct cycle c = {
         .w = w, .u = in[0], .v0 = in[1], .v1 = in[1] + hw, .p0 = in[2], .p1 = in[2] + hw,
         .q0 = in[3], .q1 = in[3] + hw, .q2 = in[3] + 2 * hw, .q3 = in[3] + 3 * hw,
         .ub = in[4], .vb0 = in[5], .vb1 = in[5] + hw,
@@ -302,26 +276,24 @@ void F(pd_cycle)(ptrdiff_t h, ptrdiff_t w, const T *const *in, T *const *out,
         if (r + w < hw) {
 #pragma GCC ivdep
             for (ptrdiff_t k = r; k < last; k++)
-                F(dual_px)(&c, k, 1, 1);
-            F(dual_px)(&c, last, 0, 1);
+                dual_px(&c, k, 1, 1);
+            dual_px(&c, last, 0, 1);
         } else {
 #pragma GCC ivdep
             for (ptrdiff_t k = r; k < last; k++)
-                F(dual_px)(&c, k, 1, 0);
-            F(dual_px)(&c, last, 0, 0);
+                dual_px(&c, k, 1, 0);
+            dual_px(&c, last, 0, 0);
         }
         if (r > 0) {
-            F(primal_px)(&c, r, 0, 1);
+            primal_px(&c, r, 0, 1);
 #pragma GCC ivdep
             for (ptrdiff_t k = r + 1; k <= last; k++)
-                F(primal_px)(&c, k, 1, 1);
+                primal_px(&c, k, 1, 1);
         } else {
-            F(primal_px)(&c, r, 0, 0);
+            primal_px(&c, r, 0, 0);
 #pragma GCC ivdep
             for (ptrdiff_t k = r + 1; k <= last; k++)
-                F(primal_px)(&c, k, 1, 0);
+                primal_px(&c, k, 1, 0);
         }
     }
 }
-
-#endif

@@ -49,8 +49,7 @@ FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fno-trapping-math")
 
 _PTRS = ctypes.POINTER(ctypes.c_void_p)
 _SIZE = ctypes.c_ssize_t
-_CYCLES = {np.dtype(np.float32): ("pd_cycle_f32", ctypes.c_float),
-           np.dtype(np.float64): ("pd_cycle_f64", ctypes.c_double)}
+_FLOAT32 = np.dtype(np.float32)
 
 
 class KernelCompileError(RuntimeError):
@@ -75,9 +74,8 @@ def load(cache_dir: Path = CACHE_DIR) -> ctypes.CDLL:
         lib = ctypes.CDLL(str(path))
     except OSError as exc:
         raise KernelCompileError(f"cannot load the compiled kernels {path}: {exc}") from None
-    for name, real in _CYCLES.values():
-        getattr(lib, name).argtypes = [_SIZE, _SIZE, _PTRS, _PTRS] + [real] * 4
-        getattr(lib, name).restype = None
+    lib.pd_cycle.argtypes = [_SIZE, _SIZE, _PTRS, _PTRS] + [ctypes.c_float] * 4
+    lib.pd_cycle.restype = None
     lib.sample_bicubic.argtypes = [_SIZE, ctypes.c_void_p, _SIZE, _SIZE, _SIZE,
                                    _PTRS, ctypes.c_void_p, _PTRS, _PTRS, _PTRS, _PTRS]
     lib.sample_bicubic.restype = None
@@ -134,15 +132,13 @@ def primal_dual_cycle(state: Sequence[np.ndarray], operator: Sequence[np.ndarray
     `state` is (u, v, p, q, u_bar, v_bar), shaped (H, W), (2, H, W),
     (2, H, W), (4, H, W), (H, W) and (2, H, W); `operator` is the (H, W)
     arrays ex, ey, a_ex, b_ex, b_ey, c_ey, p_step, u_step, tau_u, tau_v; and
-    `data` the (H, W) iu, rho0, u_omega. All share one dtype, float32 or
-    float64, which the scalars are rounded to and the results keep. `scale`
-    inflates the dual norms before the projections.
+    `data` the (H, W) iu, rho0, u_omega. All are float32, which the scalars
+    are rounded to and the results keep. `scale` inflates the dual norms
+    before the projections.
     """
-    u = state[0]
-    if not isinstance(u, np.ndarray) or u.dtype not in _CYCLES or u.ndim != 2:
-        raise ValueError("u must be a float32 or float64 (H, W) array")
-    name, real = _CYCLES[u.dtype]
-    plane = u.shape
+    plane = np.shape(state[0])
+    if len(plane) != 2:
+        raise ValueError(f"u must be an (H, W) array, got shape {plane}")
     shapes = [plane, (2,) + plane, (2,) + plane, (4,) + plane, plane, (2,) + plane]
     inputs = [*state, *operator, *data]
     names = ["u", "v", "p", "q", "u_bar", "v_bar", "ex", "ey", "a_ex", "b_ex", "b_ey",
@@ -150,10 +146,10 @@ def primal_dual_cycle(state: Sequence[np.ndarray], operator: Sequence[np.ndarray
     if len(inputs) != len(names):
         raise ValueError(f"expected {len(names)} arrays, got {len(inputs)}")
     for label, a, shape in zip(names, inputs, shapes + [plane] * 13):
-        _check(label, a, u.dtype, shape)
-    outputs = tuple(np.empty(shape, u.dtype) for shape in shapes)
-    getattr(_library(), name)(plane[0], plane[1], _pointers(inputs), _pointers(outputs),
-                              *(real(x) for x in (alpha0, alpha1, lam, scale)))
+        _check(label, a, _FLOAT32, shape)
+    outputs = tuple(np.empty(shape, _FLOAT32) for shape in shapes)
+    _library().pd_cycle(plane[0], plane[1], _pointers(inputs), _pointers(outputs),
+                        alpha0, alpha1, lam, scale)
     return outputs
 
 

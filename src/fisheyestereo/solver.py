@@ -33,16 +33,16 @@ The primal-dual cycles run in float32 (see `solve_level`); every array the
 solver returns, and `energy()`, is float64.
 
 The cycle is one call into a compiled loop (`kernels.primal_dual_cycle`),
-on the calling thread; the solver starts no thread. The loop repeats the
-NumPy operations of the unfolded cycle (kept as the reference in the tests)
-in their order and precision, so its results are bit-identical to them.
-Row by row, a first loop takes the dual steps on p and q with their
-projections, and a second takes div(T p), the u step with
+built for float32 only, on the calling thread; the solver starts no thread.
+The loop repeats the NumPy operations of the unfolded cycle (kept as the
+reference in the tests) in their order and precision, so its results are
+bit-identical to them. Row by row, a first loop takes the dual steps on p
+and q with their projections, and a second takes div(T p), the u step with
 `thresholding_step`'s arithmetic inlined, u_bar, div q, v and v_bar. The
 warps' bicubic sampling runs compiled too (`rasters.sample_bicubic_many`).
 
 Solving needs the C compiler `gcc` on PATH the first time: the first kernel
-call compiles `kernels.c` (about 1 s) into the package's `__pycache__/`,
+call compiles `kernels.c` (about 0.5 s) into the package's `__pycache__/`,
 where later processes find it, keyed by a hash of the source and the flags.
 Without gcc the solve raises `kernels.KernelCompileError`. The flags are
 `-O3 -ffp-contract=off -fno-math-errno -fno-trapping-math`: -O3 vectorizes
@@ -115,9 +115,8 @@ class SolverState:
     contiguous (H, W) array: v, v_bar and p are (2, H, W), q is (4, H, W) with
     channels (dv0/dx, dv0/dy, dv1/dx, dv1/dy).
 
-    `solve_level` keeps every field in float32 (the precision of GPU
-    primal-dual solvers, and half the bytes of the memory-bound cycle);
-    `primal_dual_iterate` keeps whatever dtype it is given.
+    Every field is float32, the one precision of the compiled cycle (and of
+    GPU primal-dual solvers, and half the bytes of the memory-bound cycle).
 
     No solver function writes into an array it was given; each step returns
     fresh arrays. So a state may share its arrays with another state, with
@@ -336,12 +335,11 @@ def primal_dual_iterate(state: SolverState, op: LevelOperator, iu: np.ndarray,
 
     rho0 is the residual at the current warp (u = u_omega); the linearized
     residual handed to the shrinkage step is rho0 + (u - u_omega) * iu.
-    `op` comes from `precondition_steps(t, mask, params)`. The cycle runs
-    compiled (see the module docstring), in the dtype of the state, float32
-    or float64; every array given must be C-contiguous and of that dtype, or
-    ValueError is raised.
+    `op` comes from `precondition_steps(t, mask, params)`, cast to float32.
+    The cycle runs compiled (see the module docstring) in float32: every
+    array given must be C-contiguous float32, or ValueError is raised.
     """
-    scale = 1.0 + _PROJECTION_ULPS * np.finfo(state.u.dtype).eps
+    scale = 1.0 + _PROJECTION_ULPS * np.finfo(np.float32).eps
     u, v, p, q, u_bar, v_bar = kernels.primal_dual_cycle(
         (state.u, state.v, state.p, state.q, state.u_bar, state.v_bar),
         (op.ex, op.ey, op.a_ex, op.b_ex, op.b_ey, op.c_ey, op.p_step, op.u_step, op.tau_u,

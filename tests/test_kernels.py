@@ -23,6 +23,7 @@ def test_cache_hit_runs_no_compiler(tmp_path, monkeypatch):
     monkeypatch.setattr(kernels.subprocess, "run", compiler)
     lib = kernels.load(tmp_path)
     assert lib.sample_bicubic.argtypes is not None
+    assert lib.pd_cycle.argtypes is not None
 
 
 def test_cache_key_follows_source_and_flags():
@@ -83,3 +84,13 @@ def test_sampler_rejects_mismatched_arrays():
             kernels.sample_bicubic(*args)
     with pytest.raises(ValueError, match="mask 1 .* shape \\(6, 5\\)"):
         rasters.sample_bicubic_many([(field, mask), (field, mask.T)], xy)
+
+
+def test_kernels_compile_without_warnings(tmp_path):
+    # The loader's flags plus every common warning as an error: a new warning
+    # in kernels.c fails here rather than going unseen in the cache build.
+    proc = subprocess.run([kernels.COMPILER, *kernels.FLAGS, "-Wall", "-Wextra", "-Werror",
+                           "-shared", "-fPIC", "-o", str(tmp_path / "kernels.so"),
+                           str(kernels.SOURCE), "-lm"], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -277,19 +277,18 @@ def test_thresholding_matches_masked_divide_bits(dtype, entries, lam):
 def _idle_inputs(h=20, w=20):
     mask = np.ones((h, w), dtype=bool)
     t = compute_tensor(np.full((h, w), 0.5), 9.0, 0.85, mask)
-    iu = np.zeros((h, w))
-    rho0 = np.zeros((h, w))
+    iu = np.zeros((h, w), dtype=np.float32)
+    rho0 = np.zeros((h, w), dtype=np.float32)
     return mask, t, iu, rho0
 
 
 def test_pd_stationary_at_zero_data_and_constant_u():
     mask, t, iu, rho0 = _idle_inputs()
     params = SolverParams()
-    u0 = np.full((20, 20), 1.7)
-    state = SolverState(u=u0.copy(), v=np.zeros((2, 20, 20)),
-                        p=np.zeros((2, 20, 20)), q=np.zeros((4, 20, 20)),
-                        u_bar=u0.copy(), v_bar=np.zeros((2, 20, 20)))
-    op = precondition_steps(t, mask, params)
+    u0 = np.full((20, 20), 1.7, dtype=np.float32)
+    v, p, q = (np.zeros((n, 20, 20), dtype=np.float32) for n in (2, 2, 4))
+    state = SolverState(u=u0.copy(), v=v, p=p, q=q, u_bar=u0.copy(), v_bar=v)
+    op = _cast_operator(precondition_steps(t, mask, params), np.float32)
     for _ in range(5):
         state = primal_dual_iterate(state, op, iu, rho0, u0, params)
     assert np.array_equal(state.u, u0)
@@ -301,18 +300,19 @@ def test_pd_projection_keeps_duals_feasible():
     rng = np.random.default_rng(3)
     mask, t, _, _ = _idle_inputs()
     params = SolverParams()
-    state = SolverState(u=rng.normal(size=(20, 20)) * 5,
-                        v=rng.normal(size=(2, 20, 20)) * 10,
-                        p=rng.normal(size=(2, 20, 20)) * 10,
-                        q=rng.normal(size=(4, 20, 20)) * 10,
-                        u_bar=rng.normal(size=(20, 20)) * 5,
-                        v_bar=rng.normal(size=(2, 20, 20)) * 10)
-    iu = rng.normal(size=(20, 20))
-    rho0 = rng.normal(size=(20, 20))
-    out = primal_dual_iterate(state, precondition_steps(t, mask, params), iu, rho0,
-                              state.u.copy(), params)
-    assert np.max(np.linalg.norm(out.p, axis=0)) <= 1.0 + 1e-12
-    assert np.max(np.linalg.norm(out.q, axis=0)) <= 1.0 + 1e-12
+
+    def draw(scale, *shape):
+        return (rng.normal(size=shape) * scale).astype(np.float32)
+
+    state = SolverState(u=draw(5, 20, 20), v=draw(10, 2, 20, 20), p=draw(10, 2, 20, 20),
+                        q=draw(10, 4, 20, 20), u_bar=draw(5, 20, 20),
+                        v_bar=draw(10, 2, 20, 20))
+    iu = draw(1, 20, 20)
+    rho0 = draw(1, 20, 20)
+    op = _cast_operator(precondition_steps(t, mask, params), np.float32)
+    out = primal_dual_iterate(state, op, iu, rho0, state.u.copy(), params)
+    assert np.max(np.linalg.norm(out.p.astype(np.float64), axis=0)) <= 1.0 + 1e-12
+    assert np.max(np.linalg.norm(out.q.astype(np.float64), axis=0)) <= 1.0 + 1e-12
 
 
 def _cast_operator(op, dtype):
@@ -322,6 +322,8 @@ def _cast_operator(op, dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_kernels_and_cycle_keep_input_dtype(dtype):
     # One float64 temporary would promote the whole cycle back to float64.
+    # The difference kernels and K keep either dtype; the compiled cycle runs
+    # in float32 alone.
     rng = np.random.default_rng(4)
     h, w = 9, 11
     mask = rng.random((h, w)) > 0.2
@@ -334,9 +336,11 @@ def test_kernels_and_cycle_keep_input_dtype(dtype):
                backward_divergence(p, op.ex, op.ey),
                backward_divergence(q.reshape(2, 2, h, w), op.ex, op.ey),
                *op.apply(u, v)]
-    state = SolverState(u=u, v=v, p=p, q=q, u_bar=u, v_bar=v)
-    outputs += vars(primal_dual_iterate(state, op, iu, rho0, u, SolverParams())).values()
-    assert [a.dtype for a in outputs] == [np.dtype(dtype)] * 12
+    assert [a.dtype for a in outputs] == [np.dtype(dtype)] * 6
+    if dtype == np.float32:
+        state = SolverState(u=u, v=v, p=p, q=q, u_bar=u, v_bar=v)
+        cycle = vars(primal_dual_iterate(state, op, iu, rho0, u, SolverParams())).values()
+        assert [a.dtype for a in cycle] == [np.dtype(np.float32)] * 6
 
 
 _DUAL_SCALES = (0.0, 1e-20, 1e-3, 1.0, 1.5, 1e3, 1e15)
@@ -481,7 +485,7 @@ def _assert_matches_references(state, t, mask, op, iu, rho0, u, dtype):
                        signed_zeros=False)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dtype", [np.float32])
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 13), w=st.integers(1, 13))
 def test_pd_cycle_matches_unfolded_reference(dtype, seed, h, w):
@@ -490,7 +494,7 @@ def test_pd_cycle_matches_unfolded_reference(dtype, seed, h, w):
     _assert_matches_references(*cycle, dtype)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dtype", [np.float32])
 @pytest.mark.parametrize("density", [0.6, 0.9, 1.0])
 @pytest.mark.parametrize("h, w", [(160, 150), (131, 200)])
 def test_split_pd_cycle_matches_reference_and_inline(dtype, density, h, w):
@@ -512,6 +516,13 @@ def test_cycle_rejects_wrong_shapes_and_mixed_dtypes():
     mixed = LevelOperator(**{**vars(op), "tau_v": op.tau_v.astype(np.float64)})
     with pytest.raises(ValueError, match="tau_v must be .* float32"):
         primal_dual_iterate(state, mixed, iu, rho0, u, params)
+    # The cycle is compiled for float32 alone: a float64 state or operator
+    # never reaches it.
+    state64 = SolverState(**{k: a.astype(np.float64) for k, a in vars(state).items()})
+    with pytest.raises(ValueError, match="u must be .* float32"):
+        primal_dual_iterate(state64, op, iu, rho0, u, params)
+    with pytest.raises(ValueError, match="ex must be .* float32"):
+        primal_dual_iterate(state, _cast_operator(op, np.float64), iu, rho0, u, params)
     with pytest.raises(ValueError, match="iu must be .* non-contiguous"):
         primal_dual_iterate(state, op, np.asfortranarray(iu), rho0, u, params)
 
@@ -878,21 +889,39 @@ def test_solve_pyramid_non_square_scenario(small_scene):
     assert [r.du.shape for r in records[::3]] == [(31, 24), (61, 47)]
 
 
-# Per lens: model, focal length (px), fov (deg), lens parameters, and the
-# tau>3 bound, 1 percentage point above the measured 0.71 / 2.64 / 9.73 %.
+# Per lens: model, focal length (px), fov (deg) and lens parameters.
 _LENSES = {
-    "unified": (UnifiedCamera, 45.0, 180.0, {"xi": 0.9}, 1.71),
-    "polynomial": (PolynomialFisheyeCamera, 30.0, 190.0, {"k": (1.0, -0.05, 0.003, 0.0)}, 3.64),
-    "pinhole": (PinholeCamera, 40.0, 140.0, {}, 10.73),
+    "unified": (UnifiedCamera, 45.0, 180.0, {"xi": 0.9}),
+    "polynomial": (PolynomialFisheyeCamera, 30.0, 190.0, {"k": (1.0, -0.05, 0.003, 0.0)}),
+    "pinhole": (PinholeCamera, 40.0, 140.0, {}),
 }
+# Lateral, forward and diagonal baselines; the last two put the epipole in
+# the view.
+_BASELINES = {"x": (0.1, 0.0, 0.0), "z": (0.0, 0.0, 0.1), "xz": (0.0707, 0.0, 0.0707)}
+# tau>1 and tau>3 (%) as measured per lens and baseline; each is pinned
+# _ERROR_MARGIN percentage points above. The pinhole is weak under the
+# forward baseline: its large offsets, away from the epipole, come out too
+# small. That is pinned here, not mended.
+_ERRORS = {
+    ("unified", "x"): (3.98, 0.71), ("unified", "z"): (3.10, 0.00),
+    ("unified", "xz"): (2.99, 0.00),
+    ("polynomial", "x"): (6.88, 2.64), ("polynomial", "z"): (4.78, 0.00),
+    ("polynomial", "xz"): (5.37, 0.00),
+    ("pinhole", "x"): (14.66, 9.73), ("pinhole", "z"): (34.40, 9.63),
+    ("pinhole", "xz"): (25.44, 2.70),
+}
+_ERROR_MARGIN = 1.0
 
 
-@pytest.mark.parametrize("lens", list(_LENSES))
-def test_solve_pyramid_each_lens_model(lens):
-    model, f, fov_deg, params, bound = _LENSES[lens]
+# The lateral cells keep the lens alone as their id.
+@pytest.mark.parametrize("lens, baseline", [
+    pytest.param(lens, baseline, id=lens if baseline == "x" else f"{lens}-{baseline}")
+    for lens, baseline in _ERRORS])
+def test_solve_pyramid_each_lens_model(lens, baseline):
+    model, f, fov_deg, params = _LENSES[lens]
     cam = model(width=117, height=91, fx=f, fy=f, cx=58.0, cy=45.0,
                 fov=np.deg2rad(fov_deg), **params)
-    rig = StereoRig(cam, cam, RelativePose.from_displacement((0.1, 0.0, 0.0),
+    rig = StereoRig(cam, cam, RelativePose.from_displacement(_BASELINES[baseline],
                                                              (0.0, 0.02, 0.005)))
     scene = default_scene()
     i0, _, _ = render(scene, cam, supersample=2)
@@ -908,7 +937,9 @@ def test_solve_pyramid_each_lens_model(lens):
     corr, corr_ok = compose_with_calibration(res.w, res.cal, res.cal_ok)
     valid = gt.covisibility & corr_ok & res.mask
     err = np.linalg.norm(corr - gt.correspondence, axis=-1)
-    assert erroneous_percentage(err, valid, 3.0) < bound
+    tau1, tau3 = _ERRORS[lens, baseline]
+    assert erroneous_percentage(err, valid, 1.0) < tau1 + _ERROR_MARGIN
+    assert erroneous_percentage(err, valid, 3.0) < tau3 + _ERROR_MARGIN
 
 
 @pytest.mark.parametrize("size", range(1, 9))
