@@ -5,9 +5,10 @@ Conventions used throughout the package:
 * images and scalar fields are float64 arrays of shape (H, W), intensities
   normalized to [0, 1] on load;
 * precision: every raster this module returns, like every solver output, is
-  float64, except that the difference kernels `forward_difference`,
-  `backward_divergence` and `edge_divergence` (the solver's K and K*) keep
-  the dtype of their inputs;
+  float64, except that the difference kernels `forward_difference` (the
+  differences of the solver's K in `LevelOperator.apply`) and its negative
+  adjoint `backward_divergence` keep the dtype of their inputs; the
+  primal-dual cycle's K* is compiled, in `kernels.c`;
 * vector fields are (H, W, 2) with channel order (x, y);
 * a position is continuous (x, y) with pixel centers at integer coordinates,
   so position (j, i) is the center of ``field[i, j]``;
@@ -29,7 +30,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from . import kernels
-from .schema import ABOVE_ONE, COUNT
+from .schema import COUNT
 
 
 @lru_cache(maxsize=16)
@@ -146,12 +147,7 @@ def backward_divergence(p: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> np.nda
     """Backward-difference divergence of (..., 2, H, W) fields as (..., H, W), the
     negative adjoint of `forward_difference`: components on edges leaving the
     mask count as zero. In the dtype of the inputs."""
-    return edge_divergence(p[..., 0, :, :] * ex, p[..., 1, :, :] * ey)
-
-
-def edge_divergence(mx: np.ndarray, my: np.ndarray) -> np.ndarray:
-    """Backward-difference divergence of edge components (..., H, W) that are
-    already zero on the edges leaving the mask (see `backward_divergence`)."""
+    mx, my = p[..., 0, :, :] * ex, p[..., 1, :, :] * ey
     div = np.empty(mx.shape, dtype=np.result_type(mx, my))
     div[..., :, 0] = mx[..., :, 0]
     np.subtract(mx[..., :, 1:], mx[..., :, :-1], out=div[..., :, 1:])
@@ -189,17 +185,16 @@ def smooth_masked(field: np.ndarray, mask: np.ndarray, sigma: float) -> np.ndarr
     return out
 
 
-def pyramid_shapes(height: int, width: int, levels: int, scale: float,
+def pyramid_shapes(height: int, width: int, levels: int,
                    min_width: int) -> list[tuple[int, int]]:
-    """Level shapes finest-first, each `scale` times smaller (rounded up) than
-    the one before; the chain stops at `levels` shapes, before a width below
-    `min_width`, and before a shape that no longer shrinks."""
-    levels, scale = COUNT(levels, "levels"), ABOVE_ONE(scale, "scale")
-    min_width = COUNT(min_width, "min_width")
+    """Level shapes finest-first, each half the one before (rounded up); the
+    chain stops at `levels` shapes, before a width below `min_width`, and
+    before a shape that no longer shrinks (1 halves to 1)."""
+    levels, min_width = COUNT(levels, "levels"), COUNT(min_width, "min_width")
     shapes = [(height, width)]
     while len(shapes) < levels:
         h, w = shapes[-1]
-        nh, nw = int(np.ceil(h / scale)), int(np.ceil(w / scale))
+        nh, nw = (h + 1) // 2, (w + 1) // 2
         if nw < min_width or (nh, nw) == (h, w):
             break
         shapes.append((nh, nw))
@@ -240,13 +235,13 @@ def downsample_area(field: np.ndarray, mask: np.ndarray,
 
 
 def build_pyramid(field: np.ndarray, mask: np.ndarray, levels: int,
-                  scale: float, min_width: int) -> list[tuple[np.ndarray, np.ndarray]]:
+                  min_width: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Coarse-to-fine pyramid of an (H, W, C) `field` with in-mask area averaging.
 
     Returns one (field, mask) pair per level, coarsest first; the last pair is
     the input itself, as float64 and bool.
     """
-    shapes = pyramid_shapes(mask.shape[0], mask.shape[1], levels, scale, min_width)
+    shapes = pyramid_shapes(mask.shape[0], mask.shape[1], levels, min_width)
     pyr = [(np.asarray(field, dtype=np.float64), np.asarray(mask, dtype=bool))]
     for shape in shapes[1:]:
         pyr.append(downsample_area(*pyr[-1], shape))

@@ -51,7 +51,6 @@ INTEGER = _number(lambda v: isinstance(v, numbers.Integral), "an integer", int)
 FINITE = _number(lambda v: True, "finite")
 POSITIVE = _number(lambda v: v > 0, "finite and > 0 (positive)")
 NONNEGATIVE = _number(lambda v: v >= 0, "finite and >= 0")
-ABOVE_ONE = _number(lambda v: v > 1, "> 1")
 VECTOR = finite_numbers(3)
 DIRECTION = finite_numbers(3, nonzero=True)
 

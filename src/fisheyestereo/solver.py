@@ -45,13 +45,8 @@ Solving needs the C compiler `gcc` on PATH the first time: the first kernel
 call compiles `kernels.c` (about 0.5 s) into the package's `__pycache__/`,
 where later processes find it, keyed by a hash of the source and the flags.
 Without gcc the solve raises `kernels.KernelCompileError`. The flags are
-`-O3 -ffp-contract=off -fno-math-errno -fno-trapping-math`: -O3 vectorizes
-the row loops; -ffp-contract=off forbids fused multiply-adds, which round
-once where NumPy rounds twice; -fno-trapping-math lets gcc compute both
-arms of a select, without which the projections and the thresholding step
-do not vectorize; -fno-math-errno makes sqrt one instruction. No -march,
-so the library runs on every CPU of its architecture, and never
--ffast-math, which reorders sums and drops signed zeros.
+`-O3 -ffp-contract=off -fno-math-errno -fno-trapping-math`; the `kernels`
+module docstring says why each is there.
 """
 
 from __future__ import annotations
@@ -67,7 +62,7 @@ from .camera import StereoRig
 from .rasters import (build_pyramid, edge_indicators, forward_difference, pixel_grid,
                       sample_bicubic, sample_bicubic_many, smooth_masked, upsample_state,
                       warp_image)
-from .schema import ABOVE_ONE, COUNT, NONNEGATIVE, POSITIVE, Ruled, reject_unknown_keys, ruled
+from .schema import COUNT, NONNEGATIVE, POSITIVE, Ruled, reject_unknown_keys, ruled
 
 
 @dataclass
@@ -81,8 +76,9 @@ class SolverParams(Ruled):
     warp_iters (N) times du_max bounds the disparity a single pyramid level
     can accumulate. Each field's metadata holds its rule, which construction
     checks (`schema.Ruled`), and its `help`, which documents its CLI flag.
-    The method's constants are not fields: theta = 1 (`primal_dual_iterate`)
-    and the trajectory probe's size (`fields.generate_trajectory_field`).
+    The method's constants are not fields: theta = 1 (`primal_dual_iterate`),
+    the trajectory probe's size (`fields.generate_trajectory_field`) and the
+    pyramid ratio 2 (`rasters.pyramid_shapes`).
     """
 
     lam: float = ruled(POSITIVE, 5.0, help="data term weight")
@@ -94,7 +90,6 @@ class SolverParams(Ruled):
     pd_iters: int = ruled(COUNT, 10, help="primal-dual cycles per warp iteration")
     du_max: float = ruled(POSITIVE, 0.2, help="clip for each disparity increment, px")
     pyramid_levels: int = ruled(COUNT, 5, help="most pyramid levels, finest included")
-    pyramid_scale: float = ruled(ABOVE_ONE, 2.0, help="size ratio between pyramid levels, > 1")
     min_width: int = ruled(COUNT, 50, help="narrowest pyramid level width, px")
     tensor_sigma: float = ruled(NONNEGATIVE, 1.0, help="edge tensor pre-smoothing sigma, px")
 
@@ -463,7 +458,7 @@ def solve_pyramid(i0: np.ndarray, i1: np.ndarray, rig: StereoRig,
     # One pyramid of the stacked pair: area averaging is per channel, and
     # both images share the solve mask.
     pyr = build_pyramid(np.stack([i0, i1c], axis=-1), solve_mask,
-                        params.pyramid_levels, params.pyramid_scale, params.min_width)
+                        params.pyramid_levels, params.min_width)
 
     u = w = prev_mask = None
     for pair, level_mask in pyr:

@@ -251,11 +251,14 @@ def test_stereo_config_file_merge(tmp_path, dataset, tiny_rig_path):
     pytest.param({"du_max": "0.2"}, [], "du_max must be finite and > 0",
                  id="config4-flags4-du_max as text"),
     ({}, ["--lam", "nan"], "lam must be finite"),
-    # theta and epsilon_scale are constants of the method, not settings.
+    # theta, epsilon_scale and the pyramid ratio are constants of the method,
+    # not settings.
     pytest.param({"theta": 1.0}, [], "'theta' is not a key of a solver config",
                  id="config6-flags6-theta not a key"),
     pytest.param({"epsilon_scale": 0.1}, [], "'epsilon_scale' is not a key of a solver config",
                  id="config7-flags7-epsilon_scale not a key"),
+    pytest.param({"pyramid_scale": 2.0}, [], "'pyramid_scale' is not a key of a solver config",
+                 id="config8-flags8-pyramid_scale not a key"),
 ])
 def test_stereo_bad_params_fail_with_message(tmp_path, dataset, tiny_rig_path, capsys,
                                              config, flags, message):
@@ -291,7 +294,8 @@ def test_solver_flags_are_one_per_params_field(command, params, others):
 @pytest.mark.parametrize("argv", [
     ["stereo", "--left", "l.pgm", "--right", "r.pgm", "--theta", "1"],
     ["fields", "--epsilon-scale", "0.1"],
-], ids=["stereo-theta", "fields-epsilon-scale"])
+    ["stereo", "--left", "l.pgm", "--right", "r.pgm", "--pyramid-scale", "2"],
+], ids=["stereo-theta", "fields-epsilon-scale", "stereo-pyramid-scale"])
 def test_removed_setting_flags_exit_2(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path / "o")])

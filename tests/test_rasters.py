@@ -305,52 +305,68 @@ def test_kernels_on_stacks_match_per_channel_calls(seed, lead, h, w):
 
 
 def test_pyramid_shapes_reference_chain():
-    shapes = pyramid_shapes(800, 800, levels=5, scale=2.0, min_width=50)
+    shapes = pyramid_shapes(800, 800, levels=5, min_width=50)
     assert [w for _, w in shapes] == [800, 400, 200, 100, 50]
 
 
 def test_pyramid_truncates_below_min_width():
-    shapes = pyramid_shapes(120, 120, levels=5, scale=2.0, min_width=50)
+    shapes = pyramid_shapes(120, 120, levels=5, min_width=50)
     assert [w for _, w in shapes] == [120, 60]
 
 
 def test_pyramid_single_level_is_input():
     rng = np.random.default_rng(3)
     img = rng.random((40, 40))
-    pyr = build_pyramid(img[..., None], np.ones((40, 40), bool), levels=1, scale=2.0,
-                        min_width=50)
+    pyr = build_pyramid(img[..., None], np.ones((40, 40), bool), levels=1, min_width=50)
     assert len(pyr) == 1
     assert np.array_equal(pyr[0][0], img[..., None])
 
 
-@pytest.mark.parametrize("levels,scale,min_width", [
-    pytest.param(0, 2.0, 8, id="0-2.0"),
-    pytest.param(3, 1.0, 8, id="3-1.0"),
-    pytest.param(3, 0.5, 8, id="3-0.5"),
-    pytest.param(2.5, 2.0, 8, id="2.5-2.0"),
-    pytest.param(3, float("nan"), 8, id="3-nan"),
-    pytest.param(3, 2.0, 0, id="min_width-0"),
-    pytest.param(3, 2.0, float("nan"), id="min_width-nan"),
-    pytest.param(3, 2.0, 2.5, id="min_width-2.5"),
+@pytest.mark.parametrize("levels,min_width", [
+    pytest.param(0, 8, id="levels-0"),
+    pytest.param(2.5, 8, id="levels-2.5"),
+    pytest.param(float("nan"), 8, id="levels-nan"),
+    pytest.param(3, 0, id="min_width-0"),
+    pytest.param(3, float("nan"), id="min_width-nan"),
+    pytest.param(3, 2.5, id="min_width-2.5"),
 ])
-def test_pyramid_rejects_bad_parameters(levels, scale, min_width):
-    with pytest.raises(ValueError, match="^(levels|scale|min_width) must be "):
-        pyramid_shapes(64, 64, levels=levels, scale=scale, min_width=min_width)
+def test_pyramid_rejects_bad_parameters(levels, min_width):
+    with pytest.raises(ValueError, match="^(levels|min_width) must be "):
+        pyramid_shapes(64, 64, levels=levels, min_width=min_width)
 
 
-@pytest.mark.parametrize("height,width,scale", [(64, 64, 2.0), (1, 64, 2.0), (64, 1, 2.0),
-                                                (7, 5, 1.1), (3, 3, 1.5)])
-def test_pyramid_stops_when_a_level_no_longer_shrinks(height, width, scale):
-    shapes = pyramid_shapes(height, width, levels=40, scale=scale, min_width=1)
+@pytest.mark.parametrize("height,width", [(64, 64), (1, 64), (64, 1), (7, 5), (3, 3)])
+def test_pyramid_stops_when_a_level_no_longer_shrinks(height, width):
+    # With min_width 1 the chain halves down to 1x1, which halves to itself.
+    shapes = pyramid_shapes(height, width, levels=40, min_width=1)
     assert len(set(shapes)) == len(shapes)
-    h, w = shapes[-1]
-    assert (int(np.ceil(h / scale)), int(np.ceil(w / scale))) == (h, w)
+    assert shapes[-1] == (1, 1)
+
+
+def _float_ratio_chain(height, width, min_width):
+    """Level shapes as a float ratio of 2.0 computes them: ceil(n / 2.0),
+    stopping before a width below `min_width` or a shape that no longer
+    shrinks."""
+    shapes = [(height, width)]
+    while True:
+        nh, nw = (int(np.ceil(n / 2.0)) for n in shapes[-1])
+        if nw < min_width or (nh, nw) == shapes[-1]:
+            return shapes
+        shapes.append((nh, nw))
+
+
+def test_pyramid_shapes_match_the_float_ratio_chain():
+    # Integer halving, (n + 1) // 2, gives the float chain's shapes for every
+    # height and width in 1..4096, paired equal and reversed so that the two
+    # chains reach 1 at different levels.
+    for n in range(1, 4097):
+        for h, w in [(n, n), (n, 4097 - n), (4097 - n, n)]:
+            assert pyramid_shapes(h, w, levels=14, min_width=1) == _float_ratio_chain(h, w, 1)
 
 
 def test_pyramid_levels_ordered_coarse_to_fine():
     img = np.random.default_rng(4).random((64, 64))
-    pyr = build_pyramid(img[..., None], np.ones((64, 64), bool), levels=3, scale=2.0,
-                        min_width=8)
+    pyr = build_pyramid(img[..., None], np.ones((64, 64), bool), levels=3, min_width=8)
     widths = [m.shape[1] for _, m in pyr]
     assert widths == [16, 32, 64]
 

@@ -14,9 +14,9 @@ from fisheyestereo.evaluate import erroneous_percentage
 from fisheyestereo.fields import (compose_with_calibration, generate_calibration_field,
                                   translation_only_rig)
 from fisheyestereo import solver
-from fisheyestereo.rasters import (backward_divergence, build_pyramid, edge_divergence,
-                                   edge_indicators, forward_difference, gradient, pixel_grid,
-                                   sample_bicubic, smooth_masked, upsample_state, warp_image)
+from fisheyestereo.rasters import (backward_divergence, build_pyramid, edge_indicators,
+                                   forward_difference, gradient, pixel_grid, sample_bicubic,
+                                   smooth_masked, upsample_state, warp_image)
 from fisheyestereo.solver import (LevelOperator, SolverParams, SolverState,
                                   calibrate_second_image,
                                   compute_tensor, edge_tensor, energy,
@@ -54,7 +54,7 @@ def test_params_reject_wrong_types(name, value):
         SolverParams.from_dict({name: value})
 
 
-@pytest.mark.parametrize("name", ["lam", "alpha0", "du_max", "pyramid_scale", "tensor_sigma"])
+@pytest.mark.parametrize("name", ["lam", "alpha0", "du_max", "tensor_sigma"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_params_reject_non_finite(name, value):
     with pytest.raises(ValueError, match=name):
@@ -391,7 +391,9 @@ def test_level_operator_summation_by_parts(seed, h, w):
 
 def _tensor_divergence(op, p):
     """div(T p) with the folded operator: the negative adjoint of T grad."""
-    return edge_divergence(op.a_ex * p[0] + op.b_ex * p[1], op.b_ey * p[0] + op.c_ey * p[1])
+    one = np.ones_like(op.ex)
+    return backward_divergence(np.stack([op.a_ex * p[0] + op.b_ex * p[1],
+                                         op.b_ey * p[0] + op.c_ey * p[1]]), one, one)
 
 
 def _project_unit_ball(x):
@@ -463,7 +465,7 @@ def _numpy_cycle(state, op, iu, rho0, u_omega, params):
     u_hat = state.u + op.u_step * _tensor_divergence(op, p)
     u_new = thresholding_step(u_hat, rho0 + (u_hat - u_omega) * iu, iu, op.tau_u, params.lam)
     q2 = q.reshape(2, 2, h, w)
-    div_q = edge_divergence(q2[:, 0] * op.ex, q2[:, 1] * op.ey)
+    div_q = backward_divergence(q2, op.ex, op.ey)
     v_new = state.v + (div_q * params.alpha0 + p * params.alpha1) * op.tau_v
     return SolverState(u=u_new, v=v_new, p=p, q=q,
                        u_bar=u_new + (u_new - state.u), v_bar=(v_new - state.v) + v_new)
@@ -485,24 +487,22 @@ def _assert_matches_references(state, t, mask, op, iu, rho0, u, dtype):
                        signed_zeros=False)
 
 
-@pytest.mark.parametrize("dtype", [np.float32])
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 13), w=st.integers(1, 13))
-def test_pd_cycle_matches_unfolded_reference(dtype, seed, h, w):
+def test_pd_cycle_matches_unfolded_reference(seed, h, w):
     rng = np.random.default_rng(seed)
-    cycle = _random_cycle(rng, h, w, dtype, rng.choice([0.6, 0.9, 1.0]))
-    _assert_matches_references(*cycle, dtype)
+    cycle = _random_cycle(rng, h, w, np.float32, rng.choice([0.6, 0.9, 1.0]))
+    _assert_matches_references(*cycle, np.float32)
 
 
-@pytest.mark.parametrize("dtype", [np.float32])
 @pytest.mark.parametrize("density", [0.6, 0.9, 1.0])
 @pytest.mark.parametrize("h, w", [(160, 150), (131, 200)])
-def test_split_pd_cycle_matches_reference_and_inline(dtype, density, h, w):
-    # The compiled cycle split into its two loops per row, at rows long enough
-    # for their vector bodies and tails: it matches the unfolded reference and
-    # the inline NumPy cycle (`_numpy_cycle`) bit for bit.
+def test_pd_cycle_matches_references_on_long_rows(density, h, w):
+    # Rows long enough for the compiled loops' vector bodies and tails: the
+    # cycle matches the unfolded reference and the NumPy cycle
+    # (`_numpy_cycle`) bit for bit.
     rng = np.random.default_rng(h * w + int(10 * density))
-    _assert_matches_references(*_random_cycle(rng, h, w, dtype, density), dtype)
+    _assert_matches_references(*_random_cycle(rng, h, w, np.float32, density), np.float32)
 
 
 def test_cycle_rejects_wrong_shapes_and_mixed_dtypes():
@@ -964,7 +964,7 @@ def test_empty_level_mask_solves_to_zero():
     mask = np.zeros((64, 64), dtype=bool)
     mask[38, 22] = True
     pair = np.random.default_rng(5).random((64, 64, 2))
-    pyr = build_pyramid(pair, mask, levels=4, scale=2.0, min_width=4)
+    pyr = build_pyramid(pair, mask, levels=4, min_width=4)
     assert [int(m.sum()) for _, m in pyr] == [0, 0, 1, 1]
     params = SolverParams(warp_iters=2, pd_iters=3)
     prev_mask = None
