@@ -39,10 +39,10 @@ box's slab test meets 1/0 and 0 * inf.
 
 The last lines check the sampler on its edge cases. For each image shape
 from 1x1 to 4x4, and 9x7 (which has full stencils), a `sampler` line hashes
-`sample_bicubic` of a 1- and a 3-channel field under a full mask and under
+`rasters.sample_bicubic` of a 1- and a 3-channel field under a full mask and
 a mask with holes, at positions in and around the image and at NaN, +-inf
-and +-1e300 coordinates; a `.many` line hashes `sample_bicubic_many`, the
-shared pass, on both fields at once, each under its own mask. Two
+and +-1e300 coordinates; a `.many` line hashes `kernels.sample_bicubic`,
+the shared pass, on both fields at once, each under its own mask. Two
 `thresholding` lines, one per dtype (float32 and float64), hash
 `thresholding_step` on a grid of its edge cases: signed-zero u_hat, signed-
 zero and tiny slopes iu, NaN and signed-zero residuals, and residuals
@@ -76,7 +76,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fisheyestereo import cli, rasters, solver, synth
+from fisheyestereo import cli, kernels, rasters, solver, synth
 from fisheyestereo.camera import (PinholeCamera, PolynomialFisheyeCamera, RelativePose,
                                   StereoRig, UnifiedCamera, save_rig)
 
@@ -227,8 +227,7 @@ def hash_sampler():
                          for a in rasters.sample_bicubic(field, pos, mask))
         yield f"{h}x{w}", hashlib.sha256(single.encode()).hexdigest()
         pairs = [(fields[0], masks[1]), (fields[1], masks[0])]
-        many = "".join(_digest(a) for out in rasters.sample_bicubic_many(pairs, pos)
-                       for a in out)
+        many = "".join(_digest(a) for out in kernels.sample_bicubic(pairs, pos) for a in out)
         yield f"{h}x{w}.many", hashlib.sha256(many.encode()).hexdigest()
 
 

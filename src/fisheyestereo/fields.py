@@ -106,10 +106,9 @@ def generate_trajectory_field(rig: StereoRig, epsilon_scale: float = 0.1,
 def unit_directions(d: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Renormalize sampled directions `d` valid at `ok`: (unit, ok), ok where
     the sample's norm exceeds 0.5, unit zero elsewhere."""
-    d = np.where(ok[..., None], d, 0.0)
     norm = np.linalg.norm(d, axis=-1)
     ok = ok & (norm > 0.5)
-    return np.where(ok[..., None], d / np.maximum(norm, 1e-300)[..., None], 0.0), ok
+    return np.divide(d, norm[..., None], out=np.zeros_like(d), where=ok[..., None]), ok
 
 
 def trace_epipolar_curves(dirs: np.ndarray, valid: np.ndarray, starts: np.ndarray,

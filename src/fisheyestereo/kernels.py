@@ -24,9 +24,10 @@ The flags, and why each is there:
 No `-march`: the library runs on every CPU of its architecture. Never
 `-ffast-math`, which reorders sums and drops signed zeros and NaN.
 
-Each wrapper checks the dtype, C-contiguity and shape of every array before
-it passes pointers to C, and raises ValueError on a mismatch, so C never
-reads or writes out of bounds.
+C never reads or writes out of bounds: the cycle rejects any array whose
+dtype, C-contiguity, alignment or shape does not match with ValueError; the
+sampler converts its inputs to float64, bool, C-contiguous and aligned
+arrays, then rejects a shape mismatch.
 """
 
 from __future__ import annotations
@@ -153,31 +154,61 @@ def primal_dual_cycle(state: Sequence[np.ndarray], operator: Sequence[np.ndarray
     return outputs
 
 
-def sample_bicubic(xy: np.ndarray, fields: Sequence[np.ndarray],
-                   masks: Sequence[np.ndarray], counts: Sequence[np.ndarray],
-                   ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Sample each (field, mask) at the positions `xy`, in C.
+def _stencil_tap_counts(mask: np.ndarray) -> np.ndarray:
+    """In-image, in-mask taps of the 4x4 stencil at every floor (ix, iy), as uint8.
 
-    `xy` is (N, 2) float64; each field is (H, W) or (H, W, C) float64, each
-    mask (H, W) bool, and each of `counts` the (H + 5, W + 5) uint8 map of
-    its mask's valid taps per stencil floor (`rasters._stencil_tap_counts`).
-    Returns one (values (N, C), valid (N,)) per field, C = 1 for an (H, W)
-    field; see `rasters.sample_bicubic_many` for the sampling rule.
+    Entry [iy + 3, ix + 3] counts the taps of the stencil whose floor is
+    (ix, iy), for ix in [-3, W + 1] and iy in [-3, H + 1]: four shifted
+    sums of the zero-padded mask along each axis. The outer ring of floors
+    (-3 and W + 1, or H + 1) has no tap in the image, and neither has any
+    floor beyond it.
     """
-    if not (len(fields) == len(masks) == len(counts) > 0):
-        raise ValueError("need one mask and one tap-count map per field")
-    _check("positions", xy, np.dtype(np.float64), (len(xy), 2))
-    if np.ndim(masks[0]) != 2:
-        raise ValueError(f"masks must be (H, W), got shape {np.shape(masks[0])}")
-    h, w = np.shape(masks[0])
-    for k, (field, mask, count) in enumerate(zip(fields, masks, counts)):
-        _check(f"field {k}", field, np.dtype(np.float64), (h, w) + np.shape(field)[2:3])
-        _check(f"mask {k}", mask, np.dtype(bool), (h, w))
-        _check(f"tap counts {k}", count, np.dtype(np.uint8), (h + 5, w + 5))
+    h, w = mask.shape
+    padded = np.zeros((h + 8, w + 8), dtype=np.uint8)
+    padded[4:-4, 4:-4] = mask
+    rows = padded[:-3] + padded[1:-2] + padded[2:-1] + padded[3:]
+    return rows[:, :-3] + rows[:, 1:-2] + rows[:, 2:-1] + rows[:, 3:]
+
+
+def sample_bicubic(pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+                   pos: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Sample each (field, mask) pair of `pairs` at the same positions, in one pass.
+
+    Each field is (H, W) or (H, W, C) and each mask (H, W), with the (H, W)
+    of the first mask; `pos` is (..., 2). Returns one (values, valid) per
+    pair, exactly what `rasters.sample_bicubic(field, pos, mask)` returns.
+    The loop is compiled: per position it computes the floors, fractions and
+    Catmull-Rom weights once. Floors are clipped into [-3, W + 1] x
+    [-3, H + 1] (NaN to -3), where every floor outside the image's reach has
+    no tap. Each pair then reads its own mask's map of valid taps per
+    stencil (`_stencil_tap_counts`): a full stencil (16 taps) takes the
+    16-tap sum, an empty one (0) is NaN and invalid, and a rim stencil runs
+    the bilinear/nearest chain. Every class accumulates its taps in the
+    order of the chain, so the results are those of evaluating the whole
+    chain at every position.
+    """
+    pos = np.require(pos, np.float64, "CA")
+    fields = [np.require(field, np.float64, "CA") for field, _ in pairs]
+    masks = [np.require(mask, bool, "CA") for _, mask in pairs]
+    if not masks:
+        raise ValueError("need at least one (field, mask) pair")
+    if pos.shape[-1:] != (2,):
+        raise ValueError(f"positions must be (..., 2), got shape {pos.shape}")
+    if masks[0].ndim != 2:
+        raise ValueError(f"masks must be (H, W), got shape {masks[0].shape}")
+    h, w = masks[0].shape
+    for k, (field, mask) in enumerate(zip(fields, masks)):
+        for name, a, shape in ((f"field {k}", field, (h, w) + field.shape[2:3]),
+                               (f"mask {k}", mask, (h, w))):
+            if a.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+    xy = pos.reshape(-1, 2)
+    counts = [_stencil_tap_counts(m) for m in masks]
     channels = np.array([f.shape[2] if f.ndim == 3 else 1 for f in fields], dtype=np.intp)
     values = [np.empty((len(xy), nc)) for nc in channels]
     valid = [np.empty(len(xy), dtype=bool) for _ in fields]
     _library().sample_bicubic(len(xy), xy.ctypes.data, h, w, len(fields), _pointers(fields),
                               channels.ctypes.data, _pointers(masks), _pointers(counts),
                               _pointers(values), _pointers(valid))
-    return list(zip(values, valid))
+    return [(vals.reshape(pos.shape[:-1] + field.shape[2:]), ok.reshape(pos.shape[:-1]))
+            for vals, ok, field in zip(values, valid, fields)]

@@ -23,7 +23,6 @@ summation-by-parts identity exact and testable.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -43,22 +42,6 @@ def pixel_grid(height: int, width: int) -> np.ndarray:
     return grid
 
 
-def _stencil_tap_counts(mask: np.ndarray) -> np.ndarray:
-    """In-image, in-mask taps of the 4x4 stencil at every floor (ix, iy), as uint8.
-
-    Entry [iy + 3, ix + 3] counts the taps of the stencil whose floor is
-    (ix, iy), for ix in [-3, W + 1] and iy in [-3, H + 1]: four shifted
-    sums of the zero-padded mask along each axis. The outer ring of floors
-    (-3 and W + 1, or H + 1) has no tap in the image, and neither has any
-    floor beyond it.
-    """
-    h, w = mask.shape
-    padded = np.zeros((h + 8, w + 8), dtype=np.uint8)
-    padded[4:-4, 4:-4] = mask
-    rows = padded[:-3] + padded[1:-2] + padded[2:-1] + padded[3:]
-    return rows[:, :-3] + rows[:, 1:-2] + rows[:, 2:-1] + rows[:, 3:]
-
-
 def sample_bicubic(field: np.ndarray, pos: np.ndarray,
                    mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sample `field` at continuous positions using only in-mask taps.
@@ -68,7 +51,7 @@ def sample_bicubic(field: np.ndarray, pos: np.ndarray,
     valid tap of the stencil. Positions whose whole stencil is invalid (or
     that are not finite) return NaN with a False validity flag.
 
-    This is `sample_bicubic_many` with one (field, mask) pair.
+    This is `kernels.sample_bicubic` with one (field, mask) pair.
 
     Parameters
     ----------
@@ -81,32 +64,7 @@ def sample_bicubic(field: np.ndarray, pos: np.ndarray,
     values : (...,) or (..., C) array, NaN where invalid
     valid : (...) boolean array
     """
-    return sample_bicubic_many([(field, mask)], pos)[0]
-
-
-def sample_bicubic_many(pairs: Sequence[tuple[np.ndarray, np.ndarray]],
-                        pos: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Sample each (field, mask) pair of `pairs` at the same positions, in one pass.
-
-    Returns one (values, valid) per pair, exactly what
-    `sample_bicubic(field, pos, mask)` returns; every field has the shape of
-    the first mask. The loop is compiled (`kernels.sample_bicubic`): per
-    position it computes the floors, fractions and Catmull-Rom weights once.
-    Floors are clipped into [-3, W + 1] x [-3, H + 1] (NaN to -3), where
-    every floor outside the image's reach has no tap. Each pair then reads
-    its own mask's map of valid taps per stencil (`_stencil_tap_counts`): a
-    full stencil (16 taps) takes the 16-tap sum, an empty one (0) is NaN and
-    invalid, and a rim stencil runs the bilinear/nearest chain. Every class
-    accumulates its taps in the order of the chain, so the results are those
-    of evaluating the whole chain at every position.
-    """
-    pos = np.asarray(pos, dtype=np.float64)
-    xy = np.ascontiguousarray(pos.reshape(-1, 2))
-    fields = [np.ascontiguousarray(field, dtype=np.float64) for field, _ in pairs]
-    masks = [np.ascontiguousarray(mask, dtype=bool) for _, mask in pairs]
-    sampled = kernels.sample_bicubic(xy, fields, masks, [_stencil_tap_counts(m) for m in masks])
-    return [(values.reshape(pos.shape[:-1] + field.shape[2:]), valid.reshape(pos.shape[:-1]))
-            for (values, valid), field in zip(sampled, fields)]
+    return kernels.sample_bicubic([(field, mask)], pos)[0]
 
 
 def warp_image(image: np.ndarray, w: np.ndarray,

@@ -39,14 +39,10 @@ reference in the tests) in their order and precision, so its results are
 bit-identical to them. Row by row, a first loop takes the dual steps on p
 and q with their projections, and a second takes div(T p), the u step with
 `thresholding_step`'s arithmetic inlined, u_bar, div q, v and v_bar. The
-warps' bicubic sampling runs compiled too (`rasters.sample_bicubic_many`).
+warps' bicubic sampling runs compiled too (`kernels.sample_bicubic`).
 
-Solving needs the C compiler `gcc` on PATH the first time: the first kernel
-call compiles `kernels.c` (about 0.5 s) into the package's `__pycache__/`,
-where later processes find it, keyed by a hash of the source and the flags.
-Without gcc the solve raises `kernels.KernelCompileError`. The flags are
-`-O3 -ffp-contract=off -fno-math-errno -fno-trapping-math`; the `kernels`
-module docstring says why each is there.
+Solving needs the C compiler `gcc` on PATH; the `kernels` module docstring
+says how the loops are built and cached, and with which flags.
 """
 
 from __future__ import annotations
@@ -60,8 +56,7 @@ from . import fields as fieldsmod
 from . import kernels
 from .camera import StereoRig
 from .rasters import (build_pyramid, edge_indicators, forward_difference, pixel_grid,
-                      sample_bicubic, sample_bicubic_many, smooth_masked, upsample_state,
-                      warp_image)
+                      sample_bicubic, smooth_masked, upsample_state, warp_image)
 from .schema import COUNT, NONNEGATIVE, POSITIVE, Ruled, reject_unknown_keys, ruled
 
 
@@ -352,7 +347,7 @@ def solve_level(i0: np.ndarray, i1: np.ndarray, traj_dirs: np.ndarray,
 
     `i1` must already be calibration-warped. Each of the N warp iterations
     samples i1 and the trajectory directions at the warped positions x + w
-    in one pass (`sample_bicubic_many`, each under its own mask),
+    in one pass (`kernels.sample_bicubic`, each under its own mask),
     linearizes the residual along those directions, runs the inner
     primal-dual cycles from the relaxed primal (u, v), clips the increment to
     du_max, and accumulates w += du * dirs. The duals and v carry over from
@@ -372,7 +367,7 @@ def solve_level(i0: np.ndarray, i1: np.ndarray, traj_dirs: np.ndarray,
     grid = pixel_grid(*mask.shape)
 
     for _ in range(params.warp_iters):
-        (i1w, warp_ok), (dirs, dir_ok) = sample_bicubic_many(
+        (i1w, warp_ok), (dirs, dir_ok) = kernels.sample_bicubic(
             ((i1, mask), (traj_dirs, traj_valid)), grid + w)
         dirs, dir_ok = fieldsmod.unit_directions(dirs, dir_ok & mask)
         # i1w is NaN off warp_ok, never read there; I_u is +0 off data_ok (off

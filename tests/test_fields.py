@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fisheyestereo.camera import (PinholeCamera, RelativePose, StereoRig,
                                   UnifiedCamera)
@@ -197,6 +198,37 @@ def test_sample_directions_renormalizes_and_zeroes_invalid():
     assert ok.tolist() == [True, False, False]
     assert np.allclose(unit[0], (0.6, 0.8), atol=1e-12)
     assert np.all(unit[1:] == 0.0)
+
+
+def _unit_directions_before(d, ok):
+    # The former body of `unit_directions`, kept verbatim as the reference.
+    d = np.where(ok[..., None], d, 0.0)
+    norm = np.linalg.norm(d, axis=-1)
+    ok = ok & (norm > 0.5)
+    return np.where(ok[..., None], d / np.maximum(norm, 1e-300)[..., None], 0.0), ok
+
+
+# Within +-1e150 the squared norm cannot overflow; signed zeros, subnormals
+# and rows of norm exactly 0.5 and just around it are drawn too.
+_COMPONENT = st.floats(-1e150, 1e150, allow_nan=False)
+_ROW = st.one_of(st.tuples(_COMPONENT, _COMPONENT),
+                 st.sampled_from([(0.5, 0.0), (-0.0, -0.5), (0.3, 0.4), (0.0, -0.0),
+                                  (0.5000000000000001, 0.0), (0.49999999999999994, -0.0)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(_ROW, st.booleans(), st.booleans()), max_size=12),
+       scale=st.sampled_from([1.0, 1e-170, 1e-3, 1e3, 1e150]))
+def test_unit_directions_matches_the_former_form(rows, scale):
+    # Rows off `ok` may hold NaN, as the sampler leaves them; the result's
+    # bits, sign bits included, are those of the former form.
+    d = np.array([row for row, _, _ in rows], dtype=np.float64).reshape(-1, 2)
+    d = np.clip(d * scale, -1e150, 1e150)
+    ok = np.array([valid for _, valid, _ in rows], dtype=bool)
+    d[~ok & np.array([nan for _, _, nan in rows], dtype=bool)] = np.nan
+    unit, unit_ok = unit_directions(d, ok)
+    want, want_ok = _unit_directions_before(d, ok)
+    assert unit.tobytes() == want.tobytes() and np.array_equal(unit_ok, want_ok)
 
 
 def test_compose_with_calibration_zero_field():

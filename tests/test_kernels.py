@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fisheyestereo import kernels, rasters
+from fisheyestereo import kernels
 from fisheyestereo.camera import RelativePose, StereoRig, UnifiedCamera
 from fisheyestereo.solver import SolverParams, solve_pyramid
 
@@ -39,19 +39,22 @@ def test_cache_key_follows_source_and_flags():
 
 
 def test_import_and_render_compile_and_load_nothing(tmp_path):
-    code = ("import sys; from pathlib import Path; import fisheyestereo; "
+    # Importing the package, and with it the solver, starts no thread either.
+    code = ("import sys, threading; from pathlib import Path; import fisheyestereo; "
             "from fisheyestereo import camera, kernels, synth; "
+            "threads = threading.active_count(); "
             "kernels.CACHE_DIR = Path(sys.argv[1]); "
             "rig = synth.default_rig(); cam = rig.cam0.scaled_to((24, 24)); "
             "fisheyestereo.render(fisheyestereo.default_scene(), cam); "
             "fisheyestereo.make_ground_truth(fisheyestereo.default_scene(), "
             "camera.StereoRig(cam, cam, rig.pose)); "
-            "print(kernels._library.cache_info().currsize, kernels.CACHE_DIR.exists())")
+            "print(threads, kernels._library.cache_info().currsize, "
+            "kernels.CACHE_DIR.exists())")
     src = str(Path(kernels.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "cache")],
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
-    assert out.stdout.split() == ["0", "False"]
+    assert out.stdout.split() == ["1", "0", "False"]
 
 
 def test_solve_without_compiler_names_gcc(no_compiler):
@@ -64,26 +67,44 @@ def test_solve_without_compiler_names_gcc(no_compiler):
 
 
 def test_sampler_rejects_mismatched_arrays():
-    # The compiled sampler reads raw pointers: every array is checked first.
+    # The compiled sampler reads raw pointers: it converts every array to
+    # float64 or bool, C-contiguous and aligned, then checks every shape.
     mask = np.ones((6, 5), dtype=bool)
-    counts = rasters._stencil_tap_counts(mask)
     xy = np.zeros((3, 2))
     field = np.zeros((6, 5, 2))
-    kernels.sample_bicubic(xy, [field], [mask], [counts])
-    for args, message in [
-        ((xy, [field[:5]], [mask], [counts]), "field 0 .* shape \\(6, 5, 2\\)"),
-        ((xy, [field.astype(np.float32)], [mask], [counts]), "field 0 .* float64"),
-        ((xy, [field], [mask[:, :4]], [counts]), "field 0 .* shape \\(6, 4, 2\\)"),
-        ((xy, [field], [mask], [counts[:-1]]), "tap counts 0 .* shape \\(11, 10\\)"),
-        ((np.zeros((2, 3)).T, [field], [mask], [counts]), "positions .* non-contiguous"),
-        ((xy, [field, field], [mask], [counts]), "one mask and one tap-count map"),
-        ((np.frombuffer(bytes(49), offset=1).reshape(3, 2), [field], [mask], [counts]),
-         "positions .* unaligned"),
+    kernels.sample_bicubic([(field, mask)], xy)
+    for pairs, pos, message in [
+        ([], xy, "at least one \\(field, mask\\) pair"),
+        ([(field[:5], mask)], xy, "field 0 .* shape \\(6, 5, 2\\)"),
+        ([(field[..., None], mask)], xy, "field 0 .* shape \\(6, 5, 2\\)"),
+        ([(field, mask[:, :4])], xy, "field 0 .* shape \\(6, 4, 2\\)"),
+        ([(field, mask[None])], xy, "masks must be \\(H, W\\)"),
+        ([(field, mask), (field, mask.T)], xy, "mask 1 .* shape \\(6, 5\\)"),
+        ([(field, mask), (field[:, :4], mask)], xy, "field 1 .* shape \\(6, 5, 2\\)"),
+        ([(field, mask)], np.zeros((3, 3)), "positions must be \\(\\.\\.\\., 2\\)"),
     ]:
         with pytest.raises(ValueError, match=message):
-            kernels.sample_bicubic(*args)
-    with pytest.raises(ValueError, match="mask 1 .* shape \\(6, 5\\)"):
-        rasters.sample_bicubic_many([(field, mask), (field, mask.T)], xy)
+            kernels.sample_bicubic(pairs, pos)
+
+    # Converted, not rejected: a float32 field, a uint8 mask, and Fortran-
+    # ordered, strided or unaligned arrays give the bits of their float64,
+    # bool, C-contiguous copies.
+    rng = np.random.default_rng(5)
+    field32 = rng.normal(size=(6, 5, 2)).astype(np.float32)
+    mask = rng.random((6, 5)) < 0.8
+    xy = rng.uniform(-2.0, 7.0, size=(2, 40)).T
+    unaligned = np.frombuffer(bytearray(8 * xy.size + 1), offset=1,
+                              count=xy.size).reshape(xy.shape)
+    unaligned[...] = xy
+    assert not xy.flags.c_contiguous and not unaligned.flags.aligned
+    want = kernels.sample_bicubic([(field32.astype(np.float64), mask)],
+                                  np.ascontiguousarray(xy))[0]
+    for pairs, pos in [([(field32, mask)], xy),
+                       ([(np.asfortranarray(field32), mask.astype(np.uint8))], unaligned),
+                       ([(np.repeat(field32, 2, axis=1)[:, ::2], np.asfortranarray(mask))],
+                        np.repeat(xy, 2, axis=0)[::2])]:
+        got = kernels.sample_bicubic(pairs, pos)[0]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def test_kernels_compile_without_warnings(tmp_path):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fisheyestereo import rasters
+from fisheyestereo import kernels
 from fisheyestereo.rasters import (backward_divergence, build_pyramid, divergence,
                                    downsample_area, edge_indicators,
                                    forward_difference, gradient, pixel_grid,
-                                   pyramid_shapes, sample_bicubic, sample_bicubic_many,
-                                   smooth_masked, upsample_state, warp_image)
+                                   pyramid_shapes, sample_bicubic, smooth_masked,
+                                   upsample_state, warp_image)
 
 FULL = np.ones((16, 16), dtype=bool)
 
@@ -203,7 +203,7 @@ def test_sample_many_matches_one_call_per_field(case, seed, nc):
     other_mask = rng.random(mask.shape) < rng.choice([0.5, 0.9, 1.0])
     field = data[:, :, 0] if data.shape[2] == 1 else data
     pairs = [(field, mask), (other, other_mask), (field, other_mask)]
-    for (vals, ok), (f, m) in zip(sample_bicubic_many(pairs, pos), pairs):
+    for (vals, ok), (f, m) in zip(kernels.sample_bicubic(pairs, pos), pairs):
         ref_vals, ref_ok = sample_bicubic(f, pos, m)
         assert vals.shape == ref_vals.shape
         assert np.array_equal(ok, ref_ok)
@@ -214,7 +214,7 @@ def test_sample_many_matches_one_call_per_field(case, seed, nc):
 def test_stencil_tap_counts_match_brute_force(h):
     for w in range(1, 10):
         mask = np.random.default_rng(10 * h + w).random((h, w)) < 0.7
-        counts = rasters._stencil_tap_counts(mask)
+        counts = kernels._stencil_tap_counts(mask)
         assert counts.dtype == np.uint8 and counts.shape == (h + 5, w + 5)
         for iy in range(-3, h + 2):
             for ix in range(-3, w + 2):

@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,25 +292,6 @@ def test_pd_stationary_at_zero_data_and_constant_u():
     assert np.all(state.v == 0.0)
 
 
-def test_pd_projection_keeps_duals_feasible():
-    rng = np.random.default_rng(3)
-    mask, t, _, _ = _idle_inputs()
-    params = SolverParams()
-
-    def draw(scale, *shape):
-        return (rng.normal(size=shape) * scale).astype(np.float32)
-
-    state = SolverState(u=draw(5, 20, 20), v=draw(10, 2, 20, 20), p=draw(10, 2, 20, 20),
-                        q=draw(10, 4, 20, 20), u_bar=draw(5, 20, 20),
-                        v_bar=draw(10, 2, 20, 20))
-    iu = draw(1, 20, 20)
-    rho0 = draw(1, 20, 20)
-    op = _cast_operator(precondition_steps(t, mask, params), np.float32)
-    out = primal_dual_iterate(state, op, iu, rho0, state.u.copy(), params)
-    assert np.max(np.linalg.norm(out.p.astype(np.float64), axis=0)) <= 1.0 + 1e-12
-    assert np.max(np.linalg.norm(out.q.astype(np.float64), axis=0)) <= 1.0 + 1e-12
-
-
 def _cast_operator(op, dtype):
     return LevelOperator(**{k: np.asarray(x, dtype=dtype) for k, x in vars(op).items()})
 
@@ -525,16 +502,6 @@ def test_cycle_rejects_wrong_shapes_and_mixed_dtypes():
         primal_dual_iterate(state, _cast_operator(op, np.float64), iu, rho0, u, params)
     with pytest.raises(ValueError, match="iu must be .* non-contiguous"):
         primal_dual_iterate(state, op, np.asfortranarray(iu), rho0, u, params)
-
-
-def test_importing_the_solver_starts_no_thread():
-    # Importing neither starts a thread nor compiles or loads the kernels.
-    code = ("import threading, fisheyestereo.solver, fisheyestereo.kernels as k; "
-            "print(threading.active_count(), k._library.cache_info().currsize)")
-    src = str(Path(solver.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
-    assert out.stdout.split() == ["1", "0"]
 
 
 def test_folded_operator_fields_vanish_exactly_off_the_edges():
