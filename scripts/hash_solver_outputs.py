@@ -41,15 +41,18 @@ The last lines check the sampler on its edge cases. For each image shape
 from 1x1 to 4x4, and 9x7 (which has full stencils), a `sampler` line hashes
 `rasters.sample_bicubic` of a 1- and a 3-channel field under a full mask and
 a mask with holes, at positions in and around the image and at NaN, +-inf
-and +-1e300 coordinates; a `.many` line hashes `kernels.sample_bicubic`,
-the shared pass, on both fields at once, each under its own mask. Two
+and +-1e300 coordinates; a `.many` line hashes `kernels.sample_bicubic`
+on both fields at once, each under its own mask. Two
 `thresholding` lines, one per dtype (float32 and float64), hash
 `thresholding_step` on a grid of its edge cases: signed-zero u_hat, signed-
 zero and tiny slopes iu, NaN and signed-zero residuals, and residuals
 exactly at the case boundaries +-tau*lam*iu^2. One `cycle` line hashes the
-float32 state after 10 `primal_dual_iterate` cycles from a seeded random
-160x150 state (mask density 0.9); its rows are long enough for the compiled
-cycle's vector loops and their tails.
+float32 state after 10 cycles of `kernels.primal_dual_cycle` from a seeded
+random 160x150 state (mask density 0.9); its rows are long enough for the
+compiled cycle's vector loops and their tails. One `warp` line hashes one
+compiled warp step (`solve_level` with N=1) on a seeded random 160x150
+level with holes in the mask and in the trajectory field: the returned u, w
+and v, and the `WarpRecord`'s du, dirs and dual norms.
 
 A change that alters the solver's arithmetic on purpose (a new precision, a
 reordered sum) cannot be bit-identical. Check it in two steps. First, the
@@ -253,14 +256,34 @@ def hash_cycle() -> str:
     op = solver.precondition_steps(
         solver.compute_tensor(rng.random((h, w)), params.beta, params.eta, mask),
         mask, params)
-    op = solver.LevelOperator(**{k: a.astype(np.float32) for k, a in vars(op).items()})
+    operator = [a.astype(np.float32) for a in vars(op).values()]
     u, iu, rho0 = (rng.normal(size=(h, w)).astype(np.float32) for _ in range(3))
     v, p = (rng.normal(size=(2, h, w)).astype(np.float32) for _ in range(2))
     q = rng.normal(size=(4, h, w)).astype(np.float32)
-    state = solver.SolverState(u=u, v=v, p=p, q=q, u_bar=u, v_bar=v)
+    state = (u, v, p, q, u, v)
     for _ in range(10):
-        state = solver.primal_dual_iterate(state, op, iu, rho0, u, params)
-    return hashlib.sha256("".join(_digest(a) for a in vars(state).values()).encode()).hexdigest()
+        state = kernels.primal_dual_cycle(state, operator, (iu, rho0, u), params.alpha0,
+                                          params.alpha1, params.lam, solver._PROJECTION_SCALE)
+    return hashlib.sha256("".join(_digest(a) for a in state).encode()).hexdigest()
+
+
+def hash_warp() -> str:
+    """Digest of one compiled warp step on a seeded 160x150 level."""
+    h, w = 160, 150
+    rng = np.random.default_rng(150160)
+    mask, traj_valid = (rng.random((h, w)) < 0.9 for _ in range(2))
+    i0, i1 = (rasters.smooth_masked(rng.random((h, w)), np.ones((h, w), bool), 1.0)
+              for _ in range(2))
+    angle = rng.uniform(0.0, 2.0 * np.pi, (h, w))
+    traj = np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+    records = []
+    out = solver.solve_level(i0, i1, traj, traj_valid, solver.SolverParams(warp_iters=1),
+                             mask, rng.normal(size=(h, w)), rng.normal(size=(h, w, 2)),
+                             records.append)
+    (rec,) = records
+    digests = [_digest(a) for a in (*out, rec.du, rec.dirs)]
+    digests.append(_float_digest(rec.max_p_norm, rec.max_q_norm))
+    return hashlib.sha256("".join(digests).encode()).hexdigest()
 
 
 def main() -> None:
@@ -297,6 +320,7 @@ def main() -> None:
     for key, value in hash_thresholding():
         print(f"{'thresholding':10s} {key:12s} {value}")
     print(f"{'cycle':10s} {'float32':12s} {hash_cycle()}")
+    print(f"{'warp':10s} {'160x150':12s} {hash_warp()}")
 
 
 if __name__ == "__main__":

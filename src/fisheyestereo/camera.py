@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rasters import pixel_grid
+from .rasters import pixel_grid, vector_norm
 from .schema import (COUNT, FINITE, NONNEGATIVE, POSITIVE, Family, Ruled, finite_numbers,
                      from_dict, reject_unknown_keys, ruled, to_dict)
 
@@ -128,7 +128,7 @@ class PinholeCamera(CameraBase):
 
     def _unproject(self, m):
         ray = np.concatenate([m, np.ones(m.shape[:-1] + (1,))], axis=-1)
-        ray = ray / np.linalg.norm(ray, axis=-1, keepdims=True)
+        ray = ray / vector_norm(ray)[..., None]
         return ray, _ray_angles(ray), True
 
 
@@ -139,7 +139,7 @@ class UnifiedCamera(CameraBase):
     kind = "unified"
 
     def _project(self, X, theta):
-        rho = np.linalg.norm(X, axis=-1)
+        rho = vector_norm(X)
         denom = X[..., 2] + self.xi * rho
         ok = (denom > 1e-12) & (rho > 0)
         d = np.where(ok, denom, 1.0)
@@ -151,7 +151,7 @@ class UnifiedCamera(CameraBase):
         disc = 1.0 + (1.0 - self.xi ** 2) * r2
         eta = (self.xi + np.sqrt(np.maximum(disc, 0.0))) / (1.0 + r2)
         ray = np.stack([eta * m[..., 0], eta * m[..., 1], eta - self.xi], axis=-1)
-        norm = np.linalg.norm(ray, axis=-1, keepdims=True)
+        norm = vector_norm(ray)[..., None]
         ray = ray / np.maximum(norm, 1e-300)
         return ray, _ray_angles(ray), disc >= 0.0
 
@@ -176,7 +176,7 @@ class PolynomialFisheyeCamera(CameraBase):
         # On the axis the numerator is 0, so the pixel is exactly (cx, cy).
         safe = np.maximum(np.hypot(X[..., 0], X[..., 1]), 1e-300)
         d = self._radial(theta)
-        ok = np.linalg.norm(X, axis=-1) > 0
+        ok = vector_norm(X) > 0
         return np.stack([self.fx * d * X[..., 0] / safe + self.cx,
                          self.fy * d * X[..., 1] / safe + self.cy], axis=-1), ok
 
@@ -304,7 +304,7 @@ def triangulate_midpoint(rig: StereoRig, x0, x1) -> tuple[np.ndarray, np.ndarray
     d1 = r1 @ R  # rotate cam-1 rays into cam-0 coordinates (R^T @ r1)
     b = np.sum(r0 * d1, axis=-1)
     cross = np.cross(r0, d1)
-    sin_angle = np.linalg.norm(cross, axis=-1)
+    sin_angle = vector_norm(cross)
     p = r0 @ np.asarray(c1)
     q = d1 @ np.asarray(c1)
     denom = 1.0 - b * b

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import StereoRig, triangulate_midpoint
-from .rasters import pixel_grid
+from .rasters import pixel_grid, vector_norm
 from .schema import POSITIVE
 
 DEFAULT_TAUS = (1.0, 3.0, 5.0)
@@ -67,7 +67,7 @@ def correspondence_error(w_est: np.ndarray, w_gt: np.ndarray,
     """Per-pixel distance |(x + w_est) - (x + w_gt)| in pixels, 0 outside `valid`."""
     if w_est.shape != w_gt.shape:
         raise ValueError("estimate and ground truth dimensions differ")
-    err = np.linalg.norm(w_est - w_gt, axis=-1)
+    err = vector_norm(w_est - w_gt)
     return np.where(valid, err, 0.0)
 
 

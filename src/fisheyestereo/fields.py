@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .camera import CameraBase, RelativePose, StereoRig
-from .rasters import pixel_grid, sample_bicubic, warp_image
+from .rasters import pixel_grid, sample_bicubic, vector_norm, warp_image
 from .schema import NONNEGATIVE, POSITIVE
 
 # Flow magnitudes below this are indistinguishable from the epipole.
@@ -72,12 +72,12 @@ def generate_trajectory_field(rig: StereoRig, epsilon_scale: float = 0.1,
     rays, valid0 = rig.cam0.rays(pixel_grid(rig.cam0.height, rig.cam0.width))
     X = rays * depth
     w, valid = _flow(rig.cam1, X + 1e-4 * depth * t_hat, valid0)
-    peak = np.max(np.linalg.norm(w, axis=-1)[valid], initial=0.0)
+    peak = np.max(vector_norm(w)[valid], initial=0.0)
     if peak > 0:
         eps = 1e-4 * depth * epsilon_scale / peak
         w, valid = _flow(rig.cam1, X + eps * t_hat, valid0)
 
-    mag = np.linalg.norm(w, axis=-1)
+    mag = vector_norm(w)
     degenerate = valid & (mag < _DEGENERATE_FLOW)
     good = valid & (mag >= _DEGENERATE_FLOW)
     dirs = np.zeros_like(w)
@@ -106,7 +106,7 @@ def generate_trajectory_field(rig: StereoRig, epsilon_scale: float = 0.1,
 def unit_directions(d: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Renormalize sampled directions `d` valid at `ok`: (unit, ok), ok where
     the sample's norm exceeds 0.5, unit zero elsewhere."""
-    norm = np.linalg.norm(d, axis=-1)
+    norm = vector_norm(d)
     ok = ok & (norm > 0.5)
     return np.divide(d, norm[..., None], out=np.zeros_like(d), where=ok[..., None]), ok
 

@@ -1,5 +1,5 @@
-/* Compiled loops of the solver's primal-dual cycle and of the masked bicubic
- * sampler.
+/* Compiled loops of the solver's warp step, of its primal-dual cycle and of
+ * the masked bicubic sampler.
  *
  * kernels.py compiles this file on first use and checks every array before
  * it hands a pointer here. Each loop repeats the NumPy operations it
@@ -9,7 +9,7 @@
  * so does the loop: 0 + x is not x when x is -0. That needs
  * -ffp-contract=off (no fused multiply-add) and rules out -ffast-math.
  * The cycle runs in float, the precision the solver casts its levels to;
- * the sampler in double.
+ * the sampler, and the warp step around its cycles, in double.
  */
 
 #include <math.h>
@@ -47,9 +47,9 @@ static ptrdiff_t clamp_index(ptrdiff_t i, ptrdiff_t lo, ptrdiff_t hi)
 /* The 16-tap sum of every channel of an (h, w, nc) field at the stencil of
  * floor (ix, iy). The top-left tap is clamped into the image, so that every
  * tap is read from it; that moves only stencils that are not full. */
-static void full_sum(const double *f, ptrdiff_t nc, ptrdiff_t h, ptrdiff_t w,
-                     ptrdiff_t ix, ptrdiff_t iy, const double wx[4],
-                     const double wy[4], double *out)
+ALWAYS_INLINE void full_sum(const double *f, ptrdiff_t nc, ptrdiff_t h, ptrdiff_t w,
+                            ptrdiff_t ix, ptrdiff_t iy, const double wx[4],
+                            const double wy[4], double *out)
 {
     const ptrdiff_t top_left = (clamp_index(iy, 1, h - 3) - 1) * w
                                + clamp_index(ix, 1, w - 3) - 1;
@@ -101,42 +101,85 @@ static void rim_chain(const double *f, const uint8_t *mask, ptrdiff_t nc,
     }
 }
 
+/* Where one position falls: the clipped floors, the fractions, the
+ * Catmull-Rom weights and the stencil's entry in the tap-count maps. */
+struct stencil {
+    ptrdiff_t ix, iy, at;
+    double fx, fy, wx[4], wy[4];
+};
+
+static void locate(double x, double y, ptrdiff_t h, ptrdiff_t w, struct stencil *s)
+{
+    const double floor_x = floor(x), floor_y = floor(y);
+    s->fx = x - floor_x;
+    s->fy = y - floor_y;
+    s->ix = clipped_floor(floor_x, w);
+    s->iy = clipped_floor(floor_y, h);
+    s->at = (s->iy + 3) * (w + 5) + (s->ix + 3);
+    cubic_weights(s->fx, s->wx);
+    cubic_weights(s->fy, s->wy);
+}
+
+/* Sample an (h, w, nc) field under its mask, whose tap-count map is
+ * `counts`, at stencil s into out[0..nc): a full stencil (16 taps) gives the
+ * 16-tap sum, an empty one NaN and invalid, any other the bilinear/nearest
+ * chain. Returns whether the sample is valid. */
+ALWAYS_INLINE int sample_at(const struct stencil *s, const double *f, ptrdiff_t nc,
+                            const uint8_t *mask, const uint8_t *counts, ptrdiff_t h,
+                            ptrdiff_t w, double *out)
+{
+    const int count = counts[s->at];
+    if (count == 16 && h >= 4 && w >= 4) {
+        full_sum(f, nc, h, w, s->ix, s->iy, s->wx, s->wy, out);
+    } else if (count == 0) {
+        for (ptrdiff_t ch = 0; ch < nc; ch++)
+            out[ch] = NAN;
+    } else {
+        rim_chain(f, mask, nc, h, w, s->ix, s->iy, s->fx, s->fy, out);
+    }
+    return count > 0;
+}
+
+/* The map of an (h, w) mask's taps per stencil floor: entry
+ * [iy + 3][ix + 3] counts the in-image, in-mask taps of the 4x4 stencil
+ * whose floor is (ix, iy), for ix in [-3, w + 1] and iy in [-3, h + 1]. The
+ * outer ring of floors has no tap in the image, nor has any floor beyond
+ * it. `rows` is (h + 5, w) scratch for the sums of four vertical taps. */
+void tap_counts(ptrdiff_t h, ptrdiff_t w, const uint8_t *mask, uint8_t *rows,
+                uint8_t *counts)
+{
+    for (ptrdiff_t i = 0; i < h + 5; i++)
+        for (ptrdiff_t x = 0; x < w; x++) {
+            uint8_t n = 0;
+            for (ptrdiff_t r = i - 4; r < i; r++)
+                n += r >= 0 && r < h ? mask[r * w + x] : 0;
+            rows[i * w + x] = n;
+        }
+    for (ptrdiff_t i = 0; i < h + 5; i++)
+        for (ptrdiff_t j = 0; j < w + 5; j++) {
+            uint8_t n = 0;
+            for (ptrdiff_t x = j - 4; x < j; x++)
+                n += x >= 0 && x < w ? rows[i * w + x] : 0;
+            counts[i * (w + 5) + j] = n;
+        }
+}
+
 /* Sample each of `pairs` (field, mask) at the n positions xy (x, y
  * interleaved). Field s is (h, w, channels[s]) and counts[s] is the
- * (h + 5, w + 5) map of its mask's valid taps per stencil floor. Per
- * position and field: a full stencil (16 taps) gives the 16-tap sum, an
- * empty one NaN and invalid, any other the bilinear/nearest chain. values[s]
- * is (n, channels[s]); valid[s] is (n,). */
+ * (h + 5, w + 5) map of its mask's valid taps per stencil floor
+ * (`tap_counts`). values[s] is (n, channels[s]); valid[s] is (n,). */
 void sample_bicubic(ptrdiff_t n, const double *xy, ptrdiff_t h, ptrdiff_t w,
                     ptrdiff_t pairs, const double *const *fields,
                     const ptrdiff_t *channels, const uint8_t *const *masks,
                     const uint8_t *const *counts, double *const *values,
                     uint8_t *const *valid)
 {
-    const int has_full = h >= 4 && w >= 4;
     for (ptrdiff_t k = 0; k < n; k++) {
-        const double x = xy[2 * k], y = xy[2 * k + 1];
-        const double floor_x = floor(x), floor_y = floor(y);
-        const double fx = x - floor_x, fy = y - floor_y;
-        const ptrdiff_t ix = clipped_floor(floor_x, w), iy = clipped_floor(floor_y, h);
-        const ptrdiff_t stencil = (iy + 3) * (w + 5) + (ix + 3);
-        double wx[4], wy[4];
-        cubic_weights(fx, wx);
-        cubic_weights(fy, wy);
-        for (ptrdiff_t s = 0; s < pairs; s++) {
-            const ptrdiff_t nc = channels[s];
-            const int count = counts[s][stencil];
-            double *out = values[s] + k * nc;
-            valid[s][k] = count > 0;
-            if (count == 16 && has_full) {
-                full_sum(fields[s], nc, h, w, ix, iy, wx, wy, out);
-            } else if (count == 0) {
-                for (ptrdiff_t ch = 0; ch < nc; ch++)
-                    out[ch] = NAN;
-            } else {
-                rim_chain(fields[s], masks[s], nc, h, w, ix, iy, fx, fy, out);
-            }
-        }
+        struct stencil st;
+        locate(xy[2 * k], xy[2 * k + 1], h, w, &st);
+        for (ptrdiff_t s = 0; s < pairs; s++)
+            valid[s][k] = sample_at(&st, fields[s], channels[s], masks[s], counts[s], h, w,
+                                    values[s] + k * channels[s]);
     }
 }
 
@@ -296,4 +339,140 @@ void pd_cycle(ptrdiff_t h, ptrdiff_t w, const float *const *in, float *const *ou
                 primal_px(&c, k, 1, 0);
         }
     }
+}
+
+/* The largest float64 norm over the pixels of an (nc, hw) channel-first
+ * dual, as np.max(..., initial=0.0): NaN once any norm is NaN. */
+static double max_norm(const float *x, ptrdiff_t nc, ptrdiff_t hw)
+{
+    double m = 0.0;
+    for (ptrdiff_t k = 0; k < hw; k++) {
+        double s = (double)x[k] * (double)x[k];
+        for (ptrdiff_t ch = 1; ch < nc; ch++)
+            s += (double)x[ch * hw + k] * (double)x[ch * hw + k];
+        const double n = sqrt(s);
+        if (n > m || isnan(n))
+            m = n;
+    }
+    return m;
+}
+
+/* The arrays of one level, in the order of `level` in warp_step. */
+enum {
+    L_I0, L_I1, L_TRAJ, L_MASK, L_TRAJ_VALID, L_MASK_COUNTS, L_TRAJ_COUNTS,
+    L_OPERATOR, /* ex, ey, a_ex, b_ex, b_ey, c_ey, p_step, u_step, tau_u, tau_v */
+    L_I1W = L_OPERATOR + 10, L_VALID, L_VALID_ROWS, L_VALID_COUNTS, L_IU, L_RHO0,
+    L_DATA_OK, L_U32,
+    L_STATES /* two sets of u, v, p, q, u_bar, v_bar */
+};
+
+/* One warp iteration of an (h, w) level, in place on u (h, w) and wv
+ * (h, w, 2), both double.
+ *
+ * `level` holds, in the order of the enum above: i0 and i1 (double),
+ * the trajectory directions traj (h, w, 2, double), the mask and traj's
+ * valid map (uint8 0/1) and their tap-count maps; the operator (float);
+ * then scratch: i1w (double), valid (uint8), the (h + 5, w) and
+ * (h + 5, w + 5) tap-count buffers of valid, iu, rho0 (float), data_ok
+ * (uint8), u32 (float), and two state sets (float) that the cycles use in
+ * turn. `cur` is the set that holds the duals v, p, q; the return value is
+ * the set that holds them after this warp.
+ *
+ * The steps are those of the NumPy loop it replaced, in its order and
+ * precision:
+ * 1. sample i1 (under mask) and traj (under traj_valid) at x + wv in one
+ *    pass; renormalize the directions where traj's sample is valid, in the
+ *    mask, and of norm above 0.5 (dir_ok), else set them to +0;
+ * 2. I_u = i1w(x + dir) - i1w(x), sampled under valid = warp_ok & mask,
+ *    where x and the sample ahead are valid, else +0; data_ok is that and
+ *    dir_ok; rho0 = i1w - i0 on data_ok, else +0; then iu, rho0 and u as
+ *    float;
+ * 3. pd_iters cycles from (u32, v, p, q, u32, v);
+ * 4. du = the cycles' u - u32 in double, clipped to +-du_max (NaN stays
+ *    NaN; in double, as a float bound would round du_max up), +0 off the
+ *    mask, where it is still added; u += du and wv += du * dir.
+ * du (h, w) and dirs (h, w, 2) receive the increment and the directions.
+ * With `norms` given, norms[0] and norms[1] receive the largest float64
+ * norms of p and q over the cycles, as Python's max over the cycles'
+ * np.max (a NaN cycle is skipped). */
+ptrdiff_t warp_step(ptrdiff_t h, ptrdiff_t w, ptrdiff_t pd_iters, void *const *level,
+                    ptrdiff_t cur, double *u, double *wv, double *du, double *dirs,
+                    double *norms, float alpha0, float alpha1, float lam, float scale,
+                    double du_max)
+{
+    const ptrdiff_t hw = h * w;
+    const double *i0 = level[L_I0], *i1 = level[L_I1], *traj = level[L_TRAJ];
+    const uint8_t *mask = level[L_MASK], *traj_valid = level[L_TRAJ_VALID];
+    const uint8_t *mask_counts = level[L_MASK_COUNTS];
+    const uint8_t *traj_counts = level[L_TRAJ_COUNTS];
+    double *i1w = level[L_I1W];
+    uint8_t *valid = level[L_VALID], *valid_counts = level[L_VALID_COUNTS];
+    uint8_t *data_ok = level[L_DATA_OK];
+    float *iu = level[L_IU], *rho0 = level[L_RHO0], *u32 = level[L_U32];
+
+    for (ptrdiff_t k = 0; k < hw; k++) {
+        struct stencil st;
+        double d[2];
+        locate((double)(k % w) + wv[2 * k], (double)(k / w) + wv[2 * k + 1], h, w, &st);
+        valid[k] = sample_at(&st, i1, 1, mask, mask_counts, h, w, i1w + k) && mask[k];
+        const int sampled = sample_at(&st, traj, 2, traj_valid, traj_counts, h, w, d);
+        const double norm = sqrt(d[0] * d[0] + d[1] * d[1]);
+        /* dir_ok, until step 2 makes it data_ok */
+        data_ok[k] = sampled && mask[k] && norm > 0.5;
+        dirs[2 * k] = data_ok[k] ? d[0] / norm : 0.0;
+        dirs[2 * k + 1] = data_ok[k] ? d[1] / norm : 0.0;
+    }
+    tap_counts(h, w, valid, level[L_VALID_ROWS], valid_counts);
+    for (ptrdiff_t k = 0; k < hw; k++) {
+        struct stencil st;
+        double ahead;
+        locate((double)(k % w) + dirs[2 * k], (double)(k / w) + dirs[2 * k + 1], h, w, &st);
+        const int ok = sample_at(&st, i1w, 1, valid, valid_counts, h, w, &ahead) && valid[k];
+        iu[k] = (float)(ok ? ahead - i1w[k] : 0.0);
+        data_ok[k] = ok && data_ok[k];
+        rho0[k] = (float)(data_ok[k] ? i1w[k] - i0[k] : 0.0);
+        u32[k] = (float)u[k];
+    }
+
+    double max_p = 0.0, max_q = 0.0;
+    for (ptrdiff_t it = 0; it < pd_iters; it++) {
+        const float *in[19];
+        float *out[6];
+        for (int a = 0; a < 6; a++) {
+            in[a] = level[L_STATES + 6 * cur + a];
+            out[a] = level[L_STATES + 6 * (1 - cur) + a];
+        }
+        if (it == 0) {
+            in[0] = in[4] = u32;
+            in[5] = in[1];
+        }
+        for (int a = 0; a < 10; a++)
+            in[6 + a] = level[L_OPERATOR + a];
+        in[16] = iu;
+        in[17] = rho0;
+        in[18] = u32;
+        pd_cycle(h, w, in, out, alpha0, alpha1, lam, scale);
+        cur = 1 - cur;
+        if (norms) {
+            const double mp = max_norm(out[2], 2, hw), mq = max_norm(out[3], 4, hw);
+            max_p = mp > max_p ? mp : max_p;
+            max_q = mq > max_q ? mq : max_q;
+        }
+    }
+    if (norms) {
+        norms[0] = max_p;
+        norms[1] = max_q;
+    }
+
+    const float *u_new = level[L_STATES + 6 * cur];
+    for (ptrdiff_t k = 0; k < hw; k++) {
+        double step = (double)(u_new[k] - u32[k]);
+        if (!isnan(step))
+            step = step < -du_max ? -du_max : step > du_max ? du_max : step;
+        du[k] = mask[k] ? step : 0.0;
+        u[k] = u[k] + du[k];
+        wv[2 * k] = wv[2 * k] + du[k] * dirs[2 * k];
+        wv[2 * k + 1] = wv[2 * k + 1] + du[k] * dirs[2 * k + 1];
+    }
+    return cur;
 }

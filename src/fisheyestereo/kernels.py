@@ -1,8 +1,12 @@
 """Builds, loads and calls the compiled loops of `kernels.c`.
 
-The primal-dual cycle (`primal_dual_cycle`) and the masked bicubic sampler
-(`sample_bicubic`) run as C loops, compiled by the machine's `gcc` on first
-use: importing this module compiles and loads nothing. The library is cached
+The solver's warp step (`WarpLevel`), the primal-dual cycle
+(`primal_dual_cycle`) and the masked bicubic sampler (`sample_bicubic`) run
+as C loops, compiled by the machine's `gcc` on first use: importing this
+module compiles and loads nothing. A `WarpLevel` holds one pyramid level's
+arrays and scratch and the pointers to them, set up once; each `step` is
+then one C call that does a whole warp iteration: both samplings, the
+linearization, the cycles, the clip and the accumulation. The library is cached
 in the package's `__pycache__/`, named by a hash of the C source and the
 compiler flags (`cache_key`), so an edited source or a changed flag builds a
 new one. It is compiled to a temporary file and published with `os.replace`,
@@ -26,8 +30,10 @@ No `-march`: the library runs on every CPU of its architecture. Never
 
 C never reads or writes out of bounds: the cycle rejects any array whose
 dtype, C-contiguity, alignment or shape does not match with ValueError; the
-sampler converts its inputs to float64, bool, C-contiguous and aligned
-arrays, then rejects a shape mismatch.
+sampler and `WarpLevel` convert their images and masks to float64, bool,
+C-contiguous and aligned arrays, then reject a shape mismatch, and a
+`WarpLevel` rejects an operator, u or w that does not match as the cycle
+does.
 """
 
 from __future__ import annotations
@@ -80,6 +86,11 @@ def load(cache_dir: Path = CACHE_DIR) -> ctypes.CDLL:
     lib.sample_bicubic.argtypes = [_SIZE, ctypes.c_void_p, _SIZE, _SIZE, _SIZE,
                                    _PTRS, ctypes.c_void_p, _PTRS, _PTRS, _PTRS, _PTRS]
     lib.sample_bicubic.restype = None
+    lib.tap_counts.argtypes = [_SIZE, _SIZE] + [ctypes.c_void_p] * 3
+    lib.tap_counts.restype = None
+    lib.warp_step.argtypes = ([_SIZE, _SIZE, _SIZE, _PTRS, _SIZE] + [ctypes.c_void_p] * 5
+                              + [ctypes.c_float] * 4 + [ctypes.c_double])
+    lib.warp_step.restype = _SIZE
     return lib
 
 
@@ -158,16 +169,14 @@ def _stencil_tap_counts(mask: np.ndarray) -> np.ndarray:
     """In-image, in-mask taps of the 4x4 stencil at every floor (ix, iy), as uint8.
 
     Entry [iy + 3, ix + 3] counts the taps of the stencil whose floor is
-    (ix, iy), for ix in [-3, W + 1] and iy in [-3, H + 1]: four shifted
-    sums of the zero-padded mask along each axis. The outer ring of floors
-    (-3 and W + 1, or H + 1) has no tap in the image, and neither has any
-    floor beyond it.
+    (ix, iy), for ix in [-3, W + 1] and iy in [-3, H + 1]. The outer ring of
+    floors (-3 and W + 1, or H + 1) has no tap in the image, and neither has
+    any floor beyond it. `mask` must be a C-contiguous (H, W) bool array.
     """
     h, w = mask.shape
-    padded = np.zeros((h + 8, w + 8), dtype=np.uint8)
-    padded[4:-4, 4:-4] = mask
-    rows = padded[:-3] + padded[1:-2] + padded[2:-1] + padded[3:]
-    return rows[:, :-3] + rows[:, 1:-2] + rows[:, 2:-1] + rows[:, 3:]
+    rows, counts = np.empty((h + 5, w), np.uint8), np.empty((h + 5, w + 5), np.uint8)
+    _library().tap_counts(h, w, mask.ctypes.data, rows.ctypes.data, counts.ctypes.data)
+    return counts
 
 
 def sample_bicubic(pairs: Sequence[tuple[np.ndarray, np.ndarray]],
@@ -212,3 +221,92 @@ def sample_bicubic(pairs: Sequence[tuple[np.ndarray, np.ndarray]],
                               _pointers(values), _pointers(valid))
     return [(vals.reshape(pos.shape[:-1] + field.shape[2:]), ok.reshape(pos.shape[:-1]))
             for vals, ok, field in zip(values, valid, fields)]
+
+
+class WarpLevel:
+    """One pyramid level, set up for the compiled warp step (`step`).
+
+    `i0` and `i1` are the level's (H, W) images, `traj_dirs` its (H, W, 2)
+    trajectory directions, valid at `traj_valid`, and `mask` the solve mask.
+    `operator` is the ten (H, W) float32 arrays that `primal_dual_cycle`
+    takes, and the scalars are those of `primal_dual_cycle` plus the clip
+    `du_max` and the cycles per warp `pd_iters`. Construction converts the
+    images to float64 and the masks to bool, C-contiguous, builds the tap-count
+    maps of `mask` and `traj_valid`, and allocates the scratch that every
+    step reuses: the second image sampled at x + w, I_u, the residual, the
+    data mask, and two float32 states that the cycles write in turn. The
+    duals v, p and q start at zero and carry from one step to the next.
+    """
+
+    def __init__(self, i0: np.ndarray, i1: np.ndarray, traj_dirs: np.ndarray,
+                 traj_valid: np.ndarray, mask: np.ndarray, operator: Sequence[np.ndarray],
+                 alpha0: float, alpha1: float, lam: float, scale: float, du_max: float,
+                 pd_iters: int):
+        mask, traj_valid = (np.require(m, bool, "CA") for m in (mask, traj_valid))
+        if mask.ndim != 2:
+            raise ValueError(f"mask must be (H, W), got shape {mask.shape}")
+        plane = mask.shape
+        images = [np.require(a, np.float64, "CA") for a in (i0, i1, traj_dirs)]
+        for name, a, shape in (("i0", images[0], plane), ("i1", images[1], plane),
+                               ("traj_dirs", images[2], plane + (2,)),
+                               ("traj_valid", traj_valid, plane)):
+            if a.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+        if len(operator) != 10:
+            raise ValueError(f"expected 10 operator arrays, got {len(operator)}")
+        for k, a in enumerate(operator):
+            _check(f"operator array {k}", a, _FLOAT32, plane)
+        h, w = plane
+        self.iu = np.empty(plane, _FLOAT32)
+        self.data_ok = np.empty(plane, bool)
+        # Two sets of u, v, p, q, u_bar, v_bar; the duals start in set 0.
+        self.states = [[np.zeros((n,) + plane, _FLOAT32) for n in (1, 2, 2, 4, 1, 2)]
+                       for _ in range(2)]
+        self._cur = 0
+        # In the order of the `level` enum of kernels.c.
+        self._arrays = [*images, mask, traj_valid,
+                        _stencil_tap_counts(mask), _stencil_tap_counts(traj_valid),
+                        *operator, np.empty(plane), np.empty(plane, bool),
+                        np.empty((h + 5, w), np.uint8), np.empty((h + 5, w + 5), np.uint8),
+                        self.iu, np.empty(plane, _FLOAT32), self.data_ok,
+                        np.empty(plane, _FLOAT32), *self.states[0], *self.states[1]]
+        self._level = _pointers(self._arrays)
+        self._scalars = (alpha0, alpha1, lam, scale, du_max)
+        self._pd_iters = pd_iters
+        self._du = np.empty(plane)
+        self._dirs = np.empty(plane + (2,))
+
+    @property
+    def duals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The current (v, p, q), (2, H, W), (2, H, W) and (4, H, W) float32,
+        which the next step starts from; writing into them sets its start."""
+        v, p, q = self.states[self._cur][1:4]
+        return v, p, q
+
+    def step(self, u: np.ndarray, w: np.ndarray, observe: bool = False):
+        """One warp iteration, in place on the float64, C-contiguous u (H, W)
+        and w (H, W, 2).
+
+        Samples i1 and the directions at x + w, linearizes along the
+        renormalized directions, runs the primal-dual cycles, clips the
+        increment du to du_max and accumulates u += du, w += du * dirs; see
+        `warp_step` in kernels.c. With `observe`, returns fresh arrays of
+        (du, dirs, iu, data_ok) and the largest float64 norms of p and q over
+        the cycles; without, returns None.
+        """
+        plane = self.iu.shape
+        _check("u", u, np.dtype(np.float64), plane)
+        _check("w", w, np.dtype(np.float64), plane + (2,))
+        if not (u.flags.writeable and w.flags.writeable):
+            raise ValueError("u and w must be writeable")
+        if observe:
+            du, dirs, norms = np.empty(plane), np.empty(plane + (2,)), np.empty(2)
+        else:
+            du, dirs, norms = self._du, self._dirs, None
+        self._cur = _library().warp_step(
+            plane[0], plane[1], self._pd_iters, self._level, self._cur, u.ctypes.data,
+            w.ctypes.data, du.ctypes.data, dirs.ctypes.data,
+            None if norms is None else norms.ctypes.data, *self._scalars)
+        if observe:
+            return du, dirs, self.iu.copy(), self.data_ok.copy(), float(norms[0]), float(norms[1])
+        return None

@@ -42,6 +42,16 @@ def pixel_grid(height: int, width: int) -> np.ndarray:
     return grid
 
 
+def vector_norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis: the bits of np.linalg.norm(x,
+    axis=-1), which sums the squares left to right, at a fraction of its
+    cost on short vectors."""
+    s = x[..., 0] * x[..., 0]
+    for k in range(1, x.shape[-1]):
+        s += x[..., k] * x[..., k]
+    return np.sqrt(s)
+
+
 def sample_bicubic(field: np.ndarray, pos: np.ndarray,
                    mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sample `field` at continuous positions using only in-mask taps.
@@ -224,7 +234,7 @@ def upsample_state(u: np.ndarray, w: np.ndarray, mask: np.ndarray,
     ok &= dst_mask
     u_f, w_f = uw[:, :, 0], np.where(ok[:, :, None], uw[:, :, 1:], 0.0)
     w_s = w_f * (sx, sy)
-    before = np.linalg.norm(w_f, axis=-1)
-    scale = np.divide(np.linalg.norm(w_s, axis=-1), before,
+    before = vector_norm(w_f)
+    scale = np.divide(vector_norm(w_s), before,
                       out=np.full(before.shape, 0.5 * (sx + sy)), where=before > 0)
     return np.where(ok, u_f, 0.0) * scale, w_s

@@ -32,14 +32,17 @@ variables stay inside their unit balls by construction.
 The primal-dual cycles run in float32 (see `solve_level`); every array the
 solver returns, and `energy()`, is float64.
 
-The cycle is one call into a compiled loop (`kernels.primal_dual_cycle`),
-built for float32 only, on the calling thread; the solver starts no thread.
-The loop repeats the NumPy operations of the unfolded cycle (kept as the
-reference in the tests) in their order and precision, so its results are
-bit-identical to them. Row by row, a first loop takes the dual steps on p
-and q with their projections, and a second takes div(T p), the u step with
-`thresholding_step`'s arithmetic inlined, u_bar, div q, v and v_bar. The
-warps' bicubic sampling runs compiled too (`kernels.sample_bicubic`).
+Each warp iteration is one call into compiled code (`kernels.WarpLevel`),
+on the calling thread; the solver starts no thread. `solve_level` sets a
+level up once (operator, tap-count maps, scratch) and then makes one call
+per warp: it samples i1 and the directions, linearizes, runs the cycles,
+clips and accumulates. The compiled loops repeat the NumPy operations of
+the forms they replaced (kept as references in the tests) in their order
+and precision, so their results are bit-identical to them. The cycle is
+also callable alone (`kernels.primal_dual_cycle`, through
+`primal_dual_iterate`). `thresholding_step` and `image_derivative_along`
+are the NumPy forms of the data term's proximal step and of I_u, which the
+compiled warp step inlines.
 
 Solving needs the C compiler `gcc` on PATH; the `kernels` module docstring
 says how the loops are built and cached, and with which flags.
@@ -126,13 +129,18 @@ class WarpRecord:
     """What one warp iteration did, as handed to an `observe` callable.
 
     `du` is the clipped disparity increment and `dirs` the unit directions it
-    was accumulated along (w += du * dirs); the solver never writes either
-    array again, so an observer may keep them. The dual norms are the largest
-    over the warp's primal-dual cycles.
+    was accumulated along (w += du * dirs). `iu` is the float32 derivative of
+    the warped second image along `dirs` that the cycles linearized with,
+    and `data_ok` where the data term was valid (I_u is +0 off it). The
+    solver never writes these arrays again, so an observer may keep them.
+    The dual norms are the largest over the warp's primal-dual cycles, in
+    float64.
     """
 
     du: np.ndarray
     dirs: np.ndarray
+    iu: np.ndarray
+    data_ok: np.ndarray
     max_p_norm: float
     max_q_norm: float
 
@@ -144,6 +152,7 @@ Observer = Callable[[WarpRecord], None]
 # division (about 5 units of roundoff, 2.5 of eps), so a projected dual lies
 # inside its unit ball.
 _PROJECTION_ULPS = 4
+_PROJECTION_SCALE = 1.0 + _PROJECTION_ULPS * float(np.finfo(np.float32).eps)
 
 
 def compute_tensor(i0: np.ndarray, beta: float, eta: float,
@@ -225,11 +234,6 @@ def _norm(x: np.ndarray) -> np.ndarray:
     for c in x[1:]:
         s += c * c
     return np.sqrt(s, out=s)
-
-
-def _max_norm(x: np.ndarray) -> float:
-    """Largest channel norm, evaluated in float64 whatever the dtype of x."""
-    return float(np.max(_norm(x.astype(np.float64, copy=False)), initial=0.0))
 
 
 @dataclass
@@ -329,12 +333,11 @@ def primal_dual_iterate(state: SolverState, op: LevelOperator, iu: np.ndarray,
     The cycle runs compiled (see the module docstring) in float32: every
     array given must be C-contiguous float32, or ValueError is raised.
     """
-    scale = 1.0 + _PROJECTION_ULPS * np.finfo(np.float32).eps
     u, v, p, q, u_bar, v_bar = kernels.primal_dual_cycle(
         (state.u, state.v, state.p, state.q, state.u_bar, state.v_bar),
         (op.ex, op.ey, op.a_ex, op.b_ex, op.b_ey, op.c_ey, op.p_step, op.u_step, op.tau_u,
          op.tau_v),
-        (iu, rho0, u_omega), params.alpha0, params.alpha1, params.lam, scale)
+        (iu, rho0, u_omega), params.alpha0, params.alpha1, params.lam, _PROJECTION_SCALE)
     return SolverState(u=u, v=v, p=p, q=q, u_bar=u_bar, v_bar=v_bar)
 
 
@@ -347,12 +350,14 @@ def solve_level(i0: np.ndarray, i1: np.ndarray, traj_dirs: np.ndarray,
 
     `i1` must already be calibration-warped. Each of the N warp iterations
     samples i1 and the trajectory directions at the warped positions x + w
-    in one pass (`kernels.sample_bicubic`, each under its own mask),
-    linearizes the residual along those directions, runs the inner
-    primal-dual cycles from the relaxed primal (u, v), clips the increment to
-    du_max, and accumulates w += du * dirs. The duals and v carry over from
-    one warp to the next. `observe`, when given, receives a `WarpRecord`
-    after each accumulation; the dual norms are only computed for it.
+    in one pass (each under its own mask), linearizes the residual along
+    the renormalized directions, runs the inner primal-dual cycles from the
+    relaxed primal (u, v), clips the increment to du_max, and accumulates
+    w += du * dirs. The duals and v carry over from one warp to the next.
+    The level's operator, tap-count maps and scratch are set up once
+    (`kernels.WarpLevel`); then each warp iteration is one compiled call.
+    `observe`, when given, receives a `WarpRecord` after each accumulation;
+    the dual norms and the record's fresh arrays are only made for it.
 
     The primal-dual cycles run in float32: the operator, the linearized data
     term and the state. Warping, linearization, the clip and the
@@ -362,40 +367,18 @@ def solve_level(i0: np.ndarray, i1: np.ndarray, traj_dirs: np.ndarray,
     # Cast in place, so each float64 array is freed once its copy is made.
     for name, value in vars(op).items():
         setattr(op, name, np.asarray(value, dtype=np.float32))
-    v = p = np.zeros((2,) + mask.shape, dtype=np.float32)
-    q = np.zeros((4,) + mask.shape, dtype=np.float32)
-    grid = pixel_grid(*mask.shape)
-
+    level = kernels.WarpLevel(i0, i1, traj_dirs, traj_valid, mask, list(vars(op).values()),
+                              params.alpha0, params.alpha1, params.lam, _PROJECTION_SCALE,
+                              params.du_max, params.pd_iters)
+    # The warp step accumulates in place, into copies of the caller's arrays.
+    u = np.array(u, dtype=np.float64, order="C")
+    w = np.array(w, dtype=np.float64, order="C")
     for _ in range(params.warp_iters):
-        (i1w, warp_ok), (dirs, dir_ok) = kernels.sample_bicubic(
-            ((i1, mask), (traj_dirs, traj_valid)), grid + w)
-        dirs, dir_ok = fieldsmod.unit_directions(dirs, dir_ok & mask)
-        # i1w is NaN off warp_ok, never read there; I_u is +0 off data_ok (off
-        # dir_ok the direction is zero, so i1w is sampled exactly at its node).
-        iu, iu_ok = image_derivative_along(dirs, i1w, warp_ok & mask)
-        data_ok = iu_ok & dir_ok
-        iu = iu.astype(np.float32)
-        rho0 = np.where(data_ok, i1w - i0, 0.0).astype(np.float32)
-
-        u32 = u.astype(np.float32)
-        state = SolverState(u=u32, v=v, p=p, q=q, u_bar=u32, v_bar=v)
-        max_p = max_q = 0.0
-        for _k in range(params.pd_iters):
-            state = primal_dual_iterate(state, op, iu, rho0, u32, params)
-            if observe is not None:
-                max_p = max(max_p, _max_norm(state.p))
-                max_q = max(max_q, _max_norm(state.q))
-        v, p, q = state.v, state.p, state.q
-
-        # Clipped in float64: a float32 bound would round du_max up.
-        du = np.where(mask, np.clip((state.u - u32).astype(np.float64),
-                                    -params.du_max, params.du_max), 0.0)
-        u = u + du
-        w = w + du[..., None] * dirs
-        if observe is not None:
-            observe(WarpRecord(du=du, dirs=dirs, max_p_norm=max_p, max_q_norm=max_q))
-
-    return u, w, np.stack(v, axis=-1).astype(np.float64)
+        if observe is None:
+            level.step(u, w)
+        else:
+            observe(WarpRecord(*level.step(u, w, observe=True)))
+    return u, w, np.stack(level.duals[0], axis=-1).astype(np.float64)
 
 
 @dataclass

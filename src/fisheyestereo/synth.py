@@ -22,7 +22,7 @@ from typing import Union, get_args
 import numpy as np
 
 from .camera import CameraBase, PinholeCamera, RelativePose, StereoRig, UnifiedCamera
-from .rasters import pixel_grid
+from .rasters import pixel_grid, vector_norm
 from .schema import (COUNT, DIRECTION, FINITE, INTEGER, NONNEGATIVE, POSITIVE, VECTOR, Family,
                      Ruled, from_dict, reject_unknown_keys, ruled, to_dict)
 
@@ -368,7 +368,7 @@ def make_ground_truth(scene: Scene, rig: StereoRig) -> GroundTruth:
 
     c1 = rig.pose.camera1_center
     seg = pts - c1
-    dist1 = np.linalg.norm(seg, axis=-1)
+    dist1 = vector_norm(seg)
     dirs1 = seg / np.maximum(dist1, 1e-300)[..., None]
     t_hit, _ = scene.nearest(c1, dirs1)
     unoccluded = np.abs(t_hit - dist1) <= _OCCLUSION_TOL * np.maximum(dist1, 1.0)

@@ -10,6 +10,7 @@ cannot drift from the code.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -116,8 +117,12 @@ def generate_walkthrough(out_dir) -> Path:
     params = solver.SolverParams(warp_iters=4, pyramid_levels=1)
     tens = solver.edge_tensor(i0, mask, params)
     _save(out, "tensor_across_edge_weight", tens[:, :, 0], mask)
-    iu, iu_ok = solver.image_derivative_along(traj, i1c, mask)
-    _save(out, "image_derivative", iu, iu_ok)
+    # I_u at the zero warp: the first warp iteration's record, as the solver
+    # linearizes it.
+    records = []
+    solver.solve_level(i0, i1c, traj, traj_ok, replace(params, warp_iters=1), mask,
+                       np.zeros(i0.shape), np.zeros(i0.shape + (2,)), records.append)
+    _save(out, "image_derivative", records[0].iu, records[0].data_ok)
     rho0 = np.where(mask, i1c - i0, 0.0)
     _save(out, "residual_initial", rho0, mask)
     lines += [

@@ -10,12 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from fisheyestereo import evaluate, fields
+from fisheyestereo import evaluate, fields, kernels
 from fisheyestereo.camera import RelativePose, StereoRig, UnifiedCamera, triangulate_midpoint
 from fisheyestereo.fields import (depth_swept_curve, generate_trajectory_field,
                                   trace_epipolar_curves, translation_only_rig)
 from fisheyestereo.rasters import divergence, gradient
-from fisheyestereo.solver import SolverParams, solve_pyramid, thresholding_step
+from fisheyestereo.solver import SolverParams, solve_pyramid
 from fisheyestereo.synth import (Plane, Scene, Sphere, ValueNoise, default_rig,
                                  default_scene, make_ground_truth, pinhole_rig,
                                  render)
@@ -65,10 +65,29 @@ def solve_grid(default_setup):
     return results
 
 
+def _compiled_resolvent(u_hat, rho, iu, tau, lam):
+    """The data term's closed-form step as the compiled cycle takes it, on a
+    1 x n level of float32 draws.
+
+    With T = 0, zero duals and v, and u_step = 0, one cycle moves u only
+    by that step, from u_hat = u with u_omega = u, so the linearized residual
+    is rho. Its weight enters as tau_u = tau * lam with lam = 1.
+    """
+    n = u_hat.size
+    zero = np.zeros((1, n), np.float32)
+    operator = [zero] * 8 + [(tau * lam)[None], np.ones((1, n), np.float32)]
+    u = u_hat[None]
+    v, q = np.zeros((2, 1, n), np.float32), np.zeros((4, 1, n), np.float32)
+    # scale 1: no projection acts on zero duals.
+    out = kernels.primal_dual_cycle((u, v, v, q, u, v), operator, (iu[None], rho[None], u),
+                                    1.0, 1.0, 1.0, 1.0)
+    return out[0][0]
+
+
 def test_criterion_01_resolvent_oracle():
     # Brute-force grid minimization of the proximal objective, step 1e-4:
-    # the closed form must never lose by more than 1e-6 in objective value
-    # and must sit within the grid's resolution of the best grid point.
+    # the compiled closed form must never lose by more than 1e-6 in objective
+    # value and must sit within the grid's resolution of the best grid point.
     rng = np.random.default_rng(42)
     n = 10_000
     tau = rng.uniform(0.02, 1.0, n)
@@ -77,9 +96,13 @@ def test_criterion_01_resolvent_oracle():
     iu[rng.random(n) < 0.01] = 0.0
     rho = rng.uniform(-2.0, 2.0, n)
     u_hat = rng.uniform(-1.0, 1.0, n)
+    # The cycle runs in float32: it takes the draws rounded to float32, and
+    # the objective is evaluated in float64 on those rounded values.
+    draws = [a.astype(np.float32) for a in (u_hat, rho, iu, tau, lam)]
+    u_hat, rho, iu, tau, lam = (a.astype(np.float64) for a in draws)
 
     t0 = time.perf_counter()
-    u_closed = thresholding_step(u_hat, rho, iu, tau, lam)
+    u_closed = _compiled_resolvent(*draws).astype(np.float64)
 
     # The minimizer lies within tau*lam*|iu| of u_hat in every case, so the
     # search radius adapts per draw; sorting groups draws of similar radius.

@@ -24,6 +24,7 @@ def test_cache_hit_runs_no_compiler(tmp_path, monkeypatch):
     lib = kernels.load(tmp_path)
     assert lib.sample_bicubic.argtypes is not None
     assert lib.pd_cycle.argtypes is not None
+    assert lib.warp_step.argtypes is not None
 
 
 def test_cache_key_follows_source_and_flags():

@@ -8,8 +8,8 @@ from fisheyestereo.camera import (PinholeCamera, PolynomialFisheyeCamera, Relati
                                   StereoRig, UnifiedCamera)
 from fisheyestereo.evaluate import erroneous_percentage
 from fisheyestereo.fields import (compose_with_calibration, generate_calibration_field,
-                                  translation_only_rig)
-from fisheyestereo import solver
+                                  translation_only_rig, unit_directions)
+from fisheyestereo import kernels, solver
 from fisheyestereo.rasters import (backward_divergence, build_pyramid, edge_indicators,
                                    forward_difference, gradient, pixel_grid, sample_bicubic,
                                    smooth_masked, upsample_state, warp_image)
@@ -147,8 +147,9 @@ def test_image_derivative_matches_curve_profile():
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 12), w=st.integers(1, 12))
 def test_image_derivative_never_reads_off_valid(seed, h, w):
-    # solve_level hands over the sampler's i1w, NaN off valid, unzeroed, and
-    # relies on a zero direction giving an exact +0 derivative.
+    # The warp step (and `_numpy_warp_step`, its reference) hands over the
+    # sampler's i1w, NaN off valid, unzeroed, and relies on a zero direction
+    # giving an exact +0 derivative.
     rng = np.random.default_rng(seed)
     valid = rng.random((h, w)) < rng.choice([0.5, 0.9, 1.0])
     angle = rng.uniform(0.0, 2.0 * np.pi, (h, w))
@@ -482,6 +483,159 @@ def test_pd_cycle_matches_references_on_long_rows(density, h, w):
     _assert_matches_references(*_random_cycle(rng, h, w, np.float32, density), np.float32)
 
 
+def test_compiled_adjoint_matches_level_operator():
+    # With u = u_bar = v = v_bar = 0, p_step = 0, u_step = tau_v = 1,
+    # alpha0 = alpha1 = 1 and iu = 0, one cycle keeps duals inside the unit
+    # ball as they are and returns u = div(T p) and v = div q + p, that is
+    # minus K*(p, q). Quarter-integer tensors and eighth-integer duals make
+    # every operation exact, so it equals K^T (p, q) built column by column
+    # from `LevelOperator.apply`.
+    rng = np.random.default_rng(11)
+    for h, w in [(1, 1), (1, 6), (5, 1), (5, 7), (6, 6)]:
+        mask = rng.random((h, w)) < 0.8
+        t = rng.integers(-4, 5, size=(h, w, 3)) / 4.0
+        ex, ey = edge_indicators(mask)
+        zero, one = np.zeros((h, w)), np.ones((h, w))
+        op = LevelOperator(ex=ex, ey=ey, a_ex=t[..., 0] * ex, b_ex=t[..., 1] * ex,
+                           b_ey=t[..., 1] * ey, c_ey=t[..., 2] * ey, p_step=zero,
+                           u_step=one, tau_u=one, tau_v=one)
+        p = rng.integers(-3, 4, size=(2, h, w)) / 8.0
+        q = rng.integers(-3, 4, size=(4, h, w)) / 8.0
+
+        def adjoint(u, v):
+            kp, kq = op.apply(u, v)
+            return float(np.sum(kp * p) + np.sum(kq * q))
+
+        basis = np.eye(3 * h * w)
+        want_u = [adjoint(e[:h * w].reshape(h, w), e[h * w:].reshape(2, h, w))
+                  for e in basis[:h * w]]
+        want_v = [adjoint(e[:h * w].reshape(h, w), e[h * w:].reshape(2, h, w))
+                  for e in basis[h * w:]]
+
+        u0, v0 = np.zeros((h, w), np.float32), np.zeros((2, h, w), np.float32)
+        p32, q32 = p.astype(np.float32), q.astype(np.float32)
+        u, v, p_out, q_out, _, _ = kernels.primal_dual_cycle(
+            (u0, v0, p32, q32, u0, v0), [a.astype(np.float32) for a in vars(op).values()],
+            (u0, u0, u0), 1.0, 1.0, 1.0, solver._PROJECTION_SCALE)
+        assert np.array_equal(p_out, p32) and np.array_equal(q_out, q32)
+        assert np.array_equal(-u, np.reshape(want_u, (h, w)))
+        assert np.array_equal(-v, np.reshape(want_v, (2, h, w)))
+
+
+def _max_norm(x):
+    """Largest channel norm of a channel-first dual, in float64."""
+    x = x.astype(np.float64)
+    s = x[0] * x[0]
+    for c in x[1:]:
+        s += c * c
+    return float(np.max(np.sqrt(s), initial=0.0))
+
+
+def _numpy_warp_step(i0, i1, traj, traj_valid, mask, op, params, u, w, v, p, q):
+    """One warp iteration as `solve_level` ran it before the warp step was
+    compiled, with the NumPy cycle (`_numpy_cycle`). Returns (u, w, v, p, q,
+    du, dirs, iu, data_ok, max_p_norm, max_q_norm)."""
+    (i1w, warp_ok), (dirs, dir_ok) = kernels.sample_bicubic(
+        ((i1, mask), (traj, traj_valid)), pixel_grid(*mask.shape) + w)
+    dirs, dir_ok = unit_directions(dirs, dir_ok & mask)
+    iu, iu_ok = image_derivative_along(dirs, i1w, warp_ok & mask)
+    data_ok = iu_ok & dir_ok
+    iu = iu.astype(np.float32)
+    rho0 = np.where(data_ok, i1w - i0, 0.0).astype(np.float32)
+    u32 = u.astype(np.float32)
+    state = SolverState(u=u32, v=v, p=p, q=q, u_bar=u32, v_bar=v)
+    max_p = max_q = 0.0
+    for _ in range(params.pd_iters):
+        state = _numpy_cycle(state, op, iu, rho0, u32, params)
+        max_p = max(max_p, _max_norm(state.p))
+        max_q = max(max_q, _max_norm(state.q))
+    du = np.where(mask, np.clip((state.u - u32).astype(np.float64),
+                                -params.du_max, params.du_max), 0.0)
+    return (u + du, w + du[..., None] * dirs, state.v, state.p, state.q, du, dirs, iu,
+            data_ok, max_p, max_q)
+
+
+def _signed_zeros(rng, x, frac=0.3):
+    zero = rng.random(x.shape) < frac
+    x[zero] = np.where(rng.random(x.shape) < 0.5, 0.0, -0.0)[zero]
+    return x
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), h=st.integers(0, 7).map(lambda k: 2 * k + 1),
+       w=st.integers(0, 7).map(lambda k: 2 * k + 1), pd_iters=st.sampled_from([1, 3, 10]))
+def test_warp_step_matches_numpy_warp_step(seed, h, w, pd_iters):
+    # Masks and trajectory fields with holes give rim and empty stencils;
+    # warps up to 3 px reach past the image; directions of norm 0, under and
+    # over 0.5 test the renormalization; signed zeros everywhere.
+    rng = np.random.default_rng(seed)
+    params = SolverParams(pd_iters=pd_iters, du_max=rng.choice([0.05, 0.2, 1.0]))
+    mask = rng.random((h, w)) < rng.choice([0.5, 0.9, 1.0])
+    traj_valid = rng.random((h, w)) < rng.choice([0.5, 0.9, 1.0])
+    i0, i1 = rng.random((h, w)), rng.random((h, w))
+    angle = rng.uniform(0.0, 2.0 * np.pi, (h, w))
+    length = rng.choice([0.0, 0.3, 0.5, 1.0, 1.7], size=(h, w))
+    traj = _signed_zeros(rng, np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+                         * length[..., None])
+    u = _signed_zeros(rng, rng.normal(size=(h, w)))
+    warp = _signed_zeros(rng, rng.uniform(-3.0, 3.0, size=(h, w, 2)))
+    v, p = (_signed_zeros(rng, rng.normal(size=(2, h, w)).astype(np.float32)) for _ in range(2))
+    q = _signed_zeros(rng, rng.normal(size=(4, h, w)).astype(np.float32))
+    op = _cast_operator(precondition_steps(solver.edge_tensor(i0, mask, params), mask, params),
+                        np.float32)
+
+    want = _numpy_warp_step(i0, i1, traj, traj_valid, mask, op, params, u, warp, v, p, q)
+    level = kernels.WarpLevel(i0, i1, traj, traj_valid, mask, list(vars(op).values()),
+                              params.alpha0, params.alpha1, params.lam,
+                              solver._PROJECTION_SCALE, params.du_max, pd_iters)
+    for dual, start in zip(level.duals, (v, p, q)):
+        dual[...] = start
+    u_out, w_out = u.copy(), warp.copy()
+    du, dirs, iu, data_ok, max_p, max_q = level.step(u_out, w_out, observe=True)
+    got = (u_out, w_out, *level.duals, du, dirs, iu, data_ok)
+    names = ("u", "w", "v", "p", "q", "du", "dirs", "iu", "data_ok")
+    for name, a, b in zip(names, got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert np.float64(max_p).tobytes() == np.float64(want[-2]).tobytes()
+    assert np.float64(max_q).tobytes() == np.float64(want[-1]).tobytes()
+
+
+def test_warp_level_rejects_mismatched_arrays():
+    # The warp step reads raw pointers: the level converts its images and
+    # masks, then checks every shape; the operator and the state must match.
+    h, w = 6, 5
+    mask = np.ones((h, w), dtype=bool)
+    image, traj = np.zeros((h, w)), np.zeros((h, w, 2))
+    op = [np.zeros((h, w), np.float32)] * 10
+    args = dict(i0=image, i1=image, traj_dirs=traj, traj_valid=mask, mask=mask, operator=op,
+                alpha0=1.0, alpha1=1.0, lam=1.0, scale=1.0, du_max=0.2, pd_iters=2)
+    level = kernels.WarpLevel(**args)
+    for change, message in [
+        ({"mask": mask[None]}, "mask must be \\(H, W\\)"),
+        ({"i1": image[:, :4]}, "i1 must have shape \\(6, 5\\)"),
+        ({"traj_dirs": image}, "traj_dirs must have shape \\(6, 5, 2\\)"),
+        ({"traj_valid": mask.T}, "traj_valid must have shape \\(6, 5\\)"),
+        ({"operator": op[:9]}, "expected 10 operator arrays"),
+        ({"operator": op[:9] + [op[0].astype(np.float64)]}, "operator array 9 .* float32"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            kernels.WarpLevel(**{**args, **change})
+    u, wv = np.zeros((h, w)), np.zeros((h, w, 2))
+    for bad_u, bad_w, message in [
+        (u.astype(np.float32), wv, "u must be .* float64"),
+        (u, wv[:, :, :1], "w must be .* shape \\(6, 5, 2\\)"),
+        (np.asfortranarray(u), wv, "u must be .* non-contiguous"),
+        (np.broadcast_to(0.0, (h, w)), wv, "u must be"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            level.step(bad_u, bad_w)
+    read_only = u.copy()
+    read_only.flags.writeable = False
+    with pytest.raises(ValueError, match="writeable"):
+        level.step(read_only, wv)
+
+
 def test_cycle_rejects_wrong_shapes_and_mixed_dtypes():
     # The compiled cycle reads raw pointers: every array is checked first.
     rng = np.random.default_rng(9)
@@ -642,20 +796,43 @@ def test_solve_level_never_writes_its_inputs():
 
 def test_solve_level_cycles_in_float32_and_returns_float64(monkeypatch):
     i0, i1, _, mask, dirs = _rectified_setup(24, 32, lambda g: np.full(g.shape[:2], 1.0))
-    seen = []
+    levels = []
 
-    def iterate(state, op, iu, rho0, u_omega, params):
-        arrays = [*vars(state).values(), *vars(op).values(), iu, rho0, u_omega]
-        seen.extend(np.asarray(a).dtype for a in arrays)
-        return primal_dual_iterate(state, op, iu, rho0, u_omega, params)
+    class Level(kernels.WarpLevel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            levels.append((args[5], self))
 
-    monkeypatch.setattr(solver, "primal_dual_iterate", iterate)
+    monkeypatch.setattr(kernels, "WarpLevel", Level)
     records = []
     u, w, v = solve_level(i0, i1, dirs, mask, SolverParams(warp_iters=2, pyramid_levels=1),
                           mask, np.zeros((24, 32)), np.zeros((24, 32, 2)), records.append)
-    assert seen and set(seen) == {np.dtype(np.float32)}
+    ((operator, level),) = levels
+    cycle = [*operator, *level.states[0], *level.states[1], level.iu]
+    assert {a.dtype for a in cycle} == {np.dtype(np.float32)}
     assert u.dtype == w.dtype == v.dtype == np.float64
     assert all(rec.du.dtype == rec.dirs.dtype == np.float64 for rec in records)
+    assert all(rec.iu.dtype == np.float32 for rec in records)
+
+
+def test_solve_level_makes_one_compiled_call_per_warp(monkeypatch):
+    # The level is set up once (the tap-count maps of the mask and of the
+    # trajectory field's valid map); then each warp iteration is one call.
+    lib = kernels._library()
+    calls = []
+
+    class Counting:
+        def __getattr__(self, name):
+            def call(*args):
+                calls.append(name)
+                return getattr(lib, name)(*args)
+            return call
+
+    monkeypatch.setattr(kernels, "_library", Counting)
+    i0, i1, _, mask, dirs = _rectified_setup(24, 32, lambda g: np.full(g.shape[:2], 1.0))
+    solve_level(i0, i1, dirs, mask, SolverParams(warp_iters=3, pyramid_levels=1), mask,
+                np.zeros((24, 32)), np.zeros((24, 32, 2)))
+    assert calls == ["tap_counts"] * 2 + ["warp_step"] * 3
 
 
 def test_solve_level_step_edge_vs_exhaustive_search():
