@@ -10,9 +10,26 @@
  * -ffp-contract=off (no fused multiply-add) and rules out -ffast-math.
  * The cycle runs in float, the precision the solver casts its levels to;
  * the sampler, and the warp step around its cycles, in double.
+ *
+ * The warp step splits its level into row bands, one per thread: two
+ * bands when the calling thread may run on two CPUs or more
+ * (sched_getaffinity), else one. The caller's thread runs the top band and
+ * one POSIX thread, created and joined in the same call, the bottom one.
+ * Every pixel's arithmetic is the same in either band, so the results do
+ * not depend on the split. The bands wait for each other at a barrier
+ * wherever one reads rows the other wrote: after the first sampling pass
+ * (the tap counts of `valid` read rows up to 4 away), after the tap counts
+ * (the I_u pass samples i1w two rows away), inside each cycle (the primal
+ * step of a band's first row needs the new p and q of the row above) and
+ * at the end of each cycle. With one band no barrier runs. The worker
+ * thread allocates nothing: a thread that calls malloc gets its own heap
+ * arena, which costs megabytes of resident memory.
  */
 
+#define _GNU_SOURCE /* sched_getaffinity and CPU_COUNT */
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
 #include <stddef.h>
 #include <stdint.h>
 
@@ -140,46 +157,49 @@ ALWAYS_INLINE int sample_at(const struct stencil *s, const double *f, ptrdiff_t 
     return count > 0;
 }
 
-/* The map of an (h, w) mask's taps per stencil floor: entry
- * [iy + 3][ix + 3] counts the in-image, in-mask taps of the 4x4 stencil
- * whose floor is (ix, iy), for ix in [-3, w + 1] and iy in [-3, h + 1]. The
- * outer ring of floors has no tap in the image, nor has any floor beyond
- * it. `rows` is (h + 5, w) scratch for the sums of four vertical taps. */
-void tap_counts(ptrdiff_t h, ptrdiff_t w, const uint8_t *mask, uint8_t *rows,
-                uint8_t *counts)
+/* Rows [first, end) of the map of an (h, w) mask's taps per stencil floor:
+ * entry [iy + 3][ix + 3] counts the in-image, in-mask taps of the 4x4
+ * stencil whose floor is (ix, iy), for ix in [-3, w + 1] and iy in
+ * [-3, h + 1]. The outer ring of floors has no tap in the image, nor has any
+ * floor beyond it. `rows` is (h + 5, w) scratch for the sums of four
+ * vertical taps. Row i of either map reads mask rows i - 4 to i - 1 only. */
+static void tap_count_rows(ptrdiff_t h, ptrdiff_t w, const uint8_t *mask, uint8_t *rows,
+                           uint8_t *counts, ptrdiff_t first, ptrdiff_t end)
 {
-    for (ptrdiff_t i = 0; i < h + 5; i++)
+    for (ptrdiff_t i = first; i < end; i++) {
         for (ptrdiff_t x = 0; x < w; x++) {
             uint8_t n = 0;
             for (ptrdiff_t r = i - 4; r < i; r++)
                 n += r >= 0 && r < h ? mask[r * w + x] : 0;
             rows[i * w + x] = n;
         }
-    for (ptrdiff_t i = 0; i < h + 5; i++)
         for (ptrdiff_t j = 0; j < w + 5; j++) {
             uint8_t n = 0;
             for (ptrdiff_t x = j - 4; x < j; x++)
                 n += x >= 0 && x < w ? rows[i * w + x] : 0;
             counts[i * (w + 5) + j] = n;
         }
+    }
 }
 
-/* Sample each of `pairs` (field, mask) at the n positions xy (x, y
- * interleaved). Field s is (h, w, channels[s]) and counts[s] is the
- * (h + 5, w + 5) map of its mask's valid taps per stencil floor
- * (`tap_counts`). values[s] is (n, channels[s]); valid[s] is (n,). */
+/* The whole (h + 5, w + 5) tap-count map of an (h, w) mask. */
+void tap_counts(ptrdiff_t h, ptrdiff_t w, const uint8_t *mask, uint8_t *rows,
+                uint8_t *counts)
+{
+    tap_count_rows(h, w, mask, rows, counts, 0, h + 5);
+}
+
+/* Sample an (h, w, nc) field under its mask at the n positions xy (x, y
+ * interleaved). `counts` is the (h + 5, w + 5) map of the mask's valid taps
+ * per stencil floor (`tap_counts`); values is (n, nc) and valid (n,). */
 void sample_bicubic(ptrdiff_t n, const double *xy, ptrdiff_t h, ptrdiff_t w,
-                    ptrdiff_t pairs, const double *const *fields,
-                    const ptrdiff_t *channels, const uint8_t *const *masks,
-                    const uint8_t *const *counts, double *const *values,
-                    uint8_t *const *valid)
+                    const double *field, ptrdiff_t nc, const uint8_t *mask,
+                    const uint8_t *counts, double *values, uint8_t *valid)
 {
     for (ptrdiff_t k = 0; k < n; k++) {
         struct stencil st;
         locate(xy[2 * k], xy[2 * k + 1], h, w, &st);
-        for (ptrdiff_t s = 0; s < pairs; s++)
-            valid[s][k] = sample_at(&st, fields[s], channels[s], masks[s], counts[s], h, w,
-                                    values[s] + k * channels[s]);
+        valid[k] = sample_at(&st, field, nc, mask, counts, h, w, values + k * nc);
     }
 }
 
@@ -193,6 +213,30 @@ struct cycle {
     float *ub_out, *vb0_out, *vb1_out;
     float alpha0, alpha1, lam, scale;
 };
+
+/* The cycle of an (h, w) level from `in` to `out`. `in` holds u, v, p, q,
+ * u_bar, v_bar, then the operator's ex, ey, a_ex, b_ex, b_ey, c_ey, p_step,
+ * u_step, tau_u, tau_v, then iu, rho0, u_omega; `out` the new u, v, p, q,
+ * u_bar, v_bar, none of them overlapping an input. */
+static struct cycle cycle_of(ptrdiff_t h, ptrdiff_t w, const float *const *in,
+                             float *const *out, float alpha0, float alpha1, float lam,
+                             float scale)
+{
+    const ptrdiff_t hw = h * w;
+    return (struct cycle){
+        .w = w, .u = in[0], .v0 = in[1], .v1 = in[1] + hw, .p0 = in[2], .p1 = in[2] + hw,
+        .q0 = in[3], .q1 = in[3] + hw, .q2 = in[3] + 2 * hw, .q3 = in[3] + 3 * hw,
+        .ub = in[4], .vb0 = in[5], .vb1 = in[5] + hw,
+        .ex = in[6], .ey = in[7], .a_ex = in[8], .b_ex = in[9], .b_ey = in[10],
+        .c_ey = in[11], .p_step = in[12], .u_step = in[13], .tau_u = in[14],
+        .tau_v = in[15], .iu = in[16], .rho0 = in[17], .u_omega = in[18],
+        .u_out = out[0], .v0_out = out[1], .v1_out = out[1] + hw, .p0_out = out[2],
+        .p1_out = out[2] + hw, .q0_out = out[3], .q1_out = out[3] + hw,
+        .q2_out = out[3] + 2 * hw, .q3_out = out[3] + 3 * hw, .ub_out = out[4],
+        .vb0_out = out[5], .vb1_out = out[5] + hw,
+        .alpha0 = alpha0, .alpha1 = alpha1, .lam = lam, .scale = scale,
+    };
+}
 
 /* Scale (x0, x1) or (x0..x3) back into the unit ball: the norm, inflated by
  * `scale`, divides where it exceeds 1 (and NaN stays NaN, as np.maximum
@@ -286,67 +330,84 @@ ALWAYS_INLINE void primal_px(const struct cycle *c, ptrdiff_t k, int has_left, i
     v_px(c, k, has_left, has_up, c->q2_out, c->q3_out, p1, c->v1, c->v1_out, c->vb1_out);
 }
 
-/* One cycle on an (h, w) level. `in` holds u, v, p, q, u_bar, v_bar, then
- * the operator's ex, ey, a_ex, b_ex, b_ey, c_ey, p_step, u_step, tau_u,
- * tau_v, then iu, rho0, u_omega; `out` the new u, v, p, q, u_bar, v_bar,
- * none of them overlapping an input. Row by row, the dual loop runs over
- * the row, then the primal loop, which needs the new p and q of this row
- * and the one above. The rows' first or last pixels are peeled, so the
- * inner loops have no branch. As no output overlaps an input, no loop
- * carries a dependence: `ivdep` says so, and gcc vectorizes the loops
- * without checking 37 pointers for overlap at run time. */
-void pd_cycle(ptrdiff_t h, ptrdiff_t w, const float *const *in, float *const *out,
-              float alpha0, float alpha1, float lam, float scale)
+/* The dual step on row r of an h-row level. The row's last pixel is peeled,
+ * so the inner loop has no branch. */
+ALWAYS_INLINE void dual_row(const struct cycle *c, ptrdiff_t h, ptrdiff_t r)
 {
-    if (h <= 0 || w <= 0)
-        return;
-    const ptrdiff_t hw = h * w;
-    const struct cycle c = {
-        .w = w, .u = in[0], .v0 = in[1], .v1 = in[1] + hw, .p0 = in[2], .p1 = in[2] + hw,
-        .q0 = in[3], .q1 = in[3] + hw, .q2 = in[3] + 2 * hw, .q3 = in[3] + 3 * hw,
-        .ub = in[4], .vb0 = in[5], .vb1 = in[5] + hw,
-        .ex = in[6], .ey = in[7], .a_ex = in[8], .b_ex = in[9], .b_ey = in[10],
-        .c_ey = in[11], .p_step = in[12], .u_step = in[13], .tau_u = in[14],
-        .tau_v = in[15], .iu = in[16], .rho0 = in[17], .u_omega = in[18],
-        .u_out = out[0], .v0_out = out[1], .v1_out = out[1] + hw, .p0_out = out[2],
-        .p1_out = out[2] + hw, .q0_out = out[3], .q1_out = out[3] + hw,
-        .q2_out = out[3] + 2 * hw, .q3_out = out[3] + 3 * hw, .ub_out = out[4],
-        .vb0_out = out[5], .vb1_out = out[5] + hw,
-        .alpha0 = alpha0, .alpha1 = alpha1, .lam = lam, .scale = scale,
-    };
-    for (ptrdiff_t r = 0; r < hw; r += w) {
-        const ptrdiff_t last = r + w - 1;
-        if (r + w < hw) {
+    const ptrdiff_t first = r * c->w, last = first + c->w - 1;
+    if (r + 1 < h) {
 #pragma GCC ivdep
-            for (ptrdiff_t k = r; k < last; k++)
-                dual_px(&c, k, 1, 1);
-            dual_px(&c, last, 0, 1);
-        } else {
+        for (ptrdiff_t k = first; k < last; k++)
+            dual_px(c, k, 1, 1);
+        dual_px(c, last, 0, 1);
+    } else {
 #pragma GCC ivdep
-            for (ptrdiff_t k = r; k < last; k++)
-                dual_px(&c, k, 1, 0);
-            dual_px(&c, last, 0, 0);
-        }
-        if (r > 0) {
-            primal_px(&c, r, 0, 1);
-#pragma GCC ivdep
-            for (ptrdiff_t k = r + 1; k <= last; k++)
-                primal_px(&c, k, 1, 1);
-        } else {
-            primal_px(&c, r, 0, 0);
-#pragma GCC ivdep
-            for (ptrdiff_t k = r + 1; k <= last; k++)
-                primal_px(&c, k, 1, 0);
-        }
+        for (ptrdiff_t k = first; k < last; k++)
+            dual_px(c, k, 1, 0);
+        dual_px(c, last, 0, 0);
     }
 }
 
-/* The largest float64 norm over the pixels of an (nc, hw) channel-first
- * dual, as np.max(..., initial=0.0): NaN once any norm is NaN. */
-static double max_norm(const float *x, ptrdiff_t nc, ptrdiff_t hw)
+/* The primal steps on row r, from the new p and q of rows r and r - 1. The
+ * row's first pixel is peeled, so the inner loop has no branch. */
+ALWAYS_INLINE void primal_row(const struct cycle *c, ptrdiff_t r)
+{
+    const ptrdiff_t first = r * c->w, last = first + c->w - 1;
+    if (r > 0) {
+        primal_px(c, first, 0, 1);
+#pragma GCC ivdep
+        for (ptrdiff_t k = first + 1; k <= last; k++)
+            primal_px(c, k, 1, 1);
+    } else {
+        primal_px(c, first, 0, 0);
+#pragma GCC ivdep
+        for (ptrdiff_t k = first + 1; k <= last; k++)
+            primal_px(c, k, 1, 0);
+    }
+}
+
+/* Wait for the other bands of a warp step; no barrier means one band. */
+static void await_bands(pthread_barrier_t *barrier)
+{
+    if (barrier)
+        pthread_barrier_wait(barrier);
+}
+
+/* Rows [r0, r1) of cycle c on an h-row level. Row by row, the dual step runs
+ * over the row, then the primal step, which needs the new p and q of this
+ * row and the one above. The last row's dual step runs first, before the
+ * barrier, so that the band below finds the row above its first. As no
+ * output overlaps an input, no loop carries a dependence: `ivdep` says so,
+ * and gcc vectorizes the loops without checking 37 pointers for overlap at
+ * run time. c is a copy, which no store can alias. */
+static void cycle_rows(struct cycle c, ptrdiff_t h, ptrdiff_t r0, ptrdiff_t r1,
+                       pthread_barrier_t *barrier)
+{
+    const int rows = r0 < r1 && c.w > 0;
+    if (rows)
+        dual_row(&c, h, r1 - 1);
+    await_bands(barrier);
+    for (ptrdiff_t r = r0; rows && r < r1; r++) {
+        if (r < r1 - 1)
+            dual_row(&c, h, r);
+        primal_row(&c, r);
+    }
+}
+
+/* One cycle on an (h, w) level; `cycle_of` says what `in` and `out` hold. */
+void pd_cycle(ptrdiff_t h, ptrdiff_t w, const float *const *in, float *const *out,
+              float alpha0, float alpha1, float lam, float scale)
+{
+    cycle_rows(cycle_of(h, w, in, out, alpha0, alpha1, lam, scale), h, 0, h, NULL);
+}
+
+/* The largest float64 norm over pixels [first, end) of an (nc, hw)
+ * channel-first dual, as np.max(..., initial=0.0): NaN once any norm is NaN. */
+static double max_norm(const float *x, ptrdiff_t nc, ptrdiff_t hw, ptrdiff_t first,
+                       ptrdiff_t end)
 {
     double m = 0.0;
-    for (ptrdiff_t k = 0; k < hw; k++) {
+    for (ptrdiff_t k = first; k < end; k++) {
         double s = (double)x[k] * (double)x[k];
         for (ptrdiff_t ch = 1; ch < nc; ch++)
             s += (double)x[ch * hw + k] * (double)x[ch * hw + k];
@@ -366,6 +427,143 @@ enum {
     L_STATES /* two sets of u, v, p, q, u_bar, v_bar */
 };
 
+#define MAX_BANDS 2
+
+/* One warp_step call, shared by its bands. */
+struct warp {
+    ptrdiff_t h, w, pd_iters, cur, bands;
+    void *const *level;
+    double *u, *wv, *du, *dirs;
+    int observe;
+    float alpha0, alpha1, lam, scale;
+    double du_max;
+    pthread_barrier_t *barrier; /* NULL with one band */
+    /* Each band's largest norms of p and q in a cycle, by the cycle's parity:
+     * a band writes the slot of cycle it + 2 only after the barrier that ends
+     * cycle it + 1, which every band passes after it read the slots of it. */
+    double cycle_norms[MAX_BANDS][2][2];
+};
+
+/* One band of a warp_step call, and what it leaves: the state set that holds
+ * the duals after the warp, and the largest norms of p and q over the
+ * cycles, which every band computes alike. */
+struct band {
+    struct warp *warp;
+    ptrdiff_t index, cur;
+    double norms[2];
+};
+
+/* The warp step on the band's rows [h * index / bands, h * (index + 1) /
+ * bands); see warp_step for the steps. */
+static void *run_band(void *arg)
+{
+    struct band *b = arg;
+    struct warp *wp = b->warp;
+    const ptrdiff_t h = wp->h, w = wp->w, hw = h * w, bands = wp->bands;
+    const ptrdiff_t r0 = h * b->index / bands, r1 = h * (b->index + 1) / bands;
+    const ptrdiff_t first = r0 * w, end = r1 * w;
+    void *const *level = wp->level;
+    const double *i0 = level[L_I0], *i1 = level[L_I1], *traj = level[L_TRAJ];
+    const uint8_t *mask = level[L_MASK], *traj_valid = level[L_TRAJ_VALID];
+    const uint8_t *mask_counts = level[L_MASK_COUNTS];
+    const uint8_t *traj_counts = level[L_TRAJ_COUNTS];
+    double *i1w = level[L_I1W];
+    uint8_t *valid = level[L_VALID], *valid_counts = level[L_VALID_COUNTS];
+    uint8_t *data_ok = level[L_DATA_OK];
+    float *iu = level[L_IU], *rho0 = level[L_RHO0], *u32 = level[L_U32];
+    double *u = wp->u, *wv = wp->wv, *du = wp->du, *dirs = wp->dirs;
+    const double du_max = wp->du_max;
+
+    for (ptrdiff_t k = first; k < end; k++) {
+        struct stencil st;
+        double d[2];
+        locate((double)(k % w) + wv[2 * k], (double)(k / w) + wv[2 * k + 1], h, w, &st);
+        valid[k] = sample_at(&st, i1, 1, mask, mask_counts, h, w, i1w + k) && mask[k];
+        const int sampled = sample_at(&st, traj, 2, traj_valid, traj_counts, h, w, d);
+        const double norm = sqrt(d[0] * d[0] + d[1] * d[1]);
+        /* dir_ok, until step 2 makes it data_ok */
+        data_ok[k] = sampled && mask[k] && norm > 0.5;
+        dirs[2 * k] = data_ok[k] ? d[0] / norm : 0.0;
+        dirs[2 * k + 1] = data_ok[k] ? d[1] / norm : 0.0;
+        u32[k] = (float)u[k];
+    }
+    await_bands(wp->barrier);
+    tap_count_rows(h, w, valid, level[L_VALID_ROWS], valid_counts,
+                   (h + 5) * b->index / bands, (h + 5) * (b->index + 1) / bands);
+    await_bands(wp->barrier);
+    for (ptrdiff_t k = first; k < end; k++) {
+        struct stencil st;
+        double ahead;
+        locate((double)(k % w) + dirs[2 * k], (double)(k / w) + dirs[2 * k + 1], h, w, &st);
+        const int ok = sample_at(&st, i1w, 1, valid, valid_counts, h, w, &ahead) && valid[k];
+        iu[k] = (float)(ok ? ahead - i1w[k] : 0.0);
+        data_ok[k] = ok && data_ok[k];
+        rho0[k] = (float)(data_ok[k] ? i1w[k] - i0[k] : 0.0);
+    }
+
+    ptrdiff_t cur = wp->cur;
+    b->norms[0] = b->norms[1] = 0.0;
+    for (ptrdiff_t it = 0; it < wp->pd_iters; it++) {
+        const float *in[19];
+        float *out[6];
+        for (int a = 0; a < 6; a++) {
+            in[a] = level[L_STATES + 6 * cur + a];
+            out[a] = level[L_STATES + 6 * (1 - cur) + a];
+        }
+        if (it == 0) {
+            in[0] = in[4] = u32;
+            in[5] = in[1];
+        }
+        for (int a = 0; a < 10; a++)
+            in[6 + a] = level[L_OPERATOR + a];
+        in[16] = iu;
+        in[17] = rho0;
+        in[18] = u32;
+        cycle_rows(cycle_of(h, w, in, out, wp->alpha0, wp->alpha1, wp->lam, wp->scale), h,
+                   r0, r1, wp->barrier);
+        cur = 1 - cur;
+        if (wp->observe) {
+            double *slot = wp->cycle_norms[b->index][it % 2];
+            slot[0] = max_norm(out[2], 2, hw, first, end);
+            slot[1] = max_norm(out[3], 4, hw, first, end);
+        }
+        await_bands(wp->barrier);
+        /* The cycle's norm over the level, as in max_norm; a NaN cycle is
+         * skipped, as Python's max skips it. */
+        for (int d = 0; wp->observe && d < 2; d++) {
+            double m = 0.0;
+            for (ptrdiff_t s = 0; s < bands; s++) {
+                const double n = wp->cycle_norms[s][it % 2][d];
+                if (n > m || isnan(n))
+                    m = n;
+            }
+            b->norms[d] = m > b->norms[d] ? m : b->norms[d];
+        }
+    }
+
+    const float *u_new = level[L_STATES + 6 * cur];
+    for (ptrdiff_t k = first; k < end; k++) {
+        double step = (double)(u_new[k] - u32[k]);
+        if (!isnan(step))
+            step = step < -du_max ? -du_max : step > du_max ? du_max : step;
+        du[k] = mask[k] ? step : 0.0;
+        u[k] = u[k] + du[k];
+        wv[2 * k] = wv[2 * k] + du[k] * dirs[2 * k];
+        wv[2 * k + 1] = wv[2 * k + 1] + du[k] * dirs[2 * k + 1];
+    }
+    b->cur = cur;
+    return NULL;
+}
+
+/* Two bands when the calling thread may run on two CPUs or more, else one. */
+static ptrdiff_t band_count(void)
+{
+    cpu_set_t cpus;
+    if (sched_getaffinity(0, sizeof cpus, &cpus) != 0)
+        return 1;
+    return CPU_COUNT(&cpus) >= MAX_BANDS ? MAX_BANDS : 1;
+}
+
 /* One warp iteration of an (h, w) level, in place on u (h, w) and wv
  * (h, w, 2), both double.
  *
@@ -382,10 +580,10 @@ enum {
  * precision:
  * 1. sample i1 (under mask) and traj (under traj_valid) at x + wv in one
  *    pass; renormalize the directions where traj's sample is valid, in the
- *    mask, and of norm above 0.5 (dir_ok), else set them to +0;
+ *    mask, and of norm above 0.5 (dir_ok), else set them to +0; u as float;
  * 2. I_u = i1w(x + dir) - i1w(x), sampled under valid = warp_ok & mask,
  *    where x and the sample ahead are valid, else +0; data_ok is that and
- *    dir_ok; rho0 = i1w - i0 on data_ok, else +0; then iu, rho0 and u as
+ *    dir_ok; rho0 = i1w - i0 on data_ok, else +0; then iu and rho0 as
  *    float;
  * 3. pd_iters cycles from (u32, v, p, q, u32, v);
  * 4. du = the cycles' u - u32 in double, clipped to +-du_max (NaN stays
@@ -394,85 +592,41 @@ enum {
  * du (h, w) and dirs (h, w, 2) receive the increment and the directions.
  * With `norms` given, norms[0] and norms[1] receive the largest float64
  * norms of p and q over the cycles, as Python's max over the cycles'
- * np.max (a NaN cycle is skipped). */
+ * np.max (a NaN cycle is skipped).
+ *
+ * Each band runs every step on its own rows (run_band); the bottom band
+ * runs on a thread of its own, joined before the call returns. Should that
+ * thread fail to start, one band runs them all. */
 ptrdiff_t warp_step(ptrdiff_t h, ptrdiff_t w, ptrdiff_t pd_iters, void *const *level,
                     ptrdiff_t cur, double *u, double *wv, double *du, double *dirs,
                     double *norms, float alpha0, float alpha1, float lam, float scale,
                     double du_max)
 {
-    const ptrdiff_t hw = h * w;
-    const double *i0 = level[L_I0], *i1 = level[L_I1], *traj = level[L_TRAJ];
-    const uint8_t *mask = level[L_MASK], *traj_valid = level[L_TRAJ_VALID];
-    const uint8_t *mask_counts = level[L_MASK_COUNTS];
-    const uint8_t *traj_counts = level[L_TRAJ_COUNTS];
-    double *i1w = level[L_I1W];
-    uint8_t *valid = level[L_VALID], *valid_counts = level[L_VALID_COUNTS];
-    uint8_t *data_ok = level[L_DATA_OK];
-    float *iu = level[L_IU], *rho0 = level[L_RHO0], *u32 = level[L_U32];
-
-    for (ptrdiff_t k = 0; k < hw; k++) {
-        struct stencil st;
-        double d[2];
-        locate((double)(k % w) + wv[2 * k], (double)(k / w) + wv[2 * k + 1], h, w, &st);
-        valid[k] = sample_at(&st, i1, 1, mask, mask_counts, h, w, i1w + k) && mask[k];
-        const int sampled = sample_at(&st, traj, 2, traj_valid, traj_counts, h, w, d);
-        const double norm = sqrt(d[0] * d[0] + d[1] * d[1]);
-        /* dir_ok, until step 2 makes it data_ok */
-        data_ok[k] = sampled && mask[k] && norm > 0.5;
-        dirs[2 * k] = data_ok[k] ? d[0] / norm : 0.0;
-        dirs[2 * k + 1] = data_ok[k] ? d[1] / norm : 0.0;
+    struct warp wp = {
+        .h = h, .w = w, .pd_iters = pd_iters, .cur = cur, .bands = band_count(),
+        .level = level, .u = u, .wv = wv, .du = du, .dirs = dirs, .observe = norms != NULL,
+        .alpha0 = alpha0, .alpha1 = alpha1, .lam = lam, .scale = scale, .du_max = du_max,
+    };
+    struct band bands[MAX_BANDS] = {{.warp = &wp, .index = 0}, {.warp = &wp, .index = 1}};
+    pthread_barrier_t barrier;
+    pthread_t worker;
+    if (wp.bands > 1 && pthread_barrier_init(&barrier, NULL, MAX_BANDS) == 0) {
+        wp.barrier = &barrier;
+        if (pthread_create(&worker, NULL, run_band, &bands[1]) != 0) {
+            pthread_barrier_destroy(&barrier);
+            wp.barrier = NULL;
+        }
     }
-    tap_counts(h, w, valid, level[L_VALID_ROWS], valid_counts);
-    for (ptrdiff_t k = 0; k < hw; k++) {
-        struct stencil st;
-        double ahead;
-        locate((double)(k % w) + dirs[2 * k], (double)(k / w) + dirs[2 * k + 1], h, w, &st);
-        const int ok = sample_at(&st, i1w, 1, valid, valid_counts, h, w, &ahead) && valid[k];
-        iu[k] = (float)(ok ? ahead - i1w[k] : 0.0);
-        data_ok[k] = ok && data_ok[k];
-        rho0[k] = (float)(data_ok[k] ? i1w[k] - i0[k] : 0.0);
-        u32[k] = (float)u[k];
-    }
-
-    double max_p = 0.0, max_q = 0.0;
-    for (ptrdiff_t it = 0; it < pd_iters; it++) {
-        const float *in[19];
-        float *out[6];
-        for (int a = 0; a < 6; a++) {
-            in[a] = level[L_STATES + 6 * cur + a];
-            out[a] = level[L_STATES + 6 * (1 - cur) + a];
-        }
-        if (it == 0) {
-            in[0] = in[4] = u32;
-            in[5] = in[1];
-        }
-        for (int a = 0; a < 10; a++)
-            in[6 + a] = level[L_OPERATOR + a];
-        in[16] = iu;
-        in[17] = rho0;
-        in[18] = u32;
-        pd_cycle(h, w, in, out, alpha0, alpha1, lam, scale);
-        cur = 1 - cur;
-        if (norms) {
-            const double mp = max_norm(out[2], 2, hw), mq = max_norm(out[3], 4, hw);
-            max_p = mp > max_p ? mp : max_p;
-            max_q = mq > max_q ? mq : max_q;
-        }
+    if (!wp.barrier)
+        wp.bands = 1;
+    run_band(&bands[0]);
+    if (wp.barrier) {
+        pthread_join(worker, NULL);
+        pthread_barrier_destroy(&barrier);
     }
     if (norms) {
-        norms[0] = max_p;
-        norms[1] = max_q;
+        norms[0] = bands[0].norms[0];
+        norms[1] = bands[0].norms[1];
     }
-
-    const float *u_new = level[L_STATES + 6 * cur];
-    for (ptrdiff_t k = 0; k < hw; k++) {
-        double step = (double)(u_new[k] - u32[k]);
-        if (!isnan(step))
-            step = step < -du_max ? -du_max : step > du_max ? du_max : step;
-        du[k] = mask[k] ? step : 0.0;
-        u[k] = u[k] + du[k];
-        wv[2 * k] = wv[2 * k] + du[k] * dirs[2 * k];
-        wv[2 * k + 1] = wv[2 * k + 1] + du[k] * dirs[2 * k + 1];
-    }
-    return cur;
+    return bands[0].cur;
 }

@@ -13,6 +13,21 @@ new one. It is compiled to a temporary file and published with `os.replace`,
 so a process never loads a half-written library. Without `gcc` on `PATH`,
 the first kernel call raises `KernelCompileError`.
 
+The warp step splits the level into two row bands when the calling thread
+may run on two CPUs or more (`sched_getaffinity`), else it keeps one. The
+caller's thread runs the top band and a POSIX thread, started and joined
+within the call, the bottom one; ctypes releases the GIL meanwhile. Each
+band does its own rows of every step: the first sampling pass, the I_u
+pass, each cycle, and the clip and accumulation. The bands wait at a
+barrier where one reads the other's rows: after the first pass (the tap
+counts of the warped image's valid map read rows up to 4 away), after the
+tap counts (the I_u pass reads two rows away), inside each cycle (the
+primal step of a band's first row needs the new duals of the row above)
+and at the end of each cycle. Each band takes the largest dual norms of
+its rows per cycle; a cycle's norm is NaN if a band's is, else their
+maximum. Every pixel's arithmetic is the same in either band, so the
+results do not depend on the number of bands.
+
 The flags, and why each is there:
 
 * `-O3` vectorizes the cycle's row loops;
@@ -23,10 +38,13 @@ The flags, and why each is there:
   blends do; without it the cycle's selects (the projections and the
   thresholding step) are not vectorized;
 * `-fno-math-errno` lets `sqrt` compile to one instruction, since it need
-  not set `errno`.
+  not set `errno`;
+* `-pthread` compiles and links the warp step's band thread and barriers.
 
 No `-march`: the library runs on every CPU of its architecture. Never
-`-ffast-math`, which reorders sums and drops signed zeros and NaN.
+`-ffast-math`, which reorders sums and drops signed zeros and NaN. No
+OpenMP either: the OpenMP thread count follows `OMP_NUM_THREADS`, which
+callers set to 1 to keep BLAS on one thread.
 
 C never reads or writes out of bounds: the cycle rejects any array whose
 dtype, C-contiguity, alignment or shape does not match with ValueError; the
@@ -52,7 +70,7 @@ import numpy as np
 SOURCE = Path(__file__).with_name("kernels.c")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
 COMPILER = "gcc"
-FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fno-trapping-math")
+FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fno-trapping-math", "-pthread")
 
 _PTRS = ctypes.POINTER(ctypes.c_void_p)
 _SIZE = ctypes.c_ssize_t
@@ -83,8 +101,8 @@ def load(cache_dir: Path = CACHE_DIR) -> ctypes.CDLL:
         raise KernelCompileError(f"cannot load the compiled kernels {path}: {exc}") from None
     lib.pd_cycle.argtypes = [_SIZE, _SIZE, _PTRS, _PTRS] + [ctypes.c_float] * 4
     lib.pd_cycle.restype = None
-    lib.sample_bicubic.argtypes = [_SIZE, ctypes.c_void_p, _SIZE, _SIZE, _SIZE,
-                                   _PTRS, ctypes.c_void_p, _PTRS, _PTRS, _PTRS, _PTRS]
+    lib.sample_bicubic.argtypes = ([_SIZE, ctypes.c_void_p, _SIZE, _SIZE, ctypes.c_void_p, _SIZE]
+                                   + [ctypes.c_void_p] * 4)
     lib.sample_bicubic.restype = None
     lib.tap_counts.argtypes = [_SIZE, _SIZE] + [ctypes.c_void_p] * 3
     lib.tap_counts.restype = None
@@ -179,48 +197,40 @@ def _stencil_tap_counts(mask: np.ndarray) -> np.ndarray:
     return counts
 
 
-def sample_bicubic(pairs: Sequence[tuple[np.ndarray, np.ndarray]],
-                   pos: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Sample each (field, mask) pair of `pairs` at the same positions, in one pass.
+def sample_bicubic(field: np.ndarray, pos: np.ndarray,
+                   mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample an (H, W) or (H, W, C) `field` under its (H, W) `mask` at the
+    (..., 2) positions `pos`; returns (values, valid) as
+    `rasters.sample_bicubic` documents them.
 
-    Each field is (H, W) or (H, W, C) and each mask (H, W), with the (H, W)
-    of the first mask; `pos` is (..., 2). Returns one (values, valid) per
-    pair, exactly what `rasters.sample_bicubic(field, pos, mask)` returns.
     The loop is compiled: per position it computes the floors, fractions and
-    Catmull-Rom weights once. Floors are clipped into [-3, W + 1] x
-    [-3, H + 1] (NaN to -3), where every floor outside the image's reach has
-    no tap. Each pair then reads its own mask's map of valid taps per
-    stencil (`_stencil_tap_counts`): a full stencil (16 taps) takes the
-    16-tap sum, an empty one (0) is NaN and invalid, and a rim stencil runs
-    the bilinear/nearest chain. Every class accumulates its taps in the
-    order of the chain, so the results are those of evaluating the whole
-    chain at every position.
+    Catmull-Rom weights. Floors are clipped into [-3, W + 1] x [-3, H + 1]
+    (NaN to -3), where every floor outside the image's reach has no tap. The
+    mask's map of valid taps per stencil (`_stencil_tap_counts`) then picks
+    the class: a full stencil (16 taps) takes the 16-tap sum, an empty one
+    (0) is NaN and invalid, and a rim stencil runs the bilinear/nearest
+    chain. Every class accumulates its taps in the order of the chain, so the
+    results are those of evaluating the whole chain at every position.
     """
     pos = np.require(pos, np.float64, "CA")
-    fields = [np.require(field, np.float64, "CA") for field, _ in pairs]
-    masks = [np.require(mask, bool, "CA") for _, mask in pairs]
-    if not masks:
-        raise ValueError("need at least one (field, mask) pair")
+    field = np.require(field, np.float64, "CA")
+    mask = np.require(mask, bool, "CA")
     if pos.shape[-1:] != (2,):
         raise ValueError(f"positions must be (..., 2), got shape {pos.shape}")
-    if masks[0].ndim != 2:
-        raise ValueError(f"masks must be (H, W), got shape {masks[0].shape}")
-    h, w = masks[0].shape
-    for k, (field, mask) in enumerate(zip(fields, masks)):
-        for name, a, shape in ((f"field {k}", field, (h, w) + field.shape[2:3]),
-                               (f"mask {k}", mask, (h, w))):
-            if a.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+    if mask.ndim != 2:
+        raise ValueError(f"mask must be (H, W), got shape {mask.shape}")
+    h, w = mask.shape
+    if field.shape != (h, w) + field.shape[2:3]:
+        raise ValueError(f"field must have shape {(h, w) + field.shape[2:3]}, "
+                         f"got {field.shape}")
     xy = pos.reshape(-1, 2)
-    counts = [_stencil_tap_counts(m) for m in masks]
-    channels = np.array([f.shape[2] if f.ndim == 3 else 1 for f in fields], dtype=np.intp)
-    values = [np.empty((len(xy), nc)) for nc in channels]
-    valid = [np.empty(len(xy), dtype=bool) for _ in fields]
-    _library().sample_bicubic(len(xy), xy.ctypes.data, h, w, len(fields), _pointers(fields),
-                              channels.ctypes.data, _pointers(masks), _pointers(counts),
-                              _pointers(values), _pointers(valid))
-    return [(vals.reshape(pos.shape[:-1] + field.shape[2:]), ok.reshape(pos.shape[:-1]))
-            for vals, ok, field in zip(values, valid, fields)]
+    nc = field.shape[2] if field.ndim == 3 else 1
+    counts = _stencil_tap_counts(mask)
+    values, valid = np.empty((len(xy), nc)), np.empty(len(xy), dtype=bool)
+    _library().sample_bicubic(len(xy), xy.ctypes.data, h, w, field.ctypes.data, nc,
+                              mask.ctypes.data, counts.ctypes.data, values.ctypes.data,
+                              valid.ctypes.data)
+    return values.reshape(pos.shape[:-1] + field.shape[2:]), valid.reshape(pos.shape[:-1])
 
 
 class WarpLevel:

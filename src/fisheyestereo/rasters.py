@@ -61,7 +61,7 @@ def sample_bicubic(field: np.ndarray, pos: np.ndarray,
     valid tap of the stencil. Positions whose whole stencil is invalid (or
     that are not finite) return NaN with a False validity flag.
 
-    This is `kernels.sample_bicubic` with one (field, mask) pair.
+    This is `kernels.sample_bicubic`.
 
     Parameters
     ----------
@@ -74,7 +74,7 @@ def sample_bicubic(field: np.ndarray, pos: np.ndarray,
     values : (...,) or (..., C) array, NaN where invalid
     valid : (...) boolean array
     """
-    return kernels.sample_bicubic([(field, mask)], pos)[0]
+    return kernels.sample_bicubic(field, pos, mask)
 
 
 def warp_image(image: np.ndarray, w: np.ndarray,

@@ -33,7 +33,9 @@ The primal-dual cycles run in float32 (see `solve_level`); every array the
 solver returns, and `energy()`, is float64.
 
 Each warp iteration is one call into compiled code (`kernels.WarpLevel`),
-on the calling thread; the solver starts no thread. `solve_level` sets a
+which splits the level into two row bands on two threads where the calling
+thread may use two CPUs, and joins its thread before it returns; the
+results are the same with one band or two. `solve_level` sets a
 level up once (operator, tap-count maps, scratch) and then makes one call
 per warp: it samples i1 and the directions, linearizes, runs the cycles,
 clips and accumulates. The compiled loops repeat the NumPy operations of

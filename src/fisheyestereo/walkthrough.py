@@ -17,6 +17,7 @@ import numpy as np
 
 from . import evaluate, fields, formats, solver, synth
 from .camera import RelativePose, StereoRig, UnifiedCamera
+from .rasters import vector_norm
 
 
 def _toy_rig() -> StereoRig:
@@ -42,7 +43,7 @@ def _save(out: Path, name: str, data, valid=None):
     if data.ndim == 3:
         formats.write_vector_pfm(out / f"{name}.pfm", data[:, :, :2],
                                  third=valid)
-        mag = np.linalg.norm(data[:, :, :2], axis=-1)
+        mag = vector_norm(data[:, :, :2])
     else:
         formats.write_pfm(out / f"{name}.pfm", data)
         mag = data
@@ -80,7 +81,7 @@ def generate_walkthrough(out_dir) -> Path:
     # 2. calibration field: remove rotation + intrinsic differences
     i1c, i1c_ok, cal, cal_ok = solver.calibrate_second_image(i1, rig)
     _save(out, "calibration_field", cal, cal_ok)
-    cal_mag = np.linalg.norm(cal, axis=-1)
+    cal_mag = vector_norm(cal)
     lines += [
         "## 2. Calibration field",
         "Rotation-only flow warping image 1 into a translation-only rig; "
@@ -102,7 +103,7 @@ def generate_walkthrough(out_dir) -> Path:
         overlay[int(round(py)) % 16, int(round(px)) % 16] = (255, 40, 40)
     formats.write_png(out / "epipolar_trace_overlay.png", overlay)
     sweep_pts = sweep[sweep_ok]
-    dists = [float(np.min(np.linalg.norm(sweep_pts - v, axis=-1))) for v in poly]
+    dists = [float(np.min(vector_norm(sweep_pts - v))) for v in poly]
     lines += [
         "## 3. Trajectory field and curve tracing",
         f"Unit epipolar tangents cover {int(traj_ok.sum())} pixels. Euler "

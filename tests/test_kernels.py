@@ -73,19 +73,16 @@ def test_sampler_rejects_mismatched_arrays():
     mask = np.ones((6, 5), dtype=bool)
     xy = np.zeros((3, 2))
     field = np.zeros((6, 5, 2))
-    kernels.sample_bicubic([(field, mask)], xy)
-    for pairs, pos, message in [
-        ([], xy, "at least one \\(field, mask\\) pair"),
-        ([(field[:5], mask)], xy, "field 0 .* shape \\(6, 5, 2\\)"),
-        ([(field[..., None], mask)], xy, "field 0 .* shape \\(6, 5, 2\\)"),
-        ([(field, mask[:, :4])], xy, "field 0 .* shape \\(6, 4, 2\\)"),
-        ([(field, mask[None])], xy, "masks must be \\(H, W\\)"),
-        ([(field, mask), (field, mask.T)], xy, "mask 1 .* shape \\(6, 5\\)"),
-        ([(field, mask), (field[:, :4], mask)], xy, "field 1 .* shape \\(6, 5, 2\\)"),
-        ([(field, mask)], np.zeros((3, 3)), "positions must be \\(\\.\\.\\., 2\\)"),
+    kernels.sample_bicubic(field, xy, mask)
+    for args, message in [
+        ((field[:5], xy, mask), "field .* shape \\(6, 5, 2\\)"),
+        ((field[..., None], xy, mask), "field .* shape \\(6, 5, 2\\)"),
+        ((field, xy, mask[:, :4]), "field .* shape \\(6, 4, 2\\)"),
+        ((field, xy, mask[None]), "mask must be \\(H, W\\)"),
+        ((field, np.zeros((3, 3)), mask), "positions must be \\(\\.\\.\\., 2\\)"),
     ]:
         with pytest.raises(ValueError, match=message):
-            kernels.sample_bicubic(pairs, pos)
+            kernels.sample_bicubic(*args)
 
     # Converted, not rejected: a float32 field, a uint8 mask, and Fortran-
     # ordered, strided or unaligned arrays give the bits of their float64,
@@ -98,13 +95,12 @@ def test_sampler_rejects_mismatched_arrays():
                               count=xy.size).reshape(xy.shape)
     unaligned[...] = xy
     assert not xy.flags.c_contiguous and not unaligned.flags.aligned
-    want = kernels.sample_bicubic([(field32.astype(np.float64), mask)],
-                                  np.ascontiguousarray(xy))[0]
-    for pairs, pos in [([(field32, mask)], xy),
-                       ([(np.asfortranarray(field32), mask.astype(np.uint8))], unaligned),
-                       ([(np.repeat(field32, 2, axis=1)[:, ::2], np.asfortranarray(mask))],
-                        np.repeat(xy, 2, axis=0)[::2])]:
-        got = kernels.sample_bicubic(pairs, pos)[0]
+    want = kernels.sample_bicubic(field32.astype(np.float64), np.ascontiguousarray(xy), mask)
+    for args in [(field32, xy, mask),
+                 (np.asfortranarray(field32), unaligned, mask.astype(np.uint8)),
+                 (np.repeat(field32, 2, axis=1)[:, ::2], np.repeat(xy, 2, axis=0)[::2],
+                  np.asfortranarray(mask))]:
+        got = kernels.sample_bicubic(*args)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 

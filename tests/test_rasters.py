@@ -191,25 +191,6 @@ def test_sample_every_floor_matches_reference_chain(h, w):
     assert np.array_equal(vals, np.array([r[0] for r in ref]), equal_nan=True)
 
 
-@settings(max_examples=200, deadline=None)
-@given(case=_sampling_cases(), seed=st.integers(0, 2**32 - 1), nc=st.sampled_from([1, 3]))
-def test_sample_many_matches_one_call_per_field(case, seed, nc):
-    # The shared pass samples each field under its own mask: a stencil may be
-    # full under one mask and a rim or empty under the other.
-    data, mask, pos = case
-    rng = np.random.default_rng(seed)
-    other = rng.normal(size=mask.shape + (nc,))
-    other = other[:, :, 0] if nc == 1 else other
-    other_mask = rng.random(mask.shape) < rng.choice([0.5, 0.9, 1.0])
-    field = data[:, :, 0] if data.shape[2] == 1 else data
-    pairs = [(field, mask), (other, other_mask), (field, other_mask)]
-    for (vals, ok), (f, m) in zip(kernels.sample_bicubic(pairs, pos), pairs):
-        ref_vals, ref_ok = sample_bicubic(f, pos, m)
-        assert vals.shape == ref_vals.shape
-        assert np.array_equal(ok, ref_ok)
-        assert np.array_equal(vals, ref_vals, equal_nan=True)
-
-
 @pytest.mark.parametrize("h", range(1, 10))
 def test_stencil_tap_counts_match_brute_force(h):
     for w in range(1, 10):

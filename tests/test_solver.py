@@ -1,4 +1,6 @@
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -535,8 +537,9 @@ def _numpy_warp_step(i0, i1, traj, traj_valid, mask, op, params, u, w, v, p, q):
     """One warp iteration as `solve_level` ran it before the warp step was
     compiled, with the NumPy cycle (`_numpy_cycle`). Returns (u, w, v, p, q,
     du, dirs, iu, data_ok, max_p_norm, max_q_norm)."""
-    (i1w, warp_ok), (dirs, dir_ok) = kernels.sample_bicubic(
-        ((i1, mask), (traj, traj_valid)), pixel_grid(*mask.shape) + w)
+    pos = pixel_grid(*mask.shape) + w
+    i1w, warp_ok = kernels.sample_bicubic(i1, pos, mask)
+    dirs, dir_ok = kernels.sample_bicubic(traj, pos, traj_valid)
     dirs, dir_ok = unit_directions(dirs, dir_ok & mask)
     iu, iu_ok = image_derivative_along(dirs, i1w, warp_ok & mask)
     data_ok = iu_ok & dir_ok
@@ -561,13 +564,17 @@ def _signed_zeros(rng, x, frac=0.3):
     return x
 
 
-@settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), h=st.integers(0, 7).map(lambda k: 2 * k + 1),
-       w=st.integers(0, 7).map(lambda k: 2 * k + 1), pd_iters=st.sampled_from([1, 3, 10]))
-def test_warp_step_matches_numpy_warp_step(seed, h, w, pd_iters):
+def _nan_signless_bits(a):
+    """The bytes of `a` with every NaN made +NaN: np.clip, in the reference,
+    may return a NaN increment with the other sign bit."""
+    return (np.where(np.isnan(a), np.nan, a) if a.dtype.kind == "f" else a).tobytes()
+
+
+def _assert_warp_step_matches_numpy(seed, h, w, pd_iters, nan_p_at=None):
     # Masks and trajectory fields with holes give rim and empty stencils;
     # warps up to 3 px reach past the image; directions of norm 0, under and
-    # over 0.5 test the renormalization; signed zeros everywhere.
+    # over 0.5 test the renormalization; signed zeros everywhere. `nan_p_at`
+    # puts a NaN into p's first channel at that pixel.
     rng = np.random.default_rng(seed)
     params = SolverParams(pd_iters=pd_iters, du_max=rng.choice([0.05, 0.2, 1.0]))
     mask = rng.random((h, w)) < rng.choice([0.5, 0.9, 1.0])
@@ -581,24 +588,102 @@ def test_warp_step_matches_numpy_warp_step(seed, h, w, pd_iters):
     warp = _signed_zeros(rng, rng.uniform(-3.0, 3.0, size=(h, w, 2)))
     v, p = (_signed_zeros(rng, rng.normal(size=(2, h, w)).astype(np.float32)) for _ in range(2))
     q = _signed_zeros(rng, rng.normal(size=(4, h, w)).astype(np.float32))
+    if nan_p_at is not None:
+        p[(0,) + nan_p_at] = np.nan
     op = _cast_operator(precondition_steps(solver.edge_tensor(i0, mask, params), mask, params),
                         np.float32)
 
     want = _numpy_warp_step(i0, i1, traj, traj_valid, mask, op, params, u, warp, v, p, q)
-    level = kernels.WarpLevel(i0, i1, traj, traj_valid, mask, list(vars(op).values()),
-                              params.alpha0, params.alpha1, params.lam,
-                              solver._PROJECTION_SCALE, params.du_max, pd_iters)
-    for dual, start in zip(level.duals, (v, p, q)):
-        dual[...] = start
-    u_out, w_out = u.copy(), warp.copy()
-    du, dirs, iu, data_ok, max_p, max_q = level.step(u_out, w_out, observe=True)
-    got = (u_out, w_out, *level.duals, du, dirs, iu, data_ok)
-    names = ("u", "w", "v", "p", "q", "du", "dirs", "iu", "data_ok")
-    for name, a, b in zip(names, got, want):
-        assert a.dtype == b.dtype and a.shape == b.shape, name
-        assert a.tobytes() == b.tobytes(), name
-    assert np.float64(max_p).tobytes() == np.float64(want[-2]).tobytes()
-    assert np.float64(max_q).tobytes() == np.float64(want[-1]).tobytes()
+    outputs = {}
+    for observe in (True, False):
+        level = kernels.WarpLevel(i0, i1, traj, traj_valid, mask, list(vars(op).values()),
+                                  params.alpha0, params.alpha1, params.lam,
+                                  solver._PROJECTION_SCALE, params.du_max, pd_iters)
+        for dual, start in zip(level.duals, (v, p, q)):
+            dual[...] = start
+        u_out, w_out = u.copy(), warp.copy()
+        record = level.step(u_out, w_out, observe=observe)
+        outputs[observe] = [a.tobytes() for a in (u_out, w_out, *level.duals)]
+        if observe:
+            du, dirs, iu, data_ok, max_p, max_q = record
+            got = (u_out, w_out, *level.duals, du, dirs, iu, data_ok)
+            names = ("u", "w", "v", "p", "q", "du", "dirs", "iu", "data_ok")
+            for name, a, b in zip(names, got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert _nan_signless_bits(a) == _nan_signless_bits(b), name
+            assert np.float64(max_p).tobytes() == np.float64(want[-2]).tobytes()
+            assert np.float64(max_q).tobytes() == np.float64(want[-1]).tobytes()
+        else:
+            assert record is None
+    # Observing changes nothing the solve carries on with.
+    assert outputs[True] == outputs[False]
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 16), w=st.integers(1, 16),
+       pd_iters=st.sampled_from([1, 3, 10]))
+def test_warp_step_matches_numpy_warp_step(seed, h, w, pd_iters):
+    _assert_warp_step_matches_numpy(seed, h, w, pd_iters)
+
+
+def test_warp_step_matches_numpy_at_every_size():
+    # Every height and width up to 16, so both bands of the warp step meet
+    # every split: even and odd heights, and 1- and 2-row levels where a band
+    # is empty or one row.
+    for h in range(1, 17):
+        for w in range(1, 17):
+            _assert_warp_step_matches_numpy(16 * h + w, h, w, 3)
+
+
+@pytest.mark.parametrize("pd_iters", [1, 3])
+def test_warp_step_norm_is_nan_cycle_skipped_across_bands(pd_iters):
+    # A NaN in the lower band's p makes the cycle's p norm NaN over the whole
+    # level, so the cycle counts for nothing, though the upper band's norms
+    # are finite: the bands' norms combine as NaN if any is NaN, else the max.
+    _assert_warp_step_matches_numpy(7, 8, 5, pd_iters, nan_p_at=(6, 2))
+
+
+def _thread_count():
+    return len(os.listdir("/proc/self/task"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_warp_step_leaves_no_thread_behind(small_fisheye_rig, small_pair):
+    # Every warp step joins the thread it starts before it returns. The
+    # kernel may list a joined thread a moment longer, until it reaps it; a
+    # thread that still runs is listed for good.
+    i0, i1, _ = small_pair
+    before = _thread_count()
+    solve_pyramid(i0, i1, small_fisheye_rig,
+                  SolverParams(warp_iters=2, pyramid_levels=2, min_width=40))
+    deadline = time.monotonic() + 5.0
+    while _thread_count() != before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert _thread_count() == before
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="needs two CPUs")
+def test_warp_step_one_band_matches_two(small_fisheye_rig, small_pair):
+    # Pinned to one CPU, the warp step runs its level as one band; else as
+    # two. Every output and every record of the solve is the same.
+    i0, i1, _ = small_pair
+    params = SolverParams(warp_iters=3, pyramid_levels=2, min_width=40)
+
+    def solve():
+        records = []
+        res = solve_pyramid(i0, i1, small_fisheye_rig, params, observe=records.append)
+        return [a.tobytes() for a in (res.u, res.w, res.v)] + [
+            [np.asarray(x).tobytes() for x in vars(rec).values()] for rec in records]
+
+    cpus = os.sched_getaffinity(0)
+    try:
+        os.sched_setaffinity(0, {min(cpus)})
+        one_band = solve()
+    finally:
+        os.sched_setaffinity(0, cpus)
+    assert os.sched_getaffinity(0) == cpus
+    assert solve() == one_band
 
 
 def test_warp_level_rejects_mismatched_arrays():
