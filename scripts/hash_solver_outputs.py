@@ -44,13 +44,17 @@ a mask with holes, at positions in and around the image and at NaN, +-inf
 and +-1e300 coordinates. Two `thresholding` lines, one per dtype (float32
 and float64), hash `thresholding_step` on a grid of its edge cases:
 signed-zero u_hat, signed-zero and tiny slopes iu, NaN and signed-zero
-residuals, and residuals exactly at the case boundaries +-tau*lam*iu^2. One `cycle` line hashes the
-float32 state after 10 cycles of `kernels.primal_dual_cycle` from a seeded
-random 160x150 state (mask density 0.9); its rows are long enough for the
-compiled cycle's vector loops and their tails. One `warp` line hashes one
-compiled warp step (`solve_level` with N=1) on a seeded random 160x150
-level with holes in the mask and in the trajectory field: the returned u, w
-and v, and the `WarpRecord`'s du, dirs and dual norms.
+residuals, and residuals exactly at the case boundaries +-tau*lam*iu^2. One
+`cycle` line hashes the float32 state after 10 cycles of
+`kernels.primal_dual_cycle(state, op, data, params)`, with a float32
+`LevelOperator` and the default `SolverParams`, from a seeded random 160x150
+state (mask density 0.9); its rows are long enough for the compiled cycle's
+vector loops and their tails. One `warp` line hashes one compiled warp
+step (`solve_level` with N=1, which builds its
+`kernels.WarpLevel(i0, i1, traj_dirs, traj_valid, mask, op, params)`) on a
+seeded random 160x150 level with holes in the mask and in the trajectory
+field: the returned u, w and v, and the `WarpRecord`'s du, dirs and dual
+norms.
 
 A change that alters the solver's arithmetic on purpose (a new precision, a
 reordered sum) cannot be bit-identical. Check it in two steps. First, the
@@ -251,14 +255,13 @@ def hash_cycle() -> str:
     op = solver.precondition_steps(
         solver.compute_tensor(rng.random((h, w)), params.beta, params.eta, mask),
         mask, params)
-    operator = [a.astype(np.float32) for a in vars(op).values()]
+    op = solver.LevelOperator(**{k: a.astype(np.float32) for k, a in vars(op).items()})
     u, iu, rho0 = (rng.normal(size=(h, w)).astype(np.float32) for _ in range(3))
     v, p = (rng.normal(size=(2, h, w)).astype(np.float32) for _ in range(2))
     q = rng.normal(size=(4, h, w)).astype(np.float32)
     state = (u, v, p, q, u, v)
     for _ in range(10):
-        state = kernels.primal_dual_cycle(state, operator, (iu, rho0, u), params.alpha0,
-                                          params.alpha1, params.lam, solver._PROJECTION_SCALE)
+        state = kernels.primal_dual_cycle(state, op, (iu, rho0, u), params)
     return hashlib.sha256("".join(_digest(a) for a in state).encode()).hexdigest()
 
 

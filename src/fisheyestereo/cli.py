@@ -110,6 +110,8 @@ def _add_param_flags(p: argparse.ArgumentParser, names=tuple(_PARAM_FIELDS)) -> 
 
 
 def cmd_render(args) -> int:
+    if args.seed < 0:
+        raise CommandError(f"--seed must be >= 0, got {args.seed}")
     rig = _load_rig_arg(args.rig)
     scene = synth.reseed_scene(_load_scene_arg(args.scene), args.seed)
     try:

@@ -5,8 +5,10 @@
  * it hands a pointer here. Each loop repeats the NumPy operations it
  * replaced (kept as references in the tests): the same operations, in the
  * same order and precision, so the results are bit-identical, signed zeros
- * included. Where NumPy added a difference of +0 at the last column or row,
- * so does the loop: 0 + x is not x when x is -0. That needs
+ * included; only a NaN's sign bit may differ, as gcc may commute the
+ * operands of a float add, which picks the NaN that the sum keeps. Where
+ * NumPy added a difference of +0 at the last column or row, so does the
+ * loop: 0 + x is not x when x is -0. That needs
  * -ffp-contract=off (no fused multiply-add) and rules out -ffast-math.
  * The cycle runs in float, the precision the solver casts its levels to;
  * the sampler, and the warp step around its cycles, in double.
@@ -27,6 +29,7 @@
  */
 
 #define _GNU_SOURCE /* sched_getaffinity and CPU_COUNT */
+#include <float.h>
 #include <math.h>
 #include <pthread.h>
 #include <sched.h>
@@ -211,7 +214,7 @@ struct cycle {
     const float *iu, *rho0, *u_omega;
     float *u_out, *v0_out, *v1_out, *p0_out, *p1_out, *q0_out, *q1_out, *q2_out, *q3_out;
     float *ub_out, *vb0_out, *vb1_out;
-    float alpha0, alpha1, lam, scale;
+    float alpha0, alpha1, lam;
 };
 
 /* The cycle of an (h, w) level from `in` to `out`. `in` holds u, v, p, q,
@@ -219,8 +222,7 @@ struct cycle {
  * u_step, tau_u, tau_v, then iu, rho0, u_omega; `out` the new u, v, p, q,
  * u_bar, v_bar, none of them overlapping an input. */
 static struct cycle cycle_of(ptrdiff_t h, ptrdiff_t w, const float *const *in,
-                             float *const *out, float alpha0, float alpha1, float lam,
-                             float scale)
+                             float *const *out, float alpha0, float alpha1, float lam)
 {
     const ptrdiff_t hw = h * w;
     return (struct cycle){
@@ -234,16 +236,22 @@ static struct cycle cycle_of(ptrdiff_t h, ptrdiff_t w, const float *const *in,
         .p1_out = out[2] + hw, .q0_out = out[3], .q1_out = out[3] + hw,
         .q2_out = out[3] + 2 * hw, .q3_out = out[3] + 3 * hw, .ub_out = out[4],
         .vb0_out = out[5], .vb1_out = out[5] + hw,
-        .alpha0 = alpha0, .alpha1 = alpha1, .lam = lam, .scale = scale,
+        .alpha0 = alpha0, .alpha1 = alpha1, .lam = lam,
     };
 }
 
+/* The factor by which a dual's norm is inflated before its projection, 4
+ * units in the last place: enough to absorb the rounding of a 4-channel norm
+ * and of the division (about 5 units of roundoff, 2.5 of FLT_EPSILON), so a
+ * projected dual lies inside its unit ball. */
+#define PROJECTION_SCALE (1.0f + 4 * FLT_EPSILON)
+
 /* Scale (x0, x1) or (x0..x3) back into the unit ball: the norm, inflated by
- * `scale`, divides where it exceeds 1 (and NaN stays NaN, as np.maximum
- * keeps it). */
-ALWAYS_INLINE float ball_divisor(float sum_of_squares, float scale)
+ * PROJECTION_SCALE, divides where it exceeds 1 (and NaN stays NaN, as
+ * np.maximum keeps it). */
+ALWAYS_INLINE float ball_divisor(float sum_of_squares)
 {
-    const float n = sqrtf(sum_of_squares) * scale;
+    const float n = sqrtf(sum_of_squares) * PROJECTION_SCALE;
     return n < 1 ? 1 : n;
 }
 
@@ -270,13 +278,13 @@ ALWAYS_INLINE void dual_px(const struct cycle *c, ptrdiff_t k, int has_x, int ha
     }
     const float p0 = c->p0[k] + c->p_step[k] * (tg0 - c->vb0[k]);
     const float p1 = c->p1[k] + c->p_step[k] * (tg1 - c->vb1[k]);
-    const float dp = ball_divisor(p0 * p0 + p1 * p1, c->scale);
+    const float dp = ball_divisor(p0 * p0 + p1 * p1);
     c->p0_out[k] = p0 / dp;
     c->p1_out[k] = p1 / dp;
 
     const float q0 = gx0 + c->q0[k], q1 = gy0 + c->q1[k];
     const float q2 = gx1 + c->q2[k], q3 = gy1 + c->q3[k];
-    const float dq = ball_divisor(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3, c->scale);
+    const float dq = ball_divisor(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3);
     c->q0_out[k] = q0 / dq;
     c->q1_out[k] = q1 / dq;
     c->q2_out[k] = q2 / dq;
@@ -396,24 +404,27 @@ static void cycle_rows(struct cycle c, ptrdiff_t h, ptrdiff_t r0, ptrdiff_t r1,
 
 /* One cycle on an (h, w) level; `cycle_of` says what `in` and `out` hold. */
 void pd_cycle(ptrdiff_t h, ptrdiff_t w, const float *const *in, float *const *out,
-              float alpha0, float alpha1, float lam, float scale)
+              float alpha0, float alpha1, float lam)
 {
-    cycle_rows(cycle_of(h, w, in, out, alpha0, alpha1, lam, scale), h, 0, h, NULL);
+    cycle_rows(cycle_of(h, w, in, out, alpha0, alpha1, lam), h, 0, h, NULL);
 }
 
-/* The largest float64 norm over pixels [first, end) of an (nc, hw)
- * channel-first dual, as np.max(..., initial=0.0): NaN once any norm is NaN. */
-static double max_norm(const float *x, ptrdiff_t nc, ptrdiff_t hw, ptrdiff_t first,
-                       ptrdiff_t end)
+/* The larger of a running maximum m and n, as np.max: NaN once either is. */
+static double nan_max(double m, double n)
 {
-    double m = 0.0;
+    return n > m || isnan(n) ? n : m;
+}
+
+/* The larger of m and the largest float64 norm over pixels [first, end) of
+ * an (nc, hw) channel-first dual. */
+static double max_norm(double m, const float *x, ptrdiff_t nc, ptrdiff_t hw,
+                       ptrdiff_t first, ptrdiff_t end)
+{
     for (ptrdiff_t k = first; k < end; k++) {
         double s = (double)x[k] * (double)x[k];
         for (ptrdiff_t ch = 1; ch < nc; ch++)
             s += (double)x[ch * hw + k] * (double)x[ch * hw + k];
-        const double n = sqrt(s);
-        if (n > m || isnan(n))
-            m = n;
+        m = nan_max(m, sqrt(s));
     }
     return m;
 }
@@ -435,18 +446,14 @@ struct warp {
     void *const *level;
     double *u, *wv, *du, *dirs;
     int observe;
-    float alpha0, alpha1, lam, scale;
+    float alpha0, alpha1, lam;
     double du_max;
     pthread_barrier_t *barrier; /* NULL with one band */
-    /* Each band's largest norms of p and q in a cycle, by the cycle's parity:
-     * a band writes the slot of cycle it + 2 only after the barrier that ends
-     * cycle it + 1, which every band passes after it read the slots of it. */
-    double cycle_norms[MAX_BANDS][2][2];
 };
 
 /* One band of a warp_step call, and what it leaves: the state set that holds
- * the duals after the warp, and the largest norms of p and q over the
- * cycles, which every band computes alike. */
+ * the duals after the warp, and the largest norms of p and q on its rows
+ * over the cycles (from 0, as warp_step zeroes them). */
 struct band {
     struct warp *warp;
     ptrdiff_t index, cur;
@@ -502,7 +509,6 @@ static void *run_band(void *arg)
     }
 
     ptrdiff_t cur = wp->cur;
-    b->norms[0] = b->norms[1] = 0.0;
     for (ptrdiff_t it = 0; it < wp->pd_iters; it++) {
         const float *in[19];
         float *out[6];
@@ -519,26 +525,14 @@ static void *run_band(void *arg)
         in[16] = iu;
         in[17] = rho0;
         in[18] = u32;
-        cycle_rows(cycle_of(h, w, in, out, wp->alpha0, wp->alpha1, wp->lam, wp->scale), h,
-                   r0, r1, wp->barrier);
+        cycle_rows(cycle_of(h, w, in, out, wp->alpha0, wp->alpha1, wp->lam), h, r0, r1,
+                   wp->barrier);
         cur = 1 - cur;
         if (wp->observe) {
-            double *slot = wp->cycle_norms[b->index][it % 2];
-            slot[0] = max_norm(out[2], 2, hw, first, end);
-            slot[1] = max_norm(out[3], 4, hw, first, end);
+            b->norms[0] = max_norm(b->norms[0], out[2], 2, hw, first, end);
+            b->norms[1] = max_norm(b->norms[1], out[3], 4, hw, first, end);
         }
         await_bands(wp->barrier);
-        /* The cycle's norm over the level, as in max_norm; a NaN cycle is
-         * skipped, as Python's max skips it. */
-        for (int d = 0; wp->observe && d < 2; d++) {
-            double m = 0.0;
-            for (ptrdiff_t s = 0; s < bands; s++) {
-                const double n = wp->cycle_norms[s][it % 2][d];
-                if (n > m || isnan(n))
-                    m = n;
-            }
-            b->norms[d] = m > b->norms[d] ? m : b->norms[d];
-        }
     }
 
     const float *u_new = level[L_STATES + 6 * cur];
@@ -591,21 +585,21 @@ static ptrdiff_t band_count(void)
  *    mask, where it is still added; u += du and wv += du * dir.
  * du (h, w) and dirs (h, w, 2) receive the increment and the directions.
  * With `norms` given, norms[0] and norms[1] receive the largest float64
- * norms of p and q over the cycles, as Python's max over the cycles'
- * np.max (a NaN cycle is skipped).
+ * norms of p and q over the cycles, as np.max over every pixel and cycle:
+ * NaN once a dual is NaN. Each band takes the maximum over its rows; the
+ * bands' maxima are combined once, after the join.
  *
  * Each band runs every step on its own rows (run_band); the bottom band
  * runs on a thread of its own, joined before the call returns. Should that
  * thread fail to start, one band runs them all. */
 ptrdiff_t warp_step(ptrdiff_t h, ptrdiff_t w, ptrdiff_t pd_iters, void *const *level,
                     ptrdiff_t cur, double *u, double *wv, double *du, double *dirs,
-                    double *norms, float alpha0, float alpha1, float lam, float scale,
-                    double du_max)
+                    double *norms, float alpha0, float alpha1, float lam, double du_max)
 {
     struct warp wp = {
         .h = h, .w = w, .pd_iters = pd_iters, .cur = cur, .bands = band_count(),
         .level = level, .u = u, .wv = wv, .du = du, .dirs = dirs, .observe = norms != NULL,
-        .alpha0 = alpha0, .alpha1 = alpha1, .lam = lam, .scale = scale, .du_max = du_max,
+        .alpha0 = alpha0, .alpha1 = alpha1, .lam = lam, .du_max = du_max,
     };
     struct band bands[MAX_BANDS] = {{.warp = &wp, .index = 0}, {.warp = &wp, .index = 1}};
     pthread_barrier_t barrier;
@@ -624,9 +618,10 @@ ptrdiff_t warp_step(ptrdiff_t h, ptrdiff_t w, ptrdiff_t pd_iters, void *const *l
         pthread_join(worker, NULL);
         pthread_barrier_destroy(&barrier);
     }
-    if (norms) {
-        norms[0] = bands[0].norms[0];
-        norms[1] = bands[0].norms[1];
+    for (int d = 0; norms && d < 2; d++) {
+        norms[d] = bands[0].norms[d];
+        for (ptrdiff_t s = 1; s < wp.bands; s++)
+            norms[d] = nan_max(norms[d], bands[s].norms[d]);
     }
     return bands[0].cur;
 }

@@ -23,10 +23,11 @@ barrier where one reads the other's rows: after the first pass (the tap
 counts of the warped image's valid map read rows up to 4 away), after the
 tap counts (the I_u pass reads two rows away), inside each cycle (the
 primal step of a band's first row needs the new duals of the row above)
-and at the end of each cycle. Each band takes the largest dual norms of
-its rows per cycle; a cycle's norm is NaN if a band's is, else their
-maximum. Every pixel's arithmetic is the same in either band, so the
-results do not depend on the number of bands.
+and at the end of each cycle. Each band keeps the largest dual norms of
+its rows over the cycles, and the call combines the bands' once they are
+joined; a NaN norm means that a dual went NaN somewhere in some cycle.
+Every pixel's arithmetic is the same in either band, so the results do not
+depend on the number of bands.
 
 The flags, and why each is there:
 
@@ -64,8 +65,12 @@ import subprocess
 import tempfile
 from collections.abc import Sequence
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .solver import LevelOperator, SolverParams
 
 SOURCE = Path(__file__).with_name("kernels.c")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
@@ -75,6 +80,9 @@ FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fno-trapping-math", "-
 _PTRS = ctypes.POINTER(ctypes.c_void_p)
 _SIZE = ctypes.c_ssize_t
 _FLOAT32 = np.dtype(np.float32)
+# The `LevelOperator` arrays the compiled loops read, in the order of kernels.c.
+_OPERATOR = ("ex", "ey", "a_ex", "b_ex", "b_ey", "c_ey", "p_step", "u_step", "tau_u",
+             "tau_v")
 
 
 class KernelCompileError(RuntimeError):
@@ -99,7 +107,7 @@ def load(cache_dir: Path = CACHE_DIR) -> ctypes.CDLL:
         lib = ctypes.CDLL(str(path))
     except OSError as exc:
         raise KernelCompileError(f"cannot load the compiled kernels {path}: {exc}") from None
-    lib.pd_cycle.argtypes = [_SIZE, _SIZE, _PTRS, _PTRS] + [ctypes.c_float] * 4
+    lib.pd_cycle.argtypes = [_SIZE, _SIZE, _PTRS, _PTRS] + [ctypes.c_float] * 3
     lib.pd_cycle.restype = None
     lib.sample_bicubic.argtypes = ([_SIZE, ctypes.c_void_p, _SIZE, _SIZE, ctypes.c_void_p, _SIZE]
                                    + [ctypes.c_void_p] * 4)
@@ -107,7 +115,7 @@ def load(cache_dir: Path = CACHE_DIR) -> ctypes.CDLL:
     lib.tap_counts.argtypes = [_SIZE, _SIZE] + [ctypes.c_void_p] * 3
     lib.tap_counts.restype = None
     lib.warp_step.argtypes = ([_SIZE, _SIZE, _SIZE, _PTRS, _SIZE] + [ctypes.c_void_p] * 5
-                              + [ctypes.c_float] * 4 + [ctypes.c_double])
+                              + [ctypes.c_float] * 3 + [ctypes.c_double])
     lib.warp_step.restype = _SIZE
     return lib
 
@@ -154,32 +162,31 @@ def _pointers(arrays: Sequence[np.ndarray]):
     return (ctypes.c_void_p * len(arrays))(*(a.ctypes.data for a in arrays))
 
 
-def primal_dual_cycle(state: Sequence[np.ndarray], operator: Sequence[np.ndarray],
-                      data: Sequence[np.ndarray], alpha0: float, alpha1: float,
-                      lam: float, scale: float) -> tuple[np.ndarray, ...]:
+def primal_dual_cycle(state: Sequence[np.ndarray], op: LevelOperator,
+                      data: Sequence[np.ndarray], params: SolverParams
+                      ) -> tuple[np.ndarray, ...]:
     """One primal-dual cycle in C; returns the new (u, v, p, q, u_bar, v_bar).
 
     `state` is (u, v, p, q, u_bar, v_bar), shaped (H, W), (2, H, W),
-    (2, H, W), (4, H, W), (H, W) and (2, H, W); `operator` is the (H, W)
-    arrays ex, ey, a_ex, b_ex, b_ey, c_ey, p_step, u_step, tau_u, tau_v; and
-    `data` the (H, W) iu, rho0, u_omega. All are float32, which the scalars
-    are rounded to and the results keep. `scale` inflates the dual norms
-    before the projections.
+    (2, H, W), (4, H, W), (H, W) and (2, H, W); `op` a `LevelOperator` of
+    (H, W) arrays; and `data` the (H, W) iu, rho0, u_omega. All are float32,
+    which the weights alpha0, alpha1 and lam of `params` are rounded to and
+    the results keep.
     """
     plane = np.shape(state[0])
     if len(plane) != 2:
         raise ValueError(f"u must be an (H, W) array, got shape {plane}")
     shapes = [plane, (2,) + plane, (2,) + plane, (4,) + plane, plane, (2,) + plane]
-    inputs = [*state, *operator, *data]
-    names = ["u", "v", "p", "q", "u_bar", "v_bar", "ex", "ey", "a_ex", "b_ex", "b_ey",
-             "c_ey", "p_step", "u_step", "tau_u", "tau_v", "iu", "rho0", "u_omega"]
-    if len(inputs) != len(names):
-        raise ValueError(f"expected {len(names)} arrays, got {len(inputs)}")
+    if len(state) != 6 or len(data) != 3:
+        raise ValueError(f"expected 6 state and 3 data arrays, got {len(state)} and "
+                         f"{len(data)}")
+    inputs = [*state, *(getattr(op, name) for name in _OPERATOR), *data]
+    names = ["u", "v", "p", "q", "u_bar", "v_bar", *_OPERATOR, "iu", "rho0", "u_omega"]
     for label, a, shape in zip(names, inputs, shapes + [plane] * 13):
         _check(label, a, _FLOAT32, shape)
     outputs = tuple(np.empty(shape, _FLOAT32) for shape in shapes)
     _library().pd_cycle(plane[0], plane[1], _pointers(inputs), _pointers(outputs),
-                        alpha0, alpha1, lam, scale)
+                        params.alpha0, params.alpha1, params.lam)
     return outputs
 
 
@@ -238,20 +245,20 @@ class WarpLevel:
 
     `i0` and `i1` are the level's (H, W) images, `traj_dirs` its (H, W, 2)
     trajectory directions, valid at `traj_valid`, and `mask` the solve mask.
-    `operator` is the ten (H, W) float32 arrays that `primal_dual_cycle`
-    takes, and the scalars are those of `primal_dual_cycle` plus the clip
-    `du_max` and the cycles per warp `pd_iters`. Construction converts the
-    images to float64 and the masks to bool, C-contiguous, builds the tap-count
-    maps of `mask` and `traj_valid`, and allocates the scratch that every
-    step reuses: the second image sampled at x + w, I_u, the residual, the
-    data mask, and two float32 states that the cycles write in turn. The
-    duals v, p and q start at zero and carry from one step to the next.
+    `op` is the level's `LevelOperator` of (H, W) float32 arrays, as
+    `primal_dual_cycle` takes it; of `params`, the steps read the weights
+    alpha0, alpha1 and lam, the clip `du_max` and the cycles per warp
+    `pd_iters`. Construction converts the images to float64 and the masks
+    to bool, C-contiguous, builds the tap-count maps of `mask` and
+    `traj_valid`, and allocates the scratch that every step reuses: the
+    second image sampled at x + w, I_u, the residual, the data mask, du,
+    dirs, and two float32 states that the cycles write in turn. The duals v,
+    p and q start at zero and carry from one step to the next.
     """
 
     def __init__(self, i0: np.ndarray, i1: np.ndarray, traj_dirs: np.ndarray,
-                 traj_valid: np.ndarray, mask: np.ndarray, operator: Sequence[np.ndarray],
-                 alpha0: float, alpha1: float, lam: float, scale: float, du_max: float,
-                 pd_iters: int):
+                 traj_valid: np.ndarray, mask: np.ndarray, op: LevelOperator,
+                 params: SolverParams):
         mask, traj_valid = (np.require(m, bool, "CA") for m in (mask, traj_valid))
         if mask.ndim != 2:
             raise ValueError(f"mask must be (H, W), got shape {mask.shape}")
@@ -262,10 +269,9 @@ class WarpLevel:
                                ("traj_valid", traj_valid, plane)):
             if a.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
-        if len(operator) != 10:
-            raise ValueError(f"expected 10 operator arrays, got {len(operator)}")
-        for k, a in enumerate(operator):
-            _check(f"operator array {k}", a, _FLOAT32, plane)
+        operator = [getattr(op, name) for name in _OPERATOR]
+        for name, a in zip(_OPERATOR, operator):
+            _check(name, a, _FLOAT32, plane)
         h, w = plane
         self.iu = np.empty(plane, _FLOAT32)
         self.data_ok = np.empty(plane, bool)
@@ -281,10 +287,11 @@ class WarpLevel:
                         self.iu, np.empty(plane, _FLOAT32), self.data_ok,
                         np.empty(plane, _FLOAT32), *self.states[0], *self.states[1]]
         self._level = _pointers(self._arrays)
-        self._scalars = (alpha0, alpha1, lam, scale, du_max)
-        self._pd_iters = pd_iters
+        self._scalars = (params.alpha0, params.alpha1, params.lam, params.du_max)
+        self._pd_iters = params.pd_iters
         self._du = np.empty(plane)
         self._dirs = np.empty(plane + (2,))
+        self._norms = np.empty(2)
 
     @property
     def duals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -300,23 +307,20 @@ class WarpLevel:
         Samples i1 and the directions at x + w, linearizes along the
         renormalized directions, runs the primal-dual cycles, clips the
         increment du to du_max and accumulates u += du, w += du * dirs; see
-        `warp_step` in kernels.c. With `observe`, returns fresh arrays of
+        `warp_step` in kernels.c. With `observe`, returns copies of
         (du, dirs, iu, data_ok) and the largest float64 norms of p and q over
-        the cycles; without, returns None.
+        the cycles, NaN if a dual went NaN in any cycle; without, returns None.
         """
         plane = self.iu.shape
         _check("u", u, np.dtype(np.float64), plane)
         _check("w", w, np.dtype(np.float64), plane + (2,))
         if not (u.flags.writeable and w.flags.writeable):
             raise ValueError("u and w must be writeable")
-        if observe:
-            du, dirs, norms = np.empty(plane), np.empty(plane + (2,)), np.empty(2)
-        else:
-            du, dirs, norms = self._du, self._dirs, None
         self._cur = _library().warp_step(
             plane[0], plane[1], self._pd_iters, self._level, self._cur, u.ctypes.data,
-            w.ctypes.data, du.ctypes.data, dirs.ctypes.data,
-            None if norms is None else norms.ctypes.data, *self._scalars)
+            w.ctypes.data, self._du.ctypes.data, self._dirs.ctypes.data,
+            self._norms.ctypes.data if observe else None, *self._scalars)
         if observe:
-            return du, dirs, self.iu.copy(), self.data_ok.copy(), float(norms[0]), float(norms[1])
+            return (self._du.copy(), self._dirs.copy(), self.iu.copy(), self.data_ok.copy(),
+                    float(self._norms[0]), float(self._norms[1]))
         return None

@@ -135,8 +135,8 @@ class WarpRecord:
     the warped second image along `dirs` that the cycles linearized with,
     and `data_ok` where the data term was valid (I_u is +0 off it). The
     solver never writes these arrays again, so an observer may keep them.
-    The dual norms are the largest over the warp's primal-dual cycles, in
-    float64.
+    The dual norms are the largest over the warp's primal-dual cycles and
+    pixels, in float64; a NaN norm means that dual went NaN somewhere.
     """
 
     du: np.ndarray
@@ -148,13 +148,6 @@ class WarpRecord:
 
 
 Observer = Callable[[WarpRecord], None]
-
-# Units in the last place by which a dual's norm is inflated before its
-# projection: enough to absorb the rounding of a 4-channel norm and of the
-# division (about 5 units of roundoff, 2.5 of eps), so a projected dual lies
-# inside its unit ball.
-_PROJECTION_ULPS = 4
-_PROJECTION_SCALE = 1.0 + _PROJECTION_ULPS * float(np.finfo(np.float32).eps)
 
 
 def compute_tensor(i0: np.ndarray, beta: float, eta: float,
@@ -336,10 +329,8 @@ def primal_dual_iterate(state: SolverState, op: LevelOperator, iu: np.ndarray,
     array given must be C-contiguous float32, or ValueError is raised.
     """
     u, v, p, q, u_bar, v_bar = kernels.primal_dual_cycle(
-        (state.u, state.v, state.p, state.q, state.u_bar, state.v_bar),
-        (op.ex, op.ey, op.a_ex, op.b_ex, op.b_ey, op.c_ey, op.p_step, op.u_step, op.tau_u,
-         op.tau_v),
-        (iu, rho0, u_omega), params.alpha0, params.alpha1, params.lam, _PROJECTION_SCALE)
+        (state.u, state.v, state.p, state.q, state.u_bar, state.v_bar), op,
+        (iu, rho0, u_omega), params)
     return SolverState(u=u, v=v, p=p, q=q, u_bar=u_bar, v_bar=v_bar)
 
 
@@ -369,9 +360,7 @@ def solve_level(i0: np.ndarray, i1: np.ndarray, traj_dirs: np.ndarray,
     # Cast in place, so each float64 array is freed once its copy is made.
     for name, value in vars(op).items():
         setattr(op, name, np.asarray(value, dtype=np.float32))
-    level = kernels.WarpLevel(i0, i1, traj_dirs, traj_valid, mask, list(vars(op).values()),
-                              params.alpha0, params.alpha1, params.lam, _PROJECTION_SCALE,
-                              params.du_max, params.pd_iters)
+    level = kernels.WarpLevel(i0, i1, traj_dirs, traj_valid, mask, op, params)
     # The warp step accumulates in place, into copies of the caller's arrays.
     u = np.array(u, dtype=np.float64, order="C")
     w = np.array(w, dtype=np.float64, order="C")

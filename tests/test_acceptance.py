@@ -15,7 +15,7 @@ from fisheyestereo.camera import RelativePose, StereoRig, UnifiedCamera, triangu
 from fisheyestereo.fields import (depth_swept_curve, generate_trajectory_field,
                                   trace_epipolar_curves, translation_only_rig)
 from fisheyestereo.rasters import divergence, gradient
-from fisheyestereo.solver import SolverParams, solve_pyramid
+from fisheyestereo.solver import LevelOperator, SolverParams, solve_pyramid
 from fisheyestereo.synth import (Plane, Scene, Sphere, ValueNoise, default_rig,
                                  default_scene, make_ground_truth, pinhole_rig,
                                  render)
@@ -75,12 +75,11 @@ def _compiled_resolvent(u_hat, rho, iu, tau, lam):
     """
     n = u_hat.size
     zero = np.zeros((1, n), np.float32)
-    operator = [zero] * 8 + [(tau * lam)[None], np.ones((1, n), np.float32)]
+    op = LevelOperator(*[zero] * 8, tau_u=(tau * lam)[None], tau_v=np.ones((1, n), np.float32))
     u = u_hat[None]
     v, q = np.zeros((2, 1, n), np.float32), np.zeros((4, 1, n), np.float32)
-    # scale 1: no projection acts on zero duals.
-    out = kernels.primal_dual_cycle((u, v, v, q, u, v), operator, (iu[None], rho[None], u),
-                                    1.0, 1.0, 1.0, 1.0)
+    out = kernels.primal_dual_cycle((u, v, v, q, u, v), op, (iu[None], rho[None], u),
+                                    SolverParams(alpha0=1.0, alpha1=1.0, lam=1.0))
     return out[0][0]
 
 

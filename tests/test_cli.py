@@ -138,7 +138,10 @@ def test_render_malformed_scene_fails_with_message(tmp_path, tiny_rig_path, caps
     (["--noise", "-1"], "noise_sigma must be finite and >= 0"),
     (["--noise", "nan"], "noise_sigma must be finite and >= 0"),
     (["--noise", "inf"], "noise_sigma must be finite and >= 0"),
-], ids=["supersample-0", "noise-negative", "noise-nan", "noise-inf"])
+    (["--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["--seed", "-1", "--noise", "0.01"], "--seed must be >= 0, got -1"),
+], ids=["supersample-0", "noise-negative", "noise-nan", "noise-inf", "seed-negative",
+        "seed-negative-noise"])
 def test_render_bad_numbers_fail_with_message(tmp_path, tiny_rig_path, tiny_scene_path,
                                               capsys, flags, message):
     code = main(["render", "--rig", str(tiny_rig_path), "--scene", str(tiny_scene_path),
