@@ -252,9 +252,7 @@ def hash_cycle() -> str:
     params = solver.SolverParams()
     rng = np.random.default_rng(160150)
     mask = rng.random((h, w)) < 0.9
-    op = solver.precondition_steps(
-        solver.compute_tensor(rng.random((h, w)), params.beta, params.eta, mask),
-        mask, params)
+    op = solver.precondition_steps(solver.compute_tensor(rng.random((h, w)), mask), mask, params)
     op = solver.LevelOperator(**{k: a.astype(np.float32) for k, a in vars(op).items()})
     u, iu, rho0 = (rng.normal(size=(h, w)).astype(np.float32) for _ in range(3))
     v, p = (rng.normal(size=(2, h, w)).astype(np.float32) for _ in range(2))

@@ -8,6 +8,7 @@ pixels above a threshold tau over the covisible, in-mask population only.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,8 @@ _VIRIDIS_ANCHORS = (
 
 @dataclass
 class ErrorReport:
-    """Summary statistics over covisible, in-mask pixels."""
+    """Summary statistics over covisible, in-mask pixels; a statistic over
+    no pixels is NaN (None for the depth error)."""
 
     pct_bad: dict[float, float]
     mean_error_px: float
@@ -50,16 +52,22 @@ class ErrorReport:
     valid_count: int
 
     def to_dict(self) -> dict:
+        """The report as JSON values: a statistic over no pixels is None
+        (null), since JSON has no NaN."""
         return {
-            "pct_bad": {f"tau>{t:g}": v for t, v in self.pct_bad.items()},
-            "mean_error_px": self.mean_error_px,
-            "median_error_px": self.median_error_px,
+            "pct_bad": {f"tau>{t:g}": _nan_to_none(v) for t, v in self.pct_bad.items()},
+            "mean_error_px": _nan_to_none(self.mean_error_px),
+            "median_error_px": _nan_to_none(self.median_error_px),
             "mean_abs_depth_error_m": self.mean_abs_depth_error_m,
             "valid_count": self.valid_count,
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
+
+
+def _nan_to_none(value: float) -> float | None:
+    return None if math.isnan(value) else value
 
 
 def correspondence_error(w_est: np.ndarray, w_gt: np.ndarray,

@@ -59,20 +59,13 @@ static ptrdiff_t clipped_floor(double floor_x, ptrdiff_t n)
     return (ptrdiff_t)c;
 }
 
-static ptrdiff_t clamp_index(ptrdiff_t i, ptrdiff_t lo, ptrdiff_t hi)
-{
-    return i < lo ? lo : i > hi ? hi : i;
-}
-
 /* The 16-tap sum of every channel of an (h, w, nc) field at the stencil of
- * floor (ix, iy). The top-left tap is clamped into the image, so that every
- * tap is read from it; that moves only stencils that are not full. */
-ALWAYS_INLINE void full_sum(const double *f, ptrdiff_t nc, ptrdiff_t h, ptrdiff_t w,
-                            ptrdiff_t ix, ptrdiff_t iy, const double wx[4],
-                            const double wy[4], double *out)
+ * floor (ix, iy), which must be full: every tap lies in the image. */
+ALWAYS_INLINE void full_sum(const double *f, ptrdiff_t nc, ptrdiff_t w, ptrdiff_t ix,
+                            ptrdiff_t iy, const double wx[4], const double wy[4],
+                            double *out)
 {
-    const ptrdiff_t top_left = (clamp_index(iy, 1, h - 3) - 1) * w
-                               + clamp_index(ix, 1, w - 3) - 1;
+    const ptrdiff_t top_left = (iy - 1) * w + ix - 1;
     for (ptrdiff_t ch = 0; ch < nc; ch++) {
         double acc = 0.0;
         for (int a = 0; a < 4; a++)
@@ -149,8 +142,8 @@ ALWAYS_INLINE int sample_at(const struct stencil *s, const double *f, ptrdiff_t 
                             ptrdiff_t w, double *out)
 {
     const int count = counts[s->at];
-    if (count == 16 && h >= 4 && w >= 4) {
-        full_sum(f, nc, h, w, s->ix, s->iy, s->wx, s->wy, out);
+    if (count == 16) {
+        full_sum(f, nc, w, s->ix, s->iy, s->wx, s->wy, out);
     } else if (count == 0) {
         for (ptrdiff_t ch = 0; ch < nc; ch++)
             out[ch] = NAN;

@@ -61,8 +61,9 @@ from . import fields as fieldsmod
 from . import kernels
 from .camera import StereoRig
 from .rasters import (build_pyramid, edge_indicators, forward_difference, pixel_grid,
-                      sample_bicubic, smooth_masked, upsample_state, warp_image)
-from .schema import COUNT, NONNEGATIVE, POSITIVE, Ruled, reject_unknown_keys, ruled
+                      sample_bicubic, smooth_masked, upsample_state, vector_norm,
+                      warp_image)
+from .schema import COUNT, POSITIVE, Ruled, reject_unknown_keys, ruled
 
 
 @dataclass
@@ -77,21 +78,20 @@ class SolverParams(Ruled):
     can accumulate. Each field's metadata holds its rule, which construction
     checks (`schema.Ruled`), and its `help`, which documents its CLI flag.
     The method's constants are not fields: theta = 1 (`primal_dual_iterate`),
-    the trajectory probe's size (`fields.generate_trajectory_field`) and the
-    pyramid ratio 2 (`rasters.pyramid_shapes`).
+    the edge tensor's beta = 9 and eta = 0.85 (`compute_tensor`) and its
+    1 px smoothing (`edge_tensor`), the trajectory probe's size
+    (`fields.generate_trajectory_field`) and the pyramid ratio 2
+    (`rasters.pyramid_shapes`).
     """
 
     lam: float = ruled(POSITIVE, 5.0, help="data term weight")
     alpha0: float = ruled(POSITIVE, 17.0, help="second-order TGV weight")
     alpha1: float = ruled(POSITIVE, 1.2, help="first-order TGV weight")
-    beta: float = ruled(POSITIVE, 9.0, help="edge tensor magnitude")
-    eta: float = ruled(POSITIVE, 0.85, help="edge tensor sharpness")
     warp_iters: int = ruled(COUNT, 50, help="warping iterations per pyramid level")
     pd_iters: int = ruled(COUNT, 10, help="primal-dual cycles per warp iteration")
     du_max: float = ruled(POSITIVE, 0.2, help="clip for each disparity increment, px")
     pyramid_levels: int = ruled(COUNT, 5, help="most pyramid levels, finest included")
     min_width: int = ruled(COUNT, 50, help="narrowest pyramid level width, px")
-    tensor_sigma: float = ruled(NONNEGATIVE, 1.0, help="edge tensor pre-smoothing sigma, px")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -150,14 +150,14 @@ class WarpRecord:
 Observer = Callable[[WarpRecord], None]
 
 
-def compute_tensor(i0: np.ndarray, beta: float, eta: float,
-                   mask: np.ndarray) -> np.ndarray:
+def compute_tensor(i0: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Edge tensor exp(-beta*|grad|^eta) along the gradient, 1 across it.
 
     Returns (H, W, 3) packed symmetric tensors (a, b, c) for [[a, b], [b, c]].
     Eigenvalues are always in (0, 1]; zero-gradient pixels get the identity.
-    The caller supplies a smoothed image (see `SolverParams.tensor_sigma`).
+    The caller supplies a smoothed image (see `edge_tensor`).
     """
+    beta, eta = 9.0, 0.85
     gx, gy = _central_gradient(i0, mask)
     mag = np.hypot(gx, gy)
     safe = np.maximum(mag, 1e-300)
@@ -187,10 +187,10 @@ def _central_gradient(f: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.n
     return gx / np.maximum(nx, 1.0), gy / np.maximum(ny, 1.0)
 
 
-def edge_tensor(i0: np.ndarray, mask: np.ndarray, params: SolverParams) -> np.ndarray:
-    """The tensor T of the functional: `compute_tensor` of the smoothed image."""
-    return compute_tensor(smooth_masked(i0, mask, params.tensor_sigma),
-                          params.beta, params.eta, mask)
+def edge_tensor(i0: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The tensor T of the functional: `compute_tensor` of the image smoothed
+    over `mask` by a Gaussian of sigma 1 px."""
+    return compute_tensor(smooth_masked(i0, mask, 1.0), mask)
 
 
 def image_derivative_along(dirs: np.ndarray, i1w: np.ndarray,
@@ -221,14 +221,6 @@ def thresholding_step(u_hat: np.ndarray, rho_hat: np.ndarray, iu: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         step = np.where(rho_hat < -th, clamp, np.where(rho_hat > th, -clamp, -(rho_hat / iu)))
     return u_hat + np.where(iu != 0, step, 0.0)
-
-
-def _norm(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the channels of a channel-first array."""
-    s = x[0] * x[0]
-    for c in x[1:]:
-        s += c * c
-    return np.sqrt(s, out=s)
 
 
 @dataclass
@@ -356,7 +348,7 @@ def solve_level(i0: np.ndarray, i1: np.ndarray, traj_dirs: np.ndarray,
     term and the state. Warping, linearization, the clip and the
     accumulation stay in float64, and so do the returned u, w and v.
     """
-    op = precondition_steps(edge_tensor(i0, mask, params), mask, params)
+    op = precondition_steps(edge_tensor(i0, mask), mask, params)
     # Cast in place, so each float64 array is freed once its copy is made.
     for name, value in vars(op).items():
         setattr(op, name, np.asarray(value, dtype=np.float32))
@@ -456,8 +448,8 @@ def energy(i0: np.ndarray, i1c: np.ndarray, mask: np.ndarray, u: np.ndarray,
     """
     i1w, ok = warp_image(i1c, w, mask)
     sel = mask & ok
-    op = precondition_steps(edge_tensor(i0, mask, params), mask, params)
-    gu, gv = op.apply(u, np.moveaxis(v, -1, 0))
+    op = precondition_steps(edge_tensor(i0, mask), mask, params)
+    gu, gv = (np.moveaxis(g, 0, -1) for g in op.apply(u, np.moveaxis(v, -1, 0)))
     return (params.lam * float(np.sum(np.abs((i1w - i0)[sel])))
-            + params.alpha1 * float(np.sum(_norm(gu)[sel]))
-            + params.alpha0 * float(np.sum(_norm(gv)[sel])))
+            + params.alpha1 * float(np.sum(vector_norm(gu)[sel]))
+            + params.alpha0 * float(np.sum(vector_norm(gv)[sel])))

@@ -116,7 +116,7 @@ def generate_walkthrough(out_dir) -> Path:
     # 4. anisotropy tensor and the linearized residual
     mask = m0 & i1c_ok
     params = solver.SolverParams(warp_iters=4, pyramid_levels=1)
-    tens = solver.edge_tensor(i0, mask, params)
+    tens = solver.edge_tensor(i0, mask)
     _save(out, "tensor_across_edge_weight", tens[:, :, 0], mask)
     # I_u at the zero warp: the first warp iteration's record, as the solver
     # linearizes it.

@@ -233,16 +233,16 @@ def test_stereo_config_echo_resolves_overrides(stereo_run):
 def test_stereo_config_file_merge(tmp_path, dataset, tiny_rig_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"warp_iters": 3, "pyramid_levels": 2,
-                               "min_width": 40, "lam": 2.5, "eta": 0.8}))
+                               "min_width": 40, "lam": 2.5, "alpha1": 0.8}))
     out = tmp_path / "s"
     assert main(["stereo", "--left", str(dataset / "image0.pgm"),
                  "--right", str(dataset / "image1.pgm"),
                  "--rig", str(tiny_rig_path), "--out", str(out),
-                 "--config", str(cfg), "--lam", "3.5", "--eta", "0.9"]) == 0
+                 "--config", str(cfg), "--lam", "3.5", "--alpha1", "0.9"]) == 0
     echo = json.loads((out / "config_resolved.json").read_text())
     assert echo["params"]["warp_iters"] == 3     # from config file
     assert echo["params"]["lam"] == 3.5          # flag beats config
-    assert echo["params"]["eta"] == 0.9
+    assert echo["params"]["alpha1"] == 0.9
 
 
 @pytest.mark.parametrize("config, flags, message", [
@@ -254,14 +254,20 @@ def test_stereo_config_file_merge(tmp_path, dataset, tiny_rig_path):
     pytest.param({"du_max": "0.2"}, [], "du_max must be finite and > 0",
                  id="config4-flags4-du_max as text"),
     ({}, ["--lam", "nan"], "lam must be finite"),
-    # theta, epsilon_scale and the pyramid ratio are constants of the method,
-    # not settings.
+    # theta, epsilon_scale, the pyramid ratio and the edge tensor's beta, eta
+    # and smoothing sigma are constants of the method, not settings.
     pytest.param({"theta": 1.0}, [], "'theta' is not a key of a solver config",
                  id="config6-flags6-theta not a key"),
     pytest.param({"epsilon_scale": 0.1}, [], "'epsilon_scale' is not a key of a solver config",
                  id="config7-flags7-epsilon_scale not a key"),
     pytest.param({"pyramid_scale": 2.0}, [], "'pyramid_scale' is not a key of a solver config",
                  id="config8-flags8-pyramid_scale not a key"),
+    pytest.param({"beta": 9.0}, [], "'beta' is not a key of a solver config",
+                 id="config9-flags9-beta not a key"),
+    pytest.param({"eta": 0.85}, [], "'eta' is not a key of a solver config",
+                 id="config10-flags10-eta not a key"),
+    pytest.param({"tensor_sigma": 1.0}, [], "'tensor_sigma' is not a key of a solver config",
+                 id="config11-flags11-tensor_sigma not a key"),
 ])
 def test_stereo_bad_params_fail_with_message(tmp_path, dataset, tiny_rig_path, capsys,
                                              config, flags, message):
@@ -298,7 +304,11 @@ def test_solver_flags_are_one_per_params_field(command, params, others):
     ["stereo", "--left", "l.pgm", "--right", "r.pgm", "--theta", "1"],
     ["fields", "--epsilon-scale", "0.1"],
     ["stereo", "--left", "l.pgm", "--right", "r.pgm", "--pyramid-scale", "2"],
-], ids=["stereo-theta", "fields-epsilon-scale", "stereo-pyramid-scale"])
+    ["stereo", "--left", "l.pgm", "--right", "r.pgm", "--beta", "9"],
+    ["stereo", "--left", "l.pgm", "--right", "r.pgm", "--eta", "0.85"],
+    ["sweep", "--dataset", "d", "--tensor-sigma", "1"],
+], ids=["stereo-theta", "fields-epsilon-scale", "stereo-pyramid-scale", "stereo-beta",
+        "stereo-eta", "sweep-tensor-sigma"])
 def test_removed_setting_flags_exit_2(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path / "o")])
@@ -515,6 +525,27 @@ def test_eval_perfect_estimate_zero_report(tmp_path, dataset):
     assert report["pct_bad"]["tau>1"] == 0.0
     assert report["mean_error_px"] == 0.0
     assert report["valid_count"] > 0
+
+
+def test_eval_nothing_scored_writes_nulls(tmp_path, dataset):
+    # No pixel marked valid: every statistic is undefined, and the report
+    # must still be strict JSON (RFC 8259 has no NaN or Infinity).
+    corr, covis = formats.read_vector_pfm(dataset / "correspondence.pfm")
+    est_path = tmp_path / "none.pfm"
+    formats.write_vector_pfm(est_path, corr, third=np.zeros(covis.shape))
+    out = tmp_path / "eval_none"
+    assert main(["eval", "--estimate", str(est_path), "--gt", str(dataset),
+                 "--out", str(out)]) == 0
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    assert report["valid_count"] == 0
+    assert report["pct_bad"] == {"tau>1": None, "tau>3": None, "tau>5": None}
+    assert report["mean_error_px"] is None
+    assert report["median_error_px"] is None
+    assert report["mean_abs_depth_error_m"] is None
 
 
 def test_eval_error_pngs(tmp_path, dataset):

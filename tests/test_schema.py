@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fisheyestereo.camera import CAMERAS, PinholeCamera, UnifiedCamera
-from fisheyestereo.schema import COUNT, NONNEGATIVE, POSITIVE, Ruled
+from fisheyestereo.schema import COUNT, POSITIVE, Ruled
 from fisheyestereo.solver import SolverParams
 from fisheyestereo.synth import (PRIMITIVES, TEXTURES, Checkerboard, SineGrating, Sphere,
                                  ValueNoise)
@@ -56,8 +56,7 @@ def test_constructor_rejects_what_json_rejects(obj, name, value):
 
 
 # Of 0, -1 and NaN, the values that each rule of a SolverParams field rejects.
-_REJECTED = {COUNT: (0, -1, float("nan")), POSITIVE: (0, -1, float("nan")),
-             NONNEGATIVE: (-1, float("nan"))}
+_REJECTED = {COUNT: (0, -1, float("nan")), POSITIVE: (0, -1, float("nan"))}
 
 
 def _params_cases():

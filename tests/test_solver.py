@@ -52,7 +52,7 @@ def test_params_reject_wrong_types(name, value):
         SolverParams.from_dict({name: value})
 
 
-@pytest.mark.parametrize("name", ["lam", "alpha0", "du_max", "tensor_sigma"])
+@pytest.mark.parametrize("name", ["lam", "alpha0", "alpha1", "du_max"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_params_reject_non_finite(name, value):
     with pytest.raises(ValueError, match=name):
@@ -70,7 +70,7 @@ def test_params_accept_numpy_and_integer_values():
 
 def test_tensor_identity_on_flat_image():
     mask = np.ones((12, 12), dtype=bool)
-    t = compute_tensor(np.full((12, 12), 0.5), 9.0, 0.85, mask)
+    t = compute_tensor(np.full((12, 12), 0.5), mask)
     assert np.allclose(t[:, :, 0], 1.0, atol=0)
     assert np.allclose(t[:, :, 1], 0.0, atol=0)
     assert np.allclose(t[:, :, 2], 1.0, atol=0)
@@ -80,7 +80,7 @@ def test_tensor_unit_gradient_ramp():
     # Oracle: direct formula evaluation, T = diag(exp(-beta), 1) for g=(1,0).
     g = pixel_grid(12, 12)
     mask = np.ones((12, 12), dtype=bool)
-    t = compute_tensor(g[:, :, 0], 9.0, 0.85, mask)
+    t = compute_tensor(g[:, :, 0], mask)
     interior = t[3:-3, 3:-3]
     assert np.allclose(interior[:, :, 0], E_MINUS_9, rtol=1e-12)
     assert np.allclose(interior[:, :, 1], 0.0, atol=1e-15)
@@ -91,7 +91,7 @@ def test_tensor_spectrum_on_random_image():
     rng = np.random.default_rng(0)
     img = rng.random((24, 24))
     mask = np.ones((24, 24), dtype=bool)
-    t = compute_tensor(img, 9.0, 0.85, mask)
+    t = compute_tensor(img, mask)
     a, b, c = t[:, :, 0], t[:, :, 1], t[:, :, 2]
     tr = a + c
     det = a * c - b * b
@@ -275,7 +275,7 @@ def test_thresholding_matches_masked_divide_bits(dtype, entries, lam):
 
 def _idle_inputs(h=20, w=20):
     mask = np.ones((h, w), dtype=bool)
-    t = compute_tensor(np.full((h, w), 0.5), 9.0, 0.85, mask)
+    t = compute_tensor(np.full((h, w), 0.5), mask)
     iu = np.zeros((h, w), dtype=np.float32)
     rho0 = np.zeros((h, w), dtype=np.float32)
     return mask, t, iu, rho0
@@ -415,7 +415,7 @@ def _reference_cycle(state, t, mask, op, iu, rho0, u_omega, params):
 def _random_cycle(rng, h, w, dtype, density):
     """(state, t, mask, op, iu, rho0, u_omega) of one random cycle."""
     mask = rng.random((h, w)) < density
-    t = compute_tensor(rng.random((h, w)), 9.0, 0.85, mask)
+    t = compute_tensor(rng.random((h, w)), mask)
     op = _cast_operator(precondition_steps(t, mask, SolverParams()), dtype)
 
     def draw(*shape):
@@ -594,7 +594,7 @@ def _assert_warp_step_matches_numpy(seed, h, w, pd_iters, nan_p_at=None):
     q = _signed_zeros(rng, rng.normal(size=(4, h, w)).astype(np.float32))
     if nan_p_at is not None:
         p[(0,) + nan_p_at] = np.nan
-    op = _cast_operator(precondition_steps(solver.edge_tensor(i0, mask, params), mask, params),
+    op = _cast_operator(precondition_steps(solver.edge_tensor(i0, mask), mask, params),
                         np.float32)
 
     want = _numpy_warp_step(i0, i1, traj, traj_valid, mask, op, params, u, warp, v, p, q)
@@ -762,7 +762,7 @@ def test_folded_operator_fields_vanish_exactly_off_the_edges():
 def test_preconditioned_steps_positive_and_finite():
     rng = np.random.default_rng(4)
     mask = rng.random((30, 30)) > 0.2
-    t = compute_tensor(rng.random((30, 30)), 9.0, 0.85, mask)
+    t = compute_tensor(rng.random((30, 30)), mask)
     op = precondition_steps(t, mask, SolverParams())
     for step in (op.p_step, op.u_step, op.tau_u, op.tau_v):
         assert np.all(np.isfinite(step)) and np.all(step > 0)
@@ -1023,7 +1023,7 @@ def test_energy_decreases_from_zero_init(small_fisheye_rig, small_pair):
 def _energy_reference(i0, i1c, mask, u, v, w, params):
     """The functional of the solver's docstring, one pixel at a time."""
     h, wd = mask.shape
-    t = edge_tensor(i0, mask, params)
+    t = edge_tensor(i0, mask)
 
     def diff(f, i, j, di, dj):  # masked forward difference
         if i + di < h and j + dj < wd and mask[i, j] and mask[i + di, j + dj]:
