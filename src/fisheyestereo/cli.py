@@ -198,7 +198,8 @@ def cmd_stereo(args) -> int:
 
 def _load_gt_dir(path: Path):
     """Ground truth of a `render` dataset; covisibility is the third channel
-    of correspondence.pfm."""
+    of correspondence.pfm. Every covisible pixel must hold a finite
+    correspondence and depth."""
     corr, covis = _read("ground truth file", path / "correspondence.pfm",
                         formats.read_vector_pfm)
     depth = _read("ground truth file", path / "depth0.pfm",
@@ -208,7 +209,12 @@ def _load_gt_dir(path: Path):
     if corr.shape[:2] != shape or depth.shape != shape:
         raise CommandError(f"ground truth in {path} does not match the "
                            f"{shape[1]}x{shape[0]} camera 0 of its rig.json")
-    return corr, covis > 0.5, depth, rig
+    covis = covis > 0.5
+    for name, values in (("correspondence.pfm", corr[covis]), ("depth0.pfm", depth[covis])):
+        if not np.isfinite(values).all():
+            raise CommandError(f"bad ground truth file {path / name}: non-finite value "
+                               "on a pixel its covisibility marks valid")
+    return corr, covis, depth, rig
 
 
 def cmd_eval(args) -> int:

@@ -42,8 +42,11 @@ _VIRIDIS_ANCHORS = (
 
 @dataclass
 class ErrorReport:
-    """Summary statistics over covisible, in-mask pixels; a statistic over
-    no pixels is NaN (None for the depth error)."""
+    """Summary statistics over covisible, in-mask pixels.
+
+    A statistic over no pixels is NaN, except the depth error, which is then
+    None; a non-finite input value can make a statistic NaN or infinite.
+    """
 
     pct_bad: dict[float, float]
     mean_error_px: float
@@ -52,13 +55,13 @@ class ErrorReport:
     valid_count: int
 
     def to_dict(self) -> dict:
-        """The report as JSON values: a statistic over no pixels is None
-        (null), since JSON has no NaN."""
+        """The report as JSON values: a non-finite or missing statistic is
+        None (null), since JSON has no NaN or infinity."""
         return {
-            "pct_bad": {f"tau>{t:g}": _nan_to_none(v) for t, v in self.pct_bad.items()},
-            "mean_error_px": _nan_to_none(self.mean_error_px),
-            "median_error_px": _nan_to_none(self.median_error_px),
-            "mean_abs_depth_error_m": self.mean_abs_depth_error_m,
+            "pct_bad": {f"tau>{t:g}": _finite_or_none(v) for t, v in self.pct_bad.items()},
+            "mean_error_px": _finite_or_none(self.mean_error_px),
+            "median_error_px": _finite_or_none(self.median_error_px),
+            "mean_abs_depth_error_m": _finite_or_none(self.mean_abs_depth_error_m),
             "valid_count": self.valid_count,
         }
 
@@ -66,8 +69,8 @@ class ErrorReport:
         return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
 
-def _nan_to_none(value: float) -> float | None:
-    return None if math.isnan(value) else value
+def _finite_or_none(value: float | None) -> float | None:
+    return value if value is not None and math.isfinite(value) else None
 
 
 def correspondence_error(w_est: np.ndarray, w_gt: np.ndarray,

@@ -206,9 +206,23 @@ def _stencil_tap_counts(mask: np.ndarray) -> np.ndarray:
 
 def sample_bicubic(field: np.ndarray, pos: np.ndarray,
                    mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample an (H, W) or (H, W, C) `field` under its (H, W) `mask` at the
-    (..., 2) positions `pos`; returns (values, valid) as
-    `rasters.sample_bicubic` documents them.
+    """Sample `field` at continuous positions using only in-mask taps.
+
+    Fallback chain per position: full 16-tap bicubic when every tap is valid,
+    else bilinear renormalized over the valid inner 2x2 taps, else the nearest
+    valid tap of the stencil. Positions whose whole stencil is invalid (or
+    that are not finite) return NaN with a False validity flag.
+
+    Parameters
+    ----------
+    field : (H, W) or (H, W, C) array
+    pos : (..., 2) array of (x, y) positions
+    mask : (H, W) boolean validity mask
+
+    Returns
+    -------
+    values : (...,) or (..., C) float64 array, NaN where invalid
+    valid : (...) boolean array
 
     The loop is compiled: per position it computes the floors, fractions and
     Catmull-Rom weights. Floors are clipped into [-3, W + 1] x [-3, H + 1]

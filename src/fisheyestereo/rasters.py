@@ -19,6 +19,9 @@ The discrete gradient uses forward differences with a Neumann condition
 across the mask boundary; divergence is its negative adjoint (backward
 differences, fields treated as zero outside the mask), which makes the
 summation-by-parts identity exact and testable.
+
+`sample_bicubic`, the masked bicubic sampler every warp goes through, is the
+compiled `kernels.sample_bicubic`; its docstring holds the fallback chain.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from . import kernels
+from .kernels import sample_bicubic
 from .schema import COUNT
 
 
@@ -50,31 +53,6 @@ def vector_norm(x: np.ndarray) -> np.ndarray:
     for k in range(1, x.shape[-1]):
         s += x[..., k] * x[..., k]
     return np.sqrt(s)
-
-
-def sample_bicubic(field: np.ndarray, pos: np.ndarray,
-                   mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample `field` at continuous positions using only in-mask taps.
-
-    Fallback chain per position: full 16-tap bicubic when every tap is valid,
-    else bilinear renormalized over the valid inner 2x2 taps, else the nearest
-    valid tap of the stencil. Positions whose whole stencil is invalid (or
-    that are not finite) return NaN with a False validity flag.
-
-    This is `kernels.sample_bicubic`.
-
-    Parameters
-    ----------
-    field : (H, W) or (H, W, C) array
-    pos : (..., 2) array of (x, y) positions
-    mask : (H, W) boolean validity mask
-
-    Returns
-    -------
-    values : (...,) or (..., C) array, NaN where invalid
-    valid : (...) boolean array
-    """
-    return kernels.sample_bicubic(field, pos, mask)
 
 
 def warp_image(image: np.ndarray, w: np.ndarray,

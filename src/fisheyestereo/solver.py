@@ -41,10 +41,9 @@ per warp: it samples i1 and the directions, linearizes, runs the cycles,
 clips and accumulates. The compiled loops repeat the NumPy operations of
 the forms they replaced (kept as references in the tests) in their order
 and precision, so their results are bit-identical to them. The cycle is
-also callable alone (`kernels.primal_dual_cycle`, through
-`primal_dual_iterate`). `thresholding_step` and `image_derivative_along`
-are the NumPy forms of the data term's proximal step and of I_u, which the
-compiled warp step inlines.
+also callable alone (`kernels.primal_dual_cycle`). `thresholding_step` and
+`image_derivative_along` are the NumPy forms of the data term's proximal
+step and of I_u, which the compiled warp step inlines.
 
 Solving needs the C compiler `gcc` on PATH; the `kernels` module docstring
 says how the loops are built and cached, and with which flags.
@@ -77,11 +76,11 @@ class SolverParams(Ruled):
     warp_iters (N) times du_max bounds the disparity a single pyramid level
     can accumulate. Each field's metadata holds its rule, which construction
     checks (`schema.Ruled`), and its `help`, which documents its CLI flag.
-    The method's constants are not fields: theta = 1 (`primal_dual_iterate`),
-    the edge tensor's beta = 9 and eta = 0.85 (`compute_tensor`) and its
-    1 px smoothing (`edge_tensor`), the trajectory probe's size
-    (`fields.generate_trajectory_field`) and the pyramid ratio 2
-    (`rasters.pyramid_shapes`).
+    The method's constants are not fields: theta = 1 (the compiled cycle,
+    `kernels.primal_dual_cycle`), the edge tensor's beta = 9 and eta = 0.85
+    (`compute_tensor`) and its 1 px smoothing (`edge_tensor`), the
+    trajectory probe's size (`fields.generate_trajectory_field`) and the
+    pyramid ratio 2 (`rasters.pyramid_shapes`).
     """
 
     lam: float = ruled(POSITIVE, 5.0, help="data term weight")
@@ -100,30 +99,6 @@ class SolverParams(Ruled):
     def from_dict(d: dict) -> "SolverParams":
         reject_unknown_keys(d, SolverParams.__dataclass_fields__, "", "solver config")
         return SolverParams(**d)
-
-
-@dataclass
-class SolverState:
-    """Primal/dual variables of one level's inner iteration.
-
-    Vector variables are stored channel-first, so each channel is one
-    contiguous (H, W) array: v, v_bar and p are (2, H, W), q is (4, H, W) with
-    channels (dv0/dx, dv0/dy, dv1/dx, dv1/dy).
-
-    Every field is float32, the one precision of the compiled cycle (and of
-    GPU primal-dual solvers, and half the bytes of the memory-bound cycle).
-
-    No solver function writes into an array it was given; each step returns
-    fresh arrays. So a state may share its arrays with another state, with
-    the caller's inputs, or among its own fields, without copies.
-    """
-
-    u: np.ndarray
-    v: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
-    u_bar: np.ndarray
-    v_bar: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -309,21 +284,9 @@ def precondition_steps(t: np.ndarray, mask: np.ndarray,
         tau_u=tau_u, tau_v=tau_v)
 
 
-def primal_dual_iterate(state: SolverState, op: LevelOperator, iu: np.ndarray,
-                        rho0: np.ndarray, u_omega: np.ndarray,
-                        params: SolverParams) -> SolverState:
-    """One full primal-dual cycle (dual ascent, primal descent, relaxation).
-
-    rho0 is the residual at the current warp (u = u_omega); the linearized
-    residual handed to the shrinkage step is rho0 + (u - u_omega) * iu.
-    `op` comes from `precondition_steps(t, mask, params)`, cast to float32.
-    The cycle runs compiled (see the module docstring) in float32: every
-    array given must be C-contiguous float32, or ValueError is raised.
-    """
-    u, v, p, q, u_bar, v_bar = kernels.primal_dual_cycle(
-        (state.u, state.v, state.p, state.q, state.u_bar, state.v_bar), op,
-        (iu, rho0, u_omega), params)
-    return SolverState(u=u, v=v, p=p, q=q, u_bar=u_bar, v_bar=v_bar)
+# `perfbench/tracing.py` names this alias; no solve calls it, and ROADMAP
+# item 2 drops it.
+primal_dual_iterate = kernels.primal_dual_cycle
 
 
 def solve_level(i0: np.ndarray, i1: np.ndarray, traj_dirs: np.ndarray,

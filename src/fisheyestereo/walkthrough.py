@@ -10,7 +10,6 @@ cannot drift from the code.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -118,11 +117,10 @@ def generate_walkthrough(out_dir) -> Path:
     params = solver.SolverParams(warp_iters=4, pyramid_levels=1)
     tens = solver.edge_tensor(i0, mask)
     _save(out, "tensor_across_edge_weight", tens[:, :, 0], mask)
-    # I_u at the zero warp: the first warp iteration's record, as the solver
-    # linearizes it.
+    # The section 5 solve, one level from the zero warp: its first warp
+    # iteration's record holds I_u as the solver linearizes it.
     records = []
-    solver.solve_level(i0, i1c, traj, traj_ok, replace(params, warp_iters=1), mask,
-                       np.zeros(i0.shape), np.zeros(i0.shape + (2,)), records.append)
+    result = solver.solve_pyramid(i0, i1, rig, params, observe=records.append)
     _save(out, "image_derivative", records[0].iu, records[0].data_ok)
     rho0 = np.where(mask, i1c - i0, 0.0)
     _save(out, "residual_initial", rho0, mask)
@@ -135,13 +133,11 @@ def generate_walkthrough(out_dir) -> Path:
         "`residual_initial.pfm`.", "",
     ]
 
-    # 5. a short solve: warping loop with primal-dual inner iterations
+    # 5. the short solve run above: warping loop with primal-dual inner iterations
     e0 = solver.energy(i0, i1c, mask, np.zeros_like(i0),
                        np.zeros(i0.shape + (2,)), np.zeros(i0.shape + (2,)), params)
-    peaks = []  # per warp iteration: max |p|, max |q|, max |du|
-    result = solver.solve_pyramid(i0, i1, rig, params, observe=lambda rec: peaks.append(
-        (rec.max_p_norm, rec.max_q_norm, float(np.max(np.abs(rec.du))))))
-    max_p, max_q, max_du = np.max(peaks, axis=0)
+    max_p, max_q, max_du = np.max([(rec.max_p_norm, rec.max_q_norm,
+                                    float(np.max(np.abs(rec.du)))) for rec in records], axis=0)
     e1 = solver.energy(i0, i1c, mask, result.u, result.v, result.w, params)
     _save(out, "disparity", result.u, result.mask)
     _save(out, "warp", result.w, result.mask)

@@ -1,6 +1,8 @@
 import argparse
 import json
+import runpy
 import shutil
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -588,6 +590,40 @@ def test_eval_nan_estimate_fails_with_message(tmp_path, dataset, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+@pytest.mark.parametrize("name, value", [("depth0.pfm", np.nan),
+                                         ("correspondence.pfm", np.inf)],
+                         ids=["nan-depth", "inf-correspondence"])
+def test_non_finite_ground_truth_fails_without_output(tmp_path, dataset, capsys, command,
+                                                      name, value):
+    # A non-finite ground truth value on one covisible pixel would reach the
+    # report; both commands reject the dataset before they write anything.
+    data = tmp_path / "ds"
+    shutil.copytree(dataset, data)
+    corr, covis = formats.read_vector_pfm(data / "correspondence.pfm")
+    row, col = np.argwhere(covis > 0.5)[0]
+    if name == "depth0.pfm":
+        depth = formats.read_pfm(data / name)
+        depth[row, col] = value
+        formats.write_pfm(data / name, depth)
+    else:
+        bad = corr.copy()
+        bad[row, col, 0] = value
+        formats.write_vector_pfm(data / name, bad, third=covis)
+    out = tmp_path / "o"
+    if command == "eval":
+        est = tmp_path / "est.pfm"
+        formats.write_vector_pfm(est, corr, third=np.ones(covis.shape))
+        argv = ["eval", "--estimate", str(est), "--gt", str(data)]
+    else:
+        argv = ["sweep", "--dataset", str(data), "--warp-iters-grid", "2",
+                "--pyramid-levels", "2", "--min-width", "40"]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"bad ground truth file {data / name}: non-finite" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name, header, message", [
     ("a.pgm", b"P5\n# c", "PGM header has no width"),
     ("b.pgm", b"P5\n4", "PGM header has no height"),
@@ -651,3 +687,24 @@ def test_sweep_single_cell(tmp_path, dataset):
     values = rows[1].split(",")
     assert int(values[0]) == 3
     assert float(values[6]) > 0.0
+
+
+@pytest.mark.parametrize("script, commands", [
+    ("run_stereo_experiment.py", ["render", "stereo", "eval"]),
+    ("sweep_warp_iters.py", ["render", "sweep"]),
+])
+def test_example_scripts_pass_only_flags_the_cli_parses(tmp_path, monkeypatch, script,
+                                                        commands):
+    # The scripts call `cli.main` with argument lists nothing else checks. A
+    # recorder stands in for it, so nothing renders or solves; every list it
+    # records must parse, as an unknown flag exits 2.
+    calls = []
+    monkeypatch.setattr("fisheyestereo.cli.main", lambda argv: calls.append(argv) or 0)
+    monkeypatch.setattr(sys, "argv", [script, str(tmp_path / "work")])
+    path = Path(__file__).resolve().parents[1] / "scripts" / script
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(path), run_name="__main__")
+    assert done.value.code == 0
+    assert [argv[0] for argv in calls] == commands
+    for argv in calls:
+        build_parser().parse_args(argv)

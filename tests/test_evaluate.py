@@ -101,6 +101,28 @@ def test_report_structure_and_json():
     assert d["pct_bad"]["tau>1"] == 0.0
 
 
+def test_report_json_writes_non_finite_statistics_as_null():
+    # One valid pixel with an infinite error, and a NaN true depth there: the
+    # report keeps inf and NaN, and its JSON holds null for each.
+    w_gt = np.zeros((1, 2, 2))
+    w_est = w_gt.copy()
+    w_est[0, 0, 0] = np.inf
+    valid = np.array([[True, False]])
+    rep = make_report(w_est, w_gt, valid, depth_est=np.ones((1, 2)),
+                      depth_gt=np.full((1, 2), np.nan))
+    assert rep.mean_error_px == rep.median_error_px == np.inf
+    assert np.isnan(rep.mean_abs_depth_error_m)
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    d = json.loads(rep.to_json(), parse_constant=reject)
+    assert d["mean_error_px"] is None and d["median_error_px"] is None
+    assert d["mean_abs_depth_error_m"] is None
+    assert d["pct_bad"] == {"tau>1": 100.0, "tau>3": 100.0, "tau>5": 100.0}
+    assert d["valid_count"] == 1
+
+
 def test_depth_from_correspondence_rectified():
     # Depth is reported along the camera-0 ray; multiplying by the ray's z
     # component recovers the rectified plane depth z = f*b/d = 1 m.

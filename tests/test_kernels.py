@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fisheyestereo import kernels
+from fisheyestereo import kernels, rasters
 from fisheyestereo.camera import RelativePose, StereoRig, UnifiedCamera
 from fisheyestereo.solver import SolverParams, solve_pyramid
 
@@ -65,6 +65,12 @@ def test_solve_without_compiler_names_gcc(no_compiler):
     image = np.random.default_rng(0).random((40, 40))
     with pytest.raises(kernels.KernelCompileError, match="C compiler 'gcc' on PATH"):
         solve_pyramid(image, image, rig, SolverParams(warp_iters=1, pyramid_levels=1))
+
+
+def test_package_sampler_is_the_compiled_one():
+    # One Python entry point per compiled kernel: the name every module
+    # imports from `rasters` is the kernel itself, not a wrapper.
+    assert rasters.sample_bicubic is kernels.sample_bicubic
 
 
 def test_sampler_rejects_mismatched_arrays():

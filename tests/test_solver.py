@@ -15,11 +15,9 @@ from fisheyestereo import kernels, solver
 from fisheyestereo.rasters import (backward_divergence, build_pyramid, edge_indicators,
                                    forward_difference, gradient, pixel_grid, sample_bicubic,
                                    smooth_masked, upsample_state, warp_image)
-from fisheyestereo.solver import (LevelOperator, SolverParams, SolverState,
-                                  calibrate_second_image,
+from fisheyestereo.solver import (LevelOperator, SolverParams, calibrate_second_image,
                                   compute_tensor, edge_tensor, energy,
-                                  image_derivative_along, precondition_steps,
-                                  primal_dual_iterate, solve_level,
+                                  image_derivative_along, precondition_steps, solve_level,
                                   solve_pyramid, thresholding_step)
 from fisheyestereo.synth import (Plane, Scene, Sphere, ValueNoise, default_rig,
                                  default_scene, make_ground_truth, pinhole_rig,
@@ -286,13 +284,14 @@ def test_pd_stationary_at_zero_data_and_constant_u():
     params = SolverParams()
     u0 = np.full((20, 20), 1.7, dtype=np.float32)
     v, p, q = (np.zeros((n, 20, 20), dtype=np.float32) for n in (2, 2, 4))
-    state = SolverState(u=u0.copy(), v=v, p=p, q=q, u_bar=u0.copy(), v_bar=v)
+    state = (u0.copy(), v, p, q, u0.copy(), v)
     op = _cast_operator(precondition_steps(t, mask, params), np.float32)
     for _ in range(5):
-        state = primal_dual_iterate(state, op, iu, rho0, u0, params)
-    assert np.array_equal(state.u, u0)
-    assert np.all(state.p == 0.0) and np.all(state.q == 0.0)
-    assert np.all(state.v == 0.0)
+        state = kernels.primal_dual_cycle(state, op, (iu, rho0, u0), params)
+    u, v, p, q = state[:4]
+    assert np.array_equal(u, u0)
+    assert np.all(p == 0.0) and np.all(q == 0.0)
+    assert np.all(v == 0.0)
 
 
 def _cast_operator(op, dtype):
@@ -318,8 +317,8 @@ def test_kernels_and_cycle_keep_input_dtype(dtype):
                *op.apply(u, v)]
     assert [a.dtype for a in outputs] == [np.dtype(dtype)] * 6
     if dtype == np.float32:
-        state = SolverState(u=u, v=v, p=p, q=q, u_bar=u, v_bar=v)
-        cycle = vars(primal_dual_iterate(state, op, iu, rho0, u, SolverParams())).values()
+        cycle = kernels.primal_dual_cycle((u, v, p, q, u, v), op, (iu, rho0, u),
+                                          SolverParams())
         assert [a.dtype for a in cycle] == [np.dtype(np.float32)] * 6
 
 
@@ -344,11 +343,11 @@ def test_pd_float32_projection_lands_in_unit_ball(seed, on_ball, still):
     u, iu, rho0 = (rng.normal(size=(8, 8)).astype(np.float32) for _ in range(3))
     v = rng.normal(size=(2, 8, 8)).astype(np.float32)
     u_bar, v_bar = (np.zeros_like(u), np.zeros_like(v)) if still else (u, v)
-    state = SolverState(u=u, v=v, p=duals(2), q=duals(4), u_bar=u_bar, v_bar=v_bar)
-    out = primal_dual_iterate(state, op, iu, rho0, u, SolverParams())
-    assert out.p.dtype == out.q.dtype == np.float32
-    assert np.max(np.linalg.norm(out.p.astype(np.float64), axis=0)) <= 1.0 + 1e-12
-    assert np.max(np.linalg.norm(out.q.astype(np.float64), axis=0)) <= 1.0 + 1e-12
+    _, _, p, q, _, _ = kernels.primal_dual_cycle((u, v, duals(2), duals(4), u_bar, v_bar), op,
+                                                 (iu, rho0, u), SolverParams())
+    assert p.dtype == q.dtype == np.float32
+    assert np.max(np.linalg.norm(p.astype(np.float64), axis=0)) <= 1.0 + 1e-12
+    assert np.max(np.linalg.norm(q.astype(np.float64), axis=0)) <= 1.0 + 1e-12
 
 
 @settings(max_examples=100, deadline=None)
@@ -391,7 +390,8 @@ def _project_unit_ball(x):
 def _reference_cycle(state, t, mask, op, iu, rho0, u_omega, params):
     """One primal-dual cycle with K written out: masked differences first,
     then the tensor, then the steps (the operator before its folding)."""
-    dtype = state.u.dtype
+    u, v, p, q, u_bar, v_bar = state
+    dtype = u.dtype
     ex, ey = (e.astype(dtype) for e in edge_indicators(mask))
     a, b, c = (t[..., k].astype(dtype) for k in range(3))
     h, w = mask.shape
@@ -399,21 +399,21 @@ def _reference_cycle(state, t, mask, op, iu, rho0, u_omega, params):
     def tensor(x):
         return np.stack([a * x[0] + b * x[1], b * x[0] + c * x[1]])
 
-    kp = tensor(forward_difference(state.u_bar, ex, ey)) - state.v_bar
-    kq = forward_difference(state.v_bar, ex, ey).reshape(4, h, w)
-    p = _project_unit_ball(state.p + op.p_step * kp)
-    q = _project_unit_ball(state.q + 0.5 * kq)
+    kp = tensor(forward_difference(u_bar, ex, ey)) - v_bar
+    kq = forward_difference(v_bar, ex, ey).reshape(4, h, w)
+    p = _project_unit_ball(p + op.p_step * kp)
+    q = _project_unit_ball(q + 0.5 * kq)
     div_tp = backward_divergence(tensor(p), ex, ey)
     div_q = backward_divergence(q.reshape(2, 2, h, w), ex, ey)
-    u_hat = state.u + op.u_step * div_tp
+    u_hat = u + op.u_step * div_tp
     u_new = thresholding_step(u_hat, rho0 + (u_hat - u_omega) * iu, iu, op.tau_u, params.lam)
-    v_new = state.v + op.tau_v * (params.alpha0 * div_q + params.alpha1 * p)
-    return SolverState(u=u_new, v=v_new, p=p, q=q,
-                       u_bar=u_new + (u_new - state.u), v_bar=v_new + (v_new - state.v))
+    v_new = v + op.tau_v * (params.alpha0 * div_q + params.alpha1 * p)
+    return u_new, v_new, p, q, u_new + (u_new - u), v_new + (v_new - v)
 
 
 def _random_cycle(rng, h, w, dtype, density):
-    """(state, t, mask, op, iu, rho0, u_omega) of one random cycle."""
+    """(state, t, mask, op, iu, rho0, u_omega) of one random cycle; `state` is
+    the (u, v, p, q, u_bar, v_bar) tuple that `kernels.primal_dual_cycle` takes."""
     mask = rng.random((h, w)) < density
     t = compute_tensor(rng.random((h, w)), mask)
     op = _cast_operator(precondition_steps(t, mask, SolverParams()), dtype)
@@ -427,8 +427,7 @@ def _random_cycle(rng, h, w, dtype, density):
         return x
 
     u = draw(h, w)
-    state = SolverState(u=u, v=draw(2, h, w), p=draw(2, h, w), q=draw(4, h, w),
-                        u_bar=draw(h, w), v_bar=draw(2, h, w))
+    state = (u, draw(2, h, w), draw(2, h, w), draw(4, h, w), draw(h, w), draw(2, h, w))
     iu, rho0 = draw(h, w), draw(h, w)
     return state, t, mask, op, iu, rho0, u
 
@@ -438,31 +437,31 @@ def _numpy_cycle(state, op, iu, rho0, u_omega, params):
     and the compiled loops' order of operations, so that every bit matches,
     signed zeros included. (The unfolded reference multiplies by the edge
     indicators at other points, which can flip the sign of a zero.)"""
-    h, w = state.u.shape
-    kp = op._tensor_gradient(state.u_bar) - state.v_bar
-    p = _project_unit_ball(state.p + op.p_step * kp)
-    kq = forward_difference(state.v_bar, 0.5 * op.ex, 0.5 * op.ey).reshape(4, h, w)
-    q = _project_unit_ball(kq + state.q)
-    u_hat = state.u + op.u_step * _tensor_divergence(op, p)
+    u, v, p, q, u_bar, v_bar = state
+    h, w = u.shape
+    kp = op._tensor_gradient(u_bar) - v_bar
+    p = _project_unit_ball(p + op.p_step * kp)
+    kq = forward_difference(v_bar, 0.5 * op.ex, 0.5 * op.ey).reshape(4, h, w)
+    q = _project_unit_ball(kq + q)
+    u_hat = u + op.u_step * _tensor_divergence(op, p)
     u_new = thresholding_step(u_hat, rho0 + (u_hat - u_omega) * iu, iu, op.tau_u, params.lam)
     q2 = q.reshape(2, 2, h, w)
     div_q = backward_divergence(q2, op.ex, op.ey)
-    v_new = state.v + (div_q * params.alpha0 + p * params.alpha1) * op.tau_v
-    return SolverState(u=u_new, v=v_new, p=p, q=q,
-                       u_bar=u_new + (u_new - state.u), v_bar=(v_new - state.v) + v_new)
+    v_new = v + (div_q * params.alpha0 + p * params.alpha1) * op.tau_v
+    return u_new, v_new, p, q, u_new + (u_new - u), (v_new - v) + v_new
 
 
 def _assert_same_state(out, ref, dtype, signed_zeros=True):
-    for name, value in vars(ref).items():
-        assert getattr(out, name).dtype == dtype
-        assert np.array_equal(getattr(out, name), value), name
+    for name, got, want in zip(("u", "v", "p", "q", "u_bar", "v_bar"), out, ref, strict=True):
+        assert got.dtype == dtype
+        assert np.array_equal(got, want), name
         if signed_zeros:
-            assert np.array_equal(np.signbit(getattr(out, name)), np.signbit(value)), name
+            assert np.array_equal(np.signbit(got), np.signbit(want)), name
 
 
 def _assert_matches_references(state, t, mask, op, iu, rho0, u, dtype):
     params = SolverParams()
-    out = primal_dual_iterate(state, op, iu, rho0, u, params)
+    out = kernels.primal_dual_cycle(state, op, (iu, rho0, u), params)
     _assert_same_state(out, _numpy_cycle(state, op, iu, rho0, u, params), dtype)
     _assert_same_state(out, _reference_cycle(state, t, mask, op, iu, rho0, u, params), dtype,
                        signed_zeros=False)
@@ -547,16 +546,16 @@ def _numpy_warp_step(i0, i1, traj, traj_valid, mask, op, params, u, w, v, p, q):
     iu = iu.astype(np.float32)
     rho0 = np.where(data_ok, i1w - i0, 0.0).astype(np.float32)
     u32 = u.astype(np.float32)
-    state = SolverState(u=u32, v=v, p=p, q=q, u_bar=u32, v_bar=v)
+    state = (u32, v, p, q, u32, v)
     norms = []
     for _ in range(params.pd_iters):
         state = _numpy_cycle(state, op, iu, rho0, u32, params)
-        norms.append((_max_norm(state.p), _max_norm(state.q)))
+        norms.append((_max_norm(state[2]), _max_norm(state[3])))
     max_p, max_q = np.max(norms, axis=0)
-    du = np.where(mask, np.clip((state.u - u32).astype(np.float64),
+    u_new, v, p, q = state[:4]
+    du = np.where(mask, np.clip((u_new - u32).astype(np.float64),
                                 -params.du_max, params.du_max), 0.0)
-    return (u + du, w + du[..., None] * dirs, state.v, state.p, state.q, du, dirs, iu,
-            data_ok, max_p, max_q)
+    return (u + du, w + du[..., None] * dirs, v, p, q, du, dirs, iu, data_ok, max_p, max_q)
 
 
 def _signed_zeros(rng, x, frac=0.3):
@@ -728,22 +727,22 @@ def test_cycle_rejects_wrong_shapes_and_mixed_dtypes():
     # The compiled cycle reads raw pointers: every array is checked first.
     rng = np.random.default_rng(9)
     state, _, _, op, iu, rho0, u = _random_cycle(rng, 6, 5, np.float32, 0.9)
-    params = SolverParams()
-    bad_state = SolverState(**{**vars(state), "q": state.q[:2]})
+    params, data = SolverParams(), (iu, rho0, u)
+    bad_state = state[:3] + (state[3][:2],) + state[4:]
     with pytest.raises(ValueError, match="q must be .* shape \\(4, 6, 5\\)"):
-        primal_dual_iterate(bad_state, op, iu, rho0, u, params)
+        kernels.primal_dual_cycle(bad_state, op, data, params)
     mixed = LevelOperator(**{**vars(op), "tau_v": op.tau_v.astype(np.float64)})
     with pytest.raises(ValueError, match="tau_v must be .* float32"):
-        primal_dual_iterate(state, mixed, iu, rho0, u, params)
+        kernels.primal_dual_cycle(state, mixed, data, params)
     # The cycle is compiled for float32 alone: a float64 state or operator
     # never reaches it.
-    state64 = SolverState(**{k: a.astype(np.float64) for k, a in vars(state).items()})
+    state64 = tuple(a.astype(np.float64) for a in state)
     with pytest.raises(ValueError, match="u must be .* float32"):
-        primal_dual_iterate(state64, op, iu, rho0, u, params)
+        kernels.primal_dual_cycle(state64, op, data, params)
     with pytest.raises(ValueError, match="ex must be .* float32"):
-        primal_dual_iterate(state, _cast_operator(op, np.float64), iu, rho0, u, params)
+        kernels.primal_dual_cycle(state, _cast_operator(op, np.float64), data, params)
     with pytest.raises(ValueError, match="iu must be .* non-contiguous"):
-        primal_dual_iterate(state, op, np.asfortranarray(iu), rho0, u, params)
+        kernels.primal_dual_cycle(state, op, (np.asfortranarray(iu), rho0, u), params)
 
 
 def test_folded_operator_fields_vanish_exactly_off_the_edges():
