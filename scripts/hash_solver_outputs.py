@@ -165,7 +165,7 @@ _MIXED_SCENE = synth.Scene(primitives=(
 
 def mixed_oracle_rig() -> StereoRig:
     rig = synth.pinhole_rig(width=61, height=47, f=40.0)
-    centre, ok = rig.cam0.rays(np.array([30.0, 23.0]))
+    centre, ok = rig.cam0.unproject(np.array([30.0, 23.0]))
     assert ok and centre.tolist() == [0.0, 0.0, 1.0]
     return rig
 

@@ -18,8 +18,8 @@ A model supplies only its formulas: ``_project(X, theta) -> (pix, ok)`` from
 points and their polar angles, and ``_unproject(m) -> (ray, theta, ok)`` from
 normalized pixel coordinates. :class:`CameraBase` wraps them in ``project``
 and ``unproject``, which add the field-of-view test on ``theta`` and mark
-every invalid entry NaN. ``rays`` is the one place where invalid rays become
-zero vectors instead, for callers that cast or multiply them unmasked.
+every invalid entry NaN. NaN is the only marker of an invalid ray: it flows
+through products unmasked, and the ray casters treat a NaN ray as a miss.
 
 Pixels returned by projection are continuous (x, y) with pixel centers at
 integer coordinates. All operations are vectorized over leading axes and
@@ -48,10 +48,10 @@ _POLY_MAX_ITER = 50
 _MIN_RAY_ANGLE = 1e-6
 
 
-def _as_points(x) -> np.ndarray:
+def _as_points(x, width: int) -> np.ndarray:
     a = np.asarray(x, dtype=np.float64)
-    if a.shape[-1] not in (2, 3):
-        raise ValueError(f"expected trailing dimension 2 or 3, got {a.shape}")
+    if a.shape[-1:] != (width,):
+        raise ValueError(f"expected trailing dimension {width}, got shape {a.shape}")
     return a
 
 
@@ -75,7 +75,7 @@ class CameraBase(Ruled):
 
     def project(self, points):
         """Pixels (..., 2) of points (..., 3) and their validity; NaN where invalid."""
-        X = _as_points(points)
+        X = _as_points(points, 3)
         theta = _ray_angles(X)
         pix, ok = self._project(X, theta)
         valid = ok & (theta <= 0.5 * self.fov + 1e-12)
@@ -87,13 +87,8 @@ class CameraBase(Ruled):
         valid = ok & (theta <= 0.5 * self.fov + 1e-12)
         return np.where(valid[..., None], ray, np.nan), valid
 
-    def rays(self, pix):
-        """`unproject` with zero vectors instead of NaN where invalid."""
-        ray, valid = self.unproject(pix)
-        return np.where(valid[..., None], ray, 0.0), valid
-
     def _normalized(self, pix) -> np.ndarray:
-        pix = _as_points(pix)
+        pix = _as_points(pix, 2)
         return np.stack([(pix[..., 0] - self.cx) / self.fx,
                          (pix[..., 1] - self.cy) / self.fy], axis=-1)
 
@@ -297,8 +292,8 @@ def triangulate_midpoint(rig: StereoRig, x0, x1) -> tuple[np.ndarray, np.ndarray
     foot along the camera-0 ray. Rays closer to parallel than `_MIN_RAY_ANGLE`
     (zero disparity, point at infinity) are invalid.
     """
-    r0, v0 = rig.cam0.rays(x0)
-    r1, v1 = rig.cam1.rays(x1)
+    r0, v0 = rig.cam0.unproject(x0)
+    r1, v1 = rig.cam1.unproject(x1)
     R = rig.pose.rotation
     c1 = rig.pose.camera1_center
     d1 = r1 @ R  # rotate cam-1 rays into cam-0 coordinates (R^T @ r1)

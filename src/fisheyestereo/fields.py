@@ -26,14 +26,12 @@ from .schema import NONNEGATIVE, POSITIVE
 _DEGENERATE_FLOW = 1e-12
 
 
-def _flow(cam: CameraBase, points: np.ndarray,
-          valid0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets of `points` (one per pixel) projected through `cam` from
-    the pixel grid, and where they are valid: inside `valid0` and `cam`'s
-    view. Offsets are zero elsewhere."""
-    x1, valid1 = cam.project(points)
-    valid = valid0 & valid1
-    return np.where(valid[..., None], x1 - pixel_grid(*valid0.shape), 0.0), valid
+def _flow(cam: CameraBase, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets of `points` (one per pixel, NaN off camera 0's view) projected
+    through `cam` from the pixel grid, and where they are valid: inside both
+    views. Offsets are zero elsewhere."""
+    x1, valid = cam.project(points)
+    return np.where(valid[..., None], x1 - pixel_grid(*valid.shape), 0.0), valid
 
 
 def generate_calibration_field(rig: StereoRig) -> tuple[np.ndarray, np.ndarray]:
@@ -43,8 +41,8 @@ def generate_calibration_field(rig: StereoRig) -> tuple[np.ndarray, np.ndarray]:
     resulting flow is depth-independent. Returns (field, valid) where field
     maps camera-0 pixels onto camera-1 pixels, ``x1 = x + field[x]``.
     """
-    rays, valid0 = rig.cam0.rays(pixel_grid(rig.cam0.height, rig.cam0.width))
-    return _flow(rig.cam1, rays @ rig.pose.rotation.T, valid0)
+    rays, _ = rig.cam0.unproject(pixel_grid(rig.cam0.height, rig.cam0.width))
+    return _flow(rig.cam1, rays @ rig.pose.rotation.T)
 
 
 def generate_trajectory_field(rig: StereoRig, epsilon_scale: float = 0.1,
@@ -69,13 +67,13 @@ def generate_trajectory_field(rig: StereoRig, epsilon_scale: float = 0.1,
         raise ValueError("trajectory field undefined for zero baseline")
     t_hat = t / t_norm
 
-    rays, valid0 = rig.cam0.rays(pixel_grid(rig.cam0.height, rig.cam0.width))
+    rays, _ = rig.cam0.unproject(pixel_grid(rig.cam0.height, rig.cam0.width))
     X = rays * depth
-    w, valid = _flow(rig.cam1, X + 1e-4 * depth * t_hat, valid0)
+    w, valid = _flow(rig.cam1, X + 1e-4 * depth * t_hat)
     peak = np.max(vector_norm(w)[valid], initial=0.0)
     if peak > 0:
         eps = 1e-4 * depth * epsilon_scale / peak
-        w, valid = _flow(rig.cam1, X + eps * t_hat, valid0)
+        w, valid = _flow(rig.cam1, X + eps * t_hat)
 
     mag = vector_norm(w)
     degenerate = valid & (mag < _DEGENERATE_FLOW)

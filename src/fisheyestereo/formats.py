@@ -8,6 +8,7 @@ travel as 3-channel PFM (vx, vy, third channel zero or a validity flag).
 from __future__ import annotations
 
 import struct
+import sys
 import zlib
 from pathlib import Path
 
@@ -200,13 +201,16 @@ def read_png(path) -> np.ndarray:
     if planes is None:
         raise ValueError(f"{path}: unsupported color type {color_type}")
     stride = w * planes
+    expected = h * (stride + 1)
+    # Inflate at most one byte past the size IHDR implies (capped to a size
+    # zlib accepts): a small IDAT can inflate to a thousand times its size.
+    inflate = zlib.decompressobj()
     try:
-        scanlines = zlib.decompress(idat)
+        scanlines = inflate.decompress(idat, min(expected + 1, sys.maxsize))
     except zlib.error as exc:
         raise ValueError(f"{path}: bad IDAT data ({exc})") from None
-    if len(scanlines) != h * (stride + 1):
-        raise ValueError(f"{path}: IDAT holds {len(scanlines)} bytes, "
-                         f"expected {h * (stride + 1)}")
+    if len(scanlines) != expected or not inflate.eof:
+        raise ValueError(f"{path}: IDAT does not inflate to the {expected} bytes IHDR implies")
     flat = np.frombuffer(scanlines, dtype=np.uint8).reshape(h, stride + 1)
     out = np.zeros((h, stride), dtype=np.uint8)
     prev = np.zeros(stride, dtype=np.uint8)

@@ -195,16 +195,16 @@ def build_pyramid(field: np.ndarray, mask: np.ndarray, levels: int,
 
 
 def upsample_state(u: np.ndarray, w: np.ndarray, mask: np.ndarray,
-                   dst_shape: tuple[int, int],
                    dst_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Carry disparity and warp vectors to the next finer pyramid level.
+    """Carry disparity and warp vectors to the next finer pyramid level,
+    whose shape and mask are `dst_mask`'s.
 
     Values are sampled bicubically from in-mask source pixels only and scaled
     to pixel units of the finer level: w by S = diag(sx, sy), and u (its arc
     length) by |S w| / |w|, or by the mean ratio (sx + sy) / 2 where w = 0.
     """
     sh, sw = mask.shape
-    dh, dw = dst_shape
+    dh, dw = dst_mask.shape
     sx = dw / sw
     sy = dh / sh
     src_pos = (pixel_grid(dh, dw) + 0.5) / (sx, sy) - 0.5

@@ -393,7 +393,7 @@ def solve_pyramid(i0: np.ndarray, i1: np.ndarray, rig: StereoRig,
         if prev_mask is None:
             u, w = np.zeros((h, w_)), np.zeros((h, w_, 2))
         else:
-            u, w = upsample_state(u, w, prev_mask, (h, w_), level_mask)
+            u, w = upsample_state(u, w, prev_mask, level_mask)
         u, w, v = solve_level(pair[:, :, 0], pair[:, :, 1], dirs, traj_ok,
                               params, level_mask, u, w, observe)
         prev_mask = level_mask

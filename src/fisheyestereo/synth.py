@@ -249,9 +249,9 @@ class Scene:
 
         A primitive replaces the current hit only if strictly closer, so the
         earliest primitive wins a tie and a NaN distance never wins. Rays that
-        hit nothing get distance inf and index -1, and so do zero-length rays
-        (a camera's rays outside its FOV), which a sphere or box around the
-        origin would otherwise report as hit.
+        hit nothing get distance inf and index -1, and so do NaN rays (a
+        camera's rays outside its FOV): every primitive's `intersect` gives
+        an all-NaN direction distance inf.
         """
         best_t = np.full(dirs.shape[:-1], np.inf)
         winner = np.full(dirs.shape[:-1], -1,
@@ -261,9 +261,6 @@ class Scene:
             closer = t < best_t
             np.copyto(best_t, t, where=closer)
             winner[closer] = i
-        zero = (dirs[..., 0] == 0) & (dirs[..., 1] == 0) & (dirs[..., 2] == 0)
-        best_t[zero] = np.inf
-        winner[zero] = -1
         return best_t, winner
 
     def cast(self, origin: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -274,7 +271,8 @@ class Scene:
         `origin + dirs * t`; a primitive's rays are shaded in chunks of
         `_SHADE_CHUNK`, whose value-noise temporaries stay in cache. Shading
         is elementwise per point, so the chunks leave every value as it is.
-        Rays that hit nothing get distance inf and albedo 0.
+        Rays that hit nothing, NaN rays among them, get distance inf and
+        albedo 0.
         """
         best_t, winner = self.nearest(origin, dirs)
         shade = np.zeros(dirs.shape[:-1])
@@ -302,8 +300,9 @@ def render(scene: Scene, cam: CameraBase, pose: RelativePose | None = None,
            supersample: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ray-cast `scene` through `cam` posed by `pose` (world -> camera).
 
-    Returns (image, depth, valid): image intensities in [0, 1] (zero outside
-    the FOV), depth in meters along each unit pixel ray, and the FOV mask.
+    Returns (image, depth, hit): image intensities in [0, 1], depth in meters
+    along each unit pixel ray, and where the ray through the pixel centre hit
+    the scene; image and depth are zero elsewhere, outside the FOV too.
 
     `supersample` s integrates intensity over an s x s grid of casts per
     pixel footprint, suppressing texture aliasing where the lens compresses
@@ -316,16 +315,14 @@ def render(scene: Scene, cam: CameraBase, pose: RelativePose | None = None,
     grid = pixel_grid(cam.height, cam.width)
     offsets = (np.arange(s) + 0.5) / s - 0.5
     if s % 2 == 0:  # no sub-pixel cast falls on the pixel centers
-        origin, dirs, valid = _pixel_rays(cam, pose, grid)
-        t, _ = scene.nearest(origin, dirs)
-        hit = np.isfinite(t) & valid
+        t, _ = scene.nearest(*_pixel_rays(cam, pose, grid))
+        hit = np.isfinite(t)
     acc = np.zeros(grid.shape[:-1])
     cnt = np.zeros(grid.shape[:-1])
     for dy in offsets:
         for dx in offsets:
-            origin, dirs, valid = _pixel_rays(cam, pose, grid + np.array([dx, dy]))
-            ts, shade = scene.cast(origin, dirs)
-            ok = np.isfinite(ts) & valid
+            ts, shade = scene.cast(*_pixel_rays(cam, pose, grid + np.array([dx, dy])))
+            ok = np.isfinite(ts)
             if dx == 0 and dy == 0:
                 t, hit = ts, ok
             np.add(acc, shade, out=acc, where=ok)
@@ -340,12 +337,11 @@ def render(scene: Scene, cam: CameraBase, pose: RelativePose | None = None,
 
 
 def _pixel_rays(cam: CameraBase, pose: RelativePose | None, positions: np.ndarray):
-    """World-frame origin, unit ray per pixel position (zero outside the FOV),
-    and the FOV mask."""
-    rays_cam, valid = cam.rays(positions)
+    """World-frame origin and unit ray per pixel position (NaN outside the FOV)."""
+    rays_cam, _ = cam.unproject(positions)
     if pose is None:
-        return np.zeros(3), rays_cam, valid
-    return pose.camera1_center, rays_cam @ pose.rotation, valid  # R^T applied row-wise
+        return np.zeros(3), rays_cam
+    return pose.camera1_center, rays_cam @ pose.rotation  # R^T applied row-wise
 
 
 def make_ground_truth(scene: Scene, rig: StereoRig) -> GroundTruth:
@@ -357,9 +353,9 @@ def make_ground_truth(scene: Scene, rig: StereoRig) -> GroundTruth:
     camera 1's FOV or image bounds.
     """
     grid = pixel_grid(rig.cam0.height, rig.cam0.width)
-    origin, rays, fov0 = _pixel_rays(rig.cam0, None, grid)
+    origin, rays = _pixel_rays(rig.cam0, None, grid)
     t0, _ = scene.nearest(origin, rays)
-    valid0 = np.isfinite(t0) & fov0
+    valid0 = np.isfinite(t0)
     depth0 = np.where(valid0, t0, 0.0)
     pts = rays * depth0[..., None]
 

@@ -64,17 +64,26 @@ def test_unprojection_principal_point_is_axis():
 
 
 @pytest.mark.parametrize("cam", [PINHOLE, UNIFIED, POLY_FULL], ids=lambda c: c.kind)
-def test_rays_are_zero_exactly_where_unproject_is_invalid(cam):
+def test_unproject_is_nan_exactly_where_invalid(cam):
     # A 33 x 33 lattice reaching 400 px past every edge of the 800 x 800 image.
     pix = np.stack(np.meshgrid(np.linspace(-400, 1200, 33),
                                np.linspace(-400, 1200, 33)), axis=-1)
     ray, ok = cam.unproject(pix)
-    zeroed, ok_zeroed = cam.rays(pix)
     assert ok.any() and not ok.all()
-    assert np.array_equal(ok_zeroed, ok)
-    assert np.array_equal(zeroed[ok], ray[ok])
-    assert np.all(zeroed[~ok] == 0.0)
     assert np.isnan(ray[~ok]).all()
+    assert np.isfinite(ray[ok]).all()
+
+
+@pytest.mark.parametrize("cam", [PINHOLE, UNIFIED, POLY_FULL], ids=lambda c: c.kind)
+def test_project_and_unproject_reject_the_other_width(cam):
+    # Neither guesses: a third pixel value has no meaning, and a 2-vector
+    # point has no z.
+    with pytest.raises(ValueError, match=r"trailing dimension 2, got shape \(1, 3\)"):
+        cam.unproject([[399.5, 399.5, 123.0]])
+    with pytest.raises(ValueError, match=r"trailing dimension 3, got shape \(1, 2\)"):
+        cam.project([[0.1, 0.2]])
+    with pytest.raises(ValueError, match=r"trailing dimension 3, got shape \(\)"):
+        cam.project(1.0)
 
 
 def test_pinhole_unprojection_inverse_example():

@@ -1,3 +1,7 @@
+import struct
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,6 +88,44 @@ def test_png_roundtrip(tmp_path, shape):
         assert np.array_equal(np.rint(back * 255).astype(np.uint8), img)
     else:
         assert np.array_equal(back, img)
+
+
+def _gray_png(width, height, idat):
+    """Bytes of an 8-bit grayscale PNG with one IDAT chunk, `idat`."""
+    def chunk(kind, payload):
+        body = kind + payload
+        return struct.pack(">I", len(payload)) + body + struct.pack(">I", zlib.crc32(body))
+    ihdr = struct.pack(">IIBBBBB", width, height, 8, 0, 0, 0, 0)
+    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr) + chunk(b"IDAT", idat)
+            + chunk(b"IEND", b""))
+
+
+def test_png_inflates_no_further_than_its_header_allows(tmp_path):
+    # 40 MB of zeros deflate to about 40 kB; the 1x1 image holds 2 bytes.
+    deflate = zlib.compressobj(9)
+    idat = b"".join(deflate.compress(bytes(1 << 20)) for _ in range(40)) + deflate.flush()
+    path = tmp_path / "bomb.png"
+    path.write_bytes(_gray_png(1, 1, idat))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="does not inflate to the 2 bytes"):
+            formats.read_png(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("width, height, idat", [
+    (1, 1, zlib.compress(b"\x00\x7f")[:-4]),  # no zlib trailer
+    (1, 2, zlib.compress(b"\x00\x7f")),
+    (2**32 - 1, 2**32 - 1, zlib.compress(b"\x00\x7f")),  # a size past sys.maxsize
+])
+def test_png_idat_of_the_wrong_size_raises_value_error(tmp_path, width, height, idat):
+    path = tmp_path / "bad.png"
+    path.write_bytes(_gray_png(width, height, idat))
+    with pytest.raises(ValueError, match="IDAT does not inflate to the [0-9]+ bytes"):
+        formats.read_png(path)
 
 
 def test_load_image_rejects_unknown_suffix(tmp_path):

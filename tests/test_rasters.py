@@ -375,7 +375,7 @@ def test_upsample_state_zero_stays_zero():
     u = np.zeros((10, 10))
     w = np.zeros((10, 10, 2))
     mask = np.ones((10, 10), dtype=bool)
-    u2, w2 = upsample_state(u, w, mask, (20, 20), np.ones((20, 20), bool))
+    u2, w2 = upsample_state(u, w, mask, np.ones((20, 20), bool))
     assert np.all(u2 == 0.0) and np.all(w2 == 0.0)
 
 
@@ -385,7 +385,7 @@ def test_upsample_state_rescales_units():
     u = np.full((50, 50), 3.0)
     w = np.zeros((50, 50, 2))
     w[:, :, 0] = 0.5
-    u2, w2 = upsample_state(u, w, mask, (100, 100), dst)
+    u2, w2 = upsample_state(u, w, mask, dst)
     interior = (slice(10, 90), slice(10, 90))
     assert np.allclose(u2[interior], 6.0, atol=1e-9)
     assert np.allclose(w2[interior][..., 0], 1.0, atol=1e-9)
@@ -399,7 +399,7 @@ def test_upsample_state_non_square_keeps_arc_length():
     mask = np.ones((59, 81), dtype=bool)
     u = 3.0 + smooth_masked(rng.random((59, 81)), mask, 3.0)
     w = u[..., None] * np.array([0.6, 0.8])
-    u_f, w_f = upsample_state(u, w, mask, (117, 161), np.ones((117, 161), dtype=bool))
+    u_f, w_f = upsample_state(u, w, mask, np.ones((117, 161), dtype=bool))
     full = (slice(4, -4), slice(4, -4))  # pixels whose whole stencil is in the image
     assert np.max(np.abs(np.linalg.norm(w_f, axis=-1) - u_f)[full]) <= 1e-12
 

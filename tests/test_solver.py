@@ -1207,7 +1207,7 @@ def test_empty_level_mask_solves_to_zero():
         if prev_mask is None:
             u, w = np.zeros(shape), np.zeros(shape + (2,))
         else:
-            u, w = upsample_state(u, w, prev_mask, shape, level_mask)
+            u, w = upsample_state(u, w, prev_mask, level_mask)
         records = []
         u, w, v = solve_level(level[..., 0], level[..., 1], dirs, np.ones(shape, dtype=bool),
                               params, level_mask, u, w, records.append)

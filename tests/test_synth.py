@@ -334,17 +334,17 @@ def _dense_shade(texture, points):
 def _reference_cast(scene, origin, dirs):
     """Sequential caster over the dense kernels: whenever a primitive comes
     closer on any ray, shade its texture over every ray and keep that
-    shading where it is closer. A zero-length ray hits nothing."""
+    shading where it is closer. A NaN ray hits nothing."""
     best_t = np.full(dirs.shape[:-1], np.inf)
     shade = np.zeros(dirs.shape[:-1])
     winner = np.full(dirs.shape[:-1], -1)
     for i, prim in enumerate(scene.primitives):
-        t = np.where(np.linalg.norm(dirs, axis=-1) > 0, _dense_intersect(prim, origin, dirs),
-                     np.inf)
+        t = _dense_intersect(prim, origin, dirs)
         closer = t < best_t
         if np.any(closer):
-            tc = np.where(closer, t, 1.0)  # keep inf out of the shading pass
-            pts = origin + dirs * tc[..., None]
+            # Keep inf and NaN out of the shading pass.
+            tc = np.where(closer, t, 1.0)
+            pts = origin + np.where(closer[..., None], dirs, 0.0) * tc[..., None]
             shade = np.where(closer, _dense_shade(prim.texture, pts), shade)
             best_t = np.where(closer, t, best_t)
             winner = np.where(closer, i, winner)
@@ -392,8 +392,8 @@ def _cast_cases(draw):
     # the box slabs divide by them, and from an origin on a slab plane they
     # give 0 * inf.
     dirs[rng.random(dirs.shape) < draw(st.sampled_from([0.0, 0.4]))] = 0.0
-    # Zero directions, as pixels outside the FOV get.
-    dirs[rng.random(shape) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    # NaN directions, as pixels outside the FOV get.
+    dirs[rng.random(shape) < draw(st.sampled_from([0.0, 0.3]))] = np.nan
     dirs = np.where(rng.random(dirs.shape) < 0.5, dirs, -dirs)  # signed zeros
     norm = np.linalg.norm(dirs, axis=-1, keepdims=True)
     dirs /= np.where(norm > 0, norm, 1.0)
@@ -490,7 +490,7 @@ def test_cast_tie_and_miss_values():
     scene = Scene(primitives=(sphere, twin))
     dirs = np.array([[0.0, 0.0, 1.0],    # hits both copies at t = 1.5
                      [0.0, 0.0, -1.0],   # points away: hits nothing
-                     [0.0, 0.0, 0.0]])   # zero direction: hits nothing
+                     [np.nan] * 3])      # NaN direction: hits nothing
     t, winner = scene.nearest(np.zeros(3), dirs)
     assert t.tolist() == [1.5, np.inf, np.inf]
     assert winner.tolist() == [0, -1, -1]
@@ -507,15 +507,47 @@ _GREY = Checkerboard(lo=0.6, hi=0.6)
     Box(lo=(-0.3, -0.2, -0.4), hi=(0.5, 0.3, 0.2), texture=_GREY),         # origin inside
     Plane(point=(0.0, 0.0, 0.1), normal=(0.0, 0.0, -1.0), texture=_GREY),  # origin in front
 ])
-def test_zero_ray_misses_every_primitive(prim):
-    # The zero direction a camera gives outside its FOV, next to a real ray.
+def test_nan_ray_misses_every_primitive(prim):
+    # The NaN direction a camera gives outside its FOV, next to a real ray.
     scene = Scene(primitives=(prim,))
-    dirs = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    dirs = np.array([[np.nan] * 3, [0.0, 0.0, 1.0]])
     t, winner = scene.nearest(np.zeros(3), dirs)
     assert t[0] == np.inf and winner[0] == -1
     assert np.isfinite(t[1]) and winner[1] == 0
     t, shade = scene.cast(np.zeros(3), dirs)
     assert t[0] == np.inf and shade.tolist() == [0.0, 0.6]
+
+
+@settings(max_examples=200, deadline=None)
+@given(prims=st.lists(_primitives, min_size=1, max_size=4), data=st.data())
+def test_nan_ray_misses_from_any_origin(prims, data):
+    # Casters take no special path for NaN rays: each primitive's arithmetic
+    # turns an all-NaN direction into a miss, from inside a solid too.
+    origin = np.asarray(data.draw(st.tuples(_coord, _coord, _coord)))
+    solid = data.draw(st.sampled_from(prims))
+    if isinstance(solid, Sphere) and data.draw(st.booleans()):
+        origin = np.asarray(solid.center) + 0.5 * solid.radius * origin / 1.5
+    elif isinstance(solid, Box) and data.draw(st.booleans()):
+        # Inside the box, or on one of its slab planes.
+        origin = np.asarray(solid.lo) + (origin + 1.5) / 3.0 * np.subtract(solid.hi, solid.lo)
+        if data.draw(st.booleans()):
+            k = data.draw(st.integers(0, 2))
+            origin[k] = data.draw(st.sampled_from([solid.lo[k], solid.hi[k]]))
+    for prim in prims:
+        assert prim.intersect(origin, np.full((1, 3), np.nan)).tolist() == [np.inf]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dirs = rng.normal(size=(6, 3))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    lost = np.arange(6) % 2 == 0
+    dirs[lost] = np.nan
+    scene = Scene(primitives=tuple(prims))
+    t, winner = scene.nearest(origin, dirs)
+    assert np.all(t[lost] == np.inf) and np.all(winner[lost] == -1)
+    # The real rays next to them keep their nearest hit.
+    nearest = np.min([prim.intersect(origin, dirs) for prim in prims], axis=0)
+    assert np.array_equal(t[~lost], nearest[~lost])
+    t, shade = scene.cast(origin, dirs)
+    assert np.all(t[lost] == np.inf) and np.all(shade[lost] == 0.0)
 
 
 def test_plane_nearly_parallel_ray_misses_without_overflow():
@@ -562,7 +594,7 @@ def test_cast_chunk_size_leaves_values_unchanged(monkeypatch, chunk):
     rng = np.random.default_rng(20)
     dirs = rng.normal(size=(15, 17, 3))
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    dirs[0, :4] = 0.0
+    dirs[0, :4] = np.nan
     origin = np.array([0.05, -0.1, 0.2])
     ref_t, ref_shade, ref_winner = _reference_cast(_SCENE_SPEC, origin, dirs)
     assert set(ref_winner.ravel()) == {-1, 0, 1, 2} and ref_winner.size > chunk
