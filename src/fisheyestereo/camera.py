@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, asdict
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -105,9 +106,15 @@ class CameraBase(Ruled):
             "cy": (self.cy + 0.5) * sy - 0.5,
         })
 
+    @lru_cache(maxsize=8)
     def fov_mask(self) -> np.ndarray:
-        """Circular boolean mask of pixels whose rays lie inside the FOV."""
-        return self.unproject(pixel_grid(self.height, self.width))[1]
+        """Circular boolean mask of pixels whose rays lie inside the FOV.
+
+        Built once per camera value (the last 8 are kept) and shared,
+        read-only."""
+        mask = self.unproject(pixel_grid(self.height, self.width))[1]
+        mask.flags.writeable = False
+        return mask
 
 
 @dataclass(frozen=True)
@@ -212,7 +219,10 @@ def rotation_from_rotvec(rotvec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RelativePose:
-    """Rigid transform taking camera-0 coordinates to camera-1 coordinates."""
+    """Rigid transform taking camera-0 coordinates to camera-1 coordinates.
+
+    Its arrays are read-only, and poses compare and hash by their exact
+    bytes, so a rig can key a cache of what is built from it."""
 
     rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -224,8 +234,20 @@ class RelativePose:
         t = np.array(finite_numbers(3)(self.translation, "pose: translation"))
         if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-12 or np.linalg.det(R) < 0:
             raise ValueError("pose: rotation must be orthonormal with det +1")
+        R.flags.writeable = t.flags.writeable = False
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self) -> tuple[bytes, bytes]:
+        return self.rotation.tobytes(), self.translation.tobytes()
 
     def transform(self, points) -> np.ndarray:
         X = np.asarray(points, dtype=np.float64)

@@ -10,11 +10,17 @@ never has to be re-parameterized per pixel.
 Sign convention (fixed): tangents point the way correspondences move as the
 scene gets *nearer*, so accumulated disparity along the field is nonnegative
 and larger for closer objects.
+
+Both fields depend on the rig alone, so each is built once per rig value
+(rigs compare and hash by value) and kept in a bounded cache: the last 4
+calibration fields and the last 16 trajectory fields, one per pyramid level.
+A cached field's arrays are read-only, so no caller can change an entry.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,15 +40,23 @@ def _flow(cam: CameraBase, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(valid[..., None], x1 - pixel_grid(*valid.shape), 0.0), valid
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=4)
 def generate_calibration_field(rig: StereoRig) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel flow removing rotation and intrinsic differences.
 
     Projects each camera-0 ray through the rotation-only rig (t = 0); the
     resulting flow is depth-independent. Returns (field, valid) where field
-    maps camera-0 pixels onto camera-1 pixels, ``x1 = x + field[x]``.
+    maps camera-0 pixels onto camera-1 pixels, ``x1 = x + field[x]``; both
+    read-only, built once per rig value.
     """
     rays, _ = rig.cam0.unproject(pixel_grid(rig.cam0.height, rig.cam0.width))
-    return _flow(rig.cam1, rays @ rig.pose.rotation.T)
+    return _read_only(*_flow(rig.cam1, rays @ rig.pose.rotation.T))
 
 
 def generate_trajectory_field(rig: StereoRig, epsilon_scale: float = 0.1,
@@ -56,7 +70,18 @@ def generate_trajectory_field(rig: StereoRig, epsilon_scale: float = 0.1,
     solver and the `fields` command use the default. The
     direction is independent of `depth` and of the baseline length; both
     invariances are exercised in the test suite rather than assumed.
+    `epsilon_scale` and `depth` must be finite and > 0 (ValueError
+    otherwise): a negative scale would reverse the tangents' fixed sign.
+    Returns (dirs, valid), read-only, built once per (rig, epsilon_scale,
+    depth) value.
     """
+    return _trajectory_field(rig, POSITIVE(epsilon_scale, "epsilon_scale"),
+                             POSITIVE(depth, "depth"))
+
+
+@lru_cache(maxsize=16)
+def _trajectory_field(rig: StereoRig, epsilon_scale: float,
+                      depth: float) -> tuple[np.ndarray, np.ndarray]:
     R = rig.pose.rotation
     if np.max(np.abs(R - np.eye(3))) > 1e-9:
         raise ValueError("trajectory field needs a rotation-free rig; "
@@ -98,7 +123,7 @@ def generate_trajectory_field(rig: StereoRig, epsilon_scale: float = 0.1,
         blocked[:, :-1] |= degenerate[:, 1:]
         good &= ~blocked
         dirs[~good] = 0.0
-    return dirs, good
+    return _read_only(dirs, good)
 
 
 def unit_directions(d: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

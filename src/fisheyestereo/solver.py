@@ -347,7 +347,9 @@ class StereoResult:
 
 def calibrate_second_image(i1: np.ndarray, rig: StereoRig):
     """Warp image 1 by the calibration field once (rotation + intrinsics),
-    onto the camera-0 grid. Returns (i1c, valid, cal, cal_ok)."""
+    onto the camera-0 grid. Returns (i1c, valid, cal, cal_ok); cal and cal_ok
+    are the rig's cached, read-only field (`fields.generate_calibration_field`),
+    built on the first call for a rig value, as is camera 1's FOV mask."""
     cal, cal_ok = fieldsmod.generate_calibration_field(rig)
     i1c, ok = warp_image(i1, cal, rig.cam1.fov_mask())
     ok &= cal_ok
@@ -358,9 +360,13 @@ def solve_pyramid(i0: np.ndarray, i1: np.ndarray, rig: StereoRig,
                   params: SolverParams, observe: Observer | None = None) -> StereoResult:
     """Full coarse-to-fine solve of a calibrated stereo pair.
 
-    Applies the calibration field once, then per pyramid level regenerates
-    the trajectory field from the rescaled translation-only rig and runs the
+    Applies the calibration field once, then per pyramid level takes the
+    trajectory field of the rescaled translation-only rig and runs the
     warping loop, carrying disparity and warp up through `upsample_state`.
+    The fields and camera 1's FOV mask depend on the rig alone: the first
+    solve of a rig value builds them, later solves of an equal rig (say, one
+    read again from its JSON) take them from bounded caches, read-only. The
+    returned `cal` and `cal_ok` are those cached arrays.
     `observe` is handed to every level's `solve_level`, coarsest level first.
 
     Raises ValueError when an image does not match its camera or holds a

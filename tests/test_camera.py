@@ -253,6 +253,24 @@ def test_rig_json_roundtrip(tmp_path):
     assert len(d["pose"]["rotation"]) == 9
 
 
+def test_rig_compares_and_hashes_by_value():
+    rig = StereoRig(UNIFIED, POLY_FULL,
+                    RelativePose.from_displacement((0.1, 0.0, 0.01), rotvec=(0.0, 0.03, 0.0)))
+    back = rig_from_dict(json.loads(json.dumps(rig_to_dict(rig))))
+    assert back == rig and hash(back) == hash(rig)
+    moved = RelativePose(rig.pose.rotation, rig.pose.translation + (0.0, 0.0, 1e-9))
+    assert StereoRig(UNIFIED, POLY_FULL, moved) != rig
+    assert RelativePose() != "pose"
+
+
+def test_pose_arrays_are_read_only():
+    pose = RelativePose.from_displacement((0.1, 0.0, 0.0), rotvec=(0.0, 0.02, 0.0))
+    with pytest.raises(ValueError, match="read-only"):
+        pose.translation[0] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        pose.rotation[0, 0] = 1.0
+
+
 # A rig JSON value, the part and key it replaces, and the expected message.
 BAD_RIG_VALUES = [
     ("cam0", "type", "orthographic", "cam0: unknown camera type 'orthographic'"),
@@ -351,6 +369,14 @@ def test_fov_mask_is_circular():
     g = pixel_grid(200, 200)
     r = np.hypot(g[:, :, 0] - 99.5, g[:, :, 1] - 99.5)
     assert np.array_equal(mask, r <= radius + 1e-6)
+
+
+def test_fov_mask_is_shared_per_camera_value_and_read_only():
+    mask = PINHOLE.fov_mask()
+    assert not mask.flags.writeable
+    assert PinholeCamera(**vars(PINHOLE)).fov_mask() is mask
+    moved = PinholeCamera(**{**vars(PINHOLE), "cx": PINHOLE.cx + 0.5})
+    assert moved.fov_mask() is not mask and not np.array_equal(moved.fov_mask(), mask)
 
 
 def test_scaled_camera_preserves_angles():

@@ -82,6 +82,48 @@ def _fisheye_translation_rig():
     return StereoRig(cam, cam, RelativePose(np.eye(3), np.array([-0.1, 0.015, 0.0])))
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"epsilon_scale": -0.1}, "epsilon_scale"), ({"epsilon_scale": 0.0}, "epsilon_scale"),
+    ({"epsilon_scale": float("nan")}, "epsilon_scale"), ({"depth": 0.0}, "depth"),
+    ({"depth": -1.0}, "depth"),
+])
+def test_trajectory_field_rejects_bad_scale_or_depth(kwargs, name):
+    # A negative scale would reverse every tangent; zero or NaN would leave
+    # no valid pixel.
+    with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+        generate_trajectory_field(_fisheye_translation_rig(), **kwargs)
+
+
+def test_cached_fields_are_read_only():
+    rig = _fisheye_translation_rig()
+    arrays = (*generate_calibration_field(rig), *generate_trajectory_field(rig),
+              rig.cam1.fov_mask())
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        arrays[0][0, 0] = 1.0
+
+
+def test_equal_rigs_share_fields_and_a_changed_number_gets_its_own():
+    rig = _fisheye_translation_rig()
+    again = StereoRig(_unified(), _unified(),
+                      RelativePose(np.eye(3), np.array([-0.1, 0.015, 0.0])))
+    assert generate_calibration_field(again) is generate_calibration_field(rig)
+    assert generate_trajectory_field(again) is generate_trajectory_field(rig)
+
+    shifted = StereoRig(rig.cam0, _unified(cx=100.0), rig.pose)
+    cal, ok = generate_calibration_field(rig)
+    cal_s, ok_s = generate_calibration_field(shifted)
+    both = ok & ok_s
+    assert np.allclose(cal_s[both] - cal[both], (0.5, 0.0), atol=1e-9)
+
+    moved = StereoRig(rig.cam0, rig.cam1,
+                      RelativePose(np.eye(3), np.array([-0.1, 0.0, 0.015])))
+    dirs, ok = generate_trajectory_field(rig)
+    dirs_m, ok_m = generate_trajectory_field(moved)
+    both = ok & ok_m
+    assert np.max(np.abs(dirs_m[both] - dirs[both])) > 0.1
+
+
 def test_trajectory_epsilon_halving_convergence():
     rig = _fisheye_translation_rig()
     d1, ok1 = generate_trajectory_field(rig, epsilon_scale=0.1)

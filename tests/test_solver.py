@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fisheyestereo.camera import (PinholeCamera, PolynomialFisheyeCamera, RelativePose,
-                                  StereoRig, UnifiedCamera)
+                                  StereoRig, UnifiedCamera, rig_from_dict, rig_to_dict)
 from fisheyestereo.evaluate import erroneous_percentage
 from fisheyestereo.fields import (compose_with_calibration, generate_calibration_field,
                                   translation_only_rig, unit_directions)
-from fisheyestereo import kernels, solver
+from fisheyestereo import fields, kernels, solver
 from fisheyestereo.rasters import (backward_divergence, build_pyramid, edge_indicators,
                                    forward_difference, gradient, pixel_grid, sample_bicubic,
                                    smooth_masked, upsample_state, warp_image)
@@ -1224,3 +1224,43 @@ def test_solve_pyramid_returns_calibration_field(small_fisheye_rig, small_pair):
                         SolverParams(warp_iters=1, pyramid_levels=1))
     cal, cal_ok = generate_calibration_field(small_fisheye_rig)
     assert np.array_equal(res.cal, cal) and np.array_equal(res.cal_ok, cal_ok)
+
+
+def test_solve_pyramid_builds_the_rig_fields_once(small_fisheye_rig, small_pair, monkeypatch):
+    # A rig read back from its JSON is the same rig: the second solve builds
+    # neither field (no projection through `fields._flow`) and gives the
+    # same bits.
+    i0, i1, _ = small_pair
+    params = SolverParams(warp_iters=2, pyramid_levels=2)
+    fields.generate_calibration_field.cache_clear()
+    fields._trajectory_field.cache_clear()
+    flows = []
+    flow = fields._flow
+    monkeypatch.setattr(fields, "_flow", lambda *a: flows.append(1) or flow(*a))
+    first = solve_pyramid(i0, i1, small_fisheye_rig, params)
+    built = len(flows)
+    assert built == 1 + 2 * 2  # the calibration, and two probes per level
+    second = solve_pyramid(i0, i1, rig_from_dict(rig_to_dict(small_fisheye_rig)), params)
+    assert len(flows) == built
+    for name in ("u", "w", "v", "mask"):
+        assert getattr(second, name).tobytes() == getattr(first, name).tobytes()
+
+
+def test_patched_trajectory_generator_serves_a_cached_rig(small_fisheye_rig, small_pair,
+                                                          monkeypatch):
+    # Patching the module attribute replaces the cache with it: after an
+    # unpatched solve of the rig, the substitute still serves every level.
+    i0, i1, _ = small_pair
+    params = SolverParams(warp_iters=2, pyramid_levels=2)
+    solve_pyramid(i0, i1, small_fisheye_rig, params)
+    widths = []
+
+    def horizontal(rig_lvl):
+        widths.append(rig_lvl.cam0.width)
+        dirs = np.zeros((rig_lvl.cam0.height, rig_lvl.cam0.width, 2))
+        dirs[:, :, 0] = -1.0
+        return dirs, rig_lvl.cam0.fov_mask()
+
+    monkeypatch.setattr(fields, "generate_trajectory_field", horizontal)
+    solve_pyramid(i0, i1, small_fisheye_rig, params)
+    assert widths == [100, 200]
