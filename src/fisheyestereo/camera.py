@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, asdict
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -106,15 +105,9 @@ class CameraBase(Ruled):
             "cy": (self.cy + 0.5) * sy - 0.5,
         })
 
-    @lru_cache(maxsize=8)
     def fov_mask(self) -> np.ndarray:
-        """Circular boolean mask of pixels whose rays lie inside the FOV.
-
-        Built once per camera value (the last 8 are kept) and shared,
-        read-only."""
-        mask = self.unproject(pixel_grid(self.height, self.width))[1]
-        mask.flags.writeable = False
-        return mask
+        """Circular boolean mask of pixels whose rays lie inside the FOV."""
+        return self.unproject(pixel_grid(self.height, self.width))[1]
 
 
 @dataclass(frozen=True)

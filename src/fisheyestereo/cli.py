@@ -267,6 +267,13 @@ def cmd_sweep(args) -> int:
     du_grid = _number_list("--du-max-grid", args.du_max_grid, float,
                            lambda du: replace(base, du_max=du))
 
+    # Build the rig's fields before the clock starts: a solve takes them from
+    # their caches, so every cell's wall_time_s times the same work.
+    try:
+        fields.generate_calibration_field(rig)
+        solver.trajectory_pyramid(rig, base)
+    except ValueError as exc:
+        raise CommandError(f"cannot solve: {exc}") from None
     rows = []
     for n in warp_grid:
         for du in du_grid:

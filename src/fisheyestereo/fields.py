@@ -12,9 +12,14 @@ scene gets *nearer*, so accumulated disparity along the field is nonnegative
 and larger for closer objects.
 
 Both fields depend on the rig alone, so each is built once per rig value
-(rigs compare and hash by value) and kept in a bounded cache: the last 4
-calibration fields and the last 16 trajectory fields, one per pyramid level.
-A cached field's arrays are read-only, so no caller can change an entry.
+(rigs compare and hash by value) and kept, read-only, in a cache sized for
+one rig: the last calibration field, and the last 5 trajectory fields, one
+pyramid of the solver's default depth. A field takes 17 bytes a pixel of its
+grid. For an H x W rig the caches so keep 17 HW bytes of calibration field
+and, after a solve, at most 23 HW bytes of trajectory fields: 71 and 95 MB
+at 2048 x 2048. Direct calls on 5 different full-size rigs can fill the
+trajectory cache with 85 HW bytes. A pyramid deeper than 5 levels gets no
+reuse: each solve rebuilds every level.
 """
 
 from __future__ import annotations
@@ -40,13 +45,7 @@ def _flow(cam: CameraBase, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(valid[..., None], x1 - pixel_grid(*valid.shape), 0.0), valid
 
 
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def generate_calibration_field(rig: StereoRig) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel flow removing rotation and intrinsic differences.
 
@@ -56,7 +55,9 @@ def generate_calibration_field(rig: StereoRig) -> tuple[np.ndarray, np.ndarray]:
     read-only, built once per rig value.
     """
     rays, _ = rig.cam0.unproject(pixel_grid(rig.cam0.height, rig.cam0.width))
-    return _read_only(*_flow(rig.cam1, rays @ rig.pose.rotation.T))
+    field, valid = _flow(rig.cam1, rays @ rig.pose.rotation.T)
+    field.flags.writeable = valid.flags.writeable = False
+    return field, valid
 
 
 def generate_trajectory_field(rig: StereoRig, epsilon_scale: float = 0.1,
@@ -79,7 +80,7 @@ def generate_trajectory_field(rig: StereoRig, epsilon_scale: float = 0.1,
                              POSITIVE(depth, "depth"))
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=5)
 def _trajectory_field(rig: StereoRig, epsilon_scale: float,
                       depth: float) -> tuple[np.ndarray, np.ndarray]:
     R = rig.pose.rotation
@@ -123,7 +124,8 @@ def _trajectory_field(rig: StereoRig, epsilon_scale: float,
         blocked[:, :-1] |= degenerate[:, 1:]
         good &= ~blocked
         dirs[~good] = 0.0
-    return _read_only(dirs, good)
+    dirs.flags.writeable = good.flags.writeable = False
+    return dirs, good
 
 
 def unit_directions(d: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -60,8 +60,8 @@ from . import fields as fieldsmod
 from . import kernels
 from .camera import StereoRig
 from .rasters import (build_pyramid, edge_indicators, forward_difference, pixel_grid,
-                      sample_bicubic, smooth_masked, upsample_state, vector_norm,
-                      warp_image)
+                      pyramid_shapes, sample_bicubic, smooth_masked, upsample_state,
+                      vector_norm, warp_image)
 from .schema import COUNT, POSITIVE, Ruled, reject_unknown_keys, ruled
 
 
@@ -348,12 +348,22 @@ class StereoResult:
 def calibrate_second_image(i1: np.ndarray, rig: StereoRig):
     """Warp image 1 by the calibration field once (rotation + intrinsics),
     onto the camera-0 grid. Returns (i1c, valid, cal, cal_ok); cal and cal_ok
-    are the rig's cached, read-only field (`fields.generate_calibration_field`),
-    built on the first call for a rig value, as is camera 1's FOV mask."""
+    are the rig's cached, read-only `fields.generate_calibration_field`."""
     cal, cal_ok = fieldsmod.generate_calibration_field(rig)
     i1c, ok = warp_image(i1, cal, rig.cam1.fov_mask())
     ok &= cal_ok
     return np.where(ok, i1c, 0.0), ok, cal, cal_ok
+
+
+def trajectory_pyramid(rig: StereoRig, params: SolverParams):
+    """(dirs, ok) of each pyramid level of `solve_pyramid`, coarsest first:
+    the trajectory fields of the translation-only rig at every level's
+    camera-0 grid, from `fields.generate_trajectory_field`'s cache."""
+    pose = fieldsmod.translation_only_rig(rig).pose
+    cams = [rig.cam0.scaled_to(shape) for shape in pyramid_shapes(
+        rig.cam0.height, rig.cam0.width, params.pyramid_levels, params.min_width)]
+    return [fieldsmod.generate_trajectory_field(StereoRig(cam, cam, pose))
+            for cam in cams[::-1]]
 
 
 def solve_pyramid(i0: np.ndarray, i1: np.ndarray, rig: StereoRig,
@@ -363,10 +373,10 @@ def solve_pyramid(i0: np.ndarray, i1: np.ndarray, rig: StereoRig,
     Applies the calibration field once, then per pyramid level takes the
     trajectory field of the rescaled translation-only rig and runs the
     warping loop, carrying disparity and warp up through `upsample_state`.
-    The fields and camera 1's FOV mask depend on the rig alone: the first
-    solve of a rig value builds them, later solves of an equal rig (say, one
-    read again from its JSON) take them from bounded caches, read-only. The
-    returned `cal` and `cal_ok` are those cached arrays.
+    The fields depend on the rig alone: the first solve of a rig value
+    builds them, a later solve of an equal rig (say, one read again from its
+    JSON) takes them from bounded caches (see `fields`). The returned `cal`
+    and `cal_ok` are the cached, read-only calibration field.
     `observe` is handed to every level's `solve_level`, coarsest level first.
 
     Raises ValueError when an image does not match its camera or holds a
@@ -384,18 +394,15 @@ def solve_pyramid(i0: np.ndarray, i1: np.ndarray, rig: StereoRig,
         raise ValueError("empty solve mask: no pixel of camera 0 sees image 1 "
                          "through the calibration warp")
 
-    rig_t = fieldsmod.translation_only_rig(rig)
     # One pyramid of the stacked pair: area averaging is per channel, and
     # both images share the solve mask.
     pyr = build_pyramid(np.stack([i0, i1c], axis=-1), solve_mask,
                         params.pyramid_levels, params.min_width)
 
     u = w = prev_mask = None
-    for pair, level_mask in pyr:
+    for (pair, level_mask), (dirs, traj_ok) in zip(
+            pyr, trajectory_pyramid(rig, params), strict=True):
         h, w_ = level_mask.shape
-        cam_lvl = rig.cam0.scaled_to((h, w_))
-        dirs, traj_ok = fieldsmod.generate_trajectory_field(
-            StereoRig(cam_lvl, cam_lvl, rig_t.pose))
         if prev_mask is None:
             u, w = np.zeros((h, w_)), np.zeros((h, w_, 2))
         else:

@@ -371,14 +371,6 @@ def test_fov_mask_is_circular():
     assert np.array_equal(mask, r <= radius + 1e-6)
 
 
-def test_fov_mask_is_shared_per_camera_value_and_read_only():
-    mask = PINHOLE.fov_mask()
-    assert not mask.flags.writeable
-    assert PinholeCamera(**vars(PINHOLE)).fov_mask() is mask
-    moved = PinholeCamera(**{**vars(PINHOLE), "cx": PINHOLE.cx + 0.5})
-    assert moved.fov_mask() is not mask and not np.array_equal(moved.fov_mask(), mask)
-
-
 def test_scaled_camera_preserves_angles():
     cam = UNIFIED.scaled_to((400, 400))
     ray0, _ = UNIFIED.unproject(np.array([500.0, 430.0]))

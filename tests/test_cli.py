@@ -663,6 +663,24 @@ def test_sweep_runtime_grows_with_warp_iters(tmp_path, dataset):
     assert times[12] > times[2]
 
 
+def test_sweep_builds_the_rig_fields_before_timing(tmp_path, dataset, monkeypatch):
+    # No grid cell's solve builds a field (a projection through
+    # `fields._flow`): every cell's wall_time_s times the same work.
+    from fisheyestereo import fields as fieldsmod, solver
+    calls = []
+    flow, solve = fieldsmod._flow, solver.solve_pyramid
+    monkeypatch.setattr(fieldsmod, "_flow", lambda *a: calls.append("flow") or flow(*a))
+    monkeypatch.setattr(solver, "solve_pyramid",
+                        lambda *a: calls.append("solve") or solve(*a))
+    fieldsmod.generate_calibration_field.cache_clear()
+    fieldsmod._trajectory_field.cache_clear()
+    assert main(["sweep", "--dataset", str(dataset), "--out", str(tmp_path / "o"),
+                 "--warp-iters-grid", "1,2", "--du-max-grid", "0.2",
+                 "--pyramid-levels", "2", "--min-width", "40"]) == 0
+    first = calls.index("solve")
+    assert first == 1 + 2 * 2 and calls[first:] == ["solve", "solve"]
+
+
 def test_sweep_du_max_flag_is_the_grid(tmp_path, dataset):
     # sweep has no --du-max solver flag for the grid to overwrite, so the
     # option abbreviates --du-max-grid and the value given is the one solved.

@@ -96,8 +96,7 @@ def test_trajectory_field_rejects_bad_scale_or_depth(kwargs, name):
 
 def test_cached_fields_are_read_only():
     rig = _fisheye_translation_rig()
-    arrays = (*generate_calibration_field(rig), *generate_trajectory_field(rig),
-              rig.cam1.fov_mask())
+    arrays = (*generate_calibration_field(rig), *generate_trajectory_field(rig))
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError, match="read-only"):
         arrays[0][0, 0] = 1.0
