@@ -7,7 +7,7 @@ Run it on two checkouts and diff the output to show that a refactor leaves
 the solver's and the oracle's results bit-identical and the JSON
 byte-identical:
 
-    PYTHONPATH=src python scripts/hash_solver_outputs.py [--big]
+    PYTHONPATH=src python scripts/hash_solver_outputs.py [--big] [--build baseline|avx2]
 
 Each configuration renders a pair of the default scene, solves it with an
 observer, and hashes `u`, `w`, `v`, `mask`, `cal` and `cal_ok` of the
@@ -55,6 +55,11 @@ step (`solve_level` with N=1, which builds its
 seeded random 160x150 level with holes in the mask and in the trajectory
 field: the returned u, w and v, and the `WarpRecord`'s du, dirs and dual
 norms.
+
+The kernels come from the build that the CPU picks (see `kernels`).
+`--build baseline` or `--build avx2` runs them through that build instead,
+so that the digests of both builds can be diffed on one machine; the AVX2
+build needs a CPU that has AVX2, and the script exits 2 without one.
 
 A change that alters the solver's arithmetic on purpose (a new precision, a
 reordered sum) cannot be bit-identical. Check it in two steps. First, the
@@ -290,7 +295,14 @@ def main() -> None:
                         help="write each configuration's u and w to DIR/<name>.npz")
     parser.add_argument("--against", type=Path, metavar="DIR",
                         help="print max |du| and max |dw| against the u and w in DIR")
+    parser.add_argument("--build", choices=("baseline", "avx2"),
+                        help="run the kernels through this build, not the CPU's pick")
     args = parser.parse_args()
+    if args.build == "avx2" and not kernels.cpu_has_avx2():
+        parser.error("--build avx2 needs a CPU with AVX2")
+    if args.build:
+        # The loader picks its build from this probe alone.
+        kernels.cpu_has_avx2 = lambda: args.build == "avx2"
     for name, rig, params in configurations(args.big):
         digests, res = hash_solve(rig, params)
         if args.save:

@@ -233,20 +233,28 @@ def read_png(path) -> np.ndarray:
 
 
 def _defilter_row(ftype: int, line, prev, planes: int):
-    rec = np.zeros_like(line)
-    for j in range(line.shape[0]):
-        a = rec[j - planes] if j >= planes else 0
-        b = prev[j]
-        if ftype == 1:
-            pred = a
-        elif ftype == 3:
-            pred = (a + b) // 2
-        else:
-            c = prev[j - planes] if j >= planes else 0
+    """Undo the sub (1), average (3) or Paeth (4) filter of one scanline of
+    `planes` bytes a pixel, given the row above as reconstructed, `prev`.
+
+    Sub adds up each plane, one cumulative sum mod 256. Average and Paeth
+    predict each byte from the one just reconstructed, so they loop; over
+    Python ints, which cost less per byte than NumPy scalars.
+    """
+    if ftype == 1:
+        return np.cumsum(line.reshape(-1, planes), axis=0).reshape(-1) & 0xFF
+    rec, up = line.tolist(), prev.tolist()
+    # The first pixel has no left neighbour: a = c = 0.
+    for j in range(min(planes, len(rec))):
+        rec[j] = (rec[j] + (up[j] >> 1 if ftype == 3 else up[j])) & 0xFF
+    if ftype == 3:
+        for j in range(planes, len(rec)):
+            rec[j] = (rec[j] + ((rec[j - planes] + up[j]) >> 1)) & 0xFF
+    else:
+        for j in range(planes, len(rec)):
+            a, b, c = rec[j - planes], up[j], up[j - planes]
             pa, pb, pc = abs(b - c), abs(a - c), abs(a + b - 2 * c)
-            pred = a if (pa <= pb and pa <= pc) else (b if pb <= pc else c)
-        rec[j] = (line[j] + pred) & 0xFF
-    return rec
+            rec[j] = (rec[j] + (a if pa <= pb and pa <= pc else b if pb <= pc else c)) & 0xFF
+    return np.array(rec)
 
 
 def to_luminance(image: np.ndarray) -> np.ndarray:

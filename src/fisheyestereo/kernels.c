@@ -13,6 +13,19 @@
  * The cycle runs in float, the precision the solver casts its levels to;
  * the sampler, and the warp step around its cycles, in double.
  *
+ * The sampler takes its positions in chunks of up to CHUNK, whose arrays
+ * live on the stack. One loop over a chunk's positions, under `omp simd`,
+ * computes the floors, the fractions, the Catmull-Rom weights and the 32-bit
+ * indices of every stencil; a scalar loop reads the tap counts; then every
+ * four full stencils in a row take their 16-tap sums as one vector, a lane
+ * per position. Each lane adds its 16 products in the order of the scalar
+ * sum, one add chain per position, and no lane reads another's, so the sums
+ * are those of the scalar sum bit for bit, in every build. The taps of a
+ * stencil row are contiguous, so the vector sum loads whole rows and
+ * transposes them: a gather per tap, which gcc emulates with one scalar
+ * load per lane, was slower than the scalar sum. The other full stencils
+ * take the scalar sum, and the rim and empty ones the scalar chain.
+ *
  * The warp step splits its level into row bands, one per thread: two
  * bands when the calling thread may run on two CPUs or more
  * (sched_getaffinity), else one. The caller's thread runs the top band and
@@ -38,41 +51,19 @@
 
 #define ALWAYS_INLINE static inline __attribute__((always_inline))
 
-/* Catmull-Rom weights of the taps at offsets -1..2 for fractional part f.
- * They reproduce constants and affine ramps exactly and are interpolating
- * (weight 1 at the node), which the warping relies on. */
-static void cubic_weights(double f, double wt[4])
+/* Positions per chunk of the sampler; a chunk's arrays live on the stack. */
+#define CHUNK 64
+
+/* Catmull-Rom weights of the taps at offsets -1..2 for fractional part f,
+ * into wt[0..4][j]. They reproduce constants and affine ramps exactly and
+ * are interpolating (weight 1 at the node), which the warping relies on. */
+ALWAYS_INLINE void cubic_weights(double f, double wt[4][CHUNK], int j)
 {
     const double f2 = f * f, f3 = f2 * f;
-    wt[0] = -0.5 * f + f2 - 0.5 * f3;
-    wt[1] = 1.0 - 2.5 * f2 + 1.5 * f3;
-    wt[2] = 0.5 * f + 2.0 * f2 - 1.5 * f3;
-    wt[3] = -0.5 * f2 + 0.5 * f3;
-}
-
-/* floor(x) clipped into [-3, n + 1], NaN to -3: beyond that range no
- * stencil has a tap in the image. */
-static ptrdiff_t clipped_floor(double floor_x, ptrdiff_t n)
-{
-    double c = floor_x >= -3 ? floor_x : -3;
-    c = c <= n + 1 ? c : n + 1;
-    return (ptrdiff_t)c;
-}
-
-/* The 16-tap sum of every channel of an (h, w, nc) field at the stencil of
- * floor (ix, iy), which must be full: every tap lies in the image. */
-ALWAYS_INLINE void full_sum(const double *f, ptrdiff_t nc, ptrdiff_t w, ptrdiff_t ix,
-                            ptrdiff_t iy, const double wx[4], const double wy[4],
-                            double *out)
-{
-    const ptrdiff_t top_left = (iy - 1) * w + ix - 1;
-    for (ptrdiff_t ch = 0; ch < nc; ch++) {
-        double acc = 0.0;
-        for (int a = 0; a < 4; a++)
-            for (int b = 0; b < 4; b++)
-                acc += (wy[a] * wx[b]) * f[(top_left + a * w + b) * nc + ch];
-        out[ch] = acc;
-    }
+    wt[0][j] = -0.5 * f + f2 - 0.5 * f3;
+    wt[1][j] = 1.0 - 2.5 * f2 + 1.5 * f3;
+    wt[2][j] = 0.5 * f + 2.0 * f2 - 1.5 * f3;
+    wt[3][j] = -0.5 * f2 + 0.5 * f3;
 }
 
 /* Bilinear over the valid inner 2x2 taps, else the nearest valid tap of the
@@ -114,41 +105,150 @@ static void rim_chain(const double *f, const uint8_t *mask, ptrdiff_t nc,
     }
 }
 
-/* Where one position falls: the clipped floors, the fractions, the
- * Catmull-Rom weights and the stencil's entry in the tap-count maps. */
-struct stencil {
-    ptrdiff_t ix, iy, at;
-    double fx, fy, wx[4], wy[4];
+/* Where each of a chunk's n positions falls: the floors, clipped into
+ * [-3, w + 1] x [-3, h + 1] (NaN to -3), beyond which no stencil has a tap
+ * in the image; the fractions; the Catmull-Rom weights; the stencil's entry
+ * in the tap-count maps and the flat index of its top-left tap. The indices
+ * are 32-bit, as gcc vectorizes only those: AVX2 converts double to int32,
+ * not to int64. kernels.py rejects every shape whose indices do not fit. */
+struct chunk {
+    int n;
+    int32_t ix[CHUNK], iy[CHUNK], at[CHUNK], top_left[CHUNK];
+    double fx[CHUNK], fy[CHUNK], wx[4][CHUNK], wy[4][CHUNK];
 };
 
-static void locate(double x, double y, ptrdiff_t h, ptrdiff_t w, struct stencil *s)
+/* Locate the chunk's positions: (xy[2j], xy[2j + 1]), offset by (col + j,
+ * row) on the pixel grid of a row when `grid` is set. */
+ALWAYS_INLINE void locate(struct chunk *c, int n, const double *xy, int grid, int32_t col,
+                          int32_t row, int32_t h, int32_t w)
 {
-    const double floor_x = floor(x), floor_y = floor(y);
-    s->fx = x - floor_x;
-    s->fy = y - floor_y;
-    s->ix = clipped_floor(floor_x, w);
-    s->iy = clipped_floor(floor_y, h);
-    s->at = (s->iy + 3) * (w + 5) + (s->ix + 3);
-    cubic_weights(s->fx, s->wx);
-    cubic_weights(s->fy, s->wy);
+    c->n = n;
+#pragma omp simd
+    for (int j = 0; j < n; j++) {
+        const double x = grid ? (double)(col + j) + xy[2 * j] : xy[2 * j];
+        const double y = grid ? (double)row + xy[2 * j + 1] : xy[2 * j + 1];
+        const double floor_x = floor(x), floor_y = floor(y);
+        const double fx = x - floor_x, fy = y - floor_y;
+        double cx = floor_x >= -3 ? floor_x : -3, cy = floor_y >= -3 ? floor_y : -3;
+        cx = cx <= w + 1 ? cx : w + 1;
+        cy = cy <= h + 1 ? cy : h + 1;
+        const int32_t ix = (int32_t)cx, iy = (int32_t)cy;
+        c->ix[j] = ix;
+        c->iy[j] = iy;
+        c->at[j] = (iy + 3) * (w + 5) + (ix + 3);
+        c->top_left[j] = (iy - 1) * w + (ix - 1);
+        c->fx[j] = fx;
+        c->fy[j] = fy;
+        cubic_weights(fx, c->wx, j);
+        cubic_weights(fy, c->wy, j);
+    }
 }
 
-/* Sample an (h, w, nc) field under its mask, whose tap-count map is
- * `counts`, at stencil s into out[0..nc): a full stencil (16 taps) gives the
- * 16-tap sum, an empty one NaN and invalid, any other the bilinear/nearest
- * chain. Returns whether the sample is valid. */
-ALWAYS_INLINE int sample_at(const struct stencil *s, const double *f, ptrdiff_t nc,
-                            const uint8_t *mask, const uint8_t *counts, ptrdiff_t h,
-                            ptrdiff_t w, double *out)
+/* The 16-tap sum of every channel of an (h, w, nc) field at the full
+ * stencil of the chunk's position j into out[0..nc). */
+ALWAYS_INLINE void stencil_sum(const struct chunk *c, int j, const double *f, ptrdiff_t nc,
+                               ptrdiff_t w, double *out)
 {
-    const int count = counts[s->at];
-    if (count == 16) {
-        full_sum(f, nc, w, s->ix, s->iy, s->wx, s->wy, out);
-    } else if (count == 0) {
+    const double *top_left = f + (ptrdiff_t)c->top_left[j] * nc;
+    for (ptrdiff_t ch = 0; ch < nc; ch++) {
+        double acc = 0.0;
+        for (int a = 0; a < 4; a++)
+            for (int b = 0; b < 4; b++)
+                acc += (c->wy[a][j] * c->wx[b][j]) * top_left[(a * w + b) * nc + ch];
+        out[ch] = acc;
+    }
+}
+
+/* Four doubles, one per position of a quad; a v4du may be unaligned. */
+typedef double v4d __attribute__((vector_size(32)));
+typedef double v4du __attribute__((vector_size(32), aligned(8)));
+typedef int64_t v4i __attribute__((vector_size(32)));
+
+/* The fields with up to this many channels take the quad sum. */
+#define QUAD_CHANNELS 2
+
+/* The 16-tap sums of the full stencils of the chunk's positions j to j + 3,
+ * one vector lane each, into out[(j + p) * stride + ch] for position j + p
+ * and channel ch < nc <= QUAD_CHANNELS. Each lane runs stencil_sum's add
+ * chain, in its order, so the sums are its bits. A stencil row of an
+ * (h, w, nc) field is 4 * nc contiguous doubles: loaded as nc vectors for
+ * each of the four positions, four vectors at a time are transposed into one
+ * vector per tap and channel. No gather is needed, which gcc would emulate
+ * with a scalar load per lane. */
+ALWAYS_INLINE void quad_sum(const struct chunk *c, int j, const double *f, ptrdiff_t nc,
+                            ptrdiff_t w, double *out, ptrdiff_t stride)
+{
+    const double *row[4];
+    for (int p = 0; p < 4; p++)
+        row[p] = f + (ptrdiff_t)c->top_left[j + p] * nc;
+    v4d acc[QUAD_CHANNELS], taps[4 * QUAD_CHANNELS];
+    for (ptrdiff_t ch = 0; ch < nc; ch++)
+        acc[ch] = (v4d){0.0, 0.0, 0.0, 0.0};
+    for (int a = 0; a < 4; a++) {
+        for (ptrdiff_t v = 0; v < nc; v++) {
+            v4d r[4];
+            for (int p = 0; p < 4; p++)
+                r[p] = *(const v4du *)(row[p] + a * w * nc + 4 * v);
+            /* taps[4 v + k] holds element 4 v + k of the four rows: tap
+             * (4 v + k) / nc, channel (4 v + k) % nc. */
+            const v4d lo01 = __builtin_shuffle(r[0], r[1], (v4i){0, 4, 2, 6});
+            const v4d hi01 = __builtin_shuffle(r[0], r[1], (v4i){1, 5, 3, 7});
+            const v4d lo23 = __builtin_shuffle(r[2], r[3], (v4i){0, 4, 2, 6});
+            const v4d hi23 = __builtin_shuffle(r[2], r[3], (v4i){1, 5, 3, 7});
+            taps[4 * v] = __builtin_shuffle(lo01, lo23, (v4i){0, 1, 4, 5});
+            taps[4 * v + 1] = __builtin_shuffle(hi01, hi23, (v4i){0, 1, 4, 5});
+            taps[4 * v + 2] = __builtin_shuffle(lo01, lo23, (v4i){2, 3, 6, 7});
+            taps[4 * v + 3] = __builtin_shuffle(hi01, hi23, (v4i){2, 3, 6, 7});
+        }
+        const v4d wy = *(const v4du *)(c->wy[a] + j);
+        for (int b = 0; b < 4; b++) {
+            const v4d wt = wy * *(const v4du *)(c->wx[b] + j);
+            for (ptrdiff_t ch = 0; ch < nc; ch++)
+                acc[ch] += wt * taps[b * nc + ch];
+        }
+    }
+    for (int p = 0; p < 4; p++)
+        for (ptrdiff_t ch = 0; ch < nc; ch++)
+            out[(j + p) * stride + ch] = acc[ch][p];
+}
+
+/* The chunk's stencils in an (h, w, nc) field under a mask whose tap-count
+ * map is `counts`: count[j] receives the taps of stencil j and, where the
+ * stencil is full (16 taps), out[j * stride + ch] the 16-tap sum of channel
+ * ch. Four full stencils in a row take the quad sum, any other full one
+ * stencil_sum. */
+ALWAYS_INLINE void full_sums(const struct chunk *c, const double *f, ptrdiff_t nc,
+                             ptrdiff_t w, const uint8_t *counts, int count[CHUNK],
+                             double *out, ptrdiff_t stride)
+{
+    for (int j = 0; j < c->n; j++)
+        count[j] = counts[c->at[j]];
+    for (int j = 0; j < c->n;) {
+        if (nc <= QUAD_CHANNELS && j + 4 <= c->n && count[j] == 16 && count[j + 1] == 16
+            && count[j + 2] == 16 && count[j + 3] == 16) {
+            quad_sum(c, j, f, nc, w, out, stride);
+            j += 4;
+        } else {
+            if (count[j] == 16)
+                stencil_sum(c, j, f, nc, w, out + j * stride);
+            j++;
+        }
+    }
+}
+
+/* Complete position j's sample of an (h, w, nc) field under its mask in
+ * out[0..nc), which full_sums filled if the stencil is full: NaN for an
+ * empty stencil (no tap), the bilinear/nearest chain for a rim one. Returns
+ * whether the sample is valid. */
+ALWAYS_INLINE int sample_at(const struct chunk *c, int j, int count, const double *f,
+                            ptrdiff_t nc, const uint8_t *mask, ptrdiff_t h, ptrdiff_t w,
+                            double *out)
+{
+    if (count == 0) {
         for (ptrdiff_t ch = 0; ch < nc; ch++)
             out[ch] = NAN;
-    } else {
-        rim_chain(f, mask, nc, h, w, s->ix, s->iy, s->fx, s->fy, out);
+    } else if (count < 16) {
+        rim_chain(f, mask, nc, h, w, c->ix[j], c->iy[j], c->fx[j], c->fy[j], out);
     }
     return count > 0;
 }
@@ -192,10 +292,20 @@ void sample_bicubic(ptrdiff_t n, const double *xy, ptrdiff_t h, ptrdiff_t w,
                     const double *field, ptrdiff_t nc, const uint8_t *mask,
                     const uint8_t *counts, double *values, uint8_t *valid)
 {
-    for (ptrdiff_t k = 0; k < n; k++) {
-        struct stencil st;
-        locate(xy[2 * k], xy[2 * k + 1], h, w, &st);
-        valid[k] = sample_at(&st, field, nc, mask, counts, h, w, values + k * nc);
+    struct chunk c;
+    int count[CHUNK];
+    for (ptrdiff_t k0 = 0; k0 < n; k0 += CHUNK) {
+        double *out = values + k0 * nc;
+        locate(&c, n - k0 < CHUNK ? n - k0 : CHUNK, xy + 2 * k0, 0, 0, 0, h, w);
+        /* constant channel counts, for which the quad sum unrolls */
+        if (nc == 1)
+            full_sums(&c, field, 1, w, counts, count, out, 1);
+        else if (nc == 2)
+            full_sums(&c, field, 2, w, counts, count, out, 2);
+        else
+            full_sums(&c, field, nc, w, counts, count, out, nc);
+        for (int j = 0; j < c.n; j++)
+            valid[k0 + j] = sample_at(&c, j, count[j], field, nc, mask, h, w, out + j * nc);
     }
 }
 
@@ -474,31 +584,49 @@ static void *run_band(void *arg)
     double *u = wp->u, *wv = wp->wv, *du = wp->du, *dirs = wp->dirs;
     const double du_max = wp->du_max;
 
-    for (ptrdiff_t k = first; k < end; k++) {
-        struct stencil st;
-        double d[2];
-        locate((double)(k % w) + wv[2 * k], (double)(k / w) + wv[2 * k + 1], h, w, &st);
-        valid[k] = sample_at(&st, i1, 1, mask, mask_counts, h, w, i1w + k) && mask[k];
-        const int sampled = sample_at(&st, traj, 2, traj_valid, traj_counts, h, w, d);
-        const double norm = sqrt(d[0] * d[0] + d[1] * d[1]);
-        /* dir_ok, until step 2 makes it data_ok */
-        data_ok[k] = sampled && mask[k] && norm > 0.5;
-        dirs[2 * k] = data_ok[k] ? d[0] / norm : 0.0;
-        dirs[2 * k + 1] = data_ok[k] ? d[1] / norm : 0.0;
-        u32[k] = (float)u[k];
+    struct chunk c;
+    int count[CHUNK], traj_count[CHUNK];
+    for (ptrdiff_t r = r0; r < r1; r++) {
+        for (ptrdiff_t col = 0; col < w; col += CHUNK) {
+            const ptrdiff_t k0 = r * w + col;
+            locate(&c, w - col < CHUNK ? w - col : CHUNK, wv + 2 * k0, 1, col, r, h, w);
+            full_sums(&c, i1, 1, w, mask_counts, count, i1w + k0, 1);
+            /* the directions' samples go to dirs, which they become */
+            full_sums(&c, traj, 2, w, traj_counts, traj_count, dirs + 2 * k0, 2);
+            for (int j = 0; j < c.n; j++) {
+                const ptrdiff_t k = k0 + j;
+                valid[k] = sample_at(&c, j, count[j], i1, 1, mask, h, w, i1w + k) && mask[k];
+                const int sampled = sample_at(&c, j, traj_count[j], traj, 2, traj_valid, h, w,
+                                              dirs + 2 * k);
+                const double d0 = dirs[2 * k], d1 = dirs[2 * k + 1];
+                const double norm = sqrt(d0 * d0 + d1 * d1);
+                /* dir_ok, until step 2 makes it data_ok */
+                data_ok[k] = sampled && mask[k] && norm > 0.5;
+                dirs[2 * k] = data_ok[k] ? d0 / norm : 0.0;
+                dirs[2 * k + 1] = data_ok[k] ? d1 / norm : 0.0;
+                u32[k] = (float)u[k];
+            }
+        }
     }
     await_bands(wp->barrier);
     tap_count_rows(h, w, valid, level[L_VALID_ROWS], valid_counts,
                    (h + 5) * b->index / bands, (h + 5) * (b->index + 1) / bands);
     await_bands(wp->barrier);
-    for (ptrdiff_t k = first; k < end; k++) {
-        struct stencil st;
-        double ahead;
-        locate((double)(k % w) + dirs[2 * k], (double)(k / w) + dirs[2 * k + 1], h, w, &st);
-        const int ok = sample_at(&st, i1w, 1, valid, valid_counts, h, w, &ahead) && valid[k];
-        iu[k] = (float)(ok ? ahead - i1w[k] : 0.0);
-        data_ok[k] = ok && data_ok[k];
-        rho0[k] = (float)(data_ok[k] ? i1w[k] - i0[k] : 0.0);
+    double ahead[CHUNK];
+    for (ptrdiff_t r = r0; r < r1; r++) {
+        for (ptrdiff_t col = 0; col < w; col += CHUNK) {
+            const ptrdiff_t k0 = r * w + col;
+            locate(&c, w - col < CHUNK ? w - col : CHUNK, dirs + 2 * k0, 1, col, r, h, w);
+            full_sums(&c, i1w, 1, w, valid_counts, count, ahead, 1);
+            for (int j = 0; j < c.n; j++) {
+                const ptrdiff_t k = k0 + j;
+                const int ok = sample_at(&c, j, count[j], i1w, 1, valid, h, w, ahead + j)
+                               && valid[k];
+                iu[k] = (float)(ok ? ahead[j] - i1w[k] : 0.0);
+                data_ok[k] = ok && data_ok[k];
+                rho0[k] = (float)(data_ok[k] ? i1w[k] - i0[k] : 0.0);
+            }
+        }
     }
 
     ptrdiff_t cur = wp->cur;

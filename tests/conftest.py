@@ -1,3 +1,6 @@
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -48,3 +51,27 @@ def no_compiler(tmp_path, monkeypatch):
     kernels._library.cache_clear()
     yield
     kernels._library.cache_clear()
+
+
+@pytest.fixture(scope="session")
+def in_both_builds(tmp_path_factory):
+    """A function that runs `call()` under the baseline and then under the
+    AVX2 build of the kernels, both compiled into a fresh cache, and returns
+    the two runs' results, each as a list of the bytes of its arrays. Skips
+    where the CPU lacks AVX2: the AVX2 build would stop the process at its
+    first AVX2 instruction."""
+    if not kernels.cpu_has_avx2():
+        pytest.skip("the AVX2 build needs a CPU with AVX2")
+    cache = tmp_path_factory.mktemp("kernel-builds")
+    with ThreadPoolExecutor(2) as pool:  # both compile at once
+        builds = list(pool.map(lambda flags: kernels.load(cache, flags),
+                               (kernels.FLAGS, kernels.AVX2_FLAGS)))
+
+    def run(call):
+        outputs = []
+        for lib in builds:
+            with mock.patch.object(kernels, "_library", lambda: lib):
+                outputs.append([np.asarray(a).tobytes() for a in call()])
+        return outputs
+
+    return run

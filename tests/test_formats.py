@@ -90,14 +90,84 @@ def test_png_roundtrip(tmp_path, shape):
         assert np.array_equal(back, img)
 
 
-def _gray_png(width, height, idat):
-    """Bytes of an 8-bit grayscale PNG with one IDAT chunk, `idat`."""
+def _gray_png(width, height, idat, color_type=0):
+    """Bytes of an 8-bit PNG with one IDAT chunk, `idat`: grayscale, or of
+    `color_type` 2 (RGB) or 6 (RGBA)."""
     def chunk(kind, payload):
         body = kind + payload
         return struct.pack(">I", len(payload)) + body + struct.pack(">I", zlib.crc32(body))
-    ihdr = struct.pack(">IIBBBBB", width, height, 8, 0, 0, 0, 0)
+    ihdr = struct.pack(">IIBBBBB", width, height, 8, color_type, 0, 0, 0)
     return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr) + chunk(b"IDAT", idat)
             + chunk(b"IEND", b""))
+
+
+def _reference_defilter_row(ftype, line, prev, planes):
+    """The sub (1), average (3) and Paeth (4) filters undone one byte at a
+    time on NumPy scalars, as `formats.read_png` did before it summed and
+    looped over Python ints."""
+    rec = np.zeros_like(line)
+    for j in range(line.shape[0]):
+        a = rec[j - planes] if j >= planes else 0
+        b = prev[j]
+        if ftype == 1:
+            pred = a
+        elif ftype == 3:
+            pred = (a + b) // 2
+        else:
+            c = prev[j - planes] if j >= planes else 0
+            pa, pb, pc = abs(b - c), abs(a - c), abs(a + b - 2 * c)
+            pred = a if (pa <= pb and pa <= pc) else (b if pb <= pc else c)
+        rec[j] = (line[j] + pred) & 0xFF
+    return rec
+
+
+def _paeth(a, b, c):
+    pa, pb, pc = abs(b - c), abs(a - c), abs(a + b - 2 * c)
+    return a if (pa <= pb and pa <= pc) else (b if pb <= pc else c)
+
+
+def _filter_row(ftype, raw, prev, planes):
+    """`raw` under PNG filter `ftype`, given the row above, as an encoder
+    writes it: the bytes that the filter's decoder turns back into `raw`."""
+    out = []
+    for j, x in enumerate(raw):
+        a, c = (int(raw[j - planes]), int(prev[j - planes])) if j >= planes else (0, 0)
+        b = int(prev[j])
+        pred = (0, a, b, (a + b) // 2, _paeth(a, b, c))[ftype]
+        out.append((int(x) - pred) & 0xFF)
+    return np.array(out, np.uint8)
+
+
+@pytest.mark.parametrize("color_type, planes", [(0, 1), (2, 3)], ids=["gray", "rgb"])
+def test_png_filters_match_the_per_byte_reference(tmp_path, color_type, planes):
+    # Every filter type, rows of each type in turn, so that each filter meets
+    # rows above of every kind; the first row's "above" is zeros. The rows
+    # mix random bytes with few-valued ones, which give Paeth's ties and the
+    # wrap-around at 0 and 255. read_png must give back the pixels, and so
+    # must the per-byte reference.
+    rng = np.random.default_rng(planes)
+    h, w = 30, 17
+    filters = [1, 3, 4, 0, 2] * 6
+    raw = rng.integers(0, 256, (h, w * planes), dtype=np.uint8)
+    raw[1::3] = rng.choice(np.array([0, 1, 2, 3], np.uint8), size=raw[1::3].shape)
+    raw[2::3] = rng.choice(np.array([0, 1, 254, 255], np.uint8), size=raw[2::3].shape)
+    prev, scanlines, reference = np.zeros(w * planes, np.uint8), b"", []
+    for ftype, row in zip(filters, raw):
+        line = _filter_row(ftype, row, prev, planes)
+        scanlines += bytes([ftype]) + line.tobytes()
+        line, up = line.astype(np.int32), (reference[-1] if reference else prev)
+        reference.append(line if ftype == 0 else (line + up) & 0xFF if ftype == 2
+                         else _reference_defilter_row(ftype, line, up, planes))
+        prev = row
+    assert np.array_equal(np.stack(reference), raw)
+    path = tmp_path / "filtered.png"
+    path.write_bytes(_gray_png(w, h, zlib.compress(scanlines), color_type))
+    got = formats.read_png(path)
+    want = raw.reshape(h, w, planes)
+    if planes == 1:
+        assert np.array_equal(got, want[:, :, 0].astype(np.float64) / 255.0)
+    else:
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
 
 
 def test_png_inflates_no_further_than_its_header_allows(tmp_path):

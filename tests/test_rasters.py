@@ -191,6 +191,28 @@ def test_sample_every_floor_matches_reference_chain(h, w):
     assert np.array_equal(vals, np.array([r[0] for r in ref]), equal_nan=True)
 
 
+@pytest.mark.parametrize("nc", [1, 2, 3])
+def test_sample_matches_reference_chain_across_chunks(nc):
+    # The sampler takes its positions in chunks of 64 and sums runs of four
+    # full stencils as one vector: 150 positions (two chunks and a part) of
+    # long runs of full stencils broken by rim, empty and NaN ones, under a
+    # mask with two holes, every channel count the solve uses.
+    rng = np.random.default_rng(nc)
+    h, w = 12, 11
+    data = rng.normal(size=(h, w, nc))
+    mask = np.ones((h, w), dtype=bool)
+    mask[3, 8] = mask[9, 2] = False
+    pos = rng.uniform(-1.0, (w + 0.5, h + 0.5), size=(150, 2))
+    inner = rng.random(150) < 0.8
+    pos[inner] = rng.uniform(1.0, (w - 2.0, h - 2.0), size=(inner.sum(), 2))
+    pos[[7, 70, 131]] = np.nan
+    vals, ok = sample_bicubic(data[:, :, 0] if nc == 1 else data, pos, mask)
+    ref = [_reference_sample(data, mask, x, y) for x, y in pos]
+    assert np.array_equal(ok, [r[1] for r in ref])
+    assert np.array_equal(vals, np.array([r[0] for r in ref]).reshape(vals.shape),
+                          equal_nan=True)
+
+
 @pytest.mark.parametrize("h", range(1, 10))
 def test_stencil_tap_counts_match_brute_force(h):
     for w in range(1, 10):

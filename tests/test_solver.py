@@ -572,12 +572,15 @@ def _nan_signless_bits(a):
     return (np.where(np.isnan(a), np.nan, a) if a.dtype.kind == "f" else a).tobytes()
 
 
-def _assert_warp_step_matches_numpy(seed, h, w, pd_iters, nan_p_at=None):
-    # Masks and trajectory fields with holes give rim and empty stencils;
-    # warps up to 3 px reach past the image; directions of norm 0, under and
-    # over 0.5 test the renormalization; signed zeros everywhere. `nan_p_at`
-    # puts a NaN into p's first channel at that pixel. Returns the step's
-    # dual norms.
+def _random_warp_level(seed, h, w, pd_iters, nan_p_at=None):
+    """The arguments of a `WarpLevel` and the (u, w, v, p, q) that one step
+    starts from, drawn from `seed`.
+
+    Masks and trajectory fields with holes give rim and empty stencils;
+    warps up to 3 px reach past the image; directions of norm 0, under and
+    over 0.5 test the renormalization; signed zeros everywhere. `nan_p_at`
+    puts a NaN into p's first channel at that pixel.
+    """
     rng = np.random.default_rng(seed)
     params = SolverParams(pd_iters=pd_iters, du_max=rng.choice([0.05, 0.2, 1.0]))
     mask = rng.random((h, w)) < rng.choice([0.5, 0.9, 1.0])
@@ -595,7 +598,13 @@ def _assert_warp_step_matches_numpy(seed, h, w, pd_iters, nan_p_at=None):
         p[(0,) + nan_p_at] = np.nan
     op = _cast_operator(precondition_steps(solver.edge_tensor(i0, mask), mask, params),
                         np.float32)
+    return (i0, i1, traj, traj_valid, mask, op, params), (u, warp, v, p, q)
 
+
+def _assert_warp_step_matches_numpy(seed, h, w, pd_iters, nan_p_at=None):
+    # On `_random_warp_level`'s inputs. Returns the step's dual norms.
+    (i0, i1, traj, traj_valid, mask, op, params), (u, warp, v, p, q) = _random_warp_level(
+        seed, h, w, pd_iters, nan_p_at)
     want = _numpy_warp_step(i0, i1, traj, traj_valid, mask, op, params, u, warp, v, p, q)
     outputs = {}
     for observe in (True, False):
@@ -633,6 +642,44 @@ def test_warp_step_matches_numpy_at_every_size():
     for h in range(1, 17):
         for w in range(1, 17):
             _assert_warp_step_matches_numpy(16 * h + w, h, w, 3)
+
+
+def test_warp_step_matches_numpy_across_sampler_chunks():
+    # Rows of 150 pixels: the sampler's chunks of 64 positions and a tail of
+    # 22, each with runs of full stencils long enough for the vector sums.
+    _assert_warp_step_matches_numpy(22, 9, 150, 2)
+
+
+def _observed_warp_step(level_args, start):
+    """All that one observed warp step returns and leaves."""
+    u, warp, *duals = (a.copy() for a in start)
+    level = kernels.WarpLevel(*level_args)
+    for dual, x in zip(level.duals, duals):
+        dual[...] = x
+    return (u, warp, *level.step(u, warp, observe=True), *level.duals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 16), w=st.integers(1, 70),
+       pd_iters=st.sampled_from([1, 3, 10]))
+def test_warp_step_same_bits_in_both_builds(in_both_builds, seed, h, w, pd_iters):
+    # The inputs of test_warp_step_matches_numpy_warp_step, rows up to 70
+    # wide so that the sampler's chunks split them, compared byte for byte.
+    level_args, start = _random_warp_level(seed, h, w, pd_iters)
+    base, avx2 = in_both_builds(lambda: _observed_warp_step(level_args, start))
+    assert base == avx2
+
+
+def test_solve_same_bits_in_both_builds(in_both_builds, small_fisheye_rig, small_pair):
+    i0, i1, _ = small_pair
+
+    def solve():
+        res = solve_pyramid(i0, i1, small_fisheye_rig,
+                            SolverParams(warp_iters=3, pyramid_levels=2, min_width=40))
+        return res.u, res.w
+
+    base, avx2 = in_both_builds(solve)
+    assert base == avx2
 
 
 @pytest.mark.parametrize("row", [1, 6], ids=["top-band", "bottom-band"])
