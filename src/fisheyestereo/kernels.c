@@ -30,24 +30,38 @@
  * bands when the calling thread may run on two CPUs or more
  * (sched_getaffinity), else one. The caller's thread runs the top band and
  * one POSIX thread, created and joined in the same call, the bottom one.
- * Every pixel's arithmetic is the same in either band, so the results do
- * not depend on the split. The bands wait for each other at a barrier
- * wherever one reads rows the other wrote: after the first sampling pass
- * (the tap counts of `valid` read rows up to 4 away), after the tap counts
- * (the I_u pass samples i1w two rows away), inside each cycle (the primal
- * step of a band's first row needs the new p and q of the row above) and
- * at the end of each cycle. With one band no barrier runs. The worker
- * thread allocates nothing: a thread that calls malloc gets its own heap
- * arena, which costs megabytes of resident memory.
+ * That worker starts pinned to the next allowed CPU after the caller's
+ * (sched_getcpu), so each band has a CPU of its own; the scheduler, left to
+ * itself, seldom moved the worker off the caller's CPU, and the two then
+ * traded one CPU at every barrier. Every pixel's arithmetic is the same in
+ * either band, so the results do not depend on the split. The bands wait
+ * for each other at a barrier wherever one reads rows the other wrote:
+ * after the first sampling pass (the tap counts of `valid` read rows up to
+ * 4 away), after the tap counts (the I_u pass samples i1w two rows away),
+ * inside each cycle (the primal step of a band's first row needs the new p
+ * and q of the row above) and at the end of each cycle. The first band to
+ * arrive spins for SPIN_PAUSES `pause` instructions, then sleeps on a
+ * futex until the other arrives. With one band no barrier runs. A pinned
+ * worker cannot leave a CPU that another process keeps busy, and there two
+ * bands take longer than one: a two-band step whose bands' CPU times sum to
+ * less than OVERLAP_MIN times its wall time makes the calling thread's next
+ * steps run as one band, ONE_BAND_STEPS of them and more after each such
+ * step in a row, before it tries two again. The worker thread allocates
+ * nothing: a thread that calls malloc gets its own heap arena, which costs
+ * megabytes of resident memory.
  */
 
-#define _GNU_SOURCE /* sched_getaffinity and CPU_COUNT */
+#define _GNU_SOURCE /* sched_getaffinity, sched_getcpu, CPU_COUNT, pthread_attr_setaffinity_np */
 #include <float.h>
+#include <linux/futex.h>
 #include <math.h>
 #include <pthread.h>
 #include <sched.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <sys/syscall.h>
+#include <time.h>
+#include <unistd.h>
 
 #define ALWAYS_INLINE static inline __attribute__((always_inline))
 
@@ -477,11 +491,59 @@ ALWAYS_INLINE void primal_row(const struct cycle *c, ptrdiff_t r)
     }
 }
 
-/* Wait for the other bands of a warp step; no barrier means one band. */
-static void await_bands(pthread_barrier_t *barrier)
+/* The pause iterations a band spins at a barrier before it sleeps: 30 us
+ * on the 2-core Xeon VM it was sized on (15 ns a pause), short next to a
+ * 400^2 step (8-16 ms there). With a CPU for each band, three in four of
+ * the waits of a solve-400 op ended within the spin there. */
+#define SPIN_PAUSES 2000
+
+/* The barrier of a warp step's two bands. `arrived` counts every arrival,
+ * so arrival n is the (n % 2 + 1)th of phase n / 2; `phase` counts the
+ * phases done, and is the futex word a band sleeps on; `sleepers` counts
+ * the bands in or about to enter futex_wait. */
+struct barrier {
+    uint32_t arrived, phase, sleepers;
+};
+
+static void futex(uint32_t *word, int op, uint32_t value)
 {
-    if (barrier)
-        pthread_barrier_wait(barrier);
+    syscall(SYS_futex, word, op, value, NULL, NULL, 0);
+}
+
+ALWAYS_INLINE void cpu_relax(void)
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+}
+
+/* Wait for the other band of a warp step; no barrier means one band. The
+ * second band to arrive ends the phase; the first spins SPIN_PAUSES times
+ * at most, then sleeps on a futex. The arrival's release-acquire and the
+ * phase's release-acquire order each band's writes before the other's reads
+ * past the barrier. The sleeper's count and the phase are sequentially
+ * consistent, so either the band that ends the phase sees a sleeper and
+ * wakes it, or the sleeper sees the new phase and does not sleep. */
+static void await_bands(struct barrier *b)
+{
+    if (!b)
+        return;
+    const uint32_t n = __atomic_fetch_add(&b->arrived, 1, __ATOMIC_ACQ_REL), phase = n / 2;
+    if (n % 2) {
+        __atomic_store_n(&b->phase, phase + 1, __ATOMIC_SEQ_CST);
+        if (__atomic_load_n(&b->sleepers, __ATOMIC_SEQ_CST))
+            futex(&b->phase, FUTEX_WAKE_PRIVATE, 1);
+        return;
+    }
+    for (int i = 0; i < SPIN_PAUSES; i++) {
+        if (__atomic_load_n(&b->phase, __ATOMIC_ACQUIRE) != phase)
+            return;
+        cpu_relax();
+    }
+    __atomic_fetch_add(&b->sleepers, 1, __ATOMIC_SEQ_CST);
+    while (__atomic_load_n(&b->phase, __ATOMIC_SEQ_CST) == phase)
+        futex(&b->phase, FUTEX_WAIT_PRIVATE, phase);
+    __atomic_fetch_sub(&b->sleepers, 1, __ATOMIC_RELAXED);
 }
 
 /* Rows [r0, r1) of cycle c on an h-row level. Row by row, the dual step runs
@@ -492,7 +554,7 @@ static void await_bands(pthread_barrier_t *barrier)
  * and gcc vectorizes the loops without checking 37 pointers for overlap at
  * run time. c is a copy, which no store can alias. */
 static void cycle_rows(struct cycle c, ptrdiff_t h, ptrdiff_t r0, ptrdiff_t r1,
-                       pthread_barrier_t *barrier)
+                       struct barrier *barrier)
 {
     const int rows = r0 < r1 && c.w > 0;
     if (rows)
@@ -543,31 +605,64 @@ enum {
 
 #define MAX_BANDS 2
 
+/* A two-band step whose bands' CPU times sum to less than OVERLAP_MIN times
+ * its wall time ran them one after the other, not at once: the other CPU
+ * was busy. The calling thread's next ONE_BAND_STEPS steps then run as one
+ * band, twice as many after each such step in a row, up to
+ * ONE_BAND_STEPS << MAX_BACKOFF; the step after them tries two bands again.
+ * A step shorter than JUDGE_MIN_S is not judged: starting its worker on an
+ * idle virtual CPU can take a good part of it. */
+#define OVERLAP_MIN 1.3
+#define JUDGE_MIN_S 2e-3
+#define ONE_BAND_STEPS 4
+#define MAX_BACKOFF 4
+
+/* The calling thread's steps left to run as one band, and its two-band
+ * steps in a row that did not overlap. Only the thread reads them, so the
+ * bands' count does not depend on what other threads step. */
+static _Thread_local ptrdiff_t one_band_steps;
+static _Thread_local int missed_overlaps;
+
+/* The entries of warp_step's `record`: the largest norms of p and q, the
+ * bands that ran, the step's wall time, then per band the CPU it started
+ * on (-1 if sched_getcpu failed), its wall time and its thread's CPU time,
+ * all in seconds. kernels.py sizes its scratch to RECORD_SIZE. */
+enum { R_P_NORM, R_Q_NORM, R_BANDS, R_WALL_S, R_BAND /* cpu, wall_s, cpu_s per band */ };
+#define RECORD_SIZE (R_BAND + 3 * MAX_BANDS)
+
 /* One warp_step call, shared by its bands. */
 struct warp {
     ptrdiff_t h, w, pd_iters, cur, bands;
     void *const *level;
     double *u, *wv, *du, *dirs;
-    int observe;
+    int observe, timed; /* timed: observed, or two bands */
     float alpha0, alpha1, lam;
     double du_max;
-    pthread_barrier_t *barrier; /* NULL with one band */
+    struct barrier *barrier; /* NULL with one band */
 };
 
 /* One band of a warp_step call, and what it leaves: the state set that holds
- * the duals after the warp, and the largest norms of p and q on its rows
- * over the cycles (from 0, as warp_step zeroes them). */
+ * the duals after the warp, the largest norms of p and q on its rows over
+ * the cycles (from 0, as warp_step zeroes them) and, when the step is
+ * timed, the CPU it started on, its wall time and its thread's CPU time. */
 struct band {
     struct warp *warp;
     ptrdiff_t index, cur;
     double norms[2];
+    double cpu, wall_s, cpu_s;
 };
+
+static double clock_s(clockid_t clock)
+{
+    struct timespec t;
+    clock_gettime(clock, &t);
+    return (double)t.tv_sec + 1e-9 * (double)t.tv_nsec;
+}
 
 /* The warp step on the band's rows [h * index / bands, h * (index + 1) /
  * bands); see warp_step for the steps. */
-static void *run_band(void *arg)
+static void band_rows(struct band *b)
 {
-    struct band *b = arg;
     struct warp *wp = b->warp;
     const ptrdiff_t h = wp->h, w = wp->w, hw = h * w, bands = wp->bands;
     const ptrdiff_t r0 = h * b->index / bands, r1 = h * (b->index + 1) / bands;
@@ -667,16 +762,48 @@ static void *run_band(void *arg)
         wv[2 * k + 1] = wv[2 * k + 1] + du[k] * dirs[2 * k + 1];
     }
     b->cur = cur;
+}
+
+/* A band's thread: its rows, timed when the step is observed or has two
+ * bands. */
+static void *run_band(void *arg)
+{
+    struct band *b = arg;
+    if (!b->warp->timed) {
+        band_rows(b);
+        return NULL;
+    }
+    b->cpu = sched_getcpu();
+    const double wall = clock_s(CLOCK_MONOTONIC), cpu = clock_s(CLOCK_THREAD_CPUTIME_ID);
+    band_rows(b);
+    b->wall_s = clock_s(CLOCK_MONOTONIC) - wall;
+    b->cpu_s = clock_s(CLOCK_THREAD_CPUTIME_ID) - cpu;
     return NULL;
 }
 
-/* Two bands when the calling thread may run on two CPUs or more, else one. */
-static ptrdiff_t band_count(void)
+/* Start band b on a thread of its own, pinned to the first CPU of `allowed`
+ * after the caller's, in a cycle, so that the two bands do not start out
+ * sharing one CPU; unpinned if sched_getcpu fails. Returns whether the
+ * thread started. */
+static int start_worker(pthread_t *worker, struct band *b, const cpu_set_t *allowed)
 {
-    cpu_set_t cpus;
-    if (sched_getaffinity(0, sizeof cpus, &cpus) != 0)
-        return 1;
-    return CPU_COUNT(&cpus) >= MAX_BANDS ? MAX_BANDS : 1;
+    pthread_attr_t attr;
+    if (pthread_attr_init(&attr) != 0)
+        return 0;
+    const int caller = sched_getcpu();
+    for (int k = 1; caller >= 0 && k < CPU_SETSIZE; k++) {
+        const int cpu = (caller + k) % CPU_SETSIZE;
+        if (CPU_ISSET(cpu, allowed)) {
+            cpu_set_t one;
+            CPU_ZERO(&one);
+            CPU_SET(cpu, &one);
+            pthread_attr_setaffinity_np(&attr, sizeof one, &one);
+            break;
+        }
+    }
+    const int started = pthread_create(worker, &attr, run_band, b) == 0;
+    pthread_attr_destroy(&attr);
+    return started;
 }
 
 /* One warp iteration of an (h, w) level, in place on u (h, w) and wv
@@ -705,44 +832,70 @@ static ptrdiff_t band_count(void)
  *    NaN; in double, as a float bound would round du_max up), +0 off the
  *    mask, where it is still added; u += du and wv += du * dir.
  * du (h, w) and dirs (h, w, 2) receive the increment and the directions.
- * With `norms` given, norms[0] and norms[1] receive the largest float64
- * norms of p and q over the cycles, as np.max over every pixel and cycle:
- * NaN once a dual is NaN. Each band takes the maximum over its rows; the
- * bands' maxima are combined once, after the join.
+ * With `record` given, it receives the RECORD_SIZE entries of the enum
+ * above: the largest float64 norms of p and q over the cycles, as np.max
+ * over every pixel and cycle (NaN once a dual is NaN; each band takes the
+ * maximum over its rows, and the bands' maxima are combined after the
+ * join), the bands and the wall time of the call, and each band's timing.
  *
- * Each band runs every step on its own rows (run_band); the bottom band
- * runs on a thread of its own, joined before the call returns. Should that
- * thread fail to start, one band runs them all. */
+ * Two bands run when the calling thread may run on two CPUs or more
+ * (sched_getaffinity) and has no steps left to run as one band (see
+ * OVERLAP_MIN); else one band runs, and that count goes down by one. Each
+ * band runs every step on its own rows
+ * (run_band); the bottom band runs on a thread of its own (start_worker),
+ * joined before the call returns. Should that thread fail to start, one
+ * band runs them all. An unobserved one-band step reads no clock. */
 ptrdiff_t warp_step(ptrdiff_t h, ptrdiff_t w, ptrdiff_t pd_iters, void *const *level,
                     ptrdiff_t cur, double *u, double *wv, double *du, double *dirs,
-                    double *norms, float alpha0, float alpha1, float lam, double du_max)
+                    double *record, float alpha0, float alpha1, float lam, double du_max)
 {
+    cpu_set_t allowed;
+    const int two = one_band_steps == 0 && sched_getaffinity(0, sizeof allowed, &allowed) == 0
+                    && CPU_COUNT(&allowed) >= MAX_BANDS;
+    if (one_band_steps > 0)
+        one_band_steps--;
     struct warp wp = {
-        .h = h, .w = w, .pd_iters = pd_iters, .cur = cur, .bands = band_count(),
-        .level = level, .u = u, .wv = wv, .du = du, .dirs = dirs, .observe = norms != NULL,
+        .h = h, .w = w, .pd_iters = pd_iters, .cur = cur, .bands = two ? MAX_BANDS : 1,
+        .level = level, .u = u, .wv = wv, .du = du, .dirs = dirs, .observe = record != NULL,
+        .timed = record != NULL || two,
         .alpha0 = alpha0, .alpha1 = alpha1, .lam = lam, .du_max = du_max,
     };
+    const double start = wp.timed ? clock_s(CLOCK_MONOTONIC) : 0.0;
     struct band bands[MAX_BANDS] = {{.warp = &wp, .index = 0}, {.warp = &wp, .index = 1}};
-    pthread_barrier_t barrier;
+    struct barrier barrier = {0, 0, 0};
     pthread_t worker;
-    if (wp.bands > 1 && pthread_barrier_init(&barrier, NULL, MAX_BANDS) == 0) {
+    if (wp.bands > 1) {
         wp.barrier = &barrier;
-        if (pthread_create(&worker, NULL, run_band, &bands[1]) != 0) {
-            pthread_barrier_destroy(&barrier);
+        if (!start_worker(&worker, &bands[1], &allowed)) {
             wp.barrier = NULL;
+            wp.bands = 1;
         }
     }
-    if (!wp.barrier)
-        wp.bands = 1;
     run_band(&bands[0]);
-    if (wp.barrier) {
+    if (wp.barrier)
         pthread_join(worker, NULL);
-        pthread_barrier_destroy(&barrier);
+    const double wall_s = wp.timed ? clock_s(CLOCK_MONOTONIC) - start : 0.0;
+    if (wp.barrier && wall_s >= JUDGE_MIN_S) {
+        if (bands[0].cpu_s + bands[1].cpu_s < OVERLAP_MIN * wall_s) {
+            one_band_steps = (ptrdiff_t)ONE_BAND_STEPS << missed_overlaps;
+            missed_overlaps += missed_overlaps < MAX_BACKOFF;
+        } else {
+            missed_overlaps = 0;
+        }
     }
-    for (int d = 0; norms && d < 2; d++) {
-        norms[d] = bands[0].norms[d];
-        for (ptrdiff_t s = 1; s < wp.bands; s++)
-            norms[d] = nan_max(norms[d], bands[s].norms[d]);
+    if (record) {
+        for (int d = 0; d < 2; d++) {
+            record[R_P_NORM + d] = bands[0].norms[d];
+            for (ptrdiff_t s = 1; s < wp.bands; s++)
+                record[R_P_NORM + d] = nan_max(record[R_P_NORM + d], bands[s].norms[d]);
+        }
+        record[R_BANDS] = (double)wp.bands;
+        record[R_WALL_S] = wall_s;
+        for (ptrdiff_t s = 0; s < wp.bands; s++) {
+            record[R_BAND + 3 * s] = bands[s].cpu;
+            record[R_BAND + 3 * s + 1] = bands[s].wall_s;
+            record[R_BAND + 3 * s + 2] = bands[s].cpu_s;
+        }
     }
     return bands[0].cur;
 }

@@ -16,18 +16,26 @@ the first kernel call raises `KernelCompileError`.
 The warp step splits the level into two row bands when the calling thread
 may run on two CPUs or more (`sched_getaffinity`), else it keeps one. The
 caller's thread runs the top band and a POSIX thread, started and joined
-within the call, the bottom one; ctypes releases the GIL meanwhile. Each
-band does its own rows of every step: the first sampling pass, the I_u
-pass, each cycle, and the clip and accumulation. The bands wait at a
-barrier where one reads the other's rows: after the first pass (the tap
-counts of the warped image's valid map read rows up to 4 away), after the
-tap counts (the I_u pass reads two rows away), inside each cycle (the
-primal step of a band's first row needs the new duals of the row above)
-and at the end of each cycle. Each band keeps the largest dual norms of
-its rows over the cycles, and the call combines the bands' once they are
-joined; a NaN norm means that a dual went NaN somewhere in some cycle.
-Every pixel's arithmetic is the same in either band, so the results do not
-depend on the number of bands.
+within the call, the bottom one; ctypes releases the GIL meanwhile. The
+thread starts pinned to an allowed CPU other than the caller's, so the
+bands run at once. Each band does its own rows of every step: the first
+sampling pass, the I_u pass, each cycle, and the clip and accumulation. The
+bands wait at a barrier where one reads the other's rows: after the first
+pass (the tap counts of the warped image's valid map read rows up to 4
+away), after the tap counts (the I_u pass reads two rows away), inside each
+cycle (the primal step of a band's first row needs the new duals of the row
+above) and at the end of each cycle. The first band to arrive spins
+briefly, then sleeps on a futex. When another process keeps the second CPU
+busy, the bands run one after the other and two are slower than one: a
+two-band step of 2 ms or more whose bands used less than 1.3 times its wall
+time in CPU time makes the calling thread run its next 4 steps as one band,
+then try two again; after such steps in a row, 8, 16, 32 and at most 64.
+Each band keeps the largest dual norms of its rows over the cycles, and the
+call combines the bands' once they are joined; a NaN norm means that a
+dual went NaN somewhere in some cycle. Every pixel's arithmetic is the same
+in either band, so the results do not depend on the number of bands. An
+observed step also records each band's CPU, wall time and thread CPU time
+(`WarpLevel.timing`).
 
 The flags, and why each is there:
 
@@ -43,7 +51,9 @@ The flags, and why each is there:
 * `-fopenmp-simd` honours the `#pragma omp simd` of the sampler's loop
   over positions, which says that its lanes are independent. It enables
   that pragma only: nothing links the OpenMP runtime or starts its threads;
-* `-pthread` compiles and links the warp step's band thread and barriers.
+* `-pthread` compiles and links the warp step's band thread, which starts
+  pinned (`pthread_attr_setaffinity_np`); the bands' barrier is the warp
+  step's own, a spin on an atomic counter and then a futex.
 
 There are two builds of the same source: the baseline with `FLAGS`, which
 runs on every CPU of its architecture, and one with `AVX2_FLAGS`, those
@@ -99,6 +109,8 @@ _INT32_MAX = np.iinfo(np.int32).max
 # The `LevelOperator` arrays the compiled loops read, in the order of kernels.c.
 _OPERATOR = ("ex", "ey", "a_ex", "b_ex", "b_ey", "c_ey", "p_step", "u_step", "tau_u",
              "tau_v")
+# The entries of `warp_step`'s record: RECORD_SIZE in kernels.c.
+_RECORD_SIZE = 10
 
 
 class KernelCompileError(RuntimeError):
@@ -347,7 +359,7 @@ class WarpLevel:
         self._pd_iters = params.pd_iters
         self._du = np.empty(plane)
         self._dirs = np.empty(plane + (2,))
-        self._norms = np.empty(2)
+        self._record = np.empty(_RECORD_SIZE)
 
     @property
     def duals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -365,7 +377,8 @@ class WarpLevel:
         increment du to du_max and accumulates u += du, w += du * dirs; see
         `warp_step` in kernels.c. With `observe`, returns copies of
         (du, dirs, iu, data_ok) and the largest float64 norms of p and q over
-        the cycles, NaN if a dual went NaN in any cycle; without, returns None.
+        the cycles, NaN if a dual went NaN in any cycle, and times the step
+        (`timing`); without, returns None.
         """
         plane = self.iu.shape
         _check("u", u, np.dtype(np.float64), plane)
@@ -375,8 +388,19 @@ class WarpLevel:
         self._cur = _library().warp_step(
             plane[0], plane[1], self._pd_iters, self._level, self._cur, u.ctypes.data,
             w.ctypes.data, self._du.ctypes.data, self._dirs.ctypes.data,
-            self._norms.ctypes.data if observe else None, *self._scalars)
+            self._record.ctypes.data if observe else None, *self._scalars)
         if observe:
             return (self._du.copy(), self._dirs.copy(), self.iu.copy(), self.data_ok.copy(),
-                    float(self._norms[0]), float(self._norms[1]))
+                    float(self._record[0]), float(self._record[1]))
         return None
+
+    @property
+    def timing(self) -> tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...], float]:
+        """How the last observed step ran: per band, in row order, the CPU it
+        started on (-1 if unknown), its wall time and its thread's CPU time,
+        then the step's wall time, all in seconds. One entry per band that
+        ran: one under a single allowed CPU, else two."""
+        bands = int(self._record[2])
+        cpus, wall, cpu = (self._record[4 + i:4 + 3 * bands:3] for i in range(3))
+        return (tuple(int(c) for c in cpus), tuple(map(float, wall)), tuple(map(float, cpu)),
+                float(self._record[3]))

@@ -112,6 +112,12 @@ class WarpRecord:
     solver never writes these arrays again, so an observer may keep them.
     The dual norms are the largest over the warp's primal-dual cycles and
     pixels, in float64; a NaN norm means that dual went NaN somewhere.
+
+    The rest says how the compiled step ran, and differs from run to run:
+    per row band, top first, the CPU it started on (-1 if unknown), its
+    wall time and its thread's CPU time, and the step's wall time, all in
+    seconds. There is one band under a single allowed CPU, else two; when
+    the bands overlap, their CPU times sum to more than `wall_s`.
     """
 
     du: np.ndarray
@@ -120,6 +126,10 @@ class WarpRecord:
     data_ok: np.ndarray
     max_p_norm: float
     max_q_norm: float
+    band_cpus: tuple[int, ...]
+    band_wall_s: tuple[float, ...]
+    band_cpu_s: tuple[float, ...]
+    wall_s: float
 
 
 Observer = Callable[[WarpRecord], None]
@@ -323,7 +333,7 @@ def solve_level(i0: np.ndarray, i1: np.ndarray, traj_dirs: np.ndarray,
         if observe is None:
             level.step(u, w)
         else:
-            observe(WarpRecord(*level.step(u, w, observe=True)))
+            observe(WarpRecord(*level.step(u, w, observe=True), *level.timing))
     return u, w, np.stack(level.duals[0], axis=-1).astype(np.float64)
 
 

@@ -1,6 +1,10 @@
 import math
 import os
+import subprocess
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -711,8 +715,20 @@ def test_warp_step_leaves_no_thread_behind(small_fisheye_rig, small_pair):
     assert _thread_count() == before
 
 
-@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
-                    reason="needs two CPUs")
+# The `WarpRecord` fields that time the compiled step, which differ between runs.
+_TIMING = ("band_cpus", "band_wall_s", "band_cpu_s", "wall_s")
+
+
+def _record_bytes(rec):
+    """The bytes of every field of a `WarpRecord` but its timing."""
+    return [np.asarray(x).tobytes() for name, x in vars(rec).items() if name not in _TIMING]
+
+
+_TWO_CPUS = pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                               reason="needs two CPUs")
+
+
+@_TWO_CPUS
 def test_warp_step_one_band_matches_two(small_fisheye_rig, small_pair):
     # Pinned to one CPU, the warp step runs its level as one band; else as
     # two. Every output and every record of the solve is the same.
@@ -723,7 +739,7 @@ def test_warp_step_one_band_matches_two(small_fisheye_rig, small_pair):
         records = []
         res = solve_pyramid(i0, i1, small_fisheye_rig, params, observe=records.append)
         return [a.tobytes() for a in (res.u, res.w, res.v)] + [
-            [np.asarray(x).tobytes() for x in vars(rec).values()] for rec in records]
+            _record_bytes(rec) for rec in records]
 
     cpus = os.sched_getaffinity(0)
     try:
@@ -733,6 +749,102 @@ def test_warp_step_one_band_matches_two(small_fisheye_rig, small_pair):
         os.sched_setaffinity(0, cpus)
     assert os.sched_getaffinity(0) == cpus
     assert solve() == one_band
+
+
+def _in_new_thread(fn):
+    """fn's result, called on a thread of its own: the warp step's count of
+    steps left to run as one band is the calling thread's, and starts at 0."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn).result()
+
+
+@_TWO_CPUS
+def test_warp_step_puts_its_bands_on_two_cpus():
+    # A thread's first step runs two bands: the caller's thread the top one,
+    # and a thread pinned to another CPU that the process may use the bottom
+    # one. Narrowed to one CPU, the step runs one band there, with the same
+    # results.
+    rig, scene = default_rig(), default_scene()
+    i0, _, _ = render(scene, rig.cam0)
+    i1, _, _ = render(scene, rig.cam1, pose=rig.pose)
+    params = SolverParams(warp_iters=1, pyramid_levels=1)
+
+    def solve():
+        records = []
+        res = solve_pyramid(i0, i1, rig, params, observe=records.append)
+        [rec] = records
+        assert 0 < max(rec.band_wall_s) <= rec.wall_s and min(rec.band_cpu_s) > 0
+        return rec, [a.tobytes() for a in (res.u, res.w, res.v)] + _record_bytes(rec)
+
+    cpus = os.sched_getaffinity(0)
+    rec, two_bands = _in_new_thread(solve)
+    assert rec.du.shape == (400, 400)
+    assert len(rec.band_cpus) == 2 and rec.band_cpus[0] != rec.band_cpus[1]
+    assert set(rec.band_cpus) <= cpus
+    try:
+        os.sched_setaffinity(0, {max(cpus)})
+        rec, one_band = _in_new_thread(solve)
+    finally:
+        os.sched_setaffinity(0, cpus)
+    assert os.sched_getaffinity(0) == cpus
+    assert rec.band_cpus == (max(cpus),)
+    assert one_band == two_bands
+
+
+# Steps a few hundred times back to back on levels of 1, 2, 3 and 7 rows,
+# where a band has no row, one row or an odd share, observed and unobserved
+# in turn: the four levels at once, each from a new thread, so that more
+# threads than CPUs wait at barriers; then one after another on one CPU.
+# Prints the most bands an observed step ran on each level: a thread's first
+# step, observed, runs two where the process may use two CPUs.
+_BARRIER_STRESS = """
+import os, sys, threading
+sys.path.insert(0, sys.argv[1])
+from test_solver import _random_warp_level
+from fisheyestereo import kernels
+
+def run(shape):
+    h, w = shape
+    level_args, (u, warp, *duals) = _random_warp_level(h * 100 + w, h, w, 3)
+    level = kernels.WarpLevel(*level_args)
+    for dual, x in zip(level.duals, duals):
+        dual[...] = x
+    bands = []
+    for k in range(300):
+        if level.step(u, warp, observe=k % 2 == 0) is not None:
+            bands.append(len(level.timing[0]))
+    return [a.tobytes() for a in (u, warp, *level.duals)], max(bands)
+
+shapes = [(1, 40), (2, 40), (3, 40), (7, 33)]
+sys.setswitchinterval(1e-4)
+got = [None] * len(shapes)
+threads = [threading.Thread(target=lambda i=i: got.__setitem__(i, run(shapes[i])))
+           for i in range(len(shapes))]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+cpus = os.sched_getaffinity(0)
+os.sched_setaffinity(0, {min(cpus)})
+want = [run(shape) for shape in shapes]
+for shape, (outputs, bands), (one_band, most) in zip(shapes, got, want):
+    assert outputs == one_band and most == 1, shape
+    print(*shape, bands)
+"""
+
+
+def test_warp_step_barrier_survives_back_to_back_steps():
+    # A lost wake-up at the bands' barrier would hang the step: the stress
+    # runs in a subprocess that must finish within the timeout. Two bands
+    # must give the one band's bits, and run in some steps of every level
+    # where the process may use two CPUs.
+    out = subprocess.run([sys.executable, "-c", _BARRIER_STRESS, str(Path(__file__).parent)],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(Path(solver.__file__).parents[1])})
+    assert out.returncode == 0, out.stderr
+    bands = min(len(os.sched_getaffinity(0)), 2)
+    assert out.stdout.splitlines() == [f"{h} {w} {bands}" for h, w in
+                                       ((1, 40), (2, 40), (3, 40), (7, 33))]
 
 
 def test_warp_level_rejects_mismatched_arrays():
