@@ -26,29 +26,24 @@
  * load per lane, was slower than the scalar sum. The other full stencils
  * take the scalar sum, and the rim and empty ones the scalar chain.
  *
- * The warp step splits its level into row bands, one per thread: two
- * bands when the calling thread may run on two CPUs or more
- * (sched_getaffinity), else one. The caller's thread runs the top band and
- * one POSIX thread, created and joined in the same call, the bottom one.
- * That worker starts pinned to the next allowed CPU after the caller's
- * (sched_getcpu), so each band has a CPU of its own; the scheduler, left to
- * itself, seldom moved the worker off the caller's CPU, and the two then
- * traded one CPU at every barrier. Every pixel's arithmetic is the same in
- * either band, so the results do not depend on the split. The bands wait
- * for each other at a barrier wherever one reads rows the other wrote:
- * after the first sampling pass (the tap counts of `valid` read rows up to
- * 4 away), after the tap counts (the I_u pass samples i1w two rows away),
- * inside each cycle (the primal step of a band's first row needs the new p
- * and q of the row above) and at the end of each cycle. The first band to
- * arrive spins for SPIN_PAUSES `pause` instructions, then sleeps on a
- * futex until the other arrives. With one band no barrier runs. A pinned
- * worker cannot leave a CPU that another process keeps busy, and there two
- * bands take longer than one: a two-band step whose bands' CPU times sum to
- * less than OVERLAP_MIN times its wall time makes the calling thread's next
- * steps run as one band, ONE_BAND_STEPS of them and more after each such
- * step in a row, before it tries two again. The worker thread allocates
- * nothing: a thread that calls malloc gets its own heap arena, which costs
- * megabytes of resident memory.
+ * The warp step splits its level into row bands, one per thread: two or
+ * one, by the band policy described at OVERLAP_MIN. The caller's thread
+ * runs the top band and one POSIX thread, created and joined in the same
+ * call, the bottom one. That worker starts pinned to the next allowed CPU
+ * after the caller's (sched_getcpu), so each band has a CPU of its own; the
+ * scheduler, left to itself, seldom moved the worker off the caller's CPU,
+ * and the two then traded one CPU at every barrier. Every pixel's
+ * arithmetic is the same in either band, so the results do not depend on
+ * the split. The bands wait for each other at a barrier wherever one reads
+ * rows the other wrote: after the first sampling pass (the tap counts of
+ * `valid` read rows up to 4 away), after the tap counts (the I_u pass
+ * samples i1w two rows away), inside each cycle (the primal step of a
+ * band's first row needs the new p and q of the row above) and at the end
+ * of each cycle. The first band to arrive spins for SPIN_PAUSES `pause`
+ * instructions, then sleeps on a futex until the other arrives. With one
+ * band no barrier runs. The worker thread allocates nothing: a thread that
+ * calls malloc gets its own heap arena, which costs megabytes of resident
+ * memory.
  */
 
 #define _GNU_SOURCE /* sched_getaffinity, sched_getcpu, CPU_COUNT, pthread_attr_setaffinity_np */
@@ -605,13 +600,18 @@ enum {
 
 #define MAX_BANDS 2
 
-/* A two-band step whose bands' CPU times sum to less than OVERLAP_MIN times
- * its wall time ran them one after the other, not at once: the other CPU
- * was busy. The calling thread's next ONE_BAND_STEPS steps then run as one
- * band, twice as many after each such step in a row, up to
- * ONE_BAND_STEPS << MAX_BACKOFF; the step after them tries two bands again.
- * A step shorter than JUDGE_MIN_S is not judged: starting its worker on an
- * idle virtual CPU can take a good part of it. */
+/* The band policy. A step runs two bands when the calling thread may run
+ * on MAX_BANDS CPUs or more (sched_getaffinity) and has no steps left to
+ * run as one band; else one band, and that count goes down by one. A pinned
+ * worker cannot leave a CPU that another process keeps busy, and there two
+ * bands take longer than one. So a two-band step whose bands' thread CPU
+ * times sum to less than OVERLAP_MIN times its wall time ran them one after
+ * the other, not at once: the calling thread's next ONE_BAND_STEPS steps
+ * then run as one band, twice as many after each such step in a row, up to
+ * ONE_BAND_STEPS << MAX_BACKOFF; the step after them tries two bands again,
+ * and a two-band step judged to overlap resets the doubling. A step shorter
+ * than JUDGE_MIN_S is not judged: starting its worker on an idle virtual
+ * CPU can take a good part of it. */
 #define OVERLAP_MIN 1.3
 #define JUDGE_MIN_S 2e-3
 #define ONE_BAND_STEPS 4
@@ -626,7 +626,7 @@ static _Thread_local int missed_overlaps;
 /* The entries of warp_step's `record`: the largest norms of p and q, the
  * bands that ran, the step's wall time, then per band the CPU it started
  * on (-1 if sched_getcpu failed), its wall time and its thread's CPU time,
- * all in seconds. kernels.py sizes its scratch to RECORD_SIZE. */
+ * all in seconds. kernels.py reads them by these names into a WarpRecord. */
 enum { R_P_NORM, R_Q_NORM, R_BANDS, R_WALL_S, R_BAND /* cpu, wall_s, cpu_s per band */ };
 #define RECORD_SIZE (R_BAND + 3 * MAX_BANDS)
 
@@ -635,7 +635,7 @@ struct warp {
     ptrdiff_t h, w, pd_iters, cur, bands;
     void *const *level;
     double *u, *wv, *du, *dirs;
-    int observe, timed; /* timed: observed, or two bands */
+    int observe;
     float alpha0, alpha1, lam;
     double du_max;
     struct barrier *barrier; /* NULL with one band */
@@ -643,8 +643,8 @@ struct warp {
 
 /* One band of a warp_step call, and what it leaves: the state set that holds
  * the duals after the warp, the largest norms of p and q on its rows over
- * the cycles (from 0, as warp_step zeroes them) and, when the step is
- * timed, the CPU it started on, its wall time and its thread's CPU time. */
+ * the cycles (from 0, as warp_step zeroes them), the CPU it started on, its
+ * wall time and its thread's CPU time. */
 struct band {
     struct warp *warp;
     ptrdiff_t index, cur;
@@ -764,15 +764,10 @@ static void band_rows(struct band *b)
     b->cur = cur;
 }
 
-/* A band's thread: its rows, timed when the step is observed or has two
- * bands. */
+/* A band's thread: its rows, timed. */
 static void *run_band(void *arg)
 {
     struct band *b = arg;
-    if (!b->warp->timed) {
-        band_rows(b);
-        return NULL;
-    }
     b->cpu = sched_getcpu();
     const double wall = clock_s(CLOCK_MONOTONIC), cpu = clock_s(CLOCK_THREAD_CPUTIME_ID);
     band_rows(b);
@@ -838,13 +833,10 @@ static int start_worker(pthread_t *worker, struct band *b, const cpu_set_t *allo
  * maximum over its rows, and the bands' maxima are combined after the
  * join), the bands and the wall time of the call, and each band's timing.
  *
- * Two bands run when the calling thread may run on two CPUs or more
- * (sched_getaffinity) and has no steps left to run as one band (see
- * OVERLAP_MIN); else one band runs, and that count goes down by one. Each
- * band runs every step on its own rows
- * (run_band); the bottom band runs on a thread of its own (start_worker),
- * joined before the call returns. Should that thread fail to start, one
- * band runs them all. An unobserved one-band step reads no clock. */
+ * The band policy (see OVERLAP_MIN) picks one band or two. Each band runs
+ * every step on its own rows (run_band); the bottom band runs on a thread
+ * of its own (start_worker), joined before the call returns. Should that
+ * thread fail to start, one band runs them all. */
 ptrdiff_t warp_step(ptrdiff_t h, ptrdiff_t w, ptrdiff_t pd_iters, void *const *level,
                     ptrdiff_t cur, double *u, double *wv, double *du, double *dirs,
                     double *record, float alpha0, float alpha1, float lam, double du_max)
@@ -857,10 +849,9 @@ ptrdiff_t warp_step(ptrdiff_t h, ptrdiff_t w, ptrdiff_t pd_iters, void *const *l
     struct warp wp = {
         .h = h, .w = w, .pd_iters = pd_iters, .cur = cur, .bands = two ? MAX_BANDS : 1,
         .level = level, .u = u, .wv = wv, .du = du, .dirs = dirs, .observe = record != NULL,
-        .timed = record != NULL || two,
         .alpha0 = alpha0, .alpha1 = alpha1, .lam = lam, .du_max = du_max,
     };
-    const double start = wp.timed ? clock_s(CLOCK_MONOTONIC) : 0.0;
+    const double start = clock_s(CLOCK_MONOTONIC);
     struct band bands[MAX_BANDS] = {{.warp = &wp, .index = 0}, {.warp = &wp, .index = 1}};
     struct barrier barrier = {0, 0, 0};
     pthread_t worker;
@@ -874,7 +865,7 @@ ptrdiff_t warp_step(ptrdiff_t h, ptrdiff_t w, ptrdiff_t pd_iters, void *const *l
     run_band(&bands[0]);
     if (wp.barrier)
         pthread_join(worker, NULL);
-    const double wall_s = wp.timed ? clock_s(CLOCK_MONOTONIC) - start : 0.0;
+    const double wall_s = clock_s(CLOCK_MONOTONIC) - start;
     if (wp.barrier && wall_s >= JUDGE_MIN_S) {
         if (bands[0].cpu_s + bands[1].cpu_s < OVERLAP_MIN * wall_s) {
             one_band_steps = (ptrdiff_t)ONE_BAND_STEPS << missed_overlaps;

@@ -13,29 +13,24 @@ new one. It is compiled to a temporary file and published with `os.replace`,
 so a process never loads a half-written library. Without `gcc` on `PATH`,
 the first kernel call raises `KernelCompileError`.
 
-The warp step splits the level into two row bands when the calling thread
-may run on two CPUs or more (`sched_getaffinity`), else it keeps one. The
-caller's thread runs the top band and a POSIX thread, started and joined
-within the call, the bottom one; ctypes releases the GIL meanwhile. The
-thread starts pinned to an allowed CPU other than the caller's, so the
-bands run at once. Each band does its own rows of every step: the first
-sampling pass, the I_u pass, each cycle, and the clip and accumulation. The
-bands wait at a barrier where one reads the other's rows: after the first
-pass (the tap counts of the warped image's valid map read rows up to 4
-away), after the tap counts (the I_u pass reads two rows away), inside each
-cycle (the primal step of a band's first row needs the new duals of the row
-above) and at the end of each cycle. The first band to arrive spins
-briefly, then sleeps on a futex. When another process keeps the second CPU
-busy, the bands run one after the other and two are slower than one: a
-two-band step of 2 ms or more whose bands used less than 1.3 times its wall
-time in CPU time makes the calling thread run its next 4 steps as one band,
-then try two again; after such steps in a row, 8, 16, 32 and at most 64.
-Each band keeps the largest dual norms of its rows over the cycles, and the
-call combines the bands' once they are joined; a NaN norm means that a
-dual went NaN somewhere in some cycle. Every pixel's arithmetic is the same
-in either band, so the results do not depend on the number of bands. An
-observed step also records each band's CPU, wall time and thread CPU time
-(`WarpLevel.timing`).
+The warp step splits the level into two row bands or keeps one, by the
+band policy that `kernels.c` describes next to its constants
+(`OVERLAP_MIN`). The caller's thread runs the top band and a POSIX thread,
+started and joined within the call, the bottom one; ctypes releases the GIL
+meanwhile. The thread starts pinned to an allowed CPU other than the
+caller's, so the bands run at once. Each band does its own rows of every
+step: the first sampling pass, the I_u pass, each cycle, and the clip and
+accumulation. The bands wait at a barrier where one reads the other's rows:
+after the first pass (the tap counts of the warped image's valid map read
+rows up to 4 away), after the tap counts (the I_u pass reads two rows
+away), inside each cycle (the primal step of a band's first row needs the
+new duals of the row above) and at the end of each cycle. The first band to
+arrive spins briefly, then sleeps on a futex. Each band keeps the largest
+dual norms of its rows over the cycles, and the call combines the bands'
+once they are joined; a NaN norm means that a dual went NaN somewhere in
+some cycle. Every pixel's arithmetic is the same in either band, so the
+results do not depend on the number of bands. An observed step returns a
+`WarpRecord`, which also says how each band ran.
 
 The flags, and why each is there:
 
@@ -87,6 +82,7 @@ import os
 import subprocess
 import tempfile
 from collections.abc import Sequence
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -109,8 +105,11 @@ _INT32_MAX = np.iinfo(np.int32).max
 # The `LevelOperator` arrays the compiled loops read, in the order of kernels.c.
 _OPERATOR = ("ex", "ey", "a_ex", "b_ex", "b_ey", "c_ey", "p_step", "u_step", "tau_u",
              "tau_v")
-# The entries of `warp_step`'s record: RECORD_SIZE in kernels.c.
-_RECORD_SIZE = 10
+# The entries of `warp_step`'s record, as the R_* enum of kernels.c names
+# them: the dual norms, the bands that ran, the step's wall time, then
+# (cpu, wall_s, cpu_s) per band, for at most two bands.
+_R_P_NORM, _R_Q_NORM, _R_BANDS, _R_WALL_S, _R_BAND = range(5)
+_RECORD_SIZE = _R_BAND + 3 * 2
 
 
 class KernelCompileError(RuntimeError):
@@ -307,6 +306,37 @@ def sample_bicubic(field: np.ndarray, pos: np.ndarray,
     return values.reshape(pos.shape[:-1] + field.shape[2:]), valid.reshape(pos.shape[:-1])
 
 
+@dataclass(frozen=True)
+class WarpRecord:
+    """What one warp iteration did, as handed to an `observe` callable.
+
+    `du` is the clipped disparity increment and `dirs` the unit directions it
+    was accumulated along (w += du * dirs). `iu` is the float32 derivative of
+    the warped second image along `dirs` that the cycles linearized with,
+    and `data_ok` where the data term was valid (I_u is +0 off it). The
+    solver never writes these arrays again, so an observer may keep them.
+    The dual norms are the largest over the warp's primal-dual cycles and
+    pixels, in float64; a NaN norm means that dual went NaN somewhere.
+
+    The rest says how the compiled step ran, and differs from run to run:
+    per row band, top first, the CPU it started on (-1 if unknown), its
+    wall time and its thread's CPU time, and the step's wall time, all in
+    seconds. There is one band under a single allowed CPU, else two; when
+    the bands overlap, their CPU times sum to more than `wall_s`.
+    """
+
+    du: np.ndarray
+    dirs: np.ndarray
+    iu: np.ndarray
+    data_ok: np.ndarray
+    max_p_norm: float
+    max_q_norm: float
+    band_cpus: tuple[int, ...]
+    band_wall_s: tuple[float, ...]
+    band_cpu_s: tuple[float, ...]
+    wall_s: float
+
+
 class WarpLevel:
     """One pyramid level, set up for the compiled warp step (`step`).
 
@@ -368,17 +398,15 @@ class WarpLevel:
         v, p, q = self.states[self._cur][1:4]
         return v, p, q
 
-    def step(self, u: np.ndarray, w: np.ndarray, observe: bool = False):
+    def step(self, u: np.ndarray, w: np.ndarray, observe: bool = False) -> WarpRecord | None:
         """One warp iteration, in place on the float64, C-contiguous u (H, W)
         and w (H, W, 2).
 
         Samples i1 and the directions at x + w, linearizes along the
         renormalized directions, runs the primal-dual cycles, clips the
         increment du to du_max and accumulates u += du, w += du * dirs; see
-        `warp_step` in kernels.c. With `observe`, returns copies of
-        (du, dirs, iu, data_ok) and the largest float64 norms of p and q over
-        the cycles, NaN if a dual went NaN in any cycle, and times the step
-        (`timing`); without, returns None.
+        `warp_step` in kernels.c. With `observe`, returns the step's
+        `WarpRecord`, whose arrays are copies; without, returns None.
         """
         plane = self.iu.shape
         _check("u", u, np.dtype(np.float64), plane)
@@ -389,18 +417,13 @@ class WarpLevel:
             plane[0], plane[1], self._pd_iters, self._level, self._cur, u.ctypes.data,
             w.ctypes.data, self._du.ctypes.data, self._dirs.ctypes.data,
             self._record.ctypes.data if observe else None, *self._scalars)
-        if observe:
-            return (self._du.copy(), self._dirs.copy(), self.iu.copy(), self.data_ok.copy(),
-                    float(self._record[0]), float(self._record[1]))
-        return None
-
-    @property
-    def timing(self) -> tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...], float]:
-        """How the last observed step ran: per band, in row order, the CPU it
-        started on (-1 if unknown), its wall time and its thread's CPU time,
-        then the step's wall time, all in seconds. One entry per band that
-        ran: one under a single allowed CPU, else two."""
-        bands = int(self._record[2])
-        cpus, wall, cpu = (self._record[4 + i:4 + 3 * bands:3] for i in range(3))
-        return (tuple(int(c) for c in cpus), tuple(map(float, wall)), tuple(map(float, cpu)),
-                float(self._record[3]))
+        if not observe:
+            return None
+        r = self._record
+        bands = int(r[_R_BANDS])
+        cpus, wall, cpu = r[_R_BAND:_R_BAND + 3 * bands].reshape(bands, 3).T.tolist()
+        return WarpRecord(du=self._du.copy(), dirs=self._dirs.copy(), iu=self.iu.copy(),
+                          data_ok=self.data_ok.copy(), max_p_norm=float(r[_R_P_NORM]),
+                          max_q_norm=float(r[_R_Q_NORM]),
+                          band_cpus=tuple(int(c) for c in cpus), band_wall_s=tuple(wall),
+                          band_cpu_s=tuple(cpu), wall_s=float(r[_R_WALL_S]))

@@ -33,10 +33,10 @@ The primal-dual cycles run in float32 (see `solve_level`); every array the
 solver returns, and `energy()`, is float64.
 
 Each warp iteration is one call into compiled code (`kernels.WarpLevel`),
-which splits the level into two row bands on two threads where the calling
-thread may use two CPUs, and joins its thread before it returns; the
-results are the same with one band or two. `solve_level` sets a
-level up once (operator, tap-count maps, scratch) and then makes one call
+which splits the level into one or two row bands by the band policy that
+`kernels.c` describes at `OVERLAP_MIN`, and joins its thread before it
+returns; the results are the same with one band or two. `solve_level` sets
+a level up once (operator, tap-count maps, scratch) and then makes one call
 per warp: it samples i1 and the directions, linearizes, runs the cycles,
 clips and accumulates. The compiled loops repeat the NumPy operations of
 the forms they replaced (kept as references in the tests) in their order
@@ -59,6 +59,7 @@ import numpy as np
 from . import fields as fieldsmod
 from . import kernels
 from .camera import StereoRig
+from .kernels import WarpRecord
 from .rasters import (build_pyramid, edge_indicators, forward_difference, pixel_grid,
                       pyramid_shapes, sample_bicubic, smooth_masked, upsample_state,
                       vector_norm, warp_image)
@@ -99,37 +100,6 @@ class SolverParams(Ruled):
     def from_dict(d: dict) -> "SolverParams":
         reject_unknown_keys(d, SolverParams.__dataclass_fields__, "", "solver config")
         return SolverParams(**d)
-
-
-@dataclass(frozen=True)
-class WarpRecord:
-    """What one warp iteration did, as handed to an `observe` callable.
-
-    `du` is the clipped disparity increment and `dirs` the unit directions it
-    was accumulated along (w += du * dirs). `iu` is the float32 derivative of
-    the warped second image along `dirs` that the cycles linearized with,
-    and `data_ok` where the data term was valid (I_u is +0 off it). The
-    solver never writes these arrays again, so an observer may keep them.
-    The dual norms are the largest over the warp's primal-dual cycles and
-    pixels, in float64; a NaN norm means that dual went NaN somewhere.
-
-    The rest says how the compiled step ran, and differs from run to run:
-    per row band, top first, the CPU it started on (-1 if unknown), its
-    wall time and its thread's CPU time, and the step's wall time, all in
-    seconds. There is one band under a single allowed CPU, else two; when
-    the bands overlap, their CPU times sum to more than `wall_s`.
-    """
-
-    du: np.ndarray
-    dirs: np.ndarray
-    iu: np.ndarray
-    data_ok: np.ndarray
-    max_p_norm: float
-    max_q_norm: float
-    band_cpus: tuple[int, ...]
-    band_wall_s: tuple[float, ...]
-    band_cpu_s: tuple[float, ...]
-    wall_s: float
 
 
 Observer = Callable[[WarpRecord], None]
@@ -330,10 +300,9 @@ def solve_level(i0: np.ndarray, i1: np.ndarray, traj_dirs: np.ndarray,
     u = np.array(u, dtype=np.float64, order="C")
     w = np.array(w, dtype=np.float64, order="C")
     for _ in range(params.warp_iters):
-        if observe is None:
-            level.step(u, w)
-        else:
-            observe(WarpRecord(*level.step(u, w, observe=True), *level.timing))
+        record = level.step(u, w, observe is not None)
+        if observe is not None:
+            observe(record)
     return u, w, np.stack(level.duals[0], axis=-1).astype(np.float64)
 
 

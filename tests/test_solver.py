@@ -605,6 +605,20 @@ def _random_warp_level(seed, h, w, pd_iters, nan_p_at=None):
     return (i0, i1, traj, traj_valid, mask, op, params), (u, warp, v, p, q)
 
 
+# The `WarpRecord` fields that time the compiled step, which differ between runs.
+_TIMING = ("band_cpus", "band_wall_s", "band_cpu_s", "wall_s")
+
+
+def _untimed(rec):
+    """Every field of a `WarpRecord` but its timing, in field order."""
+    return [x for name, x in vars(rec).items() if name not in _TIMING]
+
+
+def _record_bytes(rec):
+    """The bytes of every field of a `WarpRecord` but its timing."""
+    return [np.asarray(x).tobytes() for x in _untimed(rec)]
+
+
 def _assert_warp_step_matches_numpy(seed, h, w, pd_iters, nan_p_at=None):
     # On `_random_warp_level`'s inputs. Returns the step's dual norms.
     (i0, i1, traj, traj_valid, mask, op, params), (u, warp, v, p, q) = _random_warp_level(
@@ -619,8 +633,9 @@ def _assert_warp_step_matches_numpy(seed, h, w, pd_iters, nan_p_at=None):
         record = level.step(u_out, w_out, observe=observe)
         outputs[observe] = [a.tobytes() for a in (u_out, w_out, *level.duals)]
         if observe:
-            *arrays, max_p, max_q = record
-            got = (u_out, w_out, *level.duals, *arrays, np.float64(max_p), np.float64(max_q))
+            assert isinstance(record, solver.WarpRecord)
+            max_p, max_q = record.max_p_norm, record.max_q_norm
+            got = (u_out, w_out, *level.duals, *map(np.asarray, _untimed(record)))
             names = ("u", "w", "v", "p", "q", "du", "dirs", "iu", "data_ok", "max_p", "max_q")
             for name, a, b in zip(names, got, want):
                 assert a.dtype == b.dtype and a.shape == b.shape, name
@@ -660,7 +675,7 @@ def _observed_warp_step(level_args, start):
     level = kernels.WarpLevel(*level_args)
     for dual, x in zip(level.duals, duals):
         dual[...] = x
-    return (u, warp, *level.step(u, warp, observe=True), *level.duals)
+    return (u, warp, *_untimed(level.step(u, warp, observe=True)), *level.duals)
 
 
 @settings(max_examples=60, deadline=None)
@@ -715,15 +730,6 @@ def test_warp_step_leaves_no_thread_behind(small_fisheye_rig, small_pair):
     assert _thread_count() == before
 
 
-# The `WarpRecord` fields that time the compiled step, which differ between runs.
-_TIMING = ("band_cpus", "band_wall_s", "band_cpu_s", "wall_s")
-
-
-def _record_bytes(rec):
-    """The bytes of every field of a `WarpRecord` but its timing."""
-    return [np.asarray(x).tobytes() for name, x in vars(rec).items() if name not in _TIMING]
-
-
 _TWO_CPUS = pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
                                reason="needs two CPUs")
 
@@ -758,15 +764,22 @@ def _in_new_thread(fn):
         return pool.submit(fn).result()
 
 
+@pytest.fixture(scope="module")
+def default_pair():
+    """The default rig and its rendered 400x400 pair (i0, i1)."""
+    rig, scene = default_rig(), default_scene()
+    i0, _, _ = render(scene, rig.cam0)
+    i1, _, _ = render(scene, rig.cam1, pose=rig.pose)
+    return rig, i0, i1
+
+
 @_TWO_CPUS
-def test_warp_step_puts_its_bands_on_two_cpus():
+def test_warp_step_puts_its_bands_on_two_cpus(default_pair):
     # A thread's first step runs two bands: the caller's thread the top one,
     # and a thread pinned to another CPU that the process may use the bottom
     # one. Narrowed to one CPU, the step runs one band there, with the same
     # results.
-    rig, scene = default_rig(), default_scene()
-    i0, _, _ = render(scene, rig.cam0)
-    i1, _, _ = render(scene, rig.cam1, pose=rig.pose)
+    rig, i0, i1 = default_pair
     params = SolverParams(warp_iters=1, pyramid_levels=1)
 
     def solve():
@@ -791,6 +804,45 @@ def test_warp_step_puts_its_bands_on_two_cpus():
     assert one_band == two_bands
 
 
+@_TWO_CPUS
+def test_warp_step_falls_back_to_one_band_while_the_cpus_are_busy(default_pair):
+    # With a busy loop of another process pinned to each allowed CPU, each
+    # band gets a share of its CPU, so the bands of a two-band step add up to
+    # about its wall time in CPU time: a miss. Replays the band policy of
+    # kernels.c (at OVERLAP_MIN) on the records of an observed 400x400 solve:
+    # a step runs two bands iff the thread's count of one-band steps is 0; a
+    # two-band step of JUDGE_MIN_S or more whose bands' CPU times sum to less
+    # than OVERLAP_MIN times its wall time sets the count to 4, 8, 16, 32 and
+    # then 64 for misses in a row; a two-band step judged to overlap resets
+    # the doubling. At least one step must be a miss.
+    rig, i0, i1 = default_pair
+    params = SolverParams(warp_iters=24, pyramid_levels=1)
+    records, loops = [], []
+    try:
+        for cpu in sorted(os.sched_getaffinity(0)):
+            loops.append(subprocess.Popen([sys.executable, "-c", "while True: pass"]))
+            os.sched_setaffinity(loops[-1].pid, {cpu})
+        _in_new_thread(lambda: solve_pyramid(i0, i1, rig, params, observe=records.append))
+    finally:
+        for loop in loops:
+            loop.kill()
+            loop.wait()
+    want, one_band_steps, missed, misses = [], 0, 0, 0
+    for rec in records:
+        want.append(1 if one_band_steps else 2)
+        if one_band_steps:
+            one_band_steps -= 1
+        elif rec.wall_s >= 2e-3:
+            if sum(rec.band_cpu_s) < 1.3 * rec.wall_s:
+                one_band_steps = 4 << missed
+                missed = min(missed + 1, 4)
+                misses += 1
+            else:
+                missed = 0
+    assert [len(rec.band_cpus) for rec in records] == want
+    assert len(records) == params.warp_iters and misses > 0
+
+
 # Steps a few hundred times back to back on levels of 1, 2, 3 and 7 rows,
 # where a band has no row, one row or an odd share, observed and unobserved
 # in turn: the four levels at once, each from a new thread, so that more
@@ -811,8 +863,9 @@ def run(shape):
         dual[...] = x
     bands = []
     for k in range(300):
-        if level.step(u, warp, observe=k % 2 == 0) is not None:
-            bands.append(len(level.timing[0]))
+        record = level.step(u, warp, observe=k % 2 == 0)
+        if record is not None:
+            bands.append(len(record.band_cpus))
     return [a.tobytes() for a in (u, warp, *level.duals)], max(bands)
 
 shapes = [(1, 40), (2, 40), (3, 40), (7, 33)]
